@@ -132,13 +132,9 @@ class ModuleClosure(ClosureOp):
 
     def closure(self, N):
         M = N.module
-        if M.ring != self.S.ring:
-            raise ContextError("closure module over a different ring")
+        T, image = self._image_context(N)
+        q_rels = list(T.relations) + list(image.gens)
         g, n = self.S.ngens, M.ngens
-        T = tensor(self.S, M)
-        q_rels = list(T.relations)
-        q_rels += [tensor_elem(self.S, M, p, nq)
-                   for p in range(g) for nq in N.gens]
         total = g * (g * n)
         amb = M.ring.ambient
         target = []
@@ -280,8 +276,11 @@ class MonomialIntegralClosure(ClosureOp):
     def member(self, u, N, want_certificate=False):
         betas = _monomial_exponents(N)
         u = self._coerce_elem(u, N)
-        for (comp, exps) in u.terms:
-            assert comp == 0
+        if u.ncomps != 1:
+            raise UnsupportedQueryError(
+                "integral closure applies to elements of the rank-one "
+                "free module")
+        for (_comp, exps) in u.terms:
             if not newton_polyhedron_member(exps, betas):
                 return MembershipOutcome(False)
         return MembershipOutcome(True)

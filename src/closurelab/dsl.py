@@ -442,6 +442,9 @@ class Parser:
         toks = tokenize(text)
         if len(toks) == 2 and toks[0].kind == "int":
             return IntArg(toks[0].value)
+        if len(toks) == 3 and toks[0].kind == "punct" and \
+                toks[0].value == "-" and toks[1].kind == "int":
+            return IntArg(-toks[1].value)
         if len(toks) == 2 and toks[0].kind == "name":
             return Name(text)
         _check_poly_syntax(text, start, self.text,

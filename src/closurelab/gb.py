@@ -164,12 +164,11 @@ class Vec:
 # --- division ----------------------------------------------------------------
 
 
-def _reduce_terms(terms, basis, keyfn, fld, quots=None, keycache=None):
+def _reduce_terms(terms, basis, keyfn, fld, keycache=None):
     """Fully reduce a term dict against basis elements, in place.
 
     basis: list of (comp, exps, inv_lc, body_terms).  Returns the remainder
-    term dict.  If quots is a list of dicts, records the multipliers applied
-    to each basis element.
+    term dict.
     """
     kc = keycache if keycache is not None else {}
     rem = {}
@@ -198,13 +197,6 @@ def _reduce_terms(terms, basis, keyfn, fld, quots=None, keycache=None):
         _bc, be, inv_lc, body = basis[hit]
         q = mono_div(exps, be)
         factor = fld.mul(coeff, inv_lc)
-        if quots is not None:
-            qd = quots[hit]
-            s = fld.add(qd.get(q, fld.zero), factor)
-            if s == fld.zero:
-                qd.pop(q, None)
-            else:
-                qd[q] = s
         for (j, m), c in body.items():
             k2 = (j, mono_mul(m, q))
             s = fld.sub(terms.get(k2, fld.zero), fld.mul(c, factor))
@@ -280,16 +272,6 @@ class GroebnerBasis:
 
     def contains(self, v: Vec) -> bool:
         return self.normal_form(v).is_zero()
-
-    def reduce_with_quotients(self, v: Vec):
-        """Return (remainder, quotients); v == sum q_i * g_i + remainder."""
-        quots = [dict() for _ in self.elements]
-        terms = dict(v.terms)
-        rem = _reduce_terms(terms, self._basis_data, self.keyfn,
-                            self.ring.field, quots=quots,
-                            keycache=self._keycache)
-        return (Vec(self.ring, self.ncomps, rem),
-                [Polynomial(self.ring, q) for q in quots])
 
     def leading_terms(self):
         return [(c, e) for (c, e, _inv, _b) in self._basis_data]
@@ -504,39 +486,6 @@ def syzygy_module(cols, ncomps, ring=None) -> list:
     return extended_groebner(cols, ncomps, ring=ring).syzygies
 
 
-def intersect_spans(cols_a, cols_b, ncomps, ring=None) -> list:
-    """Generators of the intersection of the two column spans in P^ncomps."""
-    cols_a, cols_b = list(cols_a), list(cols_b)
-    if ring is None:
-        ring = (cols_a + cols_b)[0].ring
-    syz = syzygy_module(cols_a + cols_b, ncomps, ring)
-    na = len(cols_a)
-    out = []
-    for sv in syz:
-        acc = Vec.zero(ring, ncomps)
-        for q in range(na):
-            p = sv.component(q)
-            if p:
-                acc = acc + cols_a[q].scale(p)
-        if acc:
-            out.append(acc)
-    return out
-
-
-def preimage_span(map_cols, target_cols, ncomps, ring=None) -> list:
-    """Generators of {u in P^n : sum u_i map_cols_i in span(target_cols)}.
-
-    n = len(map_cols); the returned vectors live in P^n.
-    """
-    map_cols, target_cols = list(map_cols), list(target_cols)
-    if ring is None:
-        ring = (map_cols + target_cols)[0].ring
-    n = len(map_cols)
-    syz = syzygy_module(map_cols + target_cols, ncomps, ring)
-    return [sv.take_components(0, n) for sv in syz
-            if not sv.take_components(0, n).is_zero()]
-
-
 # --- elimination and toric kernels -----------------------------------------
 
 
@@ -566,52 +515,76 @@ def _strip_vars(poly: Polynomial, target: PolyRing, n_drop: int) -> Polynomial:
     return Polynomial(target, terms)
 
 
+class RingMapGraph:
+    """Graph of the ring map k[pres_names] -> target, name_i -> images[i].
+
+    images are monomials (single terms, coefficient 1) of positive degree in
+    a common target ring.  The graph polynomials name_i - images[i] live in
+    a combined ring with the target variables first; their reduced Groebner
+    basis under the order eliminating the target variables gives both the
+    kernel of the map and the rewriting of target elements into the names.
+    """
+
+    def __init__(self, images, pres_names, pres_ring=None):
+        images = list(images)
+        if not images:
+            raise UnsupportedInputError("no images given")
+        target = images[0].ring
+        fld = target.field
+        for f in images:
+            if f.ring != target:
+                raise ContextError("images from different rings")
+            if len(f.terms) != 1 or list(f.terms.values())[0] != fld.one:
+                raise UnsupportedInputError(
+                    "only monomial images are supported (got %s)" % f)
+            if f.wdeg() <= 0:
+                raise UnsupportedInputError("images must have positive degree")
+        pres_names = tuple(pres_names)
+        if len(pres_names) != len(images):
+            raise ValueError("one presentation name per image")
+        if set(pres_names) & set(target.names):
+            raise ValueError("presentation names must avoid target names")
+        degs = tuple(f.wdeg() for f in images)
+        if pres_ring is None:
+            pres_ring = PolyRing(pres_names, fld, wdegrevlex(degs))
+        self.target = target
+        self.images = images
+        self.pres_ring = pres_ring
+        self.big = PolyRing(target.names + pres_names, fld,
+                            wdegrevlex(target.weights + degs))
+        n_t = target.nvars
+        self.graph_polys = []
+        for i, f in enumerate(images):
+            e = [0] * self.big.nvars
+            e[n_t + i] = 1
+            self.graph_polys.append(Polynomial(self.big, {tuple(e): fld.one})
+                                    - self.lift_target(f))
+        self.graph_gb = groebner_module(
+            [Vec.from_polys([g]) for g in self.graph_polys], 1,
+            top_key(elim_key(n_t)), self.big)
+
+    def lift_target(self, f: Polynomial) -> Polynomial:
+        tail = (0,) * (self.big.nvars - self.target.nvars)
+        return Polynomial(self.big, {m + tail: c for m, c in f.terms.items()})
+
+    def kernel_gens(self) -> list:
+        """Kernel generators: the graph basis elements free of target
+        variables, as polynomials in the presentation ring."""
+        n_t = self.target.nvars
+        return [_strip_vars(v.component(0), self.pres_ring, n_t)
+                for v in self.graph_gb if not v.has_vars_below(n_t)]
+
+
 def kernel_of_ring_map(images, pres_names, pres_ring=None):
     """Kernel of k[pres_names] -> target, name_i -> images[i] (monomials).
 
-    images are monomials (single terms, coefficient 1) of positive degree in
-    a common target ring.  Returns (generators, presentation ring); the
-    generators are a reduced Groebner basis of the toric kernel under the
-    presentation ring's own order.
+    Returns (generators, presentation ring); the generators are a reduced
+    Groebner basis of the toric kernel under the presentation ring's own
+    order.  See RingMapGraph for the accepted images.
     """
-    images = list(images)
-    if not images:
-        raise UnsupportedInputError("no images given")
-    target = images[0].ring
-    fld = target.field
-    for f in images:
-        if f.ring != target:
-            raise ContextError("images from different rings")
-        if len(f.terms) != 1 or list(f.terms.values())[0] != fld.one:
-            raise UnsupportedInputError(
-                "only monomial images are supported (got %s)" % f)
-        if f.wdeg() <= 0:
-            raise UnsupportedInputError("images must have positive degree")
-    pres_names = tuple(pres_names)
-    if len(pres_names) != len(images):
-        raise ValueError("one presentation name per image")
-    if set(pres_names) & set(target.names):
-        raise ValueError("presentation names must avoid target names")
-    degs = tuple(f.wdeg() for f in images)
-    if pres_ring is None:
-        pres_ring = PolyRing(pres_names, fld, wdegrevlex(degs))
-
-    n_t = target.nvars
-    big = PolyRing(target.names + pres_names, fld,
-                   wdegrevlex(target.weights + degs))
-    zero_tail = (0,) * len(pres_names)
-
-    def lift_target(f: Polynomial) -> Polynomial:
-        return Polynomial(big, {m + zero_tail: c for m, c in f.terms.items()})
-
-    graph = []
-    for i, f in enumerate(images):
-        e = [0] * big.nvars
-        e[n_t + i] = 1
-        graph.append(Polynomial(big, {tuple(e): fld.one}) - lift_target(f))
-
-    kept = eliminate_vars([Vec.from_polys([g]) for g in graph], 1, n_t, big)
-    gens = [_strip_vars(v.component(0), pres_ring, n_t) for v in kept]
+    graph = RingMapGraph(images, pres_names, pres_ring)
+    pres_ring = graph.pres_ring
+    gens = graph.kernel_gens()
     if not gens:
         return [], pres_ring
     gb = buchberger([Vec.from_polys([g]) for g in gens], 1,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .closure import ClosureOp, PhantomInstance, phantom_test
 from .gb import Vec
-from .modules import (FPModule, ModuleMap, Submodule, ring_as_module,
-                      scaled_gens)
+from .modules import (FPModule, ModuleMap, Submodule, colon_scan,
+                      ring_as_module, scaled_gens)
 from .poly import ContextError, DomainError
 from .ring import ParameterSequence, QuotientRing
 
@@ -147,34 +147,22 @@ def find_bad_relation(M: FPModule, xs, degree_bound=None, pick=0):
     if not isinstance(xs, ParameterSequence):
         xs = ParameterSequence.verified(ring, xs)
     elems = list(xs.elems)
-    prev: list = []
-    for i, x in enumerate(elems):
-        N = Submodule(M, tuple(prev))
-        colon = N.colon_elem(x)
-        witnesses = []
-        for g in sorted(colon.gens,
-                        key=lambda w: (w.degree(M.gen_degrees), str(w))):
-            if degree_bound is not None and g.degree(M.gen_degrees) > degree_bound:
-                continue
-            if not N.contains(g):
-                witnesses.append(g)
-        if witnesses:
-            u = witnesses[pick % len(witnesses)]
-            w = u.scale(x.poly)
-            cert = N.certificate(w)
-            us = []
-            for l in range(i):
-                acc = Vec.zero(ring.ambient, M.ngens)
-                for j in range(M.ngens):
-                    c = cert[l * M.ngens + j]
-                    if not c.is_zero():
-                        acc = acc + M.gen(j).scale(c.poly)
-                us.append(acc)
-            seq = ParameterSequence(tuple(elems[:i + 1]),
-                                    xs.verified_partial_sop)
-            return BadRelation(M, seq, u, tuple(us))
-        prev.extend(scaled_gens(M, [x]))
-    return None
+    failure = colon_scan(M, elems, degree_bound)
+    if failure is None:
+        return None
+    i, N, witnesses = failure
+    u = witnesses[pick % len(witnesses)]
+    cert = N.certificate(u.scale(elems[i].poly))
+    us = []
+    for l in range(i):
+        acc = Vec.zero(ring.ambient, M.ngens)
+        for j in range(M.ngens):
+            c = cert[l * M.ngens + j]
+            if not c.is_zero():
+                acc = acc + M.gen(j).scale(c.poly)
+        us.append(acc)
+    seq = ParameterSequence(tuple(elems[:i + 1]), xs.verified_partial_sop)
+    return BadRelation(M, seq, u, tuple(us))
 
 
 @dataclass

@@ -47,18 +47,8 @@ def r_syzygies(ring: QuotientRing, cols, ncomps):
     cols = list(cols)
     ext = r_extended_basis(ring, cols, ncomps)
     t = len(cols)
-    out = []
-    seen = set()
-    for sv in ext.syzygies:
-        v = nf_vec(ring, sv.take_components(0, t))
-        if v.is_zero():
-            continue
-        v = _monic_vec(ring, v)
-        key = frozenset(v.terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+    return _distinct_monic(ring, [sv.take_components(0, t)
+                                  for sv in ext.syzygies])
 
 
 def r_preimage(ring: QuotientRing, map_cols, target_cols, ncomps):
@@ -79,20 +69,8 @@ def r_preimage(ring: QuotientRing, map_cols, target_cols, ncomps):
     cols += [ic.pad(big) for ic in ideal_columns(ring, ncomps)]
     cols += [ic.pad(big, offset=ncomps) for ic in ideal_columns(ring, n)]
     gb = buchberger(cols, big, block_key(amb.key, ncomps), amb)
-    out = []
-    seen = set()
-    for g in gb:
-        if not g.take_components(0, ncomps).is_zero():
-            continue
-        v = nf_vec(ring, g.take_components(ncomps, big))
-        if v.is_zero():
-            continue
-        v = _monic_vec(ring, v)
-        key = frozenset(v.terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+    return _distinct_monic(ring, [g.take_components(ncomps, big) for g in gb
+                                  if g.take_components(0, ncomps).is_zero()])
 
 
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
@@ -107,6 +85,22 @@ def _monic_vec(ring: QuotientRing, v: Vec) -> Vec:
         return v
     _c, _e, lc = v.leading(top_key(ring.ambient.key))
     return v.term_mul(ring.ambient.field.inv(lc), (0,) * ring.ambient.nvars)
+
+
+def _distinct_monic(ring: QuotientRing, vecs) -> list:
+    """The nonzero monic normal forms of vecs, first occurrences in order."""
+    out = []
+    seen = set()
+    for v in vecs:
+        v = nf_vec(ring, v)
+        if v.is_zero():
+            continue
+        v = _monic_vec(ring, v)
+        key = frozenset(v.terms.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
 
 
 # --- finitely presented modules ----------------------------------------------
@@ -244,8 +238,8 @@ class FPModule:
                 self._memo["minpres"] = mp
                 steps.append((mp.gen_degrees, ()))
                 if mp.ngens:
-                    cols = _minimalize_columns(self.ring, list(mp.relations),
-                                               mp.gen_degrees)
+                    cols = minimal_generators(self.ring, list(mp.relations),
+                                              mp.gen_degrees)
                     steps.append((tuple(c.degree(mp.gen_degrees) for c in cols),
                                   tuple(cols)))
             while len(steps) <= length:
@@ -255,7 +249,7 @@ class FPModule:
                     continue
                 shifts = steps[-2][0] if len(steps) >= 2 else None
                 syz = r_syzygies(self.ring, list(prev_cols), len(shifts))
-                syz = _minimalize_columns(self.ring, syz, prev_degrees)
+                syz = minimal_generators(self.ring, syz, prev_degrees)
                 steps.append((tuple(c.degree(prev_degrees) for c in syz),
                               tuple(syz)))
             return steps[:length + 1]
@@ -388,13 +382,9 @@ class Submodule:
 
     def colon_elem(self, x) -> "Submodule":
         """(self :_M x) = {m in M : x m in self}."""
-        x = self.ring.elem(x)
-        n = self.module.ngens
-        map_cols = [Vec(self.ring.ambient, n,
-                        {(j, m): c for m, c in x.poly.terms.items()})
-                    for j in range(n)]
         target = list(self.gens) + list(self.module.relations)
-        gens = r_preimage(self.ring, map_cols, target, n)
+        gens = r_preimage(self.ring, scaled_gens(self.module, [x]), target,
+                          self.module.ngens)
         return Submodule(self.module, tuple(gens)).minimalized()
 
     def colon_ideal(self, xs) -> "Submodule":
@@ -408,29 +398,9 @@ class Submodule:
 
     def minimalized(self) -> "Submodule":
         """Prune the generating set to a minimal one (deterministically)."""
-        gens = [nf_vec(self.ring, g) for g in self.gens]
-        gens = [_monic_vec(self.ring, g) for g in gens if not g.is_zero()]
-        seen = set()
-        uniq = []
-        for g in gens:
-            key = frozenset(g.terms.items())
-            if key not in seen:
-                seen.add(key)
-                uniq.append(g)
-        uniq.sort(key=lambda g: (g.degree(self.module.gen_degrees), str(g)))
-        kept = list(uniq)
-        i = 0
-        while i < len(kept):
-            candidate = kept[i]
-            others = kept[:i] + kept[i + 1:]
-            span = r_span_basis(self.ring,
-                                others + list(self.module.relations),
-                                self.module.ngens)
-            if span.contains(candidate):
-                kept.pop(i)
-            else:
-                i += 1
-        return Submodule(self.module, tuple(kept))
+        return Submodule(self.module, tuple(minimal_generators(
+            self.ring, self.gens, self.module.gen_degrees,
+            self.module.relations)))
 
     def gens_as_ring_elems(self):
         if self.module.ngens != 1:
@@ -633,28 +603,23 @@ def _minimal_presentation(M: FPModule) -> FPModule:
                 cols.append(terms)
 
     rel_vecs = [Vec(ring.ambient, len(degrees), t) for t in cols]
-    rel_vecs = _minimalize_columns(ring, rel_vecs, tuple(degrees))
+    rel_vecs = minimal_generators(ring, rel_vecs, tuple(degrees))
     return FPModule(ring, tuple(degrees), rel_vecs, normalize=False)
 
 
-def _minimalize_columns(ring: QuotientRing, cols, shifts):
-    """Minimal generating set of the span of cols (graded Nakayama, greedy)."""
-    cols = [nf_vec(ring, c) for c in cols]
-    cols = [_monic_vec(ring, c) for c in cols if not c.is_zero()]
-    seen = set()
-    uniq = []
-    for c in cols:
-        key = frozenset(c.terms.items())
-        if key not in seen:
-            seen.add(key)
-            uniq.append(c)
-    uniq.sort(key=lambda g: (g.degree(shifts), str(g)))
-    ncomps = len(shifts)
-    kept = list(uniq)
+def minimal_generators(ring: QuotientRing, cols, shifts, relations=()):
+    """Minimal generating set of the span of cols modulo relations.
+
+    Graded Nakayama, greedily: deduplicate the monic normal forms, sort them
+    by (degree, str), then drop each one that the others and the relations
+    span.
+    """
+    kept = _distinct_monic(ring, cols)
+    kept.sort(key=lambda g: (g.degree(shifts), str(g)))
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        span = r_span_basis(ring, others, ncomps)
+        span = r_span_basis(ring, others + list(relations), len(shifts))
         if span.contains(kept[i]):
             kept.pop(i)
         else:
@@ -770,6 +735,30 @@ def scaled_gens(M: FPModule, elems):
     return out
 
 
+def colon_scan(M: FPModule, elems, degree_bound=None):
+    """First index at which elems fails to be a regular sequence on M.
+
+    For each i, with N = (x_1..x_{i-1})M, the generators of (N :_M x_i)
+    that lie outside N (and have degree at most degree_bound, if given)
+    are witnesses.  Returns (i, N, witnesses) for the first i with any,
+    witnesses sorted by (degree, str); None when there is no such i.
+    """
+    prev: list = []
+    for i, x in enumerate(elems):
+        N = Submodule(M, tuple(prev))
+        witnesses = []
+        for g in sorted(N.colon_elem(x).gens,
+                        key=lambda v: (v.degree(M.gen_degrees), str(v))):
+            if degree_bound is not None and g.degree(M.gen_degrees) > degree_bound:
+                continue
+            if not N.contains(g):
+                witnesses.append(g)
+        if witnesses:
+            return i, N, witnesses
+        prev.extend(scaled_gens(M, [x]))
+    return None
+
+
 def is_regular_sequence(xs, M: FPModule) -> RegularSequenceResult:
     """Check that xs is a regular sequence on M; witness on failure.
 
@@ -777,24 +766,14 @@ def is_regular_sequence(xs, M: FPModule) -> RegularSequenceResult:
     (x_1..x_{i-1})M, and M/(xs)M must be nonzero.
     """
     elems = [M.ring.elem(x) for x in xs]
-    prev: list = []
-    for i, x in enumerate(elems):
-        N = Submodule(M, tuple(prev))
-        colon = N.colon_elem(x)
-        for g in sorted(colon.gens,
-                        key=lambda v: (v.degree(M.gen_degrees), str(v))):
-            if not N.contains(g):
-                return RegularSequenceResult(
-                    False, i, g,
-                    note=f"({x}) times witness lies in the previous span")
-        prev.extend(scaled_gens(M, [x]))
-    full = Submodule(M, tuple(prev))
+    failure = colon_scan(M, elems)
+    if failure is not None:
+        i, _N, witnesses = failure
+        return RegularSequenceResult(
+            False, i, witnesses[0],
+            note=f"({elems[i]}) times witness lies in the previous span")
+    full = Submodule(M, tuple(scaled_gens(M, elems)))
     if all(full.contains(M.gen(j)) for j in range(M.ngens)):
         return RegularSequenceResult(False, len(elems), None,
                                      note="M equals (xs)M")
     return RegularSequenceResult(True)
-
-
-def annihilates(M: FPModule, x) -> bool:
-    x = M.ring.elem(x)
-    return all(M.element_is_zero(v) for v in scaled_gens(M, [x]))

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .field import QQ
-from .orders import top_key, elim_key, wdegrevlex
-from .poly import ContextError, DomainError, PolyRing, Polynomial
-from .gb import (Vec, buchberger, eliminate_vars, groebner_module,
-                 kernel_of_ring_map, syzygy_module, _strip_vars)
+from .orders import top_key
+from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
+from .gb import (GroebnerBasis, RingMapGraph, Vec, buchberger, eliminate_vars,
+                 syzygy_module, _strip_vars)
 
 
 class QuotientRing:
@@ -30,11 +30,10 @@ class QuotientRing:
             if not g.is_homogeneous():
                 raise DomainError(f"inhomogeneous relation: {g}")
         cols = [Vec.from_polys([g]) for g in gens]
-        self.ideal_basis = [v.component(0) for v in
-                            buchberger(cols, 1, top_key(ambient.key), ambient)]
-        self._gb = groebner_module([Vec.from_polys([g]) for g in self.ideal_basis],
-                                   1, top_key(ambient.key), ambient) \
-            if self.ideal_basis else None
+        keyfn = top_key(ambient.key)
+        basis = buchberger(cols, 1, keyfn, ambient)
+        self.ideal_basis = [v.component(0) for v in basis]
+        self._gb = GroebnerBasis(ambient, 1, keyfn, basis) if basis else None
         self.domain_status = domain_status
         self.presentation = presentation
         self._dim = None
@@ -213,12 +212,12 @@ class RingElem:
         if not isinstance(other, RingElem):
             try:
                 other = self.ring.elem(other)
-            except (TypeError, ContextError):
+            except (TypeError, ContextError, ParseError):
                 return NotImplemented
         return self.ring == other.ring and self.poly == other.poly
 
     def __hash__(self):
-        return hash((id(self.ring), self.poly))
+        return hash((self.ring, self.poly))
 
     def __str__(self):
         return str(self.poly)
@@ -258,38 +257,12 @@ class ParameterSequence:
 _AUTO_NAMES = "abcdefghijklmnopqrst"
 
 
-class SubringPresentation:
+class SubringPresentation(RingMapGraph):
     """Provenance of a ring presented as a monomial subring of k[x_1..x_m].
 
-    Keeps the combined "graph" ring (target variables dominant, presentation
-    variables below) whose elimination Groebner basis rewrites subring
-    elements into presentation variables.
+    The graph basis (target variables dominant, presentation variables
+    below) rewrites subring elements into presentation variables.
     """
-
-    def __init__(self, target: PolyRing, images, pres_ring: PolyRing):
-        self.target = target
-        self.images = list(images)
-        self.pres_ring = pres_ring
-        fld = target.field
-        degs = tuple(f.wdeg() for f in self.images)
-        self.big = PolyRing(target.names + pres_ring.names, fld,
-                            wdegrevlex(target.weights + degs))
-        zero_tail = (0,) * pres_ring.nvars
-        self._lift_cache = zero_tail
-        graph = []
-        for i, f in enumerate(self.images):
-            e = [0] * self.big.nvars
-            e[target.nvars + i] = 1
-            graph.append(Polynomial(self.big, {tuple(e): fld.one})
-                         - self.lift_target(f))
-        self.graph_polys = graph
-        key = top_key(elim_key(target.nvars))
-        self._graph_gb = groebner_module(
-            [Vec.from_polys([g]) for g in graph], 1, key, self.big)
-
-    def lift_target(self, f: Polynomial) -> Polynomial:
-        tail = (0,) * self.pres_ring.nvars
-        return Polynomial(self.big, {m + tail: c for m, c in f.terms.items()})
 
     def to_subring(self, f: Polynomial):
         """Express a target-ring element in presentation variables.
@@ -299,7 +272,7 @@ class SubringPresentation:
         """
         if f.ring != self.target:
             raise ContextError("element not in the target ring")
-        nf = self._graph_gb.normal_form(Vec.from_polys([self.lift_target(f)]))
+        nf = self.graph_gb.normal_form(Vec.from_polys([self.lift_target(f)]))
         p = nf.component(0)
         if any(any(m[:self.target.nvars]) for m in p.terms):
             return None
@@ -350,9 +323,9 @@ def presented_subring(images, names=None, field=QQ, target_ring=None):
         for _ in imgs:
             names.append(next(pool))
     names = tuple(names)
-    gens, pres_ring = kernel_of_ring_map(imgs, names)
-    presentation = SubringPresentation(target_ring, imgs, pres_ring)
-    return QuotientRing(pres_ring, gens, domain_status="subring-of-domain",
+    presentation = SubringPresentation(imgs, names)
+    return QuotientRing(presentation.pres_ring, presentation.kernel_gens(),
+                        domain_status="subring-of-domain",
                         presentation=presentation)
 
 

@@ -10,7 +10,7 @@ import random
 
 from .gb import Vec
 from .linalg import monomials_of_wdeg
-from .modules import FPModule, ideal_submodule, ring_as_module
+from .modules import FPModule, ideal_submodule
 from .ring import QuotientRing
 
 
@@ -98,16 +98,3 @@ def random_submodule_pair(M: FPModule, rng: random.Random, max_deg=4,
                         {(j, m): c for m, c in e.poly.terms.items()}))
     return M.submodule(gens)
 
-
-def random_small_module(ring: QuotientRing, rng: random.Random, max_deg=3):
-    """R, R/I, R^2, or an ideal-as-module style quotient; small and graded."""
-    choice = rng.randrange(3)
-    if choice == 0:
-        return ring_as_module(ring)
-    if choice == 1:
-        from .modules import quotient_module
-        return quotient_module(ring, random_ideal_gens(ring, rng, 2, max_deg))
-    from .modules import free_module
-    F = free_module(ring, (0, rng.randint(0, 1)))
-    N = random_submodule_pair(F, rng, max_deg, 1)
-    return F.quotient_by(N)

@@ -146,6 +146,17 @@ class Session:
         return out
 
     @staticmethod
+    def _int_arg(fn, args, idx):
+        """Argument idx of fn as a nonnegative integer."""
+        if idx >= len(args):
+            raise EvalError(f"{fn}: argument {idx + 1} is missing")
+        arg = args[idx]
+        if not isinstance(arg, IntArg) or arg.value < 0:
+            raise EvalError(f"{fn}: argument {idx + 1} must be a "
+                            f"nonnegative integer, found {arg.show()}")
+        return arg.value
+
+    @staticmethod
     def _arg_text(arg):
         if isinstance(arg, (Name, Expr)):
             return arg.show()
@@ -275,7 +286,8 @@ class Session:
             M = free_module(ring, degrees)
         elif stmt.form == "syzygy_of_k":
             ring = self._ring(stmt.args[0].value)
-            M = residue_field(ring).syzygy(stmt.args[1].value)
+            M = residue_field(ring).syzygy(
+                self._int_arg("syzygy_of_k", stmt.args, 1))
         else:
             raise EvalError(f"unknown module form {stmt.form!r}")
         self._bind(stmt.name, "module", M)
@@ -408,7 +420,7 @@ class Session:
             cl = self._closure_arg(args[0])
             ring, idx = self._maybe_ring_arg(args, 1)
             xs = self._elems(ring, args[idx])
-            tmax = args[idx + 1].value
+            tmax = self._int_arg(fn, args, idx + 1)
             t = dietz_obstruction(cl, ring, xs, tmax)
             res.result = {"t": t}
             return
@@ -427,7 +439,7 @@ class Session:
         if fn == "trivial_on":
             cl = self._closure_arg(args[0])
             ring, idx = self._maybe_ring_arg(args, 1)
-            count = args[idx].value if len(args) > idx else 10
+            count = self._int_arg(fn, args, idx) if len(args) > idx else 10
             if isinstance(cl, MonomialIntegralClosure):
                 sample = sample_monomial_ideals(ring, count, self.seed)
             else:

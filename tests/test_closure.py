@@ -63,6 +63,13 @@ def test_integral_closure_rejects_bad_inputs(kxy, segre):
         ideal_member(ic, segre, "a", ["b"])
 
 
+def test_integral_closure_rejects_vector_of_wrong_rank(kxy):
+    N = ideal_submodule(kxy, ["x^2", "y^2"])
+    u = free_module(kxy, (0, 0)).vec(["x*y", "x*y"])
+    with pytest.raises(UnsupportedQueryError):
+        MonomialIntegralClosure().member(u, N)
+
+
 def test_newton_polyhedron_halves():
     assert newton_polyhedron_member((1, 1), [(2, 0), (0, 2)])
     assert not newton_polyhedron_member((1, 0), [(2, 0), (0, 2)])

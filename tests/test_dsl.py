@@ -55,6 +55,9 @@ def test_check_with_list_and_ints():
     assert s.args[2] == ListArg((Name("a"), Name("d")))
     assert s.args[4] == IntArg(3)
     assert s.args[5] == IntArg(1)
+    s = parse_one("check dietz_obstruction(trivial, [x, y], - 3);")
+    assert s.args[2] == IntArg(-3)
+    assert parse_one(s.show()) == s
 
 
 def test_moduledef_and_closuredef():

@@ -10,8 +10,9 @@ from closurelab.orders import DEGREVLEX, top_key
 from closurelab.poly import PolyRing
 from closurelab.gb import (UnsupportedInputError, Vec, buchberger,
                            extended_groebner, groebner_module,
-                           intersect_spans, kernel_of_ring_map, preimage_span,
-                           syzygy_module)
+                           kernel_of_ring_map, syzygy_module)
+from closurelab.modules import ideal_submodule
+from closurelab.ring import make_quotient_ring
 
 from oracles import (brute_member, brute_syzygies_complete,
                      buchberger_criterion_holds)
@@ -195,30 +196,30 @@ def test_syzygies_compose_to_zero_random():
 
 
 def test_ideal_intersection_brute_force():
-    got = intersect_spans(ideal_cols(R2, ["x^2", "y^2"]),
-                          ideal_cols(R2, ["x*y"]), 1, R2)
-    got_set = {str(v.component(0).monic()) for v in got}
+    R = make_quotient_ring(R2, [])
+    got = ideal_submodule(R, ["x^2", "y^2"]).intersect(
+        ideal_submodule(R, ["x*y"]))
+    got_set = {str(v.component(0).monic()) for v in got.gens}
     assert got_set == {"x^2*y", "x*y^2"}
     # brute force: monomials of degree <= 4 in both ideals lie in the result
-    gb = groebner_module(got, 1, ring=R2)
     for i in range(5):
         for j in range(5 - i):
             in_first = i >= 2 or j >= 2   # monomial membership in (x^2, y^2)
             in_second = i >= 1 and j >= 1
             v = Vec.from_polys([R2.monomial((i, j))])
             if in_first and in_second:
-                assert gb.contains(v), (i, j)
+                assert got.contains(v), (i, j)
             else:
-                assert not gb.contains(v), (i, j)
+                assert not got.contains(v), (i, j)
 
 
-def test_preimage_span_colon():
+def test_colon_by_element():
     # (x) : (y) in k[x,y] = (x)
-    got = preimage_span(ideal_cols(R2, ["y"]), ideal_cols(R2, ["x"]), 1, R2)
-    gb = groebner_module(got, 1, ring=R2)
-    assert gb.contains(Vec.from_polys([R2.parse("x")]))
-    assert not gb.contains(Vec.from_polys([R2.parse("y")]))
-    assert not gb.contains(Vec.from_polys([R2.one()]))
+    R = make_quotient_ring(R2, [])
+    got = ideal_submodule(R, ["x"]).colon_elem("y")
+    assert got.contains(Vec.from_polys([R2.parse("x")]))
+    assert not got.contains(Vec.from_polys([R2.parse("y")]))
+    assert not got.contains(Vec.from_polys([R2.one()]))
 
 
 # --- toric kernels ---------------------------------------------------------------------

@@ -12,7 +12,9 @@ from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 residue_field, ring_as_module, scaled_gens,
                                 tensor, tensor_elem)
 
-from oracles import brute_syzygies_complete, graded_dim_of_span
+from closurelab.sampling import random_submodule_pair
+
+from oracles import brute_member, brute_syzygies_complete, graded_dim_of_span
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -206,6 +208,47 @@ def test_regular_sequence_detects_m_equal_xsm(kxy):
     M = quotient_module(kxy, ["x", "y"])
     res = is_regular_sequence(["x", "y"], M)
     assert not res.ok
+
+
+# --- minimal generators ------------------------------------------------------------------
+
+
+def _redundant_gens(M, rng):
+    """Random generators inside m M, plus copies, multiples and sums."""
+    base = [g for _ in range(4)
+            for g in random_submodule_pair(M, rng, max_deg=4).gens
+            if all(any(m) for (_j, m) in g.terms)]
+    gens = list(base)
+    for g in base:
+        gens.append(g.scale(rng.choice(M.ring.ambient.gens())))
+        gens.append(g)
+    for g, h in zip(base, base[1:]):
+        if M.degree_of(g) == M.degree_of(h):
+            gens.append(g + h)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_minimalized_keeps_nakayama_count_per_degree(kxy, segre):
+    rng = random.Random(20)
+    modules = [ring_as_module(kxy), quotient_module(kxy, ["x^2", "x*y"]),
+               FPModule(kxy, (0, 1), [["x*y", "y"]]), ring_as_module(segre),
+               quotient_module(segre, ["a"]), free_module(segre, (0, 2))]
+    for trial in range(12):
+        M = modules[trial % len(modules)]
+        ring, shifts, rels = M.ring, M.gen_degrees, list(M.relations)
+        gens = _redundant_gens(M, rng)
+        kept = Submodule(M, tuple(gens)).minimalized().gens
+        m_gens = [g.scale(v) for g in gens for v in ring.ambient.gens()]
+        for d in range(0, 10):
+            expected = (graded_dim_of_span(ring, gens + rels, shifts, d)
+                        - graded_dim_of_span(ring, m_gens + rels, shifts, d))
+            got = sum(1 for g in kept if M.degree_of(g) == d)
+            assert got == expected, (trial, d)
+        for g in gens:
+            assert brute_member(ring, list(kept) + rels, shifts, g), trial
+        for g in kept:
+            assert brute_member(ring, gens + rels, shifts, g), trial
 
 
 # --- minimal presentations --------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from closurelab import gb
+from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
 from closurelab.orders import DEGREVLEX
 from closurelab.poly import ContextError, DomainError, PolyRing
@@ -96,6 +98,39 @@ def test_presented_subring_veronese4(veronese4):
     assert str(sp.to_subring(T.parse("x^6*y^2"))) == "b^2"
     assert sp.to_subring(T.parse("x^2*y^2")) is None  # not in the subring
     assert sp.to_subring(T.parse("x^5*y^3")) is not None  # = bc = ad
+
+
+def test_presented_subring_veronese4_runs_two_groebner_bases(monkeypatch):
+    calls = []
+    real = gb.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gb, "buchberger", counting)
+    monkeypatch.setattr(ring_module, "buchberger", counting)
+    T = PolyRing(("x", "y"), QQ, DEGREVLEX)
+    R = presented_subring([T.parse("x^4"), T.parse("x^3*y"),
+                           T.parse("x*y^3"), T.parse("y^4")],
+                          names=("a", "b", "c", "d"), target_ring=T)
+    assert len(calls) <= 2
+    assert [str(g) for g in R.ideal_basis] == [
+        "b^3 - a^2*c", "a*c^2 - b^2*d", "c^3 - b*d^2", "b*c - a*d"]
+
+
+def test_ring_elem_hash_agrees_with_equality():
+    amb = PolyRing(("a", "b"), QQ, DEGREVLEX)
+    R1 = make_quotient_ring(amb, ["a^2"])
+    R2 = make_quotient_ring(amb, ["a^2"])
+    assert R1 is not R2 and R1 == R2
+    assert R1.elem("a + b") == R2.elem("b + a")
+    assert len({R1.elem("a + b"), R2.elem("b + a")}) == 1
+
+
+def test_ring_elem_compares_unequal_to_unparsable_string(kxy):
+    assert not kxy.elem("x") == "x+"
+    assert kxy.elem("x") != "x+"
 
 
 def test_descriptor_fields(segre):

@@ -218,6 +218,25 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("stmt, message", [
+    ("check dietz_obstruction(trivial, [x,y], -3);",
+     "argument 3 must be a nonnegative integer, found -3"),
+    ("module Z = syzygy_of_k(P, -1);",
+     "argument 2 must be a nonnegative integer, found -1"),
+    ("check trivial_on(trivial, P, -2);",
+     "argument 3 must be a nonnegative integer, found -2"),
+    ("check dietz_obstruction(trivial, [x,y]);", "argument 3 is missing"),
+])
+def test_cli_bad_integer_argument_is_an_error(tmp_path, capsys, stmt,
+                                              message):
+    script = tmp_path / "neg.clab"
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n" + stmt + "\n")
+    assert main(["run", str(script), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert message in json.loads(captured.out)["statements"][-1]["error"]
+
+
 def test_cli_json_output(tmp_path, capsys):
     script = tmp_path / "s.clab"
     script.write_text("ring P = poly(Q, [x,y], degrevlex);\n"
