@@ -14,7 +14,8 @@ from .poly import ParseError
 from .session import EvalError, Session, SessionVersionError
 
 
-def _print_result(res, stream=sys.stdout):
+def _print_result(res, stream=None):
+    stream = stream if stream is not None else sys.stdout
     if res.error is not None:
         print(f"error: {res.error}", file=stream)
         return

@@ -104,18 +104,35 @@ class ModuleClosure(ClosureOp):
             raise DomainError("module closure needs a nonzero module")
         self.S = S
         self.name = label or "cl_S"
+        self._image_slot = None
 
     def describe(self):
         return f"module_closure({self.name})"
 
     def _image_context(self, N: Submodule):
+        """(S (x) M, image of S (x) N in it) for N inside M.
+
+        The last result is kept in one slot keyed by (N.module, N.gens),
+        compared by value, so an equal but distinct N reuses it, together
+        with the span and extended bases its image Submodule memoizes.
+        One slot, not a memo per N: memory stays flat however many N a
+        caller walks through.  The slot is read and written by single
+        attribute accesses and takes no lock; two threads racing on one
+        closure can at worst both build the context.
+        """
         M = N.module
         if M.ring != self.S.ring:
             raise ContextError("closure module over a different ring")
+        key = (M, N.gens)
+        slot = self._image_slot
+        if slot is not None and slot[0] == key:
+            return slot[1]
         T = tensor(self.S, M)
         image_cols = [tensor_elem(self.S, M, p, nq)
                       for p in range(self.S.ngens) for nq in N.gens]
-        return T, T.submodule(image_cols)
+        context = (T, T.submodule(image_cols))
+        self._image_slot = (key, context)
+        return context
 
     def member(self, u, N, want_certificate=False):
         u = self._coerce_elem(u, N)

@@ -233,6 +233,11 @@ class Session:
                 ValueError) as exc:
             res.error = str(exc)
             res.ok = None
+        except Exception as exc:
+            # A defect in the engine, not in the script: it is recorded on
+            # the statement (exit code 2) and the session keeps going.
+            res.error = f"internal error: {type(exc).__name__}: {exc}"
+            res.ok = None
         res.seconds = time.monotonic() - t0
         self.log.append((stmt, res))
         return res
@@ -311,8 +316,9 @@ class Session:
         ring = self._ring(stmt.args[0].value)
         cl = self._closure_arg(stmt.args[1])
         xs = self._elems(ring, stmt.args[2])
-        steps = stmt.args[3].value
-        bound = stmt.args[4].value if len(stmt.args) > 4 else self.deg_bound
+        steps = self._int_arg(stmt.form, stmt.args, 3)
+        bound = self._int_arg(stmt.form, stmt.args, 4) \
+            if len(stmt.args) > 4 else self.deg_bound
         trace = parameter_chain(ring, cl, xs, steps, degree_bound=bound)
         self._bind(stmt.name, "trace", trace)
         res.result = trace.descriptor()
@@ -388,8 +394,10 @@ class Session:
             ring, idx = self._maybe_ring_arg(args, 1)
             xs = self._elems(ring, args[idx])
             variant = args[idx + 1].value if len(args) > idx + 1 else "plain"
-            t = args[idx + 2].value if len(args) > idx + 2 else None
-            a = args[idx + 3].value if len(args) > idx + 3 else None
+            t = self._int_arg(fn, args, idx + 2) \
+                if len(args) > idx + 2 else None
+            a = self._int_arg(fn, args, idx + 3) \
+                if len(args) > idx + 3 else None
             out = check_colon_capturing(cl, ring, xs, variant, t=t, a=a)
             res.ok = bool(out.holds)
             res.witness = out.witness

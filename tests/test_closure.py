@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from closurelab.poly import DomainError
+from closurelab import modules
+from closurelab.poly import ContextError, DomainError
 from closurelab.modules import (FPModule, ModuleMap, Submodule, free_module,
                                 ideal_as_module, ideal_submodule,
                                 quotient_module, residue_field,
@@ -154,6 +155,69 @@ def test_module_closure_rejects_zero_module(segre):
     Z = quotient_module(segre, ["1"])
     with pytest.raises(DomainError):
         ModuleClosure(Z)
+
+
+def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
+                                                monkeypatch):
+    calls = []
+    real = modules.r_span_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    cl = ModuleClosure(s2_module, "cl_S")
+    monkeypatch.setattr(modules, "r_span_basis", counting)
+    answers = [ideal_member(cl, veronese4, u, ["a"]).holds
+               for u in ("b^2", "b", "a*b", "b^2")]
+    assert answers == [True, False, True, True]
+    assert len(calls) == 1
+
+
+def _slot_queries(ring, gens_a, gens_b, elems):
+    N_a = ideal_submodule(ring, gens_a)
+    N_b = ideal_submodule(ring, gens_b)
+    N_a_copy = ideal_submodule(ring, gens_a)
+    assert N_a_copy is not N_a and N_a_copy.gens == N_a.gens
+    return [(N, u) for N in (N_a, N_b, N_a, N_a_copy, N_b) for u in elems]
+
+
+@pytest.mark.parametrize("case", ["segre", "veronese4"])
+def test_member_slot_agrees_with_fresh_closure(request, case):
+    if case == "segre":
+        ring = request.getfixturevalue("segre")
+        S = ideal_as_module(ring, ["a", "b"])
+        queries = _slot_queries(ring, ["a^2", "a*b", "b*c", "c^2"],
+                                ["a", "c"], ["a*c", "a", "b", "b^2"])
+    else:
+        ring = request.getfixturevalue("veronese4")
+        S = request.getfixturevalue("s2_module")
+        queries = _slot_queries(ring, ["a"], ["d"],
+                                ["b^2", "b", "c^2", "a*d"])
+    cl = ModuleClosure(S)
+    R1 = ring_as_module(ring)
+    seen = set()
+    for N, u in queries:
+        v = R1.vec([u])
+        for want in (False, True):
+            got = cl.member(v, N, want_certificate=want)
+            ref = ModuleClosure(S).member(v, N, want_certificate=want)
+            assert (got.holds, got.certificate) == \
+                (ref.holds, ref.certificate), (N.gens, u, want)
+            seen.add(got.holds)
+        if u == queries[0][1]:
+            assert cl.closure(N).gens == ModuleClosure(S).closure(N).gens
+    assert seen == {True, False}
+
+
+def test_member_checks_ring_after_slot_hit(segre, kxy):
+    cl = ModuleClosure(ideal_as_module(segre, ["a", "b"]))
+    gens = ["a^2", "a*b", "b*c", "c^2"]
+    assert ideal_member(cl, segre, "a*c", gens).holds
+    assert ideal_member(cl, segre, "a*c", gens).holds
+    with pytest.raises(ContextError):
+        ideal_member(cl, kxy, "x", ["x^2"])
+    assert ideal_member(cl, segre, "a*c", gens).holds
 
 
 # --- axiom checkers ---------------------------------------------------------------------------

@@ -226,6 +226,10 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     ("check trivial_on(trivial, P, -2);",
      "argument 3 must be a nonnegative integer, found -2"),
     ("check dietz_obstruction(trivial, [x,y]);", "argument 3 is missing"),
+    ("modify T = parameter_chain(P, trivial, [x,y], x);",
+     "parameter_chain: argument 4 must be a nonnegative integer, found x"),
+    ("check colon_capturing(trivial, P, [x,y], strongA, t, 1);",
+     "colon_capturing: argument 5 must be a nonnegative integer, found t"),
 ])
 def test_cli_bad_integer_argument_is_an_error(tmp_path, capsys, stmt,
                                               message):
@@ -235,6 +239,32 @@ def test_cli_bad_integer_argument_is_an_error(tmp_path, capsys, stmt,
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert message in json.loads(captured.out)["statements"][-1]["error"]
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    s = Session()
+    s.eval_text("ring P = poly(Q, [x,y], degrevlex);")
+
+    def broken(stmt, res):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(s, "_eval_ideal", broken)
+    res, after = s.eval_text("ideal I = ideal(P, x);\n"
+                             "ring Q2 = poly(Q, [z], degrevlex);")
+    assert res.error == "internal error: KeyError: 'lost'"
+    assert res.ok is None
+    assert after.error is None
+    assert s.exit_code() == 2
+
+
+def test_cli_text_output_goes_to_current_stdout(tmp_path, capsys):
+    script = tmp_path / "s.clab"
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n"
+                      "ideal I = ideal(P, x);\n"
+                      "check member(x^2, I);\n")
+    assert main(["run", str(script)]) == 0
+    out = capsys.readouterr().out
+    assert "ok    check member(x^2, I);" in out.splitlines()
 
 
 def test_cli_json_output(tmp_path, capsys):
