@@ -1,6 +1,7 @@
 """closure-lab command line: run scripts, a small REPL, and verify-paper.
 
-Exit codes: 0 all checks passed, 1 some check returned false, 2 error.
+Exit codes: 0 all checks passed, 1 some check returned false, 2 error
+(including an unexpected exception, reported as one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -47,21 +48,21 @@ def run_script(path, as_json=False, out=None, deg_bound=12, seed=0):
     except (ScriptError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if as_json:
-        payload = session.report(include_timings=True)
-        blob = json.dumps(payload, indent=2, sort_keys=True)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(blob + "\n")
-        else:
-            print(blob)
-    else:
+    if not as_json:
         for res in results:
             _print_result(res)
-        if out:
-            with open(out, "w") as fh:
-                json.dump(session.report(include_timings=True), fh, indent=2,
+    if as_json or out:
+        blob = json.dumps(session.report(include_timings=True), indent=2,
                           sort_keys=True)
+        if not out:
+            print(blob)
+            return session.exit_code()
+        try:
+            with open(out, "w") as fh:
+                fh.write(blob + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return session.exit_code()
 
 
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

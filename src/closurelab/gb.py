@@ -372,27 +372,20 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
         if not dominated:
             keep.append(i)
 
-    # interreduce tails (leading terms never change, so passes converge fast)
-    reduced = {i: dict(basis[i][3]) for i in keep}
-    changed = True
-    while changed:
-        changed = False
-        for i in keep:
-            others = [basis[j][:3] + (reduced[j],) for j in keep if j != i]
-            terms = dict(reduced[i])
-            rem = _reduce_terms(terms, others, keyfn, fld, keycache=keycache)
-            if rem != reduced[i]:
-                reduced[i] = rem
-                changed = True
+    # interreduce in ascending lead order: a tail term is only divisible by
+    # a smaller lead, so reducing each element against the finished ones
+    # leaves every tail fully reduced in one pass
+    keep.sort(key=lambda i: keyfn(basis[i][0], basis[i][1]))
+    done = []
+    for i in keep:
+        comp, exps, inv_lc, body = basis[i]
+        rem = _reduce_terms(dict(body), done, keyfn, fld, keycache=keycache)
+        done.append((comp, exps, inv_lc, rem))
 
     out = []
-    for i in keep:
-        terms = reduced[i]
-        if not terms:
-            continue
+    for _c, _e, _inv, terms in reversed(done):
         _make_monic(terms, keyfn, fld)
         out.append(Vec(ring, ncomps, terms))
-    out.sort(key=lambda v: keyfn(*v.leading(keyfn)[:2]), reverse=True)
     return out
 
 
@@ -510,7 +503,9 @@ class UnsupportedInputError(ValueError):
 def _strip_vars(poly: Polynomial, target: PolyRing, n_drop: int) -> Polynomial:
     terms = {}
     for m, c in poly.terms.items():
-        assert not any(m[:n_drop])
+        if any(m[:n_drop]):
+            raise UnsupportedInputError(
+                f"{poly} involves one of the first {n_drop} variables")
         terms[m[n_drop:]] = c
     return Polynomial(target, terms)
 

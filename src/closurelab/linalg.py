@@ -55,10 +55,6 @@ def residual(rref, pivots, vec, field):
     return v
 
 
-def in_row_span(rref, pivots, vec, field) -> bool:
-    return all(x == field.zero for x in residual(rref, pivots, vec, field))
-
-
 def monomials_of_wdeg(ring: PolyRing, d: int):
     """All exponent tuples of weighted degree d, sorted descending."""
     out = []

@@ -11,9 +11,10 @@ and syzygies uniformly.
 from __future__ import annotations
 
 import threading
+from itertools import groupby
 
 from .gb import ExtendedBasis, Vec, buchberger, extended_groebner, groebner_module
-from .linalg import component_terms, graded_span_dim
+from .linalg import component_terms, graded_span_dim, residual
 from .orders import block_key, top_key
 from .poly import ContextError, DomainError
 from .ring import QuotientRing
@@ -462,13 +463,6 @@ class ModuleMap:
         return all(im.contains(self.target.gen(i))
                    for i in range(self.target.ngens))
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (other first)."""
-        if other.target != self.source:
-            raise ContextError("maps not composable")
-        return ModuleMap(other.source, self.target,
-                         [self.apply(c) for c in other.cols], check=False)
-
     @classmethod
     def identity(cls, M: FPModule):
         return cls(M, M, M.gens(), check=False)
@@ -610,21 +604,65 @@ def _minimal_presentation(M: FPModule) -> FPModule:
 def minimal_generators(ring: QuotientRing, cols, shifts, relations=()):
     """Minimal generating set of the span of cols modulo relations.
 
-    Graded Nakayama, greedily: deduplicate the monic normal forms, sort them
-    by (degree, str), then drop each one that the others and the relations
-    span.
+    Graded Nakayama: deduplicate the monic normal forms, sort them by
+    (degree, str), then drop each one that the others and the relations
+    span, in that order.  The grading is positive with R_0 = k, so a
+    candidate of degree d lies in that span exactly when its normal form
+    modulo A (the kept candidates of lower degree plus the relations) lies
+    in the k-span of the normal forms of the other degree-d candidates.
+    Hence one Groebner basis of A per degree block, and rank tests on
+    coefficient rows inside the block.
     """
-    kept = _distinct_monic(ring, cols)
-    kept.sort(key=lambda g: (g.degree(shifts), str(g)))
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        span = r_span_basis(ring, others + list(relations), len(shifts))
-        if span.contains(kept[i]):
-            kept.pop(i)
-        else:
-            i += 1
+    cands = _distinct_monic(ring, cols)
+    for g in cands:
+        if not g.is_homogeneous(shifts):
+            raise DomainError(f"inhomogeneous generator {g}")
+    cands.sort(key=lambda g: (g.degree(shifts), str(g)))
+    relations = list(relations)
+    kept: list = []
+    # basis of A, built for the first `spanned` kept candidates; without
+    # relations the lowest block is already in normal form modulo A = I
+    span = r_span_basis(ring, relations, len(shifts)) if relations else None
+    spanned = 0
+    for _d, block in groupby(cands, key=lambda g: g.degree(shifts)):
+        block = list(block)
+        if len(kept) > spanned:
+            span = r_span_basis(ring, kept + relations, len(shifts))
+            spanned = len(kept)
+        forms = block if span is None else [span.normal_form(g)
+                                            for g in block]
+        flags = _outside_later_spans(forms, ring.ambient.field)
+        kept += [g for g, keep in zip(block, flags) if keep]
     return kept
+
+
+def _outside_later_spans(vecs, fld):
+    """For each vector, whether it lies outside the k-span of those after it.
+
+    Dropping, in order, each vector that the remaining others span keeps
+    exactly these: a kept vector spanned by later ones and earlier kept
+    ones would make the earliest such kept vector redundant.
+    """
+    index: dict = {}
+    for v in vecs:
+        for t in v.terms:
+            index.setdefault(t, len(index))
+    # each stored row is reduced against the ones stored before it, so
+    # `residual` clears their pivots in storage order
+    rows, pivots = [], []
+    flags = [False] * len(vecs)
+    for i in reversed(range(len(vecs))):
+        row = [fld.zero] * len(index)
+        for t, c in vecs[i].terms.items():
+            row[index[t]] = c
+        row = residual(rows, pivots, row, fld)
+        p = next((k for k, x in enumerate(row) if x != fld.zero), None)
+        if p is not None:
+            inv = fld.inv(row[p])
+            rows.append([fld.mul(inv, x) for x in row])
+            pivots.append(p)
+            flags[i] = True
+    return flags
 
 
 # --- regular sequences ----------------------------------------------------------

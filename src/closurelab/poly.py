@@ -239,13 +239,6 @@ class Polynomial:
         key = key or self.ring.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
-    def constant_value(self):
-        """Coefficient of the constant monomial (field zero if absent)."""
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
-
     # -- printing ------------------------------------------------------------
 
     def __str__(self):

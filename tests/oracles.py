@@ -3,13 +3,14 @@
 Everything here avoids the division/Buchberger code paths: membership and
 kernel dimensions come from exact row reduction of degreewise coordinate
 matrices, and the reference monomial-order comparisons follow the textbook
-definitions directly.
+definitions directly.  The one exception is `greedy_minimal_generators`,
+the slow path that the per-degree minimalization is checked against.
 """
 
 from closurelab.gb import Vec
 from closurelab.linalg import (monomials_of_wdeg, residual, row_reduce,
                                span_rows, vec_coords)
-from closurelab.modules import ideal_columns
+from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
 from closurelab.poly import mono_mul
 
 
@@ -180,3 +181,23 @@ def buchberger_criterion_holds(gb_vecs, ncomps, keyfn, ring) -> bool:
             if ref_reduce(s, data, keyfn, fld):
                 return False
     return True
+
+
+# --- minimal generators, one Groebner basis per candidate --------------------------
+
+
+def greedy_minimal_generators(ring, cols, shifts, relations=()):
+    """Deduplicate the monic normal forms, sort them by (degree, str), then
+    drop each one that the others and the relations span: one full R-span
+    basis per candidate."""
+    kept = _distinct_monic(ring, cols)
+    kept.sort(key=lambda g: (g.degree(shifts), str(g)))
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        span = r_span_basis(ring, others + list(relations), len(shifts))
+        if span.contains(kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept

@@ -5,17 +5,17 @@ import random
 
 import pytest
 
-from closurelab.field import QQ
-from closurelab.orders import DEGREVLEX, top_key
-from closurelab.poly import PolyRing
-from closurelab.gb import (UnsupportedInputError, Vec, buchberger,
+from closurelab.field import QQ, prime_field
+from closurelab.orders import DEGREVLEX, block_key, top_key
+from closurelab.poly import PolyRing, mono_divides
+from closurelab.gb import (UnsupportedInputError, Vec, _strip_vars, buchberger,
                            extended_groebner, groebner_module,
                            kernel_of_ring_map, syzygy_module)
 from closurelab.modules import ideal_submodule
 from closurelab.ring import make_quotient_ring
 
 from oracles import (brute_member, brute_syzygies_complete,
-                     buchberger_criterion_holds)
+                     buchberger_criterion_holds, ref_reduce)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 R3 = PolyRing(("a", "b", "c"), QQ, DEGREVLEX)
@@ -112,6 +112,45 @@ def test_groebner_matches_sympy_on_random_ideals():
         theirs = sorted(str(R2.parse(str(e).replace("**", "^")).monic())
                         for e in sym.exprs)
         assert ours_set == theirs, f"trial {trial}: {texts}"
+
+
+def _random_columns(ring, rng, ncomps):
+    monos = [(i, j) for i in range(3) for j in range(3) if 0 < i + j <= 3]
+    cols = []
+    for _ in range(rng.randint(2, 4)):
+        terms = {}
+        for _t in range(rng.randint(1, 4)):
+            c = ring.field.from_int(rng.choice((-2, -1, 1, 2, 3)))
+            terms[(rng.randrange(ncomps), rng.choice(monos))] = c
+        cols.append(Vec(ring, ncomps, terms))
+    return cols
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+def test_buchberger_output_is_reduced(field):
+    """Random multi-component inputs, under the plain module order and the
+    block order of r_preimage: every element is monic, no tail term is
+    divisible by a lead in its component, and every input reduces to zero."""
+    ring = PolyRing(("x", "y"), field, DEGREVLEX)
+    rng = random.Random(31)
+    for trial in range(24):
+        ncomps = rng.randint(2, 3)
+        keyfn = (top_key(ring.key) if trial % 2 else
+                 block_key(ring.key, rng.randint(1, ncomps - 1)))
+        cols = _random_columns(ring, rng, ncomps)
+        gb = buchberger(cols, ncomps, keyfn, ring)
+        leads = [v.leading(keyfn) for v in gb]
+        assert all(lc == field.one for _c, _e, lc in leads), trial
+        for v, (comp, exps, _lc) in zip(gb, leads):
+            for (j, m) in v.terms:
+                if (j, m) == (comp, exps):
+                    continue
+                assert not any(c == j and mono_divides(e, m)
+                               for c, e, _lc in leads), trial
+        data = [(c, e, v.terms) for v, (c, e, _lc) in zip(gb, leads)]
+        for col in cols:
+            assert not ref_reduce(col.terms, data, keyfn, field), trial
+        assert buchberger_criterion_holds(gb, ncomps, keyfn, ring), trial
 
 
 # --- normal forms ------------------------------------------------------------------
@@ -237,6 +276,13 @@ def test_kernel_of_ring_map_isomorphism():
     T = PolyRing(("x", "y"), QQ, DEGREVLEX)
     gens, P = kernel_of_ring_map([T.parse("x"), T.parse("y")], ("a", "b"))
     assert gens == []
+
+
+def test_strip_vars_rejects_a_dropped_variable():
+    ky = PolyRing(("y",), QQ, DEGREVLEX)
+    with pytest.raises(UnsupportedInputError):
+        _strip_vars(R2.parse("x*y"), ky, 1)
+    assert str(_strip_vars(R2.parse("y^2 - 2*y"), ky, 1)) == "y^2 - 2*y"
 
 
 def test_kernel_of_ring_map_rejects_non_monomial():

@@ -4,17 +4,21 @@ import random
 
 import pytest
 
+from closurelab import modules
+from closurelab.field import prime_field
 from closurelab.gb import Vec
-from closurelab.poly import DomainError
+from closurelab.orders import wdegrevlex
+from closurelab.poly import DomainError, PolyRing
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 free_module, ideal_as_module, ideal_submodule,
-                                is_regular_sequence, quotient_module,
-                                residue_field, ring_as_module, scaled_gens,
-                                tensor, tensor_elem)
-
+                                is_regular_sequence, minimal_generators,
+                                quotient_module, residue_field, ring_as_module,
+                                scaled_gens, tensor, tensor_elem)
+from closurelab.ring import make_quotient_ring
 from closurelab.sampling import random_submodule_pair
 
-from oracles import brute_member, brute_syzygies_complete, graded_dim_of_span
+from oracles import (brute_member, brute_syzygies_complete,
+                     graded_dim_of_span, greedy_minimal_generators)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -229,11 +233,17 @@ def _redundant_gens(M, rng):
     return gens
 
 
+def _minimalization_modules(kxy, segre):
+    """R, R/I and a module with relations, over a polynomial ring and over
+    the quadric cone."""
+    return [ring_as_module(kxy), quotient_module(kxy, ["x^2", "x*y"]),
+            FPModule(kxy, (0, 1), [["x*y", "y"]]), ring_as_module(segre),
+            quotient_module(segre, ["a"]), free_module(segre, (0, 2))]
+
+
 def test_minimalized_keeps_nakayama_count_per_degree(kxy, segre):
     rng = random.Random(20)
-    modules = [ring_as_module(kxy), quotient_module(kxy, ["x^2", "x*y"]),
-               FPModule(kxy, (0, 1), [["x*y", "y"]]), ring_as_module(segre),
-               quotient_module(segre, ["a"]), free_module(segre, (0, 2))]
+    modules = _minimalization_modules(kxy, segre)
     for trial in range(12):
         M = modules[trial % len(modules)]
         ring, shifts, rels = M.ring, M.gen_degrees, list(M.relations)
@@ -249,6 +259,59 @@ def test_minimalized_keeps_nakayama_count_per_degree(kxy, segre):
             assert brute_member(ring, list(kept) + rels, shifts, g), trial
         for g in kept:
             assert brute_member(ring, gens + rels, shifts, g), trial
+
+
+def _segre_f5():
+    amb = PolyRing(("a", "b", "c"), prime_field(5), wdegrevlex((2, 2, 2)))
+    return make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_minimal_generators_match_greedy_oracle(request, field):
+    """Per-degree minimalization keeps the very list the greedy routine
+    (one R-span basis per candidate) keeps; the Q inputs are those of
+    test_minimalized_keeps_nakayama_count_per_degree."""
+    if field == "Q":
+        kxy, segre = (request.getfixturevalue(n) for n in ("kxy", "segre"))
+        rng = random.Random(20)
+    else:
+        kxy, segre = request.getfixturevalue("kxy_f5"), _segre_f5()
+        rng = random.Random(21)
+    mods = _minimalization_modules(kxy, segre)
+    for trial in range(12):
+        M = mods[trial % len(mods)]
+        gens = _redundant_gens(M, rng)
+        want = greedy_minimal_generators(M.ring, gens, M.gen_degrees,
+                                         M.relations)
+        assert minimal_generators(M.ring, gens, M.gen_degrees,
+                                  M.relations) == want, trial
+        assert list(Submodule(M, tuple(gens)).minimalized().gens) == want
+
+
+def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):
+    calls = []
+    real = modules.r_span_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "r_span_basis", counting)
+    texts = ["x^2", "x^3", "x*y^2", "x^2*y", "y^4", "x^2*y^2", "x*y^3"]
+    N = ideal_submodule(kxy, texts)
+    kept = [str(g) for g in N.minimalized().gens]
+    assert kept == ["(x^2)", "(x*y^2)", "(y^4)"]
+    assert len(calls) == 2          # blocks of degree 3 and 4
+    calls.clear()
+    M = FPModule(kxy, (0, 1), [["x*y", "y"]])
+    Submodule(M, tuple(M.vec([t, "0"]) for t in texts)).minimalized()
+    assert len(calls) == 3          # the relations, then degrees 3 and 4
+
+
+def test_minimalized_rejects_inhomogeneous_generator(kxy):
+    M = ring_as_module(kxy)
+    with pytest.raises(DomainError):
+        Submodule(M, (M.vec(["x + y^2"]),)).minimalized()
 
 
 # --- minimal presentations --------------------------------------------------------------

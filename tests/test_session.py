@@ -286,6 +286,35 @@ def test_cli_out_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_cli_unwritable_out_is_an_error(tmp_path, capsys, flags):
+    script = tmp_path / "s.clab"
+    out = tmp_path / "missing" / "o.json"
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n")
+    assert main(["run", str(script), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out) in err[0]
+
+
+@pytest.mark.parametrize("argv", ["run", "verify-paper"])
+def test_cli_unexpected_exception_is_an_internal_error(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    import closurelab.acceptance
+
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    script = tmp_path / "s.clab"
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n")
+    monkeypatch.setattr(Session, "report", broken)
+    monkeypatch.setattr(closurelab.acceptance, "run_all", broken)
+    args = ["run", str(script), "--json"] if argv == "run" else [argv]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "internal error: KeyError: 'lost'"]
+
+
 def test_cli_missing_file(capsys):
     assert main(["run", "/nonexistent/path.clab"]) == 2
     capsys.readouterr()
