@@ -20,8 +20,8 @@ from .closure import (ModuleClosure, MonomialIntegralClosure,
                       is_trivial_on_sample, phantom_test)
 from .field import QQ, prime_field
 from .gb import Vec
-from .linalg import (monomials_of_wdeg, residual, row_reduce, span_rows,
-                     vec_coords)
+from .linalg import (graded_span_dim, monomials_of_wdeg, rank, residual,
+                     row_reduce, span_rows, vec_coords)
 from .modify import parameter_chain
 from .modules import (FPModule, Submodule, direct_sum, free_module,
                       ideal_as_module, ideal_columns, ideal_submodule,
@@ -486,21 +486,14 @@ def _brute_closure_dim(ring, s_gens, n_gens, d):
         for block in blocks:
             row.extend(block[mi])
         matrix.append(row)
-    rank_c = len(row_reduce(matrix, fld)[0]) if matrix and matrix[0] else 0
-    valid_dim = ncols - rank_c
-    (rref_i, _piv), _terms = _brute_ideal_rows(ring, [], d)
-    ideal_dim = len(rref_i)
-    return valid_dim - ideal_dim
+    valid_dim = ncols - rank(matrix, fld)
+    return valid_dim - graded_span_dim(ideal_columns(ring, 1), (0,), d, amb)
 
 
 def _engine_closure_dim(ring, closed, d):
-    amb = ring.ambient
-    cols = list(closed.gens) + ideal_columns(ring, 1)
-    rows, _terms = span_rows(cols, (0,), d, amb)
-    full = len(row_reduce(rows, amb.field)[0]) if rows else 0
-    rows_i, _t = span_rows(ideal_columns(ring, 1), (0,), d, amb)
-    base = len(row_reduce(rows_i, amb.field)[0]) if rows_i else 0
-    return full - base
+    ideal = ideal_columns(ring, 1)
+    return (graded_span_dim(list(closed.gens) + ideal, (0,), d, ring.ambient)
+            - graded_span_dim(ideal, (0,), d, ring.ambient))
 
 
 @_criterion(8, "Groebner membership and closures agree with linear algebra")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import ParseError, _tokenize_poly
+from .poly import ParseError, check_syntax
 
 
 CHECK_FNS = ("member", "equal", "functorial", "semi_residual", "faithful",
@@ -277,79 +277,25 @@ def print_statements(stmts) -> str:
     return "\n".join(s.show() for s in stmts)
 
 
-def _check_poly_syntax(text: str, offset: int, script: str, end_pos=None):
-    """Syntax-only validation of a polynomial expression argument.
+def _check_poly_syntax(text: str, offset: int, script: str, end_pos: int):
+    """Syntax-only check of a polynomial argument text found at offset.
 
-    Names are not resolved here; this catches dangling operators and
-    unbalanced parentheses at parse time, with script coordinates.
+    Names are resolved when the statement runs; this catches dangling
+    operators and unbalanced parentheses at parse time, with script
+    coordinates.  An error at the end of text is placed at end_pos.
     """
     try:
-        toks = _tokenize_poly(text)
+        check_syntax(text)
     except ParseError as exc:
-        raise ScriptError(exc.bare_message, script, offset + exc.pos) from exc
-
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def take():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def fail(t):
+        t = exc.token
+        if t is None:
+            raise ScriptError(exc.bare_message, script,
+                              offset + exc.pos) from exc
         if t.kind == "end":
-            where = end_pos if end_pos is not None else offset + t.pos
             raise ScriptError("invalid polynomial: unexpected end of "
-                              "expression", script, where)
+                              "expression", script, end_pos) from exc
         raise ScriptError(f"invalid polynomial: unexpected {t.value!r}",
-                          script, offset + t.pos)
-
-    def factor():
-        t = take()
-        if t.kind == "int":
-            if peek().kind == "/":
-                take()
-                if peek().kind != "int":
-                    fail(peek())
-                take()
-        elif t.kind == "name":
-            pass
-        elif t.kind == "(":
-            expr()
-            if peek().kind != ")":
-                fail(peek())
-            take()
-        elif t.kind == "-":
-            factor()
-            return
-        else:
-            fail(t)
-        if peek().kind == "^":
-            take()
-            if peek().kind != "int":
-                fail(peek())
-            take()
-
-    def term():
-        factor()
-        while peek().kind in ("*", "name", "int", "("):
-            if peek().kind == "*":
-                take()
-            factor()
-
-    def expr():
-        if peek().kind == "-":
-            take()
-        term()
-        while peek().kind in ("+", "-"):
-            take()
-            term()
-
-    expr()
-    if peek().kind != "end":
-        fail(peek())
+                          script, offset + t.pos) from exc
 
 
 # --- parser ---------------------------------------------------------------------
@@ -447,8 +393,7 @@ class Parser:
             return IntArg(-toks[1].value)
         if len(toks) == 2 and toks[0].kind == "name":
             return Name(text)
-        _check_poly_syntax(text, start, self.text,
-                           end_pos=self.peek().pos)
+        _check_poly_syntax(text, start, self.text, self.peek().pos)
         return Expr(text)
 
     def scan_list(self):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .field import Rationals
-from .orders import elim_key, top_key, wdegrevlex
+from .orders import block_key, elim_key, top_key, wdegrevlex
 from .poly import (ContextError, PolyRing, Polynomial, mono_div, mono_divides,
                    mono_gcd_is_one, mono_lcm, mono_mul)
 
@@ -254,8 +254,8 @@ class GroebnerBasis:
         self.keyfn = keyfn
         self.elements = elements  # list of Vec, monic, sorted by lead desc
         one = ring.field.one
-        self._basis_data = [(v.leading(keyfn)[0], v.leading(keyfn)[1], one,
-                             v.terms) for v in elements]
+        self._basis_data = [(*v.leading(keyfn)[:2], one, v.terms)
+                            for v in elements]
         self._keycache: dict = {}
 
     def __iter__(self):
@@ -408,23 +408,17 @@ class ExtendedBasis:
     """Augmented Groebner data for a column span.
 
     Provides membership with certificates over the original columns and
-    generators of the syzygy module of the columns.
+    generators of the syzygy module of the columns.  basis is the reduced
+    augmented basis in P^(s+t), shadow components s..s+t-1; its elements
+    with a zero real part are the syzygies.
     """
 
-    def __init__(self, ring, s, t, keyfn, gb_elements, syzygy_vecs):
-        self.ring = ring
+    def __init__(self, s, basis: GroebnerBasis):
         self.s = s
-        self.t = t
-        self.keyfn = keyfn
-        self.elements = gb_elements      # augmented Vecs, real part nonzero
-        self.syzygies = syzygy_vecs      # Vecs in P^t
-        one = ring.field.one
-        self._basis_data = [(v.leading(keyfn)[0], v.leading(keyfn)[1], one,
-                             v.terms) for v in gb_elements + self._syz_aug()]
-        self._keycache: dict = {}
-
-    def _syz_aug(self):
-        return [s.pad(self.s + self.t, self.s) for s in self.syzygies]
+        self.t = basis.ncomps - s
+        self.basis = basis
+        self.syzygies = [g.take_components(s, basis.ncomps) for g in basis
+                         if g.take_components(0, s).is_zero()]
 
     def reduce(self, v: Vec):
         """Return (real remainder, certificate) for v in P^s.
@@ -432,10 +426,7 @@ class ExtendedBasis:
         When the remainder is zero, certificate is a list of t polynomials
         with v == sum certificate[q] * column_q.
         """
-        terms = dict(v.pad(self.s + self.t).terms)
-        rem = _reduce_terms(terms, self._basis_data, self.keyfn,
-                            self.ring.field, keycache=self._keycache)
-        full = Vec(self.ring, self.s + self.t, rem)
+        full = self.basis.normal_form(v.pad(self.s + self.t))
         real = full.take_components(0, self.s)
         if not real.is_zero():
             return real, None
@@ -446,30 +437,18 @@ class ExtendedBasis:
         return self.reduce(v)[0].is_zero()
 
 
-def extended_groebner(cols, ncomps, keyfn=None, ring=None) -> ExtendedBasis:
+def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
+    """Reduced basis of the columns, each augmented with a unit shadow
+    component, under the block order keeping shadows below real terms."""
     cols = list(cols)
     if ring is None:
         ring = cols[0].ring
     s, t = ncomps, len(cols)
-    if keyfn is None:
-        keyfn = top_key(ring.key)
-    ringkey = ring.key
-
-    def augkey(comp, exps):
-        if comp < s:
-            return (1,) + keyfn(comp, exps)
-        return (0, ringkey(exps), -comp)
-
     aug = [col.pad(s + t) + Vec.unit(ring, s + t, s + i)
            for i, col in enumerate(cols)]
-    gb = buchberger(aug, s + t, augkey, ring)
-    elements, syz = [], []
-    for g in gb:
-        if g.take_components(0, s).is_zero():
-            syz.append(g.take_components(s, s + t))
-        else:
-            elements.append(g)
-    return ExtendedBasis(ring, s, t, augkey, elements, syz)
+    keyfn = block_key(ring.key, s)
+    return ExtendedBasis(s, GroebnerBasis(ring, s + t, keyfn,
+                                          buchberger(aug, s + t, keyfn, ring)))
 
 
 def syzygy_module(cols, ncomps, ring=None) -> list:

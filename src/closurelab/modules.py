@@ -14,7 +14,8 @@ import threading
 from itertools import groupby
 
 from .gb import ExtendedBasis, Vec, buchberger, extended_groebner, groebner_module
-from .linalg import component_terms, graded_span_dim, residual
+from .linalg import (component_terms, graded_span_dim, monomials_of_wdeg,
+                     rank, residual, row_reduce, span_rows, vec_coords)
 from .orders import block_key, top_key
 from .poly import ContextError, DomainError
 from .ring import QuotientRing
@@ -77,8 +78,9 @@ def r_preimage(ring: QuotientRing, map_cols, target_cols, ncomps):
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
     if ring.is_polynomial_ring:
         return v
-    return Vec.from_polys([ring.nf(p) for p in v.to_polys()]) \
-        if v.ncomps else v
+    return Vec(ring.ambient, v.ncomps,
+               {(j, m): c for j in v.support()
+                for m, c in ring.nf(v.component(j)).terms.items()})
 
 
 def _monic_vec(ring: QuotientRing, v: Vec) -> Vec:
@@ -239,8 +241,8 @@ class FPModule:
                 self._memo["minpres"] = mp
                 steps.append((mp.gen_degrees, ()))
                 if mp.ngens:
-                    cols = minimal_generators(self.ring, list(mp.relations),
-                                              mp.gen_degrees)
+                    cols = minimal_generators(
+                        free_module(self.ring, mp.gen_degrees), mp.relations)
                     steps.append((tuple(c.degree(mp.gen_degrees) for c in cols),
                                   tuple(cols)))
             while len(steps) <= length:
@@ -250,7 +252,8 @@ class FPModule:
                     continue
                 shifts = steps[-2][0] if len(steps) >= 2 else None
                 syz = r_syzygies(self.ring, list(prev_cols), len(shifts))
-                syz = minimal_generators(self.ring, syz, prev_degrees)
+                syz = minimal_generators(free_module(self.ring, prev_degrees),
+                                         syz)
                 steps.append((tuple(c.degree(prev_degrees) for c in syz),
                               tuple(syz)))
             return steps[:length + 1]
@@ -399,9 +402,8 @@ class Submodule:
 
     def minimalized(self) -> "Submodule":
         """Prune the generating set to a minimal one (deterministically)."""
-        return Submodule(self.module, tuple(minimal_generators(
-            self.ring, self.gens, self.module.gen_degrees,
-            self.module.relations)))
+        return Submodule(self.module,
+                         tuple(minimal_generators(self.module, self.gens)))
 
     def gens_as_ring_elems(self):
         if self.module.ngens != 1:
@@ -597,12 +599,12 @@ def _minimal_presentation(M: FPModule) -> FPModule:
                 cols.append(terms)
 
     rel_vecs = [Vec(ring.ambient, len(degrees), t) for t in cols]
-    rel_vecs = minimal_generators(ring, rel_vecs, tuple(degrees))
+    rel_vecs = minimal_generators(free_module(ring, degrees), rel_vecs)
     return FPModule(ring, tuple(degrees), rel_vecs, normalize=False)
 
 
-def minimal_generators(ring: QuotientRing, cols, shifts, relations=()):
-    """Minimal generating set of the span of cols modulo relations.
+def minimal_generators(M: FPModule, cols):
+    """Minimal generating set of the span of cols in M (modulo its relations).
 
     Graded Nakayama: deduplicate the monic normal forms, sort them by
     (degree, str), then drop each one that the others and the relations
@@ -613,16 +615,17 @@ def minimal_generators(ring: QuotientRing, cols, shifts, relations=()):
     Hence one Groebner basis of A per degree block, and rank tests on
     coefficient rows inside the block.
     """
+    ring, shifts = M.ring, M.gen_degrees
     cands = _distinct_monic(ring, cols)
     for g in cands:
         if not g.is_homogeneous(shifts):
             raise DomainError(f"inhomogeneous generator {g}")
     cands.sort(key=lambda g: (g.degree(shifts), str(g)))
-    relations = list(relations)
+    relations = list(M.relations)
     kept: list = []
     # basis of A, built for the first `spanned` kept candidates; without
     # relations the lowest block is already in normal form modulo A = I
-    span = r_span_basis(ring, relations, len(shifts)) if relations else None
+    span = M.relation_basis() if relations else None
     spanned = 0
     for _d, block in groupby(cands, key=lambda g: g.degree(shifts)):
         block = list(block)
@@ -676,8 +679,6 @@ def graded_kernel_dim(ring: QuotientRing, cols, ncomps, col_degrees, d,
     defining-ideal span, modulo vectors that are themselves ideal multiples.
     target_shifts are the generator degrees of the target free module.
     """
-    from .linalg import monomials_of_wdeg, residual, row_reduce, span_rows, \
-        vec_coords
     amb = ring.ambient
     fld = amb.field
     uterms = []
@@ -688,17 +689,15 @@ def graded_kernel_dim(ring: QuotientRing, cols, ncomps, col_degrees, d,
         return 0
     shifts = tuple(target_shifts) if target_shifts else (0,) * ncomps
     rows_t, terms_t = span_rows(ideal_columns(ring, ncomps), shifts, d, amb)
-    rref, pivots = row_reduce(rows_t, fld) if rows_t else ([], [])
+    rref, pivots = row_reduce(rows_t, fld)
     matrix = []
     for (q, m) in uterms:
         img = cols[q].term_mul(fld.one, m)
         coords = vec_coords(img, terms_t, fld)
         matrix.append(residual(rref, pivots, coords, fld))
-    rank = len(row_reduce(matrix, fld)[0]) if matrix and matrix[0] else 0
-    valid = len(uterms) - rank
-    rows_i, _t = span_rows(ideal_columns(ring, len(cols)), col_degrees, d, amb)
-    base = len(row_reduce(rows_i, fld)[0]) if rows_i else 0
-    return valid - base
+    valid = len(uterms) - rank(matrix, fld)
+    return valid - graded_span_dim(ideal_columns(ring, len(cols)),
+                                   col_degrees, d, amb)
 
 
 def verify_resolution(M: FPModule, length: int, bound=None) -> bool:
@@ -728,16 +727,10 @@ def verify_resolution(M: FPModule, length: int, bound=None) -> bool:
             ker = graded_kernel_dim(ring, list(cols_i), len(degrees_prev),
                                     degrees_i, d, target_shifts=degrees_prev)
             if cols_next:
-                from .linalg import row_reduce, span_rows
-                amb = ring.ambient
-                rows, _t = span_rows(list(cols_next) +
-                                     ideal_columns(ring, len(degrees_i)),
-                                     degrees_i, d, amb)
-                full = len(row_reduce(rows, amb.field)[0]) if rows else 0
-                rows_i2, _t2 = span_rows(ideal_columns(ring, len(degrees_i)),
-                                         degrees_i, d, amb)
-                base = len(row_reduce(rows_i2, amb.field)[0]) if rows_i2 else 0
-                im = full - base
+                ideal = ideal_columns(ring, len(degrees_i))
+                im = (graded_span_dim(list(cols_next) + ideal, degrees_i, d,
+                                      ring.ambient)
+                      - graded_span_dim(ideal, degrees_i, d, ring.ambient))
             else:
                 im = 0
             if ker != im:

@@ -289,14 +289,18 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 class ParseError(ValueError):
+    """token is the parser token the error stopped at (None for an
+    unexpected character)."""
+
     def __init__(self, message: str, text: str, pos: int, line: int = 1,
-                 col: int | None = None):
+                 col: int | None = None, token=None):
         self.pos = pos
         self.line = line
         self.col = pos + 1 if col is None else col
         super().__init__(f"{message} (column {self.col})")
         self.bare_message = message
         self.text = text
+        self.token = token
 
 
 class _Tok:
@@ -342,6 +346,7 @@ class _PolyParser:
 
     Grammar: expr := term (('+'|'-') term)* ; term := factor (['*'] factor)* ;
     factor := INT ['/' INT] | NAME ['^' INT] | '(' expr ')' | '-' factor.
+    The leaves resolve in `number` and `name`.
     """
 
     def __init__(self, ring: PolyRing, text: str):
@@ -358,19 +363,21 @@ class _PolyParser:
         self.i += 1
         return t
 
+    def fail(self, message, t):
+        raise ParseError(message, self.text, t.pos, token=t)
+
     def expect(self, kind):
         t = self.take()
         if t.kind != kind:
             found = "end of input" if t.kind == "end" else repr(t.value)
-            raise ParseError(f"expected {kind!r}, found {found}",
-                             self.text, t.pos)
+            self.fail(f"expected {kind!r}, found {found}", t)
         return t
 
     def parse(self) -> Polynomial:
         f = self.expr()
         t = self.peek()
         if t.kind != "end":
-            raise ParseError(f"unexpected {t.value!r}", self.text, t.pos)
+            self.fail(f"unexpected {t.value!r}", t)
         return f
 
     def expr(self) -> Polynomial:
@@ -401,23 +408,13 @@ class _PolyParser:
     def factor(self) -> Polynomial:
         t = self.take()
         if t.kind == "int":
-            num = t.value
+            den = None
             if self.peek().kind == "/":
                 self.take()
                 den = self.expect("int").value
-                if den == 0:
-                    raise ParseError("zero denominator", self.text, t.pos)
-                try:
-                    c = self.ring.field.from_fraction(num, den)
-                except FieldError as exc:
-                    raise ParseError(str(exc), self.text, t.pos) from exc
-                base = self.ring.const(c)
-            else:
-                base = self.ring.const(num)
+            base = self.number(t, den)
         elif t.kind == "name":
-            if t.value not in self.ring._index:
-                raise ParseError(f"unknown variable {t.value!r}", self.text, t.pos)
-            base = self.ring.var(t.value)
+            base = self.name(t)
         elif t.kind == "(":
             base = self.expr()
             self.expect(")")
@@ -425,13 +422,63 @@ class _PolyParser:
             return -self.factor()
         else:
             found = "end of input" if t.kind == "end" else repr(t.value)
-            raise ParseError(f"unexpected {found}", self.text, t.pos)
+            self.fail(f"unexpected {found}", t)
         if self.peek().kind == "^":
             self.take()
             e = self.expect("int").value
             base = base ** e
         return base
 
+    def number(self, t, den) -> Polynomial:
+        """The constant t.value, or t.value/den when den is not None."""
+        if den is None:
+            return self.ring.const(t.value)
+        if den == 0:
+            self.fail("zero denominator", t)
+        try:
+            c = self.ring.field.from_fraction(t.value, den)
+        except FieldError as exc:
+            raise ParseError(str(exc), self.text, t.pos, token=t) from exc
+        return self.ring.const(c)
+
+    def name(self, t) -> Polynomial:
+        if t.value not in self.ring._index:
+            self.fail(f"unknown variable {t.value!r}", t)
+        return self.ring.var(t.value)
+
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     return _PolyParser(ring, text).parse()
+
+
+class _AnyPoly:
+    """Stands for every polynomial: + - * ^ with it give it back."""
+
+    def __add__(self, other):
+        return self
+
+    __sub__ = __mul__ = __pow__ = __add__
+
+    def __neg__(self):
+        return self
+
+
+class _SyntaxParser(_PolyParser):
+    """The same grammar with leaves that resolve nothing."""
+
+    def number(self, t, den):
+        return _ANY_POLY
+
+    def name(self, t):
+        return _ANY_POLY
+
+
+_ANY_POLY = _AnyPoly()
+
+
+def check_syntax(text: str) -> None:
+    """Raise ParseError where text leaves the polynomial grammar.
+
+    Names, denominators and the field are not looked at.
+    """
+    _SyntaxParser(None, text).parse()

@@ -3,15 +3,19 @@
 Everything here avoids the division/Buchberger code paths: membership and
 kernel dimensions come from exact row reduction of degreewise coordinate
 matrices, and the reference monomial-order comparisons follow the textbook
-definitions directly.  The one exception is `greedy_minimal_generators`,
-the slow path that the per-degree minimalization is checked against.
+definitions directly.  Two are earlier implementations kept as references:
+`greedy_minimal_generators`, the slow path that the per-degree
+minimalization is checked against, and `check_poly_syntax`, the separate
+syntax checker the script parser used before it shared the polynomial
+grammar.
 """
 
+from closurelab.dsl import ScriptError
 from closurelab.gb import Vec
 from closurelab.linalg import (monomials_of_wdeg, residual, row_reduce,
                                span_rows, vec_coords)
 from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
-from closurelab.poly import mono_mul
+from closurelab.poly import ParseError, _tokenize_poly, mono_mul
 
 
 # --- reference order comparisons ------------------------------------------------
@@ -201,3 +205,81 @@ def greedy_minimal_generators(ring, cols, shifts, relations=()):
         else:
             i += 1
     return kept
+
+
+# --- polynomial arguments of scripts, a recursive descent of their own -------------
+
+
+def check_poly_syntax(text: str, offset: int, script: str, end_pos=None):
+    """Syntax-only validation of a polynomial expression argument.
+
+    Names are not resolved here; this catches dangling operators and
+    unbalanced parentheses at parse time, with script coordinates.
+    """
+    try:
+        toks = _tokenize_poly(text)
+    except ParseError as exc:
+        raise ScriptError(exc.bare_message, script, offset + exc.pos) from exc
+
+    pos = [0]
+
+    def peek():
+        return toks[pos[0]]
+
+    def take():
+        t = toks[pos[0]]
+        pos[0] += 1
+        return t
+
+    def fail(t):
+        if t.kind == "end":
+            where = end_pos if end_pos is not None else offset + t.pos
+            raise ScriptError("invalid polynomial: unexpected end of "
+                              "expression", script, where)
+        raise ScriptError(f"invalid polynomial: unexpected {t.value!r}",
+                          script, offset + t.pos)
+
+    def factor():
+        t = take()
+        if t.kind == "int":
+            if peek().kind == "/":
+                take()
+                if peek().kind != "int":
+                    fail(peek())
+                take()
+        elif t.kind == "name":
+            pass
+        elif t.kind == "(":
+            expr()
+            if peek().kind != ")":
+                fail(peek())
+            take()
+        elif t.kind == "-":
+            factor()
+            return
+        else:
+            fail(t)
+        if peek().kind == "^":
+            take()
+            if peek().kind != "int":
+                fail(peek())
+            take()
+
+    def term():
+        factor()
+        while peek().kind in ("*", "name", "int", "("):
+            if peek().kind == "*":
+                take()
+            factor()
+
+    def expr():
+        if peek().kind == "-":
+            take()
+        term()
+        while peek().kind in ("+", "-"):
+            take()
+            term()
+
+    expr()
+    if peek().kind != "end":
+        fail(peek())

@@ -1,0 +1,182 @@
+"""Script parser on generated and mutated input.
+
+Polynomial arguments are checked at parse time by the grammar that
+`PolyRing.parse` uses; the checker the parser had before
+(`oracles.check_poly_syntax`) is the reference it must agree with.
+"""
+
+import random
+import re
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from closurelab import dsl
+from closurelab.dsl import ScriptError, parse_script, print_statements
+
+from oracles import check_poly_syntax
+
+
+# --- polynomial arguments against the reference checker ----------------------------
+
+
+POLY_SLOTS = ("ring R = poly(Q, [x, y], lex) / ({});\n",
+              "ideal I = ideal(R, x*y,\n {});",
+              "check member({}, I);")
+LEAVES = ["x", "y", "b_2", "q", "0", "1", "12", "007"]
+STRAY = ["+", "-", "*", "^", "/", "(", ")", ",", "[", "]", "=", ";", "{",
+         '"s"', "#", "!"]
+
+
+def _poly_tokens(rng, depth=0):
+    """Tokens of a random expression of the polynomial grammar."""
+    out = []
+    for k in range(rng.randint(1, 3)):
+        if k or rng.random() < 0.2:
+            out.append(rng.choice("+-") if k else "-")
+        for f in range(rng.randint(1, 3)):
+            if f and rng.random() < 0.5:
+                out.append("*")
+            r = rng.random()
+            if depth < 2 and r < 0.15:
+                out += ["("] + _poly_tokens(rng, depth + 1) + [")"]
+            elif r < 0.3:
+                out += [str(rng.randint(0, 20)), "/", str(rng.randint(0, 9))]
+            else:
+                out.append(rng.choice(LEAVES))
+            if rng.random() < 0.2:
+                out += ["^", str(rng.randint(0, 3))]
+    return out
+
+
+def _mutated(rng, toks):
+    """Up to three token deletions, insertions or replacements."""
+    toks = list(toks)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        op = rng.random()
+        if op < 0.35 and toks:
+            del toks[rng.randrange(len(toks))]
+        elif op < 0.7 or not toks:
+            toks.insert(rng.randrange(len(toks) + 1), rng.choice(STRAY + LEAVES))
+        else:
+            toks[rng.randrange(len(toks))] = rng.choice(STRAY + LEAVES)
+    return toks
+
+
+def _joined(rng, toks):
+    return "".join(t + rng.choice(("", "", " ", "  ", "\n")) for t in toks)
+
+
+def _outcome(script):
+    try:
+        return parse_script(script)
+    except ScriptError as exc:
+        return (exc.line, exc.col, exc.bare_message, str(exc))
+
+
+def test_poly_arguments_agree_with_reference_checker(monkeypatch):
+    rng = random.Random(5)
+    scripts = [POLY_SLOTS[i % len(POLY_SLOTS)].format(
+                   _joined(rng, _mutated(rng, _poly_tokens(rng))))
+               for i in range(10_200)]
+    new = [_outcome(s) for s in scripts]
+    monkeypatch.setattr(dsl, "_check_poly_syntax", check_poly_syntax)
+    old = [_outcome(s) for s in scripts]
+    for script, a, b in zip(scripts, new, old):
+        assert a == b, script
+    accepted = sum(isinstance(o, list) for o in new)
+    assert 0.2 * len(scripts) < accepted < 0.8 * len(scripts)
+
+
+# --- whole scripts from the grammar, mutated --------------------------------------
+
+
+NAMES = st.sampled_from(["R", "S", "I", "M", "cl", "T", "x", "a"])
+INTS = st.integers(0, 12).map(str)
+FIELDS = st.sampled_from(["Q", "Fp(5)", "Fp(7)"])
+ORDERS = st.sampled_from(["lex", "degrevlex", "wdegrevlex[2,2,2]",
+                          "wdegrevlex[1, 3]"])
+
+
+def _list_of(elem, lo=1, hi=3):
+    return st.lists(elem, min_size=lo, max_size=hi).map(
+        lambda xs: ", ".join(xs))
+
+
+POLYS = st.recursive(
+    st.one_of(NAMES, INTS, st.builds("{}/{}".format, INTS, INTS)),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("{}^{}".format, NAMES, INTS),
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner)),
+    max_leaves=6)
+
+ARGS = st.recursive(
+    st.one_of(POLYS, st.builds('"{}"'.format, NAMES), INTS.map("-{}".format)),
+    lambda inner: st.one_of(
+        st.builds("[{}]".format, _list_of(inner, 0)),
+        st.builds("{}({}, {})".format,
+                  st.sampled_from(["closure", "product", "mult"]),
+                  inner, inner),
+        st.builds("ideal({}, {})".format, NAMES, _list_of(POLYS))),
+    max_leaves=4)
+
+STATEMENTS = st.one_of(
+    st.builds("ring {} = poly({}, [{}], {}){};".format, NAMES, FIELDS,
+              _list_of(NAMES), ORDERS,
+              st.one_of(st.just(""),
+                        st.builds(" / ({})".format, _list_of(POLYS)))),
+    st.builds("ring {} = subring({}, [{}], [{}]{});".format, NAMES, FIELDS,
+              _list_of(NAMES), _list_of(POLYS),
+              st.one_of(st.just(""), st.builds(", [{}]".format,
+                                               _list_of(NAMES)))),
+    st.builds("ideal {} = ideal({}, {});".format, NAMES, NAMES,
+              _list_of(POLYS)),
+    st.builds("module {} = {}({}, {});".format, NAMES,
+              st.sampled_from(["ideal_module", "subring_module", "free",
+                               "syzygy_of_k"]), NAMES, _list_of(ARGS)),
+    st.builds("closure {} = {};".format, NAMES,
+              st.one_of(st.sampled_from(["trivial", "integral_closure"]),
+                        st.builds("module_closure({})".format, NAMES),
+                        st.builds("intersect({})".format, _list_of(NAMES)))),
+    st.builds("check {}({});".format, st.sampled_from(dsl.CHECK_FNS),
+              _list_of(ARGS, 0, 4)),
+    st.builds("modify {} = parameter_chain({}, {}, [{}], {});".format,
+              NAMES, NAMES, NAMES, _list_of(POLYS), INTS),
+    st.builds('export {} "{}";'.format, st.sampled_from(["json", "session"]),
+              NAMES))
+
+_TOKEN = re.compile(r'"[^"]*"|\w+|\S')
+MUTANTS = ["(", ")", "[", "]", ",", ";", "=", "/", "^", "*", "+", "-", '"',
+           "#", "\n", "ring", "check", "x", "3"]
+
+
+@st.composite
+def scripts(draw):
+    """Up to four statements, then up to three token-level mutations."""
+    text = "\n".join(draw(st.lists(STATEMENTS, min_size=1, max_size=4)))
+    toks = _TOKEN.findall(text)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(toks)))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "repeat"]))
+        if op == "insert" or not toks:
+            toks.insert(i, draw(st.sampled_from(MUTANTS)))
+        elif op == "delete":
+            del toks[min(i, len(toks) - 1)]
+        elif op == "replace":
+            toks[min(i, len(toks) - 1)] = draw(st.sampled_from(MUTANTS))
+        else:
+            toks[i:i] = toks[max(0, i - 3):i]
+    return " ".join(toks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scripts())
+def test_parse_raises_only_script_errors_and_round_trips(text):
+    try:
+        stmts = parse_script(text)
+    except ScriptError:
+        return
+    assert parse_script(print_statements(stmts)) == stmts

@@ -12,9 +12,10 @@ from closurelab.poly import DomainError, PolyRing
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 free_module, ideal_as_module, ideal_submodule,
                                 is_regular_sequence, minimal_generators,
-                                quotient_module, residue_field, ring_as_module,
-                                scaled_gens, tensor, tensor_elem)
-from closurelab.ring import make_quotient_ring
+                                nf_vec, quotient_module, residue_field,
+                                ring_as_module, scaled_gens, tensor,
+                                tensor_elem)
+from closurelab.ring import QuotientRing, make_quotient_ring
 from closurelab.sampling import random_submodule_pair
 
 from oracles import (brute_member, brute_syzygies_complete,
@@ -283,8 +284,7 @@ def test_minimal_generators_match_greedy_oracle(request, field):
         gens = _redundant_gens(M, rng)
         want = greedy_minimal_generators(M.ring, gens, M.gen_degrees,
                                          M.relations)
-        assert minimal_generators(M.ring, gens, M.gen_degrees,
-                                  M.relations) == want, trial
+        assert minimal_generators(M, gens) == want, trial
         assert list(Submodule(M, tuple(gens)).minimalized().gens) == want
 
 
@@ -304,8 +304,29 @@ def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):
     assert len(calls) == 2          # blocks of degree 3 and 4
     calls.clear()
     M = FPModule(kxy, (0, 1), [["x*y", "y"]])
-    Submodule(M, tuple(M.vec([t, "0"]) for t in texts)).minimalized()
+    gens = tuple(M.vec([t, "0"]) for t in texts)
+    Submodule(M, gens).minimalized()
     assert len(calls) == 3          # the relations, then degrees 3 and 4
+    calls.clear()
+    Submodule(M, gens).minimalized()
+    assert len(calls) == 2          # the relations' basis is M's memo
+
+
+def test_nf_vec_reduces_only_nonzero_components(segre, monkeypatch):
+    v = Vec.from_polys([segre.ambient.parse(t)
+                        for t in ["0", "b^2", "0", "a + c"]])
+    calls = []
+    real = QuotientRing.nf
+
+    def counting(self, poly):
+        calls.append(poly)
+        return real(self, poly)
+
+    monkeypatch.setattr(QuotientRing, "nf", counting)
+    w = nf_vec(segre, v)
+    assert len(calls) == 2
+    assert w == Vec.from_polys([real(segre, p) for p in v.to_polys()])
+    assert str(w) == "(0, a*c, 0, a + c)"
 
 
 def test_minimalized_rejects_inhomogeneous_generator(kxy):

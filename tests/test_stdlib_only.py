@@ -1,0 +1,26 @@
+"""The engine stays standard-library only: `src/closurelab` imports nothing
+but the standard library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "closurelab"
+
+
+def _top_level_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_src_imports_only_stdlib_and_itself():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    allowed = set(sys.stdlib_module_names) | {"closurelab"}
+    outside = [(p.name, name) for p in files
+               for name in _top_level_imports(p) if name not in allowed]
+    assert outside == []
