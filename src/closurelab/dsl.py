@@ -97,7 +97,12 @@ def tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(Token("int", int(text[i:j]), i, j))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ScriptError(f"integer literal too long ({j - i} digits)",
+                                  text, i) from None
+            toks.append(Token("int", value, i, j))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i

@@ -7,6 +7,16 @@ strategy, the product criterion (applied only where it is valid for
 modules) and the chain criterion.  Output bases are reduced, monic and
 canonically sorted, hence unique for a given module and order.
 
+Inside the kernel every coefficient is a Python int, and one reducer and
+one Buchberger loop serve both fields through the characteristic p.  Over
+Q a basis element is a primitive integer vector with a positive lead
+coefficient, and a reduction step cross-multiplies instead of dividing
+(fraction-free, as with primitive polynomial remainder sequences); over
+GF(p) a basis element is monic and coefficients are kept in [0, p).
+Fractions appear only where a Vec enters the kernel (denominators
+cleared) or leaves it (output bases made monic, normal forms divided by
+the accumulated multiplier).
+
 Extended runs augment each input column with a unit shadow component and
 run the same algorithm under a block order that keeps shadows below real
 terms.  One extended run yields, simultaneously: a Groebner basis of the
@@ -21,9 +31,8 @@ sequential, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .field import Rationals
 from .orders import block_key, elim_key, top_key, wdegrevlex
 from .poly import (ContextError, PolyRing, Polynomial, mono_div, mono_divides,
                    mono_gcd_is_one, mono_lcm, mono_mul)
@@ -161,85 +170,98 @@ class Vec:
     __repr__ = __str__
 
 
-# --- division ----------------------------------------------------------------
+# --- integer kernel: int coefficients, p the characteristic (0 for Q) ------
 
 
-def _reduce_terms(terms, basis, keyfn, fld, keycache=None):
-    """Fully reduce a term dict against basis elements, in place.
+def _to_kernel(terms, p):
+    """(int terms, den) with int terms == den * terms; den is 1 over GF(p)."""
+    if p:
+        return dict(terms), 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
 
-    basis: list of (comp, exps, inv_lc, body_terms).  Returns the remainder
-    term dict.
+
+def _from_kernel(terms, den, p):
+    """Field coefficients of the int terms divided by den."""
+    if p:
+        return terms
+    return {k: Fraction(c, den) for k, c in terms.items()}
+
+
+def _reduce_terms(terms, basis, keyfn, p, keycache):
+    """Fully reduce an int term dict against basis elements, in place.
+
+    basis: list of (comp, exps, lc, body_terms) in kernel form.  Returns
+    (rem, mult) with mult * input == rem + (a combination of the basis);
+    the terms of rem are in descending order, lead first.  Over GF(p)
+    every lc is 1, so mult stays 1.
     """
-    kc = keycache if keycache is not None else {}
-    rem = {}
+    rem = []  # (term, coeff, mult when it was set aside)
+    mult = 1
     while terms:
         best = None
         bestkey = None
         for t in terms:
-            k = kc.get(t)
+            k = keycache.get(t)
             if k is None:
                 k = keyfn(t[0], t[1])
-                kc[t] = k
+                keycache[t] = k
             if bestkey is None or k > bestkey:
                 bestkey = k
                 best = t
         comp, exps = best
         coeff = terms[best]
         hit = -1
-        for idx, (bc, be, _inv, _body) in enumerate(basis):
+        for idx, (bc, be, _lc, _body) in enumerate(basis):
             if bc == comp and mono_divides(be, exps):
                 hit = idx
                 break
         if hit < 0:
-            rem[best] = coeff
+            rem.append((best, coeff, mult))
             del terms[best]
             continue
-        _bc, be, inv_lc, body = basis[hit]
+        _bc, be, lc, body = basis[hit]
         q = mono_div(exps, be)
-        factor = fld.mul(coeff, inv_lc)
+        g = gcd(coeff, lc)
+        scale, factor = lc // g, coeff // g
+        if scale != 1:
+            mult *= scale
+            for k in terms:
+                terms[k] *= scale
         for (j, m), c in body.items():
             k2 = (j, mono_mul(m, q))
-            s = fld.sub(terms.get(k2, fld.zero), fld.mul(c, factor))
-            if s == fld.zero:
-                terms.pop(k2, None)
-            else:
+            s = terms.get(k2, 0) - c * factor
+            if p:
+                s %= p
+            if s:
                 terms[k2] = s
-    return rem
+            else:
+                terms.pop(k2, None)
+    return {t: c * (mult // m) for t, c, m in rem}, mult
 
 
-def _make_monic(terms, keyfn, fld):
-    comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
-    lc = terms[(comp, exps)]
-    if lc != fld.one:
-        inv = fld.inv(lc)
-        for k in terms:
-            terms[k] = fld.mul(terms[k], inv)
-    return comp, exps
+def _normalize(terms, p):
+    """Make a remainder a kernel basis element in place; returns
+    (comp, exps, lc).
 
-
-def _normalize(terms, keyfn, fld):
-    """Scale a term dict for stable arithmetic; returns (comp, exps, inv_lc).
-
-    Over the rationals, clear denominators and divide out the integer
-    content so coefficients stay small integers; over finite fields, make
-    the vector monic.
+    The lead is the first term (see _reduce_terms).  Over Q divide out the
+    content, with the sign that makes lc positive; over GF(p) make the
+    vector monic.
     """
-    comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
-    if isinstance(fld, Rationals):
-        num_gcd = 0
-        den_lcm = 1
-        for c in terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        if terms[(comp, exps)] < 0:
-            scale = -scale
-        if scale != 1:
-            for k in terms:
-                terms[k] = terms[k] * scale
+    comp, exps = lead = next(iter(terms))
+    if p:
+        inv = pow(terms[lead], -1, p)
+        for k in terms:
+            terms[k] = terms[k] * inv % p
     else:
-        _make_monic(terms, keyfn, fld)
-    return comp, exps, fld.inv(terms[(comp, exps)])
+        content = gcd(*terms.values())
+        if terms[lead] < 0:
+            content = -content
+        if content != 1:
+            for k in terms:
+                terms[k] //= content
+    return comp, exps, terms[lead]
 
 
 # --- Buchberger -----------------------------------------------------------
@@ -253,9 +275,14 @@ class GroebnerBasis:
         self.ncomps = ncomps
         self.keyfn = keyfn
         self.elements = elements  # list of Vec, monic, sorted by lead desc
-        one = ring.field.one
-        self._basis_data = [(*v.leading(keyfn)[:2], one, v.terms)
-                            for v in elements]
+        p = ring.field.char
+        self._basis_data = []  # kernel form, see _reduce_terms
+        for v in elements:
+            comp, exps, _one = v.leading(keyfn)
+            # v is monic and reduced, so its integer form is primitive with
+            # lead coefficient den
+            terms, den = _to_kernel(v.terms, p)
+            self._basis_data.append((comp, exps, den, terms))
         self._keycache: dict = {}
 
     def __iter__(self):
@@ -265,16 +292,17 @@ class GroebnerBasis:
         return len(self.elements)
 
     def normal_form(self, v: Vec) -> Vec:
-        terms = dict(v.terms)
-        rem = _reduce_terms(terms, self._basis_data, self.keyfn,
-                            self.ring.field, keycache=self._keycache)
-        return Vec(self.ring, self.ncomps, rem)
+        p = self.ring.field.char
+        terms, den = _to_kernel(v.terms, p)
+        rem, mult = _reduce_terms(terms, self._basis_data, self.keyfn, p,
+                                  self._keycache)
+        return Vec(self.ring, self.ncomps, _from_kernel(rem, den * mult, p))
 
     def contains(self, v: Vec) -> bool:
         return self.normal_form(v).is_zero()
 
     def leading_terms(self):
-        return [(c, e) for (c, e, _inv, _b) in self._basis_data]
+        return [(c, e) for (c, e, _lc, _b) in self._basis_data]
 
 
 def _single_component(terms):
@@ -288,18 +316,18 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
     if not cols:
         return []
     ring = ring or cols[0].ring
-    fld = ring.field
+    p = ring.field.char
     keycache: dict = {}
 
-    basis = []        # (comp, exps, inv_lc, body terms), content-normalized
+    basis = []        # (comp, exps, lc, body terms), kernel form
     singles = []      # support in a single component?
     pending = set()   # pending pair indices
     queue = []        # (sortkey, i, j)
 
     def push_pairs(new_idx):
-        nc, ne, _inv, _b = basis[new_idx]
+        nc, ne, _lc, _b = basis[new_idx]
         for i in range(new_idx):
-            ic, ie, _iv, _bi = basis[i]
+            ic, ie, _il, _bi = basis[i]
             if ic != nc:
                 continue
             lcm = mono_lcm(ie, ne)
@@ -307,14 +335,13 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
             pending.add((i, new_idx))
 
     def add_element(terms):
-        comp, exps, inv_lc = _normalize(terms, keyfn, fld)
-        basis.append((comp, exps, inv_lc, terms))
+        basis.append((*_normalize(terms, p), terms))
         singles.append(_single_component(terms))
         push_pairs(len(basis) - 1)
 
     for col in cols:
-        terms = dict(col.terms)
-        rem = _reduce_terms(terms, basis, keyfn, fld, keycache=keycache)
+        rem, _mult = _reduce_terms(_to_kernel(col.terms, p)[0], basis, keyfn,
+                                   p, keycache)
         if rem:
             add_element(rem)
 
@@ -323,8 +350,8 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
     while queue:
         _key, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        ci, ei, inv_i, bi = basis[i]
-        cj, ej, inv_j, bj = basis[j]
+        ci, ei, lc_i, bi = basis[i]
+        cj, ej, lc_j, bj = basis[j]
         lcm = mono_lcm(ei, ej)
         # product criterion: valid for module elements only when both live
         # entirely in the shared leading component
@@ -332,7 +359,7 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
             continue
         # chain criterion
         skip = False
-        for k, (ck, ek, _ik, _bk) in enumerate(basis):
+        for k, (ck, ek, _lk, _bk) in enumerate(basis):
             if k == i or k == j or ck != ci:
                 continue
             if mono_divides(ek, lcm):
@@ -343,27 +370,31 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
                     break
         if skip:
             continue
-        # S-vector: scale both sides to cancel the leading term exactly
+        # S-vector: cross-multiply both sides to cancel the leading term
         qi, qj = mono_div(lcm, ei), mono_div(lcm, ej)
+        g = gcd(lc_i, lc_j)
+        fi, fj = lc_j // g, lc_i // g
         terms: dict = {}
         for (cm, m), c in bi.items():
-            terms[(cm, mono_mul(m, qi))] = fld.mul(c, inv_i)
+            terms[(cm, mono_mul(m, qi))] = c * fi
         for (cm, m), c in bj.items():
             k2 = (cm, mono_mul(m, qj))
-            s = fld.sub(terms.get(k2, fld.zero), fld.mul(c, inv_j))
-            if s == fld.zero:
-                terms.pop(k2, None)
-            else:
+            s = terms.get(k2, 0) - c * fj
+            if p:
+                s %= p
+            if s:
                 terms[k2] = s
-        rem = _reduce_terms(terms, basis, keyfn, fld, keycache=keycache)
+            else:
+                terms.pop(k2, None)
+        rem, _mult = _reduce_terms(terms, basis, keyfn, p, keycache)
         if rem:
             add_element(rem)
 
     # minimalize: drop elements whose lead is divisible by another's lead
     keep = []
-    for i, (ci, ei, _ii, _bi) in enumerate(basis):
+    for i, (ci, ei, _li, _bi) in enumerate(basis):
         dominated = False
-        for j, (cj, ej, _ij, _bj) in enumerate(basis):
+        for j, (cj, ej, _lj, _bj) in enumerate(basis):
             if i == j or cj != ci:
                 continue
             if mono_divides(ej, ei) and (ej != ei or j < i):
@@ -378,15 +409,12 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
     keep.sort(key=lambda i: keyfn(basis[i][0], basis[i][1]))
     done = []
     for i in keep:
-        comp, exps, inv_lc, body = basis[i]
-        rem = _reduce_terms(dict(body), done, keyfn, fld, keycache=keycache)
-        done.append((comp, exps, inv_lc, rem))
+        rem, _mult = _reduce_terms(dict(basis[i][3]), done, keyfn, p,
+                                   keycache)
+        done.append((*_normalize(rem, p), rem))
 
-    out = []
-    for _c, _e, _inv, terms in reversed(done):
-        _make_monic(terms, keyfn, fld)
-        out.append(Vec(ring, ncomps, terms))
-    return out
+    return [Vec(ring, ncomps, _from_kernel(terms, lc, p))
+            for _c, _e, lc, terms in reversed(done)]
 
 
 def groebner_module(cols, ncomps, keyfn=None, ring=None) -> GroebnerBasis:
@@ -444,7 +472,9 @@ def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
     if ring is None:
         ring = cols[0].ring
     s, t = ncomps, len(cols)
-    aug = [col.pad(s + t) + Vec.unit(ring, s + t, s + i)
+    one = (0,) * ring.nvars
+    aug = [Vec(ring, s + t, {**col.pad(s + t).terms,
+                             (s + i, one): ring.field.one})
            for i, col in enumerate(cols)]
     keyfn = block_key(ring.key, s)
     return ExtendedBasis(s, GroebnerBasis(ring, s + t, keyfn,

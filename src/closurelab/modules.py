@@ -17,7 +17,7 @@ from .gb import ExtendedBasis, Vec, buchberger, extended_groebner, groebner_modu
 from .linalg import (component_terms, graded_span_dim, monomials_of_wdeg,
                      rank, residual, row_reduce, span_rows, vec_coords)
 from .orders import block_key, top_key
-from .poly import ContextError, DomainError
+from .poly import ContextError, DomainError, mono_divides
 from .ring import QuotientRing
 
 
@@ -76,7 +76,15 @@ def r_preimage(ring: QuotientRing, map_cols, target_cols, ncomps):
 
 
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
-    if ring.is_polynomial_ring:
+    """Componentwise normal form of v modulo the defining ideal.
+
+    When no term of v is divisible by a lead monomial of the ideal's
+    reduced basis, no reduction step applies, so v is its own normal form
+    and comes back as it is: relabelled copies of normal forms, such as the
+    tensor image columns of ModuleClosure, are not reduced again.
+    """
+    leads = ring.ideal_leads
+    if not any(mono_divides(e, m) for (_j, m) in v.terms for e in leads):
         return v
     return Vec(ring.ambient, v.ncomps,
                {(j, m): c for j in v.support()

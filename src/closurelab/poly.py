@@ -289,8 +289,9 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 class ParseError(ValueError):
-    """token is the parser token the error stopped at (None for an
-    unexpected character)."""
+    """token is the parser token the grammar stopped at (None for an
+    error it did not find: an unexpected character, an integer literal too
+    long to convert, or nesting too deep)."""
 
     def __init__(self, message: str, text: str, pos: int, line: int = 1,
                  col: int | None = None, token=None):
@@ -324,7 +325,12 @@ def _tokenize_poly(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError(f"integer literal too long ({j - i} digits)",
+                                 text, i) from None
+            toks.append(_Tok("int", value, i))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -341,12 +347,17 @@ def _tokenize_poly(text: str):
     return toks
 
 
+MAX_NESTING = 100
+
+
 class _PolyParser:
     """Recursive descent for `coeff*mon +/- ...` with optional `*`.
 
     Grammar: expr := term (('+'|'-') term)* ; term := factor (['*'] factor)* ;
     factor := INT ['/' INT] | NAME ['^' INT] | '(' expr ')' | '-' factor.
-    The leaves resolve in `number` and `name`.
+    The leaves resolve in `number` and `name`.  depth counts the enclosing
+    '(' and prefix '-' of a factor; past MAX_NESTING the parser stops with
+    a ParseError instead of exhausting Python's recursion limit.
     """
 
     def __init__(self, ring: PolyRing, text: str):
@@ -380,33 +391,36 @@ class _PolyParser:
             self.fail(f"unexpected {t.value!r}", t)
         return f
 
-    def expr(self) -> Polynomial:
+    def expr(self, depth=0) -> Polynomial:
         t = self.peek()
         if t.kind == "-":
             self.take()
-            f = -self.term()
+            f = -self.term(depth)
         else:
-            f = self.term()
+            f = self.term(depth)
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
-            g = self.term()
+            g = self.term(depth)
             f = f + g if op == "+" else f - g
         return f
 
-    def term(self) -> Polynomial:
-        f = self.factor()
+    def term(self, depth) -> Polynomial:
+        f = self.factor(depth)
         while True:
             t = self.peek()
             if t.kind == "*":
                 self.take()
-                f = f * self.factor()
+                f = f * self.factor(depth)
             elif t.kind in ("name", "int", "("):
-                f = f * self.factor()
+                f = f * self.factor(depth)
             else:
                 return f
 
-    def factor(self) -> Polynomial:
+    def factor(self, depth) -> Polynomial:
         t = self.take()
+        if t.kind in ("(", "-") and depth >= MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels",
+                             self.text, t.pos)
         if t.kind == "int":
             den = None
             if self.peek().kind == "/":
@@ -416,10 +430,10 @@ class _PolyParser:
         elif t.kind == "name":
             base = self.name(t)
         elif t.kind == "(":
-            base = self.expr()
+            base = self.expr(depth + 1)
             self.expect(")")
         elif t.kind == "-":
-            return -self.factor()
+            return -self.factor(depth + 1)
         else:
             found = "end of input" if t.kind == "end" else repr(t.value)
             self.fail(f"unexpected {found}", t)

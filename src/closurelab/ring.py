@@ -33,6 +33,8 @@ class QuotientRing:
         keyfn = top_key(ambient.key)
         basis = buchberger(cols, 1, keyfn, ambient)
         self.ideal_basis = [v.component(0) for v in basis]
+        self.ideal_leads = tuple(g.leading_monomial()
+                                 for g in self.ideal_basis)
         self._gb = GroebnerBasis(ambient, 1, keyfn, basis) if basis else None
         self.domain_status = domain_status
         self.presentation = presentation
@@ -109,9 +111,7 @@ class QuotientRing:
     @property
     def dim(self) -> int:
         if self._dim is None:
-            self._dim = _dim_from_leads(
-                [g.leading_monomial() for g in self.ideal_basis],
-                self.ambient.nvars)
+            self._dim = _dim_from_leads(self.ideal_leads, self.ambient.nvars)
         return self._dim
 
     def dim_modulo(self, elems) -> int:

@@ -5,17 +5,25 @@ kernel dimensions come from exact row reduction of degreewise coordinate
 matrices, and the reference monomial-order comparisons follow the textbook
 definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
-minimalization is checked against, and `check_poly_syntax`, the separate
+minimalization is checked against, `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
-grammar.
+grammar, and the `Fraction` Groebner kernel (`fraction_buchberger` and its
+reducer), the reference for the integer kernel in `closurelab.gb`.
 """
 
+from fractions import Fraction
+from math import gcd
+
 from closurelab.dsl import ScriptError
+from closurelab.field import Rationals
 from closurelab.gb import Vec
 from closurelab.linalg import (monomials_of_wdeg, residual, row_reduce,
                                span_rows, vec_coords)
 from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
-from closurelab.poly import ParseError, _tokenize_poly, mono_mul
+from closurelab.orders import block_key
+from closurelab.poly import (ParseError, _tokenize_poly, mono_div,
+                             mono_divides, mono_gcd_is_one, mono_lcm,
+                             mono_mul)
 
 
 # --- reference order comparisons ------------------------------------------------
@@ -185,6 +193,227 @@ def buchberger_criterion_holds(gb_vecs, ncomps, keyfn, ring) -> bool:
             if ref_reduce(s, data, keyfn, fld):
                 return False
     return True
+
+
+# --- the Fraction Groebner kernel: field arithmetic on every coefficient ----------
+
+
+def fraction_reduce_terms(terms, basis, keyfn, fld, keycache=None):
+    """Fully reduce a term dict against basis elements, in place.
+
+    basis: list of (comp, exps, inv_lc, body_terms).  Returns the remainder
+    term dict.
+    """
+    kc = keycache if keycache is not None else {}
+    rem = {}
+    while terms:
+        best = None
+        bestkey = None
+        for t in terms:
+            k = kc.get(t)
+            if k is None:
+                k = keyfn(t[0], t[1])
+                kc[t] = k
+            if bestkey is None or k > bestkey:
+                bestkey = k
+                best = t
+        comp, exps = best
+        coeff = terms[best]
+        hit = -1
+        for idx, (bc, be, _inv, _body) in enumerate(basis):
+            if bc == comp and mono_divides(be, exps):
+                hit = idx
+                break
+        if hit < 0:
+            rem[best] = coeff
+            del terms[best]
+            continue
+        _bc, be, inv_lc, body = basis[hit]
+        q = mono_div(exps, be)
+        factor = fld.mul(coeff, inv_lc)
+        for (j, m), c in body.items():
+            k2 = (j, mono_mul(m, q))
+            s = fld.sub(terms.get(k2, fld.zero), fld.mul(c, factor))
+            if s == fld.zero:
+                terms.pop(k2, None)
+            else:
+                terms[k2] = s
+    return rem
+
+
+def fraction_make_monic(terms, keyfn, fld):
+    comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
+    lc = terms[(comp, exps)]
+    if lc != fld.one:
+        inv = fld.inv(lc)
+        for k in terms:
+            terms[k] = fld.mul(terms[k], inv)
+    return comp, exps
+
+
+def fraction_normalize(terms, keyfn, fld):
+    """Scale a term dict for stable arithmetic; returns (comp, exps, inv_lc).
+
+    Over the rationals, clear denominators and divide out the integer
+    content so coefficients stay small integers; over finite fields, make
+    the vector monic.
+    """
+    comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
+    if isinstance(fld, Rationals):
+        num_gcd = 0
+        den_lcm = 1
+        for c in terms.values():
+            num_gcd = gcd(num_gcd, abs(c.numerator))
+            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+        scale = Fraction(den_lcm, num_gcd)
+        if terms[(comp, exps)] < 0:
+            scale = -scale
+        if scale != 1:
+            for k in terms:
+                terms[k] = terms[k] * scale
+    else:
+        fraction_make_monic(terms, keyfn, fld)
+    return comp, exps, fld.inv(terms[(comp, exps)])
+
+
+def fraction_single_component(terms):
+    comps = {j for (j, _m) in terms}
+    return len(comps) == 1
+
+
+def fraction_buchberger(cols, ncomps, keyfn, ring=None) -> list:
+    """Reduced Groebner basis (list of Vec) of the span of cols in P^ncomps."""
+    cols = [c for c in cols if not c.is_zero()]
+    if not cols:
+        return []
+    ring = ring or cols[0].ring
+    fld = ring.field
+    keycache: dict = {}
+
+    basis = []        # (comp, exps, inv_lc, body terms), content-normalized
+    singles = []      # support in a single component?
+    pending = set()   # pending pair indices
+    queue = []        # (sortkey, i, j)
+
+    def push_pairs(new_idx):
+        nc, ne, _inv, _b = basis[new_idx]
+        for i in range(new_idx):
+            ic, ie, _iv, _bi = basis[i]
+            if ic != nc:
+                continue
+            lcm = mono_lcm(ie, ne)
+            queue.append((keyfn(nc, lcm), i, new_idx))
+            pending.add((i, new_idx))
+
+    def add_element(terms):
+        comp, exps, inv_lc = fraction_normalize(terms, keyfn, fld)
+        basis.append((comp, exps, inv_lc, terms))
+        singles.append(fraction_single_component(terms))
+        push_pairs(len(basis) - 1)
+
+    for col in cols:
+        terms = dict(col.terms)
+        rem = fraction_reduce_terms(terms, basis, keyfn, fld,
+                                    keycache=keycache)
+        if rem:
+            add_element(rem)
+
+    import heapq
+    heapq.heapify(queue)
+    while queue:
+        _key, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        ci, ei, inv_i, bi = basis[i]
+        cj, ej, inv_j, bj = basis[j]
+        lcm = mono_lcm(ei, ej)
+        # product criterion: valid for module elements only when both live
+        # entirely in the shared leading component
+        if singles[i] and singles[j] and mono_gcd_is_one(ei, ej):
+            continue
+        # chain criterion
+        skip = False
+        for k, (ck, ek, _ik, _bk) in enumerate(basis):
+            if k == i or k == j or ck != ci:
+                continue
+            if mono_divides(ek, lcm):
+                pi = (i, k) if i < k else (k, i)
+                pj = (j, k) if j < k else (k, j)
+                if pi not in pending and pj not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        # S-vector: scale both sides to cancel the leading term exactly
+        qi, qj = mono_div(lcm, ei), mono_div(lcm, ej)
+        terms: dict = {}
+        for (cm, m), c in bi.items():
+            terms[(cm, mono_mul(m, qi))] = fld.mul(c, inv_i)
+        for (cm, m), c in bj.items():
+            k2 = (cm, mono_mul(m, qj))
+            s = fld.sub(terms.get(k2, fld.zero), fld.mul(c, inv_j))
+            if s == fld.zero:
+                terms.pop(k2, None)
+            else:
+                terms[k2] = s
+        rem = fraction_reduce_terms(terms, basis, keyfn, fld,
+                                    keycache=keycache)
+        if rem:
+            add_element(rem)
+
+    # minimalize: drop elements whose lead is divisible by another's lead
+    keep = []
+    for i, (ci, ei, _ii, _bi) in enumerate(basis):
+        dominated = False
+        for j, (cj, ej, _ij, _bj) in enumerate(basis):
+            if i == j or cj != ci:
+                continue
+            if mono_divides(ej, ei) and (ej != ei or j < i):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+
+    # interreduce in ascending lead order: a tail term is only divisible by
+    # a smaller lead, so reducing each element against the finished ones
+    # leaves every tail fully reduced in one pass
+    keep.sort(key=lambda i: keyfn(basis[i][0], basis[i][1]))
+    done = []
+    for i in keep:
+        comp, exps, inv_lc, body = basis[i]
+        rem = fraction_reduce_terms(dict(body), done, keyfn, fld,
+                                    keycache=keycache)
+        done.append((comp, exps, inv_lc, rem))
+
+    out = []
+    for _c, _e, _inv, terms in reversed(done):
+        fraction_make_monic(terms, keyfn, fld)
+        out.append(Vec(ring, ncomps, terms))
+    return out
+
+
+def fraction_normal_form(basis_vecs, keyfn, v: Vec) -> Vec:
+    """Normal form of v modulo a reduced monic basis, by the Fraction
+    reducer."""
+    one = v.ring.field.one
+    data = [(*b.leading(keyfn)[:2], one, b.terms) for b in basis_vecs]
+    rem = fraction_reduce_terms(dict(v.terms), data, keyfn, v.ring.field)
+    return Vec(v.ring, v.ncomps, rem)
+
+
+def fraction_extended_reduce(cols, ncomps, v: Vec):
+    """(real remainder, certificate) of v against the columns, as
+    gb.ExtendedBasis.reduce computes it, from a Fraction-kernel run."""
+    ring = v.ring
+    s, t = ncomps, len(cols)
+    aug = [col.pad(s + t) + Vec.unit(ring, s + t, s + i)
+           for i, col in enumerate(cols)]
+    keyfn = block_key(ring.key, s)
+    basis = fraction_buchberger(aug, s + t, keyfn, ring)
+    full = fraction_normal_form(basis, keyfn, v.pad(s + t))
+    real = full.take_components(0, s)
+    if not real.is_zero():
+        return real, None
+    return real, (-full.take_components(s, s + t)).to_polys()
 
 
 # --- minimal generators, one Groebner basis per candidate --------------------------

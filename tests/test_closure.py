@@ -6,6 +6,7 @@ import pytest
 
 from closurelab import modules
 from closurelab.poly import ContextError, DomainError
+from closurelab.ring import QuotientRing
 from closurelab.modules import (FPModule, ModuleMap, Submodule, free_module,
                                 ideal_as_module, ideal_submodule,
                                 quotient_module, residue_field,
@@ -172,6 +173,30 @@ def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
                for u in ("b^2", "b", "a*b", "b^2")]
     assert answers == [True, False, True, True]
     assert len(calls) == 1
+
+
+def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
+                                                     monkeypatch):
+    """One closure calls QuotientRing.nf only on polynomials that some
+    reduction step changes: the tensor image columns, relabelled copies of
+    normal forms, and the already normal generators handed to
+    minimalization are not reduced again."""
+    changed = []
+    real = QuotientRing.nf
+
+    def counting(self, poly):
+        out = real(self, poly)
+        changed.append(out != poly)
+        return out
+
+    N = ideal_submodule(veronese4, ["a^2", "a*b", "b*c", "d^2"])
+    cl = ModuleClosure(s2_module, "cl_S")
+    monkeypatch.setattr(QuotientRing, "nf", counting)
+    closed = cl.closure(N)
+    assert sorted(str(g) for g in closed.gens) == \
+        ["(a*b)", "(a*d)", "(a^2)", "(b^2*d)", "(c^2*d)", "(d^2)"]
+    # the four are preimage tag parts such as b^3, equal to a^2*c in R
+    assert changed == [True] * 4
 
 
 def _slot_queries(ring, gens_a, gens_b, elems):

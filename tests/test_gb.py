@@ -2,20 +2,23 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from closurelab.field import QQ, prime_field
-from closurelab.orders import DEGREVLEX, block_key, top_key
+from closurelab.field import QQ, Rationals, prime_field
+from closurelab.orders import DEGREVLEX, block_key, elim_key, top_key
 from closurelab.poly import PolyRing, mono_divides
-from closurelab.gb import (UnsupportedInputError, Vec, _strip_vars, buchberger,
-                           extended_groebner, groebner_module,
-                           kernel_of_ring_map, syzygy_module)
+from closurelab.gb import (GroebnerBasis, UnsupportedInputError, Vec,
+                           _strip_vars, buchberger, extended_groebner,
+                           groebner_module, kernel_of_ring_map, syzygy_module)
 from closurelab.modules import ideal_submodule
 from closurelab.ring import make_quotient_ring
 
 from oracles import (brute_member, brute_syzygies_complete,
-                     buchberger_criterion_holds, ref_reduce)
+                     buchberger_criterion_holds, fraction_buchberger,
+                     fraction_extended_reduce, fraction_normal_form,
+                     ref_reduce)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 R3 = PolyRing(("a", "b", "c"), QQ, DEGREVLEX)
@@ -151,6 +154,99 @@ def test_buchberger_output_is_reduced(field):
         for col in cols:
             assert not ref_reduce(col.terms, data, keyfn, field), trial
         assert buchberger_criterion_holds(gb, ncomps, keyfn, ring), trial
+
+
+def _random_coeff(field, rng):
+    """A nonzero coefficient; over Q with denominators up to 7."""
+    if isinstance(field, Rationals):
+        num = rng.choice([n for n in range(-50, 51) if n])
+        return Fraction(num, rng.randint(1, 7))
+    return field.from_int(rng.randint(1, field.p - 1))
+
+
+def _random_vec(ring, rng, shifts, deg, nterms):
+    """A vector of degree deg, homogeneous for the component shifts."""
+    terms = {}
+    for _t in range(nterms):
+        j = rng.randrange(len(shifts))
+        monos = [m for m in itertools.product(range(deg + 1),
+                                              repeat=ring.nvars)
+                 if sum(m) == deg - shifts[j]]
+        if monos:
+            terms[(j, rng.choice(monos))] = _random_coeff(ring.field, rng)
+    return Vec(ring, len(shifts), terms)
+
+
+def _kernel_form(vecs):
+    """Terms in dict order with their coefficient types, for strict
+    comparison."""
+    return [repr(list(v.terms.items())) for v in vecs]
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+def test_integer_kernel_matches_fraction_reference(field):
+    """The integer kernel against the Fraction kernel it replaced, on 210
+    random multi-component inputs under three module orders: equal
+    reduced bases, normal-form remainders and extended-basis
+    certificates.  Inputs are homogeneous for random component shifts, as
+    every Buchberger input of the engine is."""
+    ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    rng = random.Random(47)
+    for trial in range(210):
+        shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
+        ncomps = len(shifts)
+        keyfn = [top_key(ring.key),
+                 block_key(ring.key, rng.randint(1, ncomps - 1)),
+                 top_key(elim_key(rng.randint(1, 2)))][trial % 3]
+        cols = [_random_vec(ring, rng, shifts, rng.randint(1, 3),
+                            rng.randint(1, 4))
+                for _ in range(rng.randint(2, 4))]
+        ours = buchberger(cols, ncomps, keyfn, ring)
+        ref = fraction_buchberger(cols, ncomps, keyfn, ring)
+        assert _kernel_form(ours) == _kernel_form(ref), trial
+        combo = Vec.zero(ring, ncomps)
+        for col in cols:
+            combo = combo + col.term_mul(_random_coeff(field, rng),
+                                         rng.choice(((1, 0, 0), (0, 0, 1))))
+        probes = [combo, _random_vec(ring, rng, shifts, 3, 4)]
+        gb = GroebnerBasis(ring, ncomps, keyfn, ours)
+        ext = extended_groebner(cols, ncomps, ring)
+        for v in probes:
+            assert _kernel_form([gb.normal_form(v)]) == \
+                _kernel_form([fraction_normal_form(ref, keyfn, v)]), trial
+            real, cert = ext.reduce(v)
+            ref_real, ref_cert = fraction_extended_reduce(cols, ncomps, v)
+            assert _kernel_form([real]) == _kernel_form([ref_real]), trial
+            assert (cert is None) == (ref_cert is None), trial
+            if cert is not None:
+                assert [repr(sorted(c.terms.items())) for c in cert] == \
+                    [repr(sorted(c.terms.items())) for c in ref_cert], trial
+
+
+def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
+    """Over Q the kernel works on integers: buchberger, normal_form and
+    extended_groebner never call the field's arithmetic."""
+    ring = PolyRing(("x", "y", "z"), QQ, DEGREVLEX)
+    cols = [Vec.from_polys([ring.parse(a), ring.parse(b)]) for a, b in
+            [("1/2*x^2 - y*z", "3/7*y"), ("x*y + 5/3*z^2", "z"),
+             ("y^2 - 2*x*z", "-4/5*x")]]
+    probe = Vec.from_polys([ring.parse("x^3 + 2/3*y^3 - z^3"),
+                            ring.parse("1/9*x^2 - y*z")])
+    in_span = cols[0].term_mul(Fraction(3, 2), (0, 1, 0)) + cols[2]
+
+    def forbidden(*_args):
+        raise AssertionError("field arithmetic inside the Groebner kernel")
+
+    for name in ("add", "sub", "mul", "inv"):
+        monkeypatch.setattr(Rationals, name, forbidden)
+    keyfn = top_key(ring.key)
+    basis = buchberger(cols, 2, keyfn, ring)
+    assert len(basis) > len(cols)
+    gb = GroebnerBasis(ring, 2, keyfn, basis)
+    assert not gb.normal_form(probe).is_zero()
+    assert gb.normal_form(in_span).is_zero()
+    real, cert = extended_groebner(cols, 2, ring).reduce(in_span)
+    assert real.is_zero() and cert is not None
 
 
 # --- normal forms ------------------------------------------------------------------

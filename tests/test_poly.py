@@ -184,3 +184,22 @@ def test_parse_empty_input_errors():
 def test_parse_unbalanced_parentheses():
     with pytest.raises(ParseError):
         R2.parse("(x + y")
+
+
+def test_parse_rejects_overlong_integer_literal_at_its_column():
+    with pytest.raises(ParseError) as err:
+        R2.parse("x + " + "7" * 5000 + "*y")
+    assert err.value.col == 5
+    assert "integer literal too long" in str(err.value)
+
+
+@pytest.mark.parametrize("opener", ["(", "-"])
+def test_parse_stops_deep_nesting_at_the_first_level_too_many(opener):
+    depth = 100
+    closer = ")" if opener == "(" else ""
+    # 100 parentheses, or an even number of signs, leave x
+    assert R2.parse(opener * depth + "x" + closer * depth) == R2.parse("x")
+    with pytest.raises(ParseError) as err:
+        R2.parse("y + " + opener * 400 + "x" + closer * 400)
+    assert err.value.col == 4 + depth + 1
+    assert "nested deeper than 100 levels" in str(err.value)

@@ -241,6 +241,24 @@ def test_cli_bad_integer_argument_is_an_error(tmp_path, capsys, stmt,
     assert message in json.loads(captured.out)["statements"][-1]["error"]
 
 
+@pytest.mark.parametrize("stmt, column", [
+    ("ideal I = ideal(P, " + "(" * 400 + "x" + ")" * 400 + ");", 120),
+    # the first sign belongs to the expression, not to a factor
+    ("ideal I = ideal(P, " + "-" * 2000 + "x);", 121),
+    ("check dietz_obstruction(trivial, [x,y], " + "1" * 5000 + ");", 41),
+    ("ideal I = ideal(P, x + " + "7" * 5000 + "*y);", 24),
+], ids=["nested-parentheses", "nested-signs", "long-integer-argument",
+        "long-integer-coefficient"])
+def test_cli_input_beyond_parser_limits_is_a_positioned_error(
+        tmp_path, capsys, stmt, column):
+    script = tmp_path / "limits.clab"
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n" + stmt + "\n")
+    assert main(["run", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert err.startswith(f"error: line 2, column {column}: ")
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch):
     s = Session()
     s.eval_text("ring P = poly(Q, [x,y], degrevlex);")
