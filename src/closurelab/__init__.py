@@ -8,10 +8,10 @@ presented modules (modules), closure operations and their checkers
 """
 
 from .field import QQ, prime_field, rationals
-from .orders import DEGREVLEX, LEX, MonomialOrder, wdegrevlex
+from .orders import DEGREVLEX, LEX, ModuleOrder, MonomialOrder, wdegrevlex
 from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
 from .gb import (GroebnerBasis, UnsupportedInputError, Vec, buchberger,
-                 groebner_module, kernel_of_ring_map, syzygy_module)
+                 kernel_of_ring_map, syzygy_module)
 from .ring import (ParameterSequence, QuotientRing, RingElem,
                    make_quotient_ring, presented_subring)
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum, free_module,

@@ -53,11 +53,6 @@ class Rationals:
             raise FieldError("division by zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise FieldError("division by zero")
-        return Fraction(a) / b
-
     def from_int(self, n: int):
         return Fraction(n)
 
@@ -107,9 +102,6 @@ class PrimeField:
         if a == 0:
             raise FieldError("division by zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n: int):
         return n % self.p

@@ -7,6 +7,12 @@ strategy, the product criterion (applied only where it is valid for
 modules) and the chain criterion.  Output bases are reduced, monic and
 canonically sorted, hence unique for a given module and order.
 
+Term orders are values (orders.ModuleOrder): TOP over the ring order, the
+block order of extended and preimage runs, and TOP over the elimination
+order.  buchberger is the one constructor of a GroebnerBasis; the basis
+keeps the kernel rows the run ended with, and its Vec elements are derived
+from them.
+
 Inside the kernel every coefficient is a Python int, and one reducer and
 one Buchberger loop serve both fields through the characteristic p.  Over
 Q a basis element is a primitive integer vector with a positive lead
@@ -31,9 +37,10 @@ sequential, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
-from .orders import block_key, elim_key, top_key, wdegrevlex
+from .orders import ModuleOrder, elimination, wdegrevlex
 from .poly import (ContextError, PolyRing, Polynomial, mono_div, mono_divides,
                    mono_gcd_is_one, mono_lcm, mono_mul)
 
@@ -268,33 +275,36 @@ def _normalize(terms, p):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of a span of columns in P^ncomps."""
+    """Reduced Groebner basis of a span of columns in P^ncomps.
 
-    def __init__(self, ring, ncomps, keyfn, elements):
+    Built by buchberger from its kernel rows (comp, exps, lc, terms), lead
+    first and sorted by lead descending (see _reduce_terms).  The elements,
+    monic Vecs, are derived from the rows on first use.
+    """
+
+    def __init__(self, ring, ncomps, order, rows):
         self.ring = ring
         self.ncomps = ncomps
-        self.keyfn = keyfn
-        self.elements = elements  # list of Vec, monic, sorted by lead desc
-        p = ring.field.char
-        self._basis_data = []  # kernel form, see _reduce_terms
-        for v in elements:
-            comp, exps, _one = v.leading(keyfn)
-            # v is monic and reduced, so its integer form is primitive with
-            # lead coefficient den
-            terms, den = _to_kernel(v.terms, p)
-            self._basis_data.append((comp, exps, den, terms))
+        self.order = order
+        self._rows = rows
         self._keycache: dict = {}
+
+    @cached_property
+    def elements(self):
+        p = self.ring.field.char
+        return [Vec(self.ring, self.ncomps, _from_kernel(terms, lc, p))
+                for _c, _e, lc, terms in self._rows]
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._rows)
 
     def normal_form(self, v: Vec) -> Vec:
         p = self.ring.field.char
         terms, den = _to_kernel(v.terms, p)
-        rem, mult = _reduce_terms(terms, self._basis_data, self.keyfn, p,
+        rem, mult = _reduce_terms(terms, self._rows, self.order, p,
                                   self._keycache)
         return Vec(self.ring, self.ncomps, _from_kernel(rem, den * mult, p))
 
@@ -302,7 +312,7 @@ class GroebnerBasis:
         return self.normal_form(v).is_zero()
 
     def leading_terms(self):
-        return [(c, e) for (c, e, _lc, _b) in self._basis_data]
+        return [(c, e) for (c, e, _lc, _b) in self._rows]
 
 
 def _single_component(terms):
@@ -310,12 +320,14 @@ def _single_component(terms):
     return len(comps) == 1
 
 
-def buchberger(cols, ncomps, keyfn, ring=None) -> list:
-    """Reduced Groebner basis (list of Vec) of the span of cols in P^ncomps."""
+def buchberger(cols, ncomps, keyfn, ring=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the span of cols in P^ncomps under the
+    module order keyfn (a ModuleOrder)."""
+    if ring is None:
+        if not cols:
+            raise ValueError("need a ring for an empty generating set")
+        ring = cols[0].ring
     cols = [c for c in cols if not c.is_zero()]
-    if not cols:
-        return []
-    ring = ring or cols[0].ring
     p = ring.field.char
     keycache: dict = {}
 
@@ -413,20 +425,7 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> list:
                                    keycache)
         done.append((*_normalize(rem, p), rem))
 
-    return [Vec(ring, ncomps, _from_kernel(terms, lc, p))
-            for _c, _e, lc, terms in reversed(done)]
-
-
-def groebner_module(cols, ncomps, keyfn=None, ring=None) -> GroebnerBasis:
-    cols = list(cols)
-    if ring is None:
-        if not cols:
-            raise ValueError("need a ring for an empty generating set")
-        ring = cols[0].ring
-    if keyfn is None:
-        keyfn = top_key(ring.key)
-    return GroebnerBasis(ring, ncomps, keyfn,
-                         buchberger(cols, ncomps, keyfn, ring))
+    return GroebnerBasis(ring, ncomps, keyfn, done[::-1])
 
 
 # --- extended runs: certificates and syzygies -------------------------------
@@ -476,9 +475,8 @@ def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
     aug = [Vec(ring, s + t, {**col.pad(s + t).terms,
                              (s + i, one): ring.field.one})
            for i, col in enumerate(cols)]
-    keyfn = block_key(ring.key, s)
-    return ExtendedBasis(s, GroebnerBasis(ring, s + t, keyfn,
-                                          buchberger(aug, s + t, keyfn, ring)))
+    return ExtendedBasis(s, buchberger(aug, s + t,
+                                       ModuleOrder(ring.order, s), ring))
 
 
 def syzygy_module(cols, ncomps, ring=None) -> list:
@@ -497,11 +495,8 @@ def eliminate_vars(cols, ncomps, n_elim, ring=None) -> list:
     Runs a Groebner computation under a block order with the first n_elim
     variables dominant and keeps the basis vectors free of them.
     """
-    cols = list(cols)
-    if ring is None:
-        ring = cols[0].ring
-    keyfn = top_key(elim_key(n_elim))
-    gb = buchberger(cols, ncomps, keyfn, ring)
+    gb = buchberger(list(cols), ncomps, ModuleOrder(elimination(n_elim)),
+                    ring)
     return [g for g in gb if not g.has_vars_below(n_elim)]
 
 
@@ -563,9 +558,9 @@ class RingMapGraph:
             e[n_t + i] = 1
             self.graph_polys.append(Polynomial(self.big, {tuple(e): fld.one})
                                     - self.lift_target(f))
-        self.graph_gb = groebner_module(
+        self.graph_gb = buchberger(
             [Vec.from_polys([g]) for g in self.graph_polys], 1,
-            top_key(elim_key(n_t)), self.big)
+            ModuleOrder(elimination(n_t)), self.big)
 
     def lift_target(self, f: Polynomial) -> Polynomial:
         tail = (0,) * (self.big.nvars - self.target.nvars)
@@ -592,5 +587,5 @@ def kernel_of_ring_map(images, pres_names, pres_ring=None):
     if not gens:
         return [], pres_ring
     gb = buchberger([Vec.from_polys([g]) for g in gens], 1,
-                    top_key(pres_ring.key), pres_ring)
+                    ModuleOrder(pres_ring.order), pres_ring)
     return [v.component(0) for v in gb], pres_ring

@@ -13,10 +13,10 @@ from __future__ import annotations
 import threading
 from itertools import groupby
 
-from .gb import ExtendedBasis, Vec, buchberger, extended_groebner, groebner_module
+from .gb import ExtendedBasis, Vec, buchberger, extended_groebner
 from .linalg import (component_terms, graded_span_dim, monomials_of_wdeg,
                      rank, residual, row_reduce, span_rows, vec_coords)
-from .orders import block_key, top_key
+from .orders import ModuleOrder
 from .poly import ContextError, DomainError, mono_divides
 from .ring import QuotientRing
 
@@ -35,8 +35,8 @@ def ideal_columns(ring: QuotientRing, ncomps: int):
 
 def r_span_basis(ring: QuotientRing, cols, ncomps):
     """Groebner basis of the R-span of cols (ideal columns appended)."""
-    return groebner_module(list(cols) + ideal_columns(ring, ncomps),
-                           ncomps, ring=ring.ambient)
+    return buchberger(list(cols) + ideal_columns(ring, ncomps), ncomps,
+                      ModuleOrder(ring.ambient.order), ring.ambient)
 
 
 def r_extended_basis(ring: QuotientRing, cols, ncomps) -> ExtendedBasis:
@@ -70,7 +70,7 @@ def r_preimage(ring: QuotientRing, map_cols, target_cols, ncomps):
     cols += [t.pad(big) for t in target_cols]
     cols += [ic.pad(big) for ic in ideal_columns(ring, ncomps)]
     cols += [ic.pad(big, offset=ncomps) for ic in ideal_columns(ring, n)]
-    gb = buchberger(cols, big, block_key(amb.key, ncomps), amb)
+    gb = buchberger(cols, big, ModuleOrder(amb.order, ncomps), amb)
     return _distinct_monic(ring, [g.take_components(ncomps, big) for g in gb
                                   if g.take_components(0, ncomps).is_zero()])
 
@@ -94,7 +94,7 @@ def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
 def _monic_vec(ring: QuotientRing, v: Vec) -> Vec:
     if v.is_zero():
         return v
-    _c, _e, lc = v.leading(top_key(ring.ambient.key))
+    _c, _e, lc = v.leading(ModuleOrder(ring.ambient.order))
     return v.term_mul(ring.ambient.field.inv(lc), (0,) * ring.ambient.nvars)
 
 
@@ -324,7 +324,14 @@ def _degree_sorted(M: FPModule) -> FPModule:
 
 
 class Submodule:
-    """Submodule of an FPModule, generated by vectors in its free cover."""
+    """Submodule of an FPModule, generated by vectors in its free cover.
+
+    The span and extended bases are memoized in _memo, which takes no lock:
+    the bases are reduced, hence canonical, so two threads racing on one
+    submodule at worst build two equal bases and keep either.  The
+    module's memo is different: FPModule._lock guards it, because its
+    resolution list is extended in place, one step at a time.
+    """
 
     def __init__(self, module: FPModule, gens):
         self.module = module

@@ -1,15 +1,17 @@
 """Monomial orders on exponent vectors and their extensions to free modules.
 
-An order is exposed as a key function mapping an exponent tuple to a tuple
-that compares the way the order does (bigger key = bigger monomial).  For
-degrevlex the key is (degree, negated reversed exponents): ties in degree
-are broken so that the monomial whose last nonzero exponent difference is
-negative wins.
+Orders are frozen, hashable values: MonomialOrder on the ring, ModuleOrder
+on a free module.  MonomialOrder.key() gives a key function mapping an
+exponent tuple to a tuple that compares the way the order does (bigger key
+= bigger monomial); a ModuleOrder is itself the key function on
+(component, exponents) pairs.  For degrevlex the key is (degree, negated
+reversed exponents): ties in degree are broken so that the monomial whose
+last nonzero exponent difference is negative wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def lex_key(exps):
@@ -30,25 +32,39 @@ def make_wdegrevlex_key(weights):
     return key
 
 
+def make_elim_key(nelim):
+    def key(exps):
+        return (degrevlex_key(exps[:nelim]), degrevlex_key(exps[nelim:]))
+
+    return key
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
-    """One of lex, degrevlex, or weighted degrevlex (positive weights)."""
+    """One of lex, degrevlex, weighted degrevlex (positive weights), or the
+    elimination order: block degrevlex with the first nelim variables
+    dominant."""
 
-    kind: str  # "lex" | "degrevlex" | "wdegrevlex"
+    kind: str  # "lex" | "degrevlex" | "wdegrevlex" | "elim"
     weights: tuple = ()
+    nelim: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("lex", "degrevlex", "wdegrevlex"):
+        if self.kind not in ("lex", "degrevlex", "wdegrevlex", "elim"):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == "wdegrevlex":
             if not self.weights or any(w <= 0 for w in self.weights):
                 raise ValueError("wdegrevlex needs positive weights")
+        if (self.kind == "elim") != (self.nelim > 0):
+            raise ValueError("elim, and only elim, needs nelim > 0")
 
     def key(self):
         if self.kind == "lex":
             return lex_key
         if self.kind == "degrevlex":
             return degrevlex_key
+        if self.kind == "elim":
+            return make_elim_key(self.nelim)
         return make_wdegrevlex_key(self.weights)
 
     def describe(self) -> str:
@@ -65,50 +81,34 @@ def wdegrevlex(weights) -> MonomialOrder:
     return MonomialOrder("wdegrevlex", tuple(weights))
 
 
-# --- module orders: keys on (component, exponents) pairs ------------------
-#
-# TOP (term over position) compares the ring monomials first and breaks ties
-# by position, earlier components winning.  POT puts the position first, so
-# with POT every term in component i beats every term in component j > i;
-# that makes POT the component-elimination order used for syzygy and
-# intersection computations.
+def elimination(nelim) -> MonomialOrder:
+    return MonomialOrder("elim", nelim=nelim)
 
 
-def top_key(ring_key):
-    def key(comp, exps):
-        return (ring_key(exps), -comp)
+@dataclass(frozen=True)
+class ModuleOrder:
+    """A term order on the free module P^s, keyed on (component, exponents).
 
-    return key
+    With nreal None it is TOP (term over position): the ring monomials are
+    compared first, and ties are broken by position, earlier components
+    winning.  With nreal set it is the block order of extended and
+    preimage computations: TOP, with every term in a component >= nreal
+    strictly below every term in the first nreal components, which hold
+    the actual module element.
 
-
-def pot_key(ring_key):
-    def key(comp, exps):
-        return (-comp, ring_key(exps))
-
-    return key
-
-
-def block_key(ring_key, nreal):
-    """TOP order with components >= nreal strictly below the rest.
-
-    Used for extended Groebner runs: the first nreal components hold the
-    actual module element, the remaining ones carry bookkeeping that must
-    never outrank a real term.
+    Calling the order on (comp, exps) gives a key that compares the way the
+    order does.  Equal orders compare and hash equal; the ring key function
+    is cached outside eq and hash.
     """
 
-    def key(comp, exps):
-        if comp < nreal:
-            return (1, ring_key(exps), -comp)
-        return (0, ring_key(exps), -comp)
+    ring_order: MonomialOrder
+    nreal: int | None = None
+    _ring_key: object = field(init=False, repr=False, compare=False)
 
-    return key
+    def __post_init__(self):
+        object.__setattr__(self, "_ring_key", self.ring_order.key())
 
-
-def elim_key(n_elim):
-    """Ring order eliminating the first n_elim variables (block degrevlex)."""
-
-    def key(exps):
-        head, tail = exps[:n_elim], exps[n_elim:]
-        return (degrevlex_key(head), degrevlex_key(tail))
-
-    return key
+    def __call__(self, comp, exps):
+        if self.nreal is None:
+            return (self._ring_key(exps), -comp)
+        return (1 if comp < self.nreal else 0, self._ring_key(exps), -comp)

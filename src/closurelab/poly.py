@@ -219,9 +219,6 @@ class Polynomial:
         m = max(self.terms, key=key)
         return m, self.terms[m]
 
-    def leading_monomial(self, key=None):
-        return self.leading_term(key)[0]
-
     def wdeg(self) -> int:
         """Weighted degree (maximum over terms); zero polynomial -> -1."""
         if not self.terms:

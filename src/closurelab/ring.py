@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .field import QQ
-from .orders import top_key
+from .orders import ModuleOrder
 from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import (GroebnerBasis, RingMapGraph, Vec, buchberger, eliminate_vars,
-                 syzygy_module, _strip_vars)
+from .gb import (RingMapGraph, Vec, buchberger, eliminate_vars, syzygy_module,
+                 _strip_vars)
 
 
 class QuotientRing:
@@ -30,12 +30,9 @@ class QuotientRing:
             if not g.is_homogeneous():
                 raise DomainError(f"inhomogeneous relation: {g}")
         cols = [Vec.from_polys([g]) for g in gens]
-        keyfn = top_key(ambient.key)
-        basis = buchberger(cols, 1, keyfn, ambient)
-        self.ideal_basis = [v.component(0) for v in basis]
-        self.ideal_leads = tuple(g.leading_monomial()
-                                 for g in self.ideal_basis)
-        self._gb = GroebnerBasis(ambient, 1, keyfn, basis) if basis else None
+        self._gb = buchberger(cols, 1, ModuleOrder(ambient.order), ambient)
+        self.ideal_basis = [v.component(0) for v in self._gb]
+        self.ideal_leads = tuple(e for _c, e in self._gb.leading_terms())
         self.domain_status = domain_status
         self.presentation = presentation
         self._dim = None
@@ -56,7 +53,7 @@ class QuotientRing:
     def nf(self, poly: Polynomial) -> Polynomial:
         if poly.ring != self.ambient:
             raise ContextError("polynomial from a different ambient ring")
-        if self._gb is None:
+        if not self._gb:
             return poly
         return self._gb.normal_form(Vec.from_polys([poly])).component(0)
 
@@ -119,10 +116,8 @@ class QuotientRing:
         extra = [self.elem(x).poly for x in elems]
         cols = [Vec.from_polys([g]) for g in self.ideal_basis + extra
                 if not g.is_zero()]
-        if not cols:
-            return self.ambient.nvars
-        gb = buchberger(cols, 1, top_key(self.ambient.key), self.ambient)
-        return _dim_from_leads([v.component(0).leading_monomial() for v in gb],
+        gb = buchberger(cols, 1, ModuleOrder(self.ambient.order), self.ambient)
+        return _dim_from_leads([e for _c, e in gb.leading_terms()],
                                self.ambient.nvars)
 
     def is_partial_sop(self, elems) -> bool:

@@ -101,6 +101,8 @@ class Session:
     # -- lookups -------------------------------------------------------------
 
     def _bind(self, name, kind, value):
+        """Bind a defined value; called only once the statement's result
+        is built, so a failed definition binds nothing."""
         self.env[name] = (kind, value)
         if kind == "ring":
             self.last_ring = name
@@ -169,7 +171,8 @@ class Session:
     def _set_value(self, arg) -> Submodule:
         """Evaluate a set expression to a Submodule."""
         if isinstance(arg, Name):
-            kind, value = self.env.get(arg.value, (None, None))
+            value = self._lookup(arg.value)  # raises for an unknown name
+            kind = self.env[arg.value][0]
             if kind == "ideal":
                 return value.submodule
             if kind == "module":
@@ -261,15 +264,15 @@ class Session:
             names = stmt.pres_names or None
             ring = presented_subring(images, names=names, field=fld,
                                      target_ring=target)
-        self._bind(stmt.name, "ring", ring)
         res.result = ring.descriptor()
+        self._bind(stmt.name, "ring", ring)
 
     def _eval_ideal(self, stmt: IdealDef, res):
         ring = self._ring(stmt.ring)
         elems = [ring.elem(t) for t in stmt.polys]
         value = IdealValue(ring, elems, ideal_submodule(ring, elems))
-        self._bind(stmt.name, "ideal", value)
         res.result = {"ring": stmt.ring, "gens": value.gens_strings()}
+        self._bind(stmt.name, "ideal", value)
 
     def _eval_module(self, stmt: ModuleDef, res):
         if stmt.form == "ideal_module":
@@ -295,8 +298,8 @@ class Session:
                 self._int_arg("syzygy_of_k", stmt.args, 1))
         else:
             raise EvalError(f"unknown module form {stmt.form!r}")
-        self._bind(stmt.name, "module", M)
         res.result = M.descriptor()
+        self._bind(stmt.name, "module", M)
 
     def _eval_closure(self, stmt: ClosureDef, res):
         if stmt.form == "trivial":
@@ -309,8 +312,8 @@ class Session:
         else:
             parts = [self._closure_arg(a) for a in stmt.args]
             cl = IntersectionClosure(parts, label=stmt.name)
-        self._bind(stmt.name, "closure", cl)
         res.result = {"closure": cl.describe()}
+        self._bind(stmt.name, "closure", cl)
 
     def _eval_modify(self, stmt: ModifyStmt, res):
         ring = self._ring(stmt.args[0].value)
@@ -320,8 +323,8 @@ class Session:
         bound = self._int_arg(stmt.form, stmt.args, 4) \
             if len(stmt.args) > 4 else self.deg_bound
         trace = parameter_chain(ring, cl, xs, steps, degree_bound=bound)
-        self._bind(stmt.name, "trace", trace)
         res.result = trace.descriptor()
+        self._bind(stmt.name, "trace", trace)
 
     def _eval_check(self, stmt: CheckStmt, res):
         fn = stmt.fn

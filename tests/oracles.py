@@ -7,8 +7,10 @@ definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
 minimalization is checked against, `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
-grammar, and the `Fraction` Groebner kernel (`fraction_buchberger` and its
-reducer), the reference for the integer kernel in `closurelab.gb`.
+grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
+reducer), the reference for the integer kernel in `closurelab.gb`, and the
+closure key factories `top_key`, `block_key` and `elim_key`, the
+references for the order values in `closurelab.orders`.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from closurelab.gb import Vec
 from closurelab.linalg import (monomials_of_wdeg, residual, row_reduce,
                                span_rows, vec_coords)
 from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
-from closurelab.orders import block_key
+from closurelab.orders import degrevlex_key
 from closurelab.poly import (ParseError, _tokenize_poly, mono_div,
                              mono_divides, mono_gcd_is_one, mono_lcm,
                              mono_mul)
@@ -44,6 +46,33 @@ def ref_degrevlex_greater(a, b, weights=None):
         if x != y:
             return x - y < 0
     return False
+
+
+def top_key(ring_key):
+    """TOP: the ring monomial first, then the earlier component."""
+    def key(comp, exps):
+        return (ring_key(exps), -comp)
+
+    return key
+
+
+def block_key(ring_key, nreal):
+    """TOP order with components >= nreal strictly below the rest."""
+    def key(comp, exps):
+        if comp < nreal:
+            return (1, ring_key(exps), -comp)
+        return (0, ring_key(exps), -comp)
+
+    return key
+
+
+def elim_key(n_elim):
+    """Ring order eliminating the first n_elim variables (block degrevlex)."""
+    def key(exps):
+        head, tail = exps[:n_elim], exps[n_elim:]
+        return (degrevlex_key(head), degrevlex_key(tail))
+
+    return key
 
 
 # --- degreewise span membership ---------------------------------------------------

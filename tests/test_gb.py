@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from closurelab.field import QQ, Rationals, prime_field
-from closurelab.orders import DEGREVLEX, block_key, elim_key, top_key
+from closurelab.orders import DEGREVLEX, ModuleOrder, elimination
 from closurelab.poly import PolyRing, mono_divides
-from closurelab.gb import (GroebnerBasis, UnsupportedInputError, Vec,
-                           _strip_vars, buchberger, extended_groebner,
-                           groebner_module, kernel_of_ring_map, syzygy_module)
+from closurelab.gb import (UnsupportedInputError, Vec, _strip_vars,
+                           buchberger, extended_groebner, kernel_of_ring_map,
+                           syzygy_module)
 from closurelab.modules import ideal_submodule
 from closurelab.ring import make_quotient_ring
 
@@ -28,24 +28,30 @@ def ideal_cols(ring, texts):
     return [Vec.from_polys([ring.parse(t)]) for t in texts]
 
 
+def top_basis(cols, ring):
+    """Reduced basis of an ideal, given as one-component columns, under TOP
+    over the ring order."""
+    return buchberger(cols, 1, ModuleOrder(ring.order), ring)
+
+
 # --- buchberger ------------------------------------------------------------------
 
 
 def test_single_element_is_its_own_basis():
-    gb = buchberger(ideal_cols(R3, ["a*c - b^2"]), 1, top_key(R3.key), R3)
+    gb = top_basis(ideal_cols(R3, ["a*c - b^2"]), R3)
     assert [str(v.component(0)) for v in gb] == ["b^2 - a*c"]
 
 
 def test_single_binomial_xyuv():
     R4 = PolyRing(("x", "y", "u", "v"), QQ, DEGREVLEX)
-    gb = buchberger(ideal_cols(R4, ["x*y - u*v"]), 1, top_key(R4.key), R4)
+    gb = top_basis(ideal_cols(R4, ["x*y - u*v"]), R4)
     assert [str(v.component(0)) for v in gb] == ["x*y - u*v"]
 
 
 def test_twisted_cubic_reduced_basis():
     R = PolyRing(("x", "y", "z"), QQ, DEGREVLEX)
     gb = buchberger(ideal_cols(R, ["y - x^2", "z - x^3"]), 1,
-                    top_key(R.key), R)
+                    ModuleOrder(R.order), R)
     assert sorted(str(v.component(0)) for v in gb) == \
         ["x*y - z", "x^2 - y", "y^2 - x*z"]
 
@@ -75,17 +81,17 @@ def test_veronese4_basis_satisfies_buchberger_criterion():
     images = [T.parse(t) for t in ("x^4", "x^3*y", "x*y^3", "y^4")]
     gens, P = kernel_of_ring_map(images, ("a", "b", "c", "d"))
     vecs = buchberger([Vec.from_polys([g]) for g in gens], 1,
-                      top_key(P.key), P)
-    assert buchberger_criterion_holds(vecs, 1, top_key(P.key), P)
+                      ModuleOrder(P.order), P)
+    assert buchberger_criterion_holds(vecs, 1, ModuleOrder(P.order), P)
 
 
 def test_reduced_basis_independent_of_generator_order():
     texts = ["x^2*y - 1/2*y^3", "x*y^2 + x^2", "y^4 - x*y"]
     cols = ideal_cols(R2, texts)
-    ref = buchberger(cols, 1, top_key(R2.key), R2)
+    ref = top_basis(cols, R2)
     for perm in itertools.permutations(range(3)):
-        gb = buchberger([cols[i] for i in perm], 1, top_key(R2.key), R2)
-        assert gb == ref
+        gb = top_basis([cols[i] for i in perm], R2)
+        assert list(gb) == list(ref)
 
 
 def test_groebner_matches_sympy_on_random_ideals():
@@ -108,7 +114,7 @@ def test_groebner_matches_sympy_on_random_ideals():
                 texts.append(" + ".join(terms))
         if not texts:
             continue
-        ours = buchberger(ideal_cols(R2, texts), 1, top_key(R2.key), R2)
+        ours = top_basis(ideal_cols(R2, texts), R2)
         ours_set = sorted(str(v.component(0)) for v in ours)
         sym = sp.groebner([sp.sympify(t.replace("^", "**")) for t in texts],
                           *xs, order="grevlex")
@@ -138,8 +144,8 @@ def test_buchberger_output_is_reduced(field):
     rng = random.Random(31)
     for trial in range(24):
         ncomps = rng.randint(2, 3)
-        keyfn = (top_key(ring.key) if trial % 2 else
-                 block_key(ring.key, rng.randint(1, ncomps - 1)))
+        keyfn = (ModuleOrder(ring.order) if trial % 2 else
+                 ModuleOrder(ring.order, rng.randint(1, ncomps - 1)))
         cols = _random_columns(ring, rng, ncomps)
         gb = buchberger(cols, ncomps, keyfn, ring)
         leads = [v.leading(keyfn) for v in gb]
@@ -195,9 +201,9 @@ def test_integer_kernel_matches_fraction_reference(field):
     for trial in range(210):
         shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
         ncomps = len(shifts)
-        keyfn = [top_key(ring.key),
-                 block_key(ring.key, rng.randint(1, ncomps - 1)),
-                 top_key(elim_key(rng.randint(1, 2)))][trial % 3]
+        keyfn = [ModuleOrder(ring.order),
+                 ModuleOrder(ring.order, rng.randint(1, ncomps - 1)),
+                 ModuleOrder(elimination(rng.randint(1, 2)))][trial % 3]
         cols = [_random_vec(ring, rng, shifts, rng.randint(1, 3),
                             rng.randint(1, 4))
                 for _ in range(rng.randint(2, 4))]
@@ -209,10 +215,9 @@ def test_integer_kernel_matches_fraction_reference(field):
             combo = combo + col.term_mul(_random_coeff(field, rng),
                                          rng.choice(((1, 0, 0), (0, 0, 1))))
         probes = [combo, _random_vec(ring, rng, shifts, 3, 4)]
-        gb = GroebnerBasis(ring, ncomps, keyfn, ours)
         ext = extended_groebner(cols, ncomps, ring)
         for v in probes:
-            assert _kernel_form([gb.normal_form(v)]) == \
+            assert _kernel_form([ours.normal_form(v)]) == \
                 _kernel_form([fraction_normal_form(ref, keyfn, v)]), trial
             real, cert = ext.reduce(v)
             ref_real, ref_cert = fraction_extended_reduce(cols, ncomps, v)
@@ -239,10 +244,9 @@ def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
 
     for name in ("add", "sub", "mul", "inv"):
         monkeypatch.setattr(Rationals, name, forbidden)
-    keyfn = top_key(ring.key)
-    basis = buchberger(cols, 2, keyfn, ring)
-    assert len(basis) > len(cols)
-    gb = GroebnerBasis(ring, 2, keyfn, basis)
+    keyfn = ModuleOrder(ring.order)
+    gb = buchberger(cols, 2, keyfn, ring)
+    assert len(gb) > len(cols)
     assert not gb.normal_form(probe).is_zero()
     assert gb.normal_form(in_span).is_zero()
     real, cert = extended_groebner(cols, 2, ring).reduce(in_span)
@@ -253,7 +257,7 @@ def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
 
 
 def test_normal_form_one_step_reduction():
-    gb = groebner_module(ideal_cols(R3, ["a*c - b^2"]), 1, ring=R3)
+    gb = top_basis(ideal_cols(R3, ["a*c - b^2"]), R3)
     nf = gb.normal_form(Vec.from_polys([R3.parse("b^2")]))
     assert str(nf.component(0)) == "a*c"
 
@@ -262,13 +266,13 @@ def test_normal_form_toric_zero():
     T = PolyRing(("x", "y"), QQ, DEGREVLEX)
     images = [T.parse(t) for t in ("x^4", "x^3*y", "x*y^3", "y^4")]
     gens, P = kernel_of_ring_map(images, ("a", "b", "c", "d"))
-    gb = groebner_module([Vec.from_polys([g]) for g in gens], 1, ring=P)
+    gb = top_basis([Vec.from_polys([g]) for g in gens], P)
     assert gb.contains(Vec.from_polys([P.parse("b^2*d - a*c^2")]))
 
 
 def test_normal_form_of_basis_elements_is_zero():
     cols = ideal_cols(R2, ["x^2 - y^2", "x*y^3"])
-    gb = groebner_module(cols, 1, ring=R2)
+    gb = top_basis(cols, R2)
     for g in gb:
         assert gb.normal_form(g).is_zero() or g not in cols
 
@@ -416,7 +420,7 @@ def test_membership_agrees_with_linear_algebra():
         if not gens:
             continue
         cols = [Vec.from_polys([g]) for g in gens]
-        gb = groebner_module(cols, 1, ring=R2)
+        gb = top_basis(cols, R2)
         i, j = rng.choice(monos)
         u = Vec.from_polys([R2.monomial((i, j))])
         assert gb.contains(u) == brute_member(R, cols, (0,), u)
@@ -465,13 +469,13 @@ def test_groebner_matches_sympy_three_vars_and_gf5():
         if not texts:
             continue
         exprs = [sp.sympify(t.replace("^", "**")) for t in texts]
-        ours = buchberger(ideal_cols(R3v, texts), 1, top_key(R3v.key), R3v)
+        ours = top_basis(ideal_cols(R3v, texts), R3v)
         theirs = sp.groebner(exprs, *xs, order="grevlex")
         # sympy normalizes content, not leading coefficients: compare monic
         assert sorted(str(v.component(0)) for v in ours) == \
             sorted(str(R3v.parse(str(e).replace("**", "^")).monic())
                    for e in theirs.exprs), f"Q trial {trial}"
-        ours5 = buchberger(ideal_cols(F5, texts), 1, top_key(F5.key), F5)
+        ours5 = top_basis(ideal_cols(F5, texts), F5)
         theirs5 = sp.groebner(exprs, *xs, order="grevlex", modulus=5)
 
         def norm5(e):
@@ -482,7 +486,7 @@ def test_groebner_matches_sympy_three_vars_and_gf5():
 
 
 def test_leading_terms_accessor():
-    gb = groebner_module(ideal_cols(R2, ["x^2 - y^2", "x*y"]), 1, ring=R2)
+    gb = top_basis(ideal_cols(R2, ["x^2 - y^2", "x*y"]), R2)
     lts = gb.leading_terms()
     assert all(c == 0 for c, _e in lts)
     assert len(lts) == len(gb)

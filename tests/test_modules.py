@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from closurelab import modules
+from closurelab import gb, modules
 from closurelab.field import prime_field
 from closurelab.gb import Vec
 from closurelab.orders import wdegrevlex
@@ -310,6 +310,30 @@ def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):
     calls.clear()
     Submodule(M, gens).minimalized()
     assert len(calls) == 2          # the relations' basis is M's memo
+
+
+@pytest.mark.parametrize("build, size", [(modules.r_span_basis, 5),
+                                         (modules.r_extended_basis, 9)],
+                         ids=["span", "extended"])
+def test_output_basis_is_not_converted_back_into_the_kernel(
+        segre, monkeypatch, build, size):
+    """Each nonzero input column, the ideal column included, enters the
+    integer kernel once; the output basis is built from the kernel rows
+    and never converted back."""
+    calls = []
+    real = gb._to_kernel
+
+    def counting(terms, p):
+        calls.append(terms)
+        return real(terms, p)
+
+    monkeypatch.setattr(gb, "_to_kernel", counting)
+    cols = [Vec.from_polys([segre.ambient.parse(t)])
+            for t in ("a^2", "a*b", "b*c")]
+    out = build(segre, cols, 1)
+    assert len(calls) == len(cols) + len(segre.ideal_basis) == 4
+    basis = out.basis if isinstance(out, modules.ExtendedBasis) else out
+    assert len(basis) == size
 
 
 def test_nf_vec_reduces_only_nonzero_components(segre, monkeypatch):

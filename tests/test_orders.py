@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from closurelab.orders import (DEGREVLEX, LEX, block_key, elim_key, pot_key,
-                               top_key, wdegrevlex)
+from closurelab.orders import (DEGREVLEX, LEX, ModuleOrder, elimination,
+                               wdegrevlex)
 
-from oracles import ref_degrevlex_greater
+from oracles import block_key, elim_key, ref_degrevlex_greater, top_key
 
 
 def all_monos(nvars, max_exp=3):
@@ -62,27 +62,66 @@ def test_order_is_multiplicative_well_order(order):
 
 
 def test_module_order_keys():
-    rk = DEGREVLEX.key()
-    top = top_key(rk)
-    pot = pot_key(rk)
-    # same monomial: lower component index wins under both rules
+    top = ModuleOrder(DEGREVLEX)
+    # same monomial: lower component index wins
     assert top(0, (1, 0)) > top(1, (1, 0))
-    assert pot(0, (1, 0)) > pot(1, (1, 0))
-    # TOP compares the monomial first, POT the position
+    # TOP compares the monomial first
     assert top(1, (2, 0)) > top(0, (1, 0))
-    assert pot(0, (1, 0)) > pot(1, (2, 0))
 
 
 def test_block_key_separates_blocks():
-    rk = DEGREVLEX.key()
-    bk = block_key(rk, 2)
+    bk = ModuleOrder(DEGREVLEX, 2)
     # any term in the first two components beats any later one
     assert bk(1, (0, 0)) > bk(2, (5, 5))
     assert bk(0, (1, 0)) > bk(3, (4, 4))
 
 
 def test_elim_key_dominates_eliminated_block():
-    ek = elim_key(2)
+    ek = elimination(2).key()
     # x-part nonzero beats x-free regardless of the tail
     assert ek((1, 0, 0, 0)) > ek((0, 0, 9, 9))
     assert ek((0, 1, 2, 0)) > ek((0, 0, 2, 0))
+
+
+def _box_terms():
+    """Every (component, exponents) term with 3 components, 3 variables
+    and exponents at most 2."""
+    return [(c, m) for c in range(3) for m in all_monos(3, 2)]
+
+
+@pytest.mark.parametrize("ring_order", [LEX, DEGREVLEX, wdegrevlex((1, 2, 3))],
+                         ids=lambda o: o.describe())
+def test_module_order_values_sort_like_the_reference_closures(ring_order):
+    """Sorting a box of terms gives the same sequence under each order value
+    as under the closure it replaced: TOP, the block order for every nreal,
+    and TOP over the elimination order for every n."""
+    terms = _box_terms()
+    rk = ring_order.key()
+    cases = [(ModuleOrder(ring_order), top_key(rk))]
+    cases += [(ModuleOrder(ring_order, nreal), block_key(rk, nreal))
+              for nreal in range(4)]
+    cases += [(ModuleOrder(elimination(n)), top_key(elim_key(n)))
+              for n in range(1, 4)]
+    for order, ref in cases:
+        assert sorted(terms, key=lambda t: order(*t)) == \
+            sorted(terms, key=lambda t: ref(*t)), order
+
+
+def test_order_values_hash_and_compare_by_value():
+    assert ModuleOrder(DEGREVLEX) == ModuleOrder(DEGREVLEX)
+    assert hash(ModuleOrder(DEGREVLEX, 2)) == hash(ModuleOrder(DEGREVLEX, 2))
+    assert ModuleOrder(wdegrevlex((2, 3))) == ModuleOrder(wdegrevlex([2, 3]))
+    assert hash(ModuleOrder(wdegrevlex((2, 3)))) == \
+        hash(ModuleOrder(wdegrevlex([2, 3])))
+    assert elimination(2) == elimination(2)
+    assert hash(ModuleOrder(elimination(2))) == \
+        hash(ModuleOrder(elimination(2)))
+    assert len({ModuleOrder(DEGREVLEX), ModuleOrder(DEGREVLEX)}) == 1
+    different = [ModuleOrder(DEGREVLEX), ModuleOrder(DEGREVLEX, 1),
+                 ModuleOrder(DEGREVLEX, 2), ModuleOrder(LEX),
+                 ModuleOrder(LEX, 1), ModuleOrder(wdegrevlex((2, 3))),
+                 ModuleOrder(wdegrevlex((3, 2))),
+                 ModuleOrder(elimination(1)), ModuleOrder(elimination(2))]
+    for a, b in itertools.combinations(different, 2):
+        assert a != b, (a, b)
+    assert len(set(different)) == len(different)

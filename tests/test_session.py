@@ -259,6 +259,28 @@ def test_cli_input_beyond_parser_limits_is_a_positioned_error(
     assert err.startswith(f"error: line 2, column {column}: ")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_failed_definition_binds_no_name(tmp_path, capsys, flags):
+    """A definition whose result cannot be built (here: a coefficient too
+    long to print) is an error and leaves its name unbound."""
+    script = tmp_path / "big.clab"
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n"
+                      "ideal I = ideal(P, 2^20000*x + y);\n"
+                      "check member(x, I);\n")
+    assert main(["run", str(script)] + flags) == 2
+    captured = capsys.readouterr()
+    assert "internal error" not in captured.out + captured.err
+    if flags:
+        statements = json.loads(captured.out)["statements"]
+        assert "Exceeds the limit" in statements[1]["error"]
+        assert statements[2]["error"] == "unknown name 'I'"
+        assert "ok" not in statements[2]
+    else:
+        lines = captured.out.splitlines()
+        assert lines[-2].startswith("error: Exceeds the limit")
+        assert lines[-1] == "error: unknown name 'I'"
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch):
     s = Session()
     s.eval_text("ring P = poly(Q, [x,y], degrevlex);")
