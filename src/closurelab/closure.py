@@ -29,7 +29,7 @@ from .gb import Vec
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum,
                       free_module, ideal_submodule, quotient_module,
                       r_preimage, ring_as_module, tensor, tensor_elem)
-from .poly import ContextError, DomainError
+from .poly import ContextError, DomainError, mono_divides
 from .ring import ParameterSequence, QuotientRing
 
 
@@ -322,7 +322,7 @@ class MonomialIntegralClosure(ClosureOp):
         inside = [p for p in points if newton_polyhedron_member(p, betas)]
         minimal = []
         for p in sorted(inside, key=lambda q: (sum(q), q)):
-            if not any(all(x <= y for x, y in zip(m, p)) for m in minimal):
+            if not any(mono_divides(m, p) for m in minimal):
                 minimal.append(p)
         amb = M.ring.ambient
         gens = [Vec(amb, 1, {(0, m): amb.field.one}) for m in minimal]

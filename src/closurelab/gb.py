@@ -154,7 +154,7 @@ class Vec:
                     if lo <= j < hi})
 
     def has_vars_below(self, n_elim) -> bool:
-        return any(any(e for e in m[:n_elim]) for (_j, m) in self.terms)
+        return any(any(m[:n_elim]) for (_j, m) in self.terms)
 
     def degree(self, shifts=None) -> int:
         """Weighted degree, assuming homogeneity; shifts indexed by component."""
@@ -417,8 +417,9 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> GroebnerBasis:
 
     # interreduce in ascending lead order: a tail term is only divisible by
     # a smaller lead, so reducing each element against the finished ones
-    # leaves every tail fully reduced in one pass
-    keep.sort(key=lambda i: keyfn(basis[i][0], basis[i][1]))
+    # leaves every tail fully reduced in one pass.  Every lead was keyed
+    # into keycache when _reduce_terms selected it.
+    keep.sort(key=lambda i: keycache[basis[i][0], basis[i][1]])
     done = []
     for i in keep:
         rem, _mult = _reduce_terms(dict(basis[i][3]), done, keyfn, p,

@@ -12,6 +12,7 @@ last nonzero exponent difference is negative wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul, neg
 
 
 def lex_key(exps):
@@ -19,15 +20,14 @@ def lex_key(exps):
 
 
 def degrevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def make_wdegrevlex_key(weights):
     w = tuple(weights)
 
     def key(exps):
-        return (sum(wi * ei for wi, ei in zip(w, exps)),
-                tuple(-e for e in reversed(exps)))
+        return (sum(map(mul, w, exps)), tuple(map(neg, reversed(exps))))
 
     return key
 

@@ -2,10 +2,15 @@
 
 Polynomials are immutable term maps {exponent tuple: nonzero coefficient}
 attached to a PolyRing (variable names, grading weights, coefficient field,
-monomial order).  Monomials are plain exponent tuples.
+monomial order).  Monomials are plain exponent tuples of non-negative ints;
+the monomial primitives below (product, quotient, divisibility, lcm,
+coprimality) and the weighted degree map builtin operators over the two
+tuples, so the per-exponent loop runs in C.
 """
 
 from __future__ import annotations
+
+from operator import add, le, mul, sub
 
 from .field import QQ, FieldError
 from .orders import DEGREVLEX, MonomialOrder
@@ -20,23 +25,24 @@ class DomainError(ValueError):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd_is_one(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    # exponents are never negative, so a product is 0 only where one is 0
+    return not any(map(mul, a, b))
 
 
 class PolyRing:
@@ -104,7 +110,7 @@ class PolyRing:
         return Polynomial(self, {tuple(exps): coeff})
 
     def wdeg(self, exps) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
@@ -229,7 +235,7 @@ class Polynomial:
         if not self.terms:
             return True
         weights = self.ring.weights if weights is None else tuple(weights)
-        degs = {sum(w * e for w, e in zip(weights, m)) for m in self.terms}
+        degs = {sum(map(mul, weights, m)) for m in self.terms}
         return len(degs) == 1
 
     def sorted_terms(self, key=None):

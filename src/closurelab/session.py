@@ -23,7 +23,7 @@ from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
                       is_trivial_on_sample, phantom_test)
 from .dsl import (Call, CheckStmt, ClosureDef, Expr, ExportStmt, IdealDef,
                   IntArg, ListArg, ModifyStmt, ModuleDef, Name, RingDef,
-                  ScriptError, parse_script, print_statements)
+                  ScriptError, StrArg, parse_script, print_statements)
 from .field import QQ, prime_field
 from .gb import Vec
 from .modify import parameter_chain
@@ -148,11 +148,31 @@ class Session:
         return out
 
     @staticmethod
-    def _int_arg(fn, args, idx):
-        """Argument idx of fn as a nonnegative integer."""
+    def _arg(fn, args, idx):
+        """Argument idx of fn; a missing one is an EvalError."""
         if idx >= len(args):
             raise EvalError(f"{fn}: argument {idx + 1} is missing")
-        arg = args[idx]
+        return args[idx]
+
+    def _name_arg(self, fn, args, idx):
+        """Argument idx of fn as a name, bare or quoted."""
+        arg = self._arg(fn, args, idx)
+        if not isinstance(arg, (Name, StrArg)):
+            raise EvalError(f"{fn}: argument {idx + 1} must be a name, "
+                            f"found {arg.show()}")
+        return arg.value
+
+    def _list_arg(self, fn, args, idx):
+        """The items of argument idx of fn, a [list]."""
+        arg = self._arg(fn, args, idx)
+        if not isinstance(arg, ListArg):
+            raise EvalError(f"{fn}: argument {idx + 1} must be a [list], "
+                            f"found {arg.show()}")
+        return arg.items
+
+    def _int_arg(self, fn, args, idx):
+        """Argument idx of fn as a nonnegative integer."""
+        arg = self._arg(fn, args, idx)
         if not isinstance(arg, IntArg) or arg.value < 0:
             raise EvalError(f"{fn}: argument {idx + 1} must be a "
                             f"nonnegative integer, found {arg.show()}")
@@ -179,30 +199,31 @@ class Session:
                 return value.full_submodule()
             raise EvalError(f"{arg.value!r} does not name an ideal or module")
         if isinstance(arg, Call):
-            if arg.head == "closure":
-                cl = self._closure_arg(arg.args[0])
-                inner = self._set_value(arg.args[1])
+            head, args = arg.head, arg.args
+            if head == "closure":
+                cl = self._closure_arg(self._arg(head, args, 0))
+                inner = self._set_value(self._arg(head, args, 1))
                 return cl.closure(inner)
-            if arg.head == "product":
-                ideal = self._lookup(arg.args[0].value, "ideal")
-                M = self._lookup(arg.args[1].value, "module")
+            if head == "product":
+                ideal = self._lookup(self._name_arg(head, args, 0), "ideal")
+                M = self._lookup(self._name_arg(head, args, 1), "module")
                 return Submodule(M, tuple(scaled_gens(M, ideal.elems)))
-            if arg.head == "mult":
-                a = self._lookup(arg.args[0].value, "ideal")
-                b = self._lookup(arg.args[1].value, "ideal")
+            if head == "mult":
+                a = self._lookup(self._name_arg(head, args, 0), "ideal")
+                b = self._lookup(self._name_arg(head, args, 1), "ideal")
                 gens = [x * y for x in a.elems for y in b.elems]
                 return ideal_submodule(a.ring, gens)
-            if arg.head == "ideal":
-                ring = self._ring(arg.args[0].value)
-                elems = [ring.elem(self._arg_text(x)) for x in arg.args[1:]]
+            if head == "ideal":
+                ring = self._ring(self._name_arg(head, args, 0))
+                elems = [ring.elem(self._arg_text(x)) for x in args[1:]]
                 return ideal_submodule(ring, elems)
         raise EvalError(f"cannot evaluate set expression {arg.show()}")
 
     def _member_query(self, u_arg, set_arg):
         """member(u, set): direct closure membership when set is closure(...)."""
         if isinstance(set_arg, Call) and set_arg.head == "closure":
-            cl = self._closure_arg(set_arg.args[0])
-            N = self._set_value(set_arg.args[1])
+            cl = self._closure_arg(self._arg("closure", set_arg.args, 0))
+            N = self._set_value(self._arg("closure", set_arg.args, 1))
             u = self._element_in(N.module, u_arg)
             out = cl.member(u, N, want_certificate=True)
             return bool(out.holds), out.certificate
@@ -275,27 +296,27 @@ class Session:
         self._bind(stmt.name, "ideal", value)
 
     def _eval_module(self, stmt: ModuleDef, res):
-        if stmt.form == "ideal_module":
-            ring = self._ring(stmt.args[0].value)
-            gens = [ring.elem(self._arg_text(a)) for a in stmt.args[1:]]
+        form, args = stmt.form, stmt.args
+        ring = self._ring(self._name_arg(form, args, 0))
+        if form == "ideal_module":
+            gens = [ring.elem(self._arg_text(a)) for a in args[1:]]
             M = ideal_as_module(ring, gens)
-        elif stmt.form == "subring_module":
-            ring = self._ring(stmt.args[0].value)
+        elif form == "subring_module":
             if ring.presentation is None:
                 raise EvalError("subring_module needs a subring-presented ring")
             sp = ring.presentation
             gens = [sp.target.parse(self._arg_text(a))
-                    for a in stmt.args[1].items]
+                    for a in self._list_arg(form, args, 1)]
             rels = sp.module_relation_columns(gens)
             M = FPModule(ring, tuple(g.wdeg() for g in gens), rels)
-        elif stmt.form == "free":
-            ring = self._ring(stmt.args[0].value)
-            degrees = [a.value for a in stmt.args[1].items]
-            M = free_module(ring, degrees)
-        elif stmt.form == "syzygy_of_k":
-            ring = self._ring(stmt.args[0].value)
-            M = residue_field(ring).syzygy(
-                self._int_arg("syzygy_of_k", stmt.args, 1))
+        elif form == "free":
+            degrees = self._list_arg(form, args, 1)
+            if not all(isinstance(a, IntArg) for a in degrees):
+                raise EvalError(f"free: degrees must be integers, found "
+                                f"{args[1].show()}")
+            M = free_module(ring, [a.value for a in degrees])
+        elif form == "syzygy_of_k":
+            M = residue_field(ring).syzygy(self._int_arg(form, args, 1))
         else:
             raise EvalError(f"unknown module form {stmt.form!r}")
         res.result = M.descriptor()
@@ -307,8 +328,9 @@ class Session:
         elif stmt.form == "integral_closure":
             cl = MonomialIntegralClosure()
         elif stmt.form == "module_closure":
-            M = self._lookup(stmt.args[0].value, "module")
-            cl = ModuleClosure(M, label=f"cl_{stmt.args[0].value}")
+            name = self._name_arg(stmt.form, stmt.args, 0)
+            cl = ModuleClosure(self._lookup(name, "module"),
+                               label=f"cl_{name}")
         else:
             parts = [self._closure_arg(a) for a in stmt.args]
             cl = IntersectionClosure(parts, label=stmt.name)
@@ -316,12 +338,13 @@ class Session:
         self._bind(stmt.name, "closure", cl)
 
     def _eval_modify(self, stmt: ModifyStmt, res):
-        ring = self._ring(stmt.args[0].value)
-        cl = self._closure_arg(stmt.args[1])
-        xs = self._elems(ring, stmt.args[2])
-        steps = self._int_arg(stmt.form, stmt.args, 3)
-        bound = self._int_arg(stmt.form, stmt.args, 4) \
-            if len(stmt.args) > 4 else self.deg_bound
+        form, args = stmt.form, stmt.args
+        ring = self._ring(self._name_arg(form, args, 0))
+        cl = self._closure_arg(self._arg(form, args, 1))
+        xs = self._elems(ring, self._arg(form, args, 2))
+        steps = self._int_arg(form, args, 3)
+        bound = self._int_arg(form, args, 4) \
+            if len(args) > 4 else self.deg_bound
         trace = parameter_chain(ring, cl, xs, steps, degree_bound=bound)
         res.result = trace.descriptor()
         self._bind(stmt.name, "trace", trace)
@@ -330,13 +353,14 @@ class Session:
         fn = stmt.fn
         args = stmt.args
         if fn == "member":
-            ok, cert = self._member_query(args[0], args[1])
+            ok, cert = self._member_query(self._arg(fn, args, 0),
+                                          self._arg(fn, args, 1))
             res.ok = ok
             res.certificate = cert
             return
         if fn == "equal":
-            a = self._set_value(args[0])
-            b = self._set_value(args[1])
+            a = self._set_value(self._arg(fn, args, 0))
+            b = self._set_value(self._arg(fn, args, 1))
             if a.module != b.module:
                 raise EvalError("cannot compare submodules of different "
                                 "ambient modules")
@@ -358,12 +382,13 @@ class Session:
                             break
             return
         if fn == "functorial":
-            cl = self._closure_arg(args[0])
-            N = self._set_value(args[1])
+            cl = self._closure_arg(self._arg(fn, args, 0))
+            N = self._set_value(self._arg(fn, args, 1))
             ring = N.ring
-            J = [ring.elem(self._arg_text(x)) for x in args[2].items] \
-                if isinstance(args[2], ListArg) else \
-                self._lookup(args[2].value, "ideal").elems
+            J_arg = self._arg(fn, args, 2)
+            J = [ring.elem(self._arg_text(x)) for x in J_arg.items] \
+                if isinstance(J_arg, ListArg) else \
+                self._lookup(self._name_arg(fn, args, 2), "ideal").elems
             RJ = quotient_module(ring, J)
             if N.module.ngens != 1 or N.module.relations:
                 raise EvalError("functorial check expects N inside R")
@@ -373,17 +398,17 @@ class Session:
             res.witness = out.witness
             return
         if fn == "semi_residual":
-            cl = self._closure_arg(args[0])
-            N = self._set_value(args[1])
+            cl = self._closure_arg(self._arg(fn, args, 0))
+            N = self._set_value(self._arg(fn, args, 1))
             out = check_semi_residuality(cl, N)
             res.ok = bool(out.holds)
             res.witness = out.witness
             res.result = {"note": out.note} if out.note else None
             return
         if fn == "faithful":
-            cl = self._closure_arg(args[0])
+            cl = self._closure_arg(self._arg(fn, args, 0))
             if len(args) > 1:
-                ring = self._ring(args[1].value)
+                ring = self._ring(self._name_arg(fn, args, 1))
             elif isinstance(cl, ModuleClosure):
                 ring = cl.S.ring
             else:
@@ -393,10 +418,11 @@ class Session:
             res.witness = out.witness
             return
         if fn == "colon_capturing":
-            cl = self._closure_arg(args[0])
+            cl = self._closure_arg(self._arg(fn, args, 0))
             ring, idx = self._maybe_ring_arg(args, 1)
-            xs = self._elems(ring, args[idx])
-            variant = args[idx + 1].value if len(args) > idx + 1 else "plain"
+            xs = self._elems(ring, self._arg(fn, args, idx))
+            variant = self._name_arg(fn, args, idx + 1) \
+                if len(args) > idx + 1 else "plain"
             t = self._int_arg(fn, args, idx + 2) \
                 if len(args) > idx + 2 else None
             a = self._int_arg(fn, args, idx + 3) \
@@ -406,16 +432,16 @@ class Session:
             res.witness = out.witness
             return
         if fn == "gcc":
-            cl = self._closure_arg(args[0])
+            cl = self._closure_arg(self._arg(fn, args, 0))
             ring, idx = self._maybe_ring_arg(args, 1)
-            xs = self._elems(ring, args[idx])
+            xs = self._elems(ring, self._arg(fn, args, idx))
             out = check_generalized_colon_capturing(cl, ring, xs)
             res.ok = bool(out.holds)
             res.witness = out.witness
             return
         if fn == "phantom":
-            cl = self._closure_arg(args[0])
-            name = args[1].value
+            cl = self._closure_arg(self._arg(fn, args, 0))
+            name = self._name_arg(fn, args, 1)
             kind, value = self.env.get(name, (None, None))
             if kind == "trace":
                 M = value.current
@@ -428,19 +454,18 @@ class Session:
             res.certificate = out.data.get("certificate")
             return
         if fn == "dietz_obstruction":
-            cl = self._closure_arg(args[0])
+            cl = self._closure_arg(self._arg(fn, args, 0))
             ring, idx = self._maybe_ring_arg(args, 1)
-            xs = self._elems(ring, args[idx])
+            xs = self._elems(ring, self._arg(fn, args, idx))
             tmax = self._int_arg(fn, args, idx + 1)
             t = dietz_obstruction(cl, ring, xs, tmax)
             res.result = {"t": t}
             return
         if fn == "regular_sequence":
             ring, idx = self._maybe_ring_arg(args, 0)
-            xs_arg = args[idx]
-            M_arg = args[idx + 1] if len(args) > idx + 1 else None
-            M = self._lookup(M_arg.value, "module") if M_arg is not None \
-                else ring_as_module(ring)
+            xs_arg = self._arg(fn, args, idx)
+            M = self._lookup(self._name_arg(fn, args, idx + 1), "module") \
+                if len(args) > idx + 1 else ring_as_module(ring)
             xs = self._elems(M.ring, xs_arg)
             out = is_regular_sequence(xs, M)
             res.ok = bool(out)
@@ -448,7 +473,7 @@ class Session:
                 res.witness = str(out.witness) if out.witness else out.note
             return
         if fn == "trivial_on":
-            cl = self._closure_arg(args[0])
+            cl = self._closure_arg(self._arg(fn, args, 0))
             ring, idx = self._maybe_ring_arg(args, 1)
             count = self._int_arg(fn, args, idx) if len(args) > idx else 10
             if isinstance(cl, MonomialIntegralClosure):

@@ -8,9 +8,14 @@ definitions directly.  Two are earlier implementations kept as references:
 minimalization is checked against, `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
-reducer), the reference for the integer kernel in `closurelab.gb`, and the
+reducer), the reference for the integer kernel in `closurelab.gb`, the
 closure key factories `top_key`, `block_key` and `elim_key`, the
-references for the order values in `closurelab.orders`.
+references for the order values in `closurelab.orders`, and the
+generator-expression monomial primitives (`mono_mul` .. `mono_gcd_is_one`)
+and ring order keys (`degrevlex_key`, `make_wdegrevlex_key`), the
+references for the builtin-mapping ones in `closurelab.poly` and
+`closurelab.orders`.  The oracles here use these references, so they
+share no bug with the primitives under test.
 """
 
 from fractions import Fraction
@@ -22,10 +27,44 @@ from closurelab.gb import Vec
 from closurelab.linalg import (monomials_of_wdeg, residual, row_reduce,
                                span_rows, vec_coords)
 from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
-from closurelab.orders import degrevlex_key
-from closurelab.poly import (ParseError, _tokenize_poly, mono_div,
-                             mono_divides, mono_gcd_is_one, mono_lcm,
-                             mono_mul)
+from closurelab.poly import ParseError, _tokenize_poly
+
+
+# --- reference monomial primitives and order keys -------------------------------
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_gcd_is_one(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def degrevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def make_wdegrevlex_key(weights):
+    w = tuple(weights)
+
+    def key(exps):
+        return (sum(wi * ei for wi, ei in zip(w, exps)),
+                tuple(-e for e in reversed(exps)))
+
+    return key
 
 
 # --- reference order comparisons ------------------------------------------------
@@ -73,6 +112,17 @@ def elim_key(n_elim):
         return (degrevlex_key(head), degrevlex_key(tail))
 
     return key
+
+
+def ref_ring_key(order):
+    """The reference key function of a closurelab MonomialOrder."""
+    if order.kind == "lex":
+        return lambda exps: exps
+    if order.kind == "degrevlex":
+        return degrevlex_key
+    if order.kind == "elim":
+        return elim_key(order.nelim)
+    return make_wdegrevlex_key(order.weights)
 
 
 # --- degreewise span membership ---------------------------------------------------
@@ -436,7 +486,7 @@ def fraction_extended_reduce(cols, ncomps, v: Vec):
     s, t = ncomps, len(cols)
     aug = [col.pad(s + t) + Vec.unit(ring, s + t, s + i)
            for i, col in enumerate(cols)]
-    keyfn = block_key(ring.key, s)
+    keyfn = block_key(ref_ring_key(ring.order), s)
     basis = fraction_buchberger(aug, s + t, keyfn, ring)
     full = fraction_normal_form(basis, keyfn, v.pad(s + t))
     real = full.take_components(0, s)

@@ -1,17 +1,24 @@
-"""Script parser on generated and mutated input.
+"""Script parser and command line on generated and mutated input.
 
 Polynomial arguments are checked at parse time by the grammar that
 `PolyRing.parse` uses; the checker the parser had before
-(`oracles.check_poly_syntax`) is the reference it must agree with.
+(`oracles.check_poly_syntax`) is the reference it must agree with.  Small
+scripts that mostly evaluate run through `closure-lab run --json`, whose
+exit code must match the report it prints.
 """
 
+import io
+import json
+import os
 import random
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from closurelab import dsl
+from closurelab import cli, dsl
 from closurelab.dsl import ScriptError, parse_script, print_statements
 
 from oracles import check_poly_syntax
@@ -152,10 +159,8 @@ MUTANTS = ["(", ")", "[", "]", ",", ";", "=", "/", "^", "*", "+", "-", '"',
            "#", "\n", "ring", "check", "x", "3"]
 
 
-@st.composite
-def scripts(draw):
-    """Up to four statements, then up to three token-level mutations."""
-    text = "\n".join(draw(st.lists(STATEMENTS, min_size=1, max_size=4)))
+def _mutate(draw, text):
+    """Up to three token-level mutations of text, tokens joined by spaces."""
     toks = _TOKEN.findall(text)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(toks)))
@@ -171,6 +176,13 @@ def scripts(draw):
     return " ".join(toks)
 
 
+@st.composite
+def scripts(draw):
+    """Up to four statements, then up to three token-level mutations."""
+    return _mutate(draw, "\n".join(
+        draw(st.lists(STATEMENTS, min_size=1, max_size=4))))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scripts())
@@ -180,3 +192,93 @@ def test_parse_raises_only_script_errors_and_round_trips(text):
     except ScriptError:
         return
     assert parse_script(print_statements(stmts)) == stmts
+
+
+# --- small scripts through the command line ----------------------------------------
+
+
+# homogeneous polynomials in x, y of degree at most 3
+MONOMIALS = {1: ["x", "y"], 2: ["x^2", "x*y", "y^2"],
+             3: ["x^3", "x^2*y", "x*y^2", "y^3"]}
+SMALL_POLYS = st.sampled_from(sorted(MONOMIALS)).flatmap(
+    lambda d: st.lists(st.builds("{}{}".format,
+                                 st.sampled_from(["", "2*", "-", "3/2*"]),
+                                 st.sampled_from(MONOMIALS[d])),
+                       min_size=1, max_size=3)).map(" + ".join)
+SMALL_RINGS = st.builds(
+    "ring R = poly({}, [{}], {}){};".format,
+    st.sampled_from(["Q", "Fp(5)"]), st.sampled_from(["x, y", "x, y", "x"]),
+    st.sampled_from(["lex", "degrevlex", "wdegrevlex[2,2]"]),
+    st.one_of(st.just(""), st.builds(" / ({})".format, SMALL_POLYS)))
+
+
+def _checks(closures, ideals):
+    """Check statements on the given closure names and ideal expressions."""
+    closures = st.sampled_from(closures)
+    sets = st.one_of(ideals, st.builds("closure({}, {})".format, closures,
+                                       ideals))
+    return st.one_of(
+        st.builds("check member({}, {});".format, SMALL_POLYS, sets),
+        st.builds("check equal({}, {});".format, sets, sets),
+        st.builds("check faithful({});".format, closures),
+        st.builds("check dietz_obstruction({}, [x, y], 2);".format,
+                  closures),
+        st.builds("check {}({}, R, [x, y]);".format,
+                  st.sampled_from(["colon_capturing", "gcc"]), closures),
+        st.builds("modify T = parameter_chain(R, {}, [x, y], 1);".format,
+                  closures),
+        st.just("check regular_sequence([x, y]);"))
+
+
+@st.composite
+def small_scripts(draw):
+    """A ring in at most 2 variables; an ideal I, or a module M with its
+    closure cl; checks on them, 4 statements at most; homogeneous
+    polynomials of degree at most 3; then up to three token mutations."""
+    polys = _list_of(SMALL_POLYS, 1, 2)
+    stmts = [draw(SMALL_RINGS)]
+    closures = ["trivial", "integral_closure"]
+    ideals = st.builds("ideal(R, {})".format, polys)
+    if draw(st.booleans()):
+        stmts.append(f"ideal I = ideal(R, {draw(polys)});")
+        ideals = st.one_of(st.just("I"), ideals)
+    else:
+        stmts += [f"module M = ideal_module(R, {draw(polys)});",
+                  "closure cl = module_closure(M);"]
+        closures.append("cl")
+    stmts += draw(st.lists(_checks(closures, ideals), min_size=1,
+                           max_size=4 - len(stmts)))
+    return _mutate(draw, "\n".join(stmts))
+
+
+def _run_cli(text):
+    """(exit code, stdout, stderr) of `closure-lab run <script> --json`."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.clab")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["run", path, "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_scripts())
+def test_cli_exit_code_matches_the_report(text):
+    """Exit 0, 1 or 2 and no traceback; a script that does not parse is
+    an error message with exit 2; otherwise the exit code is 2 when some
+    statement has an error, else 1 exactly when some check is false."""
+    code, out, err = _run_cli(text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if not out:
+        assert code == 2 and err.startswith("error: "), err
+        return
+    stmts = json.loads(out)["statements"]
+    errors = [s["error"] for s in stmts if "error" in s]
+    assert not any(e.startswith("internal error") for e in errors), errors
+    failed = any(s.get("ok") is False for s in stmts)
+    assert (code == 1) == (failed and not errors)
+    assert code == (2 if errors else 1 if failed else 0)

@@ -253,6 +253,40 @@ def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
     assert real.is_zero() and cert is not None
 
 
+def test_buchberger_work_counts_are_pinned(monkeypatch):
+    """The README cone closure does a fixed amount of kernel work, counted
+    from the closure call on (the module and operator are built before).
+    The counts guard the pair criteria and the reduction loop; a change
+    that means to alter them updates them here."""
+    from closurelab import gb as gb_module
+    from closurelab.closure import ModuleClosure
+    from closurelab.modules import ideal_as_module
+    from closurelab.orders import wdegrevlex
+
+    amb = PolyRing(("a", "b", "c"), QQ, wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    cl = ModuleClosure(ideal_as_module(R, ["a", "b"]))
+    reduce_terms, normalize = gb_module._reduce_terms, gb_module._normalize
+    counts = {"reductions": 0, "to_zero": 0, "normalizations": 0}
+
+    def counted_reduce(*args):
+        rem, mult = reduce_terms(*args)
+        counts["reductions"] += 1
+        counts["to_zero"] += not rem
+        return rem, mult
+
+    def counted_normalize(*args):
+        counts["normalizations"] += 1
+        return normalize(*args)
+
+    monkeypatch.setattr(gb_module, "_reduce_terms", counted_reduce)
+    monkeypatch.setattr(gb_module, "_normalize", counted_normalize)
+    closed = cl.closure(ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"]))
+    assert sorted(str(g.component(0)) for g in closed.gens) == \
+        ["a*b", "a*c", "a^2", "b*c", "c^2"]
+    assert counts == {"reductions": 76, "to_zero": 29, "normalizations": 42}
+
+
 # --- normal forms ------------------------------------------------------------------
 
 

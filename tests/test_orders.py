@@ -6,7 +6,8 @@ import pytest
 from closurelab.orders import (DEGREVLEX, LEX, ModuleOrder, elimination,
                                wdegrevlex)
 
-from oracles import block_key, elim_key, ref_degrevlex_greater, top_key
+from oracles import (block_key, elim_key, ref_degrevlex_greater,
+                     ref_ring_key, top_key)
 
 
 def all_monos(nvars, max_exp=3):
@@ -96,7 +97,7 @@ def test_module_order_values_sort_like_the_reference_closures(ring_order):
     as under the closure it replaced: TOP, the block order for every nreal,
     and TOP over the elimination order for every n."""
     terms = _box_terms()
-    rk = ring_order.key()
+    rk = ref_ring_key(ring_order)
     cases = [(ModuleOrder(ring_order), top_key(rk))]
     cases += [(ModuleOrder(ring_order, nreal), block_key(rk, nreal))
               for nreal in range(4)]

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from closurelab import poly
 from closurelab.field import QQ, prime_field
-from closurelab.orders import DEGREVLEX, LEX, wdegrevlex
+from closurelab.gb import Vec
+from closurelab.orders import DEGREVLEX, LEX, elimination, wdegrevlex
 from closurelab.poly import (ContextError, DomainError, ParseError, PolyRing,
                              Polynomial)
 
@@ -203,3 +207,40 @@ def test_parse_stops_deep_nesting_at_the_first_level_too_many(opener):
         R2.parse("y + " + opener * 400 + "x" + closer * 400)
     assert err.value.col == 4 + depth + 1
     assert "nested deeper than 100 levels" in str(err.value)
+
+
+def test_monomial_primitives_match_reference():
+    """The monomial primitives, PolyRing.wdeg, Polynomial.is_homogeneous,
+    Vec.has_vars_below and the lex, degrevlex, wdegrevlex and elim keys agree with the
+    generator-expression references on random exponent tuples: 0-8
+    variables (the empty tuple too), exponents 0-40 (half of them 0, so
+    that coprime and dividing pairs occur), weights 1-5."""
+    rng = random.Random(11)
+    binary = ["mono_mul", "mono_divides", "mono_lcm", "mono_gcd_is_one"]
+
+    def exps(n):
+        return tuple(rng.choice((0, rng.randint(0, 40))) for _ in range(n))
+
+    for trial in range(2700):
+        n = trial % 9
+        a, c = exps(n), exps(n)
+        ab = oracles.mono_mul(a, c)
+        for b in (c, ab, a):
+            for name in binary:
+                assert getattr(poly, name)(a, b) == \
+                    getattr(oracles, name)(a, b), (name, a, b)
+        assert poly.mono_div(ab, a) == oracles.mono_div(ab, a) == c
+        w = tuple(rng.randint(1, 5) for _ in range(n))
+        ring = PolyRing([f"x{i}" for i in range(n)], QQ, weights=w)
+        ref_wdeg = oracles.make_wdegrevlex_key(w)
+        assert ring.wdeg(a) == ref_wdeg(a)[0], (w, a)
+        f = Polynomial(ring, {a: Fraction(1), ab: Fraction(1)})
+        assert f.is_homogeneous() == (ref_wdeg(a)[0] == ref_wdeg(ab)[0])
+        k = rng.randint(0, n)
+        assert Vec(ring, 1, {(0, a): Fraction(1)}).has_vars_below(k) == \
+            any(e > 0 for e in a[:k])
+        orders = [LEX, DEGREVLEX]
+        orders += [wdegrevlex(w), elimination(rng.randint(1, n))] if n else []
+        for order in orders:
+            assert order.key()(a) == oracles.ref_ring_key(order)(a), \
+                (order, a)

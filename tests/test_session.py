@@ -241,6 +241,41 @@ def test_cli_bad_integer_argument_is_an_error(tmp_path, capsys, stmt,
     assert message in json.loads(captured.out)["statements"][-1]["error"]
 
 
+@pytest.mark.parametrize("stmt, message", [
+    ("check member(x);", "member: argument 2 is missing"),
+    ("check equal(I);", "equal: argument 2 is missing"),
+    ("check functorial(trivial, I);", "functorial: argument 3 is missing"),
+    ("check phantom(trivial);", "phantom: argument 2 is missing"),
+    ("check colon_capturing(trivial, P);",
+     "colon_capturing: argument 3 is missing"),
+    ("check regular_sequence();", "regular_sequence: argument 1 is missing"),
+    ("check faithful();", "faithful: argument 1 is missing"),
+    ("check faithful(trivial, [x]);",
+     "faithful: argument 2 must be a name, found [x]"),
+    ("check member(x, closure(trivial));", "closure: argument 2 is missing"),
+    ("check member(x, product(I));", "product: argument 2 is missing"),
+    ("check equal(I, mult(x*y, I));",
+     "mult: argument 1 must be a name, found x*y"),
+    ("check member(x, ideal());", "ideal: argument 1 is missing"),
+    ("module M = free(P);", "free: argument 2 is missing"),
+    ("module M = free(P, 2);", "free: argument 2 must be a [list], found 2"),
+    ("module M = free(P, [0, x]);",
+     "free: degrees must be integers, found [0, x]"),
+    ("module M = ideal_module(x + y, x);",
+     "ideal_module: argument 1 must be a name, found x + y"),
+    ("closure c = module_closure();",
+     "module_closure: argument 1 is missing"),
+    ("modify T = parameter_chain(P, trivial);",
+     "parameter_chain: argument 3 is missing"),
+])
+def test_missing_or_misshapen_argument_is_a_script_error(stmt, message):
+    s = Session()
+    s.eval_text("ring P = poly(Q, [x,y], degrevlex);\n"
+                "ideal I = ideal(P, x);\n")
+    res = s.eval_text(stmt)[-1]
+    assert res.error is not None and message in res.error, res.error
+
+
 @pytest.mark.parametrize("stmt, column", [
     ("ideal I = ideal(P, " + "(" * 400 + "x" + ")" * 400 + ");", 120),
     # the first sign belongs to the expression, not to a factor
