@@ -20,8 +20,8 @@ from .closure import (ModuleClosure, MonomialIntegralClosure,
                       is_trivial_on_sample, phantom_test)
 from .field import QQ, prime_field
 from .gb import Vec
-from .linalg import (graded_span_dim, monomials_of_wdeg, rank, residual,
-                     row_reduce, span_rows, vec_coords)
+from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, rank,
+                     span_rows, vec_coords)
 from .modify import parameter_chain
 from .modules import (FPModule, Submodule, direct_sum, free_module,
                       ideal_as_module, ideal_columns, ideal_submodule,
@@ -441,7 +441,10 @@ def _brute_ideal_rows(ring, gens, d):
     cols = [Vec.from_polys([ring.elem(g).poly]) for g in gens]
     cols += ideal_columns(ring, 1)
     rows, terms = span_rows(cols, (0,), d, ring.ambient)
-    return row_reduce(rows, ring.ambient.field), terms
+    echelon = Echelon(ring.ambient.field)
+    for row in rows:
+        echelon.add(row)
+    return echelon, terms
 
 
 def _brute_ideal_member(ring, gens, elem) -> bool:
@@ -449,11 +452,10 @@ def _brute_ideal_member(ring, gens, elem) -> bool:
     if elem.is_zero():
         return True
     d = elem.degree()
-    (rref, pivots), terms = _brute_ideal_rows(ring, gens, d)
+    echelon, terms = _brute_ideal_rows(ring, gens, d)
     coords = vec_coords(Vec.from_polys([elem.poly]), terms,
                         ring.ambient.field)
-    return all(x == ring.ambient.field.zero
-               for x in residual(rref, pivots, coords, ring.ambient.field))
+    return not echelon.add(coords)      # in the span: the rank stays
 
 
 def _brute_closure_dim(ring, s_gens, n_gens, d):
@@ -468,11 +470,11 @@ def _brute_closure_dim(ring, s_gens, n_gens, d):
     constraints = []
     for s in s_gens:
         dd = d + s.degree()
-        (rref, pivots), terms = _brute_ideal_rows(ring, prod_gens, dd)
+        echelon, terms = _brute_ideal_rows(ring, prod_gens, dd)
         for m in monos:
             p = amb.monomial(m) * s.poly
             coords = vec_coords(Vec.from_polys([p]), terms, fld)
-            constraints.append((m, residual(rref, pivots, coords, fld)))
+            constraints.append((m, echelon.residual(coords)))
     # one row per coefficient of u, concatenating the residuals across the
     # per-generator constraints; valid u form the left kernel
     ncols = len(monos)

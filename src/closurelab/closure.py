@@ -23,7 +23,8 @@ inclusion on the given data and report {holds-on-instance} or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .gb import Vec
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum,
@@ -207,64 +208,59 @@ def direct_sum_closure(S: FPModule, T: FPModule) -> ModuleClosure:
 # --- integral closure of monomial ideals -------------------------------------
 
 
-def _fm_feasible(rows, nvars):
-    """Fourier-Motzkin feasibility of {x : row . x <= rhs}, exact rationals.
+def newton_facets(betas):
+    """Inequalities (a, k), meaning a . alpha + k <= 0, that cut out the
+    Newton polyhedron conv(betas) + nonnegative orthant.
 
-    rows: list of (coeff tuple, rhs).  Returns True iff feasible.
+    alpha lies in it iff some lambda >= 0 with sum 1 has
+    sum_q lambda_q beta_q <= alpha.  Integer Fourier-Motzkin eliminates
+    the lambdas from that system, in the variables (lambda, alpha), and
+    leaves inequalities in alpha alone.  Each derived row is made
+    primitive by its gcd and carries the set of input rows it combines.
+    After k eliminations a row combining more than k + 1 input rows is
+    not an extreme combination, hence redundant (Chernikov), and of rows
+    combining the same input rows one is kept.  Rows without variables
+    that always hold are dropped; with no betas the row 1 <= 0 remains,
+    so no point is inside.
     """
-    rows = [([Fraction(c) for c in cs], Fraction(b)) for cs, b in rows]
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for cs, b in rows:
-            c = cs[var]
-            if c > 0:
-                pos.append((cs, b))
-            elif c < 0:
-                neg.append((cs, b))
-            else:
-                rest.append((cs, b))
-        new = rest
-        for cp, bp in pos:
-            for cn, bn in neg:
-                f_p, f_n = -cn[var], cp[var]
-                cs = [f_p * x + f_n * y for x, y in zip(cp, cn)]
-                new.append((cs, f_p * bp + f_n * bn))
-        seen = set()
-        rows = []
-        for cs, b in new:
-            scale = None
-            for c in cs:
-                if c != 0:
-                    scale = abs(c)
-                    break
-            if scale is None:
-                if b < 0:
-                    return False
-                continue
-            key = (tuple(c / scale for c in cs), b / scale)
-            if key not in seen:
-                seen.add(key)
-                rows.append((list(key[0]), key[1]))
-    return all(b >= 0 for _cs, b in rows)
+    betas = [tuple(b) for b in betas]
+    t = len(betas)
+    n = len(betas[0]) if betas else 0
+    system = []                                 # (lambda, alpha, constant)
+    for q in range(t):
+        system.append(tuple(-(r == q) for r in range(t)) + (0,) * n + (0,))
+    system.append((1,) * t + (0,) * n + (-1,))  # sum lambda <= 1
+    system.append((-1,) * t + (0,) * n + (1,))  # sum lambda >= 1
+    for i in range(n):                          # sum lambda_q beta_qi <= alpha_i
+        system.append(tuple(b[i] for b in betas)
+                      + tuple(-(j == i) for j in range(n)) + (0,))
+    rows = {1 << i: r for i, r in enumerate(system)}   # input rows -> row
+    for var in range(t):
+        pos = [(h, r) for h, r in rows.items() if r[var] > 0]
+        neg = [(h, r) for h, r in rows.items() if r[var] < 0]
+        derived = [(h, r) for h, r in rows.items() if r[var] == 0]
+        for hp, rp in pos:
+            for hn, rn in neg:
+                h = hp | hn
+                if h.bit_count() <= var + 2:
+                    fp, fn = -rn[var], rp[var]
+                    derived.append(
+                        (h, tuple(fp * x + fn * y for x, y in zip(rp, rn))))
+        rows = {}
+        for h, r in derived:
+            if (any(r[:-1]) or r[-1] > 0) and h not in rows:
+                g = gcd(*r)
+                rows[h] = tuple(x // g for x in r)
+    return tuple(sorted({(r[t:-1], r[-1]) for r in rows.values()}))
+
+
+def _inside(alpha, facets) -> bool:
+    return all(sum(map(mul, a, alpha)) + k <= 0 for a, k in facets)
 
 
 def newton_polyhedron_member(alpha, betas) -> bool:
-    """Is alpha in conv(betas) + nonnegative orthant?  Exact rational LP."""
-    betas = [tuple(b) for b in betas]
-    if not betas:
-        return False
-    t = len(betas)
-    n = len(alpha)
-    rows = []
-    for q in range(t):
-        row = [Fraction(0)] * t
-        row[q] = Fraction(-1)
-        rows.append((row, Fraction(0)))          # lambda_q >= 0
-    rows.append(([Fraction(1)] * t, Fraction(1)))   # sum <= 1
-    rows.append(([Fraction(-1)] * t, Fraction(-1)))  # sum >= 1
-    for i in range(n):
-        rows.append(([Fraction(b[i]) for b in betas], Fraction(alpha[i])))
-    return _fm_feasible(rows, t)
+    """Is alpha in conv(betas) + nonnegative orthant?  Exact, on integers."""
+    return _inside(alpha, newton_facets(betas))
 
 
 def _monomial_exponents(N: Submodule):
@@ -285,24 +281,36 @@ def _monomial_exponents(N: Submodule):
     return betas
 
 
+def _facets_of(N: Submodule):
+    """Newton facets of the monomial ideal N, computed once per N.
+
+    They are kept in N's memo, like its bases, without a lock: two threads
+    racing on one N at worst compute the same facets twice.
+    """
+    if "newton" not in N._memo:
+        N._memo["newton"] = newton_facets(_monomial_exponents(N))
+    return N._memo["newton"]
+
+
 class MonomialIntegralClosure(ClosureOp):
     """Integral closure of monomial ideals via the Newton polyhedron."""
 
     name = "integral_closure"
 
     def member(self, u, N, want_certificate=False):
-        betas = _monomial_exponents(N)
+        facets = _facets_of(N)
         u = self._coerce_elem(u, N)
         if u.ncomps != 1:
             raise UnsupportedQueryError(
                 "integral closure applies to elements of the rank-one "
                 "free module")
         for (_comp, exps) in u.terms:
-            if not newton_polyhedron_member(exps, betas):
+            if not _inside(exps, facets):
                 return MembershipOutcome(False)
         return MembershipOutcome(True)
 
     def closure(self, N):
+        facets = _facets_of(N)
         betas = _monomial_exponents(N)
         M = N.module
         if not betas:
@@ -319,7 +327,7 @@ class MonomialIntegralClosure(ClosureOp):
                 rec(i + 1, acc + [e])
 
         rec(0, [])
-        inside = [p for p in points if newton_polyhedron_member(p, betas)]
+        inside = [p for p in points if _inside(p, facets)]
         minimal = []
         for p in sorted(inside, key=lambda q: (sum(q), q)):
             if not any(mono_divides(m, p) for m in minimal):

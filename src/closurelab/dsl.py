@@ -27,6 +27,8 @@ Check functions: member, equal, functorial, semi_residual, faithful,
 colon_capturing, gcc, phantom, dietz_obstruction, regular_sequence,
 trivial_on.  Set expressions inside checks: a bound name, closure(cl, set),
 product(ideal, module), mult(ideal, ideal), or ideal(ring, polys...).
+A statement form or set expression with more arguments than MOST_ARGS
+allows is a syntax error at the first surplus argument.
 
 Printing an AST yields canonical source; parsing that source returns an
 equal AST.
@@ -44,6 +46,21 @@ CHECK_FNS = ("member", "equal", "functorial", "semi_residual", "faithful",
              "regular_sequence", "trivial_on")
 
 SET_HEADS = ("closure", "product", "mult", "ideal")
+
+# The most arguments of each check form, set head, and module, closure and
+# modify form (None: no limit).  An optional ring argument that comes
+# before others counts only when a bare name stands in its place
+# (RING_SLOTS): what stands there otherwise is a list or an integer.
+MOST_ARGS = {
+    "member": 2, "equal": 2, "functorial": 3, "semi_residual": 2,
+    "faithful": 2, "colon_capturing": 5, "gcc": 2, "phantom": 2,
+    "dietz_obstruction": 3, "regular_sequence": 2, "trivial_on": 2,
+    "closure": 2, "product": 2, "mult": 2, "ideal": None,
+    "ideal_module": None, "subring_module": 2, "free": 2, "syzygy_of_k": 2,
+    "module_closure": 1, "intersect": None, "parameter_chain": 5,
+}
+RING_SLOTS = {"colon_capturing": 1, "gcc": 1, "dietz_obstruction": 1,
+              "regular_sequence": 0, "trivial_on": 1}
 
 CLOSURE_KEYWORDS = ("trivial", "integral_closure")
 
@@ -363,7 +380,7 @@ class Parser:
                 self.toks[self.i + 1].value == "(":
             head = self.take().value
             self.expect_punct("(")
-            args = self.scan_args_until(")")
+            args = self.scan_args_until(")", head)
             self.expect_punct(")")
             return Call(head, tuple(args))
         # otherwise: a balanced token run up to a top-level ',' or ')' or ']'
@@ -407,16 +424,29 @@ class Parser:
         self.expect_punct("]")
         return ListArg(tuple(items))
 
-    def scan_args_until(self, closer):
-        args = []
+    def scan_args_until(self, closer, head=None):
+        """Arguments up to closer; with a head from MOST_ARGS, a surplus
+        argument is an error at its position."""
+        args, starts = [], []
         if self.at_punct(closer):
             return args
         while True:
+            starts.append(self.peek().pos)
             args.append(self.scan_arg())
             if self.at_punct(","):
                 self.take()
                 continue
             break
+        most = MOST_ARGS.get(head)
+        if most is not None:
+            slot = RING_SLOTS.get(head)
+            if slot is not None and slot < len(args) and \
+                    isinstance(args[slot], Name):
+                most += 1
+            if len(args) > most:
+                raise ScriptError(f"{head}: surplus argument {most + 1} "
+                                  f"(at most {most})", self.text,
+                                  starts[most])
         return args
 
     # -- statement forms -----------------------------------------------------------
@@ -535,7 +565,7 @@ class Parser:
         form = self.expect_name("ideal_module", "subring_module", "free",
                                 "syzygy_of_k")
         self.expect_punct("(")
-        args = tuple(self.scan_args_until(")"))
+        args = tuple(self.scan_args_until(")", form))
         self.expect_punct(")")
         self.expect_punct(";")
         return ModuleDef(name, form, args)
@@ -548,7 +578,7 @@ class Parser:
         args = ()
         if form in ("module_closure", "intersect"):
             self.expect_punct("(")
-            args = tuple(self.scan_args_until(")"))
+            args = tuple(self.scan_args_until(")", form))
             self.expect_punct(")")
         self.expect_punct(";")
         return ClosureDef(name, form, args)
@@ -556,7 +586,7 @@ class Parser:
     def parse_check(self):
         fn = self.expect_name(*CHECK_FNS)
         self.expect_punct("(")
-        args = tuple(self.scan_args_until(")"))
+        args = tuple(self.scan_args_until(")", fn))
         self.expect_punct(")")
         self.expect_punct(";")
         return CheckStmt(fn, args)
@@ -566,7 +596,7 @@ class Parser:
         self.expect_punct("=")
         form = self.expect_name("parameter_chain")
         self.expect_punct("(")
-        args = tuple(self.scan_args_until(")"))
+        args = tuple(self.scan_args_until(")", form))
         self.expect_punct(")")
         self.expect_punct(";")
         return ModifyStmt(name, form, args)

@@ -461,9 +461,6 @@ class ExtendedBasis:
         shadow = -full.take_components(self.s, self.s + self.t)
         return real, shadow.to_polys()
 
-    def contains(self, v: Vec) -> bool:
-        return self.reduce(v)[0].is_zero()
-
 
 def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
     """Reduced basis of the columns, each augmented with a unit shadow

@@ -1,58 +1,106 @@
-"""Exact dense linear algebra over the coefficient field, degreewise.
+"""Exact linear algebra over the coefficient field, degreewise.
 
-Used for graded-piece dimension counts (Hilbert-function style checks) and
-by test oracles.  Everything is exact; rows are plain lists of field values.
+Used for graded-piece dimension counts (Hilbert-function style checks),
+for the rank tests of minimal generators, and by the brute-force oracles
+of the acceptance suite.  Coordinate rows are plain lists of field values;
+one fraction-free integer echelon routine, `Echelon`, serves every rank,
+residual and independence question, over Q and over GF(p) alike, and its
+results leave as field values.  It shares no code with the Groebner
+kernel, so the oracles stay independent of it.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .gb import Vec
 from .poly import PolyRing
 
 
-def row_reduce(rows, field):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+class Echelon:
+    """Row echelon form over the coefficient field, one row at a time.
+
+    Rows are sequences of field values; denominators are cleared on the
+    way in, so the work is on Python ints, sparse by column.  A stored
+    row's pivot is its first nonzero column.  Over Q a stored row is a
+    primitive integer vector, and a reduction step cross-multiplies
+    instead of dividing, keeping the multiplier; over GF(p) a stored row
+    is monic and entries stay in [0, p).  Every stored row is reduced
+    against the rows stored before it, so reducing a vector against them
+    in storage order clears every pivot.  Nothing here calls the Groebner
+    kernel.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.char
+        self.rows = []          # (pivot column, {column: int})
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, row):
+        """(v, den) with v the int entries of den * (row minus a
+        combination of the stored rows), zero at every pivot."""
+        p = self.p
+        if p:
+            v = {j: x for j, x in enumerate(row) if x}
+            den = 1
+        else:
+            nonzero = [(j, x) for j, x in enumerate(row) if x]
+            den = lcm(*(x.denominator for _j, x in nonzero))
+            v = {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+        for pivot, stored in self.rows:
+            a = v.get(pivot)
+            if a is None:
+                continue
+            lead = stored[pivot]
+            g = gcd(a, lead)
+            scale, factor = lead // g, a // g
+            if scale != 1:
+                den *= scale
+                for j in v:
+                    v[j] *= scale
+            for j, c in stored.items():
+                x = v.get(j, 0) - factor * c
+                if p:
+                    x %= p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        return v, den
+
+    def add(self, row) -> bool:
+        """Store row if it lies outside the span; True if it did."""
+        v, _den = self._reduce(row)
+        if not v:
+            return False
+        pivot = min(v)
+        if self.p:
+            inv = pow(v[pivot], -1, self.p)
+            v = {j: x * inv % self.p for j, x in v.items()}
+        else:
+            g = gcd(*v.values())
+            v = {j: x // g for j, x in v.items()}
+        self.rows.append((pivot, v))
+        return True
+
+    def residual(self, row):
+        """row minus the combination of the stored rows that clears every
+        pivot, as field values; zero exactly when row lies in the span."""
+        v, den = self._reduce(row)
+        fld = self.field
+        return [fld.from_fraction(v[j], den) if j in v else fld.zero
+                for j in range(len(row))]
 
 
 def rank(rows, field) -> int:
-    if not rows:
-        return 0
-    return len(row_reduce(rows, field)[0])
-
-
-def residual(rref, pivots, vec, field):
-    """Reduce vec against an rref span; zero residual means membership."""
-    v = list(vec)
-    for row, p in zip(rref, pivots):
-        if v[p] != field.zero:
-            f = v[p]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-    return v
+    echelon = Echelon(field)
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
 
 
 def monomials_of_wdeg(ring: PolyRing, d: int):

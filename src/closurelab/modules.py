@@ -14,8 +14,8 @@ import threading
 from itertools import groupby
 
 from .gb import ExtendedBasis, Vec, buchberger, extended_groebner
-from .linalg import (component_terms, graded_span_dim, monomials_of_wdeg,
-                     rank, residual, row_reduce, span_rows, vec_coords)
+from .linalg import (Echelon, component_terms, graded_span_dim,
+                     monomials_of_wdeg, span_rows, vec_coords)
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError, mono_divides
 from .ring import QuotientRing
@@ -480,10 +480,6 @@ class ModuleMap:
         return all(im.contains(self.target.gen(i))
                    for i in range(self.target.ngens))
 
-    @classmethod
-    def identity(cls, M: FPModule):
-        return cls(M, M, M.gens(), check=False)
-
 
 # --- constructors -------------------------------------------------------------
 
@@ -665,21 +661,13 @@ def _outside_later_spans(vecs, fld):
     for v in vecs:
         for t in v.terms:
             index.setdefault(t, len(index))
-    # each stored row is reduced against the ones stored before it, so
-    # `residual` clears their pivots in storage order
-    rows, pivots = [], []
+    echelon = Echelon(fld)
     flags = [False] * len(vecs)
     for i in reversed(range(len(vecs))):
         row = [fld.zero] * len(index)
         for t, c in vecs[i].terms.items():
             row[index[t]] = c
-        row = residual(rows, pivots, row, fld)
-        p = next((k for k, x in enumerate(row) if x != fld.zero), None)
-        if p is not None:
-            inv = fld.inv(row[p])
-            rows.append([fld.mul(inv, x) for x in row])
-            pivots.append(p)
-            flags[i] = True
+        flags[i] = echelon.add(row)
     return flags
 
 
@@ -704,13 +692,15 @@ def graded_kernel_dim(ring: QuotientRing, cols, ncomps, col_degrees, d,
         return 0
     shifts = tuple(target_shifts) if target_shifts else (0,) * ncomps
     rows_t, terms_t = span_rows(ideal_columns(ring, ncomps), shifts, d, amb)
-    rref, pivots = row_reduce(rows_t, fld)
-    matrix = []
+    # the images that are independent modulo the ideal span: rank of the
+    # images and the ideal rows together, less the rank of the ideal rows
+    echelon = Echelon(fld)
+    for row in rows_t:
+        echelon.add(row)
+    ideal_rank = echelon.rank
     for (q, m) in uterms:
-        img = cols[q].term_mul(fld.one, m)
-        coords = vec_coords(img, terms_t, fld)
-        matrix.append(residual(rref, pivots, coords, fld))
-    valid = len(uterms) - rank(matrix, fld)
+        echelon.add(vec_coords(cols[q].term_mul(fld.one, m), terms_t, fld))
+    valid = len(uterms) - (echelon.rank - ideal_rank)
     return valid - graded_span_dim(ideal_columns(ring, len(cols)),
                                    col_degrees, d, amb)
 

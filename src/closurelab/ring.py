@@ -76,9 +76,6 @@ class QuotientRing:
     def one(self):
         return RingElem(self, self.ambient.one())
 
-    def var(self, name):
-        return self.elem(self.ambient.var(name))
-
     def gens(self):
         return [self.elem(v) for v in self.ambient.gens()]
 

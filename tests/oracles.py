@@ -14,8 +14,12 @@ references for the order values in `closurelab.orders`, and the
 generator-expression monomial primitives (`mono_mul` .. `mono_gcd_is_one`)
 and ring order keys (`degrevlex_key`, `make_wdegrevlex_key`), the
 references for the builtin-mapping ones in `closurelab.poly` and
-`closurelab.orders`.  The oracles here use these references, so they
-share no bug with the primitives under test.
+`closurelab.orders`, the field-value row reduction (`row_reduce`, `rank`,
+`residual`) and independence scan (`outside_later_spans`), the references
+for the integer echelon routine in `closurelab.linalg`, and the per-point
+`Fraction` Fourier-Motzkin test (`fm_newton_member`), the reference for
+the Newton facets in `closurelab.closure`.  The oracles here use these
+references, so they share no bug with the primitives under test.
 """
 
 from fractions import Fraction
@@ -24,8 +28,7 @@ from math import gcd
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
 from closurelab.gb import Vec
-from closurelab.linalg import (monomials_of_wdeg, residual, row_reduce,
-                               span_rows, vec_coords)
+from closurelab.linalg import monomials_of_wdeg, span_rows, vec_coords
 from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
 from closurelab.poly import ParseError, _tokenize_poly
 
@@ -123,6 +126,141 @@ def ref_ring_key(order):
     if order.kind == "elim":
         return elim_key(order.nelim)
     return make_wdegrevlex_key(order.weights)
+
+
+# --- reference row reduction over field values ---------------------------------------
+
+
+def row_reduce(rows, field):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != field.zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != field.zero:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def rank(rows, field) -> int:
+    if not rows:
+        return 0
+    return len(row_reduce(rows, field)[0])
+
+
+def residual(rref, pivots, vec, field):
+    """Reduce vec against an rref span; zero residual means membership."""
+    v = list(vec)
+    for row, p in zip(rref, pivots):
+        if v[p] != field.zero:
+            f = v[p]
+            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
+def outside_later_spans(vecs, fld):
+    """For each vector, whether it lies outside the k-span of those after it."""
+    index: dict = {}
+    for v in vecs:
+        for t in v.terms:
+            index.setdefault(t, len(index))
+    # each stored row is reduced against the ones stored before it, so
+    # `residual` clears their pivots in storage order
+    rows, pivots = [], []
+    flags = [False] * len(vecs)
+    for i in reversed(range(len(vecs))):
+        row = [fld.zero] * len(index)
+        for t, c in vecs[i].terms.items():
+            row[index[t]] = c
+        row = residual(rows, pivots, row, fld)
+        p = next((k for k, x in enumerate(row) if x != fld.zero), None)
+        if p is not None:
+            inv = fld.inv(row[p])
+            rows.append([fld.mul(inv, x) for x in row])
+            pivots.append(p)
+            flags[i] = True
+    return flags
+
+
+# --- reference Newton-polyhedron test, one Fourier-Motzkin run per point -----------
+
+
+def fm_feasible(rows, nvars):
+    """Fourier-Motzkin feasibility of {x : row . x <= rhs}, exact rationals.
+
+    rows: list of (coeff tuple, rhs).  Returns True iff feasible.
+    """
+    rows = [([Fraction(c) for c in cs], Fraction(b)) for cs, b in rows]
+    for var in range(nvars):
+        pos, neg, rest = [], [], []
+        for cs, b in rows:
+            c = cs[var]
+            if c > 0:
+                pos.append((cs, b))
+            elif c < 0:
+                neg.append((cs, b))
+            else:
+                rest.append((cs, b))
+        new = rest
+        for cp, bp in pos:
+            for cn, bn in neg:
+                f_p, f_n = -cn[var], cp[var]
+                cs = [f_p * x + f_n * y for x, y in zip(cp, cn)]
+                new.append((cs, f_p * bp + f_n * bn))
+        seen = set()
+        rows = []
+        for cs, b in new:
+            scale = None
+            for c in cs:
+                if c != 0:
+                    scale = abs(c)
+                    break
+            if scale is None:
+                if b < 0:
+                    return False
+                continue
+            key = (tuple(c / scale for c in cs), b / scale)
+            if key not in seen:
+                seen.add(key)
+                rows.append((list(key[0]), key[1]))
+    return all(b >= 0 for _cs, b in rows)
+
+
+def fm_newton_member(alpha, betas) -> bool:
+    """Is alpha in conv(betas) + nonnegative orthant?  Exact rational LP."""
+    betas = [tuple(b) for b in betas]
+    if not betas:
+        return False
+    t = len(betas)
+    n = len(alpha)
+    rows = []
+    for q in range(t):
+        row = [Fraction(0)] * t
+        row[q] = Fraction(-1)
+        rows.append((row, Fraction(0)))          # lambda_q >= 0
+    rows.append(([Fraction(1)] * t, Fraction(1)))   # sum <= 1
+    rows.append(([Fraction(-1)] * t, Fraction(-1)))  # sum >= 1
+    for i in range(n):
+        rows.append(([Fraction(b[i]) for b in betas], Fraction(alpha[i])))
+    return fm_feasible(rows, t)
 
 
 # --- degreewise span membership ---------------------------------------------------

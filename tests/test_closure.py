@@ -1,10 +1,11 @@
 """Closure operations: membership, computation, checkers, phantom, obstruction."""
 
 import random
+from itertools import product
 
 import pytest
 
-from closurelab import modules
+from closurelab import closure, modules
 from closurelab.poly import ContextError, DomainError
 from closurelab.ring import QuotientRing
 from closurelab.modules import (FPModule, ModuleMap, Submodule, free_module,
@@ -23,6 +24,7 @@ from closurelab.closure import (ClosureOp, ModuleClosure,
                                 is_trivial_on_sample, newton_polyhedron_member,
                                 phantom_test)
 from closurelab.sampling import sample_ideals
+from oracles import fm_newton_member
 
 
 # --- membership examples -------------------------------------------------------------
@@ -77,6 +79,62 @@ def test_newton_polyhedron_halves():
     assert not newton_polyhedron_member((1, 0), [(2, 0), (0, 2)])
     assert newton_polyhedron_member((3, 1), [(2, 0), (0, 2)])
     assert newton_polyhedron_member((2, 2), [(4, 0), (0, 3)])
+    assert not newton_polyhedron_member((0, 0), [])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_facets_match_per_point_fourier_motzkin(n):
+    """The facet test against one Fourier-Motzkin run per point, on 220
+    random monomial ideals in n variables: the unit ideal, one generator,
+    duplicate generators among them.  The points are the generators, some
+    of their neighbours, random points of the box, and points on the
+    facets."""
+    rng = random.Random(1100 + n)
+    ideals = [[(0,) * n], [(0,) * n, (2,) * n], [(3,) + (0,) * (n - 1)]]
+    while len(ideals) < 220:
+        betas = [tuple(rng.randint(0, 4) for _ in range(n))
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.25:
+            betas.append(rng.choice(betas))
+        ideals.append(betas)
+    on_facet = 0
+    for betas in ideals:
+        facets = closure.newton_facets(betas)
+        box = [range(max(b[i] for b in betas) + 2) for i in range(n)]
+        tight = [p for p in product(*box)
+                 if any(sum(x * y for x, y in zip(a, p)) + k == 0
+                        for a, k in facets)]
+        points = set(betas) | set(rng.sample(tight, min(3, len(tight))))
+        for _ in range(2):
+            p, i = list(rng.choice(betas)), rng.randrange(n)
+            p[i] = max(p[i] + rng.choice((-1, 1)), 0)
+            points.add(tuple(p))
+            points.add(tuple(rng.choice(r) for r in box))
+        for p in points:
+            want = fm_newton_member(p, betas)
+            assert newton_polyhedron_member(p, betas) == want, (p, betas)
+            on_facet += p in tight
+    assert on_facet > 400
+
+
+def test_integral_closure_computes_the_facets_once(kxy, monkeypatch):
+    calls = []
+    facets = closure.newton_facets
+
+    def counted(betas):
+        calls.append(betas)
+        return facets(betas)
+
+    monkeypatch.setattr(closure, "newton_facets", counted)
+    N = ideal_submodule(kxy, ["x^2", "y^2"])
+    ic = MonomialIntegralClosure()
+    closed = ic.closure(N)
+    assert len(calls) == 1
+    assert {str(g.component(0)) for g in closed.gens} == \
+        {"x^2", "x*y", "y^2"}
+    assert ic.member(ring_as_module(kxy).vec(["x*y"]), N).holds
+    assert not ic.member(ring_as_module(kxy).vec(["x"]), N).holds
+    assert len(calls) == 1
 
 
 # --- closure computation ----------------------------------------------------------------

@@ -117,6 +117,66 @@ def test_error_reports_line_numbers():
     assert err.value.line == 2
 
 
+# Each statement has one argument too many for its form or set head; "@"
+# marks where the surplus argument starts.
+SURPLUS = [
+    ("check member(y, I, @J);", "member", 3),
+    ("check equal(I, I, @I);", "equal", 3),
+    ("check functorial(trivial, I, [x], @I);", "functorial", 4),
+    ("check semi_residual(trivial, I, @I);", "semi_residual", 3),
+    ("check faithful(trivial, P, @P);", "faithful", 3),
+    ("check colon_capturing(c, [x, y], strongA, 2, 1, @5);",
+     "colon_capturing", 6),
+    ("check colon_capturing(c, P, [x, y], strongA, 2, 1, @5);",
+     "colon_capturing", 7),
+    ("check gcc(c, [x, y], @1);", "gcc", 3),
+    ("check gcc(c, P, [x, y], @1);", "gcc", 4),
+    ("check phantom(c, T, @T);", "phantom", 3),
+    ("check dietz_obstruction(c, [x, y], 3, @4);", "dietz_obstruction", 4),
+    ("check dietz_obstruction(c, P, [x, y], 3, @4);", "dietz_obstruction", 5),
+    ("check regular_sequence([x, y], M, @M);", "regular_sequence", 3),
+    ("check regular_sequence(P, [x, y], M, @M);", "regular_sequence", 4),
+    ("check trivial_on(c, 5, @6);", "trivial_on", 3),
+    ("check trivial_on(c, P, 5, @6);", "trivial_on", 4),
+    ("check member(x, closure(c, I, @J));", "closure", 3),
+    ("check equal(product(I, M, @M), I);", "product", 3),
+    ("check equal(mult(I, I, @I), I);", "mult", 3),
+    ("module M = subring_module(R, [1], @[1]);", "subring_module", 3),
+    ("module M = free(P, [0], @3);", "free", 3),
+    ("module M = syzygy_of_k(P, 1, @2);", "syzygy_of_k", 3),
+    ("closure c = module_closure(M, @M);", "module_closure", 2),
+    ("modify T = parameter_chain(P, c, [x, y], 1, 3, @9);",
+     "parameter_chain", 6),
+]
+
+
+@pytest.mark.parametrize("stmt, head, k", SURPLUS,
+                         ids=[f"{h}-{k}" for _s, h, k in SURPLUS])
+def test_surplus_argument_is_a_positioned_error(stmt, head, k):
+    with pytest.raises(ScriptError) as err:
+        parse_script("ring P = poly(Q, [x, y], degrevlex);\n"
+                     + stmt.replace("@", ""))
+    assert (err.value.line, err.value.col) == (2, stmt.index("@") + 1)
+    assert err.value.bare_message == \
+        f"{head}: surplus argument {k} (at most {k - 1})"
+
+
+@pytest.mark.parametrize("stmt", [
+    "check faithful(trivial, P);",
+    "check colon_capturing(c, P, [x, y], strongA, 2, 1);",
+    "check colon_capturing(c, [x, y], strongA, 2, 1);",
+    "check dietz_obstruction(c, P, [x, y], 3);",
+    "check regular_sequence(P, [x, y], M);",
+    "check trivial_on(c, P, 5);",
+    "check member(x, ideal(P, x, y, x*y, x^2));",
+    "module M = ideal_module(P, x, y, x*y);",
+    "closure c = intersect(a, b, c, d);",
+    "modify T = parameter_chain(P, c, [x, y], 1, 3);",
+])
+def test_most_arguments_still_parse(stmt):
+    assert len(parse_script(stmt)) == 1
+
+
 # --- printing ---------------------------------------------------------------------
 
 

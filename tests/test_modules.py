@@ -19,7 +19,8 @@ from closurelab.ring import QuotientRing, make_quotient_ring
 from closurelab.sampling import random_submodule_pair
 
 from oracles import (brute_member, brute_syzygies_complete,
-                     graded_dim_of_span, greedy_minimal_generators)
+                     graded_dim_of_span, greedy_minimal_generators,
+                     outside_later_spans)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -286,6 +287,36 @@ def test_minimal_generators_match_greedy_oracle(request, field):
                                          M.relations)
         assert minimal_generators(M, gens) == want, trial
         assert list(Submodule(M, tuple(gens)).minimalized().gens) == want
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_minimal_generators_keep_what_the_field_value_scan_keeps(
+        request, field, monkeypatch):
+    """The integer echelon behind minimal_generators flags every degree
+    block as the field-value scan does, so the kept sets are equal."""
+    if field == "Q":
+        kxy, segre = (request.getfixturevalue(n) for n in ("kxy", "segre"))
+    else:
+        kxy, segre = request.getfixturevalue("kxy_f5"), _segre_f5()
+    rng = random.Random(f"echelon-{field}")
+    mods = _minimalization_modules(kxy, segre)
+    real = modules._outside_later_spans
+    blocks = []
+
+    def reference(vecs, fld):
+        flags = outside_later_spans(vecs, fld)
+        assert real(vecs, fld) == flags
+        blocks.append(len(vecs))
+        return flags
+
+    for trial in range(12):
+        M = mods[trial % len(mods)]
+        gens = _redundant_gens(M, rng)
+        got = minimal_generators(M, gens)
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "_outside_later_spans", reference)
+            assert minimal_generators(M, gens) == got, trial
+    assert sum(n > 1 for n in blocks) > 12
 
 
 def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):

@@ -282,8 +282,11 @@ def test_missing_or_misshapen_argument_is_a_script_error(stmt, message):
     ("ideal I = ideal(P, " + "-" * 2000 + "x);", 121),
     ("check dietz_obstruction(trivial, [x,y], " + "1" * 5000 + ");", 41),
     ("ideal I = ideal(P, x + " + "7" * 5000 + "*y);", 24),
+    ("check member(x, I, I);", 20),
+    ("check equal(I, mult(I, I, I));", 27),
 ], ids=["nested-parentheses", "nested-signs", "long-integer-argument",
-        "long-integer-coefficient"])
+        "long-integer-coefficient", "surplus-check-argument",
+        "surplus-set-argument"])
 def test_cli_input_beyond_parser_limits_is_a_positioned_error(
         tmp_path, capsys, stmt, column):
     script = tmp_path / "limits.clab"

@@ -24,3 +24,12 @@ def test_src_imports_only_stdlib_and_itself():
     outside = [(p.name, name) for p in files
                for name in _top_level_imports(p) if name not in allowed]
     assert outside == []
+
+
+def test_only_the_field_and_the_kernel_boundary_import_fractions():
+    """Rational numbers are field values (field.py) and are cleared where a
+    vector enters the Groebner kernel (gb.py); everything else works on
+    field values or integers."""
+    importers = sorted(p.name for p in SRC.rglob("*.py")
+                       if "fractions" in _top_level_imports(p))
+    assert importers == ["field.py", "gb.py"]
