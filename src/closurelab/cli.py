@@ -11,7 +11,6 @@ import json
 import sys
 
 from .dsl import ScriptError
-from .poly import ParseError
 from .session import EvalError, Session, SessionVersionError
 
 
@@ -37,19 +36,12 @@ def _print_result(res, stream=None):
 
 def run_script(path, as_json=False, out=None, deg_bound=12, seed=0):
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    session = Session(deg_bound=deg_bound, seed=seed)
-    try:
-        results = session.eval_text(text)
-    except (ScriptError, ParseError) as exc:
+        session = Session.load(path, deg_bound=deg_bound, seed=seed)
+    except (OSError, ScriptError, SessionVersionError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not as_json:
-        for res in results:
+        for _stmt, res in session.log:
             _print_result(res)
     if as_json or out:
         blob = json.dumps(session.report(include_timings=True), indent=2,
@@ -100,7 +92,8 @@ def repl(deg_bound=12, seed=0):
                     session = Session.load(parts[1], deg_bound=deg_bound,
                                            seed=seed)
                     print(f"loaded {parts[1]}")
-                except (SessionVersionError, EvalError, OSError) as exc:
+                except (OSError, ScriptError, SessionVersionError,
+                        EvalError) as exc:
                     print(f"error: {exc}")
             else:
                 print("unknown command; :help")
@@ -112,7 +105,7 @@ def repl(deg_bound=12, seed=0):
         try:
             for res in session.eval_text(text):
                 _print_result(res)
-        except (ScriptError, ParseError) as exc:
+        except ScriptError as exc:
             print(f"error: {exc}")
 
 

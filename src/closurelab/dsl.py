@@ -10,25 +10,18 @@ Grammar (statements end with ';', '#' starts a comment):
   field   := "Q" | "Fp" "(" INT ")"
   order   := "lex" | "degrevlex" | "wdegrevlex" "[" intlist "]"
   iddef   := "ideal" NAME "=" "ideal" "(" NAME "," polylist ")" ";"
-  moddef  := "module" NAME "=" modform ";"
-  modform := "ideal_module" "(" NAME "," polylist ")"
-           | "subring_module" "(" NAME "," "[" polylist "]" ")"
-           | "free" "(" NAME "," "[" intlist "]" ")"
-           | "syzygy_of_k" "(" NAME "," INT ")"
-  cldef   := "closure" NAME "=" ("trivial" | "integral_closure"
-           | "module_closure" "(" NAME ")"
-           | "intersect" "(" NAME {"," NAME} ")") ";"
-  check   := "check" FN "(" args ")" ";"
-  modify  := "modify" NAME "=" "parameter_chain" "(" NAME "," clarg ","
-                 "[" polylist "]" "," INT ["," INT] ")" ";"
+  moddef  := "module" NAME "=" call ";"
+  cldef   := "closure" NAME "=" ("trivial" | "integral_closure" | call) ";"
+  check   := "check" call ";"
+  modify  := "modify" NAME "=" call ";"
   export  := "export" ("json" | "session") STRING ";"
+  call    := FORM "(" [arg {"," arg}] ")"
 
-Check functions: member, equal, functorial, semi_residual, faithful,
-colon_capturing, gcc, phantom, dietz_obstruction, regular_sequence,
-trivial_on.  Set expressions inside checks: a bound name, closure(cl, set),
-product(ideal, module), mult(ideal, ideal), or ideal(ring, polys...).
-A statement form or set expression with more arguments than MOST_ARGS
-allows is a syntax error at the first surplus argument.
+The forms of each statement, and the set-expression heads that may stand
+for a set argument, are the keys of SIGNATURES; their parameters and the
+kind of each are its values.  Every call is bound against its signature
+when the script is parsed; a missing, surplus or misshapen argument is a
+syntax error at its position.
 
 Printing an AST yields canonical source; parsing that source returns an
 equal AST.
@@ -36,31 +29,97 @@ equal AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .poly import ParseError, check_syntax
 
 
-CHECK_FNS = ("member", "equal", "functorial", "semi_residual", "faithful",
-             "colon_capturing", "gcc", "phantom", "dietz_obstruction",
-             "regular_sequence", "trivial_on")
-
-SET_HEADS = ("closure", "product", "mult", "ideal")
-
-# The most arguments of each check form, set head, and module, closure and
-# modify form (None: no limit).  An optional ring argument that comes
-# before others counts only when a bare name stands in its place
-# (RING_SLOTS): what stands there otherwise is a list or an integer.
-MOST_ARGS = {
-    "member": 2, "equal": 2, "functorial": 3, "semi_residual": 2,
-    "faithful": 2, "colon_capturing": 5, "gcc": 2, "phantom": 2,
-    "dietz_obstruction": 3, "regular_sequence": 2, "trivial_on": 2,
-    "closure": 2, "product": 2, "mult": 2, "ideal": None,
-    "ideal_module": None, "subring_module": 2, "free": 2, "syzygy_of_k": 2,
-    "module_closure": 1, "intersect": None, "parameter_chain": 5,
+# The signature of each form, by statement: "name: kind" per parameter;
+# "name?" is optional with default None, "name?: kind = v" defaults to v;
+# "*name" takes every remaining argument.  An optional ring that comes
+# before other parameters is filled only by a name standing in its place;
+# what stands there otherwise is a [list] or an integer.
+SIGNATURES = {
+    "check": {
+        "member": "u: element|[vector], N: set",
+        "equal": "A: set, B: set",
+        "functorial": "cl: closure, N: set, J: ideal|[list]",
+        "semi_residual": "cl: closure, N: set",
+        "faithful": "cl: closure, R?: ring",
+        "colon_capturing": "cl: closure, R?: ring, xs: [list], "
+                           "variant?: name = plain, t?: int, a?: int",
+        "gcc": "cl: closure, R?: ring, xs: [list]",
+        "phantom": "cl: closure, M: name",
+        "dietz_obstruction": "cl: closure, R?: ring, xs: [list], t: int",
+        "regular_sequence": "R?: ring, xs: [list], M?: name",
+        "trivial_on": "cl: closure, R?: ring, count?: int = 10",
+    },
+    "set": {
+        "closure": "cl: closure, N: set",
+        "product": "I: name, M: name",
+        "mult": "I: name, J: name",
+        "ideal": "R: ring, *gens: element",
+    },
+    "module": {
+        "ideal_module": "R: ring, *gens: element",
+        "subring_module": "R: ring, gens: [list]",
+        "free": "R: ring, degrees: [int list]",
+        "syzygy_of_k": "R: ring, i: int",
+    },
+    "closure": {
+        "module_closure": "M: name",
+        "intersect": "*parts: closure",
+    },
+    "modify": {
+        "parameter_chain": "R: ring, cl: closure, xs: [list], steps: int, "
+                           "deg_bound?: int",
+    },
 }
-RING_SLOTS = {"colon_capturing": 1, "gcc": 1, "dietz_obstruction": 1,
-              "regular_sequence": 0, "trivial_on": 1}
+
+# kind: (what an argument of the kind must be, the kind of a bare argument
+# it takes, the kind of the items of a [list] it takes).  Name kinds take
+# a name, bare or quoted; an int is nonnegative; an integer is any.
+KINDS = {
+    "name": ("a name", "name", None),
+    "ring": ("a name", "name", None),
+    "closure": ("a name", "name", None),
+    "set": ("a set expression", "set", None),
+    "element": ("an element", "element", None),
+    "element|[vector]": ("an element or [vector]", "element", "element"),
+    "[list]": ("a [list]", None, "element"),
+    "[int list]": ("a [list]", None, "integer"),
+    "int": ("a nonnegative integer", "int", None),
+    "ideal|[list]": ("an ideal name or [list]", "name", "element"),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    name: str
+    kind: str
+    optional: bool = False
+    default: object = None
+    rest: bool = False
+
+
+def _params(spec):
+    """The parameters of a signature in SIGNATURES."""
+    params = []
+    for item in spec.split(", "):
+        name, kind = item.split(": ")
+        kind, _eq, default = kind.partition(" = ")
+        if kind == "int" and default:
+            default = int(default)
+        params.append(Param(name.strip("*?"), kind, name.endswith("?"),
+                            default or None, name.startswith("*")))
+    return tuple(params)
+
+
+# no two statements share a form name
+PARAMS = {form: _params(spec) for forms in SIGNATURES.values()
+          for form, spec in forms.items()}
+CHECK_FNS = tuple(SIGNATURES["check"])
+SET_HEADS = tuple(SIGNATURES["set"])
 
 CLOSURE_KEYWORDS = ("trivial", "integral_closure")
 
@@ -191,6 +250,8 @@ class ListArg:
 class Call:
     head: str
     args: tuple
+    # parameter name -> argument value, as Parser.bind gives them
+    bound: dict = field(default_factory=dict, compare=False, repr=False)
 
     def show(self):
         return self.head + "(" + ", ".join(x.show() for x in self.args) + ")"
@@ -246,6 +307,7 @@ class ModuleDef:
     form: str
     args: tuple
     kind: str = "module"
+    bound: dict = field(default_factory=dict, compare=False, repr=False)
 
     def show(self):
         return f"module {self.name} = {Call(self.form, self.args).show()};"
@@ -257,6 +319,7 @@ class ClosureDef:
     form: str               # trivial | integral_closure | module_closure | intersect
     args: tuple = ()
     kind: str = "closure"
+    bound: dict = field(default_factory=dict, compare=False, repr=False)
 
     def show(self):
         if self.form in CLOSURE_KEYWORDS:
@@ -269,6 +332,7 @@ class CheckStmt:
     fn: str
     args: tuple
     kind: str = "check"
+    bound: dict = field(default_factory=dict, compare=False, repr=False)
 
     def show(self):
         return f"check {Call(self.fn, self.args).show()};"
@@ -280,6 +344,7 @@ class ModifyStmt:
     form: str
     args: tuple
     kind: str = "modify"
+    bound: dict = field(default_factory=dict, compare=False, repr=False)
 
     def show(self):
         return f"modify {self.name} = {Call(self.form, self.args).show()};"
@@ -318,6 +383,20 @@ def _check_poly_syntax(text: str, offset: int, script: str, end_pos: int):
                               "expression", script, end_pos) from exc
         raise ScriptError(f"invalid polynomial: unexpected {t.value!r}",
                           script, offset + t.pos) from exc
+
+
+def _value(kind, arg):
+    """arg as a bare value of kind, or None when it is not one."""
+    if kind == "name":
+        return arg.value if isinstance(arg, (Name, StrArg)) else None
+    if kind == "set":
+        return arg if isinstance(arg, (Name, Call)) else None
+    if kind == "element":
+        return arg.show() if isinstance(arg, (Name, Expr, IntArg)) else None
+    if kind in ("int", "integer") and isinstance(arg, IntArg) and \
+            (kind == "integer" or arg.value >= 0):
+        return arg.value
+    return None
 
 
 # --- parser ---------------------------------------------------------------------
@@ -379,10 +458,7 @@ class Parser:
                 self.toks[self.i + 1].kind == "punct" and \
                 self.toks[self.i + 1].value == "(":
             head = self.take().value
-            self.expect_punct("(")
-            args = self.scan_args_until(")", head)
-            self.expect_punct(")")
-            return Call(head, tuple(args))
+            return Call(head, *self.scan_call(head))
         # otherwise: a balanced token run up to a top-level ',' or ')' or ']'
         start = t.pos
         depth = 0
@@ -420,34 +496,71 @@ class Parser:
 
     def scan_list(self):
         self.expect_punct("[")
-        items = self.scan_args_until("]")
+        items, _starts = self.scan_args_until("]")
         self.expect_punct("]")
         return ListArg(tuple(items))
 
-    def scan_args_until(self, closer, head=None):
-        """Arguments up to closer; with a head from MOST_ARGS, a surplus
-        argument is an error at its position."""
+    def scan_args_until(self, closer):
+        """The arguments up to closer, and the position of each."""
         args, starts = [], []
         if self.at_punct(closer):
-            return args
+            return args, starts
         while True:
             starts.append(self.peek().pos)
             args.append(self.scan_arg())
             if self.at_punct(","):
                 self.take()
                 continue
-            break
-        most = MOST_ARGS.get(head)
-        if most is not None:
-            slot = RING_SLOTS.get(head)
-            if slot is not None and slot < len(args) and \
-                    isinstance(args[slot], Name):
-                most += 1
-            if len(args) > most:
-                raise ScriptError(f"{head}: surplus argument {most + 1} "
-                                  f"(at most {most})", self.text,
-                                  starts[most])
-        return args
+            return args, starts
+
+    def scan_call(self, form):
+        """'(' arguments ')' of form: the argument tuple and its binding."""
+        self.expect_punct("(")
+        args, starts = self.scan_args_until(")")
+        close = self.expect_punct(")")
+        return tuple(args), self.bind(form, args, starts + [close.pos])
+
+    def bind(self, form, args, starts):
+        """Parameter name -> value for the arguments of form; a missing,
+        surplus or misshapen argument is an error at its position."""
+        bound, k = {}, 0
+        params = PARAMS[form]
+        for i, p in enumerate(params):
+            slot = p.optional and p.kind == "ring" and i + 1 < len(params)
+            if p.rest:
+                bound[p.name] = tuple(self.bind_arg(form, p, j, args[j],
+                                                    starts[j])
+                                      for j in range(k, len(args)))
+                k = len(args)
+            elif k == len(args) or \
+                    (slot and not isinstance(args[k], (Name, StrArg))):
+                if not p.optional:
+                    raise ScriptError(f"{form}: argument {k + 1} is missing",
+                                      self.text, starts[k])
+                bound[p.name] = p.default
+            else:
+                bound[p.name] = self.bind_arg(form, p, k, args[k],
+                                              starts[k])
+                k += 1
+        if k < len(args):
+            raise ScriptError(f"{form}: surplus argument {k + 1} "
+                              f"(at most {k})", self.text, starts[k])
+        return bound
+
+    def bind_arg(self, form, p, k, arg, pos):
+        """The value of argument k, arg, for parameter p of form."""
+        what, bare, item = KINDS[p.kind]
+        if item and isinstance(arg, ListArg):
+            values = tuple(_value(item, x) for x in arg.items)
+            if None in values:
+                raise ScriptError(f"{form}: {p.name} must be {item}s, found "
+                                  f"{arg.show()}", self.text, pos)
+            return values
+        value = _value(bare, arg)
+        if value is None:
+            raise ScriptError(f"{form}: argument {k + 1} must be {what}, "
+                              f"found {arg.show()}", self.text, pos)
+        return value
 
     # -- statement forms -----------------------------------------------------------
 
@@ -464,15 +577,27 @@ class Parser:
             return self.parse_ringdef()
         if kw == "ideal":
             return self.parse_idealdef()
-        if kw == "module":
-            return self.parse_moduledef()
-        if kw == "closure":
-            return self.parse_closuredef()
+        if kw == "export":
+            return self.parse_export()
+        return self.parse_call_statement(kw)
+
+    def parse_call_statement(self, kw):
+        """'check' call ';', or kw NAME '=' call ';', for a form of
+        SIGNATURES[kw] (or a closure keyword, without arguments)."""
+        name = None
+        if kw != "check":
+            name = self.expect_name()
+            self.expect_punct("=")
+        keywords = CLOSURE_KEYWORDS if kw == "closure" else ()
+        form = self.expect_name(*keywords, *SIGNATURES[kw])
+        args, bound = ((), {}) if form in keywords else \
+            self.scan_call(form)
+        self.expect_punct(";")
         if kw == "check":
-            return self.parse_check()
-        if kw == "modify":
-            return self.parse_modify()
-        return self.parse_export()
+            return CheckStmt(form, args, bound=bound)
+        node = {"module": ModuleDef, "closure": ClosureDef,
+                "modify": ModifyStmt}[kw]
+        return node(name, form, args, bound=bound)
 
     def parse_field(self):
         name = self.expect_name("Q", "Fp")
@@ -558,48 +683,6 @@ class Parser:
         self.expect_punct(")")
         self.expect_punct(";")
         return IdealDef(name, ring, polys)
-
-    def parse_moduledef(self):
-        name = self.expect_name()
-        self.expect_punct("=")
-        form = self.expect_name("ideal_module", "subring_module", "free",
-                                "syzygy_of_k")
-        self.expect_punct("(")
-        args = tuple(self.scan_args_until(")", form))
-        self.expect_punct(")")
-        self.expect_punct(";")
-        return ModuleDef(name, form, args)
-
-    def parse_closuredef(self):
-        name = self.expect_name()
-        self.expect_punct("=")
-        form = self.expect_name("trivial", "integral_closure",
-                                "module_closure", "intersect")
-        args = ()
-        if form in ("module_closure", "intersect"):
-            self.expect_punct("(")
-            args = tuple(self.scan_args_until(")", form))
-            self.expect_punct(")")
-        self.expect_punct(";")
-        return ClosureDef(name, form, args)
-
-    def parse_check(self):
-        fn = self.expect_name(*CHECK_FNS)
-        self.expect_punct("(")
-        args = tuple(self.scan_args_until(")", fn))
-        self.expect_punct(")")
-        self.expect_punct(";")
-        return CheckStmt(fn, args)
-
-    def parse_modify(self):
-        name = self.expect_name()
-        self.expect_punct("=")
-        form = self.expect_name("parameter_chain")
-        self.expect_punct("(")
-        args = tuple(self.scan_args_until(")", form))
-        self.expect_punct(")")
-        self.expect_punct(";")
-        return ModifyStmt(name, form, args)
 
     def parse_export(self):
         what = self.expect_name("json", "session")

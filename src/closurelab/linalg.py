@@ -11,6 +11,7 @@ kernel, so the oracles stay independent of it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 
 from .gb import Vec
@@ -103,8 +104,13 @@ def rank(rows, field) -> int:
     return echelon.rank
 
 
-def monomials_of_wdeg(ring: PolyRing, d: int):
-    """All exponent tuples of weighted degree d, sorted descending."""
+@lru_cache(maxsize=256)
+def monomials_of_wdeg(ring: PolyRing, d: int) -> tuple:
+    """All exponent tuples of weighted degree d, sorted descending.
+
+    Cached per (ring, d), rings being equal by value: the acceptance
+    suite and the samplers ask for the same few pieces thousands of times.
+    """
     out = []
 
     def rec(i, rem, acc):
@@ -121,7 +127,7 @@ def monomials_of_wdeg(ring: PolyRing, d: int):
     if d >= 0:
         rec(0, d, [])
     out.sort(key=ring.key, reverse=True)
-    return out
+    return tuple(out)
 
 
 def component_terms(ring: PolyRing, shifts, d: int):

@@ -21,9 +21,9 @@ from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
                       check_generalized_colon_capturing,
                       check_semi_residuality, dietz_obstruction,
                       is_trivial_on_sample, phantom_test)
-from .dsl import (Call, CheckStmt, ClosureDef, Expr, ExportStmt, IdealDef,
-                  IntArg, ListArg, ModifyStmt, ModuleDef, Name, RingDef,
-                  ScriptError, StrArg, parse_script, print_statements)
+from .dsl import (Call, CheckStmt, ClosureDef, ExportStmt, IdealDef,
+                  ModifyStmt, ModuleDef, Name, RingDef, ScriptError,
+                  parse_script, print_statements)
 from .field import QQ, prime_field
 from .gb import Vec
 from .modify import parameter_chain
@@ -84,6 +84,10 @@ class StatementResult:
         return out
 
 
+def _a(word):
+    return ("an " if word[0] in "aeiou" else "a ") + word
+
+
 def _submodule_gens(sub: Submodule):
     if sub.module.ngens == 1:
         return sorted(str(g.component(0)) for g in sub.gens)
@@ -112,84 +116,32 @@ class Session:
             raise EvalError(f"unknown name {name!r}")
         k, v = self.env[name]
         if kind is not None and k != kind:
-            raise EvalError(f"{name!r} is a {k}, expected a {kind}")
+            raise EvalError(f"{name!r} is {_a(k)}, expected {_a(kind)}")
         return v
 
     def _ring(self, name=None) -> QuotientRing:
+        """The ring named name, or without a name the last one defined."""
         if name is not None:
             return self._lookup(name, "ring")
         if self.last_ring is None:
             raise EvalError("no ring defined yet")
         return self._lookup(self.last_ring, "ring")
 
-    def _closure_arg(self, arg) -> ClosureOp:
-        if isinstance(arg, Name):
-            if arg.value == "trivial":
-                return TrivialClosure()
-            if arg.value == "integral_closure":
-                return MonomialIntegralClosure()
-            return self._lookup(arg.value, "closure")
-        raise EvalError(f"expected a closure, found {arg.show()}")
-
-    def _maybe_ring_arg(self, args, idx):
-        """Optional ring-name argument at position idx; returns (ring, next)."""
-        if idx < len(args) and isinstance(args[idx], Name) and \
-                args[idx].value in self.env and \
-                self.env[args[idx].value][0] == "ring":
-            return self._ring(args[idx].value), idx + 1
-        return self._ring(), idx
-
-    def _elems(self, ring: QuotientRing, listarg):
-        if not isinstance(listarg, ListArg):
-            raise EvalError(f"expected a [list], found {listarg.show()}")
-        out = []
-        for item in listarg.items:
-            out.append(ring.elem(self._arg_text(item)))
-        return out
+    def _closure(self, name) -> ClosureOp:
+        if name == "trivial":
+            return TrivialClosure()
+        if name == "integral_closure":
+            return MonomialIntegralClosure()
+        return self._lookup(name, "closure")
 
     @staticmethod
-    def _arg(fn, args, idx):
-        """Argument idx of fn; a missing one is an EvalError."""
-        if idx >= len(args):
-            raise EvalError(f"{fn}: argument {idx + 1} is missing")
-        return args[idx]
-
-    def _name_arg(self, fn, args, idx):
-        """Argument idx of fn as a name, bare or quoted."""
-        arg = self._arg(fn, args, idx)
-        if not isinstance(arg, (Name, StrArg)):
-            raise EvalError(f"{fn}: argument {idx + 1} must be a name, "
-                            f"found {arg.show()}")
-        return arg.value
-
-    def _list_arg(self, fn, args, idx):
-        """The items of argument idx of fn, a [list]."""
-        arg = self._arg(fn, args, idx)
-        if not isinstance(arg, ListArg):
-            raise EvalError(f"{fn}: argument {idx + 1} must be a [list], "
-                            f"found {arg.show()}")
-        return arg.items
-
-    def _int_arg(self, fn, args, idx):
-        """Argument idx of fn as a nonnegative integer."""
-        arg = self._arg(fn, args, idx)
-        if not isinstance(arg, IntArg) or arg.value < 0:
-            raise EvalError(f"{fn}: argument {idx + 1} must be a "
-                            f"nonnegative integer, found {arg.show()}")
-        return arg.value
-
-    @staticmethod
-    def _arg_text(arg):
-        if isinstance(arg, (Name, Expr)):
-            return arg.show()
-        if isinstance(arg, IntArg):
-            return str(arg.value)
-        raise EvalError(f"expected an element expression, found {arg.show()}")
+    def _elems(ring: QuotientRing, texts):
+        return [ring.elem(t) for t in texts]
 
     # -- set expressions -------------------------------------------------------
 
     def _set_value(self, arg) -> Submodule:
-        """Evaluate a set expression to a Submodule."""
+        """Evaluate a set expression, a name or a set-head Call."""
         if isinstance(arg, Name):
             value = self._lookup(arg.value)  # raises for an unknown name
             kind = self.env[arg.value][0]
@@ -198,48 +150,45 @@ class Session:
             if kind == "module":
                 return value.full_submodule()
             raise EvalError(f"{arg.value!r} does not name an ideal or module")
-        if isinstance(arg, Call):
-            head, args = arg.head, arg.args
-            if head == "closure":
-                cl = self._closure_arg(self._arg(head, args, 0))
-                inner = self._set_value(self._arg(head, args, 1))
-                return cl.closure(inner)
-            if head == "product":
-                ideal = self._lookup(self._name_arg(head, args, 0), "ideal")
-                M = self._lookup(self._name_arg(head, args, 1), "module")
-                return Submodule(M, tuple(scaled_gens(M, ideal.elems)))
-            if head == "mult":
-                a = self._lookup(self._name_arg(head, args, 0), "ideal")
-                b = self._lookup(self._name_arg(head, args, 1), "ideal")
-                gens = [x * y for x in a.elems for y in b.elems]
-                return ideal_submodule(a.ring, gens)
-            if head == "ideal":
-                ring = self._ring(self._name_arg(head, args, 0))
-                elems = [ring.elem(self._arg_text(x)) for x in args[1:]]
-                return ideal_submodule(ring, elems)
-        raise EvalError(f"cannot evaluate set expression {arg.show()}")
+        args = arg.bound
+        if arg.head == "closure":
+            cl = self._closure(args["cl"])
+            return cl.closure(self._set_value(args["N"]))
+        if arg.head == "product":
+            ideal = self._lookup(args["I"], "ideal")
+            M = self._lookup(args["M"], "module")
+            return Submodule(M, tuple(scaled_gens(M, ideal.elems)))
+        if arg.head == "mult":
+            I = self._lookup(args["I"], "ideal")
+            J = self._lookup(args["J"], "ideal")
+            gens = [x * y for x in I.elems for y in J.elems]
+            return ideal_submodule(I.ring, gens)
+        ring = self._ring(args["R"])
+        return ideal_submodule(ring, self._elems(ring, args["gens"]))
 
-    def _member_query(self, u_arg, set_arg):
+    def _member_query(self, u, set_arg):
         """member(u, set): direct closure membership when set is closure(...)."""
         if isinstance(set_arg, Call) and set_arg.head == "closure":
-            cl = self._closure_arg(self._arg("closure", set_arg.args, 0))
-            N = self._set_value(self._arg("closure", set_arg.args, 1))
-            u = self._element_in(N.module, u_arg)
-            out = cl.member(u, N, want_certificate=True)
+            cl = self._closure(set_arg.bound["cl"])
+            N = self._set_value(set_arg.bound["N"])
+            out = cl.member(self._element_in(N.module, u), N,
+                            want_certificate=True)
             return bool(out.holds), out.certificate
         N = self._set_value(set_arg)
-        u = self._element_in(N.module, u_arg)
+        u = self._element_in(N.module, u)
         ok = N.contains(u)
         cert = N.certificate(u) if ok else None
         return ok, [str(c) for c in cert] if cert else None
 
-    def _element_in(self, M: FPModule, arg) -> Vec:
-        if isinstance(arg, ListArg):
-            return M.vec([self._arg_text(x) for x in arg.items])
+    @staticmethod
+    def _element_in(M: FPModule, u) -> Vec:
+        """u, an element text or a tuple of them, as an element of M."""
+        if isinstance(u, tuple):
+            return M.vec(list(u))
         if M.ngens != 1:
             raise EvalError("element of a higher-rank module must be a "
                             "[vector]")
-        return M.vec([self._arg_text(arg)])
+        return M.vec([u])
 
     # -- statement evaluation -----------------------------------------------------
 
@@ -296,71 +245,59 @@ class Session:
         self._bind(stmt.name, "ideal", value)
 
     def _eval_module(self, stmt: ModuleDef, res):
-        form, args = stmt.form, stmt.args
-        ring = self._ring(self._name_arg(form, args, 0))
-        if form == "ideal_module":
-            gens = [ring.elem(self._arg_text(a)) for a in args[1:]]
-            M = ideal_as_module(ring, gens)
-        elif form == "subring_module":
+        args = stmt.bound
+        ring = self._ring(args["R"])
+        if stmt.form == "ideal_module":
+            M = ideal_as_module(ring, self._elems(ring, args["gens"]))
+        elif stmt.form == "subring_module":
             if ring.presentation is None:
                 raise EvalError("subring_module needs a subring-presented ring")
             sp = ring.presentation
-            gens = [sp.target.parse(self._arg_text(a))
-                    for a in self._list_arg(form, args, 1)]
+            gens = [sp.target.parse(t) for t in args["gens"]]
             rels = sp.module_relation_columns(gens)
             M = FPModule(ring, tuple(g.wdeg() for g in gens), rels)
-        elif form == "free":
-            degrees = self._list_arg(form, args, 1)
-            if not all(isinstance(a, IntArg) for a in degrees):
-                raise EvalError(f"free: degrees must be integers, found "
-                                f"{args[1].show()}")
-            M = free_module(ring, [a.value for a in degrees])
-        elif form == "syzygy_of_k":
-            M = residue_field(ring).syzygy(self._int_arg(form, args, 1))
+        elif stmt.form == "free":
+            M = free_module(ring, list(args["degrees"]))
         else:
-            raise EvalError(f"unknown module form {stmt.form!r}")
+            M = residue_field(ring).syzygy(args["i"])
         res.result = M.descriptor()
         self._bind(stmt.name, "module", M)
 
     def _eval_closure(self, stmt: ClosureDef, res):
-        if stmt.form == "trivial":
-            cl = TrivialClosure()
-        elif stmt.form == "integral_closure":
-            cl = MonomialIntegralClosure()
-        elif stmt.form == "module_closure":
-            name = self._name_arg(stmt.form, stmt.args, 0)
-            cl = ModuleClosure(self._lookup(name, "module"),
-                               label=f"cl_{name}")
-        else:
-            parts = [self._closure_arg(a) for a in stmt.args]
+        args = stmt.bound
+        if stmt.form == "module_closure":
+            cl = ModuleClosure(self._lookup(args["M"], "module"),
+                               label=f"cl_{args['M']}")
+        elif stmt.form == "intersect":
+            parts = [self._closure(name) for name in args["parts"]]
             cl = IntersectionClosure(parts, label=stmt.name)
+        else:
+            cl = self._closure(stmt.form)
         res.result = {"closure": cl.describe()}
         self._bind(stmt.name, "closure", cl)
 
     def _eval_modify(self, stmt: ModifyStmt, res):
-        form, args = stmt.form, stmt.args
-        ring = self._ring(self._name_arg(form, args, 0))
-        cl = self._closure_arg(self._arg(form, args, 1))
-        xs = self._elems(ring, self._arg(form, args, 2))
-        steps = self._int_arg(form, args, 3)
-        bound = self._int_arg(form, args, 4) \
-            if len(args) > 4 else self.deg_bound
-        trace = parameter_chain(ring, cl, xs, steps, degree_bound=bound)
+        args = stmt.bound
+        ring = self._ring(args["R"])
+        cl = self._closure(args["cl"])
+        xs = self._elems(ring, args["xs"])
+        bound = args["deg_bound"]
+        if bound is None:
+            bound = self.deg_bound
+        trace = parameter_chain(ring, cl, xs, args["steps"],
+                                degree_bound=bound)
         res.result = trace.descriptor()
         self._bind(stmt.name, "trace", trace)
 
     def _eval_check(self, stmt: CheckStmt, res):
-        fn = stmt.fn
-        args = stmt.args
+        fn, args = stmt.fn, stmt.bound
         if fn == "member":
-            ok, cert = self._member_query(self._arg(fn, args, 0),
-                                          self._arg(fn, args, 1))
-            res.ok = ok
-            res.certificate = cert
+            res.ok, res.certificate = self._member_query(args["u"],
+                                                         args["N"])
             return
         if fn == "equal":
-            a = self._set_value(self._arg(fn, args, 0))
-            b = self._set_value(self._arg(fn, args, 1))
+            a = self._set_value(args["A"])
+            b = self._set_value(args["B"])
             if a.module != b.module:
                 raise EvalError("cannot compare submodules of different "
                                 "ambient modules")
@@ -381,14 +318,35 @@ class Session:
                                               else g.component(0))
                             break
             return
+        if fn == "phantom":
+            cl = self._closure(args["cl"])
+            kind, value = self.env.get(args["M"], (None, None))
+            if kind == "trace":
+                M = value.current
+            elif kind == "module":
+                M = value
+            else:
+                raise EvalError(f"{args['M']!r} is not a module or trace")
+            out = phantom_test(cl, PhantomInstance.from_module(M))
+            res.ok = bool(out.holds)
+            res.certificate = out.data.get("certificate")
+            return
+        if fn == "regular_sequence":
+            ring = self._ring(args["R"])
+            M = self._lookup(args["M"], "module") if args["M"] is not None \
+                else ring_as_module(ring)
+            out = is_regular_sequence(self._elems(M.ring, args["xs"]), M)
+            res.ok = bool(out)
+            if not out:
+                res.witness = str(out.witness) if out.witness else out.note
+            return
+        cl = self._closure(args["cl"])
         if fn == "functorial":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            N = self._set_value(self._arg(fn, args, 1))
+            N = self._set_value(args["N"])
             ring = N.ring
-            J_arg = self._arg(fn, args, 2)
-            J = [ring.elem(self._arg_text(x)) for x in J_arg.items] \
-                if isinstance(J_arg, ListArg) else \
-                self._lookup(self._name_arg(fn, args, 2), "ideal").elems
+            J = args["J"]
+            J = self._elems(ring, J) if isinstance(J, tuple) else \
+                self._lookup(J, "ideal").elems
             RJ = quotient_module(ring, J)
             if N.module.ngens != 1 or N.module.relations:
                 raise EvalError("functorial check expects N inside R")
@@ -398,88 +356,25 @@ class Session:
             res.witness = out.witness
             return
         if fn == "semi_residual":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            N = self._set_value(self._arg(fn, args, 1))
-            out = check_semi_residuality(cl, N)
+            out = check_semi_residuality(cl, self._set_value(args["N"]))
             res.ok = bool(out.holds)
             res.witness = out.witness
             res.result = {"note": out.note} if out.note else None
             return
         if fn == "faithful":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            if len(args) > 1:
-                ring = self._ring(self._name_arg(fn, args, 1))
-            elif isinstance(cl, ModuleClosure):
-                ring = cl.S.ring
-            else:
-                ring = self._ring()
+            ring = cl.S.ring if args["R"] is None and \
+                isinstance(cl, ModuleClosure) else self._ring(args["R"])
             out = check_faithfulness(cl, ring)
             res.ok = bool(out.holds)
             res.witness = out.witness
             return
-        if fn == "colon_capturing":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            ring, idx = self._maybe_ring_arg(args, 1)
-            xs = self._elems(ring, self._arg(fn, args, idx))
-            variant = self._name_arg(fn, args, idx + 1) \
-                if len(args) > idx + 1 else "plain"
-            t = self._int_arg(fn, args, idx + 2) \
-                if len(args) > idx + 2 else None
-            a = self._int_arg(fn, args, idx + 3) \
-                if len(args) > idx + 3 else None
-            out = check_colon_capturing(cl, ring, xs, variant, t=t, a=a)
-            res.ok = bool(out.holds)
-            res.witness = out.witness
-            return
-        if fn == "gcc":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            ring, idx = self._maybe_ring_arg(args, 1)
-            xs = self._elems(ring, self._arg(fn, args, idx))
-            out = check_generalized_colon_capturing(cl, ring, xs)
-            res.ok = bool(out.holds)
-            res.witness = out.witness
-            return
-        if fn == "phantom":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            name = self._name_arg(fn, args, 1)
-            kind, value = self.env.get(name, (None, None))
-            if kind == "trace":
-                M = value.current
-            elif kind == "module":
-                M = value
-            else:
-                raise EvalError(f"{name!r} is not a module or trace")
-            out = phantom_test(cl, PhantomInstance.from_module(M))
-            res.ok = bool(out.holds)
-            res.certificate = out.data.get("certificate")
-            return
-        if fn == "dietz_obstruction":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            ring, idx = self._maybe_ring_arg(args, 1)
-            xs = self._elems(ring, self._arg(fn, args, idx))
-            tmax = self._int_arg(fn, args, idx + 1)
-            t = dietz_obstruction(cl, ring, xs, tmax)
-            res.result = {"t": t}
-            return
-        if fn == "regular_sequence":
-            ring, idx = self._maybe_ring_arg(args, 0)
-            xs_arg = self._arg(fn, args, idx)
-            M = self._lookup(self._name_arg(fn, args, idx + 1), "module") \
-                if len(args) > idx + 1 else ring_as_module(ring)
-            xs = self._elems(M.ring, xs_arg)
-            out = is_regular_sequence(xs, M)
-            res.ok = bool(out)
-            if not out:
-                res.witness = str(out.witness) if out.witness else out.note
-            return
+        ring = self._ring(args["R"])
         if fn == "trivial_on":
-            cl = self._closure_arg(self._arg(fn, args, 0))
-            ring, idx = self._maybe_ring_arg(args, 1)
-            count = self._int_arg(fn, args, idx) if len(args) > idx else 10
             if isinstance(cl, MonomialIntegralClosure):
-                sample = sample_monomial_ideals(ring, count, self.seed)
+                sample = sample_monomial_ideals(ring, args["count"],
+                                                self.seed)
             else:
-                sample = sample_ideals(ring, count, self.seed)
+                sample = sample_ideals(ring, args["count"], self.seed)
             out = is_trivial_on_sample(cl, sample)
             res.result = {"trivial": bool(out.holds)}
             if not out.holds:
@@ -489,7 +384,17 @@ class Session:
                     "element": str(g.component(0)),
                 }
             return
-        raise EvalError(f"unknown check {fn!r}")
+        xs = self._elems(ring, args["xs"])
+        if fn == "dietz_obstruction":
+            res.result = {"t": dietz_obstruction(cl, ring, xs, args["t"])}
+            return
+        if fn == "gcc":
+            out = check_generalized_colon_capturing(cl, ring, xs)
+        else:
+            out = check_colon_capturing(cl, ring, xs, args["variant"],
+                                        t=args["t"], a=args["a"])
+        res.ok = bool(out.holds)
+        res.witness = out.witness
 
     def _eval_export(self, stmt: ExportStmt, res):
         if stmt.what == "json":
@@ -553,27 +458,27 @@ class Session:
 
     @classmethod
     def load(cls, path, deg_bound=12, seed=0) -> "Session":
+        """Evaluate a script or session file.  A session file's header is
+        checked: an unsupported version raises SessionVersionError before
+        anything runs, and a failed statement or a digest other than the
+        recorded one raises EvalError after the replay."""
         with open(path) as fh:
             text = fh.read()
-        if not text.strip():
-            return cls(deg_bound=deg_bound, seed=seed)
-        first = text.splitlines()[0]
-        if first.startswith("# closure-lab-session"):
-            if not first.startswith(SESSION_HEADER):
-                raise SessionVersionError(
-                    f"unsupported session version: {first.strip()}")
-            expected = None
-            if "digest=" in first:
-                expected = first.split("digest=", 1)[1].strip()
-            body = "\n".join(text.splitlines()[1:])
-            session = cls(deg_bound=deg_bound, seed=seed)
-            session.eval_text(body)
-            errors = [r.error for _s, r in session.log if r.error]
-            if errors:
-                raise EvalError("replay failed: " + errors[0])
-            if expected is not None and session.digest() != expected:
-                raise EvalError("session digest mismatch after replay")
-            return session
         session = cls(deg_bound=deg_bound, seed=seed)
+        first = text.split("\n", 1)[0]
+        header = first.split()
+        if header[:2] != SESSION_HEADER.split()[:2]:
+            session.eval_text(text)
+            return session
+        if header[:3] != SESSION_HEADER.split():
+            raise SessionVersionError(
+                f"unsupported session version: {first.strip()}")
         session.eval_text(text)
+        errors = [r.error for _s, r in session.log if r.error]
+        if errors:
+            raise EvalError("replay failed: " + errors[0])
+        digests = [f[len("digest="):] for f in header[3:]
+                   if f.startswith("digest=")]
+        if digests and digests[0] != session.digest():
+            raise EvalError("session digest mismatch after replay")
         return session

@@ -1,11 +1,14 @@
 """Script-language parser: statement forms, printing, diagnostics."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from closurelab.dsl import (Call, CheckStmt, ClosureDef, Expr, ExportStmt,
-                            IntArg, ListArg, ModifyStmt, ModuleDef, Name,
-                            RingDef, ScriptError, parse_script,
-                            print_statements)
+from closurelab.dsl import (PARAMS, SIGNATURES, Call, CheckStmt, ClosureDef,
+                            Expr, ExportStmt, IntArg, ListArg, ModifyStmt,
+                            ModuleDef, Name, RingDef, ScriptError,
+                            parse_script, print_statements)
 
 
 def parse_one(text):
@@ -55,8 +58,8 @@ def test_check_with_list_and_ints():
     assert s.args[2] == ListArg((Name("a"), Name("d")))
     assert s.args[4] == IntArg(3)
     assert s.args[5] == IntArg(1)
-    s = parse_one("check dietz_obstruction(trivial, [x, y], - 3);")
-    assert s.args[2] == IntArg(-3)
+    s = parse_one("module M = free(P, [0, - 3]);")
+    assert s.args[1] == ListArg((IntArg(0), IntArg(-3)))
     assert parse_one(s.show()) == s
 
 
@@ -175,6 +178,70 @@ def test_surplus_argument_is_a_positioned_error(stmt, head, k):
 ])
 def test_most_arguments_still_parse(stmt):
     assert len(parse_script(stmt)) == 1
+
+
+# A well-formed argument of each kind, and one of the wrong shape.
+GOOD = {"name": "I", "ring": "P", "closure": "trivial", "set": "I",
+        "element": "x", "element|[vector]": "x", "[list]": "[x, y]",
+        "[int list]": "[0, 1]", "int": "2", "ideal|[list]": "I"}
+WRONG = {"name": "[x]", "ring": "[x]", "closure": "[x]", "set": "[x]",
+         "element": "[x]", "element|[vector]": '"s"', "[list]": "x",
+         "[int list]": "3", "int": "x", "ideal|[list]": "3"}
+# where a form of each statement stands, as "{}"
+STANDS = {"check": "check {};", "set": "check member(x, {});",
+          "module": "module M = {};", "closure": "closure c = {};",
+          "modify": "modify T = {};"}
+
+
+def _signature_cases():
+    """(statement, error column, message prefix) for each form: its last
+    required argument dropped, and each argument in turn of the wrong
+    shape.  An optional ring before other parameters is not one: a
+    misshapen argument in its place is bound to the next parameter."""
+    for statement, forms in SIGNATURES.items():
+        before = STANDS[statement].index("{}") + 1
+        for form in forms:
+            params = PARAMS[form]
+            args = [GOOD[p.kind] for p in params]
+            required = [i for i, p in enumerate(params)
+                        if not (p.optional or p.rest)]
+            if required:
+                j = required[-1]
+                call = f"{form}({', '.join(args[:j])})"
+                yield (f"{form}-missing", STANDS[statement].format(call),
+                       before + len(call) - 1,
+                       f"{form}: argument {j + 1} is missing")
+            for i, p in enumerate(params):
+                if p.optional and p.kind == "ring" and i + 1 < len(params):
+                    continue
+                head = f"{form}(" + "".join(a + ", " for a in args[:i])
+                call = head + ", ".join([WRONG[p.kind]] + args[i + 1:]) + ")"
+                yield (f"{form}-{p.name}", STANDS[statement].format(call),
+                       before + len(head),
+                       f"{form}: argument {i + 1} must be ")
+
+
+SIGNATURE_CASES = list(_signature_cases())
+
+
+@pytest.mark.parametrize("stmt, column, message",
+                         [c[1:] for c in SIGNATURE_CASES],
+                         ids=[c[0] for c in SIGNATURE_CASES])
+def test_every_form_rejects_a_missing_or_misshapen_argument(stmt, column,
+                                                            message):
+    with pytest.raises(ScriptError) as err:
+        parse_script(stmt)
+    assert (err.value.line, err.value.col) == (1, column)
+    assert err.value.bare_message.startswith(message)
+
+
+def test_readme_lists_exactly_the_forms_of_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.findall(r"^(check|set|module|closure|modify) (\w+)\((.*)\)$",
+                        readme, re.M)
+    assert sorted(listed) == sorted(
+        (statement, form, spec) for statement, forms in SIGNATURES.items()
+        for form, spec in forms.items())
 
 
 # --- printing ---------------------------------------------------------------------

@@ -129,7 +129,60 @@ ARGS = st.recursive(
         st.builds("ideal({}, {})".format, NAMES, _list_of(POLYS))),
     max_leaves=4)
 
+
+def _bracketed(elem):
+    return _list_of(elem, 0).map("[{}]".format)
+
+
+# arguments that fit each kind of parameter in dsl.SIGNATURES
+_NAME_ARGS = st.one_of(NAMES, NAMES.map('"{}"'.format))
+KIND_ARGS = {
+    "name": _NAME_ARGS, "ring": _NAME_ARGS, "closure": _NAME_ARGS,
+    "set": st.deferred(lambda: st.one_of(NAMES, st.sampled_from(
+        dsl.SET_HEADS).flatmap(_fitting_call))),
+    "element": POLYS,
+    "element|[vector]": st.one_of(POLYS, _bracketed(POLYS)),
+    "[list]": _bracketed(POLYS),
+    "[int list]": _bracketed(st.integers(-3, 12).map(str)),
+    "int": INTS,
+    "ideal|[list]": st.one_of(NAMES, _bracketed(POLYS)),
+}
+
+
+@st.composite
+def _fitting_call(draw, form):
+    """A call of form whose arguments fit its signature: an optional ring
+    before other parameters is there or not, and the other optional
+    parameters are filled in order."""
+    params = dsl.PARAMS[form]
+    args, more = [], True
+    for i, p in enumerate(params):
+        arg = KIND_ARGS[p.kind]
+        if p.rest:
+            args += draw(st.lists(arg, max_size=3))
+        elif not p.optional:
+            args.append(draw(arg))
+        elif p.kind == "ring" and i + 1 < len(params):
+            if draw(st.booleans()):
+                args.append(draw(arg))
+        elif more and draw(st.booleans()):
+            args.append(draw(arg))
+        else:
+            more = False
+    return f"{form}({', '.join(args)})"
+
+
+def _fitting_statement(stmt):
+    """A statement stmt of a form in dsl.SIGNATURES, with fitting arguments."""
+    call = st.sampled_from(tuple(dsl.SIGNATURES[stmt])).flatmap(_fitting_call)
+    if stmt == "check":
+        return call.map("check {};".format)
+    return st.builds(f"{stmt} {{}} = {{}};".format, NAMES, call)
+
+
 STATEMENTS = st.one_of(
+    *(_fitting_statement(stmt) for stmt in ("check", "module", "closure",
+                                            "modify")),
     st.builds("ring {} = poly({}, [{}], {}){};".format, NAMES, FIELDS,
               _list_of(NAMES), ORDERS,
               st.one_of(st.just(""),
@@ -140,17 +193,10 @@ STATEMENTS = st.one_of(
                                                _list_of(NAMES)))),
     st.builds("ideal {} = ideal({}, {});".format, NAMES, NAMES,
               _list_of(POLYS)),
-    st.builds("module {} = {}({}, {});".format, NAMES,
-              st.sampled_from(["ideal_module", "subring_module", "free",
-                               "syzygy_of_k"]), NAMES, _list_of(ARGS)),
     st.builds("closure {} = {};".format, NAMES,
-              st.one_of(st.sampled_from(["trivial", "integral_closure"]),
-                        st.builds("module_closure({})".format, NAMES),
-                        st.builds("intersect({})".format, _list_of(NAMES)))),
+              st.sampled_from(["trivial", "integral_closure"])),
     st.builds("check {}({});".format, st.sampled_from(dsl.CHECK_FNS),
               _list_of(ARGS, 0, 4)),
-    st.builds("modify {} = parameter_chain({}, {}, [{}], {});".format,
-              NAMES, NAMES, NAMES, _list_of(POLYS), INTS),
     st.builds('export {} "{}";'.format, st.sampled_from(["json", "session"]),
               NAMES))
 
@@ -230,11 +276,39 @@ def _checks(closures, ideals):
         st.just("check regular_sequence([x, y]);"))
 
 
+def _call_arguments(text):
+    """(start, end) of every nonempty argument of every call in text."""
+    spans, opened = [], []
+    for i, ch in enumerate(text):
+        if ch in "([":
+            opened.append((ch, i + 1))
+        elif ch in ",)]" and opened:
+            ch0, start = opened.pop()
+            if ch0 == "(" and text[start:i].strip():
+                spans.append((start, i))
+            if ch == ",":
+                opened.append((ch0, i + 1))
+    return spans
+
+
+def _drop_or_repeat_argument(draw, text):
+    """text with one argument of a call dropped or written twice."""
+    start, end = draw(st.sampled_from(_call_arguments(text)))
+    if draw(st.booleans()):
+        return text[:end] + "," + text[start:end] + text[end:]
+    if text[end] == ",":
+        return text[:start] + text[end + 1:]
+    if text[start - 1] == ",":
+        return text[:start - 1] + text[end:]
+    return text[:start] + text[end:]
+
+
 @st.composite
 def small_scripts(draw):
     """A ring in at most 2 variables; an ideal I, or a module M with its
     closure cl; checks on them, 4 statements at most; homogeneous
-    polynomials of degree at most 3; then up to three token mutations."""
+    polynomials of degree at most 3; then maybe one argument of a call
+    dropped or repeated, and up to three token mutations."""
     polys = _list_of(SMALL_POLYS, 1, 2)
     stmts = [draw(SMALL_RINGS)]
     closures = ["trivial", "integral_closure"]
@@ -248,7 +322,10 @@ def small_scripts(draw):
         closures.append("cl")
     stmts += draw(st.lists(_checks(closures, ideals), min_size=1,
                            max_size=4 - len(stmts)))
-    return _mutate(draw, "\n".join(stmts))
+    text = "\n".join(stmts)
+    if draw(st.booleans()):
+        text = _drop_or_repeat_argument(draw, text)
+    return _mutate(draw, text)
 
 
 def _run_cli(text):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from closurelab.cli import main
+from closurelab.dsl import ScriptError, parse_script
 from closurelab.session import (EvalError, Session, SessionVersionError)
 
 
@@ -198,6 +199,31 @@ def test_session_load_digest_mismatch(tmp_path):
         Session.load(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("# closure-lab-session v99 digest=feed", "unsupported session version"),
+    ("# closure-lab-session v10", "unsupported session version"),
+    ("# closure-lab-session v1 digest=deadbeef",
+     "session digest mismatch after replay"),
+])
+def test_cli_run_checks_the_session_header(tmp_path, capsys, header,
+                                           message):
+    path = tmp_path / "session.clab"
+    path.write_text(header + "\nring P = poly(Q, [x], lex);\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_cli_run_replays_a_saved_session(tmp_path, capsys):
+    s = Session()
+    s.eval_text("ring P = poly(Q, [x,y], degrevlex);\n"
+                "ideal I = ideal(P, x);\n")
+    s.save(tmp_path / "state.clab")
+    assert main(["run", str(tmp_path / "state.clab")]) == 0
+    assert "ideal I = ideal(P, x);" in capsys.readouterr().out
+
+
 # --- CLI entry -------------------------------------------------------------------------
 
 
@@ -218,62 +244,76 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("stmt, message", [
-    ("check dietz_obstruction(trivial, [x,y], -3);",
+# "@" marks the position of the error: the misshapen argument, or the
+# closing parenthesis where an argument is missing.
+BAD_INTEGERS = [
+    ("check dietz_obstruction(trivial, [x,y], @-3);",
      "argument 3 must be a nonnegative integer, found -3"),
-    ("module Z = syzygy_of_k(P, -1);",
+    ("module Z = syzygy_of_k(P, @-1);",
      "argument 2 must be a nonnegative integer, found -1"),
-    ("check trivial_on(trivial, P, -2);",
+    ("check trivial_on(trivial, P, @-2);",
      "argument 3 must be a nonnegative integer, found -2"),
-    ("check dietz_obstruction(trivial, [x,y]);", "argument 3 is missing"),
-    ("modify T = parameter_chain(P, trivial, [x,y], x);",
+    ("check dietz_obstruction(trivial, [x,y]@);", "argument 3 is missing"),
+    ("modify T = parameter_chain(P, trivial, [x,y], @x);",
      "parameter_chain: argument 4 must be a nonnegative integer, found x"),
-    ("check colon_capturing(trivial, P, [x,y], strongA, t, 1);",
+    ("check colon_capturing(trivial, P, [x,y], strongA, @t, 1);",
      "colon_capturing: argument 5 must be a nonnegative integer, found t"),
-])
+]
+
+
+@pytest.mark.parametrize("stmt, message", BAD_INTEGERS,
+                         ids=[f"{s.replace('@', '')}-{m}"
+                              for s, m in BAD_INTEGERS])
 def test_cli_bad_integer_argument_is_an_error(tmp_path, capsys, stmt,
                                               message):
     script = tmp_path / "neg.clab"
-    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n" + stmt + "\n")
+    script.write_text("ring P = poly(Q, [x,y], degrevlex);\n"
+                      + stmt.replace("@", "") + "\n")
     assert main(["run", str(script), "--json"]) == 2
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert message in json.loads(captured.out)["statements"][-1]["error"]
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.startswith(f"error: line 2, column {stmt.index('@') + 1}: ")
+    assert first.endswith(message)
 
 
-@pytest.mark.parametrize("stmt, message", [
-    ("check member(x);", "member: argument 2 is missing"),
-    ("check equal(I);", "equal: argument 2 is missing"),
-    ("check functorial(trivial, I);", "functorial: argument 3 is missing"),
-    ("check phantom(trivial);", "phantom: argument 2 is missing"),
-    ("check colon_capturing(trivial, P);",
+MISSING_OR_MISSHAPEN = [
+    ("check member(x@);", "member: argument 2 is missing"),
+    ("check equal(I@);", "equal: argument 2 is missing"),
+    ("check functorial(trivial, I@);", "functorial: argument 3 is missing"),
+    ("check phantom(trivial@);", "phantom: argument 2 is missing"),
+    ("check colon_capturing(trivial, P@);",
      "colon_capturing: argument 3 is missing"),
-    ("check regular_sequence();", "regular_sequence: argument 1 is missing"),
-    ("check faithful();", "faithful: argument 1 is missing"),
-    ("check faithful(trivial, [x]);",
+    ("check regular_sequence(@);", "regular_sequence: argument 1 is missing"),
+    ("check faithful(@);", "faithful: argument 1 is missing"),
+    ("check faithful(trivial, @[x]);",
      "faithful: argument 2 must be a name, found [x]"),
-    ("check member(x, closure(trivial));", "closure: argument 2 is missing"),
-    ("check member(x, product(I));", "product: argument 2 is missing"),
-    ("check equal(I, mult(x*y, I));",
+    ("check member(x, closure(trivial@));", "closure: argument 2 is missing"),
+    ("check member(x, product(I@));", "product: argument 2 is missing"),
+    ("check equal(I, mult(@x*y, I));",
      "mult: argument 1 must be a name, found x*y"),
-    ("check member(x, ideal());", "ideal: argument 1 is missing"),
-    ("module M = free(P);", "free: argument 2 is missing"),
-    ("module M = free(P, 2);", "free: argument 2 must be a [list], found 2"),
-    ("module M = free(P, [0, x]);",
+    ("check member(x, ideal(@));", "ideal: argument 1 is missing"),
+    ("module M = free(P@);", "free: argument 2 is missing"),
+    ("module M = free(P, @2);", "free: argument 2 must be a [list], found 2"),
+    ("module M = free(P, @[0, x]);",
      "free: degrees must be integers, found [0, x]"),
-    ("module M = ideal_module(x + y, x);",
+    ("module M = ideal_module(@x + y, x);",
      "ideal_module: argument 1 must be a name, found x + y"),
-    ("closure c = module_closure();",
+    ("closure c = module_closure(@);",
      "module_closure: argument 1 is missing"),
-    ("modify T = parameter_chain(P, trivial);",
+    ("modify T = parameter_chain(P, trivial@);",
      "parameter_chain: argument 3 is missing"),
-])
+]
+
+
+@pytest.mark.parametrize("stmt, message", MISSING_OR_MISSHAPEN,
+                         ids=[f"{s.replace('@', '')}-{m}"
+                              for s, m in MISSING_OR_MISSHAPEN])
 def test_missing_or_misshapen_argument_is_a_script_error(stmt, message):
-    s = Session()
-    s.eval_text("ring P = poly(Q, [x,y], degrevlex);\n"
-                "ideal I = ideal(P, x);\n")
-    res = s.eval_text(stmt)[-1]
-    assert res.error is not None and message in res.error, res.error
+    with pytest.raises(ScriptError) as err:
+        parse_script(stmt.replace("@", ""))
+    assert err.value.bare_message == message
+    assert (err.value.line, err.value.col) == (1, stmt.index("@") + 1)
 
 
 @pytest.mark.parametrize("stmt, column", [
@@ -413,6 +453,37 @@ def test_repl_subprocess_smoke(tmp_path):
     assert proc.returncode == 0
     assert "ok" in proc.stdout
     assert (tmp_path / "state.clab").exists()
+
+
+def test_repl_load_of_a_file_that_does_not_parse(tmp_path):
+    import subprocess
+    import sys
+    bad = tmp_path / "bad.clab"
+    bad.write_text("ring P = poly(Q, [x], lex);\ncheck member(x*, P);\n")
+    script = (f":load {bad}\n"
+              "ring P = poly(Q, [x,y], degrevlex);\n"
+              ":env\n"
+              ":quit\n")
+    proc = subprocess.run([sys.executable, "-m", "closurelab.cli", "repl"],
+                          input=script, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "error: line 2, column 16: " in proc.stdout
+    assert "  P: ring" in proc.stdout
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("check trivial_on(trivial, I, 3);", "'I' is an ideal, expected a ring"),
+    ("check trivial_on(trivial, Z);", "unknown name 'Z'"),
+    ("check colon_capturing(trivial, Z, [x], plain);", "unknown name 'Z'"),
+    ("check colon_capturing(trivial, I, [x]);",
+     "'I' is an ideal, expected a ring"),
+])
+def test_a_name_in_the_ring_slot_must_name_a_ring(stmt, message):
+    s = Session()
+    s.eval_text("ring P = poly(Q, [x,y], degrevlex);\n"
+                "ideal I = ideal(P, x);\n")
+    assert s.eval_text(stmt)[-1].error == message
 
 
 def test_unknown_name_errors():
