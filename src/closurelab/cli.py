@@ -53,7 +53,8 @@ def run_script(path, as_json=False, out=None, deg_bound=12, seed=0):
             with open(out, "w") as fh:
                 fh.write(blob + "\n")
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: cannot write {out}: {exc.strerror or exc}",
+                  file=sys.stderr)
             return 2
     return session.exit_code()
 
@@ -85,8 +86,11 @@ def repl(deg_bound=12, seed=0):
                 for name in sorted(session.env):
                     print(f"  {name}: {session.env[name][0]}")
             elif cmd == ":save" and len(parts) > 1:
-                session.save(parts[1])
-                print(f"saved {parts[1]}")
+                try:
+                    session.save(parts[1])
+                    print(f"saved {parts[1]}")
+                except EvalError as exc:
+                    print(f"error: {exc}")
             elif cmd == ":load" and len(parts) > 1:
                 try:
                     session = Session.load(parts[1], deg_bound=deg_bound,

@@ -105,6 +105,7 @@ class ModuleClosure(ClosureOp):
             raise DomainError("module closure needs a nonzero module")
         self.S = S
         self.name = label or "cl_S"
+        self._tensor_slot = None
         self._image_slot = None
 
     def describe(self):
@@ -116,10 +117,12 @@ class ModuleClosure(ClosureOp):
         The last result is kept in one slot keyed by (N.module, N.gens),
         compared by value, so an equal but distinct N reuses it, together
         with the span and extended bases its image Submodule memoizes.
-        One slot, not a memo per N: memory stays flat however many N a
-        caller walks through.  The slot is read and written by single
-        attribute accesses and takes no lock; two threads racing on one
-        closure can at worst both build the context.
+        S (x) M has a slot of its own, keyed by M, so its relation basis,
+        which seeds the span of every image, is built once per M however
+        many N a caller walks through inside it.  One slot each, not a memo
+        per N or M: memory stays flat.  The slots are read and written by
+        single attribute accesses and take no lock; two threads racing on
+        one closure can at worst both build the context.
         """
         M = N.module
         if M.ring != self.S.ring:
@@ -128,7 +131,11 @@ class ModuleClosure(ClosureOp):
         slot = self._image_slot
         if slot is not None and slot[0] == key:
             return slot[1]
-        T = tensor(self.S, M)
+        tensor_slot = self._tensor_slot
+        if tensor_slot is None or tensor_slot[0] != M:
+            tensor_slot = (M, tensor(self.S, M))
+            self._tensor_slot = tensor_slot
+        T = tensor_slot[1]
         image_cols = [tensor_elem(self.S, M, p, nq)
                       for p in range(self.S.ngens) for nq in N.gens]
         context = (T, T.submodule(image_cols))

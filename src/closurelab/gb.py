@@ -1,7 +1,8 @@
 """Groebner-basis kernel for submodules of free modules P^s.
 
 Everything here works over an ambient polynomial ring P; quotient-ring
-computations are assembled by callers that append defining-ideal columns.
+computations are assembled by callers, which add the defining ideal on
+every component, as input columns or as a seed basis.
 The engine is Buchberger's algorithm with the normal pair-selection
 strategy, the product criterion (applied only where it is valid for
 modules) and the chain criterion.  Output bases are reduced, monic and
@@ -11,7 +12,8 @@ Term orders are values (orders.ModuleOrder): TOP over the ring order, the
 block order of extended and preimage runs, and TOP over the elimination
 order.  buchberger is the one constructor of a GroebnerBasis; the basis
 keeps the kernel rows the run ended with, and its Vec elements are derived
-from them.
+from them.  A run may start from a known basis (a seed), whose rows it
+takes as they are.
 
 Inside the kernel every coefficient is a Python int, and one reducer and
 one Buchberger loop serve both fields through the characteristic p.  Over
@@ -320,14 +322,26 @@ def _single_component(terms):
     return len(comps) == 1
 
 
-def buchberger(cols, ncomps, keyfn, ring=None) -> GroebnerBasis:
+def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
     """Reduced Groebner basis of the span of cols in P^ncomps under the
-    module order keyfn (a ModuleOrder)."""
+    module order keyfn (a ModuleOrder).
+
+    seed, a GroebnerBasis over the same ring, ncomps and order, adds its
+    span: its kernel rows start the basis as they are, and no pair of two
+    seed rows is formed, since a Groebner basis meets Buchberger's
+    criterion already.  The result is the same reduced basis as with the
+    seed's elements appended to cols.
+    """
     if ring is None:
         if not cols:
             raise ValueError("need a ring for an empty generating set")
         ring = cols[0].ring
+    if seed is not None and (seed.ring, seed.ncomps, seed.order) != (
+            ring, ncomps, keyfn):
+        raise ValueError("seed basis of another ring, rank or order")
     cols = [c for c in cols if not c.is_zero()]
+    if seed is not None and not cols:
+        return seed
     p = ring.field.char
     keycache: dict = {}
 
@@ -335,6 +349,13 @@ def buchberger(cols, ncomps, keyfn, ring=None) -> GroebnerBasis:
     singles = []      # support in a single component?
     pending = set()   # pending pair indices
     queue = []        # (sortkey, i, j)
+    if seed is not None:
+        # a seed lead is keyed here, as _reduce_terms keys every other lead,
+        # for the final sort
+        for row in seed._rows:
+            keycache[row[0], row[1]] = keyfn(row[0], row[1])
+            basis.append(row)
+            singles.append(_single_component(row[3]))
 
     def push_pairs(new_idx):
         nc, ne, _lc, _b = basis[new_idx]

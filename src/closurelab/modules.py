@@ -3,9 +3,12 @@
 An FPModule is (generator degrees, relation columns); a Submodule is a set
 of generating vectors inside the free cover of its ambient module.  All
 membership questions reduce to Groebner computations over the ambient
-polynomial ring with the defining ideal appended on every component, so a
-single engine answers ideal membership, module membership, colons, kernels
-and syzygies uniformly.
+polynomial ring with the defining ideal on every component, so a single
+engine answers ideal membership, module membership, colons, kernels and
+syzygies uniformly.  A span run starts from the relation basis of its
+module (the ideal's reduced basis on every component, plus the relations),
+which it takes as a seed; extended and preimage runs take the ideal as
+input columns.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import threading
 from itertools import groupby
 
-from .gb import ExtendedBasis, Vec, buchberger, extended_groebner
+from .gb import (ExtendedBasis, GroebnerBasis, Vec, buchberger,
+                 extended_groebner)
 from .linalg import (Echelon, component_terms, graded_span_dim,
                      monomials_of_wdeg, span_rows, vec_coords)
 from .orders import ModuleOrder
@@ -33,10 +37,27 @@ def ideal_columns(ring: QuotientRing, ncomps: int):
     return cols
 
 
-def r_span_basis(ring: QuotientRing, cols, ncomps):
-    """Groebner basis of the R-span of cols (ideal columns appended)."""
-    return buchberger(list(cols) + ideal_columns(ring, ncomps), ncomps,
-                      ModuleOrder(ring.ambient.order), ring.ambient)
+def free_relation_basis(ring: QuotientRing, ncomps: int) -> GroebnerBasis:
+    """Reduced Groebner basis of I P^ncomps, the relations of R^ncomps.
+
+    It is the ring's reduced ideal basis copied into each component: the
+    copies in different components share no term, so each stays reduced.
+    The rows are relabelled kernel rows; no Buchberger run is made.  They
+    come in basis order, lead descending: the ring's rows are, and under
+    TOP equal ring leads go by component, the first one highest.
+    """
+    rows = [(j, e, lc, {(j, m): c for (_0, m), c in terms.items()})
+            for _0, e, lc, terms in ring._gb._rows for j in range(ncomps)]
+    return GroebnerBasis(ring.ambient, ncomps,
+                         ModuleOrder(ring.ambient.order), rows)
+
+
+def r_span_basis(M: FPModule, cols):
+    """Groebner basis of the R-span of cols and the relations of M, in the
+    cover of M; the run starts from M's relation basis."""
+    amb = M.ring.ambient
+    return buchberger(list(cols), M.ngens, ModuleOrder(amb.order), amb,
+                      seed=M.relation_basis())
 
 
 def r_extended_basis(ring: QuotientRing, cols, ncomps) -> ExtendedBasis:
@@ -173,10 +194,18 @@ class FPModule:
     def gens(self):
         return [self.gen(i) for i in range(self.ngens)]
 
-    def relation_basis(self):
-        """Groebner basis of the relation span (the zero submodule)."""
+    def relation_basis(self) -> GroebnerBasis:
+        """Groebner basis of the relation span (the zero submodule).
+
+        A free module's is built on each call, cheaply, and not kept:
+        there are many of them, such as the covers of preimage runs.
+        Otherwise it is the span of the relations in the free cover,
+        memoized.
+        """
+        if not self.relations:
+            return free_relation_basis(self.ring, self.ngens)
         return self._cached("relgb", lambda: r_span_basis(
-            self.ring, self.relations, self.ngens))
+            free_module(self.ring, self.gen_degrees), self.relations))
 
     def _cached(self, name, thunk):
         with self._lock:
@@ -344,9 +373,7 @@ class Submodule:
 
     def _span(self):
         if "span" not in self._memo:
-            cols = list(self.gens) + list(self.module.relations)
-            self._memo["span"] = r_span_basis(self.ring, cols,
-                                              self.module.ngens)
+            self._memo["span"] = r_span_basis(self.module, self.gens)
         return self._memo["span"]
 
     def _ext(self) -> ExtendedBasis:
@@ -632,16 +659,15 @@ def minimal_generators(M: FPModule, cols):
         if not g.is_homogeneous(shifts):
             raise DomainError(f"inhomogeneous generator {g}")
     cands.sort(key=lambda g: (g.degree(shifts), str(g)))
-    relations = list(M.relations)
     kept: list = []
     # basis of A, built for the first `spanned` kept candidates; without
     # relations the lowest block is already in normal form modulo A = I
-    span = M.relation_basis() if relations else None
+    span = M.relation_basis() if M.relations else None
     spanned = 0
     for _d, block in groupby(cands, key=lambda g: g.degree(shifts)):
         block = list(block)
         if len(kept) > spanned:
-            span = r_span_basis(ring, kept + relations, len(shifts))
+            span = r_span_basis(M, kept)
             spanned = len(kept)
         forms = block if span is None else [span.normal_form(g)
                                             for g in block]

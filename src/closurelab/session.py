@@ -399,12 +399,11 @@ class Session:
     def _eval_export(self, stmt: ExportStmt, res):
         if stmt.what == "json":
             payload = self.report(include_timings=True)
-            with open(stmt.path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            res.result = {"written": stmt.path}
+            _write_text(stmt.path, json.dumps(payload, indent=2,
+                                              sort_keys=True))
         else:
             self.save(stmt.path)
-            res.result = {"written": stmt.path}
+        res.result = {"written": stmt.path}
 
     # -- reporting and persistence ---------------------------------------------
 
@@ -450,20 +449,24 @@ class Session:
         return print_statements([s for s, _r in self.log])
 
     def save(self, path):
-        header = f"{SESSION_HEADER} digest={self.digest()}\n"
-        with open(path, "w") as fh:
-            fh.write(header)
-            fh.write(self.script_text())
-            fh.write("\n")
+        """Write the session file; EvalError when path cannot be written."""
+        _write_text(path, f"{SESSION_HEADER} digest={self.digest()}\n"
+                    f"{self.script_text()}\n")
 
     @classmethod
     def load(cls, path, deg_bound=12, seed=0) -> "Session":
-        """Evaluate a script or session file.  A session file's header is
-        checked: an unsupported version raises SessionVersionError before
-        anything runs, and a failed statement or a digest other than the
-        recorded one raises EvalError after the replay."""
-        with open(path) as fh:
-            text = fh.read()
+        """Evaluate a script or session file, read as UTF-8 text.  A file
+        that is not raises EvalError naming the offset of the first bad
+        byte.  A session file's header is checked: an unsupported version
+        raises SessionVersionError before anything runs, and a failed
+        statement or a digest other than the recorded one raises EvalError
+        after the replay."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise EvalError(
+                f"{path}: not UTF-8 text (byte {exc.start})") from None
         session = cls(deg_bound=deg_bound, seed=seed)
         first = text.split("\n", 1)[0]
         header = first.split()
@@ -482,3 +485,13 @@ class Session:
         if digests and digests[0] != session.digest():
             raise EvalError("session digest mismatch after replay")
         return session
+
+
+def _write_text(path, text):
+    """Write text to path; an OS error becomes an EvalError, a user error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise EvalError(
+            f"cannot write {path}: {exc.strerror or exc}") from None

@@ -5,7 +5,9 @@ kernel dimensions come from exact row reduction of degreewise coordinate
 matrices, and the reference monomial-order comparisons follow the textbook
 definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
-minimalization is checked against, `check_poly_syntax`, the separate
+minimalization is checked against, `ref_span_basis`, the unseeded span
+run (the ideal as input columns) that the seeded `r_span_basis` is
+checked against, `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
 reducer), the reference for the integer kernel in `closurelab.gb`, the
@@ -27,9 +29,10 @@ from math import gcd
 
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
-from closurelab.gb import Vec
+from closurelab.gb import Vec, buchberger
 from closurelab.linalg import monomials_of_wdeg, span_rows, vec_coords
-from closurelab.modules import _distinct_monic, ideal_columns, r_span_basis
+from closurelab.modules import _distinct_monic, ideal_columns
+from closurelab.orders import ModuleOrder
 from closurelab.poly import ParseError, _tokenize_poly
 
 
@@ -633,6 +636,16 @@ def fraction_extended_reduce(cols, ncomps, v: Vec):
     return real, (-full.take_components(s, s + t)).to_polys()
 
 
+# --- R-spans with the ideal as input columns ----------------------------------------
+
+
+def ref_span_basis(ring, cols, ncomps):
+    """Groebner basis of the R-span of cols: one unseeded run with the
+    defining ideal appended on every component as input columns."""
+    return buchberger(list(cols) + ideal_columns(ring, ncomps), ncomps,
+                      ModuleOrder(ring.ambient.order), ring.ambient)
+
+
 # --- minimal generators, one Groebner basis per candidate --------------------------
 
 
@@ -645,7 +658,7 @@ def greedy_minimal_generators(ring, cols, shifts, relations=()):
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1:]
-        span = r_span_basis(ring, others + list(relations), len(shifts))
+        span = ref_span_basis(ring, others + list(relations), len(shifts))
         if span.contains(kept[i]):
             kept.pop(i)
         else:

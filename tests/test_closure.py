@@ -218,19 +218,32 @@ def test_module_closure_rejects_zero_module(segre):
 
 def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
                                                 monkeypatch):
-    calls = []
-    real = modules.r_span_basis
+    """Four queries on one (S, N) make two Buchberger runs: the relation
+    basis of S (x) M, then the image span seeded with it.  A second N
+    inside the same M costs exactly one run, its own image span."""
+    runs = []
+    real = modules.buchberger
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(cols, ncomps, keyfn, ring=None, seed=None):
+        runs.append((len(cols), seed is not None and len(seed)))
+        return real(cols, ncomps, keyfn, ring, seed)
 
     cl = ModuleClosure(s2_module, "cl_S")
-    monkeypatch.setattr(modules, "r_span_basis", counting)
+    monkeypatch.setattr(modules, "buchberger", counting)
     answers = [ideal_member(cl, veronese4, u, ["a"]).holds
                for u in ("b^2", "b", "a*b", "b^2")]
     assert answers == [True, False, True, True]
-    assert len(calls) == 1
+    # six relations of S (x) R, seeded with I in both components; then the
+    # image of (a), seeded with the relation basis
+    assert len(runs) == 2
+    assert runs[0] == (6, 2 * len(veronese4.ideal_basis))
+    relation_basis_size = runs[1][1]
+    assert runs[1][0] == 2 and relation_basis_size > runs[0][1]
+    runs.clear()
+    answers = [ideal_member(cl, veronese4, u, ["b", "c"]).holds
+               for u in ("b", "a*d", "d")]
+    assert answers == [True, True, False]
+    assert runs == [(4, relation_basis_size)]
 
 
 def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,

@@ -328,13 +328,23 @@ def small_scripts(draw):
     return _mutate(draw, text)
 
 
-def _run_cli(text):
-    """(exit code, stdout, stderr) of `closure-lab run <script> --json`."""
+def _run_cli(text, damage=None, at=0):
+    """(exit code, stdout, stderr) of `closure-lab run <script> --json`.
+
+    damage "byte" puts the byte ff, never valid in UTF-8, at offset `at`
+    (modulo the length); "export" appends an export to a missing
+    directory."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.clab")
-        with open(path, "w") as fh:
-            fh.write(text)
+        if damage == "export":
+            text += f'\nexport json "{os.path.join(tmp, "missing", "y.json")}";'
+        data = text.encode()
+        if damage == "byte":
+            at %= len(data) + 1
+            data = data[:at] + b"\xff" + data[at:]
+        with open(path, "wb") as fh:
+            fh.write(data)
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["run", path, "--json"])
     return code, out.getvalue(), err.getvalue()
@@ -342,18 +352,30 @@ def _run_cli(text):
 
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(small_scripts())
-def test_cli_exit_code_matches_the_report(text):
+@given(small_scripts(), st.sampled_from([None, None, "byte", "export"]),
+       st.integers(0, 400))
+def test_cli_exit_code_matches_the_report(text, damage, at):
     """Exit 0, 1 or 2 and no traceback; a script that does not parse is
     an error message with exit 2; otherwise the exit code is 2 when some
-    statement has an error, else 1 exactly when some check is false."""
-    code, out, err = _run_cli(text)
+    statement has an error, else 1 exactly when some check is false.
+    Some scripts are damaged: an invalid UTF-8 byte, or a last statement
+    that exports to an unwritable path.  Either is exit 2 with an error
+    that is not internal."""
+    code, out, err = _run_cli(text, damage, at)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert "internal error" not in err
+    if damage == "byte":
+        assert code == 2 and not out, (code, out)
+        assert err.startswith("error: ") and "not UTF-8 text" in err, err
+        return
     if not out:
         assert code == 2 and err.startswith("error: "), err
         return
     stmts = json.loads(out)["statements"]
+    if damage == "export":
+        assert code == 2
+        assert stmts[-1]["error"].startswith("cannot write "), stmts[-1]
     errors = [s["error"] for s in stmts if "error" in s]
     assert not any(e.startswith("internal error") for e in errors), errors
     failed = any(s.get("ok") is False for s in stmts)

@@ -5,22 +5,23 @@ import random
 import pytest
 
 from closurelab import gb, modules
-from closurelab.field import prime_field
-from closurelab.gb import Vec
-from closurelab.orders import wdegrevlex
+from closurelab.field import QQ, prime_field
+from closurelab.gb import Vec, buchberger
+from closurelab.orders import DEGREVLEX, ModuleOrder, wdegrevlex
 from closurelab.poly import DomainError, PolyRing
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
-                                free_module, ideal_as_module, ideal_submodule,
-                                is_regular_sequence, minimal_generators,
-                                nf_vec, quotient_module, residue_field,
-                                ring_as_module, scaled_gens, tensor,
-                                tensor_elem)
-from closurelab.ring import QuotientRing, make_quotient_ring
+                                free_module, ideal_as_module, ideal_columns,
+                                ideal_submodule, is_regular_sequence,
+                                minimal_generators, nf_vec, quotient_module,
+                                residue_field, ring_as_module, scaled_gens,
+                                tensor, tensor_elem)
+from closurelab.ring import (QuotientRing, make_quotient_ring,
+                             presented_subring)
 from closurelab.sampling import random_submodule_pair
 
 from oracles import (brute_member, brute_syzygies_complete,
                      graded_dim_of_span, greedy_minimal_generators,
-                     outside_later_spans)
+                     outside_later_spans, ref_span_basis)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -323,34 +324,36 @@ def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):
     calls = []
     real = modules.r_span_basis
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(M, cols):
+        calls.append((M, len(cols)))
+        return real(M, cols)
 
     monkeypatch.setattr(modules, "r_span_basis", counting)
     texts = ["x^2", "x^3", "x*y^2", "x^2*y", "y^4", "x^2*y^2", "x*y^3"]
     N = ideal_submodule(kxy, texts)
     kept = [str(g) for g in N.minimalized().gens]
     assert kept == ["(x^2)", "(x*y^2)", "(y^4)"]
-    assert len(calls) == 2          # blocks of degree 3 and 4
+    # blocks of degree 3 and 4, each span of the candidates kept before it
+    assert calls == [(N.module, 1), (N.module, 2)]
     calls.clear()
     M = FPModule(kxy, (0, 1), [["x*y", "y"]])
     gens = tuple(M.vec([t, "0"]) for t in texts)
     Submodule(M, gens).minimalized()
-    assert len(calls) == 3          # the relations, then degrees 3 and 4
+    # the relations in the free cover, then degrees 3 and 4, seeded with
+    # the relations' basis: the relations are not input columns again
+    assert calls == [(free_module(kxy, (0, 1)), 1), (M, 1), (M, 2)]
     calls.clear()
     Submodule(M, gens).minimalized()
-    assert len(calls) == 2          # the relations' basis is M's memo
+    assert calls == [(M, 1), (M, 2)]    # the relations' basis is M's memo
 
 
-@pytest.mark.parametrize("build, size", [(modules.r_span_basis, 5),
-                                         (modules.r_extended_basis, 9)],
-                         ids=["span", "extended"])
+@pytest.mark.parametrize("extended", [False, True], ids=["span", "extended"])
 def test_output_basis_is_not_converted_back_into_the_kernel(
-        segre, monkeypatch, build, size):
-    """Each nonzero input column, the ideal column included, enters the
-    integer kernel once; the output basis is built from the kernel rows
-    and never converted back."""
+        segre, monkeypatch, extended):
+    """Each nonzero input column enters the integer kernel once; the
+    output basis is built from the kernel rows and never converted back.
+    A span run takes the ideal from the ring's kernel rows, as its seed;
+    an extended run still takes it as input columns."""
     calls = []
     real = gb._to_kernel
 
@@ -361,10 +364,129 @@ def test_output_basis_is_not_converted_back_into_the_kernel(
     monkeypatch.setattr(gb, "_to_kernel", counting)
     cols = [Vec.from_polys([segre.ambient.parse(t)])
             for t in ("a^2", "a*b", "b*c")]
-    out = build(segre, cols, 1)
-    assert len(calls) == len(cols) + len(segre.ideal_basis) == 4
-    basis = out.basis if isinstance(out, modules.ExtendedBasis) else out
-    assert len(basis) == size
+    if extended:
+        out = modules.r_extended_basis(segre, cols, 1).basis
+        assert len(calls) == len(cols) + len(segre.ideal_basis) == 4
+        assert len(out) == 9
+    else:
+        out = modules.r_span_basis(ring_as_module(segre), cols)
+        assert len(calls) == len(cols) == 3
+        assert len(out) == 5
+
+
+# --- seeded span bases against the unseeded reference ------------------------------
+
+
+def _span_rings(field):
+    """The cone, xy = uv, the Veronese-4 ring and k[x, y] over the field."""
+    fld = QQ if field == "Q" else prime_field(5)
+    cone = PolyRing(("a", "b", "c"), fld, wdegrevlex((2, 2, 2)))
+    xyuv = PolyRing(("x", "y", "u", "v"), fld, DEGREVLEX)
+    target = PolyRing(("x", "y"), fld, DEGREVLEX)
+    veronese = presented_subring(
+        [target.parse(t) for t in ("x^4", "x^3*y", "x*y^3", "y^4")],
+        names=("a", "b", "c", "d"), target_ring=target)
+    return [make_quotient_ring(cone, [cone.parse("a*c - b^2")]),
+            make_quotient_ring(xyuv, [xyuv.parse("x*y - u*v")]),
+            veronese, make_quotient_ring(target, [])]
+
+
+def _kernel_rows(basis):
+    """A basis's kernel rows with the order of their terms."""
+    return [(c, e, lc, list(terms.items())) for c, e, lc, terms in
+            basis._rows]
+
+
+def _span_inputs(M, rng):
+    """Random homogeneous columns of M's cover with zero, duplicate and
+    redundant ones among them: multiples, sums and relation columns."""
+    amb = M.ring.ambient
+    if M.ngens == 0:
+        return [Vec.zero(amb, 0)] * rng.randint(0, 2)
+    cols = [g for _ in range(rng.randint(1, 3))
+            for g in random_submodule_pair(M, rng, max_deg=4).gens]
+    for g in list(cols):
+        choice = rng.randrange(3)
+        if choice == 0:
+            cols.append(g)
+        elif choice == 1:
+            cols.append(g.scale(rng.choice(amb.gens())))
+        else:
+            cols.append(g.term_mul(amb.field.from_int(3), (0,) * amb.nvars))
+    for g, h in zip(cols, cols[1:]):
+        if M.degree_of(g) == M.degree_of(h):
+            cols.append(g - h)
+    cols += list(M.relations[:1]) + [Vec.zero(amb, M.ngens)]
+    rng.shuffle(cols)
+    return cols
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_seeded_span_rows_match_the_unseeded_reference(field):
+    """r_span_basis, seeded with the module's relation basis, ends with the
+    kernel rows, term order included, of one unseeded run on the columns,
+    the relations and the ideal on every component."""
+    rng = random.Random(f"seeded-span-{field}")
+    shapes = {"free": 0, "relations": 0, "empty": 0}
+    for ring in _span_rings(field):
+        for ncomps in range(4):
+            for trial in range(3):
+                degrees = tuple(rng.randint(0, 2) for _ in range(ncomps))
+                M = free_module(ring, degrees)
+                if ncomps and trial:
+                    rels = [g for _ in range(trial)
+                            for g in random_submodule_pair(M, rng).gens]
+                    M = FPModule(ring, degrees, rels)
+                cols = _span_inputs(M, rng)
+                got = modules.r_span_basis(M, cols)
+                want = ref_span_basis(ring, cols + list(M.relations), ncomps)
+                assert _kernel_rows(got) == _kernel_rows(want), (
+                    ring, degrees, trial)
+                shapes["relations" if M.relations else "free"] += 1
+                shapes["empty"] += not want._rows
+    assert min(shapes.values()) > 0 and shapes["relations"] >= 12, shapes
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_free_relation_basis_is_the_reduced_ideal_basis(field):
+    """Built from the ring's kernel rows, without a run, it equals the run
+    on the ideal columns row for row."""
+    for ring in _span_rings(field):
+        amb = ring.ambient
+        for n in range(4):
+            want = buchberger(ideal_columns(ring, n), n,
+                              ModuleOrder(amb.order), amb)
+            got = modules.free_relation_basis(ring, n)
+            assert _kernel_rows(got) == _kernel_rows(want), (ring, n)
+            assert [v.terms for v in got] == [v.terms for v in want]
+
+
+def test_seed_of_another_order_ring_or_rank_is_refused(segre, kxy):
+    amb = segre.ambient
+    seed = modules.free_relation_basis(segre, 2)
+    cols = [Vec.from_polys([amb.parse("a"), amb.parse("b")])]
+    assert len(buchberger(cols, 2, ModuleOrder(amb.order), amb,
+                          seed=seed)) == 3
+    with pytest.raises(ValueError, match="seed"):
+        buchberger(cols, 2, ModuleOrder(amb.order, 1), amb, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        buchberger([c.pad(3) for c in cols], 3, ModuleOrder(amb.order), amb,
+                   seed=seed)
+    other = kxy.ambient
+    with pytest.raises(ValueError, match="seed"):
+        buchberger([], 2, ModuleOrder(other.order), other,
+                   seed=modules.free_relation_basis(segre, 2))
+
+
+def test_greedy_minimal_generators_uses_the_reference(kxy, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the engine's span routine")
+
+    monkeypatch.setattr(modules, "r_span_basis", refuse)
+    gens = [Vec.from_polys([kxy.ambient.parse(t)])
+            for t in ("x^2", "x^3", "x*y", "x^2*y")]
+    kept = greedy_minimal_generators(kxy, gens, (0,))
+    assert [str(g) for g in kept] == ["(x*y)", "(x^2)"]
 
 
 def test_nf_vec_reduces_only_nonzero_components(segre, monkeypatch):

@@ -164,6 +164,22 @@ def test_export_json_writes_digest(tmp_path):
     assert payload["digest"] == s.digest()
 
 
+@pytest.mark.parametrize("what", ["json", "session"])
+def test_export_to_an_unwritable_path_is_a_user_error(tmp_path, capsys,
+                                                      what):
+    out = tmp_path / "missing_dir" / "y.out"
+    script = tmp_path / "export.clab"
+    script.write_text(f'ring P = poly(Q, [x], lex);\nexport {what} "{out}";\n')
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}: No such file or directory" in \
+        captured.out
+    assert "internal error" not in captured.out + captured.err
+    s = Session()
+    (res,) = s.eval_text(f'export {what} "{tmp_path}";')
+    assert res.error == f"cannot write {tmp_path}: Is a directory"
+
+
 # --- persistence --------------------------------------------------------------------
 
 
@@ -411,8 +427,7 @@ def test_cli_unwritable_out_is_an_error(tmp_path, capsys, flags):
     script.write_text("ring P = poly(Q, [x,y], degrevlex);\n")
     assert main(["run", str(script), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert str(out) in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("argv", ["run", "verify-paper"])
@@ -453,6 +468,41 @@ def test_repl_subprocess_smoke(tmp_path):
     assert proc.returncode == 0
     assert "ok" in proc.stdout
     assert (tmp_path / "state.clab").exists()
+
+
+def test_cli_run_of_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.clab"
+    path.write_bytes(b"ring P = poly(Q, [x], lex);\n\xff\xfe\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text (byte 28)\n"
+    with pytest.raises(EvalError, match="not UTF-8 text"):
+        Session.load(path)
+
+
+def test_repl_reports_unreadable_and_unwritable_files(tmp_path):
+    """:load of a file that is not UTF-8 and :save to a missing directory
+    print one error line each, and the REPL keeps running."""
+    import subprocess
+    import sys
+    latin = tmp_path / "latin.clab"
+    latin.write_bytes(b"\xff\xfe")
+    unwritable = tmp_path / "missing_dir" / "x.clab"
+    script = (f":load {latin}\n"
+              "ring P = poly(Q, [x,y], degrevlex);\n"
+              f":save {unwritable}\n"
+              ":env\n"
+              ":quit\n")
+    proc = subprocess.run([sys.executable, "-m", "closurelab.cli", "repl"],
+                          input=script, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"error: {latin}: not UTF-8 text (byte 0)" in proc.stdout
+    assert (f"error: cannot write {unwritable}: No such file or directory"
+            in proc.stdout)
+    assert "  P: ring" in proc.stdout
+    assert "internal error" not in proc.stdout + proc.stderr
 
 
 def test_repl_load_of_a_file_that_does_not_parse(tmp_path):
