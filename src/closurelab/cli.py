@@ -85,13 +85,15 @@ def repl(deg_bound=12, seed=0):
             elif cmd == ":env":
                 for name in sorted(session.env):
                     print(f"  {name}: {session.env[name][0]}")
-            elif cmd == ":save" and len(parts) > 1:
+            elif cmd in (":save", ":load") and len(parts) == 1:
+                print(f"usage: {cmd} PATH")
+            elif cmd == ":save":
                 try:
                     session.save(parts[1])
                     print(f"saved {parts[1]}")
                 except EvalError as exc:
                     print(f"error: {exc}")
-            elif cmd == ":load" and len(parts) > 1:
+            elif cmd == ":load":
                 try:
                     session = Session.load(parts[1], deg_bound=deg_bound,
                                            seed=seed)

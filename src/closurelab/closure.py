@@ -13,7 +13,8 @@ which is a submodule.  This finiteness is what makes the membership
 decidable.
 
 The full closure N^cl_M is computed exactly as the kernel of
-M -> (+)_i (S (x) M)/im(S (x) N), never by a degree-bounded search.
+M -> (+)_i (S (x) M)/im(S (x) N), one summand at a time, never by a
+degree-bounded search.
 
 The axiom checkers are instance-level falsifiers: they verify a stated
 inclusion on the given data and report {holds-on-instance} or
@@ -156,22 +157,15 @@ class ModuleClosure(ClosureOp):
         return MembershipOutcome(True, certs if want_certificate else None)
 
     def closure(self, N):
+        """Keep, for one generator s_i of S at a time, the u of the span so
+        far with s_i (x) u in the image: a preimage seeded by its span."""
         M = N.module
         T, image = self._image_context(N)
-        q_rels = list(T.relations) + list(image.gens)
-        g, n = self.S.ngens, M.ngens
-        total = g * (g * n)
-        amb = M.ring.ambient
-        target = []
-        for i in range(g):
-            target += [c.pad(total, offset=i * g * n) for c in q_rels]
-        map_cols = []
-        for j in range(n):
-            acc = Vec.zero(amb, total)
-            for i in range(g):
-                acc = acc + Vec.unit(amb, total, i * g * n + i * n + j)
-            map_cols.append(acc)
-        gens = r_preimage(M.ring, map_cols, target, total)
+        gens = M.gens()
+        for i in range(self.S.ngens):
+            gens = r_preimage(M.ring,
+                              [tensor_elem(self.S, M, i, w) for w in gens],
+                              gens, image._span(), T.ngens)
         return Submodule(M, tuple(gens)).minimalized()
 
 

@@ -7,8 +7,9 @@ polynomial ring with the defining ideal on every component, so a single
 engine answers ideal membership, module membership, colons, kernels and
 syzygies uniformly.  A span run starts from the relation basis of its
 module (the ideal's reduced basis on every component, plus the relations),
-which it takes as a seed; extended and preimage runs take the ideal as
-input columns.
+which it takes as a seed; a preimage run starts from the reduced span basis
+of its target, with the ideal's basis on the components of its values;
+extended runs take the ideal as input columns.
 """
 
 from __future__ import annotations
@@ -74,26 +75,37 @@ def r_syzygies(ring: QuotientRing, cols, ncomps):
                                   for sv in ext.syzygies])
 
 
-def r_preimage(ring: QuotientRing, map_cols, target_cols, ncomps):
-    """Generators of {u in R^n : sum u_i map_cols_i in R-span(target_cols)}.
+def _shifted(rows, offset):
+    """Kernel rows with every component moved by offset."""
+    return [(c + offset, e, lc,
+             {(j + offset, m): x for (j, m), x in t.items()})
+            for c, e, lc, t in rows]
 
-    Computed by component elimination: Groebner basis of the span of
-    (map_col_j + e_j, target cols, ideal columns) under a block order with
-    the first ncomps components dominant; basis vectors supported entirely
-    on the tag block are the preimage generators.
+
+def r_preimage(ring: QuotientRing, map_cols, values, span, ncomps):
+    """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n.
+
+    span is the target's reduced basis in P^ncomps, relations and ideal
+    included.  One run on the columns (map_col_l | value_l) under the block
+    order with P^ncomps dominant, seeded with span's rows and, below them,
+    the ideal's basis on the last n components: one reduced basis, in basis
+    order.  Its elements in the last n components alone are the reduced
+    basis of the preimage; their distinct monic normal forms are returned.
     """
-    map_cols, target_cols = list(map_cols), list(target_cols)
-    n = len(map_cols)
-    big = ncomps + n
-    amb = ring.ambient
-    cols = [mc.pad(big) + Vec.unit(amb, big, ncomps + j)
-            for j, mc in enumerate(map_cols)]
-    cols += [t.pad(big) for t in target_cols]
-    cols += [ic.pad(big) for ic in ideal_columns(ring, ncomps)]
-    cols += [ic.pad(big, offset=ncomps) for ic in ideal_columns(ring, n)]
-    gb = buchberger(cols, big, ModuleOrder(amb.order, ncomps), amb)
-    return _distinct_monic(ring, [g.take_components(ncomps, big) for g in gb
-                                  if g.take_components(0, ncomps).is_zero()])
+    values = list(values)
+    if not values:
+        return []
+    n = values[0].ncomps
+    big, amb = ncomps + n, ring.ambient
+    order = ModuleOrder(amb.order, ncomps)
+    seed = GroebnerBasis(amb, big, order, span._rows + _shifted(
+        free_relation_basis(ring, n)._rows, ncomps))
+    cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
+            for mc, v in zip(map_cols, values)]
+    rows = buchberger(cols, big, order, amb, seed=seed)._rows
+    return _distinct_monic(ring, GroebnerBasis(
+        amb, n, ModuleOrder(amb.order),
+        _shifted([r for r in rows if r[0] >= ncomps], -ncomps)))
 
 
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
@@ -411,26 +423,19 @@ class Submodule:
         return Submodule(self.module, self.gens + other.gens)
 
     def intersect(self, other: "Submodule") -> "Submodule":
-        """Intersection, as the preimage of span(A) + span(B) under the
-        diagonal u -> (u, u)."""
+        """Intersection: the elements of span(self) + relations that
+        other's span basis contains."""
         if other.module != self.module:
             raise ContextError("submodules of different modules")
-        n = self.module.ngens
-        amb = self.ring.ambient
-        rels = list(self.module.relations)
-        target = [a.pad(2 * n) for a in list(self.gens) + rels]
-        target += [b.pad(2 * n, offset=n)
-                   for b in list(other.gens) + rels]
-        diag = [Vec.unit(amb, 2 * n, j) + Vec.unit(amb, 2 * n, n + j)
-                for j in range(n)]
-        gens = r_preimage(self.ring, diag, target, 2 * n)
+        cols = list(self.gens) + list(self.module.relations)
+        gens = r_preimage(self.ring, cols, cols, other._span(),
+                          self.module.ngens)
         return Submodule(self.module, tuple(gens)).minimalized()
 
     def colon_elem(self, x) -> "Submodule":
         """(self :_M x) = {m in M : x m in self}."""
-        target = list(self.gens) + list(self.module.relations)
-        gens = r_preimage(self.ring, scaled_gens(self.module, [x]), target,
-                          self.module.ngens)
+        gens = r_preimage(self.ring, scaled_gens(self.module, [x]),
+                          self.module.gens(), self._span(), self.module.ngens)
         return Submodule(self.module, tuple(gens)).minimalized()
 
     def colon_ideal(self, xs) -> "Submodule":
@@ -493,13 +498,8 @@ class ModuleMap:
         return self.target.submodule(self.cols)
 
     def kernel(self) -> Submodule:
-        n = self.source.ngens
-        if n == 0:
-            return self.source.zero_submodule()
-        target_cols = list(self.target.relations)
-        gens = r_preimage(self.source.ring, list(self.cols), target_cols,
-                          self.target.ngens) if self.target.ngens else \
-            [Vec.unit(self.source.ring.ambient, n, i) for i in range(n)]
+        gens = r_preimage(self.source.ring, self.cols, self.source.gens(),
+                          self.target.relation_basis(), self.target.ngens)
         return Submodule(self.source, tuple(gens)).minimalized()
 
     def is_surjective(self) -> bool:

@@ -455,18 +455,22 @@ class Session:
 
     @classmethod
     def load(cls, path, deg_bound=12, seed=0) -> "Session":
-        """Evaluate a script or session file, read as UTF-8 text.  A file
-        that is not raises EvalError naming the offset of the first bad
-        byte.  A session file's header is checked: an unsupported version
+        """Evaluate a script or session file, read as UTF-8 text after any
+        leading byte-order mark, with universal newlines.  A file that is
+        not raises EvalError naming the file offset of the first bad byte.
+        A session file's header is checked: an unsupported version
         raises SessionVersionError before anything runs, and a failed
         statement or a digest other than the recorded one raises EvalError
         after the replay."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        body = data.removeprefix(b"\xef\xbb\xbf")
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = body.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise EvalError(
-                f"{path}: not UTF-8 text (byte {exc.start})") from None
+            raise EvalError(f"{path}: not UTF-8 text (byte "
+                            f"{len(data) - len(body) + exc.start})") from None
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         session = cls(deg_bound=deg_bound, seed=seed)
         first = text.split("\n", 1)[0]
         header = first.split()

@@ -55,3 +55,33 @@ def s2_module(veronese4):
     sp = veronese4.presentation
     gens = [sp.target.one(), sp.target.parse("x^2*y^2")]
     return FPModule(veronese4, (0, 4), sp.module_relation_columns(gens))
+
+
+@pytest.fixture
+def raw_preimage(monkeypatch):
+    """probe(thunk) calls thunk and returns the generators it hands to
+    Submodule.minimalized, which it must call once, and its preimage runs
+    (the Buchberger runs under a block order) as (ncomps, nreal) pairs."""
+    from closurelab import modules
+
+    def probe(thunk):
+        handed, runs = [], []
+        real_min, real_run = modules.Submodule.minimalized, modules.buchberger
+
+        def minimalized(self):
+            handed.append(list(self.gens))
+            return real_min(self)
+
+        def buchberger(cols, ncomps, keyfn, ring=None, seed=None):
+            if keyfn.nreal is not None:
+                runs.append((ncomps, keyfn.nreal))
+            return real_run(cols, ncomps, keyfn, ring, seed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(modules.Submodule, "minimalized", minimalized)
+            patch.setattr(modules, "buchberger", buchberger)
+            thunk()
+        assert len(handed) == 1
+        return handed[0], runs
+
+    return probe

@@ -7,7 +7,10 @@ definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
 minimalization is checked against, `ref_span_basis`, the unseeded span
 run (the ideal as input columns) that the seeded `r_span_basis` is
-checked against, `check_poly_syntax`, the separate
+checked against, `ref_preimage`, the unseeded block-diagonal elimination
+that the seeded `r_preimage` is checked against, with the constructions of
+closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
+`check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
 reducer), the reference for the integer kernel in `closurelab.gb`, the
@@ -31,7 +34,8 @@ from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
 from closurelab.gb import Vec, buchberger
 from closurelab.linalg import monomials_of_wdeg, span_rows, vec_coords
-from closurelab.modules import _distinct_monic, ideal_columns
+from closurelab.modules import (_distinct_monic, ideal_columns, scaled_gens,
+                                tensor, tensor_elem)
 from closurelab.orders import ModuleOrder
 from closurelab.poly import ParseError, _tokenize_poly
 
@@ -644,6 +648,83 @@ def ref_span_basis(ring, cols, ncomps):
     defining ideal appended on every component as input columns."""
     return buchberger(list(cols) + ideal_columns(ring, ncomps), ncomps,
                       ModuleOrder(ring.ambient.order), ring.ambient)
+
+
+# --- preimages by one block-diagonal elimination -----------------------------------
+
+
+def ref_preimage(ring, map_cols, target_cols, ncomps):
+    """Generators of {u in R^n : sum u_i map_cols_i in R-span(target_cols)}.
+
+    Computed by component elimination: Groebner basis of the span of
+    (map_col_j + e_j, target cols, ideal columns) under a block order with
+    the first ncomps components dominant; basis vectors supported entirely
+    on the tag block are the preimage generators.
+    """
+    map_cols, target_cols = list(map_cols), list(target_cols)
+    n = len(map_cols)
+    big = ncomps + n
+    amb = ring.ambient
+    cols = [mc.pad(big) + Vec.unit(amb, big, ncomps + j)
+            for j, mc in enumerate(map_cols)]
+    cols += [t.pad(big) for t in target_cols]
+    cols += [ic.pad(big) for ic in ideal_columns(ring, ncomps)]
+    cols += [ic.pad(big, offset=ncomps) for ic in ideal_columns(ring, n)]
+    gb = buchberger(cols, big, ModuleOrder(amb.order, ncomps), amb)
+    return _distinct_monic(ring, [g.take_components(ncomps, big) for g in gb
+                                  if g.take_components(0, ncomps).is_zero()])
+
+
+def ref_closure_preimage(S, N):
+    """The generators of N^cl_S before minimalization: one preimage of the
+    diagonal u -> (s_i (x) u)_i into g copies of (S (x) M)/im(S (x) N)."""
+    M = N.module
+    T = tensor(S, M)
+    image = T.submodule([tensor_elem(S, M, p, nq)
+                         for p in range(S.ngens) for nq in N.gens])
+    q_rels = list(T.relations) + list(image.gens)
+    g, n = S.ngens, M.ngens
+    total = g * (g * n)
+    amb = M.ring.ambient
+    target = []
+    for i in range(g):
+        target += [c.pad(total, offset=i * g * n) for c in q_rels]
+    map_cols = []
+    for j in range(n):
+        acc = Vec.zero(amb, total)
+        for i in range(g):
+            acc = acc + Vec.unit(amb, total, i * g * n + i * n + j)
+        map_cols.append(acc)
+    return ref_preimage(M.ring, map_cols, target, total)
+
+
+def ref_intersect_preimage(A, B):
+    """The generators of A meet B before minimalization: the preimage of
+    span(A) + span(B) under the diagonal u -> (u, u)."""
+    n = A.module.ngens
+    amb = A.ring.ambient
+    rels = list(A.module.relations)
+    target = [a.pad(2 * n) for a in list(A.gens) + rels]
+    target += [b.pad(2 * n, offset=n) for b in list(B.gens) + rels]
+    diag = [Vec.unit(amb, 2 * n, j) + Vec.unit(amb, 2 * n, n + j)
+            for j in range(n)]
+    return ref_preimage(A.ring, diag, target, 2 * n)
+
+
+def ref_colon_preimage(N, x):
+    """The generators of (N :_M x) before minimalization."""
+    target = list(N.gens) + list(N.module.relations)
+    return ref_preimage(N.ring, scaled_gens(N.module, [x]), target,
+                        N.module.ngens)
+
+
+def ref_kernel_preimage(f):
+    """The generators of ker f before minimalization."""
+    n = f.source.ngens
+    if not f.target.ngens:
+        return [Vec.unit(f.source.ring.ambient, n, i) for i in range(n)]
+    return ref_preimage(f.source.ring, list(f.cols), list(f.target.relations),
+                        f.target.ngens)
 
 
 # --- minimal generators, one Groebner basis per candidate --------------------------

@@ -6,9 +6,12 @@ from itertools import product
 import pytest
 
 from closurelab import closure, modules
-from closurelab.poly import ContextError, DomainError
-from closurelab.ring import QuotientRing
-from closurelab.modules import (FPModule, ModuleMap, Submodule, free_module,
+from closurelab.field import prime_field
+from closurelab.orders import wdegrevlex
+from closurelab.poly import ContextError, DomainError, PolyRing
+from closurelab.ring import QuotientRing, make_quotient_ring
+from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
+                                free_module,
                                 ideal_as_module, ideal_submodule,
                                 quotient_module, residue_field,
                                 ring_as_module, scaled_gens)
@@ -23,8 +26,8 @@ from closurelab.closure import (ClosureOp, ModuleClosure,
                                 ideal_member, intersect_closures,
                                 is_trivial_on_sample, newton_polyhedron_member,
                                 phantom_test)
-from closurelab.sampling import sample_ideals
-from oracles import fm_newton_member
+from closurelab.sampling import random_submodule_pair, sample_ideals
+from oracles import fm_newton_member, ref_closure_preimage
 
 
 # --- membership examples -------------------------------------------------------------
@@ -266,8 +269,87 @@ def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
     closed = cl.closure(N)
     assert sorted(str(g) for g in closed.gens) == \
         ["(a*b)", "(a*d)", "(a^2)", "(b^2*d)", "(c^2*d)", "(d^2)"]
-    # the four are preimage tag parts such as b^3, equal to a^2*c in R
-    assert changed == [True] * 4
+    # four preimage value parts such as b^3, equal to a^2*c in R, in each of
+    # the two preimage runs, one per generator of S
+    assert changed == [True] * 8
+
+
+# --- seeded preimages against the block-diagonal reference -------------------------
+
+
+def _preimage_case(request, case):
+    """(S, modules M to take N in) for one closure case."""
+    if case == "f5":
+        amb = PolyRing(("a", "b", "c"), prime_field(5), wdegrevlex((2, 2, 2)))
+        ring = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    else:
+        ring = request.getfixturevalue(
+            "veronese4" if case == "veronese4" else "segre")
+    S = {"segre": lambda: ideal_as_module(ring, ["a", "b"]),
+         "veronese4": lambda: request.getfixturevalue("s2_module"),
+         "syz2": lambda: residue_field(ring).syzygy(2),
+         "f5": lambda: ideal_as_module(ring, ["a", "b"]),
+         "one_generator": lambda: quotient_module(ring, ["a", "b"]),
+         "collapse": lambda: direct_sum(ring_as_module(ring),
+                                        residue_field(ring))}[case]()
+    first = ring.ambient.names[0]
+    return S, [ring_as_module(ring), free_module(ring, (0, 0)),
+               quotient_module(ring, [first])]
+
+
+@pytest.mark.parametrize("case", ["segre", "veronese4", "syz2", "f5",
+                                  "one_generator", "collapse"])
+def test_closure_preimage_matches_the_block_diagonal_reference(
+        request, case, raw_preimage):
+    """The generators a closure hands to minimalization, after one seeded
+    preimage run per generator of S, equal those of one block-diagonal
+    elimination over g copies of the tensor target, in order.  When they
+    become the ideal's multiples alone, the closure makes no further run:
+    in the collapse case S = R + k, so the zero submodule of a free M has
+    the zero closure, found by the first run."""
+    S, ambients = _preimage_case(request, case)
+    rng = random.Random(f"closure-preimage-{case}")
+    collapsed = 0
+    for M in ambients:
+        for trial in range(3):
+            zero = case == "collapse" and not trial
+            N = (M.zero_submodule() if zero
+                 else random_submodule_pair(M, rng, max_gens=3))
+            got, runs = raw_preimage(lambda: ModuleClosure(S).closure(N))
+            assert got == ref_closure_preimage(S, N), (case, M, N.gens)
+            if zero and not M.relations:
+                assert got == [] and len(runs) == 1
+                collapsed += 1
+            else:
+                assert len(runs) == S.ngens
+    assert collapsed == (2 if case == "collapse" else 0)
+
+
+def test_closure_makes_one_image_span_and_one_preimage_run_per_generator(
+        veronese4, s2_module, raw_preimage, monkeypatch):
+    """On an N not seen before, a closure builds the image span once and
+    makes one preimage run per generator of S, each over the components of
+    S (x) M and of M; after member on the same N it builds no image span."""
+    M = free_module(veronese4, (0, 0))
+    T = modules.tensor(s2_module, M)
+    spans = []
+    real = modules.r_span_basis
+
+    def counting(module, cols):
+        spans.append(module)
+        return real(module, cols)
+
+    monkeypatch.setattr(modules, "r_span_basis", counting)
+    cl = ModuleClosure(s2_module)
+    rng = random.Random("closure-structure")
+    N, N2 = (random_submodule_pair(M, rng) for _ in range(2))
+    want = [(T.ngens + M.ngens, T.ngens)] * s2_module.ngens
+    _gens, runs = raw_preimage(lambda: cl.closure(N))
+    assert runs == want and spans.count(T) == 1
+    cl.member(N2.gens[0], N2)
+    spans.clear()
+    _gens, runs = raw_preimage(lambda: cl.closure(N2))
+    assert runs == want and spans.count(T) == 0
 
 
 def _slot_queries(ring, gens_a, gens_b, elems):

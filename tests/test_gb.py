@@ -284,7 +284,7 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     closed = cl.closure(ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"]))
     assert sorted(str(g.component(0)) for g in closed.gens) == \
         ["a*b", "a*c", "a^2", "b*c", "c^2"]
-    assert counts == {"reductions": 76, "to_zero": 29, "normalizations": 42}
+    assert counts == {"reductions": 93, "to_zero": 31, "normalizations": 56}
 
 
 # --- normal forms ------------------------------------------------------------------

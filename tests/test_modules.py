@@ -17,11 +17,13 @@ from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 tensor, tensor_elem)
 from closurelab.ring import (QuotientRing, make_quotient_ring,
                              presented_subring)
-from closurelab.sampling import random_submodule_pair
+from closurelab.sampling import random_homogeneous_elem, random_submodule_pair
 
 from oracles import (brute_member, brute_syzygies_complete,
                      graded_dim_of_span, greedy_minimal_generators,
-                     outside_later_spans, ref_span_basis)
+                     outside_later_spans, ref_colon_preimage,
+                     ref_intersect_preimage, ref_kernel_preimage,
+                     ref_span_basis)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -445,6 +447,49 @@ def test_seeded_span_rows_match_the_unseeded_reference(field):
                 shapes["relations" if M.relations else "free"] += 1
                 shapes["empty"] += not want._rows
     assert min(shapes.values()) > 0 and shapes["relations"] >= 12, shapes
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_seeded_preimages_match_the_block_diagonal_reference(field,
+                                                             raw_preimage):
+    """intersect, colon_elem and kernel, each by one preimage run seeded
+    with a span basis, hand to minimalization the generators, in order, of
+    one block-diagonal elimination with the ideal as input columns; on
+    random homogeneous inputs in free modules and modules with relations
+    of rank 0-3, zero submodules and maps into the zero module among them."""
+    rng = random.Random(f"seeded-preimage-{field}")
+    empty = 0
+    for ring in _span_rings(field):
+        amb = ring.ambient
+        for ncomps in range(4):
+            for trial in range(3):
+                degrees = tuple(rng.randint(0, 2) for _ in range(ncomps))
+                M = free_module(ring, degrees)
+                if ncomps and trial:
+                    M = FPModule(ring, degrees,
+                                 random_submodule_pair(M, rng).gens)
+                A, B = (random_submodule_pair(M, rng, max_gens=3)
+                        if ncomps and trial < 2 else M.zero_submodule()
+                        for _ in range(2))
+                got, runs = raw_preimage(lambda: A.intersect(B))
+                assert got == ref_intersect_preimage(A, B), (M, A.gens)
+                assert len(runs) == bool(A.gens or M.relations)
+                x = random_homogeneous_elem(ring, rng.randint(1, 2), rng)
+                x = x if x is not None else ring.elem(amb.gens()[0])
+                got, runs = raw_preimage(lambda: A.colon_elem(x))
+                assert got == ref_colon_preimage(A, x), (M, A.gens, x)
+                assert len(runs) == bool(ncomps)
+                cols = list(A.gens + B.gens + M.relations[:1])
+                if not ncomps:
+                    cols = [Vec.zero(amb, 0)] * trial
+                source = free_module(ring, [max(M.degree_of(c), 0)
+                                            for c in cols])
+                f = ModuleMap(source, M, cols)
+                got, runs = raw_preimage(f.kernel)
+                assert got == ref_kernel_preimage(f), (M, cols)
+                assert len(runs) == bool(cols)
+                empty += not got
+    assert empty >= 4, empty
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])

@@ -481,6 +481,48 @@ def test_cli_run_of_a_file_that_is_not_utf8(tmp_path, capsys):
         Session.load(path)
 
 
+def test_load_drops_a_leading_byte_order_mark(tmp_path, capsys):
+    """A script that starts with a UTF-8 byte-order mark runs as the same
+    text without it, and a bad byte after the mark is reported at its
+    offset in the file, the mark counted."""
+    bom = b"\xef\xbb\xbf"
+    plain = tmp_path / "plain.clab"
+    plain.write_text(EX81)
+    marked = tmp_path / "marked.clab"
+    marked.write_bytes(bom + EX81.encode())
+    assert main(["run", str(marked)]) == 0
+    capsys.readouterr()
+    assert Session.load(marked).digest() == Session.load(plain).digest()
+    bad = tmp_path / "bad.clab"
+    bad.write_bytes(bom + b"ring P = poly(Q, [x], lex);\n\xff\xfe\n")
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: not UTF-8 text (byte 31)\n"
+
+
+def test_load_reads_universal_newlines(tmp_path):
+    crlf = tmp_path / "crlf.clab"
+    crlf.write_bytes(EX81.replace("\n", "\r\n").encode())
+    cr = tmp_path / "cr.clab"
+    cr.write_bytes(EX81.replace("\n", "\r").encode())
+    want = Session()
+    want.eval_text(EX81)
+    assert Session.load(crlf).digest() == want.digest()
+    assert Session.load(cr).digest() == want.digest()
+
+
+def test_repl_save_and_load_without_a_path_print_usage():
+    import subprocess
+    import sys
+    script = ":save\n:load \n:env\n:quit\n"
+    proc = subprocess.run([sys.executable, "-m", "closurelab.cli", "repl"],
+                          input=script, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "> usage: :save PATH", "> usage: :load PATH", "> > "]
+
+
 def test_repl_reports_unreadable_and_unwritable_files(tmp_path):
     """:load of a file that is not UTF-8 and :save to a missing directory
     print one error line each, and the REPL keeps running."""
