@@ -10,10 +10,10 @@ presented modules (modules), closure operations and their checkers
 from .field import QQ, prime_field, rationals
 from .orders import DEGREVLEX, LEX, ModuleOrder, MonomialOrder, wdegrevlex
 from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import (GroebnerBasis, UnsupportedInputError, Vec, buchberger,
-                 kernel_of_ring_map, syzygy_module)
+from .gb import GroebnerBasis, Vec, buchberger
 from .ring import (ParameterSequence, QuotientRing, RingElem,
-                   make_quotient_ring, presented_subring)
+                   UnsupportedInputError, make_quotient_ring,
+                   presented_subring)
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum, free_module,
                       ideal_as_module, ideal_submodule, is_regular_sequence,
                       quotient_module, residue_field, ring_as_module,

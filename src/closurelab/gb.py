@@ -8,12 +8,12 @@ strategy, the product criterion (applied only where it is valid for
 modules) and the chain criterion.  Output bases are reduced, monic and
 canonically sorted, hence unique for a given module and order.
 
-Term orders are values (orders.ModuleOrder): TOP over the ring order, the
-block order of extended and preimage runs, and TOP over the elimination
-order.  buchberger is the one constructor of a GroebnerBasis; the basis
-keeps the kernel rows the run ended with, and its Vec elements are derived
-from them.  A run may start from a known basis (a seed), whose rows it
-takes as they are.
+Term orders are values (orders.ModuleOrder): TOP over the ring order,
+which may be an elimination order, and the block order of extended and
+preimage runs.  buchberger is the one constructor of a GroebnerBasis; the
+basis keeps the kernel rows the run ended with, and its Vec elements are
+derived from them.  A run may start from a known basis (a seed), whose
+rows it takes as they are.
 
 Inside the kernel every coefficient is a Python int, and one reducer and
 one Buchberger loop serve both fields through the characteristic p.  Over
@@ -30,7 +30,9 @@ run the same algorithm under a block order that keeps shadows below real
 terms.  One extended run yields, simultaneously: a Groebner basis of the
 column span, an expression of every basis element in the input columns
 (membership certificates), and generators of the full syzygy module (the
-basis elements whose real part vanished).
+basis elements whose real part vanished).  Preimages, kernels and ring-map
+presentations are seeded block-order runs assembled by the callers
+(modules.preimage_basis, ring.SubringPresentation).
 
 All functions are pure over immutable inputs; S-pair processing is
 sequential, so outputs are reproducible bit for bit.
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .orders import ModuleOrder, elimination, wdegrevlex
+from .orders import ModuleOrder
 from .poly import (ContextError, PolyRing, Polynomial, mono_div, mono_divides,
                    mono_gcd_is_one, mono_lcm, mono_mul)
 
@@ -496,115 +498,3 @@ def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
            for i, col in enumerate(cols)]
     return ExtendedBasis(s, buchberger(aug, s + t,
                                        ModuleOrder(ring.order, s), ring))
-
-
-def syzygy_module(cols, ncomps, ring=None) -> list:
-    """Generators of {(f_1..f_t): sum f_q * cols_q == 0} in P^t."""
-    if not cols:
-        return []
-    return extended_groebner(cols, ncomps, ring=ring).syzygies
-
-
-# --- elimination and toric kernels -----------------------------------------
-
-
-def eliminate_vars(cols, ncomps, n_elim, ring=None) -> list:
-    """Intersection of span(cols) with the submodule over the last variables.
-
-    Runs a Groebner computation under a block order with the first n_elim
-    variables dominant and keeps the basis vectors free of them.
-    """
-    gb = buchberger(list(cols), ncomps, ModuleOrder(elimination(n_elim)),
-                    ring)
-    return [g for g in gb if not g.has_vars_below(n_elim)]
-
-
-class UnsupportedInputError(ValueError):
-    pass
-
-
-def _strip_vars(poly: Polynomial, target: PolyRing, n_drop: int) -> Polynomial:
-    terms = {}
-    for m, c in poly.terms.items():
-        if any(m[:n_drop]):
-            raise UnsupportedInputError(
-                f"{poly} involves one of the first {n_drop} variables")
-        terms[m[n_drop:]] = c
-    return Polynomial(target, terms)
-
-
-class RingMapGraph:
-    """Graph of the ring map k[pres_names] -> target, name_i -> images[i].
-
-    images are monomials (single terms, coefficient 1) of positive degree in
-    a common target ring.  The graph polynomials name_i - images[i] live in
-    a combined ring with the target variables first; their reduced Groebner
-    basis under the order eliminating the target variables gives both the
-    kernel of the map and the rewriting of target elements into the names.
-    """
-
-    def __init__(self, images, pres_names, pres_ring=None):
-        images = list(images)
-        if not images:
-            raise UnsupportedInputError("no images given")
-        target = images[0].ring
-        fld = target.field
-        for f in images:
-            if f.ring != target:
-                raise ContextError("images from different rings")
-            if len(f.terms) != 1 or list(f.terms.values())[0] != fld.one:
-                raise UnsupportedInputError(
-                    "only monomial images are supported (got %s)" % f)
-            if f.wdeg() <= 0:
-                raise UnsupportedInputError("images must have positive degree")
-        pres_names = tuple(pres_names)
-        if len(pres_names) != len(images):
-            raise ValueError("one presentation name per image")
-        if set(pres_names) & set(target.names):
-            raise ValueError("presentation names must avoid target names")
-        degs = tuple(f.wdeg() for f in images)
-        if pres_ring is None:
-            pres_ring = PolyRing(pres_names, fld, wdegrevlex(degs))
-        self.target = target
-        self.images = images
-        self.pres_ring = pres_ring
-        self.big = PolyRing(target.names + pres_names, fld,
-                            wdegrevlex(target.weights + degs))
-        n_t = target.nvars
-        self.graph_polys = []
-        for i, f in enumerate(images):
-            e = [0] * self.big.nvars
-            e[n_t + i] = 1
-            self.graph_polys.append(Polynomial(self.big, {tuple(e): fld.one})
-                                    - self.lift_target(f))
-        self.graph_gb = buchberger(
-            [Vec.from_polys([g]) for g in self.graph_polys], 1,
-            ModuleOrder(elimination(n_t)), self.big)
-
-    def lift_target(self, f: Polynomial) -> Polynomial:
-        tail = (0,) * (self.big.nvars - self.target.nvars)
-        return Polynomial(self.big, {m + tail: c for m, c in f.terms.items()})
-
-    def kernel_gens(self) -> list:
-        """Kernel generators: the graph basis elements free of target
-        variables, as polynomials in the presentation ring."""
-        n_t = self.target.nvars
-        return [_strip_vars(v.component(0), self.pres_ring, n_t)
-                for v in self.graph_gb if not v.has_vars_below(n_t)]
-
-
-def kernel_of_ring_map(images, pres_names, pres_ring=None):
-    """Kernel of k[pres_names] -> target, name_i -> images[i] (monomials).
-
-    Returns (generators, presentation ring); the generators are a reduced
-    Groebner basis of the toric kernel under the presentation ring's own
-    order.  See RingMapGraph for the accepted images.
-    """
-    graph = RingMapGraph(images, pres_names, pres_ring)
-    pres_ring = graph.pres_ring
-    gens = graph.kernel_gens()
-    if not gens:
-        return [], pres_ring
-    gb = buchberger([Vec.from_polys([g]) for g in gens], 1,
-                    ModuleOrder(pres_ring.order), pres_ring)
-    return [v.component(0) for v in gb], pres_ring

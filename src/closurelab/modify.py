@@ -135,13 +135,13 @@ def containment_modification(M: FPModule, cl: ClosureOp, G: Submodule,
     return M2, incl
 
 
-def find_bad_relation(M: FPModule, xs, degree_bound=None, pick=0):
+def find_bad_relation(M: FPModule, xs, degree_bound=None):
     """Search for a bad relation on M against the partial s.o.p. xs.
 
     Scans the colon ((x_1..x_{i-1})M : x_i) at the first index where the
-    sequence fails to be regular, taking witnesses by increasing degree with
-    a deterministic tie-break; `pick` rotates among the eligible witnesses.
-    Returns None when xs is regular on M (up to the degree bound).
+    sequence fails to be regular and takes the least witness, by degree
+    with a deterministic tie-break.  Returns None when xs is regular on M
+    (up to the degree bound).
     """
     ring = M.ring
     if not isinstance(xs, ParameterSequence):
@@ -150,8 +150,7 @@ def find_bad_relation(M: FPModule, xs, degree_bound=None, pick=0):
     failure = colon_scan(M, elems, degree_bound)
     if failure is None:
         return None
-    i, N, witnesses = failure
-    u = witnesses[pick % len(witnesses)]
+    i, N, u = failure
     cert = N.certificate(u.scale(elems[i].poly))
     us = []
     for l in range(i):
@@ -254,20 +253,14 @@ class ModificationTrace:
 
 
 def parameter_chain(ring: QuotientRing, cl: ClosureOp, xs, steps: int,
-                    degree_bound=None, policy="by-degree") -> ModificationTrace:
-    """Run up to `steps` parameter modifications from R along xs.
-
-    policy "by-degree" always takes the least witness; "round-robin"
-    rotates among the eligible witnesses from step to step.
-    """
-    if policy not in ("by-degree", "round-robin"):
-        raise DomainError(f"unknown policy {policy!r}")
+                    degree_bound=None) -> ModificationTrace:
+    """Run up to `steps` parameter modifications from R along xs, each on
+    the least bad relation (see find_bad_relation)."""
     seq = xs if isinstance(xs, ParameterSequence) else \
         ParameterSequence.verified(ring, xs)
     trace = ModificationTrace.start(ring)
-    for step in range(steps):
-        pick = step if policy == "round-robin" else 0
-        rel = find_bad_relation(trace.current, seq, degree_bound, pick=pick)
+    for _step in range(steps):
+        rel = find_bad_relation(trace.current, seq, degree_bound)
         if rel is None:
             break
         trace = trace.extend_parameter(rel, cl=cl)

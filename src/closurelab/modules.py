@@ -8,8 +8,9 @@ engine answers ideal membership, module membership, colons, kernels and
 syzygies uniformly.  A span run starts from the relation basis of its
 module (the ideal's reduced basis on every component, plus the relations),
 which it takes as a seed; a preimage run starts from the reduced span basis
-of its target, with the ideal's basis on the components of its values;
-extended runs take the ideal as input columns.
+of its target, with the ideal's basis on the components of its values.
+Extended runs, which take the ideal as input columns, serve only
+membership certificates and syzygies.
 """
 
 from __future__ import annotations
@@ -82,19 +83,18 @@ def _shifted(rows, offset):
             for c, e, lc, t in rows]
 
 
-def r_preimage(ring: QuotientRing, map_cols, values, span, ncomps):
-    """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n.
+def preimage_basis(ring: QuotientRing, map_cols, values, span,
+                   ncomps) -> GroebnerBasis:
+    """Reduced basis of {sum c_l values_l : sum c_l map_cols_l in span}
+    + I P^n in P^n, under TOP over the ring order; values is not empty.
 
     span is the target's reduced basis in P^ncomps, relations and ideal
     included.  One run on the columns (map_col_l | value_l) under the block
     order with P^ncomps dominant, seeded with span's rows and, below them,
     the ideal's basis on the last n components: one reduced basis, in basis
     order.  Its elements in the last n components alone are the reduced
-    basis of the preimage; their distinct monic normal forms are returned.
+    basis of the preimage, relabelled as they are.
     """
-    values = list(values)
-    if not values:
-        return []
     n = values[0].ncomps
     big, amb = ncomps + n, ring.ambient
     order = ModuleOrder(amb.order, ncomps)
@@ -103,9 +103,20 @@ def r_preimage(ring: QuotientRing, map_cols, values, span, ncomps):
     cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
             for mc, v in zip(map_cols, values)]
     rows = buchberger(cols, big, order, amb, seed=seed)._rows
-    return _distinct_monic(ring, GroebnerBasis(
-        amb, n, ModuleOrder(amb.order),
-        _shifted([r for r in rows if r[0] >= ncomps], -ncomps)))
+    return GroebnerBasis(amb, n, ModuleOrder(amb.order),
+                         _shifted([r for r in rows if r[0] >= ncomps],
+                                  -ncomps))
+
+
+def r_preimage(ring: QuotientRing, map_cols, values, span, ncomps):
+    """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n:
+    the distinct monic normal forms of preimage_basis (two of its elements
+    may be equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac))."""
+    values = list(values)
+    if not values:
+        return []
+    return _distinct_monic(ring, preimage_basis(ring, map_cols, values, span,
+                                                ncomps))
 
 
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
@@ -124,22 +135,25 @@ def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
                 for m, c in ring.nf(v.component(j)).terms.items()})
 
 
-def _monic_vec(ring: QuotientRing, v: Vec) -> Vec:
-    if v.is_zero():
+def _monic_vec(v: Vec, order: ModuleOrder) -> Vec:
+    """The nonzero v divided by its lead coefficient under order."""
+    _c, _e, lc = v.leading(order)
+    fld = v.ring.field
+    if lc == fld.one:
         return v
-    _c, _e, lc = v.leading(ModuleOrder(ring.ambient.order))
-    return v.term_mul(ring.ambient.field.inv(lc), (0,) * ring.ambient.nvars)
+    return v.term_mul(fld.inv(lc), (0,) * v.ring.nvars)
 
 
 def _distinct_monic(ring: QuotientRing, vecs) -> list:
     """The nonzero monic normal forms of vecs, first occurrences in order."""
     out = []
     seen = set()
+    order = ModuleOrder(ring.ambient.order)
     for v in vecs:
         v = nf_vec(ring, v)
         if v.is_zero():
             continue
-        v = _monic_vec(ring, v)
+        v = _monic_vec(v, order)
         key = frozenset(v.terms.items())
         if key not in seen:
             seen.add(key)
@@ -802,21 +816,18 @@ def colon_scan(M: FPModule, elems, degree_bound=None):
 
     For each i, with N = (x_1..x_{i-1})M, the generators of (N :_M x_i)
     that lie outside N (and have degree at most degree_bound, if given)
-    are witnesses.  Returns (i, N, witnesses) for the first i with any,
-    witnesses sorted by (degree, str); None when there is no such i.
+    are witnesses.  Returns (i, N, witness) for the first i with any, the
+    witness least by (degree, str); None when there is no such i.
     """
     prev: list = []
     for i, x in enumerate(elems):
         N = Submodule(M, tuple(prev))
-        witnesses = []
         for g in sorted(N.colon_elem(x).gens,
                         key=lambda v: (v.degree(M.gen_degrees), str(v))):
             if degree_bound is not None and g.degree(M.gen_degrees) > degree_bound:
-                continue
+                break
             if not N.contains(g):
-                witnesses.append(g)
-        if witnesses:
-            return i, N, witnesses
+                return i, N, g
         prev.extend(scaled_gens(M, [x]))
     return None
 
@@ -830,9 +841,9 @@ def is_regular_sequence(xs, M: FPModule) -> RegularSequenceResult:
     elems = [M.ring.elem(x) for x in xs]
     failure = colon_scan(M, elems)
     if failure is not None:
-        i, _N, witnesses = failure
+        i, _N, witness = failure
         return RegularSequenceResult(
-            False, i, witnesses[0],
+            False, i, witness,
             note=f"({elems[i]}) times witness lies in the previous span")
     full = Submodule(M, tuple(scaled_gens(M, elems)))
     if all(full.contains(M.gen(j)) for j in range(M.ngens)):

@@ -4,6 +4,12 @@
 classes of the variables, all of positive weight.  Krull dimension comes
 from the leading-term ideal of the reduced defining Groebner basis (the
 standard flat-degeneration argument makes this exact for global orders).
+
+A monomial subring is presented through its graph ring, itself a
+QuotientRing under an elimination order (SubringPresentation): one
+Groebner basis gives the toric kernel and the rewriting into presentation
+variables, and the relations of a subring-generated module are one seeded
+preimage run in it.
 """
 
 from __future__ import annotations
@@ -12,10 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .field import QQ
-from .orders import ModuleOrder
+from .orders import ModuleOrder, elimination, wdegrevlex
 from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import (RingMapGraph, Vec, buchberger, eliminate_vars, syzygy_module,
-                 _strip_vars)
+from .gb import Vec, buchberger
 
 
 class QuotientRing:
@@ -249,12 +254,74 @@ class ParameterSequence:
 _AUTO_NAMES = "abcdefghijklmnopqrst"
 
 
-class SubringPresentation(RingMapGraph):
-    """Provenance of a ring presented as a monomial subring of k[x_1..x_m].
+class UnsupportedInputError(ValueError):
+    pass
 
-    The graph basis (target variables dominant, presentation variables
-    below) rewrites subring elements into presentation variables.
+
+def _strip_vars(poly: Polynomial, target: PolyRing, n_drop: int) -> Polynomial:
+    terms = {}
+    for m, c in poly.terms.items():
+        if any(m[:n_drop]):
+            raise UnsupportedInputError(
+                f"{poly} involves one of the first {n_drop} variables")
+        terms[m[n_drop:]] = c
+    return Polynomial(target, terms)
+
+
+def _lift(f: Polynomial, big: PolyRing) -> Polynomial:
+    """f in the ring big, whose first variables are those of f's ring."""
+    tail = (0,) * (big.nvars - f.ring.nvars)
+    return Polynomial(big, {m + tail: c for m, c in f.terms.items()})
+
+
+class SubringPresentation:
+    """Provenance of a ring presented as the monomial subring k[images] of
+    a target polynomial ring k[x_1..x_m], name_i -> images[i].
+
+    images are monomials (single terms, coefficient 1) of positive degree.
+    The graph ring B = k[x, names]/(name_i - images[i]) is a QuotientRing
+    ordered by the elimination of x and graded by the target weights and
+    the image degrees.  Its reduced ideal basis gives the kernel of the map
+    (the elements free of x) and, as normal forms, the rewriting of subring
+    elements into the names.
     """
+
+    def __init__(self, images, pres_names):
+        images = list(images)
+        if not images:
+            raise UnsupportedInputError("no images given")
+        target = images[0].ring
+        fld = target.field
+        for f in images:
+            if f.ring != target:
+                raise ContextError("images from different rings")
+            if len(f.terms) != 1 or list(f.terms.values())[0] != fld.one:
+                raise UnsupportedInputError(
+                    "only monomial images are supported (got %s)" % f)
+            if f.wdeg() <= 0:
+                raise UnsupportedInputError("images must have positive degree")
+        pres_names = tuple(pres_names)
+        if len(pres_names) != len(images):
+            raise ValueError("one presentation name per image")
+        if set(pres_names) & set(target.names):
+            raise ValueError("presentation names must avoid target names")
+        degs = tuple(f.wdeg() for f in images)
+        self.target = target
+        self.pres_ring = PolyRing(pres_names, fld, wdegrevlex(degs))
+        n_t = target.nvars
+        big = PolyRing(target.names + pres_names, fld, elimination(n_t),
+                       weights=target.weights + degs)
+        names = big.gens()[n_t:]
+        self.graph = QuotientRing(big, [a - _lift(f, big)
+                                        for a, f in zip(names, images)])
+
+    def kernel_gens(self) -> list:
+        """Kernel generators: the graph basis elements free of target
+        variables, as polynomials in the presentation ring."""
+        n_t = self.target.nvars
+        return [_strip_vars(g, self.pres_ring, n_t)
+                for g in self.graph.ideal_basis
+                if not any(any(m[:n_t]) for m in g.terms)]
 
     def to_subring(self, f: Polynomial):
         """Express a target-ring element in presentation variables.
@@ -264,8 +331,7 @@ class SubringPresentation(RingMapGraph):
         """
         if f.ring != self.target:
             raise ContextError("element not in the target ring")
-        nf = self.graph_gb.normal_form(Vec.from_polys([self.lift_target(f)]))
-        p = nf.component(0)
+        p = self.graph.nf(_lift(f, self.graph.ambient))
         if any(any(m[:self.target.nvars]) for m in p.terms):
             return None
         return _strip_vars(p, self.pres_ring, self.target.nvars)
@@ -273,28 +339,33 @@ class SubringPresentation(RingMapGraph):
     def module_relation_columns(self, module_gens):
         """Presentation of the R-module generated inside k[x] by module_gens.
 
-        module_gens are homogeneous target-ring elements; the result is the
-        list of relation columns (vectors over the presentation ambient)
-        among them with coefficients in the subring.
+        module_gens are nonzero homogeneous target-ring elements.  Returns
+        the relations among them with coefficients in the subring, as
+        vectors over the presentation ambient: the reduced basis of the
+        relation module under the graph ring's order.  One preimage run in
+        the graph ring B on the columns (g_l | e_l), seeded with B's basis
+        on every component: its value block, kept raw, is the reduced basis
+        of {c : sum c_l g_l = 0 in B}, and its elements free of x are the
+        relations.
         """
+        from .modules import preimage_basis  # modules imports this module
         gens = list(module_gens)
-        t = len(gens)
-        n_t = self.target.nvars
-        cols = [Vec.from_polys([self.lift_target(g)]) for g in gens]
-        cols += [Vec.from_polys([g]) for g in self.graph_polys]
-        syz = syzygy_module(cols, 1, self.big)
-        proj = [sv.take_components(0, t) for sv in syz]
-        proj = [v for v in proj if not v.is_zero()]
-        if not proj:
+        for l, g in enumerate(gens, 1):
+            if g.ring != self.target:
+                raise ContextError("module generator not in the target ring")
+            if g.is_zero():
+                raise DomainError(f"module generator {l} is zero")
+            if not g.is_homogeneous():
+                raise DomainError(f"inhomogeneous module generator {l}: {g}")
+        if not gens:
             return []
-        kept = eliminate_vars(proj, t, n_t, self.big)
-        out = []
-        for v in kept:
-            terms = {}
-            for (j, m), c in v.terms.items():
-                terms[(j, m[n_t:])] = c
-            out.append(Vec(self.pres_ring, t, terms))
-        return out
+        B, n_t, t = self.graph, self.target.nvars, len(gens)
+        basis = preimage_basis(
+            B, [Vec.from_polys([_lift(g, B.ambient)]) for g in gens],
+            [Vec.unit(B.ambient, t, l) for l in range(t)], B._gb, 1)
+        return [Vec(self.pres_ring, t,
+                    {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
+                for v in basis if not v.has_vars_below(n_t)]
 
 
 def presented_subring(images, names=None, field=QQ, target_ring=None):

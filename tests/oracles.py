@@ -10,6 +10,8 @@ run (the ideal as input columns) that the seeded `r_span_basis` is
 checked against, `ref_preimage`, the unseeded block-diagonal elimination
 that the seeded `r_preimage` is checked against, with the constructions of
 closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
+`ref_module_relation_columns`, the syzygy-then-elimination construction
+that subring module relations are checked against,
 `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
@@ -32,12 +34,12 @@ from math import gcd
 
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
-from closurelab.gb import Vec, buchberger
+from closurelab.gb import Vec, buchberger, extended_groebner
 from closurelab.linalg import monomials_of_wdeg, span_rows, vec_coords
 from closurelab.modules import (_distinct_monic, ideal_columns, scaled_gens,
                                 tensor, tensor_elem)
-from closurelab.orders import ModuleOrder
-from closurelab.poly import ParseError, _tokenize_poly
+from closurelab.orders import ModuleOrder, elimination, wdegrevlex
+from closurelab.poly import ParseError, PolyRing, Polynomial, _tokenize_poly
 
 
 # --- reference monomial primitives and order keys -------------------------------
@@ -725,6 +727,69 @@ def ref_kernel_preimage(f):
         return [Vec.unit(f.source.ring.ambient, n, i) for i in range(n)]
     return ref_preimage(f.source.ring, list(f.cols), list(f.target.relations),
                         f.target.ngens)
+
+
+# --- subring module relations by syzygies and elimination -------------------------
+
+
+def ref_module_relation_columns(images, pres_ring, module_gens):
+    """Relation columns among module_gens with coefficients in the monomial
+    subring k[images], pres_ring's variables mapping to images.
+
+    Two runs in k[x, names] (weights: the target's, then the image
+    degrees): the syzygies of (g_1..g_t, name_i - image_i), projected to
+    the first t components, span {c : sum c_l g_l in (name_i - image_i)};
+    an elimination run under TOP over the elimination of x keeps its
+    reduced basis elements free of x.
+    """
+    target = images[0].ring
+    fld, n_t, t = target.field, target.nvars, len(module_gens)
+    big = PolyRing(target.names + pres_ring.names, fld,
+                   wdegrevlex(target.weights + pres_ring.weights))
+    tail = (0,) * pres_ring.nvars
+
+    def lift(f):
+        return Polynomial(big, {m + tail: c for m, c in f.terms.items()})
+
+    cols = [Vec.from_polys([lift(g)]) for g in module_gens]
+    cols += [Vec.from_polys([big.var(n_t + i) - lift(f)])
+             for i, f in enumerate(images)]
+    proj = [sv.take_components(0, t)
+            for sv in extended_groebner(cols, 1, ring=big).syzygies]
+    proj = [v for v in proj if not v.is_zero()]
+    if not proj:
+        return []
+    gb = buchberger(proj, t, ModuleOrder(elimination(n_t)), big)
+    return [Vec(pres_ring, t, {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
+            for v in gb if not v.has_vars_below(n_t)]
+
+
+def substitute_images(images, poly):
+    """The image of a presentation-ring polynomial in k[x]."""
+    target = images[0].ring
+    exps = [next(iter(f.terms)) for f in images]
+    terms = {}
+    for m, c in poly.terms.items():
+        x = tuple(sum(e * img[i] for e, img in zip(m, exps))
+                  for i in range(target.nvars))
+        terms[x] = target.field.add(terms.get(x, target.field.zero), c)
+    return Polynomial(target, {x: c for x, c in terms.items()
+                               if c != target.field.zero})
+
+
+def brute_relation_dim(images, pres_ring, module_gens, d) -> int:
+    """dim_k of {c in k[names]^t of degree d : sum c_l(images) g_l == 0},
+    generator l in degree deg g_l, by the rank of the substituted products."""
+    target = images[0].ring
+    fld = target.field
+    products = [substitute_images(images, pres_ring.monomial(m)) * g
+                for g in module_gens
+                for m in monomials_of_wdeg(pres_ring, d - g.wdeg())]
+    if not products:
+        return 0
+    terms = sorted({m for p in products for m in p.terms})
+    rows = [[p.terms.get(m, fld.zero) for m in terms] for p in products]
+    return len(products) - rank(rows, fld)
 
 
 # --- minimal generators, one Groebner basis per candidate --------------------------

@@ -258,6 +258,24 @@ SMALL_RINGS = st.builds(
     st.one_of(st.just(""), st.builds(" / ({})".format, SMALL_POLYS)))
 
 
+# subrings of k[s, t] on two or three monomials of degree 1 to 3, with
+# presentation variables x, y (and z); subring_module generators in s, t:
+# units, monomials and polynomials, and zero and inhomogeneous ones
+TARGET_MONOMIALS = ["s", "t", "s^2", "s*t", "t^2", "s^3", "s^2*t", "s*t^2",
+                    "t^3"]
+SUBRING_RINGS = st.builds(
+    lambda field, images: "ring R = subring({}, [s, t], [{}], [{}]);".format(
+        field, ", ".join(images), ", ".join("xyz"[:len(images)])),
+    st.sampled_from(["Q", "Fp(5)"]),
+    st.lists(st.sampled_from(TARGET_MONOMIALS), min_size=2, max_size=3,
+             unique=True))
+SUBRING_MODULES = st.lists(
+    st.sampled_from(["0", "s + t^2", "s + t", "s^2 - 2*t^2", "1", "s*t",
+                     "t^2", "s^2*t"]),
+    min_size=1, max_size=2).map(
+        lambda gens: f"subring_module(R, [{', '.join(gens)}])")
+
+
 def _checks(closures, ideals):
     """Check statements on the given closure names and ideal expressions."""
     closures = st.sampled_from(closures)
@@ -305,19 +323,23 @@ def _drop_or_repeat_argument(draw, text):
 
 @st.composite
 def small_scripts(draw):
-    """A ring in at most 2 variables; an ideal I, or a module M with its
-    closure cl; checks on them, 4 statements at most; homogeneous
-    polynomials of degree at most 3; then maybe one argument of a call
-    dropped or repeated, and up to three token mutations."""
+    """A ring in at most 2 variables, or a monomial subring; an ideal I, or
+    a module M with its closure cl; checks on them, 4 statements at most;
+    homogeneous polynomials of degree at most 3; then maybe one argument
+    of a call dropped or repeated, and up to three token mutations."""
     polys = _list_of(SMALL_POLYS, 1, 2)
-    stmts = [draw(SMALL_RINGS)]
+    ring = draw(st.one_of(SMALL_RINGS, SUBRING_RINGS))
+    stmts = [ring]
     closures = ["trivial", "integral_closure"]
     ideals = st.builds("ideal(R, {})".format, polys)
+    modules = st.builds("ideal_module(R, {})".format, polys)
+    if "subring(" in ring:
+        modules = SUBRING_MODULES
     if draw(st.booleans()):
         stmts.append(f"ideal I = ideal(R, {draw(polys)});")
         ideals = st.one_of(st.just("I"), ideals)
     else:
-        stmts += [f"module M = ideal_module(R, {draw(polys)});",
+        stmts += [f"module M = {draw(modules)};",
                   "closure cl = module_closure(M);"]
         closures.append("cl")
     stmts += draw(st.lists(_checks(closures, ideals), min_size=1,

@@ -2,13 +2,17 @@ import random
 
 import pytest
 
-from closurelab import gb
+from closurelab import gb, modules
 from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
+from closurelab.linalg import span_rows
 from closurelab.orders import DEGREVLEX
 from closurelab.poly import ContextError, DomainError, PolyRing
 from closurelab.ring import (ParameterSequence, make_quotient_ring,
                              presented_subring)
+
+from oracles import (brute_relation_dim, rank, ref_module_relation_columns,
+                     substitute_images)
 
 
 def test_dimensions(kxy, xyuv, segre):
@@ -117,6 +121,115 @@ def test_presented_subring_veronese4_runs_two_groebner_bases(monkeypatch):
     assert len(calls) <= 2
     assert [str(g) for g in R.ideal_basis] == [
         "b^3 - a^2*c", "a*c^2 - b^2*d", "c^3 - b*d^2", "b*c - a*d"]
+
+
+# --- relations of subring modules ---------------------------------------------------
+
+
+SUBRINGS = {
+    "veronese2": (("x", "y"), ["x^2", "x*y", "y^2"]),
+    "veronese4": (("x", "y"), ["x^4", "x^3*y", "x*y^3", "y^4"]),
+    "cubic": (("x", "y"), ["x^3", "x^2*y", "x*y^2", "y^3"]),
+    "segre": (("x", "y", "u", "v"), ["x*u", "x*v", "y*u", "y*v"]),
+    "squares": (("x", "y"), ["x^2", "y^2"]),
+    "xyz": (("x", "y", "z"), ["x^2", "y^2", "z^2", "x*y*z"]),
+}
+
+
+def _subring(name, field):
+    names, images = SUBRINGS[name]
+    T = PolyRing(names, field, DEGREVLEX)
+    images = [T.parse(f) for f in images]
+    return presented_subring(images, field=field, target_ring=T), images
+
+
+# generator sets on which the two-run reference finishes in well under a
+# second
+REFERENCE_CASES = [
+    ("veronese2", ["x^2 - y^2", "x*y"]), ("veronese2", ["x^3 + y^3"]),
+    ("veronese2", ["1", "x*y", "x^2"]), ("veronese4", ["1", "x^2*y^2"]),
+    ("veronese4", ["1", "x*y"]), ("veronese4", ["1", "x"]),
+    ("cubic", ["x", "y"]), ("cubic", ["x^3 + y^3"]),
+    ("segre", ["x + y"]), ("segre", ["1", "x*y", "x^2"]),
+    ("squares", ["1", "x*y", "x^2"]), ("squares", ["x^2 - y^2", "x*y"]),
+    ("xyz", ["x^2 - y^2", "x*y"]), ("xyz", ["1", "x"]),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("name, gens", REFERENCE_CASES,
+                         ids=[f"{n}-{','.join(g)}" for n, g in REFERENCE_CASES])
+def test_module_relation_columns_match_the_reference(name, gens, field):
+    R, images = _subring(name, field)
+    sp = R.presentation
+    gens = [sp.target.parse(g) for g in gens]
+    assert sp.module_relation_columns(gens) == \
+        ref_module_relation_columns(images, R.ambient, gens)
+
+
+@pytest.mark.parametrize("gens", [["y^2"], ["x*y^2"], ["x + y"],
+                                  ["x^2 - y^2", "x*y"]])
+def test_module_relations_agree_with_linear_algebra(gens):
+    """Over Veronese-4, every relation vanishes in k[x, y], and the
+    relations span the whole relation module in each degree up to 20,
+    past the highest relation degree (15) by one step of the grading."""
+    R, images = _subring("veronese4", QQ)
+    sp, P = R.presentation, R.ambient
+    gens = [sp.target.parse(g) for g in gens]
+    rels = sp.module_relation_columns(gens)
+    assert rels
+    for col in rels:
+        total = sp.target.zero()
+        for l, g in enumerate(gens):
+            total = total + substitute_images(images, col.component(l)) * g
+        assert total.is_zero(), col
+    shifts = tuple(g.wdeg() for g in gens)
+    for d in range(21):
+        rows, _terms = span_rows(rels, shifts, d, P)
+        assert rank(rows, P.field) == \
+            brute_relation_dim(images, P, gens, d), d
+
+
+def test_module_relation_columns_make_one_seeded_run(veronese4, monkeypatch):
+    """One Buchberger run over the target component and one component per
+    generator, seeded with the graph ring's basis; no extended run."""
+    runs, extended = [], []
+    real_run, real_ext = gb.buchberger, gb.extended_groebner
+
+    def buchberger(cols, ncomps, keyfn, ring=None, seed=None):
+        runs.append((ncomps, keyfn.nreal, seed is not None))
+        return real_run(cols, ncomps, keyfn, ring, seed)
+
+    def extended_groebner(*args, **kwargs):
+        extended.append(args)
+        return real_ext(*args, **kwargs)
+
+    for owner in (gb, modules, ring_module):
+        monkeypatch.setattr(owner, "buchberger", buchberger)
+    monkeypatch.setattr(gb, "extended_groebner", extended_groebner)
+    sp = veronese4.presentation
+    rels = sp.module_relation_columns([sp.target.one(),
+                                       sp.target.parse("x^2*y^2")])
+    assert len(rels) == 11
+    assert runs == [(3, 1, True)]
+    assert extended == []
+
+
+@pytest.mark.parametrize("gen, message", [
+    ("0", "module generator 2 is zero"),
+    ("x - x", "module generator 2 is zero"),
+    ("x^2 + y^4", "inhomogeneous module generator 2: y^4 + x^2"),
+])
+def test_module_relation_columns_reject_bad_generators(veronese4, gen,
+                                                       message, monkeypatch):
+    runs = []
+    monkeypatch.setattr(modules, "buchberger",
+                        lambda *args, **kwargs: runs.append(args))
+    sp = veronese4.presentation
+    with pytest.raises(DomainError) as err:
+        sp.module_relation_columns([sp.target.one(), sp.target.parse(gen)])
+    assert str(err.value) == message
+    assert runs == []
 
 
 def test_ring_elem_hash_agrees_with_equality():

@@ -260,6 +260,32 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+VERONESE4 = "ring R = subring(Q, [x,y], [x^4, x^3*y, x*y^3, y^4], [a,b,c,d]);\n"
+
+
+@pytest.mark.parametrize("gen", ["y^2", "x*y^2", "x + y"])
+def test_cli_subring_module_on_one_generator(tmp_path, capsys, gen):
+    script = tmp_path / "m.clab"
+    script.write_text(VERONESE4 + f"module S = subring_module(R, [{gen}]);\n")
+    assert main(["run", str(script), "--json"]) == 0
+    module = json.loads(capsys.readouterr().out)["statements"][1]["result"]
+    # R g is free: the relations found lie in the defining ideal of R
+    assert module["ngens"] == 1 and module["relations"] == []
+
+
+@pytest.mark.parametrize("gens, message", [
+    ("1, 0", "module generator 2 is zero"),
+    ("x^2 + y^4", "inhomogeneous module generator 1: y^4 + x^2"),
+])
+def test_cli_subring_module_rejects_bad_generators(tmp_path, capsys, gens,
+                                                   message):
+    script = tmp_path / "m.clab"
+    script.write_text(VERONESE4 + f"module S = subring_module(R, [{gens}]);\n")
+    assert main(["run", str(script), "--json"]) == 2
+    statement = json.loads(capsys.readouterr().out)["statements"][1]
+    assert statement["error"] == message
+
+
 # "@" marks the position of the error: the misshapen argument, or the
 # closing parenthesis where an argument is missing.
 BAD_INTEGERS = [
