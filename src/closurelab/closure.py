@@ -62,8 +62,8 @@ class CheckOutcome:
 class ClosureOp:
     """Base interface: membership of one element, and the full closure.
 
-    Certificates are computed only on request: they need an extended
-    Groebner run, which the yes/no answer does not.
+    Certificates are computed only on request: they need a block run on
+    the generators and relations, which the yes/no answer does not.
     """
 
     name = "closure"
@@ -117,7 +117,7 @@ class ModuleClosure(ClosureOp):
 
         The last result is kept in one slot keyed by (N.module, N.gens),
         compared by value, so an equal but distinct N reuses it, together
-        with the span and extended bases its image Submodule memoizes.
+        with the span and certificate bases its image Submodule memoizes.
         S (x) M has a slot of its own, keyed by M, so its relation basis,
         which seeds the span of every image, is built once per M however
         many N a caller walks through inside it.  One slot each, not a memo

@@ -9,11 +9,10 @@ modules) and the chain criterion.  Output bases are reduced, monic and
 canonically sorted, hence unique for a given module and order.
 
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
-which may be an elimination order, and the block order of extended and
-preimage runs.  buchberger is the one constructor of a GroebnerBasis; the
-basis keeps the kernel rows the run ended with, and its Vec elements are
-derived from them.  A run may start from a known basis (a seed), whose
-rows it takes as they are.
+which may be an elimination order, and the block order.  buchberger is
+the one constructor of a GroebnerBasis; the basis keeps the kernel rows
+the run ended with, and its Vec elements are derived from them.  A run
+may start from a known basis (a seed), whose rows it takes as they are.
 
 Inside the kernel every coefficient is a Python int, and one reducer and
 one Buchberger loop serve both fields through the characteristic p.  Over
@@ -25,14 +24,12 @@ Fractions appear only where a Vec enters the kernel (denominators
 cleared) or leaves it (output bases made monic, normal forms divided by
 the accumulated multiplier).
 
-Extended runs augment each input column with a unit shadow component and
-run the same algorithm under a block order that keeps shadows below real
-terms.  One extended run yields, simultaneously: a Groebner basis of the
-column span, an expression of every basis element in the input columns
-(membership certificates), and generators of the full syzygy module (the
-basis elements whose real part vanished).  Preimages, kernels and ring-map
-presentations are seeded block-order runs assembled by the callers
-(modules.preimage_basis, ring.SubringPresentation).
+Preimages, syzygies, membership certificates and the relations of
+subring modules are all one block-order construction, which the callers
+assemble (modules._block_basis): one seeded run on the columns
+(map column | value) under the block order that keeps the value
+components below the real ones.  This module is the kernel alone: Vec,
+the integer reducer, GroebnerBasis and buchberger.
 
 All functions are pure over immutable inputs; S-pair processing is
 sequential, so outputs are reproducible bit for bit.
@@ -44,7 +41,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .orders import ModuleOrder
 from .poly import (ContextError, PolyRing, Polynomial, mono_div, mono_divides,
                    mono_gcd_is_one, mono_lcm, mono_mul)
 
@@ -451,50 +447,3 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
 
     return GroebnerBasis(ring, ncomps, keyfn, done[::-1])
 
-
-# --- extended runs: certificates and syzygies -------------------------------
-
-
-class ExtendedBasis:
-    """Augmented Groebner data for a column span.
-
-    Provides membership with certificates over the original columns and
-    generators of the syzygy module of the columns.  basis is the reduced
-    augmented basis in P^(s+t), shadow components s..s+t-1; its elements
-    with a zero real part are the syzygies.
-    """
-
-    def __init__(self, s, basis: GroebnerBasis):
-        self.s = s
-        self.t = basis.ncomps - s
-        self.basis = basis
-        self.syzygies = [g.take_components(s, basis.ncomps) for g in basis
-                         if g.take_components(0, s).is_zero()]
-
-    def reduce(self, v: Vec):
-        """Return (real remainder, certificate) for v in P^s.
-
-        When the remainder is zero, certificate is a list of t polynomials
-        with v == sum certificate[q] * column_q.
-        """
-        full = self.basis.normal_form(v.pad(self.s + self.t))
-        real = full.take_components(0, self.s)
-        if not real.is_zero():
-            return real, None
-        shadow = -full.take_components(self.s, self.s + self.t)
-        return real, shadow.to_polys()
-
-
-def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
-    """Reduced basis of the columns, each augmented with a unit shadow
-    component, under the block order keeping shadows below real terms."""
-    cols = list(cols)
-    if ring is None:
-        ring = cols[0].ring
-    s, t = ncomps, len(cols)
-    one = (0,) * ring.nvars
-    aug = [Vec(ring, s + t, {**col.pad(s + t).terms,
-                             (s + i, one): ring.field.one})
-           for i, col in enumerate(cols)]
-    return ExtendedBasis(s, buchberger(aug, s + t,
-                                       ModuleOrder(ring.order, s), ring))

@@ -7,10 +7,12 @@ polynomial ring with the defining ideal on every component, so a single
 engine answers ideal membership, module membership, colons, kernels and
 syzygies uniformly.  A span run starts from the relation basis of its
 module (the ideal's reduced basis on every component, plus the relations),
-which it takes as a seed; a preimage run starts from the reduced span basis
-of its target, with the ideal's basis on the components of its values.
-Extended runs, which take the ideal as input columns, serve only
-membership certificates and syzygies.
+which it takes as a seed.  Every block-order question is one seeded run
+(_block_basis) on the columns (map column | value), starting from the
+reduced span basis of the target and the ideal's basis on the value
+components: preimages and syzygies read its value block, membership
+certificates the value block of a normal form.  The ideal never enters a
+run as input columns.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 import threading
 from itertools import groupby
 
-from .gb import (ExtendedBasis, GroebnerBasis, Vec, buchberger,
-                 extended_groebner)
-from .linalg import (Echelon, component_terms, graded_span_dim,
-                     monomials_of_wdeg, span_rows, vec_coords)
+from .gb import GroebnerBasis, Vec, buchberger
+from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, span_rows,
+                     vec_coords)
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError, mono_divides
 from .ring import QuotientRing
@@ -62,18 +63,18 @@ def r_span_basis(M: FPModule, cols):
                       seed=M.relation_basis())
 
 
-def r_extended_basis(ring: QuotientRing, cols, ncomps) -> ExtendedBasis:
-    return extended_groebner(list(cols) + ideal_columns(ring, ncomps),
-                             ncomps, ring=ring.ambient)
+def unit_vectors(ring: QuotientRing, t: int):
+    return [Vec.unit(ring.ambient, t, l) for l in range(t)]
 
 
 def r_syzygies(ring: QuotientRing, cols, ncomps):
-    """Generators over R of the syzygy module of cols in R^ncomps."""
+    """Generators over R of the syzygy module of cols in R^ncomps: the
+    preimage of I P^ncomps under the map R^t -> R^ncomps they give, as the
+    distinct monic normal forms of the reduced TOP basis of
+    {a in P^t : sum a_l cols_l in I P^ncomps}."""
     cols = list(cols)
-    ext = r_extended_basis(ring, cols, ncomps)
-    t = len(cols)
-    return _distinct_monic(ring, [sv.take_components(0, t)
-                                  for sv in ext.syzygies])
+    return r_preimage(ring, cols, unit_vectors(ring, len(cols)),
+                      free_relation_basis(ring, ncomps), ncomps)
 
 
 def _shifted(rows, offset):
@@ -83,17 +84,16 @@ def _shifted(rows, offset):
             for c, e, lc, t in rows]
 
 
-def preimage_basis(ring: QuotientRing, map_cols, values, span,
-                   ncomps) -> GroebnerBasis:
-    """Reduced basis of {sum c_l values_l : sum c_l map_cols_l in span}
-    + I P^n in P^n, under TOP over the ring order; values is not empty.
+def _block_basis(ring: QuotientRing, map_cols, values, span,
+                 ncomps) -> GroebnerBasis:
+    """Reduced basis of the span of the columns (map_col_l | value_l), of
+    span in P^ncomps and of I P^n in the last n components, in
+    P^(ncomps + n) under the block order with P^ncomps dominant; values is
+    not empty.
 
     span is the target's reduced basis in P^ncomps, relations and ideal
-    included.  One run on the columns (map_col_l | value_l) under the block
-    order with P^ncomps dominant, seeded with span's rows and, below them,
-    the ideal's basis on the last n components: one reduced basis, in basis
-    order.  Its elements in the last n components alone are the reduced
-    basis of the preimage, relabelled as they are.
+    included.  One run, seeded with span's rows and, below them, the
+    ideal's basis on the last n components.
     """
     n = values[0].ncomps
     big, amb = ncomps + n, ring.ambient
@@ -102,8 +102,21 @@ def preimage_basis(ring: QuotientRing, map_cols, values, span,
         free_relation_basis(ring, n)._rows, ncomps))
     cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
             for mc, v in zip(map_cols, values)]
-    rows = buchberger(cols, big, order, amb, seed=seed)._rows
-    return GroebnerBasis(amb, n, ModuleOrder(amb.order),
+    return buchberger(cols, big, order, amb, seed=seed)
+
+
+def preimage_basis(ring: QuotientRing, map_cols, values, span,
+                   ncomps) -> GroebnerBasis:
+    """Reduced basis of {sum c_l values_l : sum c_l map_cols_l in span}
+    + I P^n in P^n, under TOP over the ring order; values is not empty.
+
+    The value block of _block_basis: its elements in the last n components
+    alone, in basis order, are the reduced basis of the preimage,
+    relabelled as they are.
+    """
+    amb = ring.ambient
+    rows = _block_basis(ring, map_cols, values, span, ncomps)._rows
+    return GroebnerBasis(amb, values[0].ncomps, ModuleOrder(amb.order),
                          _shifted([r for r in rows if r[0] >= ncomps],
                                   -ncomps))
 
@@ -250,16 +263,6 @@ class FPModule:
     def is_zero_module(self) -> bool:
         return all(self.element_is_zero(self.gen(i)) for i in range(self.ngens))
 
-    def degree_of(self, v: Vec) -> int:
-        return v.degree(self.gen_degrees)
-
-    def graded_dim(self, d: int) -> int:
-        """k-dimension of the degree-d piece."""
-        terms = component_terms(self.ring.ambient, self.gen_degrees, d)
-        cols = list(self.relations) + ideal_columns(self.ring, self.ngens)
-        return len(terms) - graded_span_dim(cols, self.gen_degrees, d,
-                                            self.ring.ambient)
-
     # -- submodules ------------------------------------------------------------
 
     def submodule(self, gens) -> "Submodule":
@@ -330,9 +333,6 @@ class FPModule:
         rel_cols = steps[d + 1][1] if d + 1 < len(steps) else ()
         return FPModule(self.ring, degrees_d, rel_cols, normalize=False)
 
-    def betti_numbers(self, length: int):
-        return [len(step[0]) for step in self.resolution(length)]
-
     def presentation_strings(self):
         return [[str(self.ring.nf(col.component(i))) for i in range(self.ngens)]
                 for col in self.relations]
@@ -344,48 +344,21 @@ class FPModule:
             "relations": self.presentation_strings(),
         }
 
-    def same_presentation(self, other: "FPModule", degree_shift=0) -> bool:
-        """Presentation-level module equality: minimal presentations with
-        matched degree data have equal relation-span Groebner bases.
-
-        degree_shift compares self against other with all of other's
-        generator degrees lowered by that amount (graded twist).
-        """
-        if self.ring != other.ring:
-            return False
-        a, b = self.minimal_presentation(), other.minimal_presentation()
-        if sorted(a.gen_degrees) != sorted(d - degree_shift
-                                           for d in b.gen_degrees):
-            return False
-        pa = _degree_sorted(a)
-        pb = _degree_sorted(b)
-        gba = [v.terms for v in pa.relation_basis()]
-        gbb = [v.terms for v in pb.relation_basis()]
-        return gba == gbb
-
     def __repr__(self):
         return (f"FPModule(ngens={self.ngens}, degrees={self.gen_degrees}, "
                 f"{len(self.relations)} relations)")
 
 
-def _degree_sorted(M: FPModule) -> FPModule:
-    order = sorted(range(M.ngens), key=lambda i: (M.gen_degrees[i], i))
-    pos = {old: new for new, old in enumerate(order)}
-    degrees = tuple(M.gen_degrees[i] for i in order)
-    rels = [Vec(M.ring.ambient, M.ngens,
-                {(pos[j], m): c for (j, m), c in col.terms.items()})
-            for col in M.relations]
-    return FPModule(M.ring, degrees, rels, normalize=False)
-
-
 class Submodule:
     """Submodule of an FPModule, generated by vectors in its free cover.
 
-    The span and extended bases are memoized in _memo, which takes no lock:
-    the bases are reduced, hence canonical, so two threads racing on one
-    submodule at worst build two equal bases and keep either.  The
-    module's memo is different: FPModule._lock guards it, because its
-    resolution list is extended in place, one step at a time.
+    Two bases are memoized in _memo: the span, which answers membership,
+    and the block basis of _ext, whose normal forms give certificates.
+    _memo takes no lock: the bases are reduced, hence canonical, so two
+    threads racing on one submodule at worst build two equal bases and
+    keep either.  The module's memo is different: FPModule._lock guards
+    it, because its resolution list is extended in place, one step at a
+    time.
     """
 
     def __init__(self, module: FPModule, gens):
@@ -402,11 +375,15 @@ class Submodule:
             self._memo["span"] = r_span_basis(self.module, self.gens)
         return self._memo["span"]
 
-    def _ext(self) -> ExtendedBasis:
+    def _ext(self) -> GroebnerBasis:
+        """The block basis of the columns (g_l | e_l), one for each
+        generator and each relation of the module, seeded with I P^s."""
         if "ext" not in self._memo:
             cols = list(self.gens) + list(self.module.relations)
-            self._memo["ext"] = r_extended_basis(self.ring, cols,
-                                                 self.module.ngens)
+            self._memo["ext"] = _block_basis(
+                self.ring, cols, unit_vectors(self.ring, len(cols)),
+                free_relation_basis(self.ring, self.module.ngens),
+                self.module.ngens)
         return self._memo["ext"]
 
     def contains(self, v) -> bool:
@@ -419,12 +396,20 @@ class Submodule:
         """Coefficients over the submodule generators, or None.
 
         For a member v, returns ring elements (c_1..c_t) with
-        v == sum c_q * gens_q modulo the ambient module's relations.
+        v == sum c_q * gens_q modulo the ambient module's relations: minus
+        the value block of the normal form of (v | 0) against _ext, whose
+        real block is then zero.  With no generators and no relations
+        there is nothing to run on, and the certificate is empty.
         """
         v = v if isinstance(v, Vec) else self.module.vec(v)
-        rem, coeffs = self._ext().reduce(v)
-        if not rem.is_zero():
+        s = self.module.ngens
+        t = len(self.gens) + len(self.module.relations)
+        if not t:
+            return [] if self.contains(v) else None
+        full = self._ext().normal_form(v.pad(s + t))
+        if not full.take_components(0, s).is_zero():
             return None
+        coeffs = (-full.take_components(s, s + t)).to_polys()
         return [self.ring.elem(c) for c in coeffs[:len(self.gens)]]
 
     def contains_submodule(self, other: "Submodule") -> bool:
@@ -451,15 +436,6 @@ class Submodule:
         gens = r_preimage(self.ring, scaled_gens(self.module, [x]),
                           self.module.gens(), self._span(), self.module.ngens)
         return Submodule(self.module, tuple(gens)).minimalized()
-
-    def colon_ideal(self, xs) -> "Submodule":
-        out = None
-        for x in xs:
-            c = self.colon_elem(x)
-            out = c if out is None else out.intersect(c)
-        if out is None:
-            raise DomainError("colon by the empty ideal")
-        return out
 
     def minimalized(self) -> "Submodule":
         """Prune the generating set to a minimal one (deterministically)."""

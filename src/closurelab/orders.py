@@ -91,8 +91,8 @@ class ModuleOrder:
 
     With nreal None it is TOP (term over position): the ring monomials are
     compared first, and ties are broken by position, earlier components
-    winning.  With nreal set it is the block order of extended and
-    preimage computations: TOP, with every term in a component >= nreal
+    winning.  With nreal set it is the block order of preimage, syzygy
+    and certificate runs: TOP, with every term in a component >= nreal
     strictly below every term in the first nreal components, which hold
     the actual module element.
 

@@ -281,9 +281,8 @@ class SubringPresentation:
     images are monomials (single terms, coefficient 1) of positive degree.
     The graph ring B = k[x, names]/(name_i - images[i]) is a QuotientRing
     ordered by the elimination of x and graded by the target weights and
-    the image degrees.  Its reduced ideal basis gives the kernel of the map
-    (the elements free of x) and, as normal forms, the rewriting of subring
-    elements into the names.
+    the image degrees.  Its reduced ideal basis gives the kernel of the
+    map: the elements free of x.
     """
 
     def __init__(self, images, pres_names):
@@ -323,19 +322,6 @@ class SubringPresentation:
                 for g in self.graph.ideal_basis
                 if not any(any(m[:n_t]) for m in g.terms)]
 
-    def to_subring(self, f: Polynomial):
-        """Express a target-ring element in presentation variables.
-
-        Returns the presentation-ring polynomial, or None if the element
-        does not lie in the subring.
-        """
-        if f.ring != self.target:
-            raise ContextError("element not in the target ring")
-        p = self.graph.nf(_lift(f, self.graph.ambient))
-        if any(any(m[:self.target.nvars]) for m in p.terms):
-            return None
-        return _strip_vars(p, self.pres_ring, self.target.nvars)
-
     def module_relation_columns(self, module_gens):
         """Presentation of the R-module generated inside k[x] by module_gens.
 
@@ -348,7 +334,7 @@ class SubringPresentation:
         of {c : sum c_l g_l = 0 in B}, and its elements free of x are the
         relations.
         """
-        from .modules import preimage_basis  # modules imports this module
+        from .modules import preimage_basis, unit_vectors  # imports ring
         gens = list(module_gens)
         for l, g in enumerate(gens, 1):
             if g.ring != self.target:
@@ -362,7 +348,7 @@ class SubringPresentation:
         B, n_t, t = self.graph, self.target.nvars, len(gens)
         basis = preimage_basis(
             B, [Vec.from_polys([_lift(g, B.ambient)]) for g in gens],
-            [Vec.unit(B.ambient, t, l) for l in range(t)], B._gb, 1)
+            unit_vectors(B, t), B._gb, 1)
         return [Vec(self.pres_ring, t,
                     {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
                 for v in basis if not v.has_vars_below(n_t)]

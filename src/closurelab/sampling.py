@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .gb import Vec
 from .linalg import monomials_of_wdeg
-from .modules import FPModule, ideal_submodule
+from .modules import ideal_submodule
 from .ring import QuotientRing
 
 
@@ -78,23 +77,4 @@ def sample_monomial_ideals(ring: QuotientRing, count: int, seed: int,
             gens.append(ring.elem(ring.ambient.monomial(m)))
         out.append(ideal_submodule(ring, gens))
     return out
-
-
-def random_submodule_pair(M: FPModule, rng: random.Random, max_deg=4,
-                          max_gens=2):
-    """A random submodule N of M with small homogeneous generators."""
-    degs = achievable_degrees(M.ring, 0, max_deg)
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        j = rng.randrange(M.ngens)
-        shift = M.gen_degrees[j]
-        cand = [d for d in degs if d - shift >= 0]
-        if not cand:
-            continue
-        e = random_homogeneous_elem(M.ring, rng.choice(cand) - shift, rng)
-        if e is None:
-            continue
-        gens.append(Vec(M.ring.ambient, M.ngens,
-                        {(j, m): c for m, c in e.poly.terms.items()}))
-    return M.submodule(gens)
 

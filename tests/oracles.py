@@ -11,7 +11,10 @@ checked against, `ref_preimage`, the unseeded block-diagonal elimination
 that the seeded `r_preimage` is checked against, with the constructions of
 closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
 `ref_module_relation_columns`, the syzygy-then-elimination construction
-that subring module relations are checked against,
+that subring module relations are checked against, `extended_groebner`,
+the run with the ideal as input columns, each with a shadow component,
+that certificates (`ref_certificate`) and syzygies (`ref_syzygy_basis`)
+are checked against,
 `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
@@ -27,6 +30,11 @@ for the integer echelon routine in `closurelab.linalg`, and the per-point
 `Fraction` Fourier-Motzkin test (`fm_newton_member`), the reference for
 the Newton facets in `closurelab.closure`.  The oracles here use these
 references, so they share no bug with the primitives under test.
+
+Three helpers serve the tests without being references for an engine
+path: `module_graded_dim`, a module's Hilbert function by row reduction,
+`same_presentation`, module equality through minimal presentations, and
+`random_submodule_pair`, a sampler of small homogeneous submodules.
 """
 
 from fractions import Fraction
@@ -34,12 +42,15 @@ from math import gcd
 
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
-from closurelab.gb import Vec, buchberger, extended_groebner
-from closurelab.linalg import monomials_of_wdeg, span_rows, vec_coords
-from closurelab.modules import (_distinct_monic, ideal_columns, scaled_gens,
+from closurelab.gb import Vec, buchberger
+from closurelab.linalg import (component_terms, graded_span_dim,
+                               monomials_of_wdeg, span_rows, vec_coords)
+from closurelab.modules import (FPModule, _distinct_monic, ideal_columns,
+                                scaled_gens,
                                 tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import ParseError, PolyRing, Polynomial, _tokenize_poly
+from closurelab.sampling import achievable_degrees, random_homogeneous_elem
 
 
 # --- reference monomial primitives and order keys -------------------------------
@@ -308,6 +319,67 @@ def graded_dim_of_span(ring, cols, shifts, d) -> int:
                             ring.ambient)
     base = len(row_reduce(rows_i, ring.ambient.field)[0]) if rows_i else 0
     return len(rref) - base
+
+
+def module_graded_dim(M, d) -> int:
+    """dim_k of the degree-d piece of M: the cover's terms less the rank of
+    the relations and the ideal on every component."""
+    terms = component_terms(M.ring.ambient, M.gen_degrees, d)
+    cols = list(M.relations) + ideal_columns(M.ring, M.ngens)
+    return len(terms) - graded_span_dim(cols, M.gen_degrees, d,
+                                        M.ring.ambient)
+
+
+# --- presentation-level module equality --------------------------------------------
+
+
+def _degree_sorted(M):
+    order = sorted(range(M.ngens), key=lambda i: (M.gen_degrees[i], i))
+    pos = {old: new for new, old in enumerate(order)}
+    degrees = tuple(M.gen_degrees[i] for i in order)
+    rels = [Vec(M.ring.ambient, M.ngens,
+                {(pos[j], m): c for (j, m), c in col.terms.items()})
+            for col in M.relations]
+    return FPModule(M.ring, degrees, rels, normalize=False)
+
+
+def same_presentation(A, B, degree_shift=0) -> bool:
+    """Presentation-level module equality: minimal presentations with
+    matched degree data have equal relation-span Groebner bases.
+
+    degree_shift compares A against B with all of B's generator degrees
+    lowered by that amount (graded twist).
+    """
+    if A.ring != B.ring:
+        return False
+    a, b = A.minimal_presentation(), B.minimal_presentation()
+    if sorted(a.gen_degrees) != sorted(d - degree_shift
+                                       for d in b.gen_degrees):
+        return False
+    gba = [v.terms for v in _degree_sorted(a).relation_basis()]
+    gbb = [v.terms for v in _degree_sorted(b).relation_basis()]
+    return gba == gbb
+
+
+# --- random submodules ----------------------------------------------------------------
+
+
+def random_submodule_pair(M, rng, max_deg=4, max_gens=2):
+    """A random submodule N of M with small homogeneous generators."""
+    degs = achievable_degrees(M.ring, 0, max_deg)
+    gens = []
+    for _ in range(rng.randint(1, max_gens)):
+        j = rng.randrange(M.ngens)
+        shift = M.gen_degrees[j]
+        cand = [d for d in degs if d - shift >= 0]
+        if not cand:
+            continue
+        e = random_homogeneous_elem(M.ring, rng.choice(cand) - shift, rng)
+        if e is None:
+            continue
+        gens.append(Vec(M.ring.ambient, M.ngens,
+                        {(j, m): c for m, c in e.poly.terms.items()}))
+    return M.submodule(gens)
 
 
 # --- degreewise kernel of a generator map ------------------------------------------
@@ -628,7 +700,7 @@ def fraction_normal_form(basis_vecs, keyfn, v: Vec) -> Vec:
 
 def fraction_extended_reduce(cols, ncomps, v: Vec):
     """(real remainder, certificate) of v against the columns, as
-    gb.ExtendedBasis.reduce computes it, from a Fraction-kernel run."""
+    ExtendedBasis.reduce computes it, from a Fraction-kernel run."""
     ring = v.ring
     s, t = ncomps, len(cols)
     aug = [col.pad(s + t) + Vec.unit(ring, s + t, s + i)
@@ -640,6 +712,87 @@ def fraction_extended_reduce(cols, ncomps, v: Vec):
     if not real.is_zero():
         return real, None
     return real, (-full.take_components(s, s + t)).to_polys()
+
+
+# --- extended runs: the ideal as input columns, each with a shadow ---------------
+
+
+class ExtendedBasis:
+    """Augmented Groebner data for a column span.
+
+    Provides membership with certificates over the original columns and
+    generators of the syzygy module of the columns.  basis is the reduced
+    augmented basis in P^(s+t), shadow components s..s+t-1; its elements
+    with a zero real part are the syzygies.
+    """
+
+    def __init__(self, s, basis):
+        self.s = s
+        self.t = basis.ncomps - s
+        self.basis = basis
+        self.syzygies = [g.take_components(s, basis.ncomps) for g in basis
+                         if g.take_components(0, s).is_zero()]
+
+    def reduce(self, v: Vec):
+        """Return (real remainder, certificate) for v in P^s.
+
+        When the remainder is zero, certificate is a list of t polynomials
+        with v == sum certificate[q] * column_q.
+        """
+        full = self.basis.normal_form(v.pad(self.s + self.t))
+        real = full.take_components(0, self.s)
+        if not real.is_zero():
+            return real, None
+        shadow = -full.take_components(self.s, self.s + self.t)
+        return real, shadow.to_polys()
+
+
+def extended_groebner(cols, ncomps, ring=None) -> ExtendedBasis:
+    """Reduced basis of the columns, each augmented with a unit shadow
+    component, under the block order keeping shadows below real terms."""
+    cols = list(cols)
+    if ring is None:
+        ring = cols[0].ring
+    s, t = ncomps, len(cols)
+    one = (0,) * ring.nvars
+    aug = [Vec(ring, s + t, {**col.pad(s + t).terms,
+                             (s + i, one): ring.field.one})
+           for i, col in enumerate(cols)]
+    return ExtendedBasis(s, buchberger(aug, s + t,
+                                       ModuleOrder(ring.order, s), ring))
+
+
+def ref_extended_basis(ring, cols, ncomps) -> ExtendedBasis:
+    """The extended run of cols in R^ncomps, the ideal appended on every
+    component as input columns, each with a shadow of its own."""
+    return extended_groebner(list(cols) + ideal_columns(ring, ncomps),
+                             ncomps, ring=ring.ambient)
+
+
+def ref_certificate(sub, v: Vec):
+    """Submodule.certificate by the extended run of the generators and
+    the relations, the ideal as input columns."""
+    cols = list(sub.gens) + list(sub.module.relations)
+    rem, coeffs = ref_extended_basis(sub.ring, cols,
+                                     sub.module.ngens).reduce(v)
+    if not rem.is_zero():
+        return None
+    return [sub.ring.elem(c) for c in coeffs[:len(sub.gens)]]
+
+
+def ref_syzygy_basis(ring, cols, ncomps):
+    """r_syzygies by its definition: the distinct monic normal forms of the
+    reduced TOP basis of the module that the extended run's syzygies,
+    projected to the columns, generate."""
+    t = len(cols)
+    proj = [sv.take_components(0, t)
+            for sv in ref_extended_basis(ring, cols, ncomps).syzygies]
+    proj = [v for v in proj if not v.is_zero()]
+    if not proj:
+        return []
+    return _distinct_monic(ring, buchberger(proj, t,
+                                            ModuleOrder(ring.ambient.order),
+                                            ring.ambient))
 
 
 # --- R-spans with the ideal as input columns ----------------------------------------

@@ -26,8 +26,9 @@ from closurelab.closure import (ClosureOp, ModuleClosure,
                                 ideal_member, intersect_closures,
                                 is_trivial_on_sample, newton_polyhedron_member,
                                 phantom_test)
-from closurelab.sampling import random_submodule_pair, sample_ideals
-from oracles import fm_newton_member, ref_closure_preimage
+from closurelab.sampling import sample_ideals
+from oracles import (fm_newton_member, random_submodule_pair,
+                     ref_closure_preimage)
 
 
 # --- membership examples -------------------------------------------------------------

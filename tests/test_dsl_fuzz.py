@@ -15,7 +15,7 @@ import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from closurelab import cli, dsl
@@ -376,6 +376,8 @@ def _run_cli(text, damage=None, at=0):
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_scripts(), st.sampled_from([None, None, "byte", "export"]),
        st.integers(0, 400))
+@example(text="ring R = poly(Q, [x, y], lex) / (x); ideal I = ideal(R, x); "
+              "check member(x, I);", damage=None, at=0)
 def test_cli_exit_code_matches_the_report(text, damage, at):
     """Exit 0, 1 or 2 and no traceback; a script that does not parse is
     an error message with exit 2; otherwise the exit code is 2 when some

@@ -9,8 +9,9 @@ import pytest
 from closurelab.field import QQ, Rationals, prime_field
 from closurelab.orders import DEGREVLEX, ModuleOrder, elimination
 from closurelab.poly import PolyRing, mono_divides
-from closurelab.gb import Vec, buchberger, extended_groebner
-from closurelab.modules import ideal_submodule
+from closurelab.gb import Vec, buchberger
+from closurelab.modules import (Submodule, free_module, ideal_submodule,
+                                r_syzygies)
 from closurelab.ring import (UnsupportedInputError, _strip_vars,
                              make_quotient_ring, presented_subring)
 
@@ -20,6 +21,7 @@ from oracles import (brute_member, brute_syzygies_complete,
                      ref_reduce)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
+P2 = make_quotient_ring(R2, [])     # k[x,y] as a quotient ring, no ideal
 R3 = PolyRing(("a", "b", "c"), QQ, DEGREVLEX)
 
 
@@ -199,10 +201,12 @@ def _kernel_form(vecs):
 def test_integer_kernel_matches_fraction_reference(field):
     """The integer kernel against the Fraction kernel it replaced, on 210
     random multi-component inputs under three module orders: equal
-    reduced bases, normal-form remainders and extended-basis
-    certificates.  Inputs are homogeneous for random component shifts, as
-    every Buchberger input of the engine is."""
+    reduced bases, normal-form remainders, and the remainders and
+    certificates of Submodule.certificate's block basis.  Inputs are
+    homogeneous for random component shifts, as every Buchberger input of
+    the engine is."""
     ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    no_ideal = make_quotient_ring(ring, [])
     rng = random.Random(47)
     for trial in range(210):
         shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
@@ -221,23 +225,27 @@ def test_integer_kernel_matches_fraction_reference(field):
             combo = combo + col.term_mul(_random_coeff(field, rng),
                                          rng.choice(((1, 0, 0), (0, 0, 1))))
         probes = [combo, _random_vec(ring, rng, shifts, 3, 4)]
-        ext = extended_groebner(cols, ncomps, ring)
+        sub = Submodule(free_module(no_ideal, shifts), tuple(cols))
+        big = ncomps + len(cols)
         for v in probes:
             assert _kernel_form([ours.normal_form(v)]) == \
                 _kernel_form([fraction_normal_form(ref, keyfn, v)]), trial
-            real, cert = ext.reduce(v)
+            real = sub._ext().normal_form(v.pad(big)).take_components(
+                0, ncomps)
+            cert = sub.certificate(v)
             ref_real, ref_cert = fraction_extended_reduce(cols, ncomps, v)
             assert _kernel_form([real]) == _kernel_form([ref_real]), trial
             assert (cert is None) == (ref_cert is None), trial
             if cert is not None:
-                assert [repr(sorted(c.terms.items())) for c in cert] == \
+                assert [repr(sorted(c.poly.terms.items())) for c in cert] == \
                     [repr(sorted(c.terms.items())) for c in ref_cert], trial
 
 
 def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
     """Over Q the kernel works on integers: buchberger, normal_form and
-    extended_groebner never call the field's arithmetic."""
+    the block run of a certificate never call the field's arithmetic."""
     ring = PolyRing(("x", "y", "z"), QQ, DEGREVLEX)
+    free = free_module(make_quotient_ring(ring, []), (0, 1))
     cols = [Vec.from_polys([ring.parse(a), ring.parse(b)]) for a, b in
             [("1/2*x^2 - y*z", "3/7*y"), ("x*y + 5/3*z^2", "z"),
              ("y^2 - 2*x*z", "-4/5*x")]]
@@ -255,8 +263,7 @@ def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
     assert len(gb) > len(cols)
     assert not gb.normal_form(probe).is_zero()
     assert gb.normal_form(in_span).is_zero()
-    real, cert = extended_groebner(cols, 2, ring).reduce(in_span)
-    assert real.is_zero() and cert is not None
+    assert Submodule(free, tuple(cols)).certificate(in_span) is not None
 
 
 def test_buchberger_work_counts_are_pinned(monkeypatch):
@@ -318,13 +325,13 @@ def test_normal_form_of_basis_elements_is_zero():
 
 
 def test_membership_with_certificate_recombines():
-    ext = extended_groebner(ideal_cols(R2, ["x^2 - y^2", "y^3"]), 1, ring=R2)
+    sub = ideal_submodule(P2, ["x^2 - y^2", "y^3"])
     target = R2.parse("x^4 - y^4 + x*y^3")
-    rem, cert = ext.reduce(Vec.from_polys([target]))
-    assert rem.is_zero()
+    cert = sub.certificate(Vec.from_polys([target]))
+    assert cert is not None
     acc = R2.zero()
     for c, t in zip(cert, ["x^2 - y^2", "y^3"]):
-        acc = acc + c * R2.parse(t)
+        acc = acc + c.poly * R2.parse(t)
     assert acc == target
 
 
@@ -333,24 +340,16 @@ def test_membership_with_certificate_recombines():
 
 def test_koszul_syzygy_of_x_y():
     cols = ideal_cols(R2, ["x", "y"])
-    syz = extended_groebner(cols, 1, ring=R2).syzygies
+    syz = r_syzygies(P2, cols, 1)
     assert len(syz) == 1
     v = syz[0]
     combo = cols[0].scale(v.component(0)) + cols[1].scale(v.component(1))
     assert combo.is_zero()
-    assert brute_syzygies_complete_poly(R2, cols, syz, 6)
-
-
-def brute_syzygies_complete_poly(ring_poly, cols, syz, max_deg):
-    """Polynomial-ring version of the completeness oracle."""
-    from closurelab.ring import make_quotient_ring
-    R = make_quotient_ring(ring_poly, [])
-    return brute_syzygies_complete(R, cols, 1, syz, max_deg)
+    assert brute_syzygies_complete(P2, cols, 1, syz, 6)
 
 
 def test_single_generator_in_domain_has_no_syzygies():
-    syz = extended_groebner(ideal_cols(R2, ["x^2 + y^2"]), 1,
-                            ring=R2).syzygies
+    syz = r_syzygies(P2, ideal_cols(R2, ["x^2 + y^2"]), 1)
     assert syz == []
 
 
@@ -364,7 +363,7 @@ def test_syzygies_compose_to_zero_random():
             c = rng.randint(1, 2)
             cols.append(Vec.from_polys(
                 [R2.monomial((i, j), QQ.from_int(c))]))
-        syz = extended_groebner(cols, 1, ring=R2).syzygies
+        syz = r_syzygies(P2, cols, 1)
         for v in syz:
             acc = Vec.zero(R2, 1)
             for q in range(len(cols)):
