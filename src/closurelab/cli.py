@@ -10,14 +10,16 @@ import argparse
 import json
 import sys
 
-from .dsl import ScriptError
+from .dsl import ScriptError, show_position
 from .session import EvalError, Session, SessionVersionError
 
 
 def _print_result(res, stream=None):
     stream = stream if stream is not None else sys.stdout
     if res.error is not None:
-        print(f"error: {res.error}", file=stream)
+        error = res.error if res.where is None else \
+            show_position(res.error, res.where)
+        print(f"error: {error}", file=stream)
         return
     flag = ""
     if res.ok is True:

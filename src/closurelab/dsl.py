@@ -124,23 +124,36 @@ SET_HEADS = tuple(SIGNATURES["set"])
 CLOSURE_KEYWORDS = ("trivial", "integral_closure")
 
 
+def locate(text, pos) -> dict:
+    """{"line", "column", "source"}: the 1-based line and column of offset
+    pos in text, and the text of that line."""
+    before = text[:pos]
+    line = before.count("\n") + 1
+    lines = text.splitlines()
+    return {"line": line, "column": pos - (before.rfind("\n") + 1) + 1,
+            "source": lines[line - 1] if line <= len(lines) else ""}
+
+
+def show_position(message, where) -> str:
+    """message at a position from locate: the line and column, then the
+    source line with a caret under the column."""
+    caret = " " * (where["column"] - 1) + "^"
+    return (f"line {where['line']}, column {where['column']}: {message}\n"
+            f"  {where['source']}\n  {caret}")
+
+
 class ScriptError(ValueError):
     """Lexical or syntax error with position and expectation info."""
 
     def __init__(self, message, text, pos, expected=()):
         self.pos = pos
-        before = text[:pos]
-        self.line = before.count("\n") + 1
-        self.col = pos - (before.rfind("\n") + 1) + 1
+        where = locate(text, pos)
+        self.line, self.col = where["line"], where["column"]
         self.expected = tuple(expected)
         self.bare_message = message
-        lines = text.splitlines() or [""]
-        src_line = lines[self.line - 1] if self.line - 1 < len(lines) else ""
-        caret = " " * (self.col - 1) + "^"
-        detail = f"line {self.line}, column {self.col}: {message}"
         if expected:
-            detail += " (expected " + " | ".join(expected) + ")"
-        super().__init__(f"{detail}\n  {src_line}\n  {caret}")
+            message += " (expected " + " | ".join(expected) + ")"
+        super().__init__(show_position(message, where))
 
 
 # --- tokens -------------------------------------------------------------------
@@ -364,6 +377,24 @@ def print_statements(stmts) -> str:
     return "\n".join(s.show() for s in stmts)
 
 
+@dataclass(frozen=True)
+class Span:
+    """Where a statement stands in its script: the offset of its first
+    character, and (text, offset) of each argument that is an element or
+    a name, as written."""
+
+    script: str
+    start: int
+    args: tuple = ()
+
+    def where(self, text=None, pos=0) -> dict:
+        """locate() of offset pos in the first argument written as text,
+        or of the statement's start when no argument is."""
+        at = next((offset + pos for arg, offset in self.args if arg == text),
+                  self.start)
+        return locate(self.script, at)
+
+
 def _check_poly_syntax(text: str, offset: int, script: str, end_pos: int):
     """Syntax-only check of a polynomial argument text found at offset.
 
@@ -407,6 +438,8 @@ class Parser:
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        self.spans = []   # one Span per statement parsed
+        self.args = []    # (text, offset) of the statement's raw arguments
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -483,6 +516,7 @@ class Parser:
         if count == 0:
             raise self.err("empty argument")
         text = self.text[start:last_end].strip()
+        self.args.append((text, start))
         toks = tokenize(text)
         if len(toks) == 2 and toks[0].kind == "int":
             return IntArg(toks[0].value)
@@ -567,7 +601,9 @@ class Parser:
     def parse_script(self):
         stmts = []
         while self.peek().kind != "end":
+            start, self.args = self.peek().pos, []
             stmts.append(self.parse_statement())
+            self.spans.append(Span(self.text, start, tuple(self.args)))
         return stmts
 
     def parse_statement(self):

@@ -24,6 +24,15 @@ Fractions appear only where a Vec enters the kernel (denominators
 cleared) or leaves it (output bases made monic, normal forms divided by
 the accumulated multiplier).
 
+Inside the kernel every monomial is an int too, its order code
+(orders.MonomialCode): codes compare the way the ring order does, a
+product of monomials is a sum of codes, and divisibility is one test on
+the difference of two codes.  Exponent tuples are converted to codes
+where a Vec enters the kernel and back where it leaves, and in
+leading_terms; Vecs, order keys and everything outside this module keep
+tuples.  An exponent past orders.EXP_BOUND, on the way in or grown in a
+reduction, raises UnsupportedInputError.
+
 Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
 assemble (modules._block_basis): one seeded run on the columns
@@ -40,9 +49,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 
-from .poly import (ContextError, PolyRing, Polynomial, mono_div, mono_divides,
-                   mono_gcd_is_one, mono_lcm, mono_mul)
+from .orders import EXP_BOUND
+from .poly import (ContextError, PolyRing, Polynomial, UnsupportedInputError,
+                   mono_mul)
 
 
 class Vec:
@@ -178,66 +189,79 @@ class Vec:
 
 
 # --- integer kernel: int coefficients, p the characteristic (0 for Q) ------
+#
+# A kernel term is (comp, m), m the order code of its monomial (see
+# orders.MonomialCode); a kernel row is (comp, m, lc, terms), the lead
+# first.  Codes add to multiply monomials, and a monomial with lead code e
+# divides one with code m iff not (((m - e) ^ xor) + add) & guard.
 
 
-def _to_kernel(terms, p):
-    """(int terms, den) with int terms == den * terms; den is 1 over GF(p)."""
+def _to_kernel(terms, p, code):
+    """(int terms, den) with int terms == den * terms, monomials as order
+    codes; den is 1 over GF(p).  An exponent past the bound of the code
+    raises UnsupportedInputError."""
+    enc = code.encode
+    try:
+        if p:
+            return {(j, enc(m)): c for (j, m), c in terms.items()}, 1
+        den = lcm(*(c.denominator for c in terms.values()))
+        return {(j, enc(m)): c.numerator * (den // c.denominator)
+                for (j, m), c in terms.items()}, den
+    except OverflowError as exc:
+        raise UnsupportedInputError(
+            f"{exc}: the Groebner kernel takes exponents up to "
+            f"{EXP_BOUND}") from None
+
+
+def _from_kernel(terms, den, p, code):
+    """Field coefficients of the int terms divided by den, monomials as
+    exponent tuples."""
+    dec = code.decode
     if p:
-        return dict(terms), 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in terms.items()}, den
+        return {(j, dec(m)): c for (j, m), c in terms.items()}
+    if den == 1:
+        return {(j, dec(m)): Fraction(c) for (j, m), c in terms.items()}
+    return {(j, dec(m)): Fraction(c, den) for (j, m), c in terms.items()}
 
 
-def _from_kernel(terms, den, p):
-    """Field coefficients of the int terms divided by den."""
-    if p:
-        return terms
-    return {k: Fraction(c, den) for k, c in terms.items()}
+def _reduce_terms(terms, basis, key, code, p):
+    """Fully reduce an int term dict against basis rows, in place.
 
-
-def _reduce_terms(terms, basis, keyfn, p, keycache):
-    """Fully reduce an int term dict against basis elements, in place.
-
-    basis: list of (comp, exps, lc, body_terms) in kernel form.  Returns
+    basis: list of (comp, m, lc, body_terms) in kernel form, key the
+    term key of the order (_term_key).  Returns
     (rem, mult) with mult * input == rem + (a combination of the basis);
     the terms of rem are in descending order, lead first.  Over GF(p)
-    every lc is 1, so mult stays 1.
+    every lc is 1, so mult stays 1.  Every term is checked against the
+    exponent bound when it leads: the rows' terms are within it, so no
+    product formed here carries out of a field unseen.
     """
+    xor, add, guard = code.xor, code.add, code.guard
     rem = []  # (term, coeff, mult when it was set aside)
     mult = 1
     while terms:
-        best = None
-        bestkey = None
-        for t in terms:
-            k = keycache.get(t)
-            if k is None:
-                k = keyfn(t[0], t[1])
-                keycache[t] = k
-            if bestkey is None or k > bestkey:
-                bestkey = k
-                best = t
-        comp, exps = best
+        best = max(terms, key=key)
+        comp, m = best
+        if ((m ^ xor) + add) & guard:
+            raise UnsupportedInputError(
+                f"an exponent grew past {EXP_BOUND} in a Groebner "
+                f"computation")
         coeff = terms[best]
-        hit = -1
-        for idx, (bc, be, _lc, _body) in enumerate(basis):
-            if bc == comp and mono_divides(be, exps):
-                hit = idx
+        for bc, be, lc, body in basis:
+            if bc == comp and not ((((m - be) ^ xor) + add) & guard):
                 break
-        if hit < 0:
+        else:
             rem.append((best, coeff, mult))
             del terms[best]
             continue
-        _bc, be, lc, body = basis[hit]
-        q = mono_div(exps, be)
+        q = m - be
         g = gcd(coeff, lc)
         scale, factor = lc // g, coeff // g
         if scale != 1:
             mult *= scale
             for k in terms:
                 terms[k] *= scale
-        for (j, m), c in body.items():
-            k2 = (j, mono_mul(m, q))
+        for (j, bm), c in body.items():
+            k2 = (j, bm + q)
             s = terms.get(k2, 0) - c * factor
             if p:
                 s %= p
@@ -250,13 +274,13 @@ def _reduce_terms(terms, basis, keyfn, p, keycache):
 
 def _normalize(terms, p):
     """Make a remainder a kernel basis element in place; returns
-    (comp, exps, lc).
+    (comp, m, lc).
 
     The lead is the first term (see _reduce_terms).  Over Q divide out the
     content, with the sign that makes lc positive; over GF(p) make the
     vector monic.
     """
-    comp, exps = lead = next(iter(terms))
+    comp, m = lead = next(iter(terms))
     if p:
         inv = pow(terms[lead], -1, p)
         for k in terms:
@@ -268,7 +292,7 @@ def _normalize(terms, p):
         if content != 1:
             for k in terms:
                 terms[k] //= content
-    return comp, exps, terms[lead]
+    return comp, m, terms[lead]
 
 
 # --- Buchberger -----------------------------------------------------------
@@ -277,7 +301,7 @@ def _normalize(terms, p):
 class GroebnerBasis:
     """Reduced Groebner basis of a span of columns in P^ncomps.
 
-    Built by buchberger from its kernel rows (comp, exps, lc, terms), lead
+    Built by buchberger from its kernel rows (comp, m, lc, terms), lead
     first and sorted by lead descending (see _reduce_terms).  The elements,
     monic Vecs, are derived from the rows on first use.
     """
@@ -286,13 +310,14 @@ class GroebnerBasis:
         self.ring = ring
         self.ncomps = ncomps
         self.order = order
+        self._code = order.code(ring.nvars)
+        self._key = _term_key(order, ncomps)
         self._rows = rows
-        self._keycache: dict = {}
 
     @cached_property
     def elements(self):
-        p = self.ring.field.char
-        return [Vec(self.ring, self.ncomps, _from_kernel(terms, lc, p))
+        p, code = self.ring.field.char, self._code
+        return [Vec(self.ring, self.ncomps, _from_kernel(terms, lc, p, code))
                 for _c, _e, lc, terms in self._rows]
 
     def __iter__(self):
@@ -302,22 +327,48 @@ class GroebnerBasis:
         return len(self._rows)
 
     def normal_form(self, v: Vec) -> Vec:
-        p = self.ring.field.char
-        terms, den = _to_kernel(v.terms, p)
-        rem, mult = _reduce_terms(terms, self._rows, self.order, p,
-                                  self._keycache)
-        return Vec(self.ring, self.ncomps, _from_kernel(rem, den * mult, p))
+        p, code = self.ring.field.char, self._code
+        terms, den = _to_kernel(v.terms, p, code)
+        rem, mult = _reduce_terms(terms, self._rows, self._key, code, p)
+        return Vec(self.ring, self.ncomps,
+                   _from_kernel(rem, den * mult, p, code))
 
     def contains(self, v: Vec) -> bool:
         return self.normal_form(v).is_zero()
 
     def leading_terms(self):
-        return [(c, e) for (c, e, _lc, _b) in self._rows]
+        """The leads as (comp, exponent tuple), in basis order."""
+        dec = self._code.decode
+        return [(c, dec(m)) for (c, m, _lc, _b) in self._rows]
+
+
+def _term_key(order, ncomps):
+    """The order's term key; in a single component, where every term key
+    is decided by the monomial code, the code itself."""
+    return itemgetter(1) if ncomps == 1 else order.term_key
 
 
 def _single_component(terms):
     comps = {j for (j, _m) in terms}
     return len(comps) == 1
+
+
+def _undominated(basis, nseed, code):
+    """Indices of the basis rows whose lead no other row's lead divides.
+
+    Each row past the seed is fully reduced against the rows before it, and
+    the seed rows are reduced among themselves, so only a non-seed row
+    after a row can divide its lead.
+    """
+    xor, add, guard = code.xor, code.add, code.guard
+    keep = []
+    for i, (ci, ei, _li, _bi) in enumerate(basis):
+        for cj, ej, _lj, _bj in basis[max(i + 1, nseed):]:
+            if cj == ci and not ((((ei - ej) ^ xor) + add) & guard):
+                break
+        else:
+            keep.append(i)
+    return keep
 
 
 def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
@@ -341,19 +392,18 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
     if seed is not None and not cols:
         return seed
     p = ring.field.char
-    keycache: dict = {}
+    code = keyfn.code(ring.nvars)
+    key, mlcm = _term_key(keyfn, ncomps), code.lcm
+    xor, add, guard = code.xor, code.add, code.guard
 
-    basis = []        # (comp, exps, lc, body terms), kernel form
+    basis = []        # (comp, m, lc, body terms), kernel form
     singles = []      # support in a single component?
     pending = set()   # pending pair indices
-    queue = []        # (sortkey, i, j)
+    queue = []        # (sortkey, i, j, lcm)
     if seed is not None:
-        # a seed lead is keyed here, as _reduce_terms keys every other lead,
-        # for the final sort
-        for row in seed._rows:
-            keycache[row[0], row[1]] = keyfn(row[0], row[1])
-            basis.append(row)
-            singles.append(_single_component(row[3]))
+        basis.extend(seed._rows)
+        singles.extend(_single_component(row[3]) for row in seed._rows)
+    nseed = len(basis)
 
     def push_pairs(new_idx):
         nc, ne, _lc, _b = basis[new_idx]
@@ -361,8 +411,8 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
             ic, ie, _il, _bi = basis[i]
             if ic != nc:
                 continue
-            lcm = mono_lcm(ie, ne)
-            queue.append((keyfn(nc, lcm), i, new_idx))
+            lcm = mlcm(ie, ne)
+            queue.append((key((nc, lcm)), i, new_idx, lcm))
             pending.add((i, new_idx))
 
     def add_element(terms):
@@ -371,29 +421,28 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
         push_pairs(len(basis) - 1)
 
     for col in cols:
-        rem, _mult = _reduce_terms(_to_kernel(col.terms, p)[0], basis, keyfn,
-                                   p, keycache)
+        rem, _mult = _reduce_terms(_to_kernel(col.terms, p, code)[0], basis,
+                                   key, code, p)
         if rem:
             add_element(rem)
 
     import heapq
     heapq.heapify(queue)
     while queue:
-        _key, i, j = heapq.heappop(queue)
+        _key, i, j, lcm = heapq.heappop(queue)
         pending.discard((i, j))
         ci, ei, lc_i, bi = basis[i]
         cj, ej, lc_j, bj = basis[j]
-        lcm = mono_lcm(ei, ej)
         # product criterion: valid for module elements only when both live
         # entirely in the shared leading component
-        if singles[i] and singles[j] and mono_gcd_is_one(ei, ej):
+        if singles[i] and singles[j] and lcm == ei + ej:
             continue
         # chain criterion
         skip = False
         for k, (ck, ek, _lk, _bk) in enumerate(basis):
             if k == i or k == j or ck != ci:
                 continue
-            if mono_divides(ek, lcm):
+            if not ((((lcm - ek) ^ xor) + add) & guard):
                 pi = (i, k) if i < k else (k, i)
                 pj = (j, k) if j < k else (k, j)
                 if pi not in pending and pj not in pending:
@@ -402,14 +451,14 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
         if skip:
             continue
         # S-vector: cross-multiply both sides to cancel the leading term
-        qi, qj = mono_div(lcm, ei), mono_div(lcm, ej)
+        qi, qj = lcm - ei, lcm - ej
         g = gcd(lc_i, lc_j)
         fi, fj = lc_j // g, lc_i // g
         terms: dict = {}
         for (cm, m), c in bi.items():
-            terms[(cm, mono_mul(m, qi))] = c * fi
+            terms[(cm, m + qi)] = c * fi
         for (cm, m), c in bj.items():
-            k2 = (cm, mono_mul(m, qj))
+            k2 = (cm, m + qj)
             s = terms.get(k2, 0) - c * fj
             if p:
                 s %= p
@@ -417,33 +466,18 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
                 terms[k2] = s
             else:
                 terms.pop(k2, None)
-        rem, _mult = _reduce_terms(terms, basis, keyfn, p, keycache)
+        rem, _mult = _reduce_terms(terms, basis, key, code, p)
         if rem:
             add_element(rem)
 
-    # minimalize: drop elements whose lead is divisible by another's lead
-    keep = []
-    for i, (ci, ei, _li, _bi) in enumerate(basis):
-        dominated = False
-        for j, (cj, ej, _lj, _bj) in enumerate(basis):
-            if i == j or cj != ci:
-                continue
-            if mono_divides(ej, ei) and (ej != ei or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-
-    # interreduce in ascending lead order: a tail term is only divisible by
-    # a smaller lead, so reducing each element against the finished ones
-    # leaves every tail fully reduced in one pass.  Every lead was keyed
-    # into keycache when _reduce_terms selected it.
-    keep.sort(key=lambda i: keycache[basis[i][0], basis[i][1]])
+    # interreduce the undominated rows in ascending lead order: a tail term
+    # is only divisible by a smaller lead, so reducing each element against
+    # the finished ones leaves every tail fully reduced in one pass
+    keep = _undominated(basis, nseed, code)
+    keep.sort(key=lambda i: key(basis[i][:2]))
     done = []
     for i in keep:
-        rem, _mult = _reduce_terms(dict(basis[i][3]), done, keyfn, p,
-                                   keycache)
+        rem, _mult = _reduce_terms(dict(basis[i][3]), done, key, code, p)
         done.append((*_normalize(rem, p), rem))
 
     return GroebnerBasis(ring, ncomps, keyfn, done[::-1])
-

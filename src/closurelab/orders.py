@@ -7,10 +7,18 @@ exponent tuple to a tuple that compares the way the order does (bigger key
 (component, exponents) pairs.  For degrevlex the key is (degree, negated
 reversed exponents): ties in degree are broken so that the monomial whose
 last nonzero exponent difference is negative wins.
+
+Outside the Groebner kernel monomials are exponent tuples.  Inside it each
+is one int, its order code (MonomialCode, from ModuleOrder.code): the codes
+compare the way the ring order does, and a product of monomials is the sum
+of their codes.  Exponents sit in fixed-width fields with a guard bit on
+top, so divisibility, and the bound on every exponent, is one test on the
+difference of two codes.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from operator import mul, neg
 
@@ -48,6 +56,9 @@ class MonomialOrder:
     kind: str  # "lex" | "degrevlex" | "wdegrevlex" | "elim"
     weights: tuple = ()
     nelim: int = 0
+    # nvars -> MonomialCode, filled by ModuleOrder.code
+    _codes: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "degrevlex", "wdegrevlex", "elim"):
@@ -85,6 +96,174 @@ def elimination(nelim) -> MonomialOrder:
     return MonomialOrder("elim", nelim=nelim)
 
 
+# --- order codes: the monomials of the Groebner kernel -----------------------
+
+FIELD_BITS = 32
+# the largest exponent a field holds with its guard (top) bit clear
+EXP_BOUND = (1 << FIELD_BITS - 1) - 1
+
+
+class MonomialCode:
+    """The order code of a ring order on a number of variables.
+
+    encode maps an exponent tuple to an int that compares the way the
+    order does, with encode(a) + encode(b) == encode(a * b); it raises
+    OverflowError for an exponent past EXP_BOUND.  decode inverts it, and
+    lcm(a, b) is the code of the lcm of two monomials.
+
+    Exponents sit in FIELD_BITS-bit fields.  For lex the code is x, the
+    exponents with the first variable in the top field.  For degrevlex and
+    wdegrevlex it is wdeg * B - x, with the first variable in the bottom
+    field of x and B = 2 ** (bits of x): equal degrees go by -x, so the
+    monomial with the smaller last exponent is bigger.  For elim(k) it is
+    the degrevlex code of the first k variables on top of the degrevlex
+    code of the rest, which has a spare degree field.
+
+    For codes a and b of exponents within the bound, the fields of
+    ((b - a) ^ xor) + add are 2 ** (FIELD_BITS - 1) - 1 + a_i - b_i, and no
+    field borrows from the next, so a guard bit is set exactly where
+    a_i > b_i: a divides b iff not (((b - a) ^ xor) + add) & guard.  With
+    a = 1 (code 0) the same test says whether every exponent of b is within
+    the bound.  lcm(a, b) adds to b the code of the fields where a is the
+    larger, which those guard bits select.
+    """
+
+    __slots__ = ("encode", "decode", "lcm", "xor", "add", "guard")
+
+    def __init__(self, encode, decode, lcm, xor, add, guard):
+        self.encode, self.decode, self.lcm = encode, decode, lcm
+        self.xor, self.add, self.guard = xor, add, guard
+
+
+def _field_bits(k):
+    """(ones, guards): the bottom bit, and the guard bit, of each of k
+    fields."""
+    ones = int.from_bytes(struct.pack(f"<{k}I", *[1] * k), "little")
+    return ones, ones << FIELD_BITS - 1
+
+
+def _revlex_block(k, weights):
+    """(encode, decode, lift, bits of x) of the degrevlex code wdeg * B - x
+    of k exponents, the degree weighted by weights when given (as
+    make_wdegrevlex_key weights it); lift(x) is the code of the exponents
+    that the fields of x hold."""
+    st = struct.Struct(f"<{k}I")
+    pack, unpack, frombytes = st.pack, st.unpack, int.from_bytes
+    nbits, nbytes = FIELD_BITS * k, 4 * k
+    mask = (1 << nbits) - 1
+    guards = _field_bits(k)[1]
+    weights = (1,) * k if weights is None else tuple(weights[:k])
+    # with one weight the degree is a multiple of the sum
+    w = weights[0] if k and weights == weights[:1] * k else None
+
+    def degree(e):
+        return sum(e) * w if w else sum(map(mul, weights, e))
+
+    # encode is the boundary of the kernel: it packs, checks and computes
+    # the degree inline
+    def encode(e):
+        try:
+            x = frombytes(pack(*e), "little")
+        except struct.error:
+            x = guards
+        if x & guards:
+            raise OverflowError(f"exponents {tuple(e)} out of range")
+        d = sum(e) * w if w else sum(map(mul, weights, e))
+        return (d << nbits) - x
+
+    def lift(x):
+        return (degree(unpack(x.to_bytes(nbytes, "little"))) << nbits) - x
+
+    def decode(m):
+        return unpack(((-m) & mask).to_bytes(nbytes, "little"))
+
+    return encode, decode, lift, nbits
+
+
+def _monomial_code(order: MonomialOrder, nvars: int) -> MonomialCode:
+    """The order code of order on nvars variables."""
+    ones, guards = _field_bits(nvars)
+    per = guards - ones      # 2 ** (FIELD_BITS - 1) - 1 in every field
+    top = FIELD_BITS - 1
+    if order.kind == "lex":
+        st = struct.Struct(f">{nvars}I")
+        pack, unpack, frombytes = st.pack, st.unpack, int.from_bytes
+        nbytes = 4 * nvars
+
+        def encode(e):
+            try:
+                x = frombytes(pack(*e), "big")
+            except struct.error:
+                x = guards
+            if x & guards:
+                raise OverflowError(f"exponents {tuple(e)} out of range")
+            return x
+
+        def decode(m):
+            return unpack(m.to_bytes(nbytes, "big"))
+
+        def lcm(a, b):
+            u = a - b + per
+            t = u & guards
+            if not t:
+                return b
+            sel = (t << 1) - (t >> top)
+            return b + (u & sel) - (per & sel)
+
+        # -(b - a) == ((b - a) ^ -1) + 1
+        return MonomialCode(encode, decode, lcm, -1, per + 1, guards)
+    if order.kind != "elim":
+        weights = order.weights if order.kind == "wdegrevlex" else None
+        encode, decode, lift, _bits = _revlex_block(nvars, weights)
+
+        def lcm(a, b):
+            u = b - a + per
+            t = u & guards
+            if not t:
+                return b
+            sel = (t << 1) - (t >> top)
+            return b + lift((u & sel) - (per & sel))
+
+        return MonomialCode(encode, decode, lcm, 0, per, guards)
+    k = min(order.nelim, nvars)
+    enc1, dec1, lift1, _bits1 = _revlex_block(k, None)
+    enc2, dec2, lift2, bits2 = _revlex_block(nvars - k, None)
+    # the lower code stays below 2 ** shift, and a difference of two lower
+    # degrees within half its field, for fields up to 2 ** FIELD_BITS
+    dbits = FIELD_BITS + (nvars - k).bit_length()
+    shift = bits2 + dbits
+    low = (1 << shift) - 1
+
+    def encode(e):
+        return (enc1(e[:k]) << shift) + enc2(e[k:])
+
+    def decode(m):
+        return dec1(m >> shift) + dec2(m & low)
+
+    ones1, guards1 = _field_bits(k)
+    ones2, guards2 = _field_bits(nvars - k)
+    guards = guards1 << shift | guards2
+    per = (guards1 - ones1) << shift | (guards2 - ones2)
+    # the offset in the lower degree field keeps a difference of two lower
+    # codes from borrowing from the upper one
+    add = per + (1 << dbits - 1 << bits2)
+
+    def lcm(a, b):
+        u = b - a + add
+        t = u & guards
+        if not t:
+            return b
+        sel = (t << 1) - (t >> top)
+        x = (u & sel) - (per & sel)
+        return b + (lift1(x >> shift) << shift) + lift2(x & low)
+
+    return MonomialCode(encode, decode, lcm, 0, add, guards)
+
+
+def _top_term_key(t):
+    return (t[1], -t[0])
+
+
 @dataclass(frozen=True)
 class ModuleOrder:
     """A term order on the free module P^s, keyed on (component, exponents).
@@ -97,16 +276,34 @@ class ModuleOrder:
     the actual module element.
 
     Calling the order on (comp, exps) gives a key that compares the way the
-    order does.  Equal orders compare and hash equal; the ring key function
-    is cached outside eq and hash.
+    order does.  Inside the Groebner kernel a term is (comp, m), m the
+    order code of its monomial (code), and term_key gives its key:
+    (m, -comp) for TOP, (comp < nreal, m, -comp) for the block order.
+    Equal orders compare and hash equal; the ring key function and the
+    term key are held outside eq and hash.
     """
 
     ring_order: MonomialOrder
     nreal: int | None = None
     _ring_key: object = field(init=False, repr=False, compare=False)
+    term_key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_ring_key", self.ring_order.key())
+        nreal = self.nreal
+        if nreal is None:
+            term_key = _top_term_key
+        else:
+            def term_key(t):
+                return (t[0] < nreal, t[1], -t[0])
+        object.__setattr__(self, "term_key", term_key)
+
+    def code(self, nvars) -> MonomialCode:
+        """The order code of the ring order on nvars variables."""
+        codes = self.ring_order._codes
+        if nvars not in codes:
+            codes[nvars] = _monomial_code(self.ring_order, nvars)
+        return codes[nvars]
 
     def __call__(self, comp, exps):
         if self.nreal is None:

@@ -24,6 +24,11 @@ class DomainError(ValueError):
     """Operation undefined for this input (e.g. leading term of 0)."""
 
 
+class UnsupportedInputError(ValueError):
+    """Input the engine does not handle, such as an exponent past the
+    bound of the Groebner kernel's order codes (orders.EXP_BOUND)."""
+
+
 def mono_mul(a, b):
     return tuple(map(add, a, b))
 

@@ -19,7 +19,8 @@ from itertools import combinations
 
 from .field import QQ
 from .orders import ModuleOrder, elimination, wdegrevlex
-from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
+from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
+                   UnsupportedInputError)
 from .gb import Vec, buchberger
 
 
@@ -60,7 +61,10 @@ class QuotientRing:
             raise ContextError("polynomial from a different ambient ring")
         if not self._gb:
             return poly
-        return self._gb.normal_form(Vec.from_polys([poly])).component(0)
+        rem = self._gb.normal_form(
+            Vec(self.ambient, 1, {(0, m): c for m, c in poly.terms.items()}))
+        return Polynomial(self.ambient,
+                          {m: c for (_0, m), c in rem.terms.items()})
 
     def elem(self, x) -> "RingElem":
         if isinstance(x, RingElem):
@@ -252,10 +256,6 @@ class ParameterSequence:
 
 
 _AUTO_NAMES = "abcdefghijklmnopqrst"
-
-
-class UnsupportedInputError(ValueError):
-    pass
 
 
 def _strip_vars(poly: Polynomial, target: PolyRing, n_drop: int) -> Polynomial:

@@ -22,8 +22,8 @@ from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
                       check_semi_residuality, dietz_obstruction,
                       is_trivial_on_sample, phantom_test)
 from .dsl import (Call, CheckStmt, ClosureDef, ExportStmt, IdealDef,
-                  ModifyStmt, ModuleDef, Name, RingDef, ScriptError,
-                  parse_script, print_statements)
+                  ModifyStmt, ModuleDef, Name, Parser, RingDef, ScriptError,
+                  print_statements)
 from .field import QQ, prime_field
 from .gb import Vec
 from .modify import parameter_chain
@@ -41,7 +41,12 @@ SESSION_HEADER = "# closure-lab-session v1"
 
 
 class EvalError(ValueError):
-    pass
+    """A statement that cannot be evaluated; text, when given, is the
+    argument (a name) that it is about."""
+
+    def __init__(self, message, text=None):
+        super().__init__(message)
+        self.text = text
 
 
 class SessionVersionError(ValueError):
@@ -67,6 +72,7 @@ class StatementResult:
     witness: object = None
     certificate: object = None
     error: str = None
+    where: dict = None         # locate() of the error in the script
     seconds: float = 0.0
 
     def record(self):
@@ -81,7 +87,21 @@ class StatementResult:
             out["certificate"] = self.certificate
         if self.error is not None:
             out["error"] = self.error
+        if self.where is not None:
+            out["where"] = self.where
         return out
+
+
+def _located(exc, span):
+    """(message, where) of an error of the statement at span: a parse
+    error is placed at the character of its argument where parsing stopped
+    (its message then needs no column of its own), an error about a name
+    at that name, any other at the statement."""
+    if isinstance(exc, ParseError):
+        return exc.bare_message, span.where(exc.text, exc.pos)
+    if isinstance(exc, EvalError):
+        return str(exc), span.where(exc.text)
+    return str(exc), span.where()
 
 
 def _a(word):
@@ -113,10 +133,11 @@ class Session:
 
     def _lookup(self, name, kind=None):
         if name not in self.env:
-            raise EvalError(f"unknown name {name!r}")
+            raise EvalError(f"unknown name {name!r}", name)
         k, v = self.env[name]
         if kind is not None and k != kind:
-            raise EvalError(f"{name!r} is {_a(k)}, expected {_a(kind)}")
+            raise EvalError(f"{name!r} is {_a(k)}, expected {_a(kind)}",
+                            name)
         return v
 
     def _ring(self, name=None) -> QuotientRing:
@@ -149,7 +170,8 @@ class Session:
                 return value.submodule
             if kind == "module":
                 return value.full_submodule()
-            raise EvalError(f"{arg.value!r} does not name an ideal or module")
+            raise EvalError(f"{arg.value!r} does not name an ideal or module",
+                            arg.value)
         args = arg.bound
         if arg.head == "closure":
             cl = self._closure(args["cl"])
@@ -193,10 +215,15 @@ class Session:
     # -- statement evaluation -----------------------------------------------------
 
     def eval_text(self, text: str):
-        stmts = parse_script(text)
-        return [self.eval_statement(s) for s in stmts]
+        parser = Parser(text)
+        stmts = parser.parse_script()
+        return [self.eval_statement(s, span)
+                for s, span in zip(stmts, parser.spans)]
 
-    def eval_statement(self, stmt) -> StatementResult:
+    def eval_statement(self, stmt, span=None) -> StatementResult:
+        """Evaluate one statement into a result record.  With span, the
+        statement's dsl.Span, an error also records where it is (see
+        _located)."""
         t0 = time.monotonic()
         res = StatementResult(src=stmt.show(), kind=stmt.kind)
         try:
@@ -206,11 +233,15 @@ class Session:
                 ValueError) as exc:
             res.error = str(exc)
             res.ok = None
+            if span is not None:
+                res.error, res.where = _located(exc, span)
         except Exception as exc:
             # A defect in the engine, not in the script: it is recorded on
             # the statement (exit code 2) and the session keeps going.
             res.error = f"internal error: {type(exc).__name__}: {exc}"
             res.ok = None
+            if span is not None:
+                res.where = span.where()
         res.seconds = time.monotonic() - t0
         self.log.append((stmt, res))
         return res
@@ -468,7 +499,8 @@ class Session:
         try:
             text = body.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise EvalError(f"{path}: not UTF-8 text (byte "
+            line = body.count(b"\n", 0, exc.start) + 1
+            raise EvalError(f"{path}: not UTF-8 text (line {line}, byte "
                             f"{len(data) - len(body) + exc.start})") from None
         text = text.replace("\r\n", "\n").replace("\r", "\n")
         session = cls(deg_bound=deg_bound, seed=seed)
@@ -481,9 +513,10 @@ class Session:
             raise SessionVersionError(
                 f"unsupported session version: {first.strip()}")
         session.eval_text(text)
-        errors = [r.error for _s, r in session.log if r.error]
+        errors = [r for _s, r in session.log if r.error]
         if errors:
-            raise EvalError("replay failed: " + errors[0])
+            raise EvalError(f"replay failed: line {errors[0].where['line']}: "
+                            f"{errors[0].error}")
         digests = [f[len("digest="):] for f in header[3:]
                    if f.startswith("digest=")]
         if digests and digests[0] != session.digest():

@@ -15,6 +15,8 @@ that subring module relations are checked against, `extended_groebner`,
 the run with the ideal as input columns, each with a shadow component,
 that certificates (`ref_certificate`) and syzygies (`ref_syzygy_basis`)
 are checked against,
+`ref_undominated`, the all-pairs drop of dominated rows that the
+kernel's pass over later rows is checked against,
 `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
@@ -459,6 +461,25 @@ def ref_reduce(vec_terms, basis, keyfn, fld):
             else:
                 terms[key] = new
     return {}
+
+
+def ref_undominated(leads):
+    """Indices of the leads (comp, exps) that no other lead in the same
+    component divides, of equal leads the first: the all-pairs pass with
+    which the kernel dropped dominated rows before it checked each row
+    against the non-seed rows after it alone."""
+    keep = []
+    for i, (ci, ei) in enumerate(leads):
+        dominated = False
+        for j, (cj, ej) in enumerate(leads):
+            if i == j or cj != ci:
+                continue
+            if mono_divides(ej, ei) and (ej != ei or j < i):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(i)
+    return keep
 
 
 def buchberger_criterion_holds(gb_vecs, ncomps, keyfn, ring) -> bool:

@@ -384,22 +384,30 @@ def test_cli_exit_code_matches_the_report(text, damage, at):
     statement has an error, else 1 exactly when some check is false.
     Some scripts are damaged: an invalid UTF-8 byte, or a last statement
     that exports to an unwritable path.  Either is exit 2 with an error
-    that is not internal."""
+    that is not internal.  Every error names a line of the script."""
     code, out, err = _run_cli(text, damage, at)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert "internal error" not in err
-    if damage == "byte":
-        assert code == 2 and not out, (code, out)
-        assert err.startswith("error: ") and "not UTF-8 text" in err, err
-        return
+    nlines = (text + ("\nexport" if damage == "export" else "")).count(
+        "\n") + 1
     if not out:
         assert code == 2 and err.startswith("error: "), err
+        line = re.search(r"\bline (\d+)", err)
+        assert line and 1 <= int(line[1]) <= nlines, err
+    if damage == "byte":
+        assert code == 2 and not out, (code, out)
+        assert "not UTF-8 text" in err, err
+        return
+    if not out:
         return
     stmts = json.loads(out)["statements"]
     if damage == "export":
         assert code == 2
         assert stmts[-1]["error"].startswith("cannot write "), stmts[-1]
+    for s in stmts:
+        if "error" in s:
+            assert 1 <= s["where"]["line"] <= nlines, s
     errors = [s["error"] for s in stmts if "error" in s]
     assert not any(e.startswith("internal error") for e in errors), errors
     failed = any(s.get("ok") is False for s in stmts)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from closurelab.field import QQ, Rationals, prime_field
-from closurelab.orders import DEGREVLEX, ModuleOrder, elimination
+from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, ModuleOrder,
+                               elimination)
 from closurelab.poly import PolyRing, mono_divides
 from closurelab.gb import Vec, buchberger
 from closurelab.modules import (Submodule, free_module, ideal_submodule,
@@ -18,7 +19,7 @@ from closurelab.ring import (UnsupportedInputError, _strip_vars,
 from oracles import (brute_member, brute_syzygies_complete,
                      buchberger_criterion_holds, fraction_buchberger,
                      fraction_extended_reduce, fraction_normal_form,
-                     ref_reduce)
+                     ref_reduce, ref_undominated)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 P2 = make_quotient_ring(R2, [])     # k[x,y] as a quotient ring, no ideal
@@ -239,6 +240,58 @@ def test_integer_kernel_matches_fraction_reference(field):
             if cert is not None:
                 assert [repr(sorted(c.poly.terms.items())) for c in cert] == \
                     [repr(sorted(c.terms.items())) for c in ref_cert], trial
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+def test_dropped_rows_match_the_all_pairs_reference(field, monkeypatch):
+    """The drop-dominated pass checks each row against the non-seed rows
+    after it alone; on random seeded and unseeded multi-component runs,
+    under TOP and the block order, it keeps the rows that the all-pairs
+    reference keeps."""
+    from closurelab import gb as gb_module
+    real = gb_module._undominated
+    seen = {"runs": 0, "seeded": 0, "dropped": 0}
+
+    def checked(basis, nseed, code):
+        keep = real(basis, nseed, code)
+        leads = [(c, code.decode(m)) for c, m, _lc, _terms in basis]
+        assert keep == ref_undominated(leads)
+        seen["runs"] += 1
+        seen["seeded"] += nseed > 0
+        seen["dropped"] += len(basis) - len(keep)
+        return keep
+
+    monkeypatch.setattr(gb_module, "_undominated", checked)
+    ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    rng = random.Random(59)
+    for trial in range(60):
+        shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
+        order = ModuleOrder(ring.order, None if trial % 3 else
+                            rng.randint(1, len(shifts) - 1))
+        cols = [_random_vec(ring, rng, shifts, rng.randint(1, 3),
+                            rng.randint(1, 4))
+                for _ in range(rng.randint(2, 6))]
+        seed = None
+        if trial % 2:
+            seed = buchberger(cols[:2], len(shifts), order, ring)
+            cols = cols[2:] + [_random_vec(ring, rng, shifts, 2, 3)]
+        buchberger(cols, len(shifts), order, ring, seed=seed)
+    assert min(seen.values()) > 0, seen
+
+
+def test_exponent_growth_past_the_bound_is_unsupported():
+    """Under lex, x^k reduces by x - y^65536 to terms with ever higher
+    powers of y; the reduction stops with UnsupportedInputError when an
+    exponent passes the bound of the order codes, not with a wrong
+    answer."""
+    P = PolyRing(("x", "y"), QQ, LEX)
+    gb = top_basis(ideal_cols(P, ["x - y^65536"]), P)
+    assert str(gb.normal_form(Vec.from_polys([P.parse("x^3")]))
+               .component(0)) == "y^196608"
+    with pytest.raises(UnsupportedInputError, match="grew past"):
+        gb.normal_form(Vec.from_polys([P.parse("x^65536")]))
+    with pytest.raises(UnsupportedInputError, match="exponents up to"):
+        gb.normal_form(Vec.from_polys([P.parse(f"x^{EXP_BOUND + 1}")]))
 
 
 def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):

@@ -373,9 +373,9 @@ def test_output_basis_is_not_converted_back_into_the_kernel(
     calls = []
     real = gb._to_kernel
 
-    def counting(terms, p):
+    def counting(terms, p, code):
         calls.append(terms)
-        return real(terms, p)
+        return real(terms, p, code)
 
     monkeypatch.setattr(gb, "_to_kernel", counting)
     cols = [Vec.from_polys([segre.ambient.parse(t)])

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from closurelab.orders import (DEGREVLEX, LEX, ModuleOrder, elimination,
-                               wdegrevlex)
+from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, ModuleOrder,
+                               elimination, wdegrevlex)
+from closurelab.poly import (mono_divides, mono_gcd_is_one, mono_lcm,
+                             mono_mul)
 
 from oracles import (block_key, elim_key, ref_degrevlex_greater,
                      ref_ring_key, top_key)
@@ -126,3 +128,80 @@ def test_order_values_hash_and_compare_by_value():
     for a, b in itertools.combinations(different, 2):
         assert a != b, (a, b)
     assert len(set(different)) == len(different)
+
+
+# --- order codes: the monomials of the Groebner kernel ------------------------
+
+
+CODE_ORDERS = [LEX, DEGREVLEX, wdegrevlex((1, 2, 3))]
+
+
+def _code_cases():
+    """(order, nvars) for lex, degrevlex, wdegrevlex[1,2,3] and elim(1) ..
+    elim(n - 1) over 1 to 5 variables."""
+    return [(order, n) for n in range(1, 6)
+            for order in CODE_ORDERS + [elimination(k) for k in range(1, n)]]
+
+
+def _random_exps(rng, nvars, bound):
+    """Exponents up to bound, with small ones and zeros among them."""
+    return tuple(rng.choice((0, 1, 2, rng.randint(0, bound), bound))
+                 for _ in range(nvars))
+
+
+def _divides(code, a, b):
+    """The kernel's divisibility test on the codes a and b."""
+    return not ((((b - a) ^ code.xor) + code.add) & code.guard)
+
+
+@pytest.mark.parametrize("order,nvars", _code_cases(),
+                         ids=lambda x: str(x) if isinstance(x, int)
+                         else x.describe() + str(x.nelim or ""))
+def test_order_codes_match_the_tuple_orders(order, nvars):
+    """The order code against the exponent tuples, on random exponents up
+    to EXP_BOUND: decode inverts encode; codes in TOP and block term keys
+    sort like ModuleOrder on (comp, exps); a product is a sum of codes;
+    divisibility, lcm and coprimality agree with the tuple primitives."""
+    rng = random.Random(f"codes-{order}-{nvars}")
+    mo = ModuleOrder(order)
+    code = mo.code(nvars)
+    assert code is ModuleOrder(order, 1).code(nvars)
+    monos = [_random_exps(rng, nvars, bound) for bound in
+             (3, EXP_BOUND // 2, EXP_BOUND) for _ in range(60)]
+    for e in monos:
+        assert code.decode(code.encode(e)) == e
+        assert _divides(code, 0, code.encode(e))     # within the bound
+    terms = [(rng.randrange(3), e) for e in monos]
+    for nreal in (None, 0, 1, 2):
+        mo = ModuleOrder(order, nreal)
+        assert sorted(terms, key=lambda t: mo.term_key(
+            (t[0], code.encode(t[1])))) == sorted(terms, key=lambda t: mo(*t))
+    for _ in range(400):
+        a = _random_exps(rng, nvars, EXP_BOUND // 2)
+        b = _random_exps(rng, nvars, EXP_BOUND // 2)
+        ca, cb = code.encode(a), code.encode(b)
+        ab = mono_mul(a, b)
+        assert ca + cb == code.encode(ab)
+        for x, y in ((a, b), (b, a), (a, ab), (b, ab), (ab, a), (a, a)):
+            assert _divides(code, code.encode(x), code.encode(y)) == \
+                mono_divides(x, y), (x, y)
+        lcm = code.lcm(ca, cb)
+        assert lcm == code.encode(mono_lcm(a, b))
+        assert (lcm == ca + cb) == mono_gcd_is_one(a, b)
+
+
+@pytest.mark.parametrize("order", CODE_ORDERS + [elimination(2)],
+                         ids=lambda o: o.describe())
+def test_order_codes_refuse_exponents_past_the_bound(order):
+    """encode takes exponents up to EXP_BOUND and raises OverflowError past
+    it; a product past the bound fails the bound test on its code."""
+    code = ModuleOrder(order).code(3)
+    top = (EXP_BOUND, 0, EXP_BOUND)
+    assert code.decode(code.encode(top)) == top
+    for e in ((EXP_BOUND + 1, 0, 0), (0, 0, EXP_BOUND + 1), (0, 2 ** 40, 0),
+              (0, -1, 0)):
+        with pytest.raises(OverflowError):
+            code.encode(e)
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        past = code.encode(top) + code.encode(e)
+        assert _divides(code, 0, past) == (e == (0, 1, 0))

@@ -172,8 +172,8 @@ def test_export_to_an_unwritable_path_is_a_user_error(tmp_path, capsys,
     script.write_text(f'ring P = poly(Q, [x], lex);\nexport {what} "{out}";\n')
     assert main(["run", str(script)]) == 2
     captured = capsys.readouterr()
-    assert f"error: cannot write {out}: No such file or directory" in \
-        captured.out
+    assert f"error: line 2, column 1: cannot write {out}: No such file or " \
+        "directory" in captured.out
     assert "internal error" not in captured.out + captured.err
     s = Session()
     (res,) = s.eval_text(f'export {what} "{tmp_path}";')
@@ -397,8 +397,10 @@ def test_failed_definition_binds_no_name(tmp_path, capsys, flags):
         assert "ok" not in statements[2]
     else:
         lines = captured.out.splitlines()
-        assert lines[-2].startswith("error: Exceeds the limit")
-        assert lines[-1] == "error: unknown name 'I'"
+        assert lines[-6].startswith("error: line 2, column 1: Exceeds the "
+                                    "limit")
+        assert lines[-3:] == ["error: line 3, column 17: unknown name 'I'",
+                              "  check member(x, I);", " " * 18 + "^"]
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch):
@@ -502,7 +504,7 @@ def test_cli_run_of_a_file_that_is_not_utf8(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: not UTF-8 text (byte 28)\n"
+    assert captured.err == f"error: {path}: not UTF-8 text (line 2, byte 28)\n"
     with pytest.raises(EvalError, match="not UTF-8 text"):
         Session.load(path)
 
@@ -523,7 +525,7 @@ def test_load_drops_a_leading_byte_order_mark(tmp_path, capsys):
     bad.write_bytes(bom + b"ring P = poly(Q, [x], lex);\n\xff\xfe\n")
     assert main(["run", str(bad)]) == 2
     assert capsys.readouterr().err == \
-        f"error: {bad}: not UTF-8 text (byte 31)\n"
+        f"error: {bad}: not UTF-8 text (line 2, byte 31)\n"
 
 
 def test_load_reads_universal_newlines(tmp_path):
@@ -566,7 +568,7 @@ def test_repl_reports_unreadable_and_unwritable_files(tmp_path):
                           input=script, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert f"error: {latin}: not UTF-8 text (byte 0)" in proc.stdout
+    assert f"error: {latin}: not UTF-8 text (line 1, byte 0)" in proc.stdout
     assert (f"error: cannot write {unwritable}: No such file or directory"
             in proc.stdout)
     assert "  P: ring" in proc.stdout
@@ -661,3 +663,94 @@ check functorial(clM, I, [a]);
 """)
     assert results[-2].ok is True
     assert results[-1].ok is True
+
+
+# --- where run-time errors are ---------------------------------------------
+
+
+PXY = "ring P = poly(Q, [x, y], degrevlex);\n"
+SUBRING_R = ("ring R = subring(Fp(5), [x, y], [x^4, x^3*y, x*y^3, y^4], "
+             "[a, b, c, d]);\n")
+
+
+@pytest.mark.parametrize("script,line,column,message", [
+    # ParseError: at the character of the polynomial argument
+    (SUBRING_R + "module S = subring_module(R, [a]);\n", 2, 31,
+     "unknown variable 'a'"),
+    (PXY + "ideal I = ideal(P, x^2,\n    x*y + z^2);\n", 3, 11,
+     "unknown variable 'z'"),
+    # EvalError about a name: at the name
+    (PXY + "check member(x, J);\n", 2, 17, "unknown name 'J'"),
+    (PXY + "ideal I = ideal(P, x);\nclosure c = module_closure(I);\n", 3, 28,
+     "'I' is an ideal, expected a module"),
+    # DomainError, UnsupportedInputError, FieldError: at the statement
+    (PXY + "ideal I = ideal(P, x^2 + y);\n", 2, 1, "inhomogeneous"),
+    (PXY + "ideal I = ideal(P, x^2147483648, y);\n  check member(x, I);\n",
+     3, 3, "exponents (2147483648, 0) out of range"),
+    ("ring F = poly(Fp(4), [x], lex);\n", 1, 1, "4 is not prime"),
+], ids=["parse-subring-generator", "parse-second-line", "unknown-name",
+        "kind-mismatch", "domain", "unsupported-exponent", "field"])
+def test_runtime_errors_name_their_statement(tmp_path, capsys, script, line,
+                                             column, message):
+    """An error met while a statement runs names its line and column: the
+    text output shows the source line with a caret, the JSON report has
+    a where field; the exit code is 2."""
+    path = tmp_path / "err.clab"
+    path.write_text(script)
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    source = script.splitlines()[line - 1]
+    first = out.index(next(o for o in out if o.startswith("error: ")))
+    assert out[first].startswith(f"error: line {line}, column {column}: "
+                                 f"{message}"), out
+    assert out[first + 1:first + 3] == ["  " + source,
+                                        " " * (column + 1) + "^"]
+    assert main(["run", str(path), "--json"]) == 2
+    (bad,) = [s for s in json.loads(capsys.readouterr().out)["statements"]
+              if "error" in s]
+    assert bad["error"].startswith(message)
+    assert bad["where"] == {"line": line, "column": column, "source": source}
+
+
+def test_internal_errors_name_their_statement(monkeypatch):
+    s = Session()
+
+    def broken(stmt, res):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(s, "_eval_ideal", broken)
+    res = s.eval_text(PXY + "\n  ideal I = ideal(P, x);")[-1]
+    assert res.error == "internal error: KeyError: 'lost'"
+    assert res.record()["where"] == {"line": 3, "column": 3,
+                                     "source": "  ideal I = ideal(P, x);"}
+
+
+def test_statements_evaluated_alone_have_no_position():
+    s = Session()
+    (stmt,) = parse_script("check member(x, J);")
+    res = s.eval_statement(stmt)
+    assert res.error == "unknown name 'J'"
+    assert "where" not in res.record()
+
+
+def test_exponents_up_to_the_bound_and_past_it(tmp_path, capsys):
+    """Exponents up to orders.EXP_BOUND run; a script with one past it is
+    an error line and exit 2, with no traceback."""
+    path = tmp_path / "big.clab"
+    path.write_text(PXY + "ideal I = ideal(P, x^70000, y);\n"
+                    "check member(x^70001, I);\n"
+                    "check member(x^69999*y^3, I);\n")
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [o for o in out if o.startswith("ok")] == [
+        "ok    check member(x^70001, I);",
+        "ok    check member(x^69999*y^3, I);"]
+    path.write_text(PXY + "ideal I = ideal(P, x^2147483648, y);\n"
+                    "check member(x, I);\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "internal error" not in captured.out + captured.err
+    assert "error: line 3, column 1: exponents (2147483648, 0) out of " \
+        "range: the Groebner kernel takes exponents up to 2147483647" in \
+        captured.out
