@@ -355,14 +355,19 @@ def ideal_member(cl: ClosureOp, ring: QuotientRing, elem, gens,
 # --- axiom and colon-capturing checkers -----------------------------------------
 
 
+def _ideal_inside(J: Submodule, gens) -> CheckOutcome:
+    """Whether every one of gens, elements of R^1, lies in the ideal J; the
+    witness is the first that does not, as a polynomial."""
+    g = J.first_outside(gens)
+    if g is None:
+        return CheckOutcome(True)
+    return CheckOutcome(False, witness=str(g.component(0)))
+
+
 def check_faithfulness(cl: ClosureOp, ring: QuotientRing) -> CheckOutcome:
     """m is closed in R."""
     m = ideal_submodule(ring, ring.maximal_ideal_gens())
-    closed = cl.closure(m)
-    for g in closed.gens:
-        if not m.contains(g):
-            return CheckOutcome(False, witness=str(g.component(0)))
-    return CheckOutcome(True)
+    return _ideal_inside(m, cl.closure(m).gens)
 
 
 def check_functoriality(cl: ClosureOp, f: ModuleMap, N: Submodule) -> CheckOutcome:
@@ -380,7 +385,7 @@ def check_functoriality(cl: ClosureOp, f: ModuleMap, N: Submodule) -> CheckOutco
 def check_semi_residuality(cl: ClosureOp, N: Submodule) -> CheckOutcome:
     """If N is closed in M then 0 is closed in M/N (on this instance)."""
     closedN = cl.closure(N)
-    if not all(N.contains(g) for g in closedN.gens):
+    if not N.contains_submodule(closedN):
         return CheckOutcome(True, note="vacuous: N is not closed in M")
     Q = N.module.quotient_by(N)
     zero_closure = cl.closure(Q.zero_submodule())
@@ -413,20 +418,12 @@ def check_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
             raise DomainError("need at least one parameter")
         J = ideal_submodule(ring, elems[:-1])
         colon = J.colon_elem(elems[-1])
-        closed = cl.closure(J)
-        for g in colon.gens:
-            if not closed.contains(g):
-                return CheckOutcome(False, witness=str(g.component(0)))
-        return CheckOutcome(True)
+        return _ideal_inside(cl.closure(J), colon.gens)
     if variant == "strongB":
         if len(elems) < 1:
             raise DomainError("need at least one parameter")
         closed = cl.closure(ideal_submodule(ring, elems[:-1]))
-        colon = closed.colon_elem(elems[-1])
-        for g in colon.gens:
-            if not closed.contains(g):
-                return CheckOutcome(False, witness=str(g.component(0)))
-        return CheckOutcome(True)
+        return _ideal_inside(closed, closed.colon_elem(elems[-1]).gens)
     if variant == "strongA":
         if t is None or a is None or not (0 <= a < t):
             raise DomainError("strongA needs exponents 0 <= a < t")
@@ -435,11 +432,7 @@ def check_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
         lhs = cl.closure(ideal_submodule(ring, [x1 ** t] + rest))
         colon = lhs.colon_elem(x1 ** a)
         rhs = ideal_submodule(ring, [x1 ** (t - a)] + rest)
-        closed_rhs = cl.closure(rhs)
-        for g in colon.gens:
-            if not closed_rhs.contains(g):
-                return CheckOutcome(False, witness=str(g.component(0)))
-        return CheckOutcome(True)
+        return _ideal_inside(cl.closure(rhs), colon.gens)
     raise DomainError(f"unknown colon-capturing variant {variant!r}")
 
 
@@ -562,9 +555,8 @@ def dietz_obstruction(cl: ClosureOp, ring: QuotientRing, xs, t_max,
 def is_trivial_on_sample(cl: ClosureOp, sample) -> CheckOutcome:
     """closure_compute(N) == N for every N in the sample; witness otherwise."""
     for N in sample:
-        closed = cl.closure(N)
-        for g in closed.gens:
-            if not N.contains(g):
-                return CheckOutcome(False, witness=(N, g),
-                                    note=f"nontrivial at {g}")
+        g = N.first_outside(cl.closure(N).gens)
+        if g is not None:
+            return CheckOutcome(False, witness=(N, g),
+                                note=f"nontrivial at {g}")
     return CheckOutcome(True)

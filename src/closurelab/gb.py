@@ -10,8 +10,8 @@ canonically sorted, hence unique for a given module and order.
 
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
 which may be an elimination order, and the block order.  buchberger is
-the one constructor of a GroebnerBasis; the basis keeps the kernel rows
-the run ended with, and its Vec elements are derived from them.  A run
+the one constructor of a GroebnerBasis; the basis keeps only the kernel
+rows the run ended with, and iterating it decodes them into Vecs.  A run
 may start from a known basis (a seed), whose rows it takes as they are.
 
 Inside the kernel every coefficient is a Python int, and one reducer and
@@ -25,13 +25,15 @@ cleared) or leaves it (output bases made monic, normal forms divided by
 the accumulated multiplier).
 
 Inside the kernel every monomial is an int too, its order code
-(orders.MonomialCode): codes compare the way the ring order does, a
-product of monomials is a sum of codes, and divisibility is one test on
-the difference of two codes.  Exponent tuples are converted to codes
-where a Vec enters the kernel and back where it leaves, and in
-leading_terms; Vecs, order keys and everything outside this module keep
-tuples.  An exponent past orders.EXP_BOUND, on the way in or grown in a
-reduction, raises UnsupportedInputError.
+(orders.MonomialCode), the one implementation of the ring order: codes
+compare the way the order does, a product of monomials is a sum of codes,
+and divisibility is one test on the difference of two codes.  Exponent
+tuples are converted to codes where a Vec enters the kernel and back
+where it leaves, and in leading_terms; Vecs and everything outside this
+module keep tuples, which they order by the same codes.  An exponent past
+orders.EXP_BOUND raises UnsupportedInputError: encode refuses it on the
+way in (if nothing ordered it before), and a reduction that grows one
+stops.
 
 Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
@@ -47,13 +49,11 @@ sequential, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 
-from .orders import EXP_BOUND
-from .poly import (ContextError, PolyRing, Polynomial, UnsupportedInputError,
-                   mono_mul)
+from .orders import EXP_BOUND, UnsupportedInputError
+from .poly import ContextError, PolyRing, Polynomial, mono_mul
 
 
 class Vec:
@@ -198,19 +198,13 @@ class Vec:
 
 def _to_kernel(terms, p, code):
     """(int terms, den) with int terms == den * terms, monomials as order
-    codes; den is 1 over GF(p).  An exponent past the bound of the code
-    raises UnsupportedInputError."""
+    codes; den is 1 over GF(p)."""
     enc = code.encode
-    try:
-        if p:
-            return {(j, enc(m)): c for (j, m), c in terms.items()}, 1
-        den = lcm(*(c.denominator for c in terms.values()))
-        return {(j, enc(m)): c.numerator * (den // c.denominator)
-                for (j, m), c in terms.items()}, den
-    except OverflowError as exc:
-        raise UnsupportedInputError(
-            f"{exc}: the Groebner kernel takes exponents up to "
-            f"{EXP_BOUND}") from None
+    if p:
+        return {(j, enc(m)): c for (j, m), c in terms.items()}, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {(j, enc(m)): c.numerator * (den // c.denominator)
+            for (j, m), c in terms.items()}, den
 
 
 def _from_kernel(terms, den, p, code):
@@ -302,8 +296,8 @@ class GroebnerBasis:
     """Reduced Groebner basis of a span of columns in P^ncomps.
 
     Built by buchberger from its kernel rows (comp, m, lc, terms), lead
-    first and sorted by lead descending (see _reduce_terms).  The elements,
-    monic Vecs, are derived from the rows on first use.
+    first and sorted by lead descending (see _reduce_terms).  Iterating
+    it gives the elements, monic Vecs, decoded from the rows each time.
     """
 
     def __init__(self, ring, ncomps, order, rows):
@@ -314,14 +308,10 @@ class GroebnerBasis:
         self._key = _term_key(order, ncomps)
         self._rows = rows
 
-    @cached_property
-    def elements(self):
-        p, code = self.ring.field.char, self._code
-        return [Vec(self.ring, self.ncomps, _from_kernel(terms, lc, p, code))
-                for _c, _e, lc, terms in self._rows]
-
     def __iter__(self):
-        return iter(self.elements)
+        p, code = self.ring.field.char, self._code
+        for _c, _e, lc, terms in self._rows:
+            yield Vec(self.ring, self.ncomps, _from_kernel(terms, lc, p, code))
 
     def __len__(self):
         return len(self._rows)

@@ -412,8 +412,13 @@ class Submodule:
         coeffs = (-full.take_components(s, s + t)).to_polys()
         return [self.ring.elem(c) for c in coeffs[:len(self.gens)]]
 
+    def first_outside(self, gens):
+        """The first of gens, in order, that is not in this submodule, or
+        None."""
+        return next((g for g in gens if not self.contains(g)), None)
+
     def contains_submodule(self, other: "Submodule") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        return self.first_outside(other.gens) is None
 
     def same_as(self, other: "Submodule") -> bool:
         return self.contains_submodule(other) and other.contains_submodule(self)

@@ -1,50 +1,33 @@
 """Monomial orders on exponent vectors and their extensions to free modules.
 
 Orders are frozen, hashable values: MonomialOrder on the ring, ModuleOrder
-on a free module.  MonomialOrder.key() gives a key function mapping an
-exponent tuple to a tuple that compares the way the order does (bigger key
-= bigger monomial); a ModuleOrder is itself the key function on
-(component, exponents) pairs.  For degrevlex the key is (degree, negated
-reversed exponents): ties in degree are broken so that the monomial whose
-last nonzero exponent difference is negative wins.
+on a free module.  Each ring order has one implementation, its order code
+(MonomialCode, from MonomialOrder.code, one per order and number of
+variables): encode maps an exponent tuple to an int that compares the way
+the order does (bigger code = bigger monomial), and a product of
+monomials is the sum of their codes.  Exponents sit in fixed-width fields
+with a guard bit on top, so divisibility, and the bound on every exponent,
+is one test on the difference of two codes.
 
-Outside the Groebner kernel monomials are exponent tuples.  Inside it each
-is one int, its order code (MonomialCode, from ModuleOrder.code): the codes
-compare the way the ring order does, and a product of monomials is the sum
-of their codes.  Exponents sit in fixed-width fields with a guard bit on
-top, so divisibility, and the bound on every exponent, is one test on the
-difference of two codes.
+Everything that orders monomials uses the code: PolyRing.key is its
+encode, so printing, leading terms and sorted monomial lists go by it; a
+ModuleOrder keys a term (comp, exps) by its component and the code of
+exps; and inside the Groebner kernel every monomial is its code.  An
+exponent past EXP_BOUND has no code: encode raises UnsupportedInputError,
+so such an input is refused where it is first ordered (printed, say).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from operator import mul, neg
+from functools import lru_cache
+from operator import mul
 
 
-def lex_key(exps):
-    return exps
-
-
-def degrevlex_key(exps):
-    return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
-def make_wdegrevlex_key(weights):
-    w = tuple(weights)
-
-    def key(exps):
-        return (sum(map(mul, w, exps)), tuple(map(neg, reversed(exps))))
-
-    return key
-
-
-def make_elim_key(nelim):
-    def key(exps):
-        return (degrevlex_key(exps[:nelim]), degrevlex_key(exps[nelim:]))
-
-    return key
+class UnsupportedInputError(ValueError):
+    """Input the engine does not handle, such as an exponent past the
+    bound of the order codes (EXP_BOUND)."""
 
 
 @dataclass(frozen=True)
@@ -56,9 +39,6 @@ class MonomialOrder:
     kind: str  # "lex" | "degrevlex" | "wdegrevlex" | "elim"
     weights: tuple = ()
     nelim: int = 0
-    # nvars -> MonomialCode, filled by ModuleOrder.code
-    _codes: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lex", "degrevlex", "wdegrevlex", "elim"):
@@ -69,14 +49,9 @@ class MonomialOrder:
         if (self.kind == "elim") != (self.nelim > 0):
             raise ValueError("elim, and only elim, needs nelim > 0")
 
-    def key(self):
-        if self.kind == "lex":
-            return lex_key
-        if self.kind == "degrevlex":
-            return degrevlex_key
-        if self.kind == "elim":
-            return make_elim_key(self.nelim)
-        return make_wdegrevlex_key(self.weights)
+    def code(self, nvars) -> "MonomialCode":
+        """The order code of this order on nvars variables."""
+        return _monomial_code(self, nvars)
 
     def describe(self) -> str:
         if self.kind == "wdegrevlex":
@@ -96,7 +71,7 @@ def elimination(nelim) -> MonomialOrder:
     return MonomialOrder("elim", nelim=nelim)
 
 
-# --- order codes: the monomials of the Groebner kernel -----------------------
+# --- order codes -------------------------------------------------------------
 
 FIELD_BITS = 32
 # the largest exponent a field holds with its guard (top) bit clear
@@ -108,8 +83,8 @@ class MonomialCode:
 
     encode maps an exponent tuple to an int that compares the way the
     order does, with encode(a) + encode(b) == encode(a * b); it raises
-    OverflowError for an exponent past EXP_BOUND.  decode inverts it, and
-    lcm(a, b) is the code of the lcm of two monomials.
+    UnsupportedInputError for an exponent past EXP_BOUND.  decode inverts
+    it, and lcm(a, b) is the code of the lcm of two monomials.
 
     Exponents sit in FIELD_BITS-bit fields.  For lex the code is x, the
     exponents with the first variable in the top field.  For degrevlex and
@@ -135,6 +110,12 @@ class MonomialCode:
         self.xor, self.add, self.guard = xor, add, guard
 
 
+def _out_of_range(e):
+    return UnsupportedInputError(
+        f"exponents {tuple(e)} out of range: monomial orders take exponents "
+        f"up to {EXP_BOUND}")
+
+
 def _field_bits(k):
     """(ones, guards): the bottom bit, and the guard bit, of each of k
     fields."""
@@ -144,9 +125,8 @@ def _field_bits(k):
 
 def _revlex_block(k, weights):
     """(encode, decode, lift, bits of x) of the degrevlex code wdeg * B - x
-    of k exponents, the degree weighted by weights when given (as
-    make_wdegrevlex_key weights it); lift(x) is the code of the exponents
-    that the fields of x hold."""
+    of k exponents, the degree weighted by the first k weights when given;
+    lift(x) is the code of the exponents that the fields of x hold."""
     st = struct.Struct(f"<{k}I")
     pack, unpack, frombytes = st.pack, st.unpack, int.from_bytes
     nbits, nbytes = FIELD_BITS * k, 4 * k
@@ -159,15 +139,15 @@ def _revlex_block(k, weights):
     def degree(e):
         return sum(e) * w if w else sum(map(mul, weights, e))
 
-    # encode is the boundary of the kernel: it packs, checks and computes
-    # the degree inline
+    # encode runs on every monomial that is ordered or enters the kernel:
+    # it packs, checks and computes the degree inline
     def encode(e):
         try:
             x = frombytes(pack(*e), "little")
         except struct.error:
             x = guards
         if x & guards:
-            raise OverflowError(f"exponents {tuple(e)} out of range")
+            raise _out_of_range(e)
         d = sum(e) * w if w else sum(map(mul, weights, e))
         return (d << nbits) - x
 
@@ -180,6 +160,7 @@ def _revlex_block(k, weights):
     return encode, decode, lift, nbits
 
 
+@lru_cache
 def _monomial_code(order: MonomialOrder, nvars: int) -> MonomialCode:
     """The order code of order on nvars variables."""
     ones, guards = _field_bits(nvars)
@@ -196,7 +177,7 @@ def _monomial_code(order: MonomialOrder, nvars: int) -> MonomialCode:
             except struct.error:
                 x = guards
             if x & guards:
-                raise OverflowError(f"exponents {tuple(e)} out of range")
+                raise _out_of_range(e)
             return x
 
         def decode(m):
@@ -266,7 +247,7 @@ def _top_term_key(t):
 
 @dataclass(frozen=True)
 class ModuleOrder:
-    """A term order on the free module P^s, keyed on (component, exponents).
+    """A term order on the terms (component, exponents) of P^s.
 
     With nreal None it is TOP (term over position): the ring monomials are
     compared first, and ties are broken by position, earlier components
@@ -275,21 +256,18 @@ class ModuleOrder:
     strictly below every term in the first nreal components, which hold
     the actual module element.
 
-    Calling the order on (comp, exps) gives a key that compares the way the
-    order does.  Inside the Groebner kernel a term is (comp, m), m the
-    order code of its monomial (code), and term_key gives its key:
-    (m, -comp) for TOP, (comp < nreal, m, -comp) for the block order.
-    Equal orders compare and hash equal; the ring key function and the
-    term key are held outside eq and hash.
+    A term is keyed as (comp, m), m the order code of its monomial (code),
+    and term_key gives its key: (m, -comp) for TOP, (comp < nreal, m,
+    -comp) for the block order.  Calling the order on (comp, exps) gives
+    the key of (comp, the code of exps).  Equal orders compare and hash
+    equal; the term key is held outside eq and hash.
     """
 
     ring_order: MonomialOrder
     nreal: int | None = None
-    _ring_key: object = field(init=False, repr=False, compare=False)
     term_key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_ring_key", self.ring_order.key())
         nreal = self.nreal
         if nreal is None:
             term_key = _top_term_key
@@ -300,12 +278,7 @@ class ModuleOrder:
 
     def code(self, nvars) -> MonomialCode:
         """The order code of the ring order on nvars variables."""
-        codes = self.ring_order._codes
-        if nvars not in codes:
-            codes[nvars] = _monomial_code(self.ring_order, nvars)
-        return codes[nvars]
+        return self.ring_order.code(nvars)
 
     def __call__(self, comp, exps):
-        if self.nreal is None:
-            return (self._ring_key(exps), -comp)
-        return (1 if comp < self.nreal else 0, self._ring_key(exps), -comp)
+        return self.term_key((comp, self.code(len(exps)).encode(exps)))

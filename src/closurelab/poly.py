@@ -3,17 +3,21 @@
 Polynomials are immutable term maps {exponent tuple: nonzero coefficient}
 attached to a PolyRing (variable names, grading weights, coefficient field,
 monomial order).  Monomials are plain exponent tuples of non-negative ints;
-the monomial primitives below (product, quotient, divisibility, lcm,
-coprimality) and the weighted degree map builtin operators over the two
-tuples, so the per-exponent loop runs in C.
+the monomial primitives below (product, divisibility) and the weighted
+degree map builtin operators over the two tuples, so the per-exponent loop
+runs in C.  Terms are ordered by the order code of the ring's order
+(PolyRing.key, the encode of orders.MonomialCode): printing, leading_term
+and sorted_terms go by it, and a polynomial with an exponent past
+orders.EXP_BOUND raises UnsupportedInputError when it is first ordered.
 """
 
 from __future__ import annotations
 
-from operator import add, le, mul, sub
+from operator import add, le, mul
 
 from .field import QQ, FieldError
 from .orders import DEGREVLEX, MonomialOrder
+from .orders import UnsupportedInputError  # noqa: F401 (re-exported)
 
 
 class ContextError(ValueError):
@@ -24,30 +28,12 @@ class DomainError(ValueError):
     """Operation undefined for this input (e.g. leading term of 0)."""
 
 
-class UnsupportedInputError(ValueError):
-    """Input the engine does not handle, such as an exponent past the
-    bound of the Groebner kernel's order codes (orders.EXP_BOUND)."""
-
-
 def mono_mul(a, b):
     return tuple(map(add, a, b))
 
 
-def mono_div(a, b):
-    return tuple(map(sub, a, b))
-
-
 def mono_divides(a, b):
     return all(map(le, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def mono_gcd_is_one(a, b):
-    # exponents are never negative, so a product is 0 only where one is 0
-    return not any(map(mul, a, b))
 
 
 class PolyRing:
@@ -71,7 +57,7 @@ class PolyRing:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         self.nvars = len(self.names)
-        self.key = order.key()
+        self.key = order.code(self.nvars).encode
         self._index = {n: i for i, n in enumerate(self.names)}
 
     def __eq__(self, other):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .field import QQ
-from .orders import ModuleOrder, elimination, wdegrevlex
-from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
-                   UnsupportedInputError)
+from .orders import (ModuleOrder, UnsupportedInputError, elimination,
+                     wdegrevlex)
+from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
 from .gb import Vec, buchberger
 
 
@@ -204,6 +204,8 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise DomainError("negative power")
         result = self.ring.one()
         for _ in range(n):
             result = result * self

@@ -337,17 +337,10 @@ class Session:
             res.result = {"left": _submodule_gens(a),
                           "right": _submodule_gens(b)}
             if not ok:
-                for g in a.gens:
-                    if not b.contains(g):
-                        res.witness = str(g if a.module.ngens > 1
-                                          else g.component(0))
-                        break
-                else:
-                    for g in b.gens:
-                        if not a.contains(g):
-                            res.witness = str(g if a.module.ngens > 1
-                                              else g.component(0))
-                            break
+                g = b.first_outside(a.gens)
+                if g is None:
+                    g = a.first_outside(b.gens)
+                res.witness = str(g if a.module.ngens > 1 else g.component(0))
             return
         if fn == "phantom":
             cl = self._closure(args["cl"])

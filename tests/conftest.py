@@ -1,9 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the REPL tests start `python -m closurelab.cli`: let it import this
+# checkout's src/, as pytest itself does (pyproject.toml, pythonpath)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).parent.parent / "src")]
+    + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
 from closurelab.field import QQ, prime_field
 from closurelab.orders import DEGREVLEX, wdegrevlex

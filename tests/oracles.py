@@ -25,12 +25,13 @@ closure key factories `top_key`, `block_key` and `elim_key`, the
 references for the order values in `closurelab.orders`, and the
 generator-expression monomial primitives (`mono_mul` .. `mono_gcd_is_one`)
 and ring order keys (`degrevlex_key`, `make_wdegrevlex_key`), the
-references for the builtin-mapping ones in `closurelab.poly` and
-`closurelab.orders`, the field-value row reduction (`row_reduce`, `rank`,
-`residual`) and independence scan (`outside_later_spans`), the references
-for the integer echelon routine in `closurelab.linalg`, and the per-point
-`Fraction` Fourier-Motzkin test (`fm_newton_member`), the reference for
-the Newton facets in `closurelab.closure`.  The oracles here use these
+references for the builtin-mapping primitives in `closurelab.poly` and
+for the order codes in `closurelab.orders`, the field-value row
+reduction (`row_reduce`, `rank`, `residual`) and independence scan
+(`outside_later_spans`), the references for the integer echelon routine
+in `closurelab.linalg`, and the per-point `Fraction` Fourier-Motzkin test
+(`fm_newton_member`), the reference for the Newton facets in
+`closurelab.closure`.  The oracles here use these
 references, so they share no bug with the primitives under test.
 
 Three helpers serve the tests without being references for an engine

@@ -9,9 +9,11 @@ import oracles
 from closurelab import poly
 from closurelab.field import QQ, prime_field
 from closurelab.gb import Vec
-from closurelab.orders import DEGREVLEX, LEX, elimination, wdegrevlex
+from closurelab.linalg import monomials_of_wdeg
+from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, elimination,
+                               wdegrevlex)
 from closurelab.poly import (ContextError, DomainError, ParseError, PolyRing,
-                             Polynomial)
+                             Polynomial, UnsupportedInputError)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 R3 = PolyRing(("a", "b", "c"), QQ, DEGREVLEX)
@@ -152,7 +154,7 @@ def test_ring_axioms(f, g, h):
 def test_leading_term_multiplicative(order, f, g):
     if f.is_zero() or g.is_zero():
         return
-    key = order.key()
+    key = order.code(2).encode
     mf, cf = f.leading_term(key)
     mg, cg = g.leading_term(key)
     mfg, cfg = (f * g).leading_term(key)
@@ -211,12 +213,12 @@ def test_parse_stops_deep_nesting_at_the_first_level_too_many(opener):
 
 def test_monomial_primitives_match_reference():
     """The monomial primitives, PolyRing.wdeg, Polynomial.is_homogeneous,
-    Vec.has_vars_below and the lex, degrevlex, wdegrevlex and elim keys agree with the
-    generator-expression references on random exponent tuples: 0-8
-    variables (the empty tuple too), exponents 0-40 (half of them 0, so
-    that coprime and dividing pairs occur), weights 1-5."""
+    Vec.has_vars_below and the order codes of lex, degrevlex, wdegrevlex
+    and elim agree with the generator-expression references on random
+    exponent tuples: 0-8 variables (the empty tuple too), exponents 0-40
+    (half of them 0, so that dividing pairs occur), weights 1-5."""
     rng = random.Random(11)
-    binary = ["mono_mul", "mono_divides", "mono_lcm", "mono_gcd_is_one"]
+    binary = ["mono_mul", "mono_divides"]
 
     def exps(n):
         return tuple(rng.choice((0, rng.randint(0, 40))) for _ in range(n))
@@ -229,7 +231,6 @@ def test_monomial_primitives_match_reference():
             for name in binary:
                 assert getattr(poly, name)(a, b) == \
                     getattr(oracles, name)(a, b), (name, a, b)
-        assert poly.mono_div(ab, a) == oracles.mono_div(ab, a) == c
         w = tuple(rng.randint(1, 5) for _ in range(n))
         ring = PolyRing([f"x{i}" for i in range(n)], QQ, weights=w)
         ref_wdeg = oracles.make_wdegrevlex_key(w)
@@ -242,5 +243,47 @@ def test_monomial_primitives_match_reference():
         orders = [LEX, DEGREVLEX]
         orders += [wdegrevlex(w), elimination(rng.randint(1, n))] if n else []
         for order in orders:
-            assert order.key()(a) == oracles.ref_ring_key(order)(a), \
-                (order, a)
+            enc, ref = order.code(n).encode, oracles.ref_ring_key(order)
+            for b in (c, ab):
+                assert (enc(a) < enc(b)) == (ref(a) < ref(b)), (order, a, b)
+                assert (enc(a) == enc(b)) == (a == b), (order, a, b)
+
+
+ORDERS = [LEX, DEGREVLEX, wdegrevlex((2, 1, 3)), elimination(1),
+          elimination(2)]
+
+
+@pytest.mark.parametrize("order", ORDERS,
+                         ids=lambda o: o.describe() + str(o.nelim or ""))
+def test_terms_are_ordered_like_the_reference_keys(order):
+    """sorted_terms (and so printing), leading_term and monomials_of_wdeg
+    order monomials by the order code; they order them as the reference
+    keys do, on random exponents up to EXP_BOUND."""
+    rng = random.Random(f"sorted-{order}")
+    ring = PolyRing(("x", "y", "z"), QQ, order)
+    ref = oracles.ref_ring_key(order)
+    for _ in range(150):
+        monos = {tuple(rng.choice((0, 1, 2, rng.randint(0, EXP_BOUND),
+                                   EXP_BOUND)) for _ in range(3))
+                 for _ in range(rng.randint(1, 8))}
+        f = Polynomial(ring, {m: Fraction(rng.randint(1, 9)) for m in monos})
+        expected = sorted(monos, key=ref, reverse=True)
+        assert [m for m, _c in f.sorted_terms()] == expected
+        assert f.leading_term() == (expected[0], f.terms[expected[0]])
+        assert str(f) == " + ".join(str(ring.monomial(m, f.terms[m]))
+                                    for m in expected)
+    for d in range(9):
+        monos = monomials_of_wdeg(ring, d)
+        assert list(monos) == sorted(monos, key=ref, reverse=True)
+
+
+@pytest.mark.parametrize("order", ORDERS,
+                         ids=lambda o: o.describe() + str(o.nelim or ""))
+def test_ordering_an_exponent_past_the_bound_is_unsupported_input(order):
+    ring = PolyRing(("x", "y", "z"), QQ, order)
+    f = ring.monomial((0, EXP_BOUND + 1, 0)) + ring.var("x")
+    for ordering in (str, Polynomial.leading_term, Polynomial.sorted_terms):
+        with pytest.raises(UnsupportedInputError,
+                           match="out of range") as err:
+            ordering(f)
+        assert not isinstance(err.value, OverflowError)

@@ -240,6 +240,14 @@ def test_ring_elem_compares_unequal_to_unparsable_string(kxy):
     assert kxy.elem("x") != "x+"
 
 
+def test_ring_elem_negative_power_is_a_domain_error(kxy, segre):
+    x = kxy.elem("x")
+    assert x ** 0 == kxy.one() and x ** 3 == kxy.elem("x^3")
+    for f in (x, segre.elem("b")):
+        with pytest.raises(DomainError, match="negative power"):
+            f ** -1
+
+
 def test_descriptor_fields(segre):
     d = segre.descriptor()
     assert d["vars"] == ["a", "b", "c"]
