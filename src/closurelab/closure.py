@@ -24,8 +24,10 @@ inclusion on the given data and report {holds-on-instance} or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 from operator import mul
+from weakref import WeakKeyDictionary
 
 from .gb import Vec
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum,
@@ -117,13 +119,14 @@ class ModuleClosure(ClosureOp):
 
         The last result is kept in one slot keyed by (N.module, N.gens),
         compared by value, so an equal but distinct N reuses it, together
-        with the span and certificate bases its image Submodule memoizes.
-        S (x) M has a slot of its own, keyed by M, so its relation basis,
-        which seeds the span of every image, is built once per M however
-        many N a caller walks through inside it.  One slot each, not a memo
-        per N or M: memory stays flat.  The slots are read and written by
-        single attribute accesses and take no lock; two threads racing on
-        one closure can at worst both build the context.
+        with the span and ext bases its image Submodule keeps.  S (x) M has
+        a slot of its own, keyed by M, so its relation basis, which S (x) M
+        keeps and which seeds the span of every image, is built once per M
+        however many N a caller walks through inside it.  One slot each,
+        not a table per N or M: memory stays flat.  The slots are read and
+        written by single attribute accesses and take no lock: every basis
+        in a context is reduced, hence canonical, so two threads racing on
+        one closure at worst build two equal contexts and keep either.
         """
         M = N.module
         if M.ring != self.S.ring:
@@ -165,7 +168,7 @@ class ModuleClosure(ClosureOp):
         for i in range(self.S.ngens):
             gens = r_preimage(M.ring,
                               [tensor_elem(self.S, M, i, w) for w in gens],
-                              gens, image._span(), T.ngens)
+                              gens, image.span, T.ngens)
         return Submodule(M, tuple(gens)).minimalized()
 
 
@@ -282,15 +285,20 @@ def _monomial_exponents(N: Submodule):
     return betas
 
 
+_FACETS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _facets_of(N: Submodule):
     """Newton facets of the monomial ideal N, computed once per N.
 
-    They are kept in N's memo, like its bases, without a lock: two threads
-    racing on one N at worst compute the same facets twice.
+    They are kept, keyed by N's identity, for as long as N lives, and
+    without a lock: two threads racing on one N at worst compute the same
+    facets twice.
     """
-    if "newton" not in N._memo:
-        N._memo["newton"] = newton_facets(_monomial_exponents(N))
-    return N._memo["newton"]
+    facets = _FACETS.get(N)
+    if facets is None:
+        facets = _FACETS[N] = newton_facets(_monomial_exponents(N))
+    return facets
 
 
 class MonomialIntegralClosure(ClosureOp):
@@ -316,19 +324,9 @@ class MonomialIntegralClosure(ClosureOp):
         M = N.module
         if not betas:
             return M.zero_submodule()
-        n = len(betas[0])
-        box = [max(b[i] for b in betas) for i in range(n)]
-        points = []
-
-        def rec(i, acc):
-            if i == n:
-                points.append(tuple(acc))
-                return
-            for e in range(box[i] + 1):
-                rec(i + 1, acc + [e])
-
-        rec(0, [])
-        inside = [p for p in points if _inside(p, facets)]
+        box = [max(col) for col in zip(*betas)]
+        inside = [p for p in product(*(range(b + 1) for b in box))
+                  if _inside(p, facets)]
         minimal = []
         for p in sorted(inside, key=lambda q: (sum(q), q)):
             if not any(mono_divides(m, p) for m in minimal):

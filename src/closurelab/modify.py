@@ -80,7 +80,7 @@ def parameter_modification(M: FPModule, rel: BadRelation):
         col = col + Vec(ring.ambient, total,
                         {(n + i, m): c for m, c in x.poly.terms.items()})
     rels = [c.pad(total) for c in M.relations] + [col]
-    M2 = FPModule(ring, new_degrees, rels, normalize=False)
+    M2 = FPModule(ring, new_degrees, rels)
     incl = ModuleMap(M, M2, [Vec.unit(ring.ambient, total, j)
                              for j in range(n)])
     return M2, incl
@@ -129,7 +129,7 @@ def containment_modification(M: FPModule, cl: ClosureOp, G: Submodule,
                                 {(n + l, m): c for m, c in coeff.terms.items()})
         cols.append(col)
     rels = [c.pad(total) for c in M.relations] + cols
-    M2 = FPModule(ring, new_degrees, rels, normalize=False)
+    M2 = FPModule(ring, new_degrees, rels)
     incl = ModuleMap(M, M2, [Vec.unit(ring.ambient, total, j)
                              for j in range(n)])
     return M2, incl

@@ -17,7 +17,7 @@ run as input columns.
 
 from __future__ import annotations
 
-import threading
+from functools import cached_property
 from itertools import groupby
 
 from .gb import GroebnerBasis, Vec, buchberger
@@ -180,23 +180,18 @@ def _distinct_monic(ring: QuotientRing, vecs) -> list:
 class FPModule:
     """Graded module given by generator degrees and relation columns."""
 
-    def __init__(self, ring: QuotientRing, gen_degrees, relations=(),
-                 normalize=True):
+    def __init__(self, ring: QuotientRing, gen_degrees, relations=()):
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         rels = []
         for col in relations:
-            col = self._coerce_col(col)
-            if normalize:
-                col = nf_vec(ring, col)
+            col = nf_vec(ring, self._coerce_col(col))
             if col.is_zero():
                 continue
             if not col.is_homogeneous(self.gen_degrees):
                 raise DomainError(f"inhomogeneous relation column {col}")
             rels.append(col)
         self.relations = tuple(rels)
-        self._memo: dict = {}
-        self._lock = threading.Lock()
 
     # -- plumbing -------------------------------------------------------------
 
@@ -239,18 +234,17 @@ class FPModule:
         A free module's is built on each call, cheaply, and not kept:
         there are many of them, such as the covers of preimage runs.
         Otherwise it is the span of the relations in the free cover,
-        memoized.
+        kept as _relation_span.
         """
         if not self.relations:
             return free_relation_basis(self.ring, self.ngens)
-        return self._cached("relgb", lambda: r_span_basis(
-            free_module(self.ring, self.gen_degrees), self.relations))
+        return self._relation_span
 
-    def _cached(self, name, thunk):
-        with self._lock:
-            if name not in self._memo:
-                self._memo[name] = thunk()
-            return self._memo[name]
+    @cached_property
+    def _relation_span(self) -> GroebnerBasis:
+        """The span of the relations in the free cover, built once."""
+        return r_span_basis(free_module(self.ring, self.gen_degrees),
+                            self.relations)
 
     def element_is_zero(self, v: Vec) -> bool:
         if self.ngens == 0:
@@ -286,12 +280,12 @@ class FPModule:
         if sub.module != self:
             raise ContextError("submodule of a different module")
         return FPModule(self.ring, self.gen_degrees,
-                        self.relations + sub.gens, normalize=False)
+                        self.relations + sub.gens)
 
     # -- presentation-level operations ----------------------------------------
 
     def minimal_presentation(self) -> "FPModule":
-        return self._cached("minpres", lambda: _minimal_presentation(self))
+        return _minimal_presentation(self)
 
     def resolution(self, length: int):
         """Minimal graded free resolution data up to homological degree length.
@@ -300,29 +294,23 @@ class FPModule:
         cols_i are the columns of the i-th differential F_i -> F_{i-1},
         written in the cover of F_{i-1}.
         """
-        with self._lock:
-            steps = self._memo.setdefault("resolution", [])
-            if not steps:
-                mp = _minimal_presentation(self)
-                self._memo["minpres"] = mp
-                steps.append((mp.gen_degrees, ()))
-                if mp.ngens:
-                    cols = minimal_generators(
-                        free_module(self.ring, mp.gen_degrees), mp.relations)
-                    steps.append((tuple(c.degree(mp.gen_degrees) for c in cols),
-                                  tuple(cols)))
-            while len(steps) <= length:
-                prev_degrees, prev_cols = steps[-1]
-                if not prev_cols:
-                    steps.append(((), ()))
-                    continue
-                shifts = steps[-2][0] if len(steps) >= 2 else None
-                syz = r_syzygies(self.ring, list(prev_cols), len(shifts))
-                syz = minimal_generators(free_module(self.ring, prev_degrees),
-                                         syz)
-                steps.append((tuple(c.degree(prev_degrees) for c in syz),
-                              tuple(syz)))
-            return steps[:length + 1]
+        mp = _minimal_presentation(self)
+        steps = [(mp.gen_degrees, ())]
+        if mp.ngens:
+            cols = minimal_generators(free_module(self.ring, mp.gen_degrees),
+                                      mp.relations)
+            steps.append((tuple(c.degree(mp.gen_degrees) for c in cols),
+                          tuple(cols)))
+        while len(steps) <= length:
+            prev_degrees, prev_cols = steps[-1]
+            if not prev_cols:
+                steps.append(((), ()))
+                continue
+            syz = r_syzygies(self.ring, list(prev_cols), len(steps[-2][0]))
+            syz = minimal_generators(free_module(self.ring, prev_degrees), syz)
+            steps.append((tuple(c.degree(prev_degrees) for c in syz),
+                          tuple(syz)))
+        return steps[:length + 1]
 
     def syzygy(self, d: int) -> "FPModule":
         """The d-th syzygy module of the minimal resolution."""
@@ -331,7 +319,7 @@ class FPModule:
         steps = self.resolution(d + 1)
         degrees_d = steps[d][0]
         rel_cols = steps[d + 1][1] if d + 1 < len(steps) else ()
-        return FPModule(self.ring, degrees_d, rel_cols, normalize=False)
+        return FPModule(self.ring, degrees_d, rel_cols)
 
     def presentation_strings(self):
         return [[str(self.ring.nf(col.component(i))) for i in range(self.ngens)]
@@ -352,52 +340,49 @@ class FPModule:
 class Submodule:
     """Submodule of an FPModule, generated by vectors in its free cover.
 
-    Two bases are memoized in _memo: the span, which answers membership,
-    and the block basis of _ext, whose normal forms give certificates.
-    _memo takes no lock: the bases are reduced, hence canonical, so two
-    threads racing on one submodule at worst build two equal bases and
-    keep either.  The module's memo is different: FPModule._lock guards
-    it, because its resolution list is extended in place, one step at a
-    time.
+    It keeps two bases, each built on first use: span, which answers
+    membership, and ext, the block basis whose normal forms give
+    certificates.  They are reduced, hence canonical, so two threads
+    racing on one submodule at worst build two equal bases and keep
+    either.  (On Python 3.11 cached_property holds a lock while it
+    computes; from 3.12 it takes none.)
     """
 
     def __init__(self, module: FPModule, gens):
         self.module = module
         self.gens = tuple(gens)
-        self._memo: dict = {}
 
     @property
     def ring(self):
         return self.module.ring
 
-    def _span(self):
-        if "span" not in self._memo:
-            self._memo["span"] = r_span_basis(self.module, self.gens)
-        return self._memo["span"]
+    @cached_property
+    def span(self) -> GroebnerBasis:
+        """Reduced basis of the span of gens and the module's relations."""
+        return r_span_basis(self.module, self.gens)
 
-    def _ext(self) -> GroebnerBasis:
+    @cached_property
+    def ext(self) -> GroebnerBasis:
         """The block basis of the columns (g_l | e_l), one for each
         generator and each relation of the module, seeded with I P^s."""
-        if "ext" not in self._memo:
-            cols = list(self.gens) + list(self.module.relations)
-            self._memo["ext"] = _block_basis(
-                self.ring, cols, unit_vectors(self.ring, len(cols)),
-                free_relation_basis(self.ring, self.module.ngens),
-                self.module.ngens)
-        return self._memo["ext"]
+        cols = list(self.gens) + list(self.module.relations)
+        s = self.module.ngens
+        return _block_basis(self.ring, cols,
+                            unit_vectors(self.ring, len(cols)),
+                            free_relation_basis(self.ring, s), s)
 
     def contains(self, v) -> bool:
         v = v if isinstance(v, Vec) else self.module.vec(v)
         if self.module.ngens == 0:
             return True
-        return self._span().contains(v)
+        return self.span.contains(v)
 
     def certificate(self, v):
         """Coefficients over the submodule generators, or None.
 
         For a member v, returns ring elements (c_1..c_t) with
         v == sum c_q * gens_q modulo the ambient module's relations: minus
-        the value block of the normal form of (v | 0) against _ext, whose
+        the value block of the normal form of (v | 0) against ext, whose
         real block is then zero.  With no generators and no relations
         there is nothing to run on, and the certificate is empty.
         """
@@ -406,7 +391,7 @@ class Submodule:
         t = len(self.gens) + len(self.module.relations)
         if not t:
             return [] if self.contains(v) else None
-        full = self._ext().normal_form(v.pad(s + t))
+        full = self.ext.normal_form(v.pad(s + t))
         if not full.take_components(0, s).is_zero():
             return None
         coeffs = (-full.take_components(s, s + t)).to_polys()
@@ -432,14 +417,14 @@ class Submodule:
         if other.module != self.module:
             raise ContextError("submodules of different modules")
         cols = list(self.gens) + list(self.module.relations)
-        gens = r_preimage(self.ring, cols, cols, other._span(),
+        gens = r_preimage(self.ring, cols, cols, other.span,
                           self.module.ngens)
         return Submodule(self.module, tuple(gens)).minimalized()
 
     def colon_elem(self, x) -> "Submodule":
         """(self :_M x) = {m in M : x m in self}."""
         gens = r_preimage(self.ring, scaled_gens(self.module, [x]),
-                          self.module.gens(), self._span(), self.module.ngens)
+                          self.module.gens(), self.span, self.module.ngens)
         return Submodule(self.module, tuple(gens)).minimalized()
 
     def minimalized(self) -> "Submodule":
@@ -533,7 +518,7 @@ def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
     cols = [Vec.from_polys([e.poly]) for e in elems]
     syz = r_syzygies(ring, cols, 1)
     degrees = tuple(e.degree() for e in elems)
-    return FPModule(ring, degrees, syz, normalize=False)
+    return FPModule(ring, degrees, syz)
 
 
 def ideal_submodule(ring: QuotientRing, gens) -> Submodule:
@@ -549,7 +534,7 @@ def direct_sum(A: FPModule, B: FPModule) -> FPModule:
     n = len(degrees)
     rels = [col.pad(n) for col in A.relations]
     rels += [col.pad(n, offset=A.ngens) for col in B.relations]
-    return FPModule(A.ring, degrees, rels, normalize=False)
+    return FPModule(A.ring, degrees, rels)
 
 
 def tensor(A: FPModule, B: FPModule) -> FPModule:
@@ -576,7 +561,7 @@ def tensor(A: FPModule, B: FPModule) -> FPModule:
             rels.append(Vec(A.ring.ambient, n,
                             {(idx(i, j), m): c
                              for (j, m), c in col.terms.items()}))
-    return FPModule(A.ring, degrees, rels, normalize=False)
+    return FPModule(A.ring, degrees, rels)
 
 
 def tensor_elem(A: FPModule, B: FPModule, i: int, v: Vec) -> Vec:
@@ -633,7 +618,7 @@ def _minimal_presentation(M: FPModule) -> FPModule:
 
     rel_vecs = [Vec(ring.ambient, len(degrees), t) for t in cols]
     rel_vecs = minimal_generators(free_module(ring, degrees), rel_vecs)
-    return FPModule(ring, tuple(degrees), rel_vecs, normalize=False)
+    return FPModule(ring, tuple(degrees), rel_vecs)
 
 
 def minimal_generators(M: FPModule, cols):

@@ -15,6 +15,7 @@ preimage run in it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .field import QQ
@@ -41,7 +42,6 @@ class QuotientRing:
         self.ideal_leads = tuple(e for _c, e in self._gb.leading_terms())
         self.domain_status = domain_status
         self.presentation = presentation
-        self._dim = None
 
     def _coerce_poly(self, g) -> Polynomial:
         if isinstance(g, str):
@@ -111,18 +111,16 @@ class QuotientRing:
 
     # -- dimension ----------------------------------------------------------
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        if self._dim is None:
-            self._dim = _dim_from_leads(self.ideal_leads, self.ambient.nvars)
-        return self._dim
+        return _dim_from_leads(self.ideal_leads, self.ambient.nvars)
 
     def dim_modulo(self, elems) -> int:
-        """Krull dimension of R/(elems)."""
-        extra = [self.elem(x).poly for x in elems]
-        cols = [Vec.from_polys([g]) for g in self.ideal_basis + extra
-                if not g.is_zero()]
-        gb = buchberger(cols, 1, ModuleOrder(self.ambient.order), self.ambient)
+        """Krull dimension of R/(elems): one run on the elements, seeded
+        with the ideal's reduced basis."""
+        cols = [Vec.from_polys([self.elem(x).poly]) for x in elems]
+        gb = buchberger(cols, 1, ModuleOrder(self.ambient.order), self.ambient,
+                        seed=self._gb)
         return _dim_from_leads([e for _c, e in gb.leading_terms()],
                                self.ambient.nvars)
 

@@ -343,7 +343,7 @@ def _degree_sorted(M):
     rels = [Vec(M.ring.ambient, M.ngens,
                 {(pos[j], m): c for (j, m), c in col.terms.items()})
             for col in M.relations]
-    return FPModule(M.ring, degrees, rels, normalize=False)
+    return FPModule(M.ring, degrees, rels)
 
 
 def same_presentation(A, B, degree_shift=0) -> bool:

@@ -231,7 +231,7 @@ def test_integer_kernel_matches_fraction_reference(field):
         for v in probes:
             assert _kernel_form([ours.normal_form(v)]) == \
                 _kernel_form([fraction_normal_form(ref, keyfn, v)]), trial
-            real = sub._ext().normal_form(v.pad(big)).take_components(
+            real = sub.ext.normal_form(v.pad(big)).take_components(
                 0, ncomps)
             cert = sub.certificate(v)
             ref_real, ref_cert = fraction_extended_reduce(cols, ncomps, v)

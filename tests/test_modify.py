@@ -4,8 +4,8 @@ import pytest
 
 from closurelab.poly import DomainError
 from closurelab.ring import ParameterSequence
-from closurelab.modules import (Submodule, ideal_submodule,
-                                ring_as_module, scaled_gens)
+from closurelab.modules import (Submodule, ideal_as_module, ideal_submodule,
+                                nf_vec, ring_as_module, scaled_gens)
 from closurelab.closure import (ModuleClosure, PhantomInstance,
                                 TrivialClosure, phantom_test)
 from closurelab.modify import (BadRelation, ModificationTrace,
@@ -153,3 +153,15 @@ def test_three_step_chain_stays_phantom(veronese4, s2_module):
     for st in trace.stages[1:]:
         assert st.flags["phantom_after"] is True
     assert trace.image_of_one_in_m() is False
+
+
+def test_containment_modification_stores_normal_forms(xyuv):
+    """Every relation of the modified module is its own normal form: here
+    v_1 x = x*y*v^2 reduces to u*v^3 modulo xy - uv."""
+    cl = ModuleClosure(ideal_as_module(xyuv, ["-2*y - 2*u", "3*u - 3*v"]))
+    G = ideal_submodule(xyuv, ["-u*v", "-2*u^2 - 3*v^2"])
+    M = ring_as_module(xyuv)
+    M2, _incl = containment_modification(M, cl, G, G.module.vec(["x*v^2"]),
+                                         M.vec(["y"]))
+    assert M2.relations
+    assert all(nf_vec(xyuv, r) == r for r in M2.relations)

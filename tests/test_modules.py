@@ -381,7 +381,7 @@ def test_output_basis_is_not_converted_back_into_the_kernel(
     cols = [Vec.from_polys([segre.ambient.parse(t)])
             for t in ("a^2", "a*b", "b*c")]
     if extended:
-        out = Submodule(ring_as_module(segre), tuple(cols))._ext()
+        out = Submodule(ring_as_module(segre), tuple(cols)).ext
         assert len(calls) == len(cols) == 3
         # the seeded block basis holds I P^3 on the three value components
         assert len(out) == 10
@@ -794,6 +794,65 @@ def test_resolution_memo_is_thread_safe(segre):
         t.join()
     assert all(r == results[0] for r in results)
     assert results[0] == [1, 3, 4, 4, 4]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(modules, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modules, name, counting)
+    return calls
+
+
+def test_submodule_builds_its_bases_once(segre, monkeypatch):
+    spans = _count_calls(monkeypatch, "r_span_basis")
+    blocks = _count_calls(monkeypatch, "_block_basis")
+    N = ideal_submodule(segre, ["a", "b"])
+    v = ring_as_module(segre).vec(["a*c"])
+    assert N.contains(v) and N.contains(v)
+    assert len(spans) == 1
+    assert N.certificate(v) == N.certificate(v)
+    assert len(blocks) == 1
+
+
+def test_module_keeps_only_a_presented_relation_basis(segre, monkeypatch):
+    spans = _count_calls(monkeypatch, "r_span_basis")
+    M = ideal_as_module(segre, ["a", "b"])
+    assert M.relation_basis() is M.relation_basis()
+    assert len(spans) == 1
+    F = free_module(segre, (0, 1))
+    before = dict(vars(F))
+    assert F.relation_basis() is not F.relation_basis()
+    assert vars(F) == before
+
+
+def test_kept_relation_basis_leaves_equality_alone(segre):
+    M = ideal_as_module(segre, ["a", "b"])
+    M.relation_basis()
+    fresh = ideal_as_module(segre, ["a", "b"])
+    assert M == fresh and hash(M) == hash(fresh)
+
+
+def test_contains_from_threads_on_one_submodule(segre):
+    import threading
+    N = ideal_submodule(segre, ["a", "b"])
+    R1 = ring_as_module(segre)
+    probes = [R1.vec([p]) for p in ("a*c", "c", "b*c", "c^2")]
+    results = []
+
+    def work():
+        results.append([N.contains(v) for v in probes])
+
+    threads = [threading.Thread(target=work) for _ in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [[True, False, True, False]] * 6
 
 
 def test_colon_by_ideal(kxy, veronese4):
