@@ -14,7 +14,16 @@ decidable.
 
 The full closure N^cl_M is computed exactly as the kernel of
 M -> (+)_i (S (x) M)/im(S (x) N), one summand at a time, never by a
-degree-bounded search.
+degree-bounded search: for each generator s_i, the span so far shrinks to
+its u with s_i (x) u in the image, one seeded preimage run.
+
+Skip rule: when s_i (x) w lies in the image for every generator w of the
+span so far, the preimage is the whole span (by R-linearity s_i (x) u is
+then in the image for every u = sum r_w w of the span), so that summand's
+run is skipped and the span kept.  The generators kept are always
+canonical (the unit vectors of M's cover, or the distinct monic normal
+forms of the reduced basis a preimage run returned), and a run on them
+would hand back the same list, so the closure is unchanged by the skip.
 
 The axiom checkers are instance-level falsifiers: they verify a stated
 inclusion on the given data and report {holds-on-instance} or
@@ -161,14 +170,21 @@ class ModuleClosure(ClosureOp):
 
     def closure(self, N):
         """Keep, for one generator s_i of S at a time, the u of the span so
-        far with s_i (x) u in the image: a preimage seeded by its span."""
+        far with s_i (x) u in the image: a preimage seeded by its span.
+
+        A generator whose columns s_i (x) w all lie in the image already
+        cannot shrink the span (see the skip rule in the module
+        docstring), and it makes no run.
+        """
         M = N.module
         T, image = self._image_context(N)
+        span = image.span
         gens = M.gens()
         for i in range(self.S.ngens):
-            gens = r_preimage(M.ring,
-                              [tensor_elem(self.S, M, i, w) for w in gens],
-                              gens, image.span, T.ngens)
+            cols = [tensor_elem(self.S, M, i, w) for w in gens]
+            if all(span.contains(c) for c in cols):
+                continue
+            gens = r_preimage(M.ring, cols, gens, span, T.ngens)
         return Submodule(M, tuple(gens)).minimalized()
 
 

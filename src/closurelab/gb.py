@@ -3,10 +3,15 @@
 Everything here works over an ambient polynomial ring P; quotient-ring
 computations are assembled by callers, which add the defining ideal on
 every component, as input columns or as a seed basis.
-The engine is Buchberger's algorithm with the normal pair-selection
-strategy, the product criterion (applied only where it is valid for
-modules) and the chain criterion.  Output bases are reduced, monic and
-canonically sorted, hence unique for a given module and order.
+The engine is Buchberger's algorithm with the product criterion (applied
+only where it is valid for modules) and the chain criterion.  Its pair
+queue is not a strict heap: the pairs among the input columns are
+heapified by the key of their lcm, the pairs of every later basis element
+are appended to the list unsorted, and each pop takes the list's first
+entry (heapq.heappop), which need not be the least pending pair (see
+push_pairs in buchberger).  The order is deterministic.  Output bases are
+reduced, monic and canonically sorted, hence unique for a given module and
+order, whatever the pair order.
 
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
 which may be an elimination order, and the block order.  buchberger is
@@ -218,7 +223,7 @@ def _from_kernel(terms, den, p, code):
     return {(j, dec(m)): Fraction(c, den) for (j, m), c in terms.items()}
 
 
-def _reduce_terms(terms, basis, key, code, p):
+def _reduce_terms(terms, basis, key, code, p, stop_early=False):
     """Fully reduce an int term dict against basis rows, in place.
 
     basis: list of (comp, m, lc, body_terms) in kernel form, key the
@@ -228,6 +233,10 @@ def _reduce_terms(terms, basis, key, code, p):
     every lc is 1, so mult stays 1.  Every term is checked against the
     exponent bound when it leads: the rows' terms are within it, so no
     product formed here carries out of a field unseen.
+
+    With stop_early the reduction stops at the first leading term that no
+    row divides and rem is that term alone: it is nonzero exactly when
+    the full remainder is, which is all a membership test needs.
     """
     xor, add, guard = code.xor, code.add, code.guard
     rem = []  # (term, coeff, mult when it was set aside)
@@ -244,6 +253,8 @@ def _reduce_terms(terms, basis, key, code, p):
             if bc == comp and not ((((m - be) ^ xor) + add) & guard):
                 break
         else:
+            if stop_early:
+                return {best: coeff}, mult
             rem.append((best, coeff, mult))
             del terms[best]
             continue
@@ -324,7 +335,14 @@ class GroebnerBasis:
                    _from_kernel(rem, den * mult, p, code))
 
     def contains(self, v: Vec) -> bool:
-        return self.normal_form(v).is_zero()
+        """Is v in the span?  The reduction stops at the first leading
+        term that no row divides, which stays in the remainder, so v is
+        not a member; nothing is decoded."""
+        p, code = self.ring.field.char, self._code
+        terms, _den = _to_kernel(v.terms, p, code)
+        rem, _mult = _reduce_terms(terms, self._rows, self._key, code, p,
+                                   stop_early=True)
+        return not rem
 
     def leading_terms(self):
         """The leads as (comp, exponent tuple), in basis order."""
@@ -395,6 +413,13 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
         singles.extend(_single_component(row[3]) for row in seed._rows)
     nseed = len(basis)
 
+    # Pairs are appended, never heap-pushed.  The input columns' pairs are
+    # heapified once before the main loop; the pairs of every later
+    # element sit unsorted at the end of the list, so heappop takes the
+    # list's first entry, not always the least pending pair.  Heap-pushing
+    # them did more work (on the closure benchmark 5% more pairs and 2%
+    # more reduced S-pairs, and no faster), so this order stays, and the
+    # pinned work counts in the tests guard it.
     def push_pairs(new_idx):
         nc, ne, _lc, _b = basis[new_idx]
         for i in range(new_idx):

@@ -149,8 +149,10 @@ def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
 
 
 def _monic_vec(v: Vec, order: ModuleOrder) -> Vec:
-    """The nonzero v divided by its lead coefficient under order."""
-    _c, _e, lc = v.leading(order)
+    """The nonzero v divided by its lead coefficient under order, whose
+    code is looked up once, not once per term."""
+    enc, term_key = order.code(v.ring.nvars).encode, order.term_key
+    _c, _e, lc = v.leading(lambda j, e: term_key((j, enc(e))))
     fld = v.ring.field
     if lc == fld.one:
         return v

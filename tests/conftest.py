@@ -78,10 +78,10 @@ def raw_preimage(monkeypatch):
             handed.append(list(self.gens))
             return real_min(self)
 
-        def buchberger(cols, ncomps, keyfn, ring=None, seed=None):
+        def buchberger(cols, ncomps, keyfn, *args, **kwargs):
             if keyfn.nreal is not None:
                 runs.append((ncomps, keyfn.nreal))
-            return real_run(cols, ncomps, keyfn, ring, seed)
+            return real_run(cols, ncomps, keyfn, *args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(modules.Submodule, "minimalized", minimalized)

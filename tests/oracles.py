@@ -10,6 +10,9 @@ run (the ideal as input columns) that the seeded `r_span_basis` is
 checked against, `ref_preimage`, the unseeded block-diagonal elimination
 that the seeded `r_preimage` is checked against, with the constructions of
 closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
+`ref_closure_steps`, the closure loop that makes a preimage run for every
+generator of S, which the step skip of `ModuleClosure.closure` is checked
+against,
 `ref_module_relation_columns`, the syzygy-then-elimination construction
 that subring module relations are checked against, `extended_groebner`,
 the run with the ideal as input columns, each with a shadow component,
@@ -49,7 +52,7 @@ from closurelab.gb import Vec, buchberger
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
 from closurelab.modules import (FPModule, _distinct_monic, ideal_columns,
-                                scaled_gens,
+                                r_preimage, scaled_gens,
                                 tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import ParseError, PolyRing, Polynomial, _tokenize_poly
@@ -873,6 +876,29 @@ def ref_closure_preimage(S, N):
             acc = acc + Vec.unit(amb, total, i * g * n + i * n + j)
         map_cols.append(acc)
     return ref_preimage(M.ring, map_cols, target, total)
+
+
+def ref_closure_steps(S, N):
+    """The closure loop that runs every step, as (steps, satisfied).
+
+    steps are its generator lists: the unit vectors of M's cover, then,
+    for each generator s_i of S, the seeded preimage of the span so far
+    under u -> s_i (x) u, run even when every column s_i (x) w already
+    lies in the image; the last list is what the closure hands to
+    minimalization.  satisfied[i] says whether every column of step i
+    reduces to zero against the basis of the image of S (x) N.
+    """
+    M = N.module
+    T = tensor(S, M)
+    span = T.submodule([tensor_elem(S, M, p, nq)
+                        for p in range(S.ngens) for nq in N.gens]).span
+    steps, satisfied = [M.gens()], []
+    for i in range(S.ngens):
+        gens = steps[-1]
+        cols = [tensor_elem(S, M, i, w) for w in gens]
+        satisfied.append(all(span.normal_form(c).is_zero() for c in cols))
+        steps.append(r_preimage(M.ring, cols, gens, span, T.ngens))
+    return steps, satisfied
 
 
 def ref_intersect_preimage(A, B):

@@ -322,8 +322,10 @@ def test_groebner_over_q_does_no_field_arithmetic(monkeypatch):
 def test_buchberger_work_counts_are_pinned(monkeypatch):
     """The README cone closure does a fixed amount of kernel work, counted
     from the closure call on (the module and operator are built before).
-    The counts guard the pair criteria and the reduction loop; a change
-    that means to alter them updates them here."""
+    The counts guard the pair criteria, the order in which pairs leave
+    the queue (see push_pairs in gb.buchberger), the reduction loop and
+    the closure's step skip; a change that means to alter them updates
+    them here."""
     from closurelab import gb as gb_module
     from closurelab.closure import ModuleClosure
     from closurelab.modules import ideal_as_module
@@ -335,8 +337,8 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     reduce_terms, normalize = gb_module._reduce_terms, gb_module._normalize
     counts = {"reductions": 0, "to_zero": 0, "normalizations": 0}
 
-    def counted_reduce(*args):
-        rem, mult = reduce_terms(*args)
+    def counted_reduce(*args, **kwargs):
+        rem, mult = reduce_terms(*args, **kwargs)
         counts["reductions"] += 1
         counts["to_zero"] += not rem
         return rem, mult
@@ -350,7 +352,7 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     closed = cl.closure(ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"]))
     assert sorted(str(g.component(0)) for g in closed.gens) == \
         ["a*b", "a*c", "a^2", "b*c", "c^2"]
-    assert counts == {"reductions": 93, "to_zero": 31, "normalizations": 56}
+    assert counts == {"reductions": 70, "to_zero": 28, "normalizations": 36}
 
 
 # --- normal forms ------------------------------------------------------------------
@@ -375,6 +377,48 @@ def test_normal_form_of_basis_elements_is_zero():
     gb = top_basis(cols, R2)
     for g in gb:
         assert gb.normal_form(g).is_zero() or g not in cols
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+def test_contains_agrees_with_the_normal_form(field, monkeypatch):
+    """contains stops at the first leading term that no basis row divides;
+    on random members, members with one term added, and random vectors,
+    under TOP and the block order, seeded and unseeded, it answers as
+    normal_form(v).is_zero() does, and it decodes nothing."""
+    from closurelab import gb as gb_module
+
+    def forbidden(*_args):
+        raise AssertionError("contains decoded a remainder")
+
+    ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    rng = random.Random(67)
+    answers = []
+    for trial in range(48):
+        shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
+        ncomps = len(shifts)
+        order = ModuleOrder(ring.order, None if trial % 2 else
+                            rng.randint(1, ncomps - 1))
+        cols = [_random_vec(ring, rng, shifts, rng.randint(1, 3),
+                            rng.randint(1, 4))
+                for _ in range(rng.randint(2, 5))]
+        seed = None
+        if trial % 4 >= 2:
+            seed = buchberger(cols[:2], ncomps, order, ring)
+        gb = buchberger(cols[2:] if seed else cols, ncomps, order, ring,
+                        seed=seed)
+        member = Vec.zero(ring, ncomps)
+        for col in cols:
+            member = member + col.term_mul(
+                _random_coeff(field, rng),
+                rng.choice(((0, 0, 0), (1, 0, 0), (0, 1, 1))))
+        probes = [member, member + _random_vec(ring, rng, shifts, 2, 1),
+                  _random_vec(ring, rng, shifts, 3, 4)]
+        with monkeypatch.context() as patch:
+            patch.setattr(gb_module, "_from_kernel", forbidden)
+            got = [gb.contains(v) for v in probes]
+        assert got == [gb.normal_form(v).is_zero() for v in probes], trial
+        answers += got
+    assert answers.count(True) > 48 and answers.count(False) > 48
 
 
 def test_membership_with_certificate_recombines():

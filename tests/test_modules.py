@@ -373,9 +373,9 @@ def test_output_basis_is_not_converted_back_into_the_kernel(
     calls = []
     real = gb._to_kernel
 
-    def counting(terms, p, code):
+    def counting(terms, *args, **kwargs):
         calls.append(terms)
-        return real(terms, p, code)
+        return real(terms, *args, **kwargs)
 
     monkeypatch.setattr(gb, "_to_kernel", counting)
     cols = [Vec.from_polys([segre.ambient.parse(t)])
