@@ -17,7 +17,7 @@ from .ring import (ParameterSequence, QuotientRing, RingElem,
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum, free_module,
                       ideal_as_module, ideal_submodule, is_regular_sequence,
                       quotient_module, residue_field, ring_as_module,
-                      scaled_gens, tensor, tensor_elem, verify_resolution)
+                      scaled_gens, tensor, tensor_elem)
 from .closure import (CheckOutcome, ClosureOp, IntersectionClosure,
                       MembershipOutcome, ModuleClosure,
                       MonomialIntegralClosure, PhantomInstance,

@@ -4,14 +4,20 @@ Everything here works over an ambient polynomial ring P; quotient-ring
 computations are assembled by callers, which add the defining ideal on
 every component, as input columns or as a seed basis.
 The engine is Buchberger's algorithm with the product criterion (applied
-only where it is valid for modules) and the chain criterion.  Its pair
-queue is not a strict heap: the pairs among the input columns are
+only where it is valid for modules) and the chain criterion.  The product
+criterion is applied when a pair is formed: a pair of two rows that live
+in their lead component alone and have coprime leads is never queued.
+Its pair queue is not a strict heap: the pairs among the input columns are
 heapified by the key of their lcm, the pairs of every later basis element
 are appended to the list unsorted, and each pop takes the list's first
 entry (heapq.heappop), which need not be the least pending pair (see
-push_pairs in buchberger).  The order is deterministic.  Output bases are
-reduced, monic and canonically sorted, hence unique for a given module and
-order, whatever the pair order.
+push_pairs in buchberger).  The order is deterministic.  Rows are indexed
+by lead component, so reductions, pair formation and the chain criterion
+scan only the rows of one component, in basis order.  The final pass
+reduces again only the rows whose terms the lead of a later kept row
+divides: every other row was fully reduced against the rest when it was
+made.  Output bases are reduced, monic and canonically sorted, hence
+unique for a given module and order, whatever the pair order.
 
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
 which may be an elimination order, and the block order.  buchberger is
@@ -54,6 +60,8 @@ sequential, so outputs are reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heappop
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -223,16 +231,18 @@ def _from_kernel(terms, den, p, code):
     return {(j, dec(m)): Fraction(c, den) for (j, m), c in terms.items()}
 
 
-def _reduce_terms(terms, basis, key, code, p, stop_early=False):
+def _reduce_terms(terms, rows_of, key, code, p, stop_early=False):
     """Fully reduce an int term dict against basis rows, in place.
 
-    basis: list of (comp, m, lc, body_terms) in kernel form, key the
-    term key of the order (_term_key).  Returns
-    (rem, mult) with mult * input == rem + (a combination of the basis);
-    the terms of rem are in descending order, lead first.  Over GF(p)
-    every lc is 1, so mult stays 1.  Every term is checked against the
-    exponent bound when it leads: the rows' terms are within it, so no
-    product formed here carries out of a field unseen.
+    rows_of maps a component to the basis rows (comp, m, lc, body_terms),
+    in kernel form, whose lead is in it, in basis order; key is the term
+    key of the order (_term_key).  A term is reduced by the first row of
+    its component whose lead divides it.  Returns (rem, mult) with
+    mult * input == rem + (a combination of the basis); the terms of rem
+    are in descending order, lead first.  Over GF(p) every lc is 1, so
+    mult stays 1.  Every term is checked against the exponent bound when
+    it leads: the rows' terms are within it, so no product formed here
+    carries out of a field unseen.
 
     With stop_early the reduction stops at the first leading term that no
     row divides and rem is that term alone: it is nonzero exactly when
@@ -249,8 +259,8 @@ def _reduce_terms(terms, basis, key, code, p, stop_early=False):
                 f"an exponent grew past {EXP_BOUND} in a Groebner "
                 f"computation")
         coeff = terms[best]
-        for bc, be, lc, body in basis:
-            if bc == comp and not ((((m - be) ^ xor) + add) & guard):
+        for _bc, be, lc, body in rows_of.get(comp, ()):
+            if not ((((m - be) ^ xor) + add) & guard):
                 break
         else:
             if stop_early:
@@ -309,15 +319,37 @@ class GroebnerBasis:
     Built by buchberger from its kernel rows (comp, m, lc, terms), lead
     first and sorted by lead descending (see _reduce_terms).  Iterating
     it gives the elements, monic Vecs, decoded from the rows each time.
+    The rows indexed by lead component, and the pair data of a run that
+    it seeds, are built once per basis, on first use.
     """
 
     def __init__(self, ring, ncomps, order, rows):
         self.ring = ring
         self.ncomps = ncomps
         self.order = order
-        self._code = order.code(ring.nvars)
+        self._code = _order_code(ring, order)
         self._key = _term_key(order, ncomps)
         self._rows = rows
+
+    @cached_property
+    def _rows_of(self):
+        """Component -> the rows with their lead in it, in basis order."""
+        rows_of = {}
+        for row in self._rows:
+            rows_of.setdefault(row[0], []).append(row)
+        return rows_of
+
+    @cached_property
+    def _leads_of(self):
+        """Component -> (index, lead, lead mask) of the rows with their
+        lead in it, in basis order (see _lead_mask): the pair data that a
+        run seeded with this basis starts from."""
+        leads_of = {}
+        dec = self._code.decode
+        for k, (c, m, _lc, terms) in enumerate(self._rows):
+            leads_of.setdefault(c, []).append(
+                (k, m, _lead_mask(c, m, terms, dec)))
+        return leads_of
 
     def __iter__(self):
         p, code = self.ring.field.char, self._code
@@ -330,7 +362,7 @@ class GroebnerBasis:
     def normal_form(self, v: Vec) -> Vec:
         p, code = self.ring.field.char, self._code
         terms, den = _to_kernel(v.terms, p, code)
-        rem, mult = _reduce_terms(terms, self._rows, self._key, code, p)
+        rem, mult = _reduce_terms(terms, self._rows_of, self._key, code, p)
         return Vec(self.ring, self.ncomps,
                    _from_kernel(rem, den * mult, p, code))
 
@@ -340,7 +372,7 @@ class GroebnerBasis:
         not a member; nothing is decoded."""
         p, code = self.ring.field.char, self._code
         terms, _den = _to_kernel(v.terms, p, code)
-        rem, _mult = _reduce_terms(terms, self._rows, self._key, code, p,
+        rem, _mult = _reduce_terms(terms, self._rows_of, self._key, code, p,
                                    stop_early=True)
         return not rem
 
@@ -350,15 +382,53 @@ class GroebnerBasis:
         return [(c, dec(m)) for (c, m, _lc, _b) in self._rows]
 
 
+def _order_code(ring, order):
+    """The order code of a module order's ring order on the ring's
+    variables.  In every run of the engine that is the ring's own order,
+    whose code the ring keeps, so nothing hashes the order to find it."""
+    ro = order.ring_order
+    return ring.code if ro is ring.order else ro.code(ring.nvars)
+
+
 def _term_key(order, ncomps):
     """The order's term key; in a single component, where every term key
     is decided by the monomial code, the code itself."""
     return itemgetter(1) if ncomps == 1 else order.term_key
 
 
-def _single_component(terms):
-    comps = {j for (j, _m) in terms}
-    return len(comps) == 1
+def _lead_mask(comp, m, terms, decode):
+    """The variables of the lead monomial m as bits, when every term of the
+    row is in the lead's component, else None.  The product criterion
+    holds for module elements only when both live entirely in the shared
+    lead component: two such rows whose masks are disjoint have coprime
+    leads, and their S-vector reduces to zero against the two of them."""
+    for j, _m in terms:
+        if j != comp:
+            return None
+    return sum(1 << v for v, x in enumerate(decode(m)) if x)
+
+
+def _index_leads(basis, indices):
+    """Component -> (index, lead) of the given rows, in index order."""
+    leads_of = {}
+    for k in indices:
+        c, e, _lc, _b = basis[k]
+        leads_of.setdefault(c, []).append((k, e))
+    return leads_of
+
+
+def _reached(terms, leads_of, after, code):
+    """Does the lead of a row with an index past `after` divide one of the
+    terms (comp, m)?  leads_of maps a component to (index, lead) pairs in
+    index order (_index_leads)."""
+    xor, add, guard = code.xor, code.add, code.guard
+    for c, m in terms:
+        for k, e in reversed(leads_of.get(c, ())):
+            if k <= after:
+                break
+            if not ((((m - e) ^ xor) + add) & guard):
+                return True
+    return False
 
 
 def _undominated(basis, nseed, code):
@@ -368,15 +438,9 @@ def _undominated(basis, nseed, code):
     the seed rows are reduced among themselves, so only a non-seed row
     after a row can divide its lead.
     """
-    xor, add, guard = code.xor, code.add, code.guard
-    keep = []
-    for i, (ci, ei, _li, _bi) in enumerate(basis):
-        for cj, ej, _lj, _bj in basis[max(i + 1, nseed):]:
-            if cj == ci and not ((((ei - ej) ^ xor) + add) & guard):
-                break
-        else:
-            keep.append(i)
-    return keep
+    later = _index_leads(basis, range(nseed, len(basis)))
+    return [i for i, (c, e, _lc, _b) in enumerate(basis)
+            if c not in later or not _reached(((c, e),), later, i, code)]
 
 
 def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
@@ -400,19 +464,26 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
     if seed is not None and not cols:
         return seed
     p = ring.field.char
-    code = keyfn.code(ring.nvars)
-    key, mlcm = _term_key(keyfn, ncomps), code.lcm
+    code = _order_code(ring, keyfn)
+    key, mlcm, dec = _term_key(keyfn, ncomps), code.lcm, code.decode
     xor, add, guard = code.xor, code.add, code.guard
 
     basis = []        # (comp, m, lc, body terms), kernel form
-    singles = []      # support in a single component?
+    rows_of = {}      # comp -> the rows with their lead in it, in order
+    leads_of = {}     # comp -> (index, lead, lead mask) of those rows
     pending = set()   # pending pair indices
     queue = []        # (sortkey, i, j, lcm)
     if seed is not None:
         basis.extend(seed._rows)
-        singles.extend(_single_component(row[3]) for row in seed._rows)
+        rows_of = {c: list(rows) for c, rows in seed._rows_of.items()}
+        leads_of = {c: list(leads) for c, leads in seed._leads_of.items()}
     nseed = len(basis)
 
+    # A pair is formed only with a row of the same lead component, and a
+    # pair of two rows that meet the product criterion (disjoint lead
+    # masks, see _lead_mask) is settled here: it gets no lcm and is never
+    # queued.  It is never pending either, so the chain criterion counts
+    # it as treated, which Buchberger's criteria allow in any order.
     # Pairs are appended, never heap-pushed.  The input columns' pairs are
     # heapified once before the main loop; the pairs of every later
     # element sit unsorted at the end of the list, so heappop takes the
@@ -421,41 +492,40 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
     # more reduced S-pairs, and no faster), so this order stays, and the
     # pinned work counts in the tests guard it.
     def push_pairs(new_idx):
-        nc, ne, _lc, _b = basis[new_idx]
-        for i in range(new_idx):
-            ic, ie, _il, _bi = basis[i]
-            if ic != nc:
+        nc, ne, _lc, terms = basis[new_idx]
+        nmask = _lead_mask(nc, ne, terms, dec)
+        leads = leads_of.setdefault(nc, [])
+        for i, ie, imask in leads:
+            if nmask is not None and imask is not None and not nmask & imask:
                 continue
             lcm = mlcm(ie, ne)
             queue.append((key((nc, lcm)), i, new_idx, lcm))
             pending.add((i, new_idx))
+        leads.append((new_idx, ne, nmask))
 
     def add_element(terms):
-        basis.append((*_normalize(terms, p), terms))
-        singles.append(_single_component(terms))
+        row = (*_normalize(terms, p), terms)
+        basis.append(row)
+        rows_of.setdefault(row[0], []).append(row)
         push_pairs(len(basis) - 1)
 
     for col in cols:
-        rem, _mult = _reduce_terms(_to_kernel(col.terms, p, code)[0], basis,
+        rem, _mult = _reduce_terms(_to_kernel(col.terms, p, code)[0], rows_of,
                                    key, code, p)
         if rem:
             add_element(rem)
 
-    import heapq
-    heapq.heapify(queue)
+    heapify(queue)
     while queue:
-        _key, i, j, lcm = heapq.heappop(queue)
+        _key, i, j, lcm = heappop(queue)
         pending.discard((i, j))
         ci, ei, lc_i, bi = basis[i]
-        cj, ej, lc_j, bj = basis[j]
-        # product criterion: valid for module elements only when both live
-        # entirely in the shared leading component
-        if singles[i] and singles[j] and lcm == ei + ej:
-            continue
-        # chain criterion
+        _cj, ej, lc_j, bj = basis[j]
+        # chain criterion: a row k of the component whose lead divides the
+        # lcm, and neither (i, k) nor (j, k) pending
         skip = False
-        for k, (ck, ek, _lk, _bk) in enumerate(basis):
-            if k == i or k == j or ck != ci:
+        for k, ek, _mk in leads_of[ci]:
+            if k == i or k == j:
                 continue
             if not ((((lcm - ek) ^ xor) + add) & guard):
                 pi = (i, k) if i < k else (k, i)
@@ -481,18 +551,28 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
                 terms[k2] = s
             else:
                 terms.pop(k2, None)
-        rem, _mult = _reduce_terms(terms, basis, key, code, p)
+        rem, _mult = _reduce_terms(terms, rows_of, key, code, p)
         if rem:
             add_element(rem)
 
     # interreduce the undominated rows in ascending lead order: a tail term
     # is only divisible by a smaller lead, so reducing each element against
-    # the finished ones leaves every tail fully reduced in one pass
+    # the finished ones leaves every tail fully reduced in one pass.  A row
+    # was reduced when it was made against the rows before it (a seed row
+    # against the other seed rows), so only the lead of a kept non-seed
+    # row after it can divide one of its terms.  Where none does, the row
+    # is kept as it is: reducing and normalizing it again would give it
+    # back unchanged, dict order included.
     keep = _undominated(basis, nseed, code)
+    later = _index_leads(basis, [k for k in keep if k >= nseed])
     keep.sort(key=lambda i: key(basis[i][:2]))
-    done = []
+    done, done_of = [], {}
     for i in keep:
-        rem, _mult = _reduce_terms(dict(basis[i][3]), done, key, code, p)
-        done.append((*_normalize(rem, p), rem))
+        row = basis[i]
+        if _reached(row[3], later, i, code):
+            rem, _mult = _reduce_terms(dict(row[3]), done_of, key, code, p)
+            row = (*_normalize(rem, p), rem)
+        done.append(row)
+        done_of.setdefault(row[0], []).append(row)
 
     return GroebnerBasis(ring, ncomps, keyfn, done[::-1])

@@ -21,8 +21,7 @@ from functools import cached_property
 from itertools import groupby
 
 from .gb import GroebnerBasis, Vec, buchberger
-from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, span_rows,
-                     vec_coords)
+from .linalg import Echelon
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError, mono_divides
 from .ring import QuotientRing
@@ -187,7 +186,7 @@ class FPModule:
         self.gen_degrees = tuple(gen_degrees)
         rels = []
         for col in relations:
-            col = nf_vec(ring, self._coerce_col(col))
+            col = nf_vec(ring, self.vec(col))
             if col.is_zero():
                 continue
             if not col.is_homogeneous(self.gen_degrees):
@@ -209,20 +208,20 @@ class FPModule:
     def __hash__(self):
         return hash((self.ring, self.gen_degrees, self.relations))
 
-    def _coerce_col(self, col) -> Vec:
+    def vec(self, col) -> Vec:
+        """A cover vector from ring elements / strings / polynomials, or a
+        Vec of the cover's rank as it is; any other rank is refused."""
         if isinstance(col, Vec):
             if col.ncomps != self.ngens:
-                raise ContextError("relation column of wrong length")
+                raise ContextError(f"vector of rank {col.ncomps} in a module "
+                                   f"of rank {self.ngens}")
             return col
         entries = [self.ring.elem(x).poly for x in col]
         if len(entries) != self.ngens:
-            raise ContextError("relation column of wrong length")
+            raise ContextError(f"vector of rank {len(entries)} in a module "
+                               f"of rank {self.ngens}")
         return Vec.from_polys(entries) if entries else Vec.zero(
             self.ring.ambient, 0)
-
-    def vec(self, entries) -> Vec:
-        """Build a cover vector from ring elements / strings / polynomials."""
-        return self._coerce_col(entries)
 
     def gen(self, i) -> Vec:
         return Vec.unit(self.ring.ambient, self.ngens, i)
@@ -264,8 +263,7 @@ class FPModule:
     def submodule(self, gens) -> "Submodule":
         vecs = []
         for g in gens:
-            v = g if isinstance(g, Vec) else self.vec(g)
-            v = nf_vec(self.ring, v)
+            v = nf_vec(self.ring, self.vec(g))
             if not v.is_homogeneous(self.gen_degrees):
                 raise DomainError(f"inhomogeneous generator {v}")
             if not v.is_zero():
@@ -374,7 +372,7 @@ class Submodule:
                             free_relation_basis(self.ring, s), s)
 
     def contains(self, v) -> bool:
-        v = v if isinstance(v, Vec) else self.module.vec(v)
+        v = self.module.vec(v)
         if self.module.ngens == 0:
             return True
         return self.span.contains(v)
@@ -388,7 +386,7 @@ class Submodule:
         real block is then zero.  With no generators and no relations
         there is nothing to run on, and the certificate is empty.
         """
-        v = v if isinstance(v, Vec) else self.module.vec(v)
+        v = self.module.vec(v)
         s = self.module.ngens
         t = len(self.gens) + len(self.module.relations)
         if not t:
@@ -680,75 +678,6 @@ def _outside_later_spans(vecs, fld):
 
 
 # --- regular sequences ----------------------------------------------------------
-
-
-def graded_kernel_dim(ring: QuotientRing, cols, ncomps, col_degrees, d,
-                      target_shifts=None) -> int:
-    """dim_k of the degree-d kernel of the map R^t -> R^ncomps given by cols.
-
-    Pure linear algebra: coefficient vectors whose image lands in the
-    defining-ideal span, modulo vectors that are themselves ideal multiples.
-    target_shifts are the generator degrees of the target free module.
-    """
-    amb = ring.ambient
-    fld = amb.field
-    uterms = []
-    for q, dq in enumerate(col_degrees):
-        for m in monomials_of_wdeg(amb, d - dq):
-            uterms.append((q, m))
-    if not uterms:
-        return 0
-    shifts = tuple(target_shifts) if target_shifts else (0,) * ncomps
-    rows_t, terms_t = span_rows(ideal_columns(ring, ncomps), shifts, d, amb)
-    # the images that are independent modulo the ideal span: rank of the
-    # images and the ideal rows together, less the rank of the ideal rows
-    echelon = Echelon(fld)
-    for row in rows_t:
-        echelon.add(row)
-    ideal_rank = echelon.rank
-    for (q, m) in uterms:
-        echelon.add(vec_coords(cols[q].term_mul(fld.one, m), terms_t, fld))
-    valid = len(uterms) - (echelon.rank - ideal_rank)
-    return valid - graded_span_dim(ideal_columns(ring, len(cols)),
-                                   col_degrees, d, amb)
-
-
-def verify_resolution(M: FPModule, length: int, bound=None) -> bool:
-    """Degreewise exactness check of the minimal resolution of M.
-
-    At every homological degree 1 <= i < length and every internal degree up
-    to the bound (default: max generator degree + 6), the kernel of d_i must
-    have the same dimension as the image of d_{i+1}.  The image always sits
-    inside the kernel (composites vanish), so dimension equality is
-    equality.
-    """
-    steps = M.resolution(length)
-    all_degrees = [d for degs, _c in steps for d in degs]
-    if bound is None:
-        bound = (max(all_degrees) if all_degrees else 0) + 6
-    ring = M.ring
-    for i in range(1, length):
-        degrees_prev = steps[i - 1][0]
-        cols_i = steps[i][1]
-        degrees_i = steps[i][0]
-        cols_next = steps[i + 1][1] if i + 1 < len(steps) else ()
-        if not cols_i:
-            if any(cols_next):
-                return False
-            continue
-        for d in range(0, bound + 1):
-            ker = graded_kernel_dim(ring, list(cols_i), len(degrees_prev),
-                                    degrees_i, d, target_shifts=degrees_prev)
-            if cols_next:
-                ideal = ideal_columns(ring, len(degrees_i))
-                im = (graded_span_dim(list(cols_next) + ideal, degrees_i, d,
-                                      ring.ambient)
-                      - graded_span_dim(ideal, degrees_i, d, ring.ambient))
-            else:
-                im = 0
-            if ker != im:
-                return False
-    return True
 
 
 class RegularSequenceResult:

@@ -57,10 +57,13 @@ class PolyRing:
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         self.nvars = len(self.names)
-        self.key = order.code(self.nvars).encode
+        self.code = order.code(self.nvars)
+        self.key = self.code.encode
         self._index = {n: i for i, n in enumerate(self.names)}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PolyRing) and self.names == other.names
                 and self.field == other.field and self.order == other.order
                 and self.weights == other.weights)

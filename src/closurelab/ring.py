@@ -21,7 +21,8 @@ from itertools import combinations
 from .field import QQ
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
-from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
+from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
+                   mono_divides)
 from .gb import Vec, buchberger
 
 
@@ -57,9 +58,14 @@ class QuotientRing:
     # -- element handling ---------------------------------------------------
 
     def nf(self, poly: Polynomial) -> Polynomial:
+        """The normal form of poly modulo the ideal.  When no term of poly
+        is divisible by a lead monomial of the ideal's reduced basis (as
+        when there is no ideal), no reduction step applies, and poly comes
+        back as it is."""
         if poly.ring != self.ambient:
             raise ContextError("polynomial from a different ambient ring")
-        if not self._gb:
+        leads = self.ideal_leads
+        if not any(mono_divides(e, m) for m in poly.terms for e in leads):
             return poly
         rem = self._gb.normal_form(
             Vec(self.ambient, 1, {(0, m): c for m, c in poly.terms.items()}))

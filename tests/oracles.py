@@ -20,6 +20,11 @@ that certificates (`ref_certificate`) and syzygies (`ref_syzygy_basis`)
 are checked against,
 `ref_undominated`, the all-pairs drop of dominated rows that the
 kernel's pass over later rows is checked against,
+`scan_buchberger_rows` and its reducer `scan_reduce_terms`, the integer
+kernel with its earlier bookkeeping (every pair queued, whole-basis
+scans, every kept row reduced again at the end), which the kernel's
+per-component index, product criterion at pair formation and partial
+final pass are checked against,
 `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
 grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
@@ -37,18 +42,21 @@ in `closurelab.linalg`, and the per-point `Fraction` Fourier-Motzkin test
 `closurelab.closure`.  The oracles here use these
 references, so they share no bug with the primitives under test.
 
-Three helpers serve the tests without being references for an engine
+Four helpers serve the tests without being references for an engine
 path: `module_graded_dim`, a module's Hilbert function by row reduction,
-`same_presentation`, module equality through minimal presentations, and
-`random_submodule_pair`, a sampler of small homogeneous submodules.
+`same_presentation`, module equality through minimal presentations,
+`random_submodule_pair`, a sampler of small homogeneous submodules, and
+`verify_resolution`, a degreewise exactness check of a minimal resolution
+by row reduction (`brute_kernel_dim`).
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
-from closurelab.gb import Vec, buchberger
+from closurelab.gb import Vec, _normalize, _term_key, _to_kernel, buchberger
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
 from closurelab.modules import (FPModule, _distinct_monic, ideal_columns,
@@ -391,10 +399,12 @@ def random_submodule_pair(M, rng, max_deg=4, max_gens=2):
 # --- degreewise kernel of a generator map ------------------------------------------
 
 
-def brute_kernel_dim(ring, cols, ncomps, col_degrees, d) -> int:
+def brute_kernel_dim(ring, cols, ncomps, col_degrees, d,
+                     target_shifts=None) -> int:
     """dim_k of {u in (R^t)_d : sum u_q cols_q == 0 in R^ncomps}.
 
-    cols live in R^ncomps; u is graded with shifts col_degrees.  The kernel
+    cols live in R^ncomps, whose generators have the degrees target_shifts
+    (all 0 by default); u is graded with shifts col_degrees.  The kernel
     is computed by reducing each candidate coordinate against the defining
     ideal span and taking the nullspace rank, no Groebner involved.
     """
@@ -406,7 +416,7 @@ def brute_kernel_dim(ring, cols, ncomps, col_degrees, d) -> int:
             uterms.append((q, m))
     if not uterms:
         return 0
-    shifts = tuple(0 for _ in range(ncomps))
+    shifts = tuple(target_shifts) if target_shifts else (0,) * ncomps
     target_rows, target_terms = span_rows(ideal_columns(ring, ncomps),
                                           shifts, d, amb)
     rref, pivots = row_reduce(target_rows, fld) if target_rows else ([], [])
@@ -435,6 +445,44 @@ def brute_syzygies_complete(ring, cols, ncomps, syz_gens, max_degree) -> bool:
         have = graded_dim_of_span(ring, syz_gens, col_degrees, d)
         if want != have:
             return False
+    return True
+
+
+def verify_resolution(M: FPModule, length: int, bound=None) -> bool:
+    """Degreewise exactness check of the minimal resolution of M.
+
+    At every homological degree 1 <= i < length and every internal degree up
+    to the bound (default: max generator degree + 6), the kernel of d_i must
+    have the same dimension as the image of d_{i+1}.  The image always sits
+    inside the kernel (composites vanish), so dimension equality is
+    equality.
+    """
+    steps = M.resolution(length)
+    all_degrees = [d for degs, _c in steps for d in degs]
+    if bound is None:
+        bound = (max(all_degrees) if all_degrees else 0) + 6
+    ring = M.ring
+    for i in range(1, length):
+        degrees_prev = steps[i - 1][0]
+        cols_i = steps[i][1]
+        degrees_i = steps[i][0]
+        cols_next = steps[i + 1][1] if i + 1 < len(steps) else ()
+        if not cols_i:
+            if any(cols_next):
+                return False
+            continue
+        for d in range(0, bound + 1):
+            ker = brute_kernel_dim(ring, list(cols_i), len(degrees_prev),
+                                   degrees_i, d, target_shifts=degrees_prev)
+            if cols_next:
+                ideal = ideal_columns(ring, len(degrees_i))
+                im = (graded_span_dim(list(cols_next) + ideal, degrees_i, d,
+                                      ring.ambient)
+                      - graded_span_dim(ideal, degrees_i, d, ring.ambient))
+            else:
+                im = 0
+            if ker != im:
+                return False
     return True
 
 
@@ -737,6 +785,136 @@ def fraction_extended_reduce(cols, ncomps, v: Vec):
     if not real.is_zero():
         return real, None
     return real, (-full.take_components(s, s + t)).to_polys()
+
+
+# --- the integer kernel's earlier bookkeeping --------------------------------------
+
+
+def scan_reduce_terms(terms, basis, key, code, p):
+    """gb._reduce_terms as it was before rows were indexed by component:
+    each leading term scans the whole basis list for the first row of its
+    component whose lead divides it."""
+    xor, add, guard = code.xor, code.add, code.guard
+    rem = []
+    mult = 1
+    while terms:
+        best = max(terms, key=key)
+        comp, m = best
+        coeff = terms[best]
+        for bc, be, lc, body in basis:
+            if bc == comp and not ((((m - be) ^ xor) + add) & guard):
+                break
+        else:
+            rem.append((best, coeff, mult))
+            del terms[best]
+            continue
+        q = m - be
+        g = gcd(coeff, lc)
+        scale, factor = lc // g, coeff // g
+        if scale != 1:
+            mult *= scale
+            for k in terms:
+                terms[k] *= scale
+        for (j, bm), c in body.items():
+            k2 = (j, bm + q)
+            s = terms.get(k2, 0) - c * factor
+            if p:
+                s %= p
+            if s:
+                terms[k2] = s
+            else:
+                terms.pop(k2, None)
+    return {t: c * (mult // m) for t, c, m in rem}, mult
+
+
+def scan_buchberger_rows(cols, ncomps, keyfn, ring, seed=None) -> list:
+    """The kernel rows of gb.buchberger as it was before its bookkeeping
+    was indexed: pairs of coprime single-component rows queued and dropped
+    by the product criterion when popped, the chain criterion, reductions
+    and the drop of dominated rows scanning the whole basis, and every kept
+    row reduced again at the end."""
+    p = ring.field.char
+    code = keyfn.code(ring.nvars)
+    key, mlcm = _term_key(keyfn, ncomps), code.lcm
+    xor, add, guard = code.xor, code.add, code.guard
+    cols = [c for c in cols if not c.is_zero()]
+    if seed is not None and not cols:
+        return list(seed._rows)
+
+    def single(terms):
+        return len({j for (j, _m) in terms}) == 1
+
+    basis, singles, pending, queue = [], [], set(), []
+    if seed is not None:
+        basis.extend(seed._rows)
+        singles.extend(single(row[3]) for row in seed._rows)
+    nseed = len(basis)
+
+    def add_element(terms):
+        basis.append((*_normalize(terms, p), terms))
+        singles.append(single(terms))
+        new = len(basis) - 1
+        nc, ne = basis[new][:2]
+        for i in range(new):
+            ic, ie = basis[i][:2]
+            if ic == nc:
+                lcm = mlcm(ie, ne)
+                queue.append((key((nc, lcm)), i, new, lcm))
+                pending.add((i, new))
+
+    for col in cols:
+        rem, _mult = scan_reduce_terms(_to_kernel(col.terms, p, code)[0],
+                                       basis, key, code, p)
+        if rem:
+            add_element(rem)
+    heapq.heapify(queue)
+    while queue:
+        _key, i, j, lcm = heapq.heappop(queue)
+        pending.discard((i, j))
+        ci, ei, lc_i, bi = basis[i]
+        _cj, ej, lc_j, bj = basis[j]
+        if singles[i] and singles[j] and lcm == ei + ej:
+            continue
+        chain = False
+        for k, (ck, ek, _lk, _bk) in enumerate(basis):
+            if k in (i, j) or ck != ci:
+                continue
+            if not ((((lcm - ek) ^ xor) + add) & guard):
+                pi = (i, k) if i < k else (k, i)
+                pj = (j, k) if j < k else (k, j)
+                if pi not in pending and pj not in pending:
+                    chain = True
+                    break
+        if chain:
+            continue
+        qi, qj = lcm - ei, lcm - ej
+        g = gcd(lc_i, lc_j)
+        fi, fj = lc_j // g, lc_i // g
+        terms = {(cm, m + qi): c * fi for (cm, m), c in bi.items()}
+        for (cm, m), c in bj.items():
+            k2 = (cm, m + qj)
+            s = terms.get(k2, 0) - c * fj
+            if p:
+                s %= p
+            if s:
+                terms[k2] = s
+            else:
+                terms.pop(k2, None)
+        rem, _mult = scan_reduce_terms(terms, basis, key, code, p)
+        if rem:
+            add_element(rem)
+
+    keep = []
+    for i, (ci, ei, _li, _bi) in enumerate(basis):
+        if not any(cj == ci and not ((((ei - ej) ^ xor) + add) & guard)
+                   for cj, ej, _lj, _bj in basis[max(i + 1, nseed):]):
+            keep.append(i)
+    keep.sort(key=lambda i: key(basis[i][:2]))
+    done = []
+    for i in keep:
+        rem, _mult = scan_reduce_terms(dict(basis[i][3]), done, key, code, p)
+        done.append((*_normalize(rem, p), rem))
+    return done[::-1]
 
 
 # --- extended runs: the ideal as input columns, each with a shadow ---------------

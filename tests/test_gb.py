@@ -19,7 +19,7 @@ from closurelab.ring import (UnsupportedInputError, _strip_vars,
 from oracles import (brute_member, brute_syzygies_complete,
                      buchberger_criterion_holds, fraction_buchberger,
                      fraction_extended_reduce, fraction_normal_form,
-                     ref_reduce, ref_undominated)
+                     ref_reduce, ref_undominated, scan_buchberger_rows)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 P2 = make_quotient_ring(R2, [])     # k[x,y] as a quotient ring, no ideal
@@ -279,6 +279,114 @@ def test_dropped_rows_match_the_all_pairs_reference(field, monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def _mixed_columns(ring, rng, shifts, count):
+    """Random homogeneous columns for the shifts, about half of them in a
+    single component, where the product criterion can apply."""
+    cols = []
+    for _ in range(count):
+        deg, nterms = rng.randint(1, 3), rng.randint(1, 4)
+        if rng.random() < 0.5:
+            j = rng.randrange(len(shifts))
+            cols.append(_random_vec(ring, rng, (shifts[j],), deg,
+                                    nterms).pad(len(shifts), offset=j))
+        else:
+            cols.append(_random_vec(ring, rng, shifts, deg, nterms))
+    return cols
+
+
+def _random_runs(field, seed, trials):
+    """(cols, ncomps, order, ring, seed columns or None) of random seeded
+    and unseeded runs under TOP, the block order and an elimination
+    order."""
+    ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    rng = random.Random(seed)
+    for trial in range(trials):
+        shifts = [rng.randint(0, 1) for _ in range(rng.randint(1, 3))]
+        ncomps = len(shifts)
+        kind = trial % 3
+        if kind == 2:
+            order = ModuleOrder(elimination(rng.randint(1, 2)))
+        elif kind == 1 and ncomps > 1:
+            order = ModuleOrder(ring.order, rng.randint(1, ncomps - 1))
+        else:
+            order = ModuleOrder(ring.order)
+        cols = _mixed_columns(ring, rng, shifts, rng.randint(2, 6))
+        seed_cols = None
+        if trial % 2:
+            seed_cols = cols[:3]
+            cols = cols[3:] + _mixed_columns(ring, rng, shifts, 2)
+        yield cols, ncomps, order, ring, seed_cols
+
+
+def _row_form(rows):
+    """Kernel rows with their terms in dict order, for strict comparison."""
+    return [(c, m, lc, list(terms.items())) for c, m, lc, terms in rows]
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+def test_indexed_bookkeeping_matches_the_scanning_reference(field):
+    """buchberger settles coprime single-component pairs when they are
+    formed, scans only the rows of a term's component, and reduces at the
+    end only the rows that a later kept lead reaches.  On random seeded
+    and unseeded runs it returns the rows of the reference that queues
+    every pair, scans the whole basis and reduces every kept row again:
+    equal tuple for tuple, dict order included."""
+    seeded = 0
+    for cols, ncomps, order, ring, seed_cols in _random_runs(field, 61, 90):
+        seed = None
+        if seed_cols is not None:
+            seeded += 1
+            seed = buchberger(seed_cols, ncomps, order, ring)
+            assert _row_form(seed._rows) == _row_form(
+                scan_buchberger_rows(seed_cols, ncomps, order, ring))
+        ours = buchberger(cols, ncomps, order, ring, seed=seed)
+        ref = scan_buchberger_rows(cols, ncomps, order, ring, seed=seed)
+        assert _row_form(ours._rows) == _row_form(ref)
+    assert seeded
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
+def test_pairs_settled_when_formed_reduce_to_zero(field, monkeypatch):
+    """Every pair that buchberger drops when it is formed (two rows in one
+    component only, with leads that share no variable) has an S-vector
+    that the final basis reduces to zero.  The rows of a run are read off
+    the calls of _lead_mask: the seed's rows first, then each new row."""
+    from closurelab import gb as gb_module
+    real = gb_module._lead_mask
+    rows = []
+
+    def recorded(comp, m, terms, decode):
+        mask = real(comp, m, terms, decode)
+        rows.append((comp, m, terms, mask))
+        return mask
+
+    monkeypatch.setattr(gb_module, "_lead_mask", recorded)
+    checked = 0
+    for cols, ncomps, order, ring, seed_cols in _random_runs(field, 67, 90):
+        fld, dec = ring.field, order.code(ring.nvars).decode
+        seed, nseed = None, 0
+        if seed_cols is not None:
+            seed = buchberger(seed_cols, ncomps, order, ring)
+            nseed = len(seed)
+        rows.clear()
+        final = buchberger(cols, ncomps, order, ring, seed=seed)
+        vecs = [Vec(ring, ncomps, {(j, dec(m)): fld.from_int(c)
+                                   for (j, m), c in terms.items()})
+                for _c, _m, terms, _mask in rows]
+        for j, (cj, mj, tj, maskj) in enumerate(rows):
+            for i, (ci, mi, ti, maski) in enumerate(rows[:j]):
+                if (j < nseed or ci != cj or maski is None or maskj is None
+                        or maski & maskj):
+                    continue
+                ei, ej = dec(mi), dec(mj)
+                assert not any(a and b for a, b in zip(ei, ej))
+                s_vec = (vecs[i].term_mul(fld.from_int(tj[(cj, mj)]), ej)
+                         - vecs[j].term_mul(fld.from_int(ti[(ci, mi)]), ei))
+                assert final.contains(s_vec)
+                checked += 1
+    assert checked > 100, checked
+
+
 def test_exponent_growth_past_the_bound_is_unsupported():
     """Under lex, x^k reduces by x - y^65536 to terms with ever higher
     powers of y; the reduction stops with UnsupportedInputError when an
@@ -323,9 +431,10 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     """The README cone closure does a fixed amount of kernel work, counted
     from the closure call on (the module and operator are built before).
     The counts guard the pair criteria, the order in which pairs leave
-    the queue (see push_pairs in gb.buchberger), the reduction loop and
-    the closure's step skip; a change that means to alter them updates
-    them here."""
+    the queue (see push_pairs in gb.buchberger), the pairs formed (each
+    one lcm), the reduction loop, which rows the final pass reduces again,
+    the early return of QuotientRing.nf and the closure's step skip; a
+    change that means to alter them updates them here."""
     from closurelab import gb as gb_module
     from closurelab.closure import ModuleClosure
     from closurelab.modules import ideal_as_module
@@ -335,7 +444,7 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
     cl = ModuleClosure(ideal_as_module(R, ["a", "b"]))
     reduce_terms, normalize = gb_module._reduce_terms, gb_module._normalize
-    counts = {"reductions": 0, "to_zero": 0, "normalizations": 0}
+    counts = {"reductions": 0, "to_zero": 0, "normalizations": 0, "pairs": 0}
 
     def counted_reduce(*args, **kwargs):
         rem, mult = reduce_terms(*args, **kwargs)
@@ -347,12 +456,21 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
         counts["normalizations"] += 1
         return normalize(*args)
 
+    code = amb.code
+    lcm = code.lcm
+
+    def counted_lcm(a, b):
+        counts["pairs"] += 1
+        return lcm(a, b)
+
     monkeypatch.setattr(gb_module, "_reduce_terms", counted_reduce)
     monkeypatch.setattr(gb_module, "_normalize", counted_normalize)
+    monkeypatch.setattr(code, "lcm", counted_lcm)
     closed = cl.closure(ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"]))
     assert sorted(str(g.component(0)) for g in closed.gens) == \
         ["a*b", "a*c", "a^2", "b*c", "c^2"]
-    assert counts == {"reductions": 70, "to_zero": 28, "normalizations": 36}
+    assert counts == {"reductions": 48, "to_zero": 28, "normalizations": 18,
+                      "pairs": 29}
 
 
 # --- normal forms ------------------------------------------------------------------

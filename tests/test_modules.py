@@ -25,7 +25,7 @@ from oracles import (brute_member, brute_syzygies_complete,
                      random_submodule_pair, ref_certificate,
                      ref_colon_preimage, ref_intersect_preimage,
                      ref_kernel_preimage, ref_span_basis, ref_syzygy_basis,
-                     same_presentation)
+                     same_presentation, verify_resolution)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -772,7 +772,6 @@ def test_graded_dims_match_oracle(segre):
 
 
 def test_resolution_exactness_verifier(kxy, segre):
-    from closurelab.modules import verify_resolution
     assert verify_resolution(residue_field(kxy), 3)
     assert verify_resolution(residue_field(segre), 4, bound=8)
     M = ideal_as_module(segre, ["a", "b"])
@@ -872,6 +871,22 @@ def test_vector_of_wrong_length_rejected(segre):
     M = ideal_as_module(segre, ["a", "b"])
     with pytest.raises(ContextError):
         M.vec(["a"])  # needs two coordinates
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_vec_of_wrong_rank_rejected(kxy, rank):
+    """A Vec whose rank is not the cover's is refused, naming both ranks,
+    by membership, certificates and submodule generators."""
+    from closurelab.poly import ContextError
+    M = free_module(kxy, (0, 0))
+    v = Vec(kxy.ambient, rank, {(rank - 1, (1, 0)): QQ.one})
+    calls = [M.full_submodule().contains, M.full_submodule().certificate,
+             lambda w: M.submodule([w])]
+    for call in calls:
+        with pytest.raises(ContextError,
+                           match=f"vector of rank {rank} in a module of "
+                                 f"rank 2"):
+            call(v)
 
 
 def test_submodule_rejects_inhomogeneous_vector(segre):

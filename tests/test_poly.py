@@ -37,6 +37,17 @@ def test_context_error_on_mixed_rings():
         R2.parse("x") + R3.parse("a")
 
 
+def test_rings_keep_the_eq_hash_contract_and_their_order_code():
+    """Rings compare by value, the same ring fast by identity, and equal
+    rings hash equal; each keeps the one code of its order."""
+    a = PolyRing(("x", "y"), QQ, LEX)
+    b = PolyRing(("x", "y"), QQ, LEX)
+    assert a == a and a == b and hash(a) == hash(b) and not a != b
+    assert a != PolyRing(("x", "y"), QQ, DEGREVLEX)
+    assert a != PolyRing(("x", "y"), prime_field(5), LEX)
+    assert a.code is LEX.code(2) and a.key == a.code.encode
+
+
 def test_leading_term_lex():
     L = PolyRing(("x", "y"), QQ, LEX)
     m, c = L.parse("x^2*y + x*y^2").leading_term()

@@ -33,6 +33,24 @@ def test_normal_form_canonical_equality(segre):
     assert segre.elem("a + b") != segre.elem("a")
 
 
+def test_normal_form_returns_a_reduced_input_as_it_is(segre, monkeypatch):
+    """nf hands back a polynomial none of whose terms an ideal lead (here
+    b^2) divides, and runs no reduction for it; one it divides is
+    reduced."""
+    reduced = segre.ambient.parse("a*c + a*b - 3*c^2")
+    calls = []
+    real = gb.GroebnerBasis.normal_form
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counted)
+    assert segre.nf(reduced) is reduced and not calls
+    assert str(segre.nf(segre.ambient.parse("b^2 + a*b"))) == "a*b + a*c"
+    assert len(calls) == 1
+
+
 def test_elem_arithmetic_random(segre):
     rng = random.Random(5)
     vars_ = segre.gens()
