@@ -73,8 +73,9 @@ class CheckOutcome:
 class ClosureOp:
     """Base interface: membership of one element, and the full closure.
 
-    Certificates are computed only on request: they need a block run on
-    the generators and relations, which the yes/no answer does not.
+    member takes u as N.module.vec does, which refuses a vector of another
+    rank.  Certificates are computed only on request: they need a block
+    run on the generators and relations, which the yes/no answer does not.
     """
 
     name = "closure"
@@ -89,15 +90,12 @@ class ClosureOp:
     def describe(self) -> str:
         return self.name
 
-    def _coerce_elem(self, u, N: Submodule) -> Vec:
-        return u if isinstance(u, Vec) else N.module.vec(u)
-
 
 class TrivialClosure(ClosureOp):
     name = "trivial"
 
     def member(self, u, N, want_certificate=False):
-        u = self._coerce_elem(u, N)
+        u = N.module.vec(u)
         if not N.contains(u):
             return MembershipOutcome(False)
         if not want_certificate:
@@ -156,7 +154,7 @@ class ModuleClosure(ClosureOp):
         return context
 
     def member(self, u, N, want_certificate=False):
-        u = self._coerce_elem(u, N)
+        u = N.module.vec(u)
         T, image = self._image_context(N)
         certs = []
         for i in range(self.S.ngens):
@@ -210,11 +208,14 @@ class IntersectionClosure(ClosureOp):
         return MembershipOutcome(True, certs if want_certificate else None)
 
     def closure(self, N):
+        """The intersection of the parts' closures.  Each part's closure
+        comes minimalized, and so does each intersection, so the result
+        is not minimalized again."""
         result = None
         for part in self.parts:
             c = part.closure(N)
             result = c if result is None else result.intersect(c)
-        return result.minimalized()
+        return result
 
 
 def intersect_closures(*parts) -> IntersectionClosure:
@@ -324,11 +325,11 @@ class MonomialIntegralClosure(ClosureOp):
 
     def member(self, u, N, want_certificate=False):
         facets = _facets_of(N)
-        u = self._coerce_elem(u, N)
-        if u.ncomps != 1:
+        if isinstance(u, Vec) and u.ncomps != 1:
             raise UnsupportedQueryError(
                 "integral closure applies to elements of the rank-one "
                 "free module")
+        u = N.module.vec(u)
         for (_comp, exps) in u.terms:
             if not _inside(exps, facets):
                 return MembershipOutcome(False)

@@ -50,8 +50,15 @@ Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
 assemble (modules._block_basis): one seeded run on the columns
 (map column | value) under the block order that keeps the value
-components below the real ones.  This module is the kernel alone: Vec,
-the integer reducer, GroebnerBasis and buchberger.
+components below the real ones.  Its seed stacks the target's span
+basis on the ideal's rows in the value components
+(GroebnerBasis.stacked), each kept with its index, so the seed's index
+is assembled from theirs.  A preimage run eliminates (buchberger's
+eliminate): its final pass keeps only the value block, the reduced basis
+of the span's intersection with the value components, which is all its
+callers read; a certificate run keeps the whole block basis, whose
+normal forms it needs.  This module is the kernel alone: Vec, the
+integer reducer, GroebnerBasis and buchberger.
 
 All functions are pure over immutable inputs; S-pair processing is
 sequential, so outputs are reproducible bit for bit.
@@ -65,7 +72,7 @@ from heapq import heapify, heappop
 from math import gcd, lcm
 from operator import itemgetter
 
-from .orders import EXP_BOUND, UnsupportedInputError
+from .orders import EXP_BOUND, ModuleOrder, UnsupportedInputError
 from .poly import ContextError, PolyRing, Polynomial, mono_mul
 
 
@@ -320,7 +327,8 @@ class GroebnerBasis:
     first and sorted by lead descending (see _reduce_terms).  Iterating
     it gives the elements, monic Vecs, decoded from the rows each time.
     The rows indexed by lead component, and the pair data of a run that
-    it seeds, are built once per basis, on first use.
+    it seeds, are built once per basis, on first use, or assembled from
+    the indices of the two bases it stacks (stacked).
     """
 
     def __init__(self, ring, ncomps, order, rows):
@@ -330,6 +338,24 @@ class GroebnerBasis:
         self._code = _order_code(ring, order)
         self._key = _term_key(order, ncomps)
         self._rows = rows
+
+    @classmethod
+    def stacked(cls, upper, lower):
+        """The rows of upper, then those of lower, over lower's rank and
+        order.  upper's rows must lie in components that lower's do not
+        use, every term of theirs above every term of lower's: the real
+        block of a block order above the value block, as in the seed of a
+        block run.  The result is then a reduced basis of the sum, and its
+        index is the two indices side by side, lower's shifted past
+        upper's rows; no lead mask is computed again."""
+        basis = cls(lower.ring, lower.ncomps, lower.order,
+                    upper._rows + lower._rows)
+        n = len(upper._rows)
+        basis._rows_of = {**upper._rows_of, **lower._rows_of}
+        basis._leads_of = {**upper._leads_of,
+                           **{c: [(k + n, m, mask) for k, m, mask in leads]
+                              for c, leads in lower._leads_of.items()}}
+        return basis
 
     @cached_property
     def _rows_of(self):
@@ -443,7 +469,8 @@ def _undominated(basis, nseed, code):
             if c not in later or not _reached(((c, e),), later, i, code)]
 
 
-def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
+def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
+               eliminate=False) -> GroebnerBasis:
     """Reduced Groebner basis of the span of cols in P^ncomps under the
     module order keyfn (a ModuleOrder).
 
@@ -452,6 +479,15 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
     seed rows is formed, since a Groebner basis meets Buchberger's
     criterion already.  The result is the same reduced basis as with the
     seed's elements appended to cols.
+
+    With eliminate, keyfn a block order with k = keyfn.nreal real
+    components, the result is the reduced basis of the span's
+    intersection with the last ncomps - k components, relabelled to
+    components 0.. under TOP over the same ring order: the rows of the
+    full basis with their lead in a value component, in the same order,
+    dict order included.  Under the block order such a row lies in the
+    value components alone, so no real row can reduce or dominate it,
+    and the final pass leaves out the real rows.
     """
     if ring is None:
         if not cols:
@@ -461,7 +497,7 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
             ring, ncomps, keyfn):
         raise ValueError("seed basis of another ring, rank or order")
     cols = [c for c in cols if not c.is_zero()]
-    if seed is not None and not cols:
+    if seed is not None and not cols and not eliminate:
         return seed
     p = ring.field.char
     code = _order_code(ring, keyfn)
@@ -562,8 +598,12 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
     # against the other seed rows), so only the lead of a kept non-seed
     # row after it can divide one of its terms.  Where none does, the row
     # is kept as it is: reducing and normalizing it again would give it
-    # back unchanged, dict order included.
+    # back unchanged, dict order included.  An eliminating run keeps the
+    # value rows alone; only value rows reach them.
     keep = _undominated(basis, nseed, code)
+    if eliminate:
+        nreal = keyfn.nreal
+        keep = [i for i in keep if basis[i][0] >= nreal]
     later = _index_leads(basis, [k for k in keep if k >= nseed])
     keep.sort(key=lambda i: key(basis[i][:2]))
     done, done_of = [], {}
@@ -575,4 +615,15 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None) -> GroebnerBasis:
         done.append(row)
         done_of.setdefault(row[0], []).append(row)
 
+    if eliminate:
+        return GroebnerBasis(ring, ncomps - nreal,
+                             ModuleOrder(keyfn.ring_order),
+                             _shifted(done[::-1], -nreal))
     return GroebnerBasis(ring, ncomps, keyfn, done[::-1])
+
+
+def _shifted(rows, offset):
+    """Kernel rows with every component moved by offset."""
+    return [(c + offset, e, lc,
+             {(j + offset, m): x for (j, m), x in t.items()})
+            for c, e, lc, t in rows]

@@ -9,18 +9,25 @@ syzygies uniformly.  A span run starts from the relation basis of its
 module (the ideal's reduced basis on every component, plus the relations),
 which it takes as a seed.  Every block-order question is one seeded run
 (_block_basis) on the columns (map column | value), starting from the
-reduced span basis of the target and the ideal's basis on the value
-components: preimages and syzygies read its value block, membership
-certificates the value block of a normal form.  The ideal never enters a
-run as input columns.
+reduced span basis of the target stacked on the ideal's basis on the
+value components; both are kept, the span by its owner and the ideal's
+rows by the ring (QuotientRing.free_relation_basis), each with its index,
+so no seed is rebuilt for a run.  Preimages and syzygies are eliminating
+runs, which hand back the value block alone (preimage_basis); their
+generators are made canonical on its kernel rows (_distinct_monic).
+Membership certificates read the value block of a normal form against
+the whole block basis (Submodule.ext).  The ideal never enters a run as
+input columns.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 
-from .gb import GroebnerBasis, Vec, buchberger
+from .gb import (GroebnerBasis, Vec, _from_kernel, _normalize, _reduce_terms,
+                 _to_kernel, buchberger)
 from .linalg import Echelon
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError, mono_divides
@@ -37,21 +44,6 @@ def ideal_columns(ring: QuotientRing, ncomps: int):
             cols.append(Vec(ring.ambient, ncomps,
                             {(j, m): c for m, c in g.terms.items()}))
     return cols
-
-
-def free_relation_basis(ring: QuotientRing, ncomps: int) -> GroebnerBasis:
-    """Reduced Groebner basis of I P^ncomps, the relations of R^ncomps.
-
-    It is the ring's reduced ideal basis copied into each component: the
-    copies in different components share no term, so each stays reduced.
-    The rows are relabelled kernel rows; no Buchberger run is made.  They
-    come in basis order, lead descending: the ring's rows are, and under
-    TOP equal ring leads go by component, the first one highest.
-    """
-    rows = [(j, e, lc, {(j, m): c for (_0, m), c in terms.items()})
-            for _0, e, lc, terms in ring._gb._rows for j in range(ncomps)]
-    return GroebnerBasis(ring.ambient, ncomps,
-                         ModuleOrder(ring.ambient.order), rows)
 
 
 def r_span_basis(M: FPModule, cols):
@@ -73,35 +65,28 @@ def r_syzygies(ring: QuotientRing, cols, ncomps):
     {a in P^t : sum a_l cols_l in I P^ncomps}."""
     cols = list(cols)
     return r_preimage(ring, cols, unit_vectors(ring, len(cols)),
-                      free_relation_basis(ring, ncomps), ncomps)
+                      ring.free_relation_basis(ncomps), ncomps)
 
 
-def _shifted(rows, offset):
-    """Kernel rows with every component moved by offset."""
-    return [(c + offset, e, lc,
-             {(j + offset, m): x for (j, m), x in t.items()})
-            for c, e, lc, t in rows]
-
-
-def _block_basis(ring: QuotientRing, map_cols, values, span,
-                 ncomps) -> GroebnerBasis:
+def _block_basis(ring: QuotientRing, map_cols, values, span, ncomps,
+                 eliminate=False) -> GroebnerBasis:
     """Reduced basis of the span of the columns (map_col_l | value_l), of
     span in P^ncomps and of I P^n in the last n components, in
     P^(ncomps + n) under the block order with P^ncomps dominant; values is
-    not empty.
+    not empty.  With eliminate, its value block alone (see buchberger).
 
     span is the target's reduced basis in P^ncomps, relations and ideal
-    included.  One run, seeded with span's rows and, below them, the
-    ideal's basis on the last n components.
+    included.  One run, seeded with span's rows stacked on the ideal's
+    basis in the last n components, which the ring keeps.
     """
     n = values[0].ncomps
     big, amb = ncomps + n, ring.ambient
-    order = ModuleOrder(amb.order, ncomps)
-    seed = GroebnerBasis(amb, big, order, span._rows + _shifted(
-        free_relation_basis(ring, n)._rows, ncomps))
+    lower = ring.free_relation_basis(n, ncomps)
     cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
             for mc, v in zip(map_cols, values)]
-    return buchberger(cols, big, order, amb, seed=seed)
+    return buchberger(cols, big, lower.order, amb,
+                      seed=GroebnerBasis.stacked(span, lower),
+                      eliminate=eliminate)
 
 
 def preimage_basis(ring: QuotientRing, map_cols, values, span,
@@ -109,26 +94,23 @@ def preimage_basis(ring: QuotientRing, map_cols, values, span,
     """Reduced basis of {sum c_l values_l : sum c_l map_cols_l in span}
     + I P^n in P^n, under TOP over the ring order; values is not empty.
 
-    The value block of _block_basis: its elements in the last n components
-    alone, in basis order, are the reduced basis of the preimage,
-    relabelled as they are.
+    The value block of _block_basis, which the eliminating run hands back
+    as it is: its rows are the block basis's rows in the last n
+    components, in basis order, relabelled.
     """
-    amb = ring.ambient
-    rows = _block_basis(ring, map_cols, values, span, ncomps)._rows
-    return GroebnerBasis(amb, values[0].ncomps, ModuleOrder(amb.order),
-                         _shifted([r for r in rows if r[0] >= ncomps],
-                                  -ncomps))
+    return _block_basis(ring, map_cols, values, span, ncomps, eliminate=True)
 
 
 def r_preimage(ring: QuotientRing, map_cols, values, span, ncomps):
     """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n:
-    the distinct monic normal forms of preimage_basis (two of its elements
-    may be equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac))."""
+    the distinct monic normal forms of the rows of preimage_basis (two of
+    them may be equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac), and
+    one may vanish there)."""
     values = list(values)
     if not values:
         return []
-    return _distinct_monic(ring, preimage_basis(ring, map_cols, values, span,
-                                                ncomps))
+    basis = preimage_basis(ring, map_cols, values, span, ncomps)
+    return _distinct_monic(ring, basis.ncomps, basis._rows)
 
 
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
@@ -147,32 +129,52 @@ def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
                 for m, c in ring.nf(v.component(j)).terms.items()})
 
 
-def _monic_vec(v: Vec, order: ModuleOrder) -> Vec:
-    """The nonzero v divided by its lead coefficient under order, whose
-    code is looked up once, not once per term."""
-    enc, term_key = order.code(v.ring.nvars).encode, order.term_key
-    _c, _e, lc = v.leading(lambda j, e: term_key((j, enc(e))))
-    fld = v.ring.field
-    if lc == fld.one:
-        return v
-    return v.term_mul(fld.inv(lc), (0,) * v.ring.nvars)
+def _distinct_monic(ring: QuotientRing, ncomps, rows, vecs=None) -> list:
+    """The distinct nonzero monic normal forms modulo I P^ncomps of the
+    kernel rows (comp, m, lc, terms) under TOP, as Vecs, first occurrences
+    in order.
 
+    Each row is normalized (gb._normalize), its terms in descending order,
+    lead first.  A row none of whose terms an ideal lead divides is its own
+    normal form, and is decoded once, divided by its lc.  Only a row that
+    an ideal lead reaches is reduced, against the ring's basis of
+    I P^ncomps, and normalized again; it may vanish, or meet another row.
+    Rows compare by their int terms, which normalization makes canonical.
 
-def _distinct_monic(ring: QuotientRing, vecs) -> list:
-    """The nonzero monic normal forms of vecs, first occurrences in order."""
-    out = []
-    seen = set()
-    order = ModuleOrder(ring.ambient.order)
-    for v in vecs:
-        v = nf_vec(ring, v)
-        if v.is_zero():
-            continue
-        v = _monic_vec(v, order)
-        key = frozenset(v.terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+    Without vecs the rows are those of one reduced basis, pairwise
+    distinct, and they are compared only when a row was reduced.  With
+    vecs they are any candidates, always compared, and vecs holds for
+    each the monic Vec it encodes, or None: a row that is its own normal
+    form comes back as that Vec, not decoded again.
+    """
+    amb = ring.ambient
+    p, code = amb.field.char, amb.code
+    xor, add, guard = code.xor, code.add, code.guard
+    leads = [e for _c, e, _lc, _t in ring._gb._rows]
+    compare = vecs is not None
+    forms = []
+    for row, vec in zip(rows, vecs if compare else [None] * len(rows)):
+        terms = row[3]
+        if any(not ((((m - e) ^ xor) + add) & guard)
+               for _j, m in terms for e in leads):
+            ideal = ring.free_relation_basis(ncomps)
+            terms, _mult = _reduce_terms(dict(terms), ideal._rows_of,
+                                         ideal._key, code, p)
+            if not terms:
+                continue
+            row, vec, compare = (*_normalize(terms, p), terms), None, True
+        forms.append((row, vec))
+    if compare:
+        seen, unique = set(), []
+        for form in forms:
+            key = frozenset(form[0][3].items())
+            if key not in seen:
+                seen.add(key)
+                unique.append(form)
+        forms = unique
+    return [vec if vec is not None
+            else Vec(amb, ncomps, _from_kernel(row[3], row[2], p, code))
+            for row, vec in forms]
 
 
 # --- finitely presented modules ----------------------------------------------
@@ -232,13 +234,13 @@ class FPModule:
     def relation_basis(self) -> GroebnerBasis:
         """Groebner basis of the relation span (the zero submodule).
 
-        A free module's is built on each call, cheaply, and not kept:
-        there are many of them, such as the covers of preimage runs.
-        Otherwise it is the span of the relations in the free cover,
-        kept as _relation_span.
+        A free module's is the ring's basis of I P^n, which the ring keeps
+        per rank: there are many free modules, such as the covers of
+        preimage runs, and few ranks.  Otherwise it is the span of the
+        relations in the free cover, kept as _relation_span.
         """
         if not self.relations:
-            return free_relation_basis(self.ring, self.ngens)
+            return self.ring.free_relation_basis(self.ngens)
         return self._relation_span
 
     @cached_property
@@ -369,7 +371,7 @@ class Submodule:
         s = self.module.ngens
         return _block_basis(self.ring, cols,
                             unit_vectors(self.ring, len(cols)),
-                            free_relation_basis(self.ring, s), s)
+                            self.ring.free_relation_basis(s), s)
 
     def contains(self, v) -> bool:
         v = self.module.vec(v)
@@ -453,8 +455,7 @@ class ModuleMap:
         self.target = target
         if source.ring != target.ring:
             raise ContextError("map between modules over different rings")
-        self.cols = tuple(target.vec(c) if not isinstance(c, Vec) else c
-                          for c in cols)
+        self.cols = tuple(target.vec(c) for c in cols)
         if len(self.cols) != source.ngens:
             raise ContextError("one image per source generator required")
         if check:
@@ -466,7 +467,7 @@ class ModuleMap:
                         f"nonzero element")
 
     def apply(self, v) -> Vec:
-        v = v if isinstance(v, Vec) else self.source.vec(v)
+        v = self.source.vec(v)
         acc = Vec.zero(self.target.ring.ambient, self.target.ngens)
         for i in range(self.source.ngens):
             p = v.component(i)
@@ -634,18 +635,32 @@ def minimal_generators(M: FPModule, cols):
     coefficient rows inside the block.
     """
     ring, shifts = M.ring, M.gen_degrees
-    cands = _distinct_monic(ring, cols)
-    for g in cands:
-        if not g.is_homogeneous(shifts):
+    amb = ring.ambient
+    p, code, wdeg = amb.field.char, amb.code, amb.wdeg
+    key = ModuleOrder(amb.order).term_key
+    rows, vecs = [], []
+    for col in cols:
+        if col.terms:
+            terms, den = _to_kernel(col.terms, p, code)
+            terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
+                                reverse=True))
+            monic = next(iter(terms.values())) == den
+            rows.append((*_normalize(terms, p), terms))
+            vecs.append(col if monic else None)
+    graded = []
+    for g in _distinct_monic(ring, M.ngens, rows, vecs):
+        degrees = {wdeg(m) + shifts[j] for j, m in g.terms}
+        if len(degrees) > 1:
             raise DomainError(f"inhomogeneous generator {g}")
-    cands.sort(key=lambda g: (g.degree(shifts), str(g)))
+        graded.append((degrees.pop(), str(g), g))
+    graded.sort(key=itemgetter(0, 1))
     kept: list = []
     # basis of A, built for the first `spanned` kept candidates; without
     # relations the lowest block is already in normal form modulo A = I
     span = M.relation_basis() if M.relations else None
     spanned = 0
-    for _d, block in groupby(cands, key=lambda g: g.degree(shifts)):
-        block = list(block)
+    for _d, block in groupby(graded, key=itemgetter(0)):
+        block = [g for _d, _s, g in block]
         if len(kept) > spanned:
             span = r_span_basis(M, kept)
             spanned = len(kept)

@@ -23,7 +23,7 @@ from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
 from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
                    mono_divides)
-from .gb import Vec, buchberger
+from .gb import GroebnerBasis, Vec, buchberger
 
 
 class QuotientRing:
@@ -43,6 +43,7 @@ class QuotientRing:
         self.ideal_leads = tuple(e for _c, e in self._gb.leading_terms())
         self.domain_status = domain_status
         self.presentation = presentation
+        self._free_bases = {}   # (rank, nreal) -> free_relation_basis
 
     def _coerce_poly(self, g) -> Polynomial:
         if isinstance(g, str):
@@ -71,6 +72,35 @@ class QuotientRing:
             Vec(self.ambient, 1, {(0, m): c for m, c in poly.terms.items()}))
         return Polynomial(self.ambient,
                           {m: c for (_0, m), c in rem.terms.items()})
+
+    def free_relation_basis(self, ncomps, nreal=None) -> GroebnerBasis:
+        """Reduced Groebner basis of I P^ncomps, the relations of R^ncomps,
+        under ModuleOrder(ring order, nreal): under TOP when nreal is None;
+        else in the last ncomps components of P^(nreal + ncomps), under the
+        block order with nreal real components, as the value block of the
+        seed of a block run (GroebnerBasis.stacked).
+
+        It is the ring's reduced ideal basis copied into each component:
+        the copies in different components share no term, so each stays
+        reduced.  The rows are relabelled kernel rows; no Buchberger run is
+        made.  They come in basis order, lead descending: the ring's rows
+        are, and equal ring leads go by component, the first one highest.
+        The ring keeps one basis per (ncomps, nreal), with the index its
+        runs start from (GroebnerBasis._rows_of, _leads_of), so every run
+        it seeds shares them.  It is canonical, so two threads that race
+        to build one keep either.
+        """
+        key = (ncomps, nreal)
+        basis = self._free_bases.get(key)
+        if basis is None:
+            offset = nreal or 0
+            rows = [(j, e, lc, {(j, m): c for (_0, m), c in terms.items()})
+                    for _0, e, lc, terms in self._gb._rows
+                    for j in range(offset, offset + ncomps)]
+            basis = self._free_bases.setdefault(key, GroebnerBasis(
+                self.ambient, offset + ncomps,
+                ModuleOrder(self.ambient.order, nreal), rows))
+        return basis
 
     def elem(self, x) -> "RingElem":
         if isinstance(x, RingElem):

@@ -91,3 +91,52 @@ def raw_preimage(monkeypatch):
         return handed[0], runs
 
     return probe
+
+
+@pytest.fixture
+def preimages_vs_reference(monkeypatch):
+    """check() compares every preimage_basis call made since the fixture
+    was set up with the references in oracles: the basis, kernel row for
+    kernel row (terms in order), with the whole block basis filtered
+    (ref_preimage_basis), and the generators r_preimage makes of its rows
+    with the Vec-level canonicalization (ref_distinct_monic).  It returns
+    counts of the calls, the rows, the rows an ideal lead reaches, those
+    that vanish modulo I and those that meet an earlier row."""
+    from collections import Counter
+
+    from closurelab import modules
+    from closurelab.modules import nf_vec
+    from oracles import ref_distinct_monic, ref_preimage_basis
+
+    calls = []
+    real = modules.preimage_basis
+
+    def recording(*args):
+        basis = real(*args)
+        calls.append((args, basis))
+        return basis
+
+    def kernel_rows(basis):
+        return [(c, e, lc, list(t.items())) for c, e, lc, t in basis._rows]
+
+    def check():
+        seen = Counter()
+        for args, basis in calls:
+            ring = args[0]
+            want = ref_preimage_basis(*args)
+            assert (basis.ncomps, basis.order) == (want.ncomps, want.order)
+            assert kernel_rows(basis) == kernel_rows(want), args
+            got = modules._distinct_monic(ring, basis.ncomps, basis._rows)
+            assert got == ref_distinct_monic(ring, want), args
+            forms = [nf_vec(ring, v) for v in want]
+            seen["calls"] += 1
+            seen["rows"] += len(forms)
+            seen["reached"] += sum(f != v for f, v in zip(forms, want))
+            seen["vanish"] += sum(f.is_zero() for f in forms)
+            seen["meet"] += (len(forms) - sum(f.is_zero() for f in forms)
+                             - len(got))
+        calls.clear()
+        return seen
+
+    monkeypatch.setattr(modules, "preimage_basis", recording)
+    return check

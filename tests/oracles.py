@@ -12,7 +12,12 @@ that the seeded `r_preimage` is checked against, with the constructions of
 closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
 `ref_closure_steps`, the closure loop that makes a preimage run for every
 generator of S, which the step skip of `ModuleClosure.closure` is checked
-against,
+against, `ref_preimage_basis`, the whole block basis of a preimage run,
+seeded as built for that run, filtered to its value block and relabelled,
+which the eliminating run and its kept seed index are checked against,
+`ref_distinct_monic` and `ref_monic_vec`, the `Vec`-level
+canonicalization (normal form by `QuotientRing.nf`, monic form, dedup on
+field terms) that the kernel-row `_distinct_monic` is checked against,
 `ref_module_relation_columns`, the syzygy-then-elimination construction
 that subring module relations are checked against, `extended_groebner`,
 the run with the ideal as input columns, each with a shadow component,
@@ -56,12 +61,12 @@ from math import gcd
 
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
-from closurelab.gb import Vec, _normalize, _term_key, _to_kernel, buchberger
+from closurelab.gb import (GroebnerBasis, Vec, _normalize, _term_key,
+                           _to_kernel, buchberger)
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
-from closurelab.modules import (FPModule, _distinct_monic, ideal_columns,
-                                r_preimage, scaled_gens,
-                                tensor, tensor_elem)
+from closurelab.modules import (FPModule, ideal_columns, nf_vec, r_preimage,
+                                scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import ParseError, PolyRing, Polynomial, _tokenize_poly
 from closurelab.sampling import achievable_degrees, random_homogeneous_elem
@@ -993,9 +998,9 @@ def ref_syzygy_basis(ring, cols, ncomps):
     proj = [v for v in proj if not v.is_zero()]
     if not proj:
         return []
-    return _distinct_monic(ring, buchberger(proj, t,
-                                            ModuleOrder(ring.ambient.order),
-                                            ring.ambient))
+    return ref_distinct_monic(ring, buchberger(proj, t,
+                                               ModuleOrder(ring.ambient.order),
+                                               ring.ambient))
 
 
 # --- R-spans with the ideal as input columns ----------------------------------------
@@ -1029,8 +1034,59 @@ def ref_preimage(ring, map_cols, target_cols, ncomps):
     cols += [ic.pad(big) for ic in ideal_columns(ring, ncomps)]
     cols += [ic.pad(big, offset=ncomps) for ic in ideal_columns(ring, n)]
     gb = buchberger(cols, big, ModuleOrder(amb.order, ncomps), amb)
-    return _distinct_monic(ring, [g.take_components(ncomps, big) for g in gb
-                                  if g.take_components(0, ncomps).is_zero()])
+    return ref_distinct_monic(ring, [
+        g.take_components(ncomps, big) for g in gb
+        if g.take_components(0, ncomps).is_zero()])
+
+
+def ref_preimage_basis(ring, map_cols, values, span, ncomps):
+    """preimage_basis from the whole block basis: one run, not
+    eliminating, seeded with a basis built for it from span's rows and
+    the ideal's rows moved to the last n components (its index built
+    from its rows), then the rows in the last n components, in basis
+    order, relabelled to components 0..n-1 under TOP."""
+    n = values[0].ncomps
+    big, amb = ncomps + n, ring.ambient
+    order = ModuleOrder(amb.order, ncomps)
+    ideal = [(c + ncomps, e, lc,
+              {(j + ncomps, m): x for (j, m), x in t.items()})
+             for c, e, lc, t in ring.free_relation_basis(n)._rows]
+    seed = GroebnerBasis(amb, big, order, span._rows + ideal)
+    cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
+            for mc, v in zip(map_cols, values)]
+    rows = buchberger(cols, big, order, amb, seed=seed)._rows
+    return GroebnerBasis(amb, n, ModuleOrder(amb.order), [
+        (c - ncomps, e, lc, {(j - ncomps, m): x for (j, m), x in t.items()})
+        for c, e, lc, t in rows if c >= ncomps])
+
+
+def ref_monic_vec(v: Vec) -> Vec:
+    """The nonzero v divided by its lead coefficient under TOP."""
+    order = ModuleOrder(v.ring.order)
+    enc, term_key = order.code(v.ring.nvars).encode, order.term_key
+    _c, _e, lc = v.leading(lambda j, e: term_key((j, enc(e))))
+    fld = v.ring.field
+    if lc == fld.one:
+        return v
+    return v.term_mul(fld.inv(lc), (0,) * v.ring.nvars)
+
+
+def ref_distinct_monic(ring, vecs) -> list:
+    """The nonzero monic normal forms of vecs, first occurrences in order:
+    each Vec's normal form by QuotientRing.nf, its monic form, and a dedup
+    keyed on its field terms."""
+    out = []
+    seen = set()
+    for v in vecs:
+        v = nf_vec(ring, v)
+        if v.is_zero():
+            continue
+        v = ref_monic_vec(v)
+        key = frozenset(v.terms.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
 
 
 def ref_closure_preimage(S, N):
@@ -1178,7 +1234,7 @@ def greedy_minimal_generators(ring, cols, shifts, relations=()):
     """Deduplicate the monic normal forms, sort them by (degree, str), then
     drop each one that the others and the relations span: one full R-span
     basis per candidate."""
-    kept = _distinct_monic(ring, cols)
+    kept = ref_distinct_monic(ring, cols)
     kept.sort(key=lambda g: (g.degree(shifts), str(g)))
     i = 0
     while i < len(kept):

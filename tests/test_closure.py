@@ -71,6 +71,19 @@ def test_integral_closure_rejects_bad_inputs(kxy, segre):
         ideal_member(ic, segre, "a", ["b"])
 
 
+@pytest.mark.parametrize("kind", ["module", "trivial"])
+def test_member_refuses_a_vector_of_another_rank(kxy, kind):
+    """A rank-2 vector is no element of an ideal's module: both closures
+    refuse it.  Before, the module closure answered holds=False."""
+    N = ideal_submodule(kxy, ["x^2", "y^2"])
+    v = free_module(kxy, (0, 0)).vec(["x*y", "x*y"])
+    cl = (ModuleClosure(ideal_as_module(kxy, ["x", "y"])) if kind == "module"
+          else TrivialClosure())
+    with pytest.raises(ContextError, match="vector of rank 2 in a module "
+                                           "of rank 1"):
+        cl.member(v, N)
+
+
 def test_integral_closure_rejects_vector_of_wrong_rank(kxy):
     N = ideal_submodule(kxy, ["x^2", "y^2"])
     u = free_module(kxy, (0, 0)).vec(["x*y", "x*y"])
@@ -214,6 +227,36 @@ def test_intersection_idempotent(segre):
     assert intersect_closures(cl, cl).closure(N).same_as(cl.closure(N))
 
 
+def test_intersection_closure_is_not_minimalized_again(monkeypatch):
+    """On the intersection instances of the closure-axiom suite (a module
+    closure meet the trivial closure, over its rings), the closure equals,
+    generator for generator, its own minimalization, which it used to
+    return; it makes three minimalizations, one per part and one for the
+    intersection, not four."""
+    from closurelab.acceptance import _property_rings, _random_ideal_module
+    from closurelab.sampling import random_ideal_gens
+
+    calls = []
+    real = Submodule.minimalized
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    rng = random.Random("intersection-minimalized")
+    monkeypatch.setattr(Submodule, "minimalized", counting)
+    for ring in _property_rings() * 2:
+        cl = intersect_closures(
+            ModuleClosure(_random_ideal_module(ring, rng)), TrivialClosure())
+        N = ideal_submodule(ring, random_ideal_gens(ring, rng, 2, 3))
+        calls.clear()
+        closed = cl.closure(N)
+        assert len(calls) == 3
+        assert closed.gens == real(closed).gens
+        assert closed.same_as(
+            cl.parts[0].closure(N).intersect(cl.parts[1].closure(N)))
+
+
 def test_module_closure_rejects_zero_module(segre):
     Z = quotient_module(segre, ["1"])
     with pytest.raises(DomainError):
@@ -228,9 +271,9 @@ def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
     runs = []
     real = modules.buchberger
 
-    def counting(cols, ncomps, keyfn, ring=None, seed=None):
+    def counting(cols, ncomps, keyfn, ring=None, seed=None, **kwargs):
         runs.append((len(cols), seed is not None and len(seed)))
-        return real(cols, ncomps, keyfn, ring, seed)
+        return real(cols, ncomps, keyfn, ring, seed, **kwargs)
 
     cl = ModuleClosure(s2_module, "cl_S")
     monkeypatch.setattr(modules, "buchberger", counting)
@@ -252,28 +295,37 @@ def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
 
 def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
                                                      monkeypatch):
-    """One closure calls QuotientRing.nf only on polynomials that some
-    reduction step changes: the tensor image columns, relabelled copies of
-    normal forms, and the already normal generators handed to
-    minimalization are not reduced again."""
-    changed = []
-    real = QuotientRing.nf
+    """One closure reduces modulo the ideal only what some reduction step
+    changes: the tensor image columns, relabelled copies of normal forms,
+    the rows of a preimage basis that no ideal lead reaches and the
+    already normal generators handed to minimalization are not reduced
+    again.  The rows an ideal lead reaches are reduced as kernel rows
+    (modules._distinct_monic), and QuotientRing.nf is not called."""
+    changed, nf_calls = [], []
+    real_reduce, real_nf = modules._reduce_terms, QuotientRing.nf
 
-    def counting(self, poly):
-        out = real(self, poly)
-        changed.append(out != poly)
-        return out
+    def counting(terms, *args, **kwargs):
+        before = dict(terms)
+        rem, mult = real_reduce(terms, *args, **kwargs)
+        changed.append(rem != before)
+        return rem, mult
+
+    def counting_nf(self, poly):
+        nf_calls.append(poly)
+        return real_nf(self, poly)
 
     N = ideal_submodule(veronese4, ["a^2", "a*b", "b*c", "d^2"])
     cl = ModuleClosure(s2_module, "cl_S")
-    monkeypatch.setattr(QuotientRing, "nf", counting)
+    monkeypatch.setattr(modules, "_reduce_terms", counting)
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
     closed = cl.closure(N)
     assert sorted(str(g) for g in closed.gens) == \
         ["(a*b)", "(a*d)", "(a^2)", "(b^2*d)", "(c^2*d)", "(d^2)"]
-    # four preimage value parts such as b^3, equal to a^2*c in R, in the one
+    # four preimage rows such as b^3, equal to a^2*c in R, in the one
     # preimage run, for the first generator of S; the span it returns
     # already satisfies the second generator, whose step makes no run
     assert changed == [True] * 4
+    assert nf_calls == []
 
 
 # --- seeded preimages against the block-diagonal reference -------------------------
@@ -338,6 +390,27 @@ def test_closure_preimage_matches_the_block_diagonal_reference(
     # none
     assert max(skips) > 0
     assert (0 in skips) == (case in ("segre", "one_generator"))
+
+
+@pytest.mark.parametrize("case", ["segre", "veronese4", "syz2", "f5",
+                                  "one_generator", "collapse"])
+def test_closure_preimage_runs_match_the_filtered_block_basis(
+        request, case, preimages_vs_reference):
+    """Every eliminating preimage run of a closure hands back, kernel row
+    for kernel row, the value block of the whole block basis, and its
+    rows are made canonical as the Vec-level routine makes their
+    decoded Vecs; over Q and F5 ("f5")."""
+    S, ambients = _preimage_case(request, case)
+    rng = random.Random(f"closure-value-block-{case}")
+    for M in ambients:
+        for _trial in range(2):
+            N = random_submodule_pair(M, rng, max_gens=3)
+            ModuleClosure(S).closure(N)
+    seen = preimages_vs_reference()
+    assert seen["calls"] >= 3 and seen["rows"] > seen["calls"], seen
+    # an ideal lead reaches rows (and some vanish) except where S's one
+    # generator keeps every row in normal form
+    assert bool(seen["reached"]) == (case != "one_generator"), seen
 
 
 def test_closure_makes_one_image_span_and_one_preimage_run_per_unsatisfied_step(

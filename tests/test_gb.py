@@ -432,10 +432,12 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     from the closure call on (the module and operator are built before).
     The counts guard the pair criteria, the order in which pairs leave
     the queue (see push_pairs in gb.buchberger), the pairs formed (each
-    one lcm), the reduction loop, which rows the final pass reduces again,
-    the early return of QuotientRing.nf and the closure's step skip; a
-    change that means to alter them updates them here."""
+    one lcm), the reduction loop, which rows the final pass reduces again
+    (in a preimage run, value rows only), the kernel-row canonicalization
+    of modules._distinct_monic and the closure's step skip; a change that
+    means to alter them updates them here."""
     from closurelab import gb as gb_module
+    from closurelab import modules as modules_module
     from closurelab.closure import ModuleClosure
     from closurelab.modules import ideal_as_module
     from closurelab.orders import wdegrevlex
@@ -463,14 +465,70 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
         counts["pairs"] += 1
         return lcm(a, b)
 
-    monkeypatch.setattr(gb_module, "_reduce_terms", counted_reduce)
-    monkeypatch.setattr(gb_module, "_normalize", counted_normalize)
+    for owner in (gb_module, modules_module):
+        monkeypatch.setattr(owner, "_reduce_terms", counted_reduce)
+        monkeypatch.setattr(owner, "_normalize", counted_normalize)
     monkeypatch.setattr(code, "lcm", counted_lcm)
     closed = cl.closure(ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"]))
     assert sorted(str(g.component(0)) for g in closed.gens) == \
         ["a*b", "a*c", "a^2", "b*c", "c^2"]
-    assert counts == {"reductions": 48, "to_zero": 28, "normalizations": 18,
+    assert counts == {"reductions": 46, "to_zero": 28, "normalizations": 22,
                       "pairs": 29}
+
+
+def test_preimage_runs_do_only_the_work_their_callers_read(monkeypatch):
+    """The README cone closure, with its ring, operator and N built
+    before, computes a fixed number of lead masks (a block run's seed
+    index is assembled from the kept indices of its span and of the
+    ring's ideal rows, not rebuilt), visits a fixed number of rows in the
+    final pass of its preimage runs (the value rows alone) and calls
+    QuotientRing.nf never (its generators are made canonical on kernel
+    rows)."""
+    from closurelab import gb as gb_module
+    from closurelab import modules as modules_module
+    from closurelab.closure import ModuleClosure
+    from closurelab.modules import ideal_as_module
+    from closurelab.orders import wdegrevlex
+    from closurelab.ring import QuotientRing
+
+    amb = PolyRing(("a", "b", "c"), QQ, wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    cl = ModuleClosure(ideal_as_module(R, ["a", "b"]))
+    N = ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"])
+    counts = {"lead_masks": 0, "final_rows": 0, "nf": 0}
+    in_block = [False]
+    lead_mask, reached = gb_module._lead_mask, gb_module._reached
+    run, nf = modules_module.buchberger, QuotientRing.nf
+
+    def counted_lead_mask(*args):
+        counts["lead_masks"] += 1
+        return lead_mask(*args)
+
+    def counted_reached(terms, *args):
+        # the final pass asks it of every row it keeps, with the row's
+        # terms as a dict; _undominated asks it of a lead, as a tuple
+        counts["final_rows"] += in_block[0] and isinstance(terms, dict)
+        return reached(terms, *args)
+
+    def flagged_run(cols, ncomps, keyfn, *args, **kwargs):
+        in_block[0] = keyfn.nreal is not None
+        try:
+            return run(cols, ncomps, keyfn, *args, **kwargs)
+        finally:
+            in_block[0] = False
+
+    def counted_nf(self, poly):
+        counts["nf"] += 1
+        return nf(self, poly)
+
+    monkeypatch.setattr(gb_module, "_lead_mask", counted_lead_mask)
+    monkeypatch.setattr(gb_module, "_reached", counted_reached)
+    monkeypatch.setattr(modules_module, "buchberger", flagged_run)
+    monkeypatch.setattr(QuotientRing, "nf", counted_nf)
+    closed = cl.closure(N)
+    assert sorted(str(g.component(0)) for g in closed.gens) == \
+        ["a*b", "a*c", "a^2", "b*c", "c^2"]
+    assert counts == {"lead_masks": 27, "final_rows": 6, "nf": 0}
 
 
 # --- normal forms ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from closurelab import gb, modules
 from closurelab.field import QQ, prime_field
 from closurelab.gb import Vec, buchberger
 from closurelab.orders import DEGREVLEX, ModuleOrder, wdegrevlex
-from closurelab.poly import DomainError, PolyRing
+from closurelab.poly import ContextError, DomainError, PolyRing
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 free_module, ideal_as_module, ideal_columns,
                                 ideal_submodule, is_regular_sequence,
@@ -507,6 +507,59 @@ def test_seeded_preimages_match_the_block_diagonal_reference(field,
     assert empty >= 4, empty
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_preimage_runs_match_the_filtered_block_basis(field,
+                                                      preimages_vs_reference):
+    """The eliminating runs of random intersections, colons, kernels and
+    syzygies hand back the value block of the whole block basis, kernel
+    row for kernel row, and r_preimage makes of its rows the generators
+    the Vec-level routine makes of its decoded Vecs.  Rows that an ideal
+    lead reaches come up, and among them rows that vanish modulo I."""
+    rng = random.Random(f"value-block-{field}")
+    for ring in _span_rings(field):
+        for ncomps in range(1, 4):
+            degrees = tuple(rng.randint(0, 2) for _ in range(ncomps))
+            M = free_module(ring, degrees)
+            if ncomps > 1:
+                M = FPModule(ring, degrees,
+                             random_submodule_pair(M, rng).gens)
+            A, B = (random_submodule_pair(M, rng, max_gens=3)
+                    for _ in range(2))
+            A.intersect(B)
+            x = random_homogeneous_elem(ring, rng.randint(1, 2), rng)
+            A.colon_elem(x if x is not None else ring.gens()[0])
+            cols = list(A.gens + B.gens)
+            source = free_module(ring, [c.degree(M.gen_degrees)
+                                        for c in cols])
+            ModuleMap(source, M, cols).kernel()
+            modules.r_syzygies(ring, cols, ncomps)
+    seen = preimages_vs_reference()
+    assert seen["calls"] >= 30 and seen["reached"] and seen["vanish"], seen
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_preimage_rows_equal_in_the_ring_give_one_generator(
+        field, preimages_vs_reference):
+    """In k[a,b,c]/(b^2 - ac), whose ideal lead is b^2, the intersection
+    (a) meet (c), the preimage {r a : r a in (c)}, has the reduced basis
+    {b^2, ac}: b^2 is ac in the ring, so one generator comes out.  The
+    kernel of multiplication by a has the basis {b^2 - ac}, which
+    vanishes in the ring, so none does."""
+    fld = QQ if field == "Q" else prime_field(5)
+    amb = PolyRing(("a", "b", "c"), fld, wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    R1 = ring_as_module(R)
+    a, c = (R1.vec([t]) for t in ("a", "c"))
+    span = R1.submodule([c]).span
+    gens = modules.r_preimage(R, [a], [a], span, 1)
+    assert [str(g) for g in gens] == ["(a*c)"]
+    assert modules.r_preimage(R, [a], [R1.gen(0)],
+                              R1.relation_basis(), 1) == []
+    seen = preimages_vs_reference()
+    assert (seen["calls"], seen["rows"], seen["reached"], seen["vanish"],
+            seen["meet"]) == (2, 3, 2, 1, 1), seen
+
+
 def _certificate_form(cert):
     """A certificate as strings and sorted terms, for strict comparison."""
     if cert is None:
@@ -592,20 +645,54 @@ def test_syzygies_are_the_reduced_basis_of_the_syzygy_module(field):
 @pytest.mark.parametrize("field", ["Q", "F5"])
 def test_free_relation_basis_is_the_reduced_ideal_basis(field):
     """Built from the ring's kernel rows, without a run, it equals the run
-    on the ideal columns row for row."""
+    on the ideal columns row for row, under TOP and, moved past nreal real
+    components, under the block order; the ring keeps one per rank and
+    order, with its index."""
     for ring in _span_rings(field):
         amb = ring.ambient
         for n in range(4):
-            want = buchberger(ideal_columns(ring, n), n,
-                              ModuleOrder(amb.order), amb)
-            got = modules.free_relation_basis(ring, n)
-            assert _kernel_rows(got) == _kernel_rows(want), (ring, n)
-            assert [v.terms for v in got] == [v.terms for v in want]
+            for nreal in (None, 0, 2):
+                offset = nreal or 0
+                want = buchberger(
+                    [c.pad(offset + n, offset=offset)
+                     for c in ideal_columns(ring, n)], offset + n,
+                    ModuleOrder(amb.order, nreal), amb)
+                got = ring.free_relation_basis(n, nreal)
+                assert got.order == want.order
+                assert _kernel_rows(got) == _kernel_rows(want), (ring, n)
+                assert [v.terms for v in got] == [v.terms for v in want]
+                assert got is ring.free_relation_basis(n, nreal)
+                assert got._leads_of is got._leads_of
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_stacked_seed_index_is_the_index_of_its_rows(field):
+    """A block run's seed, a span basis stacked on the ring's ideal rows in
+    the value components, has the rows and the index (rows by lead
+    component, and (index, lead, lead mask) by lead component) of a
+    basis built from the same rows."""
+    rng = random.Random(f"stacked-{field}")
+    for ring in _span_rings(field):
+        amb = ring.ambient
+        for ncomps in range(3):
+            M = free_module(ring, [rng.randint(0, 2) for _ in range(ncomps)])
+            span = modules.r_span_basis(
+                M, random_submodule_pair(M, rng).gens if ncomps else [])
+            for n in range(1, 3):
+                lower = ring.free_relation_basis(n, ncomps)
+                got = gb.GroebnerBasis.stacked(span, lower)
+                want = gb.GroebnerBasis(amb, ncomps + n,
+                                        ModuleOrder(amb.order, ncomps),
+                                        span._rows + lower._rows)
+                assert (got.ncomps, got.order) == (want.ncomps, want.order)
+                assert got._rows == want._rows
+                assert got._rows_of == want._rows_of
+                assert got._leads_of == want._leads_of
 
 
 def test_seed_of_another_order_ring_or_rank_is_refused(segre, kxy):
     amb = segre.ambient
-    seed = modules.free_relation_basis(segre, 2)
+    seed = segre.free_relation_basis(2)
     cols = [Vec.from_polys([amb.parse("a"), amb.parse("b")])]
     assert len(buchberger(cols, 2, ModuleOrder(amb.order), amb,
                           seed=seed)) == 3
@@ -617,7 +704,7 @@ def test_seed_of_another_order_ring_or_rank_is_refused(segre, kxy):
     other = kxy.ambient
     with pytest.raises(ValueError, match="seed"):
         buchberger([], 2, ModuleOrder(other.order), other,
-                   seed=modules.free_relation_basis(segre, 2))
+                   seed=segre.free_relation_basis(2))
 
 
 def test_greedy_minimal_generators_uses_the_reference(kxy, monkeypatch):
@@ -799,9 +886,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(modules, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(modules, name, counting)
     return calls
@@ -825,8 +912,12 @@ def test_module_keeps_only_a_presented_relation_basis(segre, monkeypatch):
     assert len(spans) == 1
     F = free_module(segre, (0, 1))
     before = dict(vars(F))
-    assert F.relation_basis() is not F.relation_basis()
+    # a free module keeps nothing: the ring keeps its basis, one per rank
+    assert F.relation_basis() is F.relation_basis()
+    assert F.relation_basis() is segre.free_relation_basis(2)
+    assert free_module(segre, (3, 3)).relation_basis() is F.relation_basis()
     assert vars(F) == before
+    assert len(spans) == 1
 
 
 def test_kept_relation_basis_leaves_equality_alone(segre):
@@ -887,6 +978,28 @@ def test_vec_of_wrong_rank_rejected(kxy, rank):
                            match=f"vector of rank {rank} in a module of "
                                  f"rank 2"):
             call(v)
+
+
+def test_map_refuses_an_image_of_another_rank(kxy):
+    """An image column of rank 3 in a map into a rank-2 module is refused;
+    before, it was kept, apply returned a rank-2 vector with a term in
+    component 2, and the kernel failed on it."""
+    F1, F2 = free_module(kxy, (0,)), free_module(kxy, (0, 0))
+    x_e2 = Vec(kxy.ambient, 3, {(2, (1, 0)): kxy.ambient.field.one})
+    with pytest.raises(ContextError, match="vector of rank 3 in a module "
+                                           "of rank 2"):
+        ModuleMap(F1, F2, [x_e2])
+
+
+def test_map_applies_only_a_vector_of_its_source_rank(kxy):
+    """Applying a map of a rank-1 source to a rank-2 vector is refused;
+    before, it returned (0, 0)."""
+    F1, F2 = free_module(kxy, (0,)), free_module(kxy, (0, 0))
+    f = ModuleMap(F1, F2, [["x", "y"]])
+    assert str(f.apply(F1.vec(["x"]))) == "(x^2, x*y)"
+    with pytest.raises(ContextError, match="vector of rank 2 in a module "
+                                           "of rank 1"):
+        f.apply(F2.vec(["x", "y"]))
 
 
 def test_submodule_rejects_inhomogeneous_vector(segre):

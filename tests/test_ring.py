@@ -214,9 +214,9 @@ def test_module_relation_columns_make_one_seeded_run(veronese4, monkeypatch):
     runs = []
     real_run = gb.buchberger
 
-    def buchberger(cols, ncomps, keyfn, ring=None, seed=None):
+    def buchberger(cols, ncomps, keyfn, ring=None, seed=None, **kwargs):
         runs.append((ncomps, keyfn.nreal, seed is not None))
-        return real_run(cols, ncomps, keyfn, ring, seed)
+        return real_run(cols, ncomps, keyfn, ring, seed, **kwargs)
 
     for owner in (gb, modules, ring_module):
         monkeypatch.setattr(owner, "buchberger", buchberger)
