@@ -172,7 +172,8 @@ class ModuleClosure(ClosureOp):
 
         A generator whose columns s_i (x) w all lie in the image already
         cannot shrink the span (see the skip rule in the module
-        docstring), and it makes no run.
+        docstring), and it makes no run.  The generators kept are
+        canonical, so minimalization takes them as they are.
         """
         M = N.module
         T, image = self._image_context(N)
@@ -183,7 +184,7 @@ class ModuleClosure(ClosureOp):
             if all(span.contains(c) for c in cols):
                 continue
             gens = r_preimage(M.ring, cols, gens, span, T.ngens)
-        return Submodule(M, tuple(gens)).minimalized()
+        return Submodule(M, tuple(gens)).minimalized(canonical=True)
 
 
 class IntersectionClosure(ClosureOp):

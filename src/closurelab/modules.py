@@ -7,7 +7,13 @@ polynomial ring with the defining ideal on every component, so a single
 engine answers ideal membership, module membership, colons, kernels and
 syzygies uniformly.  A span run starts from the relation basis of its
 module (the ideal's reduced basis on every component, plus the relations),
-which it takes as a seed.  Every block-order question is one seeded run
+which it takes as a seed.  A free module's relation basis is the ring's.
+A module is born with the basis its constructor already holds
+(FPModule._with_basis): ideal_as_module keeps the value block of its one
+syzygy run, a tensor with a free module relabels copies of the other
+factor's rows, direct_sum relabels both factors' rows, and S (x) R is S.
+Any other module builds its basis by one span run on first use, and
+keeps it.  Every block-order question is one seeded run
 (_block_basis) on the columns (map column | value), starting from the
 reduced span basis of the target stacked on the ideal's basis on the
 value components; both are kept, the span by its owner and the ideal's
@@ -231,13 +237,30 @@ class FPModule:
     def gens(self):
         return [self.gen(i) for i in range(self.ngens)]
 
+    @classmethod
+    def _with_basis(cls, ring, gen_degrees, relations, basis):
+        """The module of these relations, born with basis as its relation
+        basis: the reduced TOP basis of their span and I P^n, which its
+        constructor already holds, so no run builds it again.  A basis of
+        another ring, rank or order is refused, as buchberger refuses such
+        a seed.  A free module keeps none: its basis is the ring's."""
+        module = cls(ring, gen_degrees, relations)
+        amb = ring.ambient
+        if (basis.ring, basis.ncomps, basis.order) != (
+                amb, module.ngens, ModuleOrder(amb.order)):
+            raise ValueError("relation basis of another ring, rank or order")
+        if module.relations:
+            module._relation_span = basis
+        return module
+
     def relation_basis(self) -> GroebnerBasis:
         """Groebner basis of the relation span (the zero submodule).
 
         A free module's is the ring's basis of I P^n, which the ring keeps
         per rank: there are many free modules, such as the covers of
         preimage runs, and few ranks.  Otherwise it is the span of the
-        relations in the free cover, kept as _relation_span.
+        relations in the free cover, kept as _relation_span: the basis the
+        module was born with (_with_basis), or else built on first use.
         """
         if not self.relations:
             return self.ring.free_relation_basis(self.ngens)
@@ -411,6 +434,8 @@ class Submodule:
         return self.contains_submodule(other) and other.contains_submodule(self)
 
     def sum(self, other: "Submodule") -> "Submodule":
+        if other.module != self.module:
+            raise ContextError("submodules of different modules")
         return Submodule(self.module, self.gens + other.gens)
 
     def intersect(self, other: "Submodule") -> "Submodule":
@@ -421,18 +446,22 @@ class Submodule:
         cols = list(self.gens) + list(self.module.relations)
         gens = r_preimage(self.ring, cols, cols, other.span,
                           self.module.ngens)
-        return Submodule(self.module, tuple(gens)).minimalized()
+        return Submodule(self.module, tuple(gens)).minimalized(canonical=True)
 
     def colon_elem(self, x) -> "Submodule":
         """(self :_M x) = {m in M : x m in self}."""
         gens = r_preimage(self.ring, scaled_gens(self.module, [x]),
                           self.module.gens(), self.span, self.module.ngens)
-        return Submodule(self.module, tuple(gens)).minimalized()
+        return Submodule(self.module, tuple(gens)).minimalized(canonical=True)
 
-    def minimalized(self) -> "Submodule":
-        """Prune the generating set to a minimal one (deterministically)."""
-        return Submodule(self.module,
-                         tuple(minimal_generators(self.module, self.gens)))
+    def minimalized(self, *, canonical=False) -> "Submodule":
+        """Prune the generating set to a minimal one (deterministically).
+
+        canonical says that the generators are already distinct monic
+        normal forms, as a preimage run hands them out (r_preimage), so
+        they are not made canonical again (see minimal_generators)."""
+        return Submodule(self.module, tuple(
+            minimal_generators(self.module, self.gens, canonical)))
 
     def gens_as_ring_elems(self):
         if self.module.ngens != 1:
@@ -481,7 +510,7 @@ class ModuleMap:
     def kernel(self) -> Submodule:
         gens = r_preimage(self.source.ring, self.cols, self.source.gens(),
                           self.target.relation_basis(), self.target.ngens)
-        return Submodule(self.source, tuple(gens)).minimalized()
+        return Submodule(self.source, tuple(gens)).minimalized(canonical=True)
 
     def is_surjective(self) -> bool:
         im = self.image()
@@ -512,14 +541,22 @@ def residue_field(ring: QuotientRing) -> FPModule:
 
 def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
     """The ideal (gens) presented as a module: one generator per given gen,
-    relations the full syzygy module of the generators."""
+    relations the full syzygy module of the generators.
+
+    One syzygy run: its value block, the reduced basis of the syzygies
+    plus I P^t under TOP, is the module's relation basis, and its
+    distinct monic rows (as r_syzygies hands them out) the relations."""
     elems = [ring.elem(g) for g in gens]
     if any(e.is_zero() for e in elems):
         raise DomainError("zero ideal generator")
-    cols = [Vec.from_polys([e.poly]) for e in elems]
-    syz = r_syzygies(ring, cols, 1)
     degrees = tuple(e.degree() for e in elems)
-    return FPModule(ring, degrees, syz)
+    if not elems:
+        return free_module(ring, degrees)
+    cols = [Vec.from_polys([e.poly]) for e in elems]
+    basis = preimage_basis(ring, cols, unit_vectors(ring, len(cols)),
+                           ring.free_relation_basis(1), 1)
+    syz = _distinct_monic(ring, basis.ncomps, basis._rows)
+    return FPModule._with_basis(ring, degrees, syz, basis)
 
 
 def ideal_submodule(ring: QuotientRing, gens) -> Submodule:
@@ -528,21 +565,53 @@ def ideal_submodule(ring: QuotientRing, gens) -> Submodule:
     return R1.submodule([[g] for g in gens])
 
 
+def _assembled_basis(ring: QuotientRing, ncomps, parts) -> GroebnerBasis:
+    """The union of relation bases whose components are relabelled into
+    disjoint sets of P^ncomps by maps that keep their order, as a reduced
+    TOP basis: parts are (basis, relabel) pairs.  A relabel that keeps
+    the component order keeps the TOP order within a part, and parts
+    share no component, so the union is reduced; its rows are sorted by
+    lead, descending, as a run leaves them."""
+    order = ModuleOrder(ring.ambient.order)
+    rows = [(relabel(c), e, lc,
+             {(relabel(j), m): x for (j, m), x in t.items()})
+            for basis, relabel in parts for c, e, lc, t in basis._rows]
+    rows.sort(key=lambda row: order.term_key(row[:2]), reverse=True)
+    return GroebnerBasis(ring.ambient, ncomps, order, rows)
+
+
 def direct_sum(A: FPModule, B: FPModule) -> FPModule:
+    """A (+) B, born with A's relation basis and B's shifted past A's
+    generators."""
     if A.ring != B.ring:
         raise ContextError("modules over different rings")
     degrees = A.gen_degrees + B.gen_degrees
     n = len(degrees)
     rels = [col.pad(n) for col in A.relations]
     rels += [col.pad(n, offset=A.ngens) for col in B.relations]
-    return FPModule(A.ring, degrees, rels)
+    if not rels:
+        return FPModule(A.ring, degrees)
+    basis = _assembled_basis(A.ring, n, [
+        (A.relation_basis(), lambda i: i),
+        (B.relation_basis(), lambda j: j + A.ngens)])
+    return FPModule._with_basis(A.ring, degrees, rels, basis)
 
 
 def tensor(A: FPModule, B: FPModule) -> FPModule:
     """A (x) B by the standard presentation: generators a_i (x) b_j and
-    relations rel(A) (x) gen(B) plus gen(A) (x) rel(B)."""
+    relations rel(A) (x) gen(B) plus gen(A) (x) rel(B).
+
+    A (x) R is A itself, and R (x) B is B: same generator degrees and,
+    relabelled i -> i, same relations.  When one side is free, the
+    relation basis is copies of the other side's, one per generator of
+    the free side, relabelled into the components of A (x) B; only when
+    both sides have relations is it built by a run, on first use.
+    """
     if A.ring != B.ring:
         raise ContextError("modules over different rings")
+    for X, Y in ((A, B), (B, A)):
+        if Y.gen_degrees == (0,) and not Y.relations:
+            return X
     nb = B.ngens
     n = A.ngens * nb
 
@@ -562,7 +631,16 @@ def tensor(A: FPModule, B: FPModule) -> FPModule:
             rels.append(Vec(A.ring.ambient, n,
                             {(idx(i, j), m): c
                              for (j, m), c in col.terms.items()}))
-    return FPModule(A.ring, degrees, rels)
+    if not rels or (A.relations and B.relations):
+        return FPModule(A.ring, degrees, rels)
+    if A.relations:
+        parts = [(A.relation_basis(), lambda i, j=j: idx(i, j))
+                 for j in range(nb)]
+    else:
+        parts = [(B.relation_basis(), lambda j, i=i: idx(i, j))
+                 for i in range(A.ngens)]
+    return FPModule._with_basis(A.ring, degrees, rels,
+                                _assembled_basis(A.ring, n, parts))
 
 
 def tensor_elem(A: FPModule, B: FPModule, i: int, v: Vec) -> Vec:
@@ -622,7 +700,7 @@ def _minimal_presentation(M: FPModule) -> FPModule:
     return FPModule(ring, tuple(degrees), rel_vecs)
 
 
-def minimal_generators(M: FPModule, cols):
+def minimal_generators(M: FPModule, cols, canonical=False):
     """Minimal generating set of the span of cols in M (modulo its relations).
 
     Graded Nakayama: deduplicate the monic normal forms, sort them by
@@ -632,35 +710,43 @@ def minimal_generators(M: FPModule, cols):
     modulo A (the kept candidates of lower degree plus the relations) lies
     in the k-span of the normal forms of the other degree-d candidates.
     Hence one Groebner basis of A per degree block, and rank tests on
-    coefficient rows inside the block.
+    coefficient rows inside the block.  A candidate is printed only to
+    order a block of two or more.
+
+    With canonical, cols are distinct monic normal forms already, as
+    r_preimage hands them out, and are taken as they are.
     """
     ring, shifts = M.ring, M.gen_degrees
     amb = ring.ambient
     p, code, wdeg = amb.field.char, amb.code, amb.wdeg
-    key = ModuleOrder(amb.order).term_key
-    rows, vecs = [], []
-    for col in cols:
-        if col.terms:
-            terms, den = _to_kernel(col.terms, p, code)
-            terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
-                                reverse=True))
-            monic = next(iter(terms.values())) == den
-            rows.append((*_normalize(terms, p), terms))
-            vecs.append(col if monic else None)
+    if not canonical:
+        key = ModuleOrder(amb.order).term_key
+        rows, vecs = [], []
+        for col in cols:
+            if col.terms:
+                terms, den = _to_kernel(col.terms, p, code)
+                terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
+                                    reverse=True))
+                monic = next(iter(terms.values())) == den
+                rows.append((*_normalize(terms, p), terms))
+                vecs.append(col if monic else None)
+        cols = _distinct_monic(ring, M.ngens, rows, vecs)
     graded = []
-    for g in _distinct_monic(ring, M.ngens, rows, vecs):
+    for g in cols:
         degrees = {wdeg(m) + shifts[j] for j, m in g.terms}
         if len(degrees) > 1:
             raise DomainError(f"inhomogeneous generator {g}")
-        graded.append((degrees.pop(), str(g), g))
-    graded.sort(key=itemgetter(0, 1))
+        graded.append((degrees.pop(), g))
+    graded.sort(key=itemgetter(0))
     kept: list = []
     # basis of A, built for the first `spanned` kept candidates; without
     # relations the lowest block is already in normal form modulo A = I
     span = M.relation_basis() if M.relations else None
     spanned = 0
     for _d, block in groupby(graded, key=itemgetter(0)):
-        block = [g for _d, _s, g in block]
+        block = [g for _d, g in block]
+        if len(block) > 1:
+            block.sort(key=str)
         if len(kept) > spanned:
             span = r_span_basis(M, kept)
             spanned = len(kept)

@@ -63,6 +63,11 @@ def s2_module(veronese4):
     return FPModule(veronese4, (0, 4), sp.module_relation_columns(gens))
 
 
+def _kernel_rows(basis):
+    """A basis's kernel rows with the order of their terms."""
+    return [(c, e, lc, list(t.items())) for c, e, lc, t in basis._rows]
+
+
 @pytest.fixture
 def raw_preimage(monkeypatch):
     """probe(thunk) calls thunk and returns the generators it hands to
@@ -74,9 +79,9 @@ def raw_preimage(monkeypatch):
         handed, runs = [], []
         real_min, real_run = modules.Submodule.minimalized, modules.buchberger
 
-        def minimalized(self):
+        def minimalized(self, **kwargs):
             handed.append(list(self.gens))
-            return real_min(self)
+            return real_min(self, **kwargs)
 
         def buchberger(cols, ncomps, keyfn, *args, **kwargs):
             if keyfn.nreal is not None:
@@ -116,16 +121,13 @@ def preimages_vs_reference(monkeypatch):
         calls.append((args, basis))
         return basis
 
-    def kernel_rows(basis):
-        return [(c, e, lc, list(t.items())) for c, e, lc, t in basis._rows]
-
     def check():
         seen = Counter()
         for args, basis in calls:
             ring = args[0]
             want = ref_preimage_basis(*args)
             assert (basis.ncomps, basis.order) == (want.ncomps, want.order)
-            assert kernel_rows(basis) == kernel_rows(want), args
+            assert _kernel_rows(basis) == _kernel_rows(want), args
             got = modules._distinct_monic(ring, basis.ncomps, basis._rows)
             assert got == ref_distinct_monic(ring, want), args
             forms = [nf_vec(ring, v) for v in want]
@@ -139,4 +141,46 @@ def preimages_vs_reference(monkeypatch):
         return seen
 
     monkeypatch.setattr(modules, "preimage_basis", recording)
+    return check
+
+
+@pytest.fixture
+def relation_bases_vs_reference(monkeypatch):
+    """check() compares the basis of every module born with one
+    (FPModule._with_basis) since the fixture was set up with the relation
+    basis from scratch (oracles.ref_relation_basis), kernel row for
+    kernel row (terms in order), and checks that the module keeps it, or,
+    born free, keeps the ring's basis.  It returns counts of the modules
+    born with relations, of those born free and of the basis rows."""
+    from collections import Counter
+
+    from closurelab import modules
+    from oracles import ref_relation_basis
+
+    born = []
+    real = modules.FPModule._with_basis
+
+    def recording(*args):
+        module = real(*args)
+        born.append((module, args[-1]))
+        return module
+
+    def check():
+        seen = Counter()
+        for module, basis in born:
+            kept = module.relation_basis()
+            if module.relations:
+                assert kept is basis, module
+            else:
+                assert kept is module.ring.free_relation_basis(module.ngens)
+            want = ref_relation_basis(module)
+            assert (basis.ncomps, basis.order) == (want.ncomps, want.order)
+            assert _kernel_rows(basis) == _kernel_rows(want), module
+            seen["relations" if module.relations else "free"] += 1
+            seen["rows"] += len(basis)
+        born.clear()
+        return seen
+
+    monkeypatch.setattr(modules.FPModule, "_with_basis",
+                        staticmethod(recording))
     return check

@@ -7,7 +7,9 @@ definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
 minimalization is checked against, `ref_span_basis`, the unseeded span
 run (the ideal as input columns) that the seeded `r_span_basis` is
-checked against, `ref_preimage`, the unseeded block-diagonal elimination
+checked against, and `ref_relation_basis`, the same run on a module's
+relations, that the relation bases modules are born with are checked
+against, `ref_preimage`, the unseeded block-diagonal elimination
 that the seeded `r_preimage` is checked against, with the constructions of
 closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
 `ref_closure_steps`, the closure loop that makes a preimage run for every
@@ -1011,6 +1013,13 @@ def ref_span_basis(ring, cols, ncomps):
     defining ideal appended on every component as input columns."""
     return buchberger(list(cols) + ideal_columns(ring, ncomps), ncomps,
                       ModuleOrder(ring.ambient.order), ring.ambient)
+
+
+def ref_relation_basis(M):
+    """The relation basis of M from scratch: the span of its relations by
+    one unseeded run, the ideal on every component as input columns
+    (ref_span_basis), whatever basis M was born with."""
+    return ref_span_basis(M.ring, M.relations, M.ngens)
 
 
 # --- preimages by one block-diagonal elimination -----------------------------------

@@ -186,19 +186,43 @@ def test_integral_closure_compute(kxy):
     assert {str(g.component(0)) for g in C.gens} == {"x^2", "x*y", "y^2"}
 
 
-def test_closure_extension_and_idempotence(segre):
+def test_closure_extension_and_idempotence(segre,
+                                           relation_bases_vs_reference):
     M = ideal_as_module(segre, ["a", "b"])
     clM = ModuleClosure(M)
     N = ideal_submodule(segre, ["a^2", "b*c"])
     C = clM.closure(N)
     assert C.contains_submodule(N)
     assert clM.closure(C).same_as(C)
+    assert relation_bases_vs_reference() == {"relations": 1, "rows": 3}
+
+
+@pytest.mark.parametrize("suite", ["closure axioms", "direct-sum closure",
+                                   "cl_(S+T) = cl_S cap cl_T"])
+def test_property_suite_instances_keep_born_relation_bases(
+        suite, relation_bases_vs_reference):
+    """The first instances of three criterion-7 suites pass, and every
+    relation basis a module was born with on them (ideal modules, their
+    tensors with free modules, direct sums) is the span of its relations
+    from scratch."""
+    from closurelab import acceptance
+
+    run, count, seed = {
+        "closure axioms": (acceptance._closure_axioms_instances, 48, 701),
+        "direct-sum closure": (acceptance._direct_sum_instances, 9, 703),
+        "cl_(S+T) = cl_S cap cl_T": (
+            acceptance._sum_intersection_instances, 6, 705)}[suite]
+    ok, detail = run(count, seed)
+    assert ok, detail
+    seen = relation_bases_vs_reference()
+    assert seen["relations"] >= 6 and seen["rows"] > seen["relations"], seen
 
 
 # --- intersections and direct sums -----------------------------------------------------------
 
 
-def test_direct_sum_closure_equals_intersection(segre):
+def test_direct_sum_closure_equals_intersection(segre,
+                                               relation_bases_vs_reference):
     rng = random.Random(99)
     from closurelab.sampling import random_ideal_gens
     for _ in range(5):
@@ -207,6 +231,8 @@ def test_direct_sum_closure_equals_intersection(segre):
         N = ideal_submodule(segre, random_ideal_gens(segre, rng, 2, 2))
         assert direct_sum_closure(S, T).closure(N).same_as(
             intersect_closures(ModuleClosure(S), ModuleClosure(T)).closure(N))
+    seen = relation_bases_vs_reference()
+    assert seen["relations"] >= 5, seen
 
 
 def test_free_summand_makes_intersection_trivial(segre):
@@ -239,9 +265,9 @@ def test_intersection_closure_is_not_minimalized_again(monkeypatch):
     calls = []
     real = Submodule.minimalized
 
-    def counting(self):
+    def counting(self, **kwargs):
         calls.append(self)
-        return real(self)
+        return real(self, **kwargs)
 
     rng = random.Random("intersection-minimalized")
     monkeypatch.setattr(Submodule, "minimalized", counting)
@@ -265,9 +291,11 @@ def test_module_closure_rejects_zero_module(segre):
 
 def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
                                                 monkeypatch):
-    """Four queries on one (S, N) make two Buchberger runs: the relation
-    basis of S (x) M, then the image span seeded with it.  A second N
-    inside the same M costs exactly one run, its own image span."""
+    """Four queries on one (S, N) make one Buchberger run, the image span,
+    seeded with the relation basis of S (x) R, which is S itself: its
+    basis was built by ModuleClosure, which asks whether S is zero.  A
+    second N inside the same M costs exactly one run, its own image
+    span."""
     runs = []
     real = modules.buchberger
 
@@ -280,12 +308,10 @@ def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
     answers = [ideal_member(cl, veronese4, u, ["a"]).holds
                for u in ("b^2", "b", "a*b", "b^2")]
     assert answers == [True, False, True, True]
-    # six relations of S (x) R, seeded with I in both components; then the
-    # image of (a), seeded with the relation basis
-    assert len(runs) == 2
-    assert runs[0] == (6, 2 * len(veronese4.ideal_basis))
-    relation_basis_size = runs[1][1]
-    assert runs[1][0] == 2 and relation_basis_size > runs[0][1]
+    relation_basis_size = len(s2_module.relation_basis())
+    assert relation_basis_size > 2 * len(veronese4.ideal_basis)
+    # the image of (a), one column per generator of S
+    assert runs == [(2, relation_basis_size)]
     runs.clear()
     answers = [ideal_member(cl, veronese4, u, ["b", "c"]).holds
                for u in ("b", "a*d", "d")]

@@ -17,7 +17,7 @@ from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 tensor, tensor_elem)
 from closurelab.ring import (QuotientRing, make_quotient_ring,
                              presented_subring)
-from closurelab.sampling import random_homogeneous_elem
+from closurelab.sampling import random_homogeneous_elem, random_ideal_gens
 
 from oracles import (brute_member, brute_syzygies_complete,
                      graded_dim_of_span, greedy_minimal_generators,
@@ -842,12 +842,96 @@ def test_same_presentation_distinguishes(kxy):
     assert same_presentation(A, quotient_module(kxy, ["x^2"]))
 
 
+def test_sum_refuses_a_submodule_of_another_module(kxy):
+    """Over k[x, y], (x) plus a submodule of R^2 would hold a rank-2
+    generator in a rank-1 submodule; it is refused, as in intersect."""
+    I = ideal_submodule(kxy, ["x"])
+    other = free_module(kxy, (0, 0)).submodule([["x", "y"]])
+    with pytest.raises(ContextError, match="submodules of different modules"):
+        I.sum(other)
+    both = I.sum(ideal_submodule(kxy, ["y"]))
+    assert both.contains(ring_as_module(kxy).vec(["x*y + y^2"]))
+
+
 def test_direct_sum_presentation(segre):
     M = ideal_as_module(segre, ["a", "b"])
     D = direct_sum(M, ring_as_module(segre))
     assert D.ngens == 3
     assert D.gen_degrees == (2, 2, 0)
     assert len(D.relations) == len(M.relations)
+
+
+def _born_cases(ring, rng):
+    """(label, module) pairs made by the constructors that give a module
+    its relation basis: ideal modules (one of a single generator, which
+    has no syzygy beyond I), tensors with a free module of rank 2 and
+    nonzero degrees on either side, a tensor of two modules with
+    relations (built by a run) and direct sums."""
+    first = ring.gens()[0]
+    max_deg = 2 * max(ring.ambient.weights)
+    ideals = [ideal_as_module(ring, random_ideal_gens(ring, rng, 3, max_deg))
+              for _ in range(3)]
+    S = next((M for M in ideals if M.relations),
+             ideal_as_module(ring, [first, first * first]))
+    F = free_module(ring, (1, 2))
+    Q = quotient_module(ring, [first])
+    return ([("ideal", M) for M in ideals]
+            + [("one generator", ideal_as_module(ring, [first])),
+               ("S x F", tensor(S, F)), ("F x S", tensor(F, S)),
+               ("S x Q", tensor(S, Q)), ("S + S", direct_sum(S, S)),
+               ("S + F", direct_sum(S, F)), ("F + S", direct_sum(F, S)),
+               ("Q + F", direct_sum(Q, F))])
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_born_relation_bases_match_the_span_of_the_relations(field,
+                                                           monkeypatch):
+    """Every relation basis a constructor gives its module is, kernel row
+    for kernel row (terms in order), the span run on its relations,
+    r_span_basis(free_module(ring, degrees), relations); only a tensor of
+    two modules with relations makes that run, on first use.  S (x) R
+    and R (x) S are S itself, and a born module equals, and hashes like,
+    the module of its presentation.  On the cone, xy = uv, Veronese-4 and
+    k[x, y]."""
+    rng = random.Random(f"born-bases-{field}")
+    spans = _count_calls(monkeypatch, "r_span_basis")
+    shapes = {"relations": 0, "free": 0}
+    for ring in _span_rings(field):
+        R = ring_as_module(ring)
+        cases = _born_cases(ring, rng)
+        # one run, the basis of Q, which direct_sum(Q, F) reads
+        assert len(spans) == 1
+        spans.clear()
+        for label, M in cases:
+            built = "_relation_span" in vars(M)
+            assert built == bool(M.relations and label != "S x Q"), label
+            assert tensor(M, R) is M and tensor(R, M) is M
+            assert len(spans) == 0, label
+            fresh = FPModule(ring, M.gen_degrees, M.relations)
+            assert M == fresh and hash(M) == hash(fresh)
+            want = modules.r_span_basis(free_module(ring, M.gen_degrees),
+                                        M.relations)
+            assert _kernel_rows(M.relation_basis()) == _kernel_rows(want), (
+                ring, label)
+            assert len(spans) == 1 + (label == "S x Q"), label
+            spans.clear()
+            shapes["relations" if M.relations else "free"] += 1
+        assert not ideal_as_module(ring, [ring.gens()[0]]).relations
+    assert min(shapes.values()) >= 4, shapes
+
+
+def test_born_basis_of_another_rank_ring_or_order_is_refused(segre, kxy):
+    S = ideal_as_module(segre, ["a", "b"])
+    amb = segre.ambient
+    cols = S.relations
+    for basis in (segre.free_relation_basis(3),
+                  segre.free_relation_basis(2, 1),
+                  kxy.free_relation_basis(2),
+                  buchberger(list(cols), 2, ModuleOrder(amb.order, 0), amb)):
+        with pytest.raises(ValueError, match="another ring, rank or order"):
+            FPModule._with_basis(segre, S.gen_degrees, cols, basis)
+    M = FPModule._with_basis(segre, S.gen_degrees, cols, S.relation_basis())
+    assert M == S and M.relation_basis() is S.relation_basis()
 
 
 def test_graded_dims_match_oracle(segre):
@@ -907,7 +991,11 @@ def test_submodule_builds_its_bases_once(segre, monkeypatch):
 
 def test_module_keeps_only_a_presented_relation_basis(segre, monkeypatch):
     spans = _count_calls(monkeypatch, "r_span_basis")
+    # an ideal module is born with the basis of its syzygy run
     M = ideal_as_module(segre, ["a", "b"])
+    assert M.relation_basis() is M.relation_basis()
+    assert len(spans) == 0
+    M = quotient_module(segre, ["a", "b"])
     assert M.relation_basis() is M.relation_basis()
     assert len(spans) == 1
     F = free_module(segre, (0, 1))
