@@ -25,6 +25,13 @@ canonical (the unit vectors of M's cover, or the distinct monic normal
 forms of the reduced basis a preimage run returned), and a run on them
 would hand back the same list, so the closure is unchanged by the skip.
 
+Both member and closure work on kernel rows and terms (gb) from input to
+answer.  Each generator of N is encoded once, when the image context is
+built, and u once per query; s_i (x) u is a relabel of u's terms into the
+components of s_i, and the span so far stays the rows a preimage run
+hands back.  Only the closure's kept generators are decoded, and the
+image's Vec generators are built only for certificates.
+
 The axiom checkers are instance-level falsifiers: they verify a stated
 inclusion on the given data and report {holds-on-instance} or
 {fails-with-witness}; they never claim a proof over all modules.
@@ -33,15 +40,17 @@ inclusion on the given data and report {holds-on-instance} or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
 from weakref import WeakKeyDictionary
 
-from .gb import Vec
-from .modules import (FPModule, ModuleMap, Submodule, direct_sum,
-                      free_module, ideal_submodule, quotient_module,
-                      r_preimage, ring_as_module, tensor, tensor_elem)
+from .gb import KernelCol, Vec, _shift_terms, _to_kernel
+from .modules import (FPModule, ModuleMap, Submodule, _minimal_submodule,
+                      _unit_rows, direct_sum, free_module, ideal_submodule,
+                      quotient_module, r_preimage, r_span_basis,
+                      ring_as_module, tensor, tensor_elem)
 from .poly import ContextError, DomainError, mono_divides
 from .ring import ParameterSequence, QuotientRing
 
@@ -107,6 +116,34 @@ class TrivialClosure(ClosureOp):
         return Submodule(N.module, N.gens).minimalized()
 
 
+class _ImageContext:
+    """T = S (x) M and the image of S (x) N in it, for N inside M.
+
+    Each generator of N is encoded once (rows), and relabelled into the
+    components p * nb + j of each generator s_p of S, nb = M.ngens, as
+    kernel columns; span is their reduced basis with T's relations, which
+    answers membership.  The image as a Submodule, with Vec generators
+    s_p (x) n_q and born with that span, is built only when a certificate
+    asks for it.
+    """
+
+    def __init__(self, S: FPModule, N: Submodule, T: FPModule):
+        self.S, self.N, self.T = S, N, T
+        amb = N.ring.ambient
+        p, code, nb = amb.field.char, amb.code, N.module.ngens
+        rows = [_to_kernel(g.terms, p, code)[0] for g in N.gens]
+        self.span = r_span_basis(T, [KernelCol(_shift_terms(t, i * nb))
+                                     for i in range(S.ngens) for t in rows])
+
+    @cached_property
+    def image(self) -> Submodule:
+        S, N, T = self.S, self.N, self.T
+        return Submodule._with_span(
+            T, T.submodule([tensor_elem(S, N.module, p, nq)
+                            for p in range(S.ngens) for nq in N.gens]).gens,
+            self.span)
+
+
 class ModuleClosure(ClosureOp):
     """cl_S for a nonzero finitely presented module S."""
 
@@ -121,15 +158,16 @@ class ModuleClosure(ClosureOp):
     def describe(self):
         return f"module_closure({self.name})"
 
-    def _image_context(self, N: Submodule):
-        """(S (x) M, image of S (x) N in it) for N inside M.
+    def _image_context(self, N: Submodule) -> _ImageContext:
+        """S (x) M and the image of S (x) N in it, for N inside M.
 
         The last result is kept in one slot keyed by (N.module, N.gens),
         compared by value, so an equal but distinct N reuses it, together
-        with the span and ext bases its image Submodule keeps.  S (x) M has
-        a slot of its own, keyed by M, so its relation basis, which S (x) M
-        keeps and which seeds the span of every image, is built once per M
-        however many N a caller walks through inside it.  One slot each,
+        with its span and the image Submodule, with its ext basis, once a
+        certificate has built them.  S (x) M has a slot of its own, keyed
+        by M, so its relation basis, which S (x) M keeps and which seeds
+        the span of every image, is built once per M however many N a
+        caller walks through inside it.  One slot each,
         not a table per N or M: memory stays flat.  The slots are read and
         written by single attribute accesses and take no lock: every basis
         in a context is reduced, hence canonical, so two threads racing on
@@ -146,23 +184,24 @@ class ModuleClosure(ClosureOp):
         if tensor_slot is None or tensor_slot[0] != M:
             tensor_slot = (M, tensor(self.S, M))
             self._tensor_slot = tensor_slot
-        T = tensor_slot[1]
-        image_cols = [tensor_elem(self.S, M, p, nq)
-                      for p in range(self.S.ngens) for nq in N.gens]
-        context = (T, T.submodule(image_cols))
+        context = _ImageContext(self.S, N, tensor_slot[1])
         self._image_slot = (key, context)
         return context
 
     def member(self, u, N, want_certificate=False):
+        """u is encoded once, and s_i (x) u is its terms relabelled into
+        the components of s_i, tested against the image span."""
         u = N.module.vec(u)
-        T, image = self._image_context(N)
+        context = self._image_context(N)
+        amb, nb = N.ring.ambient, N.module.ngens
+        terms = _to_kernel(u.terms, amb.field.char, amb.code)[0]
         certs = []
         for i in range(self.S.ngens):
-            v = tensor_elem(self.S, N.module, i, u)
-            if not image.contains(v):
+            if not context.span.contains_terms(_shift_terms(terms, i * nb)):
                 return MembershipOutcome(False)
             if want_certificate:
-                cert = image.certificate(v)
+                cert = context.image.certificate(
+                    tensor_elem(self.S, N.module, i, u))
                 certs.append([str(c) for c in cert] if cert else None)
         return MembershipOutcome(True, certs if want_certificate else None)
 
@@ -170,21 +209,27 @@ class ModuleClosure(ClosureOp):
         """Keep, for one generator s_i of S at a time, the u of the span so
         far with s_i (x) u in the image: a preimage seeded by its span.
 
-        A generator whose columns s_i (x) w all lie in the image already
-        cannot shrink the span (see the skip rule in the module
-        docstring), and it makes no run.  The generators kept are
-        canonical, so minimalization takes them as they are.
+        The span so far is kernel rows throughout: the unit rows of M's
+        cover, then the rows a preimage run hands back, relabelled into
+        the components of s_i for the run's columns.  A generator whose
+        columns s_i (x) w all lie in the image already cannot shrink the
+        span (see the skip rule in the module docstring), and it makes no
+        run.  The rows kept are canonical, so minimalization takes them as
+        they are, and decodes only the generators it keeps.
         """
         M = N.module
-        T, image = self._image_context(N)
-        span = image.span
-        gens = M.gens()
+        context = self._image_context(N)
+        span, nb = context.span, M.ngens
+        rows = _unit_rows(nb)
         for i in range(self.S.ngens):
-            cols = [tensor_elem(self.S, M, i, w) for w in gens]
-            if all(span.contains(c) for c in cols):
+            if all(span.contains_terms(_shift_terms(row[3], i * nb))
+                   for row in rows):
                 continue
-            gens = r_preimage(M.ring, cols, gens, span, T.ngens)
-        return Submodule(M, tuple(gens)).minimalized(canonical=True)
+            rows = r_preimage(M.ring,
+                              [_shift_terms(row[3], i * nb) for row in rows],
+                              [row[3] for row in rows], nb, span,
+                              context.T.ngens)
+        return _minimal_submodule(M, rows)
 
 
 class IntersectionClosure(ClosureOp):

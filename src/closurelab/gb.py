@@ -33,18 +33,23 @@ coefficient, and a reduction step cross-multiplies instead of dividing
 GF(p) a basis element is monic and coefficients are kept in [0, p).
 Fractions appear only where a Vec enters the kernel (denominators
 cleared) or leaves it (output bases made monic, normal forms divided by
-the accumulated multiplier).
+the accumulated multiplier).  A kernel column or term dict may sit at any
+nonzero scale: spans, membership and normalized rows do not see it.
 
 Inside the kernel every monomial is an int too, its order code
 (orders.MonomialCode), the one implementation of the ring order: codes
 compare the way the order does, a product of monomials is a sum of codes,
 and divisibility is one test on the difference of two codes.  Exponent
-tuples are converted to codes where a Vec enters the kernel and back
-where it leaves, and in leading_terms; Vecs and everything outside this
-module keep tuples, which they order by the same codes.  An exponent past
-orders.EXP_BOUND raises UnsupportedInputError: encode refuses it on the
-way in (if nothing ordered it before), and a reduction that grows one
-stops.
+tuples become codes in one place, _to_kernel, where a Vec enters the
+kernel: a Vec column of buchberger, the argument of normal_form and
+contains, and the edges of the closure path in modules and closure, which
+then work on kernel terms and rows (KernelCol columns, contains_terms,
+_reduce_terms) until an answer leaves.  Codes become tuples again in
+_from_kernel, where a basis or a kept generator is decoded, and in
+leading_terms; Vecs keep tuples, which they order by the same codes.  An
+exponent past orders.EXP_BOUND raises UnsupportedInputError: encode
+refuses it on the way in (if nothing ordered it before), and a reduction
+that grows one stops.
 
 Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
@@ -238,6 +243,22 @@ def _from_kernel(terms, den, p, code):
     return {(j, dec(m)): Fraction(c, den) for (j, m), c in terms.items()}
 
 
+class KernelCol:
+    """A column already in kernel form: its int terms {(comp, m): c}, m
+    the monomial's order code, at any nonzero scale.  buchberger takes
+    its terms as they are, where it encodes a Vec (_to_kernel)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+
+def _shift_terms(terms, offset):
+    """A copy of kernel terms with every component moved by offset."""
+    return {(j + offset, m): c for (j, m), c in terms.items()}
+
+
 def _reduce_terms(terms, rows_of, key, code, p, stop_early=False):
     """Fully reduce an int term dict against basis rows, in place.
 
@@ -393,12 +414,18 @@ class GroebnerBasis:
                    _from_kernel(rem, den * mult, p, code))
 
     def contains(self, v: Vec) -> bool:
-        """Is v in the span?  The reduction stops at the first leading
-        term that no row divides, which stays in the remainder, so v is
-        not a member; nothing is decoded."""
-        p, code = self.ring.field.char, self._code
-        terms, _den = _to_kernel(v.terms, p, code)
-        rem, _mult = _reduce_terms(terms, self._rows_of, self._key, code, p,
+        """Is v in the span?  v is encoded, and its terms tested
+        (contains_terms)."""
+        return self.contains_terms(
+            _to_kernel(v.terms, self.ring.field.char, self._code)[0])
+
+    def contains_terms(self, terms) -> bool:
+        """Are the kernel terms, at any nonzero scale, in the span?  They
+        are reduced in place, and the reduction stops at the first leading
+        term that no row divides, which stays in the remainder, so they
+        are not a member; nothing is decoded."""
+        rem, _mult = _reduce_terms(terms, self._rows_of, self._key,
+                                   self._code, self.ring.field.char,
                                    stop_early=True)
         return not rem
 
@@ -472,7 +499,8 @@ def _undominated(basis, nseed, code):
 def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
                eliminate=False) -> GroebnerBasis:
     """Reduced Groebner basis of the span of cols in P^ncomps under the
-    module order keyfn (a ModuleOrder).
+    module order keyfn (a ModuleOrder).  A column is a Vec, encoded here,
+    or a KernelCol, whose terms are taken as they are (and not changed).
 
     seed, a GroebnerBasis over the same ring, ncomps and order, adds its
     span: its kernel rows start the basis as they are, and no pair of two
@@ -496,7 +524,7 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
     if seed is not None and (seed.ring, seed.ncomps, seed.order) != (
             ring, ncomps, keyfn):
         raise ValueError("seed basis of another ring, rank or order")
-    cols = [c for c in cols if not c.is_zero()]
+    cols = [c for c in cols if c.terms]
     if seed is not None and not cols and not eliminate:
         return seed
     p = ring.field.char
@@ -546,8 +574,9 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
         push_pairs(len(basis) - 1)
 
     for col in cols:
-        rem, _mult = _reduce_terms(_to_kernel(col.terms, p, code)[0], rows_of,
-                                   key, code, p)
+        terms = (_to_kernel(col.terms, p, code)[0] if isinstance(col, Vec)
+                 else dict(col.terms))
+        rem, _mult = _reduce_terms(terms, rows_of, key, code, p)
         if rem:
             add_element(rem)
 
@@ -624,6 +653,5 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
 
 def _shifted(rows, offset):
     """Kernel rows with every component moved by offset."""
-    return [(c + offset, e, lc,
-             {(j + offset, m): x for (j, m), x in t.items()})
+    return [(c + offset, e, lc, _shift_terms(t, offset))
             for c, e, lc, t in rows]

@@ -21,12 +21,14 @@ from .poly import PolyRing
 class Echelon:
     """Row echelon form over the coefficient field, one row at a time.
 
-    Rows are sequences of field values; denominators are cleared on the
-    way in, so the work is on Python ints, sparse by column.  A stored
-    row's pivot is its first nonzero column.  Over Q a stored row is a
-    primitive integer vector, and a reduction step cross-multiplies
-    instead of dividing, keeping the multiplier; over GF(p) a stored row
-    is monic and entries stay in [0, p).  Every stored row is reduced
+    Rows are sequences of field values, or of ints (read as field values;
+    over GF(p) in [0, p)), as the int coefficients of kernel rows are;
+    denominators are cleared on the way in, so the work is on Python
+    ints, sparse by column.  A stored row's pivot is its first nonzero
+    column.  Over Q a stored row is a primitive integer vector, and a
+    reduction step cross-multiplies instead of dividing, keeping the
+    multiplier; over GF(p) a stored row is monic and entries stay in
+    [0, p).  Every stored row is reduced
     against the rows stored before it, so reducing a vector against them
     in storage order clears every pivot.  Nothing here calls the Groebner
     kernel.

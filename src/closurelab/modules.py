@@ -13,17 +13,26 @@ A module is born with the basis its constructor already holds
 syzygy run, a tensor with a free module relabels copies of the other
 factor's rows, direct_sum relabels both factors' rows, and S (x) R is S.
 Any other module builds its basis by one span run on first use, and
-keeps it.  Every block-order question is one seeded run
-(_block_basis) on the columns (map column | value), starting from the
+keeps it.  A submodule may likewise be born with its span basis
+(Submodule._with_span), as the tensor image of a module closure is.
+
+Every block-order question is one seeded run (_block_basis) on the
+columns (map column | value), assembled from kernel terms (gb.KernelCol):
+a caller with Vecs encodes each once at its edge (_unit_pairs for the
+unit values of syzygies, kernels, colons and certificates), and the
+closure hands over the rows it already holds.  The run starts from the
 reduced span basis of the target stacked on the ideal's basis on the
 value components; both are kept, the span by its owner and the ideal's
 rows by the ring (QuotientRing.free_relation_basis), each with its index,
 so no seed is rebuilt for a run.  Preimages and syzygies are eliminating
-runs, which hand back the value block alone (preimage_basis); their
-generators are made canonical on its kernel rows (_distinct_monic).
-Membership certificates read the value block of a normal form against
-the whole block basis (Submodule.ext).  The ideal never enters a run as
-input columns.
+runs, which hand back the value block alone (preimage_basis); r_preimage
+makes them canonical on its kernel rows (_distinct_monic) and hands the
+rows to every caller, which decodes only what it returns: r_syzygies
+decodes them all, and the closure, intersect, colon_elem and kernel hand
+them to minimal_generators as they are, which works on rows and decodes
+the generators it keeps.  Membership certificates read the value block
+of a normal form against the whole block basis (Submodule.ext).  The
+ideal never enters a run as input columns.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .gb import (GroebnerBasis, Vec, _from_kernel, _normalize, _reduce_terms,
-                 _to_kernel, buchberger)
+from .gb import (GroebnerBasis, KernelCol, Vec, _from_kernel, _normalize,
+                 _reduce_terms, _shift_terms, _to_kernel, buchberger)
 from .linalg import Echelon
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError, mono_divides
@@ -60,63 +69,91 @@ def r_span_basis(M: FPModule, cols):
                       seed=M.relation_basis())
 
 
-def unit_vectors(ring: QuotientRing, t: int):
-    return [Vec.unit(ring.ambient, t, l) for l in range(t)]
+def _unit_pairs(ring: QuotientRing, cols):
+    """(map columns, values) of the block columns (col_l | e_l): each Vec
+    col_l encoded, and the unit e_l at the scale its encoding cleared the
+    denominators by, as kernel terms.  These are the block columns of
+    syzygies, kernels, colons and certificates."""
+    amb = ring.ambient
+    p, code = amb.field.char, amb.code
+    maps, values = [], []
+    for l, col in enumerate(cols):
+        terms, den = _to_kernel(col.terms, p, code)
+        maps.append(terms)
+        values.append({(l, 0): den})    # 0 is the code of the monomial 1
+    return maps, values
+
+
+def _unit_rows(n):
+    """The kernel rows of the unit vectors e_0..e_{n-1} of P^n."""
+    return [(j, 0, 1, {(j, 0): 1}) for j in range(n)]
+
+
+def _decoded(ring: QuotientRing, ncomps, rows) -> list:
+    """The kernel rows (comp, m, lc, terms) of P^ncomps as monic Vecs."""
+    amb = ring.ambient
+    p, code = amb.field.char, amb.code
+    return [Vec(amb, ncomps, _from_kernel(terms, lc, p, code))
+            for _c, _m, lc, terms in rows]
 
 
 def r_syzygies(ring: QuotientRing, cols, ncomps):
     """Generators over R of the syzygy module of cols in R^ncomps: the
     preimage of I P^ncomps under the map R^t -> R^ncomps they give, as the
     distinct monic normal forms of the reduced TOP basis of
-    {a in P^t : sum a_l cols_l in I P^ncomps}."""
+    {a in P^t : sum a_l cols_l in I P^ncomps}, decoded into Vecs."""
     cols = list(cols)
-    return r_preimage(ring, cols, unit_vectors(ring, len(cols)),
+    rows = r_preimage(ring, *_unit_pairs(ring, cols), len(cols),
                       ring.free_relation_basis(ncomps), ncomps)
+    return _decoded(ring, len(cols), rows)
 
 
-def _block_basis(ring: QuotientRing, map_cols, values, span, ncomps,
-                 eliminate=False) -> GroebnerBasis:
+def _block_basis(ring: QuotientRing, map_cols, values, nvalues, span,
+                 ncomps, eliminate=False) -> GroebnerBasis:
     """Reduced basis of the span of the columns (map_col_l | value_l), of
-    span in P^ncomps and of I P^n in the last n components, in
+    span in P^ncomps and of I P^n in the last n = nvalues components, in
     P^(ncomps + n) under the block order with P^ncomps dominant; values is
     not empty.  With eliminate, its value block alone (see buchberger).
 
-    span is the target's reduced basis in P^ncomps, relations and ideal
-    included.  One run, seeded with span's rows stacked on the ideal's
-    basis in the last n components, which the ring keeps.
+    map_cols and values are kernel terms in P^ncomps and P^n, each pair
+    at one scale; a column is assembled from them as they are.  span is
+    the target's reduced basis in P^ncomps, relations and ideal included.
+    One run, seeded with span's rows stacked on the ideal's basis in the
+    last n components, which the ring keeps.
     """
-    n = values[0].ncomps
-    big, amb = ncomps + n, ring.ambient
-    lower = ring.free_relation_basis(n, ncomps)
-    cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
+    lower = ring.free_relation_basis(nvalues, ncomps)
+    cols = [KernelCol({**mc, **_shift_terms(v, ncomps)})
             for mc, v in zip(map_cols, values)]
-    return buchberger(cols, big, lower.order, amb,
+    return buchberger(cols, ncomps + nvalues, lower.order, ring.ambient,
                       seed=GroebnerBasis.stacked(span, lower),
                       eliminate=eliminate)
 
 
-def preimage_basis(ring: QuotientRing, map_cols, values, span,
+def preimage_basis(ring: QuotientRing, map_cols, values, nvalues, span,
                    ncomps) -> GroebnerBasis:
     """Reduced basis of {sum c_l values_l : sum c_l map_cols_l in span}
-    + I P^n in P^n, under TOP over the ring order; values is not empty.
+    + I P^n in P^n, n = nvalues, under TOP over the ring order; values is
+    not empty, and both are kernel terms (see _block_basis).
 
     The value block of _block_basis, which the eliminating run hands back
     as it is: its rows are the block basis's rows in the last n
     components, in basis order, relabelled.
     """
-    return _block_basis(ring, map_cols, values, span, ncomps, eliminate=True)
+    return _block_basis(ring, map_cols, values, nvalues, span, ncomps,
+                        eliminate=True)
 
 
-def r_preimage(ring: QuotientRing, map_cols, values, span, ncomps):
-    """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n:
-    the distinct monic normal forms of the rows of preimage_basis (two of
-    them may be equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac), and
-    one may vanish there)."""
-    values = list(values)
+def r_preimage(ring: QuotientRing, map_cols, values, nvalues, span, ncomps):
+    """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n,
+    n = nvalues, the map columns and values as kernel terms: the distinct
+    monic normal forms of the rows of preimage_basis (two of them may be
+    equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac), and one may
+    vanish there), as kernel rows.  A caller that needs Vecs decodes
+    them (_decoded); minimal_generators takes them as they are."""
     if not values:
         return []
-    basis = preimage_basis(ring, map_cols, values, span, ncomps)
-    return _distinct_monic(ring, basis.ncomps, basis._rows)
+    basis = preimage_basis(ring, map_cols, values, nvalues, span, ncomps)
+    return _distinct_monic(ring, nvalues, basis._rows)
 
 
 def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
@@ -135,31 +172,29 @@ def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
                 for m, c in ring.nf(v.component(j)).terms.items()})
 
 
-def _distinct_monic(ring: QuotientRing, ncomps, rows, vecs=None) -> list:
+def _distinct_monic(ring: QuotientRing, ncomps, rows,
+                    compare=False) -> list:
     """The distinct nonzero monic normal forms modulo I P^ncomps of the
-    kernel rows (comp, m, lc, terms) under TOP, as Vecs, first occurrences
-    in order.
+    kernel rows (comp, m, lc, terms) under TOP, as kernel rows, first
+    occurrences in order.
 
     Each row is normalized (gb._normalize), its terms in descending order,
     lead first.  A row none of whose terms an ideal lead divides is its own
-    normal form, and is decoded once, divided by its lc.  Only a row that
-    an ideal lead reaches is reduced, against the ring's basis of
-    I P^ncomps, and normalized again; it may vanish, or meet another row.
-    Rows compare by their int terms, which normalization makes canonical.
+    normal form, and comes back as it is.  Only a row that an ideal lead
+    reaches is reduced, against the ring's basis of I P^ncomps, and
+    normalized again; it may vanish, or meet another row.  Rows compare by
+    their int terms, which normalization makes canonical.
 
-    Without vecs the rows are those of one reduced basis, pairwise
+    Without compare the rows are those of one reduced basis, pairwise
     distinct, and they are compared only when a row was reduced.  With
-    vecs they are any candidates, always compared, and vecs holds for
-    each the monic Vec it encodes, or None: a row that is its own normal
-    form comes back as that Vec, not decoded again.
+    compare they are any candidates, always compared.
     """
     amb = ring.ambient
     p, code = amb.field.char, amb.code
     xor, add, guard = code.xor, code.add, code.guard
     leads = [e for _c, e, _lc, _t in ring._gb._rows]
-    compare = vecs is not None
     forms = []
-    for row, vec in zip(rows, vecs if compare else [None] * len(rows)):
+    for row in rows:
         terms = row[3]
         if any(not ((((m - e) ^ xor) + add) & guard)
                for _j, m in terms for e in leads):
@@ -168,19 +203,17 @@ def _distinct_monic(ring: QuotientRing, ncomps, rows, vecs=None) -> list:
                                          ideal._key, code, p)
             if not terms:
                 continue
-            row, vec, compare = (*_normalize(terms, p), terms), None, True
-        forms.append((row, vec))
+            row, compare = (*_normalize(terms, p), terms), True
+        forms.append(row)
     if compare:
         seen, unique = set(), []
-        for form in forms:
-            key = frozenset(form[0][3].items())
+        for row in forms:
+            key = frozenset(row[3].items())
             if key not in seen:
                 seen.add(key)
-                unique.append(form)
+                unique.append(row)
         forms = unique
-    return [vec if vec is not None
-            else Vec(amb, ncomps, _from_kernel(row[3], row[2], p, code))
-            for row, vec in forms]
+    return forms
 
 
 # --- finitely presented modules ----------------------------------------------
@@ -218,8 +251,12 @@ class FPModule:
 
     def vec(self, col) -> Vec:
         """A cover vector from ring elements / strings / polynomials, or a
-        Vec of the cover's rank as it is; any other rank is refused."""
+        Vec over the ambient ring, of the cover's rank, as it is; a Vec of
+        another ring or rank is refused."""
         if isinstance(col, Vec):
+            amb = self.ring.ambient
+            if col.ring is not amb and col.ring != amb:
+                raise ContextError("vector over another ring")
             if col.ncomps != self.ngens:
                 raise ContextError(f"vector of rank {col.ncomps} in a module "
                                    f"of rank {self.ngens}")
@@ -366,8 +403,8 @@ class Submodule:
     """Submodule of an FPModule, generated by vectors in its free cover.
 
     It keeps two bases, each built on first use: span, which answers
-    membership, and ext, the block basis whose normal forms give
-    certificates.  They are reduced, hence canonical, so two threads
+    membership (or given at birth, _with_span), and ext, the block basis
+    whose normal forms give certificates.  They are reduced, hence canonical, so two threads
     racing on one submodule at worst build two equal bases and keep
     either.  (On Python 3.11 cached_property holds a lock while it
     computes; from 3.12 it takes none.)
@@ -376,6 +413,21 @@ class Submodule:
     def __init__(self, module: FPModule, gens):
         self.module = module
         self.gens = tuple(gens)
+
+    @classmethod
+    def _with_span(cls, module: FPModule, gens, span) -> "Submodule":
+        """The submodule generated by gens, born with span as its span
+        basis: the reduced TOP basis of gens and the module's relations,
+        which its maker already holds, so no run builds it again.  A basis
+        of another ring, rank or order is refused, as buchberger refuses
+        such a seed."""
+        amb = module.ring.ambient
+        if (span.ring, span.ncomps, span.order) != (
+                amb, module.ngens, ModuleOrder(amb.order)):
+            raise ValueError("span basis of another ring, rank or order")
+        sub = cls(module, gens)
+        sub.span = span
+        return sub
 
     @property
     def ring(self):
@@ -392,9 +444,8 @@ class Submodule:
         generator and each relation of the module, seeded with I P^s."""
         cols = list(self.gens) + list(self.module.relations)
         s = self.module.ngens
-        return _block_basis(self.ring, cols,
-                            unit_vectors(self.ring, len(cols)),
-                            self.ring.free_relation_basis(s), s)
+        return _block_basis(self.ring, *_unit_pairs(self.ring, cols),
+                            len(cols), self.ring.free_relation_basis(s), s)
 
     def contains(self, v) -> bool:
         v = self.module.vec(v)
@@ -428,7 +479,12 @@ class Submodule:
         return next((g for g in gens if not self.contains(g)), None)
 
     def contains_submodule(self, other: "Submodule") -> bool:
-        return self.first_outside(other.gens) is None
+        """Whether every generator of other lies in this submodule.  A
+        generator equal to one of gens is in it, and is not tested, so two
+        submodules with equal generators compare without a span run."""
+        gens = self.gens
+        return self.first_outside(
+            [g for g in other.gens if g not in gens]) is None
 
     def same_as(self, other: "Submodule") -> bool:
         return self.contains_submodule(other) and other.contains_submodule(self)
@@ -443,25 +499,23 @@ class Submodule:
         other's span basis contains."""
         if other.module != self.module:
             raise ContextError("submodules of different modules")
-        cols = list(self.gens) + list(self.module.relations)
-        gens = r_preimage(self.ring, cols, cols, other.span,
-                          self.module.ngens)
-        return Submodule(self.module, tuple(gens)).minimalized(canonical=True)
+        amb, n = self.ring.ambient, self.module.ngens
+        cols = [_to_kernel(c.terms, amb.field.char, amb.code)[0]
+                for c in list(self.gens) + list(self.module.relations)]
+        return _minimal_submodule(self.module, r_preimage(
+            self.ring, cols, cols, n, other.span, n))
 
     def colon_elem(self, x) -> "Submodule":
         """(self :_M x) = {m in M : x m in self}."""
-        gens = r_preimage(self.ring, scaled_gens(self.module, [x]),
-                          self.module.gens(), self.span, self.module.ngens)
-        return Submodule(self.module, tuple(gens)).minimalized(canonical=True)
+        n = self.module.ngens
+        return _minimal_submodule(self.module, r_preimage(
+            self.ring, *_unit_pairs(self.ring, scaled_gens(self.module, [x])),
+            n, self.span, n))
 
-    def minimalized(self, *, canonical=False) -> "Submodule":
-        """Prune the generating set to a minimal one (deterministically).
-
-        canonical says that the generators are already distinct monic
-        normal forms, as a preimage run hands them out (r_preimage), so
-        they are not made canonical again (see minimal_generators)."""
+    def minimalized(self) -> "Submodule":
+        """Prune the generating set to a minimal one (deterministically)."""
         return Submodule(self.module, tuple(
-            minimal_generators(self.module, self.gens, canonical)))
+            minimal_generators(self.module, self.gens)))
 
     def gens_as_ring_elems(self):
         if self.module.ngens != 1:
@@ -508,9 +562,10 @@ class ModuleMap:
         return self.target.submodule(self.cols)
 
     def kernel(self) -> Submodule:
-        gens = r_preimage(self.source.ring, self.cols, self.source.gens(),
-                          self.target.relation_basis(), self.target.ngens)
-        return Submodule(self.source, tuple(gens)).minimalized(canonical=True)
+        return _minimal_submodule(self.source, r_preimage(
+            self.source.ring, *_unit_pairs(self.source.ring, self.cols),
+            self.source.ngens, self.target.relation_basis(),
+            self.target.ngens))
 
     def is_surjective(self) -> bool:
         im = self.image()
@@ -553,9 +608,10 @@ def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
     if not elems:
         return free_module(ring, degrees)
     cols = [Vec.from_polys([e.poly]) for e in elems]
-    basis = preimage_basis(ring, cols, unit_vectors(ring, len(cols)),
+    basis = preimage_basis(ring, *_unit_pairs(ring, cols), len(cols),
                            ring.free_relation_basis(1), 1)
-    syz = _distinct_monic(ring, basis.ncomps, basis._rows)
+    syz = _decoded(ring, basis.ncomps,
+                   _distinct_monic(ring, basis.ncomps, basis._rows))
     return FPModule._with_basis(ring, degrees, syz, basis)
 
 
@@ -710,33 +766,49 @@ def minimal_generators(M: FPModule, cols, canonical=False):
     modulo A (the kept candidates of lower degree plus the relations) lies
     in the k-span of the normal forms of the other degree-d candidates.
     Hence one Groebner basis of A per degree block, and rank tests on
-    coefficient rows inside the block.  A candidate is printed only to
-    order a block of two or more.
+    coefficient rows inside the block.
 
-    With canonical, cols are distinct monic normal forms already, as
-    r_preimage hands them out, and are taken as they are.
+    The candidates are kernel rows throughout.  With canonical, cols are
+    the rows of r_preimage, distinct monic normal forms of a run on
+    homogeneous columns, and are taken as they are; otherwise cols are
+    Vecs, encoded here, made canonical (_distinct_monic) and checked to be
+    homogeneous.  A degree is read from the lead, and a candidate is
+    decoded to be printed only to order a block of two or more.  Normal
+    forms modulo A are reduced against its rows, and the rank tests run
+    on their int coefficients.  The kept rows come back as Vecs, each
+    decoded once.
     """
     ring, shifts = M.ring, M.gen_degrees
     amb = ring.ambient
     p, code, wdeg = amb.field.char, amb.code, amb.wdeg
-    if not canonical:
+    dec = code.decode
+    if canonical:
+        rows = cols
+    else:
         key = ModuleOrder(amb.order).term_key
-        rows, vecs = [], []
+        rows = []
         for col in cols:
             if col.terms:
-                terms, den = _to_kernel(col.terms, p, code)
-                terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
-                                    reverse=True))
-                monic = next(iter(terms.values())) == den
+                terms = dict(sorted(_to_kernel(col.terms, p, code)[0].items(),
+                                    key=lambda t: key(t[0]), reverse=True))
                 rows.append((*_normalize(terms, p), terms))
-                vecs.append(col if monic else None)
-        cols = _distinct_monic(ring, M.ngens, rows, vecs)
+        rows = _distinct_monic(ring, M.ngens, rows, compare=True)
+    vecs = {}       # id of a row of rows -> its Vec, decoded once
+
+    def vec(row):
+        v = vecs.get(id(row))
+        if v is None:
+            v = vecs[id(row)] = _decoded(ring, M.ngens, [row])[0]
+        return v
+
     graded = []
-    for g in cols:
-        degrees = {wdeg(m) + shifts[j] for j, m in g.terms}
-        if len(degrees) > 1:
-            raise DomainError(f"inhomogeneous generator {g}")
-        graded.append((degrees.pop(), g))
+    for row in rows:
+        c, m, _lc, terms = row
+        d = wdeg(dec(m)) + shifts[c]
+        if not canonical and any(wdeg(dec(e)) + shifts[j] != d
+                                 for j, e in terms):
+            raise DomainError(f"inhomogeneous generator {vec(row)}")
+        graded.append((d, row))
     graded.sort(key=itemgetter(0))
     kept: list = []
     # basis of A, built for the first `spanned` kept candidates; without
@@ -744,35 +816,46 @@ def minimal_generators(M: FPModule, cols, canonical=False):
     span = M.relation_basis() if M.relations else None
     spanned = 0
     for _d, block in groupby(graded, key=itemgetter(0)):
-        block = [g for _d, g in block]
+        block = [row for _d, row in block]
         if len(block) > 1:
-            block.sort(key=str)
+            block.sort(key=lambda row: str(vec(row)))
         if len(kept) > spanned:
-            span = r_span_basis(M, kept)
+            span = r_span_basis(M, [KernelCol(row[3]) for row in kept])
             spanned = len(kept)
-        forms = block if span is None else [span.normal_form(g)
-                                            for g in block]
-        flags = _outside_later_spans(forms, ring.ambient.field)
-        kept += [g for g, keep in zip(block, flags) if keep]
-    return kept
+        if span is None:
+            forms = [row[3] for row in block]
+        else:
+            forms = [_reduce_terms(dict(row[3]), span._rows_of, span._key,
+                                   span._code, p)[0] for row in block]
+        flags = _outside_later_spans(forms, amb.field)
+        kept += [row for row, keep in zip(block, flags) if keep]
+    return [vec(row) for row in kept]
 
 
-def _outside_later_spans(vecs, fld):
-    """For each vector, whether it lies outside the k-span of those after it.
+def _minimal_submodule(M: FPModule, rows) -> "Submodule":
+    """The submodule of M minimally generated by the kernel rows of a
+    preimage run (r_preimage), as minimal_generators keeps them."""
+    return Submodule(M, tuple(minimal_generators(M, rows, canonical=True)))
+
+
+def _outside_later_spans(forms, fld):
+    """For each kernel term dict, whether it lies outside the k-span of
+    those after it: a rank test on their int coefficients, each dict at
+    any nonzero scale.
 
     Dropping, in order, each vector that the remaining others span keeps
     exactly these: a kept vector spanned by later ones and earlier kept
     ones would make the earliest such kept vector redundant.
     """
     index: dict = {}
-    for v in vecs:
-        for t in v.terms:
+    for terms in forms:
+        for t in terms:
             index.setdefault(t, len(index))
     echelon = Echelon(fld)
-    flags = [False] * len(vecs)
-    for i in reversed(range(len(vecs))):
-        row = [fld.zero] * len(index)
-        for t, c in vecs[i].terms.items():
+    flags = [False] * len(forms)
+    for i in reversed(range(len(forms))):
+        row = [0] * len(index)
+        for t, c in forms[i].items():
             row[index[t]] = c
         flags[i] = echelon.add(row)
     return flags

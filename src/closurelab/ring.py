@@ -370,7 +370,7 @@ class SubringPresentation:
         of {c : sum c_l g_l = 0 in B}, and its elements free of x are the
         relations.
         """
-        from .modules import preimage_basis, unit_vectors  # imports ring
+        from .modules import _unit_pairs, preimage_basis  # imports ring
         gens = list(module_gens)
         for l, g in enumerate(gens, 1):
             if g.ring != self.target:
@@ -383,8 +383,8 @@ class SubringPresentation:
             return []
         B, n_t, t = self.graph, self.target.nvars, len(gens)
         basis = preimage_basis(
-            B, [Vec.from_polys([_lift(g, B.ambient)]) for g in gens],
-            unit_vectors(B, t), B._gb, 1)
+            B, *_unit_pairs(B, [Vec.from_polys([_lift(g, B.ambient)])
+                                for g in gens]), t, B._gb, 1)
         return [Vec(self.pres_ring, t,
                     {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
                 for v in basis if not v.has_vars_below(n_t)]

@@ -71,17 +71,21 @@ def _kernel_rows(basis):
 @pytest.fixture
 def raw_preimage(monkeypatch):
     """probe(thunk) calls thunk and returns the generators it hands to
-    Submodule.minimalized, which it must call once, and its preimage runs
-    (the Buchberger runs under a block order) as (ncomps, nreal) pairs."""
+    minimal_generators, which it must call once, with the kernel rows of
+    a preimage run (canonical), decoded by the reference (as monic Vecs,
+    in order), and its preimage runs (the Buchberger runs under a block
+    order) as (ncomps, nreal) pairs."""
     from closurelab import modules
+    from oracles import ref_decoded_rows
 
     def probe(thunk):
         handed, runs = [], []
-        real_min, real_run = modules.Submodule.minimalized, modules.buchberger
+        real_min, real_run = modules.minimal_generators, modules.buchberger
 
-        def minimalized(self, **kwargs):
-            handed.append(list(self.gens))
-            return real_min(self, **kwargs)
+        def minimal_generators(M, cols, canonical=False):
+            assert canonical and all(len(row) == 4 for row in cols)
+            handed.append(ref_decoded_rows(M.ring, M.ngens, cols))
+            return real_min(M, cols, canonical)
 
         def buchberger(cols, ncomps, keyfn, *args, **kwargs):
             if keyfn.nreal is not None:
@@ -89,7 +93,7 @@ def raw_preimage(monkeypatch):
             return real_run(cols, ncomps, keyfn, *args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(modules.Submodule, "minimalized", minimalized)
+            patch.setattr(modules, "minimal_generators", minimal_generators)
             patch.setattr(modules, "buchberger", buchberger)
             thunk()
         assert len(handed) == 1
@@ -103,15 +107,17 @@ def preimages_vs_reference(monkeypatch):
     """check() compares every preimage_basis call made since the fixture
     was set up with the references in oracles: the basis, kernel row for
     kernel row (terms in order), with the whole block basis filtered
-    (ref_preimage_basis), and the generators r_preimage makes of its rows
-    with the Vec-level canonicalization (ref_distinct_monic).  It returns
-    counts of the calls, the rows, the rows an ideal lead reaches, those
-    that vanish modulo I and those that meet an earlier row."""
+    (ref_preimage_basis), and the kernel rows r_preimage makes of its
+    rows, decoded by the reference, with the Vec-level canonicalization
+    (ref_distinct_monic).  It returns counts of the calls, the rows, the
+    rows an ideal lead reaches, those that vanish modulo I and those that
+    meet an earlier row."""
     from collections import Counter
 
     from closurelab import modules
     from closurelab.modules import nf_vec
-    from oracles import ref_distinct_monic, ref_preimage_basis
+    from oracles import (ref_decoded_rows, ref_distinct_monic,
+                         ref_preimage_basis)
 
     calls = []
     real = modules.preimage_basis
@@ -128,7 +134,8 @@ def preimages_vs_reference(monkeypatch):
             want = ref_preimage_basis(*args)
             assert (basis.ncomps, basis.order) == (want.ncomps, want.order)
             assert _kernel_rows(basis) == _kernel_rows(want), args
-            got = modules._distinct_monic(ring, basis.ncomps, basis._rows)
+            got = ref_decoded_rows(ring, basis.ncomps, modules._distinct_monic(
+                ring, basis.ncomps, basis._rows))
             assert got == ref_distinct_monic(ring, want), args
             forms = [nf_vec(ring, v) for v in want]
             seen["calls"] += 1

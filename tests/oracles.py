@@ -5,7 +5,9 @@ kernel dimensions come from exact row reduction of degreewise coordinate
 matrices, and the reference monomial-order comparisons follow the textbook
 definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
-minimalization is checked against, `ref_span_basis`, the unseeded span
+minimalization is checked against, `vec_minimal_generators`, the
+per-degree minimalization on `Vec`s that the one on kernel rows is
+checked against, `ref_span_basis`, the unseeded span
 run (the ideal as input columns) that the seeded `r_span_basis` is
 checked against, and `ref_relation_basis`, the same run on a module's
 relations, that the relation bases modules are born with are checked
@@ -20,6 +22,8 @@ which the eliminating run and its kept seed index are checked against,
 `ref_distinct_monic` and `ref_monic_vec`, the `Vec`-level
 canonicalization (normal form by `QuotientRing.nf`, monic form, dedup on
 field terms) that the kernel-row `_distinct_monic` is checked against,
+with `kernel_terms_vec` and `ref_decoded_rows`, which read kernel terms
+and rows as `Vec`s without the engine's decoder,
 `ref_module_relation_columns`, the syzygy-then-elimination construction
 that subring module relations are checked against, `extended_groebner`,
 the run with the ideal as input columns, each with a shadow component,
@@ -59,7 +63,9 @@ by row reduction (`brute_kernel_dim`).
 
 import heapq
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
@@ -70,7 +76,8 @@ from closurelab.linalg import (component_terms, graded_span_dim,
 from closurelab.modules import (FPModule, ideal_columns, nf_vec, r_preimage,
                                 scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
-from closurelab.poly import ParseError, PolyRing, Polynomial, _tokenize_poly
+from closurelab.poly import (DomainError, ParseError, PolyRing, Polynomial,
+                             _tokenize_poly)
 from closurelab.sampling import achievable_degrees, random_homogeneous_elem
 
 
@@ -218,10 +225,11 @@ def residual(rref, pivots, vec, field):
 
 
 def outside_later_spans(vecs, fld):
-    """For each vector, whether it lies outside the k-span of those after it."""
+    """For each vector, a {term: field value} dict, whether it lies
+    outside the k-span of those after it."""
     index: dict = {}
     for v in vecs:
-        for t in v.terms:
+        for t in v:
             index.setdefault(t, len(index))
     # each stored row is reduced against the ones stored before it, so
     # `residual` clears their pivots in storage order
@@ -229,7 +237,7 @@ def outside_later_spans(vecs, fld):
     flags = [False] * len(vecs)
     for i in reversed(range(len(vecs))):
         row = [fld.zero] * len(index)
-        for t, c in vecs[i].terms.items():
+        for t, c in vecs[i].items():
             row[index[t]] = c
         row = residual(rows, pivots, row, fld)
         p = next((k for k, x in enumerate(row) if x != fld.zero), None)
@@ -1048,20 +1056,39 @@ def ref_preimage(ring, map_cols, target_cols, ncomps):
         if g.take_components(0, ncomps).is_zero()])
 
 
-def ref_preimage_basis(ring, map_cols, values, span, ncomps):
+def kernel_terms_vec(ring, ncomps, terms) -> Vec:
+    """Kernel terms {(comp, code): int} as the Vec they encode, at the
+    same scale: each code decoded, each int read as a field value."""
+    amb = ring.ambient
+    dec, fld = amb.code.decode, amb.field
+    return Vec(amb, ncomps, {(j, dec(m)): fld.from_int(c)
+                             for (j, m), c in terms.items()})
+
+
+def ref_decoded_rows(ring, ncomps, rows) -> list:
+    """Kernel rows (comp, m, lc, terms) as monic Vecs, each divided by its
+    lead coefficient under TOP (ref_monic_vec)."""
+    return [ref_monic_vec(kernel_terms_vec(ring, ncomps, row[3]))
+            for row in rows]
+
+
+def ref_preimage_basis(ring, map_cols, values, nvalues, span, ncomps):
     """preimage_basis from the whole block basis: one run, not
-    eliminating, seeded with a basis built for it from span's rows and
-    the ideal's rows moved to the last n components (its index built
-    from its rows), then the rows in the last n components, in basis
-    order, relabelled to components 0..n-1 under TOP."""
-    n = values[0].ncomps
+    eliminating, on the block columns merged and padded as Vecs, seeded
+    with a basis built for it from span's rows and the ideal's rows moved
+    to the last n components (its index built from its rows), then the
+    rows in the last n components, in basis order, relabelled to
+    components 0..n-1 under TOP."""
+    n = nvalues
     big, amb = ncomps + n, ring.ambient
     order = ModuleOrder(amb.order, ncomps)
     ideal = [(c + ncomps, e, lc,
               {(j + ncomps, m): x for (j, m), x in t.items()})
              for c, e, lc, t in ring.free_relation_basis(n)._rows]
     seed = GroebnerBasis(amb, big, order, span._rows + ideal)
-    cols = [Vec(amb, big, {**mc.terms, **v.pad(big, offset=ncomps).terms})
+    cols = [Vec(amb, big, {**kernel_terms_vec(ring, ncomps, mc).terms,
+                           **kernel_terms_vec(ring, n, v).pad(
+                               big, offset=ncomps).terms})
             for mc, v in zip(map_cols, values)]
     rows = buchberger(cols, big, order, amb, seed=seed)._rows
     return GroebnerBasis(amb, n, ModuleOrder(amb.order), [
@@ -1135,12 +1162,19 @@ def ref_closure_steps(S, N):
     T = tensor(S, M)
     span = T.submodule([tensor_elem(S, M, p, nq)
                         for p in range(S.ngens) for nq in N.gens]).span
+    amb = M.ring.ambient
+
+    def encoded(v):
+        return _to_kernel(v.terms, amb.field.char, amb.code)[0]
+
     steps, satisfied = [M.gens()], []
     for i in range(S.ngens):
         gens = steps[-1]
         cols = [tensor_elem(S, M, i, w) for w in gens]
         satisfied.append(all(span.normal_form(c).is_zero() for c in cols))
-        steps.append(r_preimage(M.ring, cols, gens, span, T.ngens))
+        rows = r_preimage(M.ring, [encoded(c) for c in cols],
+                          [encoded(w) for w in gens], M.ngens, span, T.ngens)
+        steps.append(ref_decoded_rows(M.ring, M.ngens, rows))
     return steps, satisfied
 
 
@@ -1237,6 +1271,35 @@ def brute_relation_dim(images, pres_ring, module_gens, d) -> int:
 
 
 # --- minimal generators, one Groebner basis per candidate --------------------------
+
+
+def vec_minimal_generators(M, cols):
+    """minimal_generators as it ran on Vecs before its candidates stayed
+    kernel rows: the distinct monic normal forms (ref_distinct_monic),
+    sorted by (degree, str), one span basis of the kept candidates and
+    the relations per degree block (ref_span_basis), the candidates'
+    normal forms against it decoded into Vecs (GroebnerBasis.normal_form),
+    and the field-value independence scan on their coefficients
+    (outside_later_spans)."""
+    ring, shifts = M.ring, M.gen_degrees
+    graded = []
+    for g in ref_distinct_monic(ring, cols):
+        degrees = {ring.ambient.wdeg(m) + shifts[j] for j, m in g.terms}
+        if len(degrees) > 1:
+            raise DomainError(f"inhomogeneous generator {g}")
+        graded.append((degrees.pop(), g))
+    graded.sort(key=itemgetter(0))
+    kept = []
+    for _d, block in groupby(graded, key=itemgetter(0)):
+        block = sorted((g for _d, g in block), key=str)
+        forms = block
+        if kept or M.relations:
+            span = ref_span_basis(ring, kept + list(M.relations), M.ngens)
+            forms = [span.normal_form(g) for g in block]
+        flags = outside_later_spans([f.terms for f in forms],
+                                    ring.ambient.field)
+        kept += [g for g, keep in zip(block, flags) if keep]
+    return kept
 
 
 def greedy_minimal_generators(ring, cols, shifts, relations=()):

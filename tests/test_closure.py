@@ -253,6 +253,38 @@ def test_intersection_idempotent(segre):
     assert intersect_closures(cl, cl).closure(N).same_as(cl.closure(N))
 
 
+def test_same_as_makes_no_span_run_for_generators_it_has(monkeypatch):
+    """On one closure-axiom instance (a module closure over F5[x,y]), the
+    idempotence check again.same_as(closed) compares two equal generator
+    tuples with no Buchberger run; it used to build both spans.  Against
+    closed + N only N's generators that closed lacks are tested: one span
+    run, closed's, where there were two."""
+    from closurelab.acceptance import _property_rings, _random_ideal_module
+    from closurelab.sampling import random_ideal_gens
+
+    rng = random.Random("same-as-runs")
+    ring = _property_rings()[0]
+    cl = ModuleClosure(_random_ideal_module(ring, rng))
+    N = ideal_submodule(ring, random_ideal_gens(ring, rng, 2, 3))
+    closed = cl.closure(N)
+    again = cl.closure(closed)
+    bigger = closed.sum(N)
+    assert again.gens == closed.gens
+    assert any(g not in closed.gens for g in N.gens)
+    runs = []
+    real = modules.buchberger
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "buchberger", counting)
+    assert again.same_as(closed)
+    assert runs == []
+    assert bigger.same_as(closed)
+    assert runs == [1]
+
+
 def test_intersection_closure_is_not_minimalized_again(monkeypatch):
     """On the intersection instances of the closure-axiom suite (a module
     closure meet the trivial closure, over its rings), the closure equals,
@@ -264,20 +296,23 @@ def test_intersection_closure_is_not_minimalized_again(monkeypatch):
 
     calls = []
     real = Submodule.minimalized
+    real_min = modules.minimal_generators
 
-    def counting(self, **kwargs):
-        calls.append(self)
-        return real(self, **kwargs)
+    def counting(M, cols, canonical=False):
+        calls.append(canonical)
+        return real_min(M, cols, canonical)
 
     rng = random.Random("intersection-minimalized")
-    monkeypatch.setattr(Submodule, "minimalized", counting)
+    monkeypatch.setattr(modules, "minimal_generators", counting)
     for ring in _property_rings() * 2:
         cl = intersect_closures(
             ModuleClosure(_random_ideal_module(ring, rng)), TrivialClosure())
         N = ideal_submodule(ring, random_ideal_gens(ring, rng, 2, 3))
         calls.clear()
         closed = cl.closure(N)
-        assert len(calls) == 3
+        # the rows of the module closure's preimage runs, the trivial
+        # part's generators, then the rows of the intersection's run
+        assert calls == [True, False, True]
         assert closed.gens == real(closed).gens
         assert closed.same_as(
             cl.parts[0].closure(N).intersect(cl.parts[1].closure(N)))
@@ -326,14 +361,19 @@ def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
     the rows of a preimage basis that no ideal lead reaches and the
     already normal generators handed to minimalization are not reduced
     again.  The rows an ideal lead reaches are reduced as kernel rows
-    (modules._distinct_monic), and QuotientRing.nf is not called."""
+    (modules._distinct_monic), and QuotientRing.nf is not called.
+    Minimalization reduces the candidates of a degree block modulo the
+    span of those kept below it as kernel rows too, against that span's
+    rows, where it called GroebnerBasis.normal_form on decoded Vecs."""
     changed, nf_calls = [], []
     real_reduce, real_nf = modules._reduce_terms, QuotientRing.nf
+    ideal_rows = veronese4.free_relation_basis(1)._rows_of
 
-    def counting(terms, *args, **kwargs):
+    def counting(terms, rows_of, *args, **kwargs):
         before = dict(terms)
-        rem, mult = real_reduce(terms, *args, **kwargs)
-        changed.append(rem != before)
+        rem, mult = real_reduce(terms, rows_of, *args, **kwargs)
+        kind = "ideal" if rows_of is ideal_rows else "span"
+        changed.append((kind, rem != before))
         return rem, mult
 
     def counting_nf(self, poly):
@@ -350,7 +390,10 @@ def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
     # four preimage rows such as b^3, equal to a^2*c in R, in the one
     # preimage run, for the first generator of S; the span it returns
     # already satisfies the second generator, whose step makes no run
-    assert changed == [True] * 4
+    assert changed[:4] == [("ideal", True)] * 4
+    # then the candidates of the blocks above the lowest one, two of them
+    # changed by the span of the kept candidates below
+    assert changed[4:] == [("span", True)] * 2 + [("span", False)] * 2
     assert nf_calls == []
 
 
@@ -461,6 +504,7 @@ def test_closure_makes_one_image_span_and_one_preimage_run_per_unsatisfied_step(
         return real(module, cols)
 
     monkeypatch.setattr(modules, "r_span_basis", counting)
+    monkeypatch.setattr(closure, "r_span_basis", counting)
     cl = ModuleClosure(s2_module)
     _gens, runs = raw_preimage(lambda: cl.closure(N))
     assert runs == want and spans.count(T) == 1

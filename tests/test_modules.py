@@ -1,6 +1,7 @@
 """FPModule layer: presentations, membership, tensor, kernels, resolutions."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,9 +24,11 @@ from oracles import (brute_member, brute_syzygies_complete,
                      graded_dim_of_span, greedy_minimal_generators,
                      module_graded_dim, outside_later_spans,
                      random_submodule_pair, ref_certificate,
-                     ref_colon_preimage, ref_intersect_preimage,
+                     ref_colon_preimage, ref_decoded_rows,
+                     ref_distinct_monic, ref_intersect_preimage,
                      ref_kernel_preimage, ref_span_basis, ref_syzygy_basis,
-                     same_presentation, verify_resolution)
+                     same_presentation, vec_minimal_generators,
+                     verify_resolution)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -307,10 +310,45 @@ def test_minimal_generators_match_greedy_oracle(request, field):
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
+def test_minimal_generators_on_rows_match_the_vec_routine(request, field):
+    """minimal_generators, its candidates kernel rows, keeps the very list
+    the routine on Vecs keeps (oracles.vec_minimal_generators): on random
+    candidate lists with copies, multiples and sums, handed over as Vecs,
+    and handed over canonical, as the encoded distinct monic normal forms
+    a preimage run would hand out; in modules with and without relations,
+    over Q and F5."""
+    if field == "Q":
+        kxy, segre = (request.getfixturevalue(n) for n in ("kxy", "segre"))
+    else:
+        kxy, segre = request.getfixturevalue("kxy_f5"), _segre_f5()
+    rng = random.Random(f"rows-vs-vecs-{field}")
+    shapes = Counter()
+    for trial in range(24):
+        M = _minimalization_modules(kxy, segre)[trial % 6]
+        amb = M.ring.ambient
+        gens = _redundant_gens(M, rng)
+        want = vec_minimal_generators(M, gens)
+        assert minimal_generators(M, gens) == want, trial
+        canonical = ref_distinct_monic(M.ring, gens)
+        key = ModuleOrder(amb.order).term_key
+        rows = []
+        for v in canonical:
+            terms = gb._to_kernel(v.terms, amb.field.char, amb.code)[0]
+            terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
+                                reverse=True))
+            rows.append((*gb._normalize(terms, amb.field.char), terms))
+        assert minimal_generators(M, rows, canonical=True) == want, trial
+        shapes["relations" if M.relations else "free"] += 1
+        shapes["pruned"] += len(want) < len(canonical)
+    assert shapes["relations"] and shapes["free"] and shapes["pruned"] > 12
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
 def test_minimal_generators_keep_what_the_field_value_scan_keeps(
         request, field, monkeypatch):
     """The integer echelon behind minimal_generators flags every degree
-    block as the field-value scan does, so the kept sets are equal."""
+    block, its normal forms as int kernel terms, as the field-value scan
+    flags them read as field values, so the kept sets are equal."""
     if field == "Q":
         kxy, segre = (request.getfixturevalue(n) for n in ("kxy", "segre"))
     else:
@@ -320,10 +358,11 @@ def test_minimal_generators_keep_what_the_field_value_scan_keeps(
     real = modules._outside_later_spans
     blocks = []
 
-    def reference(vecs, fld):
-        flags = outside_later_spans(vecs, fld)
-        assert real(vecs, fld) == flags
-        blocks.append(len(vecs))
+    def reference(forms, fld):
+        flags = outside_later_spans(
+            [{t: fld.from_int(c) for t, c in f.items()} for f in forms], fld)
+        assert real(forms, fld) == flags
+        blocks.append(len(forms))
         return flags
 
     for trial in range(12):
@@ -366,7 +405,8 @@ def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):
 @pytest.mark.parametrize("extended", [False, True], ids=["span", "extended"])
 def test_output_basis_is_not_converted_back_into_the_kernel(
         segre, monkeypatch, extended):
-    """Each nonzero input column enters the integer kernel once; the
+    """Each nonzero input column enters the integer kernel once, in the
+    run (span) or where the block columns are assembled (extended); the
     output basis is built from the kernel rows and never converted back.
     Span and certificate runs take the ideal from the ring's kernel rows,
     as their seed, not as input columns."""
@@ -378,6 +418,7 @@ def test_output_basis_is_not_converted_back_into_the_kernel(
         return real(terms, *args, **kwargs)
 
     monkeypatch.setattr(gb, "_to_kernel", counting)
+    monkeypatch.setattr(modules, "_to_kernel", counting)
     cols = [Vec.from_polys([segre.ambient.parse(t)])
             for t in ("a^2", "a*b", "b*c")]
     if extended:
@@ -551,9 +592,10 @@ def test_preimage_rows_equal_in_the_ring_give_one_generator(
     R1 = ring_as_module(R)
     a, c = (R1.vec([t]) for t in ("a", "c"))
     span = R1.submodule([c]).span
-    gens = modules.r_preimage(R, [a], [a], span, 1)
-    assert [str(g) for g in gens] == ["(a*c)"]
-    assert modules.r_preimage(R, [a], [R1.gen(0)],
+    a = gb._to_kernel(a.terms, fld.char, amb.code)[0]
+    rows = modules.r_preimage(R, [a], [a], 1, span, 1)
+    assert [str(g) for g in ref_decoded_rows(R, 1, rows)] == ["(a*c)"]
+    assert modules.r_preimage(R, [a], [{(0, 0): 1}], 1,
                               R1.relation_basis(), 1) == []
     seen = preimages_vs_reference()
     assert (seen["calls"], seen["rows"], seen["reached"], seen["vanish"],
@@ -1065,6 +1107,29 @@ def test_vec_of_wrong_rank_rejected(kxy, rank):
         with pytest.raises(ContextError,
                            match=f"vector of rank {rank} in a module of "
                                  f"rank 2"):
+            call(v)
+
+
+@pytest.mark.parametrize("other", ["f5", "xyz"])
+def test_vec_over_another_ring_rejected(kxy, other):
+    """A Vec over another ring is refused by membership, certificates,
+    closure membership and submodule generators, as one of another rank
+    is.  Before, an F5 vector x^2 in a module over Q was a member with
+    certificate [1], and a vector in z over k[x,y,z] failed with a
+    misleading exponent range error, or was kept as a generator."""
+    from closurelab.closure import ModuleClosure
+    from closurelab.poly import ContextError
+    names = ("x", "y") if other == "f5" else ("x", "y", "z")
+    fld = prime_field(5) if other == "f5" else QQ
+    amb = PolyRing(names, fld, DEGREVLEX)
+    exps = (2, 0) if other == "f5" else (0, 0, 1)
+    v = Vec(amb, 1, {(0, exps): fld.one})
+    N = ideal_submodule(kxy, ["x^2"])
+    cl = ModuleClosure(ideal_as_module(kxy, ["x", "y"]))
+    calls = [N.contains, N.certificate, lambda w: cl.member(w, N),
+             lambda w: N.module.submodule([w])]
+    for call in calls:
+        with pytest.raises(ContextError, match="vector over another ring"):
             call(v)
 
 
