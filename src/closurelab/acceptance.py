@@ -4,11 +4,24 @@ Every check is an exact symbolic computation (tolerance: exact equality).
 `closure-lab verify-paper` prints one pass/fail line per criterion, and
 tests/test_acceptance.py asserts each one.  The runtime targets quoted in
 the detail strings are informational.
+
+`run_all` runs the criteria, and criterion 7 suite by suite, on forked
+worker processes, one per CPU the process may use.  Its lines and records
+are those of running the criteria one after another: the lines still come
+in criterion order, each as soon as its result is in.  A record's
+`seconds` is the time its own computation took, wherever it ran; for
+criterion 7 it is the sum of its suites' times, so the `seconds` of a run
+add up to more than its wall time.  The criteria are run in this process
+instead when one CPU is usable, when the platform cannot fork, or when
+other threads are alive.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -414,24 +427,46 @@ def _random_column(M, rng):
                {(j, m): c for m, c in e.poly.terms.items()})
 
 
-@_criterion(7, "randomized property suites (>= 50 instances each)")
+PROPERTY_SUITES = (
+    ("closure axioms", _closure_axioms_instances, 200, 701),
+    ("semi-primeness", _semi_primeness_instances, 50, 702),
+    ("direct-sum closure", _direct_sum_instances, 50, 703),
+    ("faithfulness and N+mM bound", _faithful_bound_instances, 50, 704),
+    ("sum vs intersection", _sum_intersection_instances, 50, 705),
+    ("containment monotonicity", _containment_monotonicity_instances, 50,
+     706),
+)
+
+
+def _run_suite(k):
+    """Property suite k as (passed, detail, seconds)."""
+    name, fn, count, seed = PROPERTY_SUITES[k]
+    t0 = time.monotonic()
+    passed, detail = fn(count, seed)
+    return passed, f"{name}: {detail}", time.monotonic() - t0
+
+
+def _criterion_7(outcomes):
+    """Criterion 7 from its suites' outcomes, taken in suite order: the
+    detail of the first failing suite (later ones are not read), else every
+    detail joined; `seconds` is the sum of the suites' own times."""
+    details, seconds = [], 0.0
+    for passed, detail, secs in outcomes:
+        seconds += secs
+        if not passed:
+            return CriterionResult(7, criterion_7.title, False, detail,
+                                   seconds)
+        details.append(detail)
+    return CriterionResult(7, criterion_7.title, True, "; ".join(details),
+                           seconds)
+
+
 def criterion_7():
-    suites = [
-        ("closure axioms", _closure_axioms_instances, 200, 701),
-        ("semi-primeness", _semi_primeness_instances, 50, 702),
-        ("direct-sum closure", _direct_sum_instances, 50, 703),
-        ("faithfulness and N+mM bound", _faithful_bound_instances, 50, 704),
-        ("sum vs intersection", _sum_intersection_instances, 50, 705),
-        ("containment monotonicity", _containment_monotonicity_instances,
-         50, 706),
-    ]
-    details = []
-    for name, fn, count, seed in suites:
-        ok, detail = fn(count, seed)
-        if not ok:
-            return False, f"{name}: {detail}"
-        details.append(f"{name}: {detail}")
-    return True, "; ".join(details)
+    return _criterion_7(map(_run_suite, range(len(PROPERTY_SUITES))))
+
+
+criterion_7.number = 7
+criterion_7.title = "randomized property suites (>= 50 instances each)"
 
 
 # --- criterion 8: brute-force oracle agreement ------------------------------------
@@ -585,13 +620,89 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
 
-def run_all(verbose=True, numbers=None):
+def _units(fn):
+    """The independent units of a criterion, as (number, suite): criterion
+    7 is one unit per property suite, every other criterion one whole."""
+    if fn.number == 7:
+        return [(7, k) for k in range(len(PROPERTY_SUITES))]
+    return [(fn.number, None)]
+
+
+def _run_unit(unit):
+    """A criterion's CriterionResult, or a suite's (passed, detail,
+    seconds)."""
+    number, suite = unit
+    if suite is not None:
+        return _run_suite(suite)
+    return next(fn for fn in CRITERIA if fn.number == number)()
+
+
+def _run_unit_in_worker(unit):
+    """`_run_unit` in a pool worker; None when it raised.  An exception
+    does not cross back: one whose constructor takes other arguments than
+    its message cannot be unpickled, and that stops the pool's result
+    thread.  The parent runs a unit that raised again, and gets the same
+    exception, since every unit is deterministic."""
+    try:
+        return _run_unit(unit)
+    except Exception:
+        return None
+
+
+def _worker_count(units):
+    """Processes to run `units` units on: one per CPU this process may use
+    (one where the platform does not say which CPUs those are)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(units, len(os.sched_getaffinity(0)))
+
+
+def _report(chosen, run, verbose):
+    """`run(fn)` for each chosen criterion, in criterion order; with
+    `verbose`, each line is printed as its result comes in."""
     results = []
-    for fn in CRITERIA:
-        if numbers and fn.number not in numbers:
-            continue
-        res = fn()
-        results.append(res)
+    for fn in chosen:
+        results.append(run(fn))
         if verbose:
-            print(res.line(), flush=True)
+            print(results[-1].line(), flush=True)
     return results
+
+
+def run_all(verbose=True, numbers=None):
+    """Run the criteria (all, or those in `numbers`) and return their
+    results in criterion order, on worker processes or in this one as the
+    module docstring says (a forked child holds a copy of the calling
+    thread alone, hence no pool while other threads are alive).  Every
+    worker has been reaped when this returns or raises."""
+    chosen = [fn for fn in CRITERIA if not numbers or fn.number in numbers]
+    units = [u for fn in chosen for u in _units(fn)]
+    workers = _worker_count(len(units))
+    if workers > 1:
+        import multiprocessing
+        if threading.active_count() > 1 or \
+                "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        return _report(chosen, lambda fn: fn(), verbose)
+    # the closure-axioms suite, about a third of the work, goes first
+    units.sort(key=lambda u: u != (7, 0))
+    # an interrupt reaches this process alone, which then ends the workers
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    try:
+        pending = {u: pool.apply_async(_run_unit_in_worker, (u,))
+                   for u in units}
+
+        def outcome(unit):
+            out = pending[unit].get()
+            return _run_unit(unit) if out is None else out
+
+        def run(fn):
+            if fn.number == 7:
+                return _criterion_7(map(outcome, _units(fn)))
+            return outcome((fn.number, None))
+
+        return _report(chosen, run, verbose)
+    finally:
+        pool.terminate()
+        pool.join()
