@@ -520,7 +520,7 @@ def check_generalized_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
         f = ModuleMap(M, RJ, [[ring.one()]], check=False)
     if v is None:
         v = M.vec([xk1])
-    v = v if isinstance(v, Vec) else M.vec(v)
+    v = M.vec(v)
     if not f.is_surjective():
         raise DomainError("f must be surjective onto R/J")
     fv = f.apply(v)

@@ -102,14 +102,14 @@ def containment_modification(M: FPModule, cl: ClosureOp, G: Submodule,
     ring = M.ring
     if F.ring != ring:
         raise ContextError("G lives over a different ring")
-    v = v if isinstance(v, Vec) else F.vec(v)
+    v = F.vec(v)
     if G.contains(v):
         raise DomainError("v already lies in G")
     if not cl.member(v, G).holds:
         raise DomainError("v is not in the closure of G")
     if x is None:
         x = M.gen(0)
-    x = x if isinstance(x, Vec) else M.vec(x)
+    x = M.vec(x)
     s = F.ngens
     gens_e = list(G.gens)
     k = len(gens_e)
@@ -216,7 +216,7 @@ class ModificationTrace:
                            ) -> "ModificationTrace":
         M = self.current
         M2, incl = containment_modification(M, cl, G, v, x)
-        v = v if isinstance(v, Vec) else G.module.vec(v)
+        v = G.module.vec(v)
         desc = {
             "kind": "containment",
             "G": G.descriptor(),

@@ -16,21 +16,24 @@ Any other module builds its basis by one span run on first use, and
 keeps it.  A submodule may likewise be born with its span basis
 (Submodule._with_span), as the tensor image of a module closure is.
 
-Every block-order question is one seeded run (_block_basis) on the
-columns (map column | value), assembled from kernel terms (gb.KernelCol):
-a caller with Vecs encodes each once at its edge (_unit_pairs for the
-unit values of syzygies, kernels, colons and certificates), and the
-closure hands over the rows it already holds.  The run starts from the
-reduced span basis of the target stacked on the ideal's basis on the
-value components; both are kept, the span by its owner and the ideal's
-rows by the ring (QuotientRing.free_relation_basis), each with its index,
-so no seed is rebuilt for a run.  Preimages and syzygies are eliminating
-runs, which hand back the value block alone (preimage_basis); r_preimage
-makes them canonical on its kernel rows (_distinct_monic) and hands the
-rows to every caller, which decodes only what it returns: r_syzygies
-decodes them all, and the closure, intersect, colon_elem and kernel hand
-them to minimal_generators as they are, which works on rows and decodes
-the generators it keeps.  Membership certificates read the value block
+Every block-order question is one seeded run of the one block-run
+construction, _block_basis, on the columns (map column | value),
+assembled from kernel terms (gb.KernelCol): a caller with Vecs encodes
+each once at its edge (_unit_pairs for the unit values of syzygies,
+kernels, colons and certificates), and the closure hands over the rows
+it already holds.  The run starts from the reduced span basis of the
+target stacked on the ideal's basis on the value components; both are
+kept, the span by its owner and the ideal's rows by the ring
+(QuotientRing.free_relation_basis), each with its index, so no seed is
+rebuilt for a run.  Preimages and syzygies are eliminating runs, which
+hand back the value block alone; r_preimage makes them canonical on its
+kernel rows (_distinct_monic) and hands the rows to every caller, which
+decodes only what it returns.  minimal_generators takes kernel rows: the
+closure, intersect, colon_elem, kernel and resolution hand it those of
+r_preimage as they are, so a resolution stays in rows from one syzygy
+run to the next, and only the generators kept are decoded.
+Submodule.minimalized and minimal presentations encode their Vecs once,
+at that edge (_vec_rows).  Membership certificates read the value block
 of a normal form against the whole block basis (Submodule.ext).  The
 ideal never enters a run as input columns.
 """
@@ -97,23 +100,16 @@ def _decoded(ring: QuotientRing, ncomps, rows) -> list:
             for _c, _m, lc, terms in rows]
 
 
-def r_syzygies(ring: QuotientRing, cols, ncomps):
-    """Generators over R of the syzygy module of cols in R^ncomps: the
-    preimage of I P^ncomps under the map R^t -> R^ncomps they give, as the
-    distinct monic normal forms of the reduced TOP basis of
-    {a in P^t : sum a_l cols_l in I P^ncomps}, decoded into Vecs."""
-    cols = list(cols)
-    rows = r_preimage(ring, *_unit_pairs(ring, cols), len(cols),
-                      ring.free_relation_basis(ncomps), ncomps)
-    return _decoded(ring, len(cols), rows)
-
-
 def _block_basis(ring: QuotientRing, map_cols, values, nvalues, span,
                  ncomps, eliminate=False) -> GroebnerBasis:
     """Reduced basis of the span of the columns (map_col_l | value_l), of
     span in P^ncomps and of I P^n in the last n = nvalues components, in
     P^(ncomps + n) under the block order with P^ncomps dominant; values is
-    not empty.  With eliminate, its value block alone (see buchberger).
+    not empty.  With eliminate (see buchberger), its value block alone,
+    the preimage basis: the reduced basis of {sum c_l values_l :
+    sum c_l map_cols_l in span} + I P^n in P^n under TOP over the ring
+    order, whose rows are the block basis's rows in the last n
+    components, in basis order, relabelled.
 
     map_cols and values are kernel terms in P^ncomps and P^n, each pair
     at one scale; a column is assembled from them as they are.  span is
@@ -129,30 +125,17 @@ def _block_basis(ring: QuotientRing, map_cols, values, nvalues, span,
                       eliminate=eliminate)
 
 
-def preimage_basis(ring: QuotientRing, map_cols, values, nvalues, span,
-                   ncomps) -> GroebnerBasis:
-    """Reduced basis of {sum c_l values_l : sum c_l map_cols_l in span}
-    + I P^n in P^n, n = nvalues, under TOP over the ring order; values is
-    not empty, and both are kernel terms (see _block_basis).
-
-    The value block of _block_basis, which the eliminating run hands back
-    as it is: its rows are the block basis's rows in the last n
-    components, in basis order, relabelled.
-    """
-    return _block_basis(ring, map_cols, values, nvalues, span, ncomps,
-                        eliminate=True)
-
-
 def r_preimage(ring: QuotientRing, map_cols, values, nvalues, span, ncomps):
     """Generators of {sum c_l values_l : sum c_l map_cols_l in span} + I R^n,
     n = nvalues, the map columns and values as kernel terms: the distinct
-    monic normal forms of the rows of preimage_basis (two of them may be
-    equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac), and one may
-    vanish there), as kernel rows.  A caller that needs Vecs decodes
-    them (_decoded); minimal_generators takes them as they are."""
+    monic normal forms of the rows of the eliminating _block_basis (two
+    of them may be equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac),
+    and one may vanish there), as kernel rows.  A caller that needs Vecs
+    decodes them (_decoded); minimal_generators takes them as they are."""
     if not values:
         return []
-    basis = preimage_basis(ring, map_cols, values, nvalues, span, ncomps)
+    basis = _block_basis(ring, map_cols, values, nvalues, span, ncomps,
+                         eliminate=True)
     return _distinct_monic(ring, nvalues, basis._rows)
 
 
@@ -354,22 +337,26 @@ class FPModule:
 
         Returns a list [(degrees_0, []), (degrees_1, cols_1), ...] where
         cols_i are the columns of the i-th differential F_i -> F_{i-1},
-        written in the cover of F_{i-1}.
+        written in the cover of F_{i-1}.  cols_1 are the relations of the
+        minimal presentation, already minimal; each later step is the
+        syzygy preimage of the previous columns, its kernel rows handed to
+        minimal_generators as they are.
         """
         mp = _minimal_presentation(self)
+        ring = self.ring
         steps = [(mp.gen_degrees, ())]
         if mp.ngens:
-            cols = minimal_generators(free_module(self.ring, mp.gen_degrees),
-                                      mp.relations)
-            steps.append((tuple(c.degree(mp.gen_degrees) for c in cols),
-                          tuple(cols)))
+            steps.append((tuple(c.degree(mp.gen_degrees)
+                                for c in mp.relations), mp.relations))
         while len(steps) <= length:
             prev_degrees, prev_cols = steps[-1]
             if not prev_cols:
                 steps.append(((), ()))
                 continue
-            syz = r_syzygies(self.ring, list(prev_cols), len(steps[-2][0]))
-            syz = minimal_generators(free_module(self.ring, prev_degrees), syz)
+            n = len(steps[-2][0])
+            rows = r_preimage(ring, *_unit_pairs(ring, prev_cols),
+                              len(prev_cols), ring.free_relation_basis(n), n)
+            syz = minimal_generators(free_module(ring, prev_degrees), rows)
             steps.append((tuple(c.degree(prev_degrees) for c in syz),
                           tuple(syz)))
         return steps[:length + 1]
@@ -514,8 +501,8 @@ class Submodule:
 
     def minimalized(self) -> "Submodule":
         """Prune the generating set to a minimal one (deterministically)."""
-        return Submodule(self.module, tuple(
-            minimal_generators(self.module, self.gens)))
+        return Submodule(self.module, tuple(minimal_generators(
+            self.module, _vec_rows(self.module, self.gens))))
 
     def gens_as_ring_elems(self):
         if self.module.ngens != 1:
@@ -600,7 +587,8 @@ def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
 
     One syzygy run: its value block, the reduced basis of the syzygies
     plus I P^t under TOP, is the module's relation basis, and its
-    distinct monic rows (as r_syzygies hands them out) the relations."""
+    distinct monic rows (as r_preimage hands them out), decoded, the
+    relations."""
     elems = [ring.elem(g) for g in gens]
     if any(e.is_zero() for e in elems):
         raise DomainError("zero ideal generator")
@@ -608,8 +596,8 @@ def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
     if not elems:
         return free_module(ring, degrees)
     cols = [Vec.from_polys([e.poly]) for e in elems]
-    basis = preimage_basis(ring, *_unit_pairs(ring, cols), len(cols),
-                           ring.free_relation_basis(1), 1)
+    basis = _block_basis(ring, *_unit_pairs(ring, cols), len(cols),
+                         ring.free_relation_basis(1), 1, eliminate=True)
     syz = _decoded(ring, basis.ncomps,
                    _distinct_monic(ring, basis.ncomps, basis._rows))
     return FPModule._with_basis(ring, degrees, syz, basis)
@@ -699,8 +687,12 @@ def tensor(A: FPModule, B: FPModule) -> FPModule:
                                 _assembled_basis(A.ring, n, parts))
 
 
-def tensor_elem(A: FPModule, B: FPModule, i: int, v: Vec) -> Vec:
-    """gen_i(A) (x) v as a vector in the cover of tensor(A, B)."""
+def tensor_elem(A: FPModule, B: FPModule, i: int, v) -> Vec:
+    """gen_i(A) (x) v as a vector in the cover of tensor(A, B); v is taken
+    through B.vec, and an i that indexes no generator of A is refused."""
+    if not 0 <= i < A.ngens:
+        raise ContextError(f"generator index {i} outside 0..{A.ngens - 1}")
+    v = B.vec(v)
     nb = B.ngens
     n = A.ngens * nb
     return Vec(A.ring.ambient, n,
@@ -751,13 +743,38 @@ def _minimal_presentation(M: FPModule) -> FPModule:
             if terms:
                 cols.append(terms)
 
-    rel_vecs = [Vec(ring.ambient, len(degrees), t) for t in cols]
-    rel_vecs = minimal_generators(free_module(ring, degrees), rel_vecs)
-    return FPModule(ring, tuple(degrees), rel_vecs)
+    F = free_module(ring, degrees)
+    rows = _vec_rows(F, [Vec(ring.ambient, len(degrees), t) for t in cols])
+    return FPModule(ring, tuple(degrees), minimal_generators(F, rows))
 
 
-def minimal_generators(M: FPModule, cols, canonical=False):
-    """Minimal generating set of the span of cols in M (modulo its relations).
+def _vec_rows(M: FPModule, cols) -> list:
+    """The candidates of minimal_generators made of Vecs in the cover of
+    M: each encoded once, its terms in descending order, normalized, then
+    made canonical (_distinct_monic, always compared).  A candidate whose
+    terms are not all of one degree is refused."""
+    ring, shifts = M.ring, M.gen_degrees
+    amb = ring.ambient
+    p, code, wdeg = amb.field.char, amb.code, amb.wdeg
+    key = ModuleOrder(amb.order).term_key
+    rows = []
+    for col in cols:
+        if col.terms:
+            terms = dict(sorted(_to_kernel(col.terms, p, code)[0].items(),
+                                key=lambda t: key(t[0]), reverse=True))
+            rows.append((*_normalize(terms, p), terms))
+    rows = _distinct_monic(ring, M.ngens, rows, compare=True)
+    for row in rows:
+        c, m, _lc, terms = row
+        d = wdeg(code.decode(m)) + shifts[c]
+        if any(wdeg(code.decode(e)) + shifts[j] != d for j, e in terms):
+            raise DomainError("inhomogeneous generator "
+                              f"{_decoded(ring, M.ngens, [row])[0]}")
+    return rows
+
+
+def minimal_generators(M: FPModule, rows):
+    """Minimal generating set of the span of rows in M (modulo its relations).
 
     Graded Nakayama: deduplicate the monic normal forms, sort them by
     (degree, str), then drop each one that the others and the relations
@@ -768,11 +785,9 @@ def minimal_generators(M: FPModule, cols, canonical=False):
     Hence one Groebner basis of A per degree block, and rank tests on
     coefficient rows inside the block.
 
-    The candidates are kernel rows throughout.  With canonical, cols are
-    the rows of r_preimage, distinct monic normal forms of a run on
-    homogeneous columns, and are taken as they are; otherwise cols are
-    Vecs, encoded here, made canonical (_distinct_monic) and checked to be
-    homogeneous.  A degree is read from the lead, and a candidate is
+    The candidates are kernel rows throughout, distinct monic normal forms
+    of homogeneous columns, as r_preimage hands them out and _vec_rows
+    makes them of Vecs.  A degree is read from the lead, and a candidate is
     decoded to be printed only to order a block of two or more.  Normal
     forms modulo A are reduced against its rows, and the rank tests run
     on their int coefficients.  The kept rows come back as Vecs, each
@@ -780,19 +795,7 @@ def minimal_generators(M: FPModule, cols, canonical=False):
     """
     ring, shifts = M.ring, M.gen_degrees
     amb = ring.ambient
-    p, code, wdeg = amb.field.char, amb.code, amb.wdeg
-    dec = code.decode
-    if canonical:
-        rows = cols
-    else:
-        key = ModuleOrder(amb.order).term_key
-        rows = []
-        for col in cols:
-            if col.terms:
-                terms = dict(sorted(_to_kernel(col.terms, p, code)[0].items(),
-                                    key=lambda t: key(t[0]), reverse=True))
-                rows.append((*_normalize(terms, p), terms))
-        rows = _distinct_monic(ring, M.ngens, rows, compare=True)
+    p, dec, wdeg = amb.field.char, amb.code.decode, amb.wdeg
     vecs = {}       # id of a row of rows -> its Vec, decoded once
 
     def vec(row):
@@ -801,15 +804,8 @@ def minimal_generators(M: FPModule, cols, canonical=False):
             v = vecs[id(row)] = _decoded(ring, M.ngens, [row])[0]
         return v
 
-    graded = []
-    for row in rows:
-        c, m, _lc, terms = row
-        d = wdeg(dec(m)) + shifts[c]
-        if not canonical and any(wdeg(dec(e)) + shifts[j] != d
-                                 for j, e in terms):
-            raise DomainError(f"inhomogeneous generator {vec(row)}")
-        graded.append((d, row))
-    graded.sort(key=itemgetter(0))
+    graded = sorted(((wdeg(dec(row[1])) + shifts[row[0]], row)
+                     for row in rows), key=itemgetter(0))
     kept: list = []
     # basis of A, built for the first `spanned` kept candidates; without
     # relations the lowest block is already in normal form modulo A = I
@@ -835,7 +831,7 @@ def minimal_generators(M: FPModule, cols, canonical=False):
 def _minimal_submodule(M: FPModule, rows) -> "Submodule":
     """The submodule of M minimally generated by the kernel rows of a
     preimage run (r_preimage), as minimal_generators keeps them."""
-    return Submodule(M, tuple(minimal_generators(M, rows, canonical=True)))
+    return Submodule(M, tuple(minimal_generators(M, rows)))
 
 
 def _outside_later_spans(forms, fld):

@@ -370,7 +370,7 @@ class SubringPresentation:
         of {c : sum c_l g_l = 0 in B}, and its elements free of x are the
         relations.
         """
-        from .modules import _unit_pairs, preimage_basis  # imports ring
+        from .modules import _block_basis, _unit_pairs  # imports ring
         gens = list(module_gens)
         for l, g in enumerate(gens, 1):
             if g.ring != self.target:
@@ -382,9 +382,9 @@ class SubringPresentation:
         if not gens:
             return []
         B, n_t, t = self.graph, self.target.nvars, len(gens)
-        basis = preimage_basis(
+        basis = _block_basis(
             B, *_unit_pairs(B, [Vec.from_polys([_lift(g, B.ambient)])
-                                for g in gens]), t, B._gb, 1)
+                                for g in gens]), t, B._gb, 1, eliminate=True)
         return [Vec(self.pres_ring, t,
                     {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
                 for v in basis if not v.has_vars_below(n_t)]

@@ -72,9 +72,9 @@ def _kernel_rows(basis):
 def raw_preimage(monkeypatch):
     """probe(thunk) calls thunk and returns the generators it hands to
     minimal_generators, which it must call once, with the kernel rows of
-    a preimage run (canonical), decoded by the reference (as monic Vecs,
-    in order), and its preimage runs (the Buchberger runs under a block
-    order) as (ncomps, nreal) pairs."""
+    a preimage run (never Vecs through _vec_rows), decoded by the
+    reference (as monic Vecs, in order), and its preimage runs (the
+    Buchberger runs under a block order) as (ncomps, nreal) pairs."""
     from closurelab import modules
     from oracles import ref_decoded_rows
 
@@ -82,10 +82,13 @@ def raw_preimage(monkeypatch):
         handed, runs = [], []
         real_min, real_run = modules.minimal_generators, modules.buchberger
 
-        def minimal_generators(M, cols, canonical=False):
-            assert canonical and all(len(row) == 4 for row in cols)
-            handed.append(ref_decoded_rows(M.ring, M.ngens, cols))
-            return real_min(M, cols, canonical)
+        def minimal_generators(M, rows):
+            assert all(len(row) == 4 for row in rows)
+            handed.append(ref_decoded_rows(M.ring, M.ngens, rows))
+            return real_min(M, rows)
+
+        def vec_rows(M, cols):
+            raise AssertionError("a preimage hands over Vecs")
 
         def buchberger(cols, ncomps, keyfn, *args, **kwargs):
             if keyfn.nreal is not None:
@@ -94,6 +97,7 @@ def raw_preimage(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(modules, "minimal_generators", minimal_generators)
+            patch.setattr(modules, "_vec_rows", vec_rows)
             patch.setattr(modules, "buchberger", buchberger)
             thunk()
         assert len(handed) == 1
@@ -104,14 +108,14 @@ def raw_preimage(monkeypatch):
 
 @pytest.fixture
 def preimages_vs_reference(monkeypatch):
-    """check() compares every preimage_basis call made since the fixture
-    was set up with the references in oracles: the basis, kernel row for
-    kernel row (terms in order), with the whole block basis filtered
-    (ref_preimage_basis), and the kernel rows r_preimage makes of its
-    rows, decoded by the reference, with the Vec-level canonicalization
-    (ref_distinct_monic).  It returns counts of the calls, the rows, the
-    rows an ideal lead reaches, those that vanish modulo I and those that
-    meet an earlier row."""
+    """check() compares every eliminating _block_basis call made since the
+    fixture was set up with the references in oracles: the basis, kernel
+    row for kernel row (terms in order), with the whole block basis
+    filtered (ref_preimage_basis), and the kernel rows r_preimage makes of
+    its rows, decoded by the reference, with the Vec-level
+    canonicalization (ref_distinct_monic).  It returns counts of the
+    calls, the rows, the rows an ideal lead reaches, those that vanish
+    modulo I and those that meet an earlier row."""
     from collections import Counter
 
     from closurelab import modules
@@ -120,11 +124,12 @@ def preimages_vs_reference(monkeypatch):
                          ref_preimage_basis)
 
     calls = []
-    real = modules.preimage_basis
+    real = modules._block_basis
 
-    def recording(*args):
-        basis = real(*args)
-        calls.append((args, basis))
+    def recording(*args, eliminate=False):
+        basis = real(*args, eliminate=eliminate)
+        if eliminate:
+            calls.append((args, basis))
         return basis
 
     def check():
@@ -147,7 +152,7 @@ def preimages_vs_reference(monkeypatch):
         calls.clear()
         return seen
 
-    monkeypatch.setattr(modules, "preimage_basis", recording)
+    monkeypatch.setattr(modules, "_block_basis", recording)
     return check
 
 

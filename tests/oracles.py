@@ -7,18 +7,21 @@ definitions directly.  Two are earlier implementations kept as references:
 `greedy_minimal_generators`, the slow path that the per-degree
 minimalization is checked against, `vec_minimal_generators`, the
 per-degree minimalization on `Vec`s that the one on kernel rows is
-checked against, `ref_span_basis`, the unseeded span
-run (the ideal as input columns) that the seeded `r_span_basis` is
-checked against, and `ref_relation_basis`, the same run on a module's
-relations, that the relation bases modules are born with are checked
-against, `ref_preimage`, the unseeded block-diagonal elimination
-that the seeded `r_preimage` is checked against, with the constructions of
-closures, intersections, colons and kernels that fed it (`ref_*_preimage`),
-`ref_closure_steps`, the closure loop that makes a preimage run for every
-generator of S, which the step skip of `ModuleClosure.closure` is checked
-against, `ref_preimage_basis`, the whole block basis of a preimage run,
-seeded as built for that run, filtered to its value block and relabelled,
-which the eliminating run and its kept seed index are checked against,
+checked against, `vec_syzygies` and `vec_resolution`, the syzygies
+decoded into `Vec`s and the resolution built from them, that the
+resolution on kernel rows is checked against, `ref_span_basis`, the
+unseeded span run (the ideal as input columns) that the seeded
+`r_span_basis` is checked against, and `ref_relation_basis`, the same
+run on a module's relations, that the relation bases modules are born
+with are checked against, `ref_preimage`, the unseeded block-diagonal
+elimination that the seeded `r_preimage` is checked against, with the
+constructions of closures, intersections, colons and kernels that fed
+it (`ref_*_preimage`), `ref_closure_steps`, the closure loop that makes
+a preimage run for every generator of S, which the step skip of
+`ModuleClosure.closure` is checked against, `ref_preimage_basis`, the
+whole block basis of an eliminating block run, seeded as built for that
+run, filtered to its value block and relabelled, which the eliminating
+run and its kept seed index are checked against,
 `ref_distinct_monic` and `ref_monic_vec`, the `Vec`-level
 canonicalization (normal form by `QuotientRing.nf`, monic form, dedup on
 field terms) that the kernel-row `_distinct_monic` is checked against,
@@ -73,7 +76,8 @@ from closurelab.gb import (GroebnerBasis, Vec, _normalize, _term_key,
                            _to_kernel, buchberger)
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
-from closurelab.modules import (FPModule, ideal_columns, nf_vec, r_preimage,
+from closurelab.modules import (FPModule, _unit_pairs, free_module,
+                                ideal_columns, nf_vec, r_preimage,
                                 scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import (DomainError, ParseError, PolyRing, Polynomial,
@@ -999,9 +1003,9 @@ def ref_certificate(sub, v: Vec):
 
 
 def ref_syzygy_basis(ring, cols, ncomps):
-    """r_syzygies by its definition: the distinct monic normal forms of the
-    reduced TOP basis of the module that the extended run's syzygies,
-    projected to the columns, generate."""
+    """The syzygies of cols by their definition: the distinct monic normal
+    forms of the reduced TOP basis of the module that the extended run's
+    syzygies, projected to the columns, generate."""
     t = len(cols)
     proj = [sv.take_components(0, t)
             for sv in ref_extended_basis(ring, cols, ncomps).syzygies]
@@ -1073,7 +1077,7 @@ def ref_decoded_rows(ring, ncomps, rows) -> list:
 
 
 def ref_preimage_basis(ring, map_cols, values, nvalues, span, ncomps):
-    """preimage_basis from the whole block basis: one run, not
+    """The eliminating _block_basis from the whole block basis: one run, not
     eliminating, on the block columns merged and padded as Vecs, seeded
     with a basis built for it from span's rows and the ideal's rows moved
     to the last n components (its index built from its rows), then the
@@ -1300,6 +1304,41 @@ def vec_minimal_generators(M, cols):
                                     ring.ambient.field)
         kept += [g for g, keep in zip(block, flags) if keep]
     return kept
+
+
+def vec_syzygies(ring, cols, ncomps):
+    """Generators over R of the syzygy module of cols in R^ncomps, as the
+    engine listed them before resolutions stayed in kernel rows: the rows
+    of one syzygy run (r_preimage of I P^ncomps on the unit pairs of
+    cols), decoded into monic Vecs (ref_decoded_rows)."""
+    cols = list(cols)
+    rows = r_preimage(ring, *_unit_pairs(ring, cols), len(cols),
+                      ring.free_relation_basis(ncomps), ncomps)
+    return ref_decoded_rows(ring, len(cols), rows)
+
+
+def vec_resolution(M, length):
+    """FPModule.resolution by the Vec route it took before it stayed in
+    kernel rows: the minimal presentation's relations minimalized again,
+    and each later step the syzygies of the previous columns decoded into
+    Vecs (vec_syzygies), then minimalized on Vecs (vec_minimal_generators)."""
+    mp = M.minimal_presentation()
+    steps = [(mp.gen_degrees, ())]
+    if mp.ngens:
+        cols = vec_minimal_generators(free_module(M.ring, mp.gen_degrees),
+                                      mp.relations)
+        steps.append((tuple(c.degree(mp.gen_degrees) for c in cols),
+                      tuple(cols)))
+    while len(steps) <= length:
+        prev_degrees, prev_cols = steps[-1]
+        if not prev_cols:
+            steps.append(((), ()))
+            continue
+        syz = vec_syzygies(M.ring, prev_cols, len(steps[-2][0]))
+        syz = vec_minimal_generators(free_module(M.ring, prev_degrees), syz)
+        steps.append((tuple(c.degree(prev_degrees) for c in syz),
+                      tuple(syz)))
+    return steps[:length + 1]
 
 
 def greedy_minimal_generators(ring, cols, shifts, relations=()):

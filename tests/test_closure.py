@@ -296,14 +296,19 @@ def test_intersection_closure_is_not_minimalized_again(monkeypatch):
 
     calls = []
     real = Submodule.minimalized
-    real_min = modules.minimal_generators
+    real_min, real_edge = modules.minimal_generators, modules._vec_rows
 
-    def counting(M, cols, canonical=False):
-        calls.append(canonical)
-        return real_min(M, cols, canonical)
+    def counting(M, rows):
+        calls.append("rows")
+        return real_min(M, rows)
+
+    def edge(M, cols):
+        calls.append("vecs")
+        return real_edge(M, cols)
 
     rng = random.Random("intersection-minimalized")
     monkeypatch.setattr(modules, "minimal_generators", counting)
+    monkeypatch.setattr(modules, "_vec_rows", edge)
     for ring in _property_rings() * 2:
         cl = intersect_closures(
             ModuleClosure(_random_ideal_module(ring, rng)), TrivialClosure())
@@ -311,8 +316,9 @@ def test_intersection_closure_is_not_minimalized_again(monkeypatch):
         calls.clear()
         closed = cl.closure(N)
         # the rows of the module closure's preimage runs, the trivial
-        # part's generators, then the rows of the intersection's run
-        assert calls == [True, False, True]
+        # part's generators made rows at the Vec edge, then the rows of
+        # the intersection's run
+        assert calls == ["rows", "vecs", "rows", "rows"]
         assert closed.gens == real(closed).gens
         assert closed.same_as(
             cl.parts[0].closure(N).intersect(cl.parts[1].closure(N)))

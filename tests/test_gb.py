@@ -11,15 +11,15 @@ from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, ModuleOrder,
                                elimination)
 from closurelab.poly import PolyRing, mono_divides
 from closurelab.gb import Vec, buchberger
-from closurelab.modules import (Submodule, free_module, ideal_submodule,
-                                r_syzygies)
+from closurelab.modules import Submodule, free_module, ideal_submodule
 from closurelab.ring import (UnsupportedInputError, _strip_vars,
                              make_quotient_ring, presented_subring)
 
 from oracles import (brute_member, brute_syzygies_complete,
                      buchberger_criterion_holds, fraction_buchberger,
                      fraction_extended_reduce, fraction_normal_form,
-                     ref_reduce, ref_undominated, scan_buchberger_rows)
+                     ref_reduce, ref_undominated, scan_buchberger_rows,
+                     vec_syzygies)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 P2 = make_quotient_ring(R2, [])     # k[x,y] as a quotient ring, no ideal
@@ -478,6 +478,48 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
                       "pairs": 26}
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_syzygy_work_counts_are_pinned(monkeypatch, field):
+    """syz^2 of the residue field of the cone, the module that criteria 9
+    and 10 close over and that the cone's cl_{syz^2(k)} is built from,
+    makes a fixed number of encodings (_to_kernel), decodings
+    (_from_kernel), minimalizations and Buchberger runs, counted over the
+    whole call on a fresh ring.  The counts guard resolutions staying in
+    kernel rows: a syzygy run's rows go to minimal_generators as they
+    are, only the generators kept are decoded, and the relations of the
+    minimal presentation are not minimalized a second time.  A change
+    that means to alter them updates them here."""
+    from closurelab import closure as closure_module
+    from closurelab import gb as gb_module
+    from closurelab import modules as modules_module
+    from closurelab import ring as ring_module
+    from closurelab.modules import residue_field
+    from closurelab.orders import wdegrevlex
+
+    fld = QQ if field == "Q" else prime_field(5)
+    amb = PolyRing(("a", "b", "c"), fld, wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    counts = dict.fromkeys(("_to_kernel", "_from_kernel",
+                            "minimal_generators", "buchberger"), 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in counts:
+        for owner in (gb_module, modules_module, closure_module,
+                      ring_module):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name,
+                                    counted(name, getattr(owner, name)))
+    syz2 = residue_field(R).syzygy(2)
+    assert syz2.gen_degrees == (4, 4, 4, 4) and len(syz2.relations) == 4
+    assert counts == {"_to_kernel": 10, "_from_kernel": 11,
+                      "minimal_generators": 3, "buchberger": 2}
+
+
 def test_preimage_runs_do_only_the_work_their_callers_read(monkeypatch):
     """The README cone closure, with its ring, operator and N built
     before, computes a fixed number of lead masks (a block run's seed
@@ -616,7 +658,7 @@ def test_membership_with_certificate_recombines():
 
 def test_koszul_syzygy_of_x_y():
     cols = ideal_cols(R2, ["x", "y"])
-    syz = r_syzygies(P2, cols, 1)
+    syz = vec_syzygies(P2, cols, 1)
     assert len(syz) == 1
     v = syz[0]
     combo = cols[0].scale(v.component(0)) + cols[1].scale(v.component(1))
@@ -625,7 +667,7 @@ def test_koszul_syzygy_of_x_y():
 
 
 def test_single_generator_in_domain_has_no_syzygies():
-    syz = r_syzygies(P2, ideal_cols(R2, ["x^2 + y^2"]), 1)
+    syz = vec_syzygies(P2, ideal_cols(R2, ["x^2 + y^2"]), 1)
     assert syz == []
 
 
@@ -639,7 +681,7 @@ def test_syzygies_compose_to_zero_random():
             c = rng.randint(1, 2)
             cols.append(Vec.from_polys(
                 [R2.monomial((i, j), QQ.from_int(c))]))
-        syz = r_syzygies(P2, cols, 1)
+        syz = vec_syzygies(P2, cols, 1)
         for v in syz:
             acc = Vec.zero(R2, 1)
             for q in range(len(cols)):

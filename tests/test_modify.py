@@ -2,12 +2,15 @@
 
 import pytest
 
-from closurelab.poly import DomainError
+from closurelab.field import QQ
+from closurelab.gb import Vec
+from closurelab.orders import DEGREVLEX
+from closurelab.poly import ContextError, DomainError, PolyRing
 from closurelab.ring import ParameterSequence
 from closurelab.modules import (Submodule, ideal_as_module, ideal_submodule,
                                 nf_vec, ring_as_module, scaled_gens)
-from closurelab.closure import (ModuleClosure, PhantomInstance,
-                                TrivialClosure, phantom_test)
+from closurelab.closure import (ModuleClosure, MonomialIntegralClosure,
+                                PhantomInstance, TrivialClosure, phantom_test)
 from closurelab.modify import (BadRelation, ModificationTrace,
                                containment_modification, find_bad_relation,
                                parameter_chain, parameter_modification)
@@ -83,6 +86,29 @@ def test_containment_modification_preconditions(veronese4, s2_module):
     full = G.module.full_submodule()
     with pytest.raises(DomainError):
         containment_modification(M, clS, full, G.module.vec(["b"]))
+
+
+@pytest.mark.parametrize("bad", ["rank", "ring"])
+def test_containment_refuses_an_x_of_another_rank_or_ring(kxyz, bad):
+    """containment_modification and extend_containment take x through
+    M.vec, which refuses a Vec of another rank or ring; before, a Vec
+    skipped that check, and a rank-2 x over a rank-1 M failed with an
+    IndexError."""
+    M = ring_as_module(kxyz)
+    G = ideal_submodule(kxyz, ["x^2", "y^2"])
+    cl = MonomialIntegralClosure()
+    if bad == "rank":
+        x, match = Vec.unit(kxyz.ambient, 2, 1), "vector of rank 2"
+    else:
+        x = Vec.unit(PolyRing(("x", "y"), QQ, DEGREVLEX), 1, 0)
+        match = "vector over another ring"
+    M2, _incl = containment_modification(M, cl, G, ["x*y"])
+    assert M2.ngens == 3
+    with pytest.raises(ContextError, match=match):
+        containment_modification(M, cl, G, ["x*y"], x=x)
+    with pytest.raises(ContextError, match=match):
+        ModificationTrace.start(kxyz).extend_containment(cl, G, ["x*y"],
+                                                         x=x)
 
 
 def test_containment_modification_preserves_phantom(veronese4, s2_module):

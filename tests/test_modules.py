@@ -28,7 +28,7 @@ from oracles import (brute_member, brute_syzygies_complete,
                      ref_distinct_monic, ref_intersect_preimage,
                      ref_kernel_preimage, ref_span_basis, ref_syzygy_basis,
                      same_presentation, vec_minimal_generators,
-                     verify_resolution)
+                     vec_resolution, vec_syzygies, verify_resolution)
 
 
 # --- ideal_as_module ---------------------------------------------------------------
@@ -305,7 +305,8 @@ def test_minimal_generators_match_greedy_oracle(request, field):
         gens = _redundant_gens(M, rng)
         want = greedy_minimal_generators(M.ring, gens, M.gen_degrees,
                                          M.relations)
-        assert minimal_generators(M, gens) == want, trial
+        assert minimal_generators(M, modules._vec_rows(M, gens)) == want, \
+            trial
         assert list(Submodule(M, tuple(gens)).minimalized().gens) == want
 
 
@@ -313,10 +314,10 @@ def test_minimal_generators_match_greedy_oracle(request, field):
 def test_minimal_generators_on_rows_match_the_vec_routine(request, field):
     """minimal_generators, its candidates kernel rows, keeps the very list
     the routine on Vecs keeps (oracles.vec_minimal_generators): on random
-    candidate lists with copies, multiples and sums, handed over as Vecs,
-    and handed over canonical, as the encoded distinct monic normal forms
-    a preimage run would hand out; in modules with and without relations,
-    over Q and F5."""
+    candidate lists with copies, multiples and sums, made rows at the Vec
+    edge (_vec_rows), and handed over canonical, as the encoded distinct
+    monic normal forms a preimage run would hand out; in modules with and
+    without relations, over Q and F5."""
     if field == "Q":
         kxy, segre = (request.getfixturevalue(n) for n in ("kxy", "segre"))
     else:
@@ -328,7 +329,8 @@ def test_minimal_generators_on_rows_match_the_vec_routine(request, field):
         amb = M.ring.ambient
         gens = _redundant_gens(M, rng)
         want = vec_minimal_generators(M, gens)
-        assert minimal_generators(M, gens) == want, trial
+        assert minimal_generators(M, modules._vec_rows(M, gens)) == want, \
+            trial
         canonical = ref_distinct_monic(M.ring, gens)
         key = ModuleOrder(amb.order).term_key
         rows = []
@@ -337,7 +339,7 @@ def test_minimal_generators_on_rows_match_the_vec_routine(request, field):
             terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
                                 reverse=True))
             rows.append((*gb._normalize(terms, amb.field.char), terms))
-        assert minimal_generators(M, rows, canonical=True) == want, trial
+        assert minimal_generators(M, rows) == want, trial
         shapes["relations" if M.relations else "free"] += 1
         shapes["pruned"] += len(want) < len(canonical)
     assert shapes["relations"] and shapes["free"] and shapes["pruned"] > 12
@@ -368,10 +370,11 @@ def test_minimal_generators_keep_what_the_field_value_scan_keeps(
     for trial in range(12):
         M = mods[trial % len(mods)]
         gens = _redundant_gens(M, rng)
-        got = minimal_generators(M, gens)
+        rows = modules._vec_rows(M, gens)
+        got = minimal_generators(M, rows)
         with monkeypatch.context() as patch:
             patch.setattr(modules, "_outside_later_spans", reference)
-            assert minimal_generators(M, gens) == got, trial
+            assert minimal_generators(M, rows) == got, trial
     assert sum(n > 1 for n in blocks) > 12
 
 
@@ -573,7 +576,7 @@ def test_preimage_runs_match_the_filtered_block_basis(field,
             source = free_module(ring, [c.degree(M.gen_degrees)
                                         for c in cols])
             ModuleMap(source, M, cols).kernel()
-            modules.r_syzygies(ring, cols, ncomps)
+            vec_syzygies(ring, cols, ncomps)
     seen = preimages_vs_reference()
     assert seen["calls"] >= 30 and seen["reached"] and seen["vanish"], seen
 
@@ -662,10 +665,10 @@ def test_certificates_match_the_extended_run(field):
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
 def test_syzygies_are_the_reduced_basis_of_the_syzygy_module(field):
-    """r_syzygies, one preimage run of I P^s under the map the columns
-    give, lists the distinct monic normal forms of the reduced TOP basis
-    of {a : sum a_l c_l in I P^s}, which the extended run's syzygies,
-    projected to the columns, generate."""
+    """The syzygy run, one preimage run of I P^s under the map the
+    columns give, lists the distinct monic normal forms of the reduced
+    TOP basis of {a : sum a_l c_l in I P^s}, which the extended run's
+    syzygies, projected to the columns, generate."""
     rng = random.Random(f"syzygies-{field}")
     nonempty = 0
     cone, xyuv, _veronese, kxy = _span_rings(field)
@@ -676,7 +679,7 @@ def test_syzygies_are_the_reduced_basis_of_the_syzygy_module(field):
                 M = free_module(ring, degrees)
                 cols = list(random_submodule_pair(M, rng, max_deg=4,
                                                   max_gens=3).gens)
-                got = modules.r_syzygies(ring, cols, ncomps)
+                got = vec_syzygies(ring, cols, ncomps)
                 want = ref_syzygy_basis(ring, cols, ncomps)
                 assert [v.terms for v in got] == [v.terms for v in want], (
                     ring, cols)
@@ -865,12 +868,36 @@ def test_hypersurface_periodicity(segre):
     assert same_presentation(s2, s4, degree_shift=4)
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_resolution_on_rows_matches_the_vec_route(field):
+    """FPModule.resolution, its syzygy rows handed to minimal_generators as
+    they are, gives step for step the resolution of the Vec route
+    (oracles.vec_resolution: the syzygies decoded, then minimalized on
+    Vecs), and its first columns are the minimal presentation's relations,
+    not minimalized again; on random ideal modules, quotient modules and
+    residue fields over the cone, xy = uv, the Veronese-4 ring and
+    k[x, y]."""
+    rng = random.Random(f"resolution-rows-{field}")
+    shapes = Counter()
+    for ring in _span_rings(field):
+        for _trial in range(2):
+            for M in (ideal_as_module(ring, random_ideal_gens(ring, rng)),
+                      quotient_module(ring, random_ideal_gens(ring, rng)),
+                      residue_field(ring)):
+                steps = M.resolution(3)
+                assert steps == vec_resolution(M, 3), (ring, M)
+                assert steps[1][1] == M.minimal_presentation().relations
+                shapes["relations"] += bool(steps[1][1])
+                shapes["syzygies"] += bool(steps[2][1])
+                shapes["deep"] += bool(steps[3][1])
+    assert min(shapes.values()) >= 6, shapes
+
+
 def test_quotient_ring_syzygies_complete(segre):
     # generators (a, b, c) of m: engine syzygies generate the degreewise
     # kernel up to degree 8 (linear-algebra oracle)
     cols = [Vec.from_polys([segre.elem(t).poly]) for t in ("a", "b", "c")]
-    from closurelab.modules import r_syzygies
-    syz = r_syzygies(segre, cols, 1)
+    syz = vec_syzygies(segre, cols, 1)
     assert brute_syzygies_complete(segre, cols, 1, syz, 8)
 
 
@@ -1153,6 +1180,28 @@ def test_map_applies_only_a_vector_of_its_source_rank(kxy):
     with pytest.raises(ContextError, match="vector of rank 2 in a module "
                                            "of rank 1"):
         f.apply(F2.vec(["x", "y"]))
+
+
+def test_tensor_elem_refuses_an_index_or_vector_out_of_range(kxy):
+    """tensor_elem refuses an index that names no generator of A, and takes
+    v through B.vec; over two rank-2 free modules, i = 5 and i = -1 gave a
+    rank-4 vector with terms past its rank (-2 and -1 for i = -1), and a
+    rank-3 v spilled into the next generator's block, each printing with
+    those terms lost.  A valid call is unchanged."""
+    A, B = free_module(kxy, (0, 0)), free_module(kxy, (0, 0))
+    amb, one = kxy.ambient, kxy.ambient.field.one
+    v = B.vec(["x", "y"])
+    assert tensor_elem(A, B, 1, v) == Vec(amb, 4, {(2, (1, 0)): one,
+                                                   (3, (0, 1)): one})
+    assert tensor_elem(A, B, 1, ["x", "y"]) == tensor_elem(A, B, 1, v)
+    for i in (5, -1):
+        with pytest.raises(ContextError, match=f"generator index {i} "
+                                               "outside 0..1"):
+            tensor_elem(A, B, i, v)
+    v3 = Vec(amb, 3, {(2, (1, 0)): one})
+    with pytest.raises(ContextError, match="vector of rank 3 in a module "
+                                           "of rank 2"):
+        tensor_elem(A, B, 0, v3)
 
 
 def test_submodule_rejects_inhomogeneous_vector(segre):
