@@ -37,7 +37,7 @@ from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, rank,
                      span_rows, vec_coords)
 from .modify import parameter_chain
 from .modules import (FPModule, Submodule, direct_sum, free_module,
-                      ideal_as_module, ideal_columns, ideal_submodule,
+                      ideal_as_module, ideal_submodule,
                       residue_field, ring_as_module, scaled_gens)
 from .orders import DEGREVLEX, wdegrevlex
 from .poly import PolyRing
@@ -474,7 +474,7 @@ criterion_7.title = "randomized property suites (>= 50 instances each)"
 
 def _brute_ideal_rows(ring, gens, d):
     cols = [Vec.from_polys([ring.elem(g).poly]) for g in gens]
-    cols += ideal_columns(ring, 1)
+    cols += ring.free_relation_basis(1)
     rows, terms = span_rows(cols, (0,), d, ring.ambient)
     echelon = Echelon(ring.ambient.field)
     for row in rows:
@@ -524,11 +524,12 @@ def _brute_closure_dim(ring, s_gens, n_gens, d):
             row.extend(block[mi])
         matrix.append(row)
     valid_dim = ncols - rank(matrix, fld)
-    return valid_dim - graded_span_dim(ideal_columns(ring, 1), (0,), d, amb)
+    return valid_dim - graded_span_dim(list(ring.free_relation_basis(1)),
+                                       (0,), d, amb)
 
 
 def _engine_closure_dim(ring, closed, d):
-    ideal = ideal_columns(ring, 1)
+    ideal = list(ring.free_relation_basis(1))
     return (graded_span_dim(list(closed.gens) + ideal, (0,), d, ring.ambient)
             - graded_span_dim(ideal, (0,), d, ring.ambient))
 
@@ -657,25 +658,24 @@ def _worker_count(units):
     return min(units, len(os.sched_getaffinity(0)))
 
 
-def _report(chosen, run, verbose):
-    """`run(fn)` for each chosen criterion, in criterion order; with
-    `verbose`, each line is printed as its result comes in."""
+def _report(run, verbose):
+    """`run(fn)` for each criterion, in criterion order; with `verbose`,
+    each line is printed as its result comes in."""
     results = []
-    for fn in chosen:
+    for fn in CRITERIA:
         results.append(run(fn))
         if verbose:
             print(results[-1].line(), flush=True)
     return results
 
 
-def run_all(verbose=True, numbers=None):
-    """Run the criteria (all, or those in `numbers`) and return their
-    results in criterion order, on worker processes or in this one as the
-    module docstring says (a forked child holds a copy of the calling
-    thread alone, hence no pool while other threads are alive).  Every
-    worker has been reaped when this returns or raises."""
-    chosen = [fn for fn in CRITERIA if not numbers or fn.number in numbers]
-    units = [u for fn in chosen for u in _units(fn)]
+def run_all(verbose=True):
+    """Run the criteria and return their results in criterion order, on
+    worker processes or in this one as the module docstring says (a
+    forked child holds a copy of the calling thread alone, hence no pool
+    while other threads are alive).  Every worker has been reaped when
+    this returns or raises."""
+    units = [u for fn in CRITERIA for u in _units(fn)]
     workers = _worker_count(len(units))
     if workers > 1:
         import multiprocessing
@@ -683,7 +683,7 @@ def run_all(verbose=True, numbers=None):
                 "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        return _report(chosen, lambda fn: fn(), verbose)
+        return _report(lambda fn: fn(), verbose)
     # the closure-axioms suite, about a third of the work, goes first
     units.sort(key=lambda u: u != (7, 0))
     # an interrupt reaches this process alone, which then ends the workers
@@ -702,7 +702,7 @@ def run_all(verbose=True, numbers=None):
                 return _criterion_7(map(outcome, _units(fn)))
             return outcome((fn.number, None))
 
-        return _report(chosen, run, verbose)
+        return _report(run, verbose)
     finally:
         pool.terminate()
         pool.join()

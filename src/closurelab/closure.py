@@ -52,7 +52,7 @@ from .modules import (FPModule, ModuleMap, Submodule, _minimal_submodule,
                       quotient_module, r_preimage, r_span_basis,
                       ring_as_module, tensor, tensor_elem)
 from .poly import ContextError, DomainError, mono_divides
-from .ring import ParameterSequence, QuotientRing
+from .ring import ParameterSequence, QuotientRing, RingElem
 
 
 class UnsupportedQueryError(ValueError):
@@ -394,9 +394,11 @@ class MonomialIntegralClosure(ClosureOp):
         for p in sorted(inside, key=lambda q: (sum(q), q)):
             if not any(mono_divides(m, p) for m in minimal):
                 minimal.append(p)
+        # the minimal generators in a polynomial ring, in minimalized()'s order
         amb = M.ring.ambient
         gens = [Vec(amb, 1, {(0, m): amb.field.one}) for m in minimal]
-        return Submodule(M, tuple(gens)).minimalized()
+        gens.sort(key=lambda v: (v.degree(M.gen_degrees), str(v)))
+        return Submodule(M, tuple(gens))
 
 
 # --- convenience ---------------------------------------------------------------
@@ -560,9 +562,9 @@ class PhantomInstance:
     @classmethod
     def from_module(cls, M: FPModule):
         """Instance for alpha: R -> M sending 1 to the first generator."""
-        n = M.ngens
-        rows = [[M.ring.elem(col.component(i)) for col in M.relations]
-                for i in range(n)]
+        # the relations are stored as normal forms (FPModule.__init__)
+        rows = [[RingElem(M.ring, col.component(i)) for col in M.relations]
+                for i in range(M.ngens)]
         degs = [col.degree(M.gen_degrees) for col in M.relations]
         return cls(M.ring, rows, col_degrees=degs)
 
@@ -591,8 +593,7 @@ def phantom_test(cl: ClosureOp, inst: PhantomInstance,
 # --- obstructions and triviality -------------------------------------------------
 
 
-def dietz_obstruction(cl: ClosureOp, ring: QuotientRing, xs, t_max,
-                      t_min=0):
+def dietz_obstruction(cl: ClosureOp, ring: QuotientRing, xs, t_max):
     """Smallest t <= t_max with (x_1..x_k)^t in (x_1^{t+1},..,x_k^{t+1})^cl.
 
     A returned t certifies that cl fails strong colon-capturing version A
@@ -603,7 +604,7 @@ def dietz_obstruction(cl: ClosureOp, ring: QuotientRing, xs, t_max,
     if not elems:
         raise DomainError("need parameters")
     R1 = ring_as_module(ring)
-    for t in range(t_min, t_max + 1):
+    for t in range(t_max + 1):
         prod = ring.one()
         for x in elems:
             prod = prod * (x ** t)

@@ -131,9 +131,6 @@ class Vec:
     def to_polys(self):
         return [self.component(i) for i in range(self.ncomps)]
 
-    def support(self):
-        return sorted({j for (j, _m) in self.terms})
-
     def __add__(self, other):
         fld = self.ring.field
         terms = dict(self.terms)

@@ -15,6 +15,8 @@ factor's rows, direct_sum relabels both factors' rows, and S (x) R is S.
 Any other module builds its basis by one span run on first use, and
 keeps it.  A submodule may likewise be born with its span basis
 (Submodule._with_span), as the tensor image of a module closure is.
+Normal forms modulo the ideal are the ring's: QuotientRing.nf for Vecs,
+and for kernel rows its reach test and bases (_distinct_monic).
 
 Every block-order question is one seeded run of the one block-run
 construction, _block_basis, on the columns (map column | value),
@@ -48,20 +50,11 @@ from .gb import (GroebnerBasis, KernelCol, Vec, _from_kernel, _normalize,
                  _reduce_terms, _shift_terms, _to_kernel, buchberger)
 from .linalg import Echelon
 from .orders import ModuleOrder
-from .poly import ContextError, DomainError, mono_divides
+from .poly import ContextError, DomainError
 from .ring import QuotientRing
 
 
 # --- quotient-ring module primitives ----------------------------------------
-
-
-def ideal_columns(ring: QuotientRing, ncomps: int):
-    cols = []
-    for g in ring.ideal_basis:
-        for j in range(ncomps):
-            cols.append(Vec(ring.ambient, ncomps,
-                            {(j, m): c for m, c in g.terms.items()}))
-    return cols
 
 
 def r_span_basis(M: FPModule, cols):
@@ -139,22 +132,6 @@ def r_preimage(ring: QuotientRing, map_cols, values, nvalues, span, ncomps):
     return _distinct_monic(ring, nvalues, basis._rows)
 
 
-def nf_vec(ring: QuotientRing, v: Vec) -> Vec:
-    """Componentwise normal form of v modulo the defining ideal.
-
-    When no term of v is divisible by a lead monomial of the ideal's
-    reduced basis, no reduction step applies, so v is its own normal form
-    and comes back as it is: relabelled copies of normal forms, such as the
-    tensor image columns of ModuleClosure, are not reduced again.
-    """
-    leads = ring.ideal_leads
-    if not any(mono_divides(e, m) for (_j, m) in v.terms for e in leads):
-        return v
-    return Vec(ring.ambient, v.ncomps,
-               {(j, m): c for j in v.support()
-                for m, c in ring.nf(v.component(j)).terms.items()})
-
-
 def _distinct_monic(ring: QuotientRing, ncomps, rows,
                     compare=False) -> list:
     """The distinct nonzero monic normal forms modulo I P^ncomps of the
@@ -162,11 +139,11 @@ def _distinct_monic(ring: QuotientRing, ncomps, rows,
     occurrences in order.
 
     Each row is normalized (gb._normalize), its terms in descending order,
-    lead first.  A row none of whose terms an ideal lead divides is its own
-    normal form, and comes back as it is.  Only a row that an ideal lead
-    reaches is reduced, against the ring's basis of I P^ncomps, and
-    normalized again; it may vanish, or meet another row.  Rows compare by
-    their int terms, which normalization makes canonical.
+    lead first.  A row that no ideal lead reaches (QuotientRing.reaches)
+    is its own normal form, and comes back as it is.  Only a reached row
+    is reduced, against the ring's basis of I P^ncomps, and normalized
+    again; it may vanish, or meet another row.  Rows compare by their int
+    terms, which normalization makes canonical.
 
     Without compare the rows are those of one reduced basis, pairwise
     distinct, and they are compared only when a row was reduced.  With
@@ -174,13 +151,10 @@ def _distinct_monic(ring: QuotientRing, ncomps, rows,
     """
     amb = ring.ambient
     p, code = amb.field.char, amb.code
-    xor, add, guard = code.xor, code.add, code.guard
-    leads = [e for _c, e, _lc, _t in ring._gb._rows]
     forms = []
     for row in rows:
         terms = row[3]
-        if any(not ((((m - e) ^ xor) + add) & guard)
-               for _j, m in terms for e in leads):
+        if ring.reaches(terms):
             ideal = ring.free_relation_basis(ncomps)
             terms, _mult = _reduce_terms(dict(terms), ideal._rows_of,
                                          ideal._key, code, p)
@@ -210,7 +184,7 @@ class FPModule:
         self.gen_degrees = tuple(gen_degrees)
         rels = []
         for col in relations:
-            col = nf_vec(ring, self.vec(col))
+            col = ring.nf(self.vec(col))
             if col.is_zero():
                 continue
             if not col.is_homogeneous(self.gen_degrees):
@@ -235,14 +209,18 @@ class FPModule:
     def vec(self, col) -> Vec:
         """A cover vector from ring elements / strings / polynomials, or a
         Vec over the ambient ring, of the cover's rank, as it is; a Vec of
-        another ring or rank is refused."""
+        another ring or rank, or with a term past its rank, is refused."""
         if isinstance(col, Vec):
-            amb = self.ring.ambient
+            amb, n = self.ring.ambient, self.ngens
             if col.ring is not amb and col.ring != amb:
                 raise ContextError("vector over another ring")
-            if col.ncomps != self.ngens:
+            if col.ncomps != n:
                 raise ContextError(f"vector of rank {col.ncomps} in a module "
-                                   f"of rank {self.ngens}")
+                                   f"of rank {n}")
+            for j, _m in col.terms:
+                if not 0 <= j < n:
+                    raise ContextError(f"term in component {j} outside "
+                                       f"0..{n - 1}")
             return col
         entries = [self.ring.elem(x).poly for x in col]
         if len(entries) != self.ngens:
@@ -308,7 +286,7 @@ class FPModule:
     def submodule(self, gens) -> "Submodule":
         vecs = []
         for g in gens:
-            v = nf_vec(self.ring, self.vec(g))
+            v = self.ring.nf(self.vec(g))
             if not v.is_homogeneous(self.gen_degrees):
                 raise DomainError(f"inhomogeneous generator {v}")
             if not v.is_zero():
@@ -371,8 +349,8 @@ class FPModule:
         return FPModule(self.ring, degrees_d, rel_cols)
 
     def presentation_strings(self):
-        return [[str(self.ring.nf(col.component(i))) for i in range(self.ngens)]
-                for col in self.relations]
+        # the relations are stored as normal forms (__init__)
+        return [[str(p) for p in col.to_polys()] for col in self.relations]
 
     def descriptor(self) -> dict:
         return {
@@ -510,8 +488,8 @@ class Submodule:
         return [self.ring.elem(g.component(0)) for g in self.gens]
 
     def descriptor(self):
-        return [[str(self.ring.nf(g.component(i)))
-                 for i in range(self.module.ngens)] for g in self.gens]
+        return [[str(c) for c in self.ring.nf(g).to_polys()]
+                for g in self.gens]
 
     def __repr__(self):
         return f"Submodule({len(self.gens)} gens of {self.module!r})"
@@ -543,7 +521,7 @@ class ModuleMap:
             p = v.component(i)
             if p:
                 acc = acc + self.cols[i].scale(p)
-        return nf_vec(self.target.ring, acc)
+        return self.target.ring.nf(acc)
 
     def image(self) -> Submodule:
         return self.target.submodule(self.cols)
@@ -737,7 +715,7 @@ def _minimal_presentation(M: FPModule) -> FPModule:
         degrees = [degrees[i] for i in keep]
         cols = []
         for v in new_cols:
-            v = nf_vec(ring, v)
+            v = ring.nf(v)
             terms = {(remap[i], m): c for (i, m), c in v.terms.items()
                      if i != row}
             if terms:

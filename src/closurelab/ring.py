@@ -5,6 +5,10 @@ classes of the variables, all of positive weight.  Krull dimension comes
 from the leading-term ideal of the reduced defining Groebner basis (the
 standard flat-degeneration argument makes this exact for global orders).
 
+The ring owns normal forms modulo I: the ideal's leads, its bases of
+I P^n (free_relation_basis), nf for Polynomials and Vecs and its reach
+test on kernel rows (reaches).  A sum of two elements is a normal form.
+
 A monomial subring is presented through its graph ring, itself a
 QuotientRing under an elimination order (SubringPresentation): one
 Groebner basis gives the toric kernel and the rewriting into presentation
@@ -38,12 +42,14 @@ class QuotientRing:
             if not g.is_homogeneous():
                 raise DomainError(f"inhomogeneous relation: {g}")
         cols = [Vec.from_polys([g]) for g in gens]
-        self._gb = buchberger(cols, 1, ModuleOrder(ambient.order), ambient)
-        self.ideal_basis = [v.component(0) for v in self._gb]
-        self.ideal_leads = tuple(e for _c, e in self._gb.leading_terms())
+        basis = buchberger(cols, 1, ModuleOrder(ambient.order), ambient)
+        self.ideal_basis = [v.component(0) for v in basis]
+        # the ideal's leads as order codes (reaches) and tuples (nf)
+        self._lead_codes = tuple(e for _c, e, _lc, _t in basis._rows)
+        self._leads = tuple(e for _c, e in basis.leading_terms())
         self.domain_status = domain_status
         self.presentation = presentation
-        self._free_bases = {}   # (rank, nreal) -> free_relation_basis
+        self._free_bases = {(1, None): basis}   # see free_relation_basis
 
     def _coerce_poly(self, g) -> Polynomial:
         if isinstance(g, str):
@@ -58,20 +64,34 @@ class QuotientRing:
 
     # -- element handling ---------------------------------------------------
 
-    def nf(self, poly: Polynomial) -> Polynomial:
-        """The normal form of poly modulo the ideal.  When no term of poly
-        is divisible by a lead monomial of the ideal's reduced basis (as
-        when there is no ideal), no reduction step applies, and poly comes
-        back as it is."""
-        if poly.ring != self.ambient:
-            raise ContextError("polynomial from a different ambient ring")
-        leads = self.ideal_leads
-        if not any(mono_divides(e, m) for m in poly.terms for e in leads):
-            return poly
-        rem = self._gb.normal_form(
-            Vec(self.ambient, 1, {(0, m): c for m, c in poly.terms.items()}))
-        return Polynomial(self.ambient,
-                          {m: c for (_0, m), c in rem.terms.items()})
+    def nf(self, value):
+        """The normal form modulo I of a Polynomial, or of a Vec of rank n
+        modulo I P^n, a polynomial being the rank-1 case.  A value no term
+        of which an ideal lead divides (as when there is no ideal) is its
+        own, and comes back as it is; a reached one is reduced once, whole,
+        against the ring's basis of I P^n (free_relation_basis)."""
+        amb = self.ambient
+        if value.ring is not amb and value.ring != amb:
+            raise ContextError("value over a different ambient ring")
+        poly = isinstance(value, Polynomial)
+        monos = value.terms if poly else [m for _j, m in value.terms]
+        leads = self._leads
+        if not any(mono_divides(e, m) for m in monos for e in leads):
+            return value
+        if not poly:
+            return self.free_relation_basis(value.ncomps).normal_form(value)
+        rem = self.free_relation_basis(1).normal_form(
+            Vec(amb, 1, {(0, m): c for m, c in value.terms.items()}))
+        return Polynomial(amb, {m: c for (_0, m), c in rem.terms.items()})
+
+    def reaches(self, terms) -> bool:
+        """Whether an ideal lead divides a kernel term (comp, m) of terms,
+        m an order code: the reach test of nf on kernel rows."""
+        code = self.ambient.code
+        xor, add, guard = code.xor, code.add, code.guard
+        leads = self._lead_codes
+        return any(not ((((m - e) ^ xor) + add) & guard)
+                   for _j, m in terms for e in leads)
 
     def free_relation_basis(self, ncomps, nreal=None) -> GroebnerBasis:
         """Reduced Groebner basis of I P^ncomps, the relations of R^ncomps,
@@ -95,7 +115,7 @@ class QuotientRing:
         if basis is None:
             offset = nreal or 0
             rows = [(j, e, lc, {(j, m): c for (_0, m), c in terms.items()})
-                    for _0, e, lc, terms in self._gb._rows
+                    for _0, e, lc, terms in self._free_bases[1, None]._rows
                     for j in range(offset, offset + ncomps)]
             basis = self._free_bases.setdefault(key, GroebnerBasis(
                 self.ambient, offset + ncomps,
@@ -108,18 +128,18 @@ class QuotientRing:
                 raise ContextError("element of a different ring")
             return x
         if isinstance(x, str):
-            return RingElem(self, self.nf(self.ambient.parse(x)))
-        if isinstance(x, int):
-            return RingElem(self, self.ambient.const(x))
-        if isinstance(x, Polynomial):
-            return RingElem(self, self.nf(x))
-        raise TypeError(f"cannot coerce {x!r} into the ring")
+            x = self.ambient.parse(x)
+        elif isinstance(x, int):
+            x = self.ambient.const(x)
+        elif not isinstance(x, Polynomial):
+            raise TypeError(f"cannot coerce {x!r} into the ring")
+        return RingElem(self, self.nf(x))
 
     def zero(self):
         return RingElem(self, self.ambient.zero())
 
     def one(self):
-        return RingElem(self, self.ambient.one())
+        return self.elem(1)
 
     def gens(self):
         return [self.elem(v) for v in self.ambient.gens()]
@@ -149,14 +169,14 @@ class QuotientRing:
 
     @cached_property
     def dim(self) -> int:
-        return _dim_from_leads(self.ideal_leads, self.ambient.nvars)
+        return _dim_from_leads(self._leads, self.ambient.nvars)
 
     def dim_modulo(self, elems) -> int:
         """Krull dimension of R/(elems): one run on the elements, seeded
         with the ideal's reduced basis."""
         cols = [Vec.from_polys([self.elem(x).poly]) for x in elems]
         gb = buchberger(cols, 1, ModuleOrder(self.ambient.order), self.ambient,
-                        seed=self._gb)
+                        seed=self.free_relation_basis(1))
         return _dim_from_leads([e for _c, e in gb.leading_terms()],
                                self.ambient.nvars)
 
@@ -217,8 +237,8 @@ class RingElem:
         return self.ring.elem(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return RingElem(self.ring, self.ring.nf(self.poly + other.poly))
+        # a sum of normal forms is one: no lead divides a term of either
+        return RingElem(self.ring, self.poly + self._coerce(other).poly)
 
     __radd__ = __add__
 
@@ -382,9 +402,9 @@ class SubringPresentation:
         if not gens:
             return []
         B, n_t, t = self.graph, self.target.nvars, len(gens)
-        basis = _block_basis(
-            B, *_unit_pairs(B, [Vec.from_polys([_lift(g, B.ambient)])
-                                for g in gens]), t, B._gb, 1, eliminate=True)
+        cols = [Vec.from_polys([_lift(g, B.ambient)]) for g in gens]
+        basis = _block_basis(B, *_unit_pairs(B, cols), t,
+                             B.free_relation_basis(1), 1, eliminate=True)
         return [Vec(self.pres_ring, t,
                     {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
                 for v in basis if not v.has_vars_below(n_t)]

@@ -119,7 +119,6 @@ def preimages_vs_reference(monkeypatch):
     from collections import Counter
 
     from closurelab import modules
-    from closurelab.modules import nf_vec
     from oracles import (ref_decoded_rows, ref_distinct_monic,
                          ref_preimage_basis)
 
@@ -142,7 +141,7 @@ def preimages_vs_reference(monkeypatch):
             got = ref_decoded_rows(ring, basis.ncomps, modules._distinct_monic(
                 ring, basis.ncomps, basis._rows))
             assert got == ref_distinct_monic(ring, want), args
-            forms = [nf_vec(ring, v) for v in want]
+            forms = [ring.nf(v) for v in want]
             seen["calls"] += 1
             seen["rows"] += len(forms)
             seen["reached"] += sum(f != v for f, v in zip(forms, want))

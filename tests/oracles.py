@@ -22,9 +22,13 @@ a preimage run for every generator of S, which the step skip of
 whole block basis of an eliminating block run, seeded as built for that
 run, filtered to its value block and relabelled, which the eliminating
 run and its kept seed index are checked against,
+`ideal_columns`, the ideal's basis polynomials copied into each
+component, the reference for `QuotientRing.free_relation_basis`,
 `ref_distinct_monic` and `ref_monic_vec`, the `Vec`-level
-canonicalization (normal form by `QuotientRing.nf`, monic form, dedup on
-field terms) that the kernel-row `_distinct_monic` is checked against,
+canonicalization (normal form by the `Fraction` reducer against the
+ideal's `Fraction` basis, `ref_ideal_normal_form`, monic form, dedup on
+field terms) that the kernel-row `_distinct_monic` and the normal forms
+of `QuotientRing.nf` are checked against,
 with `kernel_terms_vec` and `ref_decoded_rows`, which read kernel terms
 and rows as `Vec`s without the engine's decoder,
 `ref_module_relation_columns`, the syzygy-then-elimination construction
@@ -77,8 +81,7 @@ from closurelab.gb import (GroebnerBasis, Vec, _normalize, _term_key,
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
 from closurelab.modules import (FPModule, _unit_pairs, free_module,
-                                ideal_columns, nf_vec, r_preimage,
-                                scaled_gens, tensor, tensor_elem)
+                                r_preimage, scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import (DomainError, ParseError, PolyRing, Polynomial,
                              _tokenize_poly)
@@ -317,6 +320,14 @@ def fm_newton_member(alpha, betas) -> bool:
 
 
 # --- degreewise span membership ---------------------------------------------------
+
+
+def ideal_columns(ring, ncomps):
+    """The ideal's reduced basis in each component of P^ncomps, as Vecs
+    built from the ring's ideal_basis polynomials: the reference for the
+    ring's own basis of I P^ncomps (QuotientRing.free_relation_basis)."""
+    return [Vec(ring.ambient, ncomps, {(j, m): c for m, c in g.terms.items()})
+            for g in ring.ideal_basis for j in range(ncomps)]
 
 
 def span_rref(ring, cols, shifts, d):
@@ -1111,14 +1122,25 @@ def ref_monic_vec(v: Vec) -> Vec:
     return v.term_mul(fld.inv(lc), (0,) * v.ring.nvars)
 
 
+def ref_ideal_normal_form(ring, v: Vec) -> Vec:
+    """The normal form of v modulo I P^n, n = v.ncomps, by the Fraction
+    reducer (fraction_normal_form) against the ideal's fraction basis:
+    fraction_buchberger on the ideal's generators in every component,
+    under TOP over the reference key of the ring order."""
+    keyfn = top_key(ref_ring_key(ring.ambient.order))
+    basis = fraction_buchberger(ideal_columns(ring, v.ncomps), v.ncomps,
+                                keyfn, ring.ambient)
+    return fraction_normal_form(basis, keyfn, v)
+
+
 def ref_distinct_monic(ring, vecs) -> list:
     """The nonzero monic normal forms of vecs, first occurrences in order:
-    each Vec's normal form by QuotientRing.nf, its monic form, and a dedup
-    keyed on its field terms."""
+    each Vec's normal form (ref_ideal_normal_form), its monic form, and a
+    dedup keyed on its field terms."""
     out = []
     seen = set()
     for v in vecs:
-        v = nf_vec(ring, v)
+        v = ref_ideal_normal_form(ring, v)
         if v.is_zero():
             continue
         v = ref_monic_vec(v)

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from closurelab import closure, modules
-from closurelab.field import prime_field
+from closurelab.field import QQ, prime_field
 from closurelab.orders import wdegrevlex
-from closurelab.poly import ContextError, DomainError, PolyRing
+from closurelab.poly import ContextError, DomainError, PolyRing, Polynomial
 from closurelab.ring import QuotientRing, make_quotient_ring
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 free_module,
@@ -184,6 +184,30 @@ def test_xyuv_closure_contains_xu(xyuv):
 def test_integral_closure_compute(kxy):
     C = closure_of_ideal(MonomialIntegralClosure(), kxy, ["x^2", "y^2"])
     assert {str(g.component(0)) for g in C.gens} == {"x^2", "x*y", "y^2"}
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_integral_closure_generators_are_the_minimalized_ones(field):
+    """MonomialIntegralClosure.closure returns the divisibility-minimal
+    monomials of the closure as the minimalized() route does, monic and
+    ordered by (degree, str), without its span runs: on random monomial
+    ideals under unequal weights, minimalizing them together with N's
+    generators gives them back in order."""
+    fld = QQ if field == "Q" else prime_field(5)
+    amb = PolyRing(("x", "y", "z"), fld, wdegrevlex((1, 2, 3)))
+    R = make_quotient_ring(amb, [])
+    rng = random.Random(f"integral-{field}")
+    ic = MonomialIntegralClosure()
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            exps = [rng.randint(0, 3) for _ in range(3)]
+            exps[rng.randrange(3)] += 1
+            gens.append(Polynomial(amb, {tuple(exps): fld.one}))
+        N = ideal_submodule(R, gens)
+        got = ic.closure(N).gens
+        assert got == Submodule(N.module, got + N.gens).minimalized().gens, \
+            gens
 
 
 def test_closure_extension_and_idempotence(segre,

@@ -8,7 +8,7 @@ from closurelab.orders import DEGREVLEX
 from closurelab.poly import ContextError, DomainError, PolyRing
 from closurelab.ring import ParameterSequence
 from closurelab.modules import (Submodule, ideal_as_module, ideal_submodule,
-                                nf_vec, ring_as_module, scaled_gens)
+                                ring_as_module, scaled_gens)
 from closurelab.closure import (ModuleClosure, MonomialIntegralClosure,
                                 PhantomInstance, TrivialClosure, phantom_test)
 from closurelab.modify import (BadRelation, ModificationTrace,
@@ -190,4 +190,4 @@ def test_containment_modification_stores_normal_forms(xyuv):
     M2, _incl = containment_modification(M, cl, G, G.module.vec(["x*v^2"]),
                                          M.vec(["y"]))
     assert M2.relations
-    assert all(nf_vec(xyuv, r) == r for r in M2.relations)
+    assert all(xyuv.nf(r) == r for r in M2.relations)

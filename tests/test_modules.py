@@ -9,11 +9,11 @@ from closurelab import gb, modules
 from closurelab.field import QQ, prime_field
 from closurelab.gb import Vec, buchberger
 from closurelab.orders import DEGREVLEX, ModuleOrder, wdegrevlex
-from closurelab.poly import ContextError, DomainError, PolyRing
+from closurelab.poly import ContextError, DomainError, PolyRing, Polynomial
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
-                                free_module, ideal_as_module, ideal_columns,
+                                free_module, ideal_as_module,
                                 ideal_submodule, is_regular_sequence,
-                                minimal_generators, nf_vec, quotient_module,
+                                minimal_generators, quotient_module,
                                 residue_field, ring_as_module, scaled_gens,
                                 tensor, tensor_elem)
 from closurelab.ring import (QuotientRing, make_quotient_ring,
@@ -22,11 +22,12 @@ from closurelab.sampling import random_homogeneous_elem, random_ideal_gens
 
 from oracles import (brute_member, brute_syzygies_complete,
                      graded_dim_of_span, greedy_minimal_generators,
-                     module_graded_dim, outside_later_spans,
+                     ideal_columns, module_graded_dim, outside_later_spans,
                      random_submodule_pair, ref_certificate,
                      ref_colon_preimage, ref_decoded_rows,
-                     ref_distinct_monic, ref_intersect_preimage,
-                     ref_kernel_preimage, ref_span_basis, ref_syzygy_basis,
+                     ref_distinct_monic, ref_ideal_normal_form,
+                     ref_intersect_preimage, ref_kernel_preimage,
+                     ref_monic_vec, ref_span_basis, ref_syzygy_basis,
                      same_presentation, vec_minimal_generators,
                      vec_resolution, vec_syzygies, verify_resolution)
 
@@ -763,21 +764,125 @@ def test_greedy_minimal_generators_uses_the_reference(kxy, monkeypatch):
     assert [str(g) for g in kept] == ["(x*y)", "(x^2)"]
 
 
-def test_nf_vec_reduces_only_nonzero_components(segre, monkeypatch):
+def test_nf_reduces_a_reached_vector_once(segre, monkeypatch):
+    """QuotientRing.nf reduces a vector that an ideal lead (here b^2)
+    reaches once, whole, zero components included, against the ring's
+    basis of I P^n; its normal form, unreached, comes back as it is, with
+    no reduction."""
     v = Vec.from_polys([segre.ambient.parse(t)
                         for t in ["0", "b^2", "0", "a + c"]])
-    calls = []
-    real = QuotientRing.nf
+    bases = []
+    real = gb.GroebnerBasis.normal_form
 
-    def counting(self, poly):
-        calls.append(poly)
-        return real(self, poly)
+    def counting(self, w):
+        bases.append(self)
+        return real(self, w)
 
-    monkeypatch.setattr(QuotientRing, "nf", counting)
-    w = nf_vec(segre, v)
-    assert len(calls) == 2
-    assert w == Vec.from_polys([real(segre, p) for p in v.to_polys()])
+    monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counting)
+    w = segre.nf(v)
+    assert len(bases) == 1 and bases[0] is segre.free_relation_basis(4)
+    assert segre.nf(w) is w and len(bases) == 1
     assert str(w) == "(0, a*c, 0, a + c)"
+    assert w == Vec.from_polys([segre.nf(p) for p in v.to_polys()])
+
+
+def _reference_rings(field):
+    """The rings of _span_rings and k[x, y] modulo the unit ideal."""
+    fld = QQ if field == "Q" else prime_field(5)
+    return _span_rings(field) + [
+        make_quotient_ring(PolyRing(("x", "y"), fld, DEGREVLEX), ["1"])]
+
+
+def _random_vec(amb, ncomps, rng):
+    """A vector of P^ncomps with up to four terms of degree at most 2 in
+    each variable, some of its components zero."""
+    fld = amb.field
+    terms = {}
+    for j in rng.sample(range(ncomps), rng.randint(0, ncomps)):
+        for _ in range(rng.randint(1, 4)):
+            m = tuple(rng.randint(0, 2) for _ in range(amb.nvars))
+            terms[(j, m)] = fld.from_int(rng.choice([1, 2, 3, -1, -2]))
+    return Vec(amb, ncomps, terms)
+
+
+def _kernel_row(v):
+    """The nonzero Vec v as a normalized kernel row, its terms in
+    descending order, as the engine makes its rows."""
+    amb = v.ring
+    p, key = amb.field.char, ModuleOrder(amb.order).term_key
+    terms = dict(sorted(gb._to_kernel(v.terms, p, amb.code)[0].items(),
+                        key=lambda t: key(t[0]), reverse=True))
+    return (*gb._normalize(terms, p), terms)
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_normal_forms_agree_with_the_fraction_reference(field):
+    """QuotientRing.nf of polynomials and of vectors, with zero components
+    among them, and the reduction of kernel rows (_distinct_monic) agree
+    with the Fraction reducer against the ideal's Fraction basis
+    (ref_ideal_normal_form), on the cone, xy = uv, the Veronese-4 ring,
+    k[x, y] and the unit ideal.  An input that no ideal lead reaches, its
+    reference normal form being itself, comes back as the same object."""
+    rng = random.Random(f"nf-{field}")
+    seen = Counter()
+    for ring in _reference_rings(field):
+        amb = ring.ambient
+        for _ in range(40):
+            ncomps = rng.randint(1, 3)
+            v = _random_vec(amb, ncomps, rng)
+            want = ref_ideal_normal_form(ring, v)
+            reached = want != v
+            seen["reached" if reached else "unreached"] += 1
+            got = ring.nf(v)
+            assert got == want, (ring, v)
+            assert reached or got is v
+            f = v.component(0)
+            got = ring.nf(f)
+            assert got == want.component(0), (ring, f)
+            assert got is f or want.component(0) != f
+            if v.is_zero():
+                continue
+            row = _kernel_row(v)
+            forms = modules._distinct_monic(ring, ncomps, [row])
+            assert ref_decoded_rows(ring, ncomps, forms) == (
+                [ref_monic_vec(want)] if want else []), (ring, v)
+            assert reached or forms[0] is row
+    assert seen["reached"] >= 50 and seen["unreached"] >= 50, seen
+
+
+def test_normal_form_work_counts_are_pinned(monkeypatch):
+    """Building a few elements, modules and submodules of a fresh cone
+    makes a fixed number of normal forms of polynomials and of vectors,
+    reached by an ideal lead or not, and reduces each reached one once
+    (GroebnerBasis.normal_form); a change that means to alter them
+    updates them here."""
+    amb = PolyRing(("a", "b", "c"), QQ, wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    counts = Counter()
+    real_nf, real_reduce = QuotientRing.nf, gb.GroebnerBasis.normal_form
+
+    def counted_nf(self, value):
+        out = real_nf(self, value)
+        kind = "poly" if isinstance(value, Polynomial) else "vec"
+        counts[kind, "reached" if out is not value else "unreached"] += 1
+        return out
+
+    def counted_reduce(self, v):
+        counts["normal_form"] += 1
+        return real_reduce(self, v)
+
+    monkeypatch.setattr(QuotientRing, "nf", counted_nf)
+    monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counted_reduce)
+    a, b, c = R.gens()
+    assert str(b * b + a * b - 1 + 1) == "a*b + a*c"
+    M = FPModule(R, (0, 0), [["b", "-a"], ["c", "-b"], ["b^2", "b^2"]])
+    N = M.submodule([["a*c", "b*c"], ["a", "b"]])
+    assert N.contains(M.vec(["b^2", "b*c"]))
+    assert str(ModuleMap(M, M, [["b", "0"], ["0", "b"]]).apply(
+        M.vec(["b", "b"]))) == "(a*c, a*c)"
+    assert counts == {
+        ("poly", "unreached"): 21, ("poly", "reached"): 4,
+        ("vec", "unreached"): 6, ("vec", "reached"): 3, "normal_form": 7}
 
 
 def test_minimalized_rejects_inhomogeneous_generator(kxy):
@@ -1202,6 +1307,25 @@ def test_tensor_elem_refuses_an_index_or_vector_out_of_range(kxy):
     with pytest.raises(ContextError, match="vector of rank 3 in a module "
                                            "of rank 2"):
         tensor_elem(A, B, 0, v3)
+
+
+@pytest.mark.parametrize("comp", [2, 3, -1])
+def test_vec_with_a_term_past_its_rank_is_refused(kxy, comp):
+    """FPModule.vec refuses a Vec of the cover's rank with a term in a
+    component outside 0..ngens-1, and so do membership in the full
+    submodule, the trivial closure and a submodule built from it."""
+    from closurelab.closure import TrivialClosure
+    F = free_module(kxy, (0, 0))
+    v = Vec(kxy.ambient, 2, {(comp, (1, 0)): kxy.ambient.field.one})
+    match = f"term in component {comp} outside 0..1"
+    with pytest.raises(ContextError, match=match):
+        F.vec(v)
+    with pytest.raises(ContextError, match=match):
+        F.full_submodule().contains(v)
+    with pytest.raises(ContextError, match=match):
+        TrivialClosure().member(v, F.full_submodule())
+    with pytest.raises(ContextError, match=match):
+        F.submodule([v])
 
 
 def test_submodule_rejects_inhomogeneous_vector(segre):

@@ -36,19 +36,30 @@ def test_normal_form_canonical_equality(segre):
 def test_normal_form_returns_a_reduced_input_as_it_is(segre, monkeypatch):
     """nf hands back a polynomial none of whose terms an ideal lead (here
     b^2) divides, and runs no reduction for it; one it divides is
-    reduced."""
+    reduced once, against the ring's basis of I P^1."""
     reduced = segre.ambient.parse("a*c + a*b - 3*c^2")
     calls = []
     real = gb.GroebnerBasis.normal_form
 
     def counted(self, v):
-        calls.append(v)
+        calls.append(self)
         return real(self, v)
 
     monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counted)
     assert segre.nf(reduced) is reduced and not calls
     assert str(segre.nf(segre.ambient.parse("b^2 + a*b"))) == "a*b + a*c"
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] is segre.free_relation_basis(1)
+
+
+def test_unit_ideal_ring_is_zero():
+    """Over the unit ideal every element is 0, integers and one()
+    included: each goes through the normal form."""
+    amb = PolyRing(("x", "y"), QQ, DEGREVLEX)
+    R = make_quotient_ring(amb, ["1"])
+    assert R.one().is_zero() and R.elem(5).is_zero()
+    assert R.elem("5").is_zero() and R.one() == R.zero() == R.elem(5)
+    x, _y = R.gens()
+    assert (x + 1).is_zero() and (R.one() + R.one()).is_zero()
 
 
 def test_elem_arithmetic_random(segre):
