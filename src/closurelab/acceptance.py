@@ -23,7 +23,6 @@ import random
 import signal
 import threading
 import time
-from dataclasses import dataclass
 
 from .closure import (ModuleClosure, MonomialIntegralClosure,
                       PhantomInstance, TrivialClosure,
@@ -43,15 +42,19 @@ from .orders import DEGREVLEX, wdegrevlex
 from .poly import PolyRing
 from .ring import make_quotient_ring, presented_subring
 from .sampling import random_ideal_gens, sample_ideals
+from .values import Record
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(Record):
+    __slots__ = ("number", "title", "passed", "detail", "seconds")
+
+    def __init__(self, number: int, title: str, passed: bool, detail: str,
+                 seconds: float):
+        self.number = number
+        self.title = title
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

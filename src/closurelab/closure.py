@@ -39,7 +39,6 @@ inclusion on the given data and report {holds-on-instance} or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import gcd
@@ -53,27 +52,33 @@ from .modules import (FPModule, ModuleMap, Submodule, _minimal_submodule,
                       ring_as_module, tensor, tensor_elem)
 from .poly import ContextError, DomainError, mono_divides
 from .ring import ParameterSequence, QuotientRing, RingElem
+from .values import Record
 
 
 class UnsupportedQueryError(ValueError):
     pass
 
 
-@dataclass
-class MembershipOutcome:
-    holds: bool
-    certificate: object = None
+class MembershipOutcome(Record):
+    __slots__ = ("holds", "certificate")
+
+    def __init__(self, holds: bool, certificate: object = None):
+        self.holds = holds
+        self.certificate = certificate
 
     def __bool__(self):
         return self.holds
 
 
-@dataclass
-class CheckOutcome:
-    holds: bool
-    witness: object = None
-    note: str = ""
-    data: dict = field(default_factory=dict)
+class CheckOutcome(Record):
+    __slots__ = ("holds", "witness", "note", "data")
+
+    def __init__(self, holds: bool, witness: object = None, note: str = "",
+                 data: dict | None = None):
+        self.holds = holds
+        self.witness = witness
+        self.note = note
+        self.data = {} if data is None else data
 
     def __bool__(self):
         return self.holds
@@ -563,7 +568,8 @@ class PhantomInstance:
     def from_module(cls, M: FPModule):
         """Instance for alpha: R -> M sending 1 to the first generator."""
         # the relations are stored as normal forms (FPModule.__init__)
-        rows = [[RingElem(M.ring, col.component(i)) for col in M.relations]
+        rows = [[RingElem._of_nf(M.ring, col.component(i))
+                 for col in M.relations]
                 for i in range(M.ngens)]
         degs = [col.degree(M.gen_degrees) for col in M.relations]
         return cls(M.ring, rows, col_degrees=degs)

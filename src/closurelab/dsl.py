@@ -29,9 +29,8 @@ equal AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .poly import ParseError, check_syntax
+from .values import Frozen, Record
 
 
 # The signature of each form, by statement: "name: kind" per parameter;
@@ -93,13 +92,12 @@ KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    kind: str
-    optional: bool = False
-    default: object = None
-    rest: bool = False
+class Param(Frozen):
+    __slots__ = ("name", "kind", "optional", "default", "rest")
+
+    def __init__(self, name: str, kind: str, optional: bool = False,
+                 default: object = None, rest: bool = False):
+        self._set_slots(name, kind, optional, default, rest)
 
 
 def _params(spec):
@@ -159,12 +157,14 @@ class ScriptError(ValueError):
 # --- tokens -------------------------------------------------------------------
 
 
-@dataclass
-class Token:
-    kind: str   # name int string punct end
-    value: object
-    pos: int
-    end: int
+class Token(Record):
+    __slots__ = ("kind", "value", "pos", "end")
+
+    def __init__(self, kind: str, value: object, pos: int, end: int):
+        self.kind = kind    # name int string punct end
+        self.value = value
+        self.pos = pos
+        self.end = end
 
 
 _PUNCT = "()[]{},;=/^*+-"
@@ -219,52 +219,64 @@ def tokenize(text: str):
 # --- argument trees ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Name:
-    value: str
+class Name(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self._set_slots(value)
 
     def show(self):
         return self.value
 
 
-@dataclass(frozen=True)
-class IntArg:
-    value: int
+class IntArg(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self._set_slots(value)
 
     def show(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class StrArg:
-    value: str
+class StrArg(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self._set_slots(value)
 
     def show(self):
         return f'"{self.value}"'
 
 
-@dataclass(frozen=True)
-class Expr:
-    text: str
+class Expr(Frozen):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self._set_slots(text)
 
     def show(self):
         return self.text
 
 
-@dataclass(frozen=True)
-class ListArg:
-    items: tuple
+class ListArg(Frozen):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self._set_slots(items)
 
     def show(self):
         return "[" + ", ".join(x.show() for x in self.items) + "]"
 
 
-@dataclass(frozen=True)
-class Call:
-    head: str
-    args: tuple
-    # parameter name -> argument value, as Parser.bind gives them
-    bound: dict = field(default_factory=dict, compare=False, repr=False)
+class Call(Frozen):
+    # bound: parameter name -> argument value, as Parser.bind gives them;
+    # it follows from args, and is left out of eq, hash and repr
+    __slots__ = ("head", "args", "bound")
+    _fields = ("head", "args")
+
+    def __init__(self, head: str, args: tuple, bound: dict | None = None):
+        self._set_slots(head, args, {} if bound is None else bound)
 
     def show(self):
         return self.head + "(" + ", ".join(x.show() for x in self.args) + ")"
@@ -273,17 +285,21 @@ class Call:
 # --- statements -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingDef:
-    name: str
-    form: str                  # "poly" | "subring"
-    field_spec: tuple          # ("Q",) or ("Fp", p)
-    vars: tuple
-    order_spec: tuple = ()     # ("lex",) | ("degrevlex",) | ("wdegrevlex", ints)
-    relations: tuple = ()      # polynomial texts
-    images: tuple = ()         # polynomial texts (subring)
-    pres_names: tuple = ()     # presentation names (subring, may be empty)
-    kind: str = "ring"
+class RingDef(Frozen):
+    """form is "poly" or "subring"; field_spec ("Q",) or ("Fp", p);
+    order_spec ("lex",), ("degrevlex",) or ("wdegrevlex", ints).
+    relations are polynomial texts; a subring has the polynomial texts of
+    its images and its presentation names (which may be empty)."""
+
+    __slots__ = ("name", "form", "field_spec", "vars", "order_spec",
+                 "relations", "images", "pres_names", "kind")
+
+    def __init__(self, name: str, form: str, field_spec: tuple, vars: tuple,
+                 order_spec: tuple = (), relations: tuple = (),
+                 images: tuple = (), pres_names: tuple = (),
+                 kind: str = "ring"):
+        self._set_slots(name, form, field_spec, vars, order_spec, relations,
+                        images, pres_names, kind)
 
     def show(self):
         fs = "Q" if self.field_spec[0] == "Q" else f"Fp({self.field_spec[1]})"
@@ -302,37 +318,40 @@ class RingDef:
                 f"[{', '.join(self.vars)}], {srcs}{extra});")
 
 
-@dataclass(frozen=True)
-class IdealDef:
-    name: str
-    ring: str
-    polys: tuple
-    kind: str = "ideal"
+class IdealDef(Frozen):
+    __slots__ = ("name", "ring", "polys", "kind")
+
+    def __init__(self, name: str, ring: str, polys: tuple,
+                 kind: str = "ideal"):
+        self._set_slots(name, ring, polys, kind)
 
     def show(self):
         return (f"ideal {self.name} = ideal({self.ring}, "
                 f"{', '.join(self.polys)});")
 
 
-@dataclass(frozen=True)
-class ModuleDef:
-    name: str
-    form: str
-    args: tuple
-    kind: str = "module"
-    bound: dict = field(default_factory=dict, compare=False, repr=False)
+class ModuleDef(Frozen):
+    __slots__ = ("name", "form", "args", "kind", "bound")
+    _fields = ("name", "form", "args", "kind")
+
+    def __init__(self, name: str, form: str, args: tuple,
+                 kind: str = "module", bound: dict | None = None):
+        self._set_slots(name, form, args, kind,
+                        {} if bound is None else bound)
 
     def show(self):
         return f"module {self.name} = {Call(self.form, self.args).show()};"
 
 
-@dataclass(frozen=True)
-class ClosureDef:
-    name: str
-    form: str               # trivial | integral_closure | module_closure | intersect
-    args: tuple = ()
-    kind: str = "closure"
-    bound: dict = field(default_factory=dict, compare=False, repr=False)
+class ClosureDef(Frozen):
+    # form: trivial | integral_closure | module_closure | intersect
+    __slots__ = ("name", "form", "args", "kind", "bound")
+    _fields = ("name", "form", "args", "kind")
+
+    def __init__(self, name: str, form: str, args: tuple = (),
+                 kind: str = "closure", bound: dict | None = None):
+        self._set_slots(name, form, args, kind,
+                        {} if bound is None else bound)
 
     def show(self):
         if self.form in CLOSURE_KEYWORDS:
@@ -340,34 +359,37 @@ class ClosureDef:
         return f"closure {self.name} = {Call(self.form, self.args).show()};"
 
 
-@dataclass(frozen=True)
-class CheckStmt:
-    fn: str
-    args: tuple
-    kind: str = "check"
-    bound: dict = field(default_factory=dict, compare=False, repr=False)
+class CheckStmt(Frozen):
+    __slots__ = ("fn", "args", "kind", "bound")
+    _fields = ("fn", "args", "kind")
+
+    def __init__(self, fn: str, args: tuple, kind: str = "check",
+                 bound: dict | None = None):
+        self._set_slots(fn, args, kind, {} if bound is None else bound)
 
     def show(self):
         return f"check {Call(self.fn, self.args).show()};"
 
 
-@dataclass(frozen=True)
-class ModifyStmt:
-    name: str
-    form: str
-    args: tuple
-    kind: str = "modify"
-    bound: dict = field(default_factory=dict, compare=False, repr=False)
+class ModifyStmt(Frozen):
+    __slots__ = ("name", "form", "args", "kind", "bound")
+    _fields = ("name", "form", "args", "kind")
+
+    def __init__(self, name: str, form: str, args: tuple,
+                 kind: str = "modify", bound: dict | None = None):
+        self._set_slots(name, form, args, kind,
+                        {} if bound is None else bound)
 
     def show(self):
         return f"modify {self.name} = {Call(self.form, self.args).show()};"
 
 
-@dataclass(frozen=True)
-class ExportStmt:
-    what: str     # json | session
-    path: str
-    kind: str = "export"
+class ExportStmt(Frozen):
+    # what: json | session
+    __slots__ = ("what", "path", "kind")
+
+    def __init__(self, what: str, path: str, kind: str = "export"):
+        self._set_slots(what, path, kind)
 
     def show(self):
         return f'export {self.what} "{self.path}";'
@@ -377,15 +399,15 @@ def print_statements(stmts) -> str:
     return "\n".join(s.show() for s in stmts)
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Frozen):
     """Where a statement stands in its script: the offset of its first
     character, and (text, offset) of each argument that is an element or
     a name, as written."""
 
-    script: str
-    start: int
-    args: tuple = ()
+    __slots__ = ("script", "start", "args")
+
+    def __init__(self, script: str, start: int, args: tuple = ()):
+        self._set_slots(script, start, args)
 
     def where(self, text=None, pos=0) -> dict:
         """locate() of offset pos in the first argument written as text,

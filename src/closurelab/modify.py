@@ -14,26 +14,26 @@ fed directly to the phantom-extension test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .closure import ClosureOp, PhantomInstance, phantom_test
 from .gb import Vec
 from .modules import (FPModule, ModuleMap, Submodule, colon_scan,
                       ring_as_module, scaled_gens)
 from .poly import ContextError, DomainError
 from .ring import ParameterSequence, QuotientRing
+from .values import Record
 
 
-@dataclass
-class BadRelation:
+class BadRelation(Record):
     """x_{k+1} u = x_1 u_1 + .. + x_k u_k in M, with u outside (x_1..x_k)M."""
 
-    module: FPModule
-    xs: ParameterSequence       # x_1 .. x_{k+1}
-    u: Vec
-    us: tuple                   # u_1 .. u_k, vectors in the cover of M
+    __slots__ = ("module", "xs", "u", "us")
 
-    def __post_init__(self):
+    def __init__(self, module: FPModule, xs: ParameterSequence, u: Vec,
+                 us: tuple):
+        self.module = module
+        self.xs = xs        # x_1 .. x_{k+1}
+        self.u = u
+        self.us = us        # u_1 .. u_k, vectors in the cover of M
         M = self.module
         elems = list(self.xs.elems)
         if len(self.us) != len(elems) - 1:
@@ -164,13 +164,17 @@ def find_bad_relation(M: FPModule, xs, degree_bound=None):
     return BadRelation(M, seq, u, tuple(us))
 
 
-@dataclass
-class Stage:
-    module: FPModule
-    kind: str                    # "start" | "parameter" | "containment"
-    descriptor: dict
-    map_from_prev: ModuleMap | None = None
-    flags: dict = field(default_factory=dict)
+class Stage(Record):
+    __slots__ = ("module", "kind", "descriptor", "map_from_prev", "flags")
+
+    def __init__(self, module: FPModule, kind: str, descriptor: dict,
+                 map_from_prev: ModuleMap | None = None,
+                 flags: dict | None = None):
+        self.module = module
+        self.kind = kind    # "start" | "parameter" | "containment"
+        self.descriptor = descriptor
+        self.map_from_prev = map_from_prev
+        self.flags = {} if flags is None else flags
 
 
 class ModificationTrace:

@@ -208,26 +208,41 @@ class FPModule:
 
     def vec(self, col) -> Vec:
         """A cover vector from ring elements / strings / polynomials, or a
-        Vec over the ambient ring, of the cover's rank, as it is; a Vec of
-        another ring or rank, or with a term past its rank, is refused."""
-        if isinstance(col, Vec):
-            amb, n = self.ring.ambient, self.ngens
-            if col.ring is not amb and col.ring != amb:
-                raise ContextError("vector over another ring")
-            if col.ncomps != n:
-                raise ContextError(f"vector of rank {col.ncomps} in a module "
-                                   f"of rank {n}")
-            for j, _m in col.terms:
-                if not 0 <= j < n:
-                    raise ContextError(f"term in component {j} outside "
-                                       f"0..{n - 1}")
+        Vec over the ambient ring, of the cover's rank, with its
+        coefficients put into the field and its zero terms dropped; a Vec
+        of another ring or rank, or with a term past its rank, is refused.
+        A Vec whose coefficients are all nonzero field values is returned
+        as it is."""
+        amb, n = self.ring.ambient, len(self.gen_degrees)
+        if not isinstance(col, Vec):
+            entries = [self.ring.elem(x).poly for x in col]
+            col = Vec.from_polys(entries) if entries else Vec.zero(amb, 0)
+        if col.ring is not amb and col.ring != amb:
+            raise ContextError("vector over another ring")
+        if col.ncomps != n:
+            raise ContextError(f"vector of rank {col.ncomps} in a module "
+                               f"of rank {n}")
+        # a nonzero field value is an int in 1..p-1 over GF(p), and a
+        # Fraction over Q, whose numerator is read (its truth value costs
+        # a Python call per term)
+        fld = amb.field
+        value_type, p = fld.one.__class__, fld.char
+        clean = True
+        for (j, _m), c in col.terms.items():
+            if not 0 <= j < n:
+                raise ContextError(f"term in component {j} outside "
+                                   f"0..{n - 1}")
+            if c.__class__ is not value_type or \
+                    not (0 < c < p if p else c._numerator):
+                clean = False
+        if clean:
             return col
-        entries = [self.ring.elem(x).poly for x in col]
-        if len(entries) != self.ngens:
-            raise ContextError(f"vector of rank {len(entries)} in a module "
-                               f"of rank {self.ngens}")
-        return Vec.from_polys(entries) if entries else Vec.zero(
-            self.ring.ambient, 0)
+        terms = {}
+        for key, c in col.terms.items():
+            c = fld.from_fraction(c.numerator, c.denominator)
+            if c:
+                terms[key] = c
+        return Vec(amb, n, terms)
 
     def gen(self, i) -> Vec:
         return Vec.unit(self.ring.ambient, self.ngens, i)

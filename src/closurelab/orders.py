@@ -21,9 +21,10 @@ so such an input is refused where it is first ordered (printed, say).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
+
+from .values import Frozen
 
 
 class UnsupportedInputError(ValueError):
@@ -31,24 +32,32 @@ class UnsupportedInputError(ValueError):
     bound of the order codes (EXP_BOUND)."""
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Frozen):
     """One of lex, degrevlex, weighted degrevlex (positive weights), or the
     elimination order: block degrevlex with the first nelim variables
-    dominant."""
+    dominant.  The weights are kept as a tuple, and the hash is computed
+    once: every order-code lookup takes it."""
 
-    kind: str  # "lex" | "degrevlex" | "wdegrevlex" | "elim"
-    weights: tuple = ()
-    nelim: int = 0
+    # kind: "lex" | "degrevlex" | "wdegrevlex" | "elim"
+    __slots__ = ("kind", "weights", "nelim", "_hash")
+    _fields = ("kind", "weights", "nelim")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "degrevlex", "wdegrevlex", "elim"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "wdegrevlex":
-            if not self.weights or any(w <= 0 for w in self.weights):
+    def __init__(self, kind: str, weights=(), nelim: int = 0):
+        if kind not in ("lex", "degrevlex", "wdegrevlex", "elim"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        weights = tuple(weights)
+        if kind == "wdegrevlex":
+            if not weights or any(w <= 0 for w in weights):
                 raise ValueError("wdegrevlex needs positive weights")
-        if (self.kind == "elim") != (self.nelim > 0):
+        if (kind == "elim") != (nelim > 0):
             raise ValueError("elim, and only elim, needs nelim > 0")
+        self._set_slots(kind, weights, nelim, hash((kind, weights, nelim)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return MonomialOrder, (self.kind, self.weights, self.nelim)
 
     def code(self, nvars) -> "MonomialCode":
         """The order code of this order on nvars variables."""
@@ -246,8 +255,7 @@ def _top_term_key(t):
     return (t[1], -t[0])
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
+class ModuleOrder(Frozen):
     """A term order on the terms (component, exponents) of P^s.
 
     With nreal None it is TOP (term over position): the ring monomials are
@@ -261,21 +269,32 @@ class ModuleOrder:
     and term_key gives its key: (m, -comp) for TOP, (comp < nreal, m,
     -comp) for the block order.  Calling the order on (comp, exps) gives
     the key of (comp, the code of exps).  Equal orders compare and hash
-    equal; the term key is held outside eq and hash.
+    equal; the term key is held outside eq and hash, and the hash is
+    computed once.
     """
 
-    ring_order: MonomialOrder
-    nreal: int | None = None
-    term_key: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("ring_order", "nreal", "term_key", "_hash")
+    _fields = ("ring_order", "nreal")
 
-    def __post_init__(self):
-        nreal = self.nreal
+    def __init__(self, ring_order: MonomialOrder, nreal: int | None = None):
         if nreal is None:
             term_key = _top_term_key
         else:
             def term_key(t):
                 return (t[0] < nreal, t[1], -t[0])
-        object.__setattr__(self, "term_key", term_key)
+        # one is built per Buchberger run: its slots are set without
+        # _set_slots's loop
+        set_slot = object.__setattr__
+        set_slot(self, "ring_order", ring_order)
+        set_slot(self, "nreal", nreal)
+        set_slot(self, "term_key", term_key)
+        set_slot(self, "_hash", hash((ring_order, nreal)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return ModuleOrder, (self.ring_order, self.nreal)
 
     def code(self, nvars) -> MonomialCode:
         """The order code of the ring order on nvars variables."""

@@ -18,7 +18,6 @@ preimage run in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -28,6 +27,7 @@ from .orders import (ModuleOrder, UnsupportedInputError, elimination,
 from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
                    mono_divides)
 from .gb import GroebnerBasis, Vec, buchberger
+from .values import Record
 
 
 class QuotientRing:
@@ -133,10 +133,10 @@ class QuotientRing:
             x = self.ambient.const(x)
         elif not isinstance(x, Polynomial):
             raise TypeError(f"cannot coerce {x!r} into the ring")
-        return RingElem(self, self.nf(x))
+        return RingElem(self, x)
 
     def zero(self):
-        return RingElem(self, self.ambient.zero())
+        return RingElem._of_nf(self, self.ambient.zero())
 
     def one(self):
         return self.elem(1)
@@ -152,6 +152,8 @@ class QuotientRing:
         return not self.ideal_basis
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, QuotientRing)
                 and self.ambient == other.ambient
                 and self.ideal_basis == other.ideal_basis)
@@ -212,13 +214,22 @@ def _dim_from_leads(leads, nvars) -> int:
 
 
 class RingElem:
-    """Element of a quotient ring, stored as its normal form."""
+    """Element of a quotient ring, stored as its normal form: the
+    constructor reduces poly, and _of_nf takes one that is reduced."""
 
     __slots__ = ("ring", "poly")
 
     def __init__(self, ring: QuotientRing, poly: Polynomial):
         self.ring = ring
-        self.poly = poly
+        self.poly = ring.nf(poly)
+
+    @classmethod
+    def _of_nf(cls, ring, poly):
+        """The element of ring whose normal form poly already is."""
+        elem = object.__new__(cls)
+        elem.ring = ring
+        elem.poly = poly
+        return elem
 
     def is_zero(self):
         return self.poly.is_zero()
@@ -238,12 +249,13 @@ class RingElem:
 
     def __add__(self, other):
         # a sum of normal forms is one: no lead divides a term of either
-        return RingElem(self.ring, self.poly + self._coerce(other).poly)
+        return RingElem._of_nf(self.ring,
+                               self.poly + self._coerce(other).poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.ring, -self.poly)
+        return RingElem._of_nf(self.ring, -self.poly)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -253,7 +265,7 @@ class RingElem:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RingElem(self.ring, self.ring.nf(self.poly * other.poly))
+        return RingElem(self.ring, self.poly * other.poly)
 
     __rmul__ = __mul__
 
@@ -282,12 +294,14 @@ class RingElem:
     __repr__ = __str__
 
 
-@dataclass
-class ParameterSequence:
+class ParameterSequence(Record):
     """Elements asserted to be a partial system of parameters."""
 
-    elems: tuple
-    verified_partial_sop: bool = False
+    __slots__ = ("elems", "verified_partial_sop")
+
+    def __init__(self, elems: tuple, verified_partial_sop: bool = False):
+        self.elems = elems
+        self.verified_partial_sop = verified_partial_sop
 
     @classmethod
     def verified(cls, ring: QuotientRing, elems):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-
 from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
                       MonomialIntegralClosure, PhantomInstance,
                       TrivialClosure, check_colon_capturing,
@@ -35,6 +33,7 @@ from .orders import DEGREVLEX, LEX, wdegrevlex
 from .poly import DomainError, ParseError, PolyRing
 from .ring import QuotientRing, make_quotient_ring, presented_subring
 from .sampling import sample_ideals, sample_monomial_ideals
+from .values import Record
 
 SCHEMA_VERSION = "1"
 SESSION_HEADER = "# closure-lab-session v1"
@@ -53,27 +52,35 @@ class SessionVersionError(ValueError):
     pass
 
 
-@dataclass
-class IdealValue:
-    ring: QuotientRing
-    elems: list
-    submodule: Submodule
+class IdealValue(Record):
+    __slots__ = ("ring", "elems", "submodule")
+
+    def __init__(self, ring: QuotientRing, elems: list, submodule: Submodule):
+        self.ring = ring
+        self.elems = elems
+        self.submodule = submodule
 
     def gens_strings(self):
         return [str(e) for e in self.elems]
 
 
-@dataclass
-class StatementResult:
-    src: str
-    kind: str
-    ok: object = None          # True/False for boolean checks, None otherwise
-    result: object = None
-    witness: object = None
-    certificate: object = None
-    error: str = None
-    where: dict = None         # locate() of the error in the script
-    seconds: float = 0.0
+class StatementResult(Record):
+    __slots__ = ("src", "kind", "ok", "result", "witness", "certificate",
+                 "error", "where", "seconds")
+
+    def __init__(self, src: str, kind: str, ok: object = None,
+                 result: object = None, witness: object = None,
+                 certificate: object = None, error: str = None,
+                 where: dict = None, seconds: float = 0.0):
+        self.src = src
+        self.kind = kind
+        self.ok = ok            # True/False for boolean checks, None otherwise
+        self.result = result
+        self.witness = witness
+        self.certificate = certificate
+        self.error = error
+        self.where = where      # locate() of the error in the script
+        self.seconds = seconds
 
     def record(self):
         out = {"src": self.src, "kind": self.kind}

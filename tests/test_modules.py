@@ -1328,6 +1328,43 @@ def test_vec_with_a_term_past_its_rank_is_refused(kxy, comp):
         F.submodule([v])
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_vec_puts_coefficients_into_the_field(field):
+    """FPModule.vec answers a Vec whose coefficients are not nonzero field
+    values (a zero term; over F5 a 5 or a -4; over Q an int) as the vector
+    it stands for.  On the cone, with N = (a): a + 0*c, a + 5*c and -4*a
+    are a, in N, and 0*c is the zero vector, in N too.  A Vec of nonzero
+    field values comes back as it is.  A list of polynomials with a zero
+    term is answered the same way."""
+    from closurelab.closure import ModuleClosure, TrivialClosure
+    fld = QQ if field == "Q" else prime_field(5)
+    amb = PolyRing(("a", "b", "c"), fld, wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    S = ideal_as_module(R, ["a", "b"])
+    N = ideal_submodule(R, ["a"])
+    a, c = (0, (1, 0, 0)), (0, (0, 0, 1))
+    one, zero = fld.one, fld.zero
+    cases = [({a: one, c: zero}, {a: one}), ({c: zero}, {})]
+    if field == "F5":
+        cases += [({a: one, c: 5}, {a: one}), ({a: -4}, {a: one})]
+    else:
+        cases += [({a: 1}, {a: one})]
+    for terms, clean in cases:
+        v = Vec(amb, 1, terms)
+        w = N.module.vec(v)
+        assert w == Vec(amb, 1, clean), terms
+        assert all(type(x) is type(one) for x in w.terms.values()), terms
+        assert ModuleClosure(S).member(v, N).holds, terms
+        assert N.contains(v), terms
+        assert TrivialClosure().member(v, N).holds, terms
+    v = Vec(amb, 1, {a: one})
+    assert N.module.vec(v) is v
+    # the same holds for a vector written as a list of polynomials
+    p = Polynomial(amb, {a[1]: one, c[1]: zero})
+    assert N.module.vec([p]) == v
+    assert ModuleClosure(S).member([p], N).holds
+
+
 def test_submodule_rejects_inhomogeneous_vector(segre):
     M = ideal_as_module(segre, ["a", "b"])
     with pytest.raises(DomainError):

@@ -16,6 +16,20 @@ def all_monos(nvars, max_exp=3):
     return list(itertools.product(range(max_exp + 1), repeat=nvars))
 
 
+def test_weights_given_as_a_list_make_the_same_order():
+    """MonomialOrder keeps its weights as a tuple: an order built from a
+    list equals and hashes like wdegrevlex, and a ring over it works."""
+    from closurelab.field import QQ
+    from closurelab.orders import MonomialOrder
+    from closurelab.poly import PolyRing
+    order = MonomialOrder("wdegrevlex", [2, 3])
+    assert order.weights == (2, 3)
+    assert order == wdegrevlex((2, 3))
+    assert hash(order) == hash(wdegrevlex((2, 3)))
+    ring = PolyRing(("x", "y"), QQ, order)
+    assert str(ring.parse("x^3 + y^2")) == "x^3 + y^2"
+
+
 def test_degrevlex_matches_reference_definition():
     key = DEGREVLEX.code(3).encode
     for a in all_monos(3, 2):

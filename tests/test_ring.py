@@ -33,6 +33,17 @@ def test_normal_form_canonical_equality(segre):
     assert segre.elem("a + b") != segre.elem("a")
 
 
+def test_ring_elem_from_any_polynomial_is_its_normal_form(segre):
+    """RingElem(R, poly) stores poly's normal form: on the cone b^2 is
+    a*c, with the same hash, and their difference is zero."""
+    from closurelab.ring import RingElem
+    b2 = RingElem(segre, segre.ambient.parse("b^2"))
+    ac = segre.elem("a*c")
+    assert b2.poly == ac.poly
+    assert b2 == ac and hash(b2) == hash(ac)
+    assert (b2 - ac).is_zero()
+
+
 def test_normal_form_returns_a_reduced_input_as_it_is(segre, monkeypatch):
     """nf hands back a polynomial none of whose terms an ideal lead (here
     b^2) divides, and runs no reduction for it; one it divides is

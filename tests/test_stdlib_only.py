@@ -33,3 +33,11 @@ def test_only_the_field_and_the_kernel_boundary_import_fractions():
     importers = sorted(p.name for p in SRC.rglob("*.py")
                        if "fractions" in _top_level_imports(p))
     assert importers == ["field.py", "gb.py"]
+
+
+def test_no_module_imports_dataclasses():
+    """Value types are written out (values.py): a dataclass generates its
+    methods from source when its class is created, at every import."""
+    importers = sorted(p.name for p in SRC.rglob("*.py")
+                       if "dataclasses" in _top_level_imports(p))
+    assert importers == []
