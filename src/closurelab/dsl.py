@@ -23,14 +23,19 @@ kind of each are its values.  Every call is bound against its signature
 when the script is parsed; a missing, surplus or misshapen argument is a
 syntax error at its position.
 
+The text is scanned once, by poly.tokenize in script mode.  An argument
+that is no string, [list] or set head is a balanced run of tokens: an
+integer, a negative integer or a name, or else polynomial text, which
+check_syntax scans again in polynomial mode.
+
 Printing an AST yields canonical source; parsing that source returns an
 equal AST.
 """
 
 from __future__ import annotations
 
-from .poly import ParseError, check_syntax
-from .values import Frozen, Record
+from .poly import ParseError, check_syntax, tokenize
+from .values import Frozen
 
 
 # The signature of each form, by statement: "name: kind" per parameter;
@@ -152,68 +157,6 @@ class ScriptError(ValueError):
         if expected:
             message += " (expected " + " | ".join(expected) + ")"
         super().__init__(show_position(message, where))
-
-
-# --- tokens -------------------------------------------------------------------
-
-
-class Token(Record):
-    __slots__ = ("kind", "value", "pos", "end")
-
-    def __init__(self, kind: str, value: object, pos: int, end: int):
-        self.kind = kind    # name int string punct end
-        self.value = value
-        self.pos = pos
-        self.end = end
-
-
-_PUNCT = "()[]{},;=/^*+-"
-
-
-def tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:
-                raise ScriptError(f"integer literal too long ({j - i} digits)",
-                                  text, i) from None
-            toks.append(Token("int", value, i, j))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], i, j))
-            i = j
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ScriptError("unterminated string", text, i)
-            toks.append(Token("string", text[i + 1:j], i, j + 1))
-            i = j + 1
-        elif ch in _PUNCT:
-            toks.append(Token("punct", ch, i, i + 1))
-            i += 1
-        else:
-            raise ScriptError(f"unexpected character {ch!r}", text, i)
-    toks.append(Token("end", None, n, n))
-    return toks
 
 
 # --- argument trees ------------------------------------------------------------
@@ -458,27 +401,29 @@ def _value(kind, arg):
 class Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text)
+        try:
+            self.toks = tokenize(text, script=True)
+        except ParseError as exc:
+            raise ScriptError(exc.bare_message, text, exc.pos) from None
         self.i = 0
         self.spans = []   # one Span per statement parsed
         self.args = []    # (text, offset) of the statement's raw arguments
 
-    def peek(self) -> Token:
+    def peek(self):
         return self.toks[self.i]
 
-    def take(self) -> Token:
+    def take(self):
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def err(self, message, expected=()):
-        return ScriptError(message, self.text, self.peek().pos, expected)
-
-    def expect_punct(self, ch):
+    def expect(self, kind, what=None):
+        """The next token, which must be of kind; the error expects what,
+        or else the repr of kind (a punctuation character)."""
         t = self.take()
-        if t.kind != "punct" or t.value != ch:
+        if t.kind != kind:
             raise ScriptError(f"found {t.value!r}", self.text, t.pos,
-                              expected=(repr(ch),))
+                              expected=(what or repr(kind),))
         return t
 
     def expect_name(self, *allowed):
@@ -489,15 +434,10 @@ class Parser:
         return t.value
 
     def expect_int(self):
-        t = self.take()
-        if t.kind != "int":
-            raise ScriptError(f"found {t.value!r}", self.text, t.pos,
-                              expected=("integer",))
-        return t.value
+        return self.expect("int", "integer").value
 
-    def at_punct(self, ch):
-        t = self.peek()
-        return t.kind == "punct" and t.value == ch
+    def at(self, kind):
+        return self.peek().kind == kind
 
     # -- argument scanning ------------------------------------------------------
 
@@ -507,73 +447,62 @@ class Parser:
         if t.kind == "string":
             self.take()
             return StrArg(t.value)
-        if t.kind == "punct" and t.value == "[":
+        if t.kind == "[":
             return self.scan_list()
         if t.kind == "name" and t.value in SET_HEADS and \
-                self.toks[self.i + 1].kind == "punct" and \
-                self.toks[self.i + 1].value == "(":
+                self.toks[self.i + 1].kind == "(":
             head = self.take().value
             return Call(head, *self.scan_call(head))
         # otherwise: a balanced token run up to a top-level ',' or ')' or ']'
-        start = t.pos
-        depth = 0
-        last_end = t.pos
-        count = 0
+        first, depth = self.i, 0
         while True:
-            t = self.peek()
-            if t.kind == "end":
+            kind = self.peek().kind
+            if kind == "end" or depth == 0 and kind in (",", ";", ")", "]"):
                 break
-            if t.kind == "punct":
-                if t.value in "([":
-                    depth += 1
-                elif t.value in ")]":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif t.value in ",;" and depth == 0:
-                    break
-            last_end = t.end
-            self.take()
-            count += 1
-        if count == 0:
-            raise self.err("empty argument")
-        text = self.text[start:last_end].strip()
+            if kind in ("(", "["):
+                depth += 1
+            elif kind in (")", "]"):
+                depth -= 1
+            self.i += 1
+        run = self.toks[first:self.i]
+        if not run:
+            raise ScriptError("empty argument", self.text, self.peek().pos)
+        start = run[0].pos
+        text = self.text[start:run[-1].end]
         self.args.append((text, start))
-        toks = tokenize(text)
-        if len(toks) == 2 and toks[0].kind == "int":
-            return IntArg(toks[0].value)
-        if len(toks) == 3 and toks[0].kind == "punct" and \
-                toks[0].value == "-" and toks[1].kind == "int":
-            return IntArg(-toks[1].value)
-        if len(toks) == 2 and toks[0].kind == "name":
+        if len(run) == 1 and run[0].kind == "int":
+            return IntArg(run[0].value)
+        if len(run) == 2 and run[0].kind == "-" and run[1].kind == "int":
+            return IntArg(-run[1].value)
+        if len(run) == 1 and run[0].kind == "name":
             return Name(text)
         _check_poly_syntax(text, start, self.text, self.peek().pos)
         return Expr(text)
 
     def scan_list(self):
-        self.expect_punct("[")
+        self.expect("[")
         items, _starts = self.scan_args_until("]")
-        self.expect_punct("]")
+        self.expect("]")
         return ListArg(tuple(items))
 
     def scan_args_until(self, closer):
         """The arguments up to closer, and the position of each."""
         args, starts = [], []
-        if self.at_punct(closer):
+        if self.at(closer):
             return args, starts
         while True:
             starts.append(self.peek().pos)
             args.append(self.scan_arg())
-            if self.at_punct(","):
+            if self.at(","):
                 self.take()
                 continue
             return args, starts
 
     def scan_call(self, form):
         """'(' arguments ')' of form: the argument tuple and its binding."""
-        self.expect_punct("(")
+        self.expect("(")
         args, starts = self.scan_args_until(")")
-        close = self.expect_punct(")")
+        close = self.expect(")")
         return tuple(args), self.bind(form, args, starts + [close.pos])
 
     def bind(self, form, args, starts):
@@ -645,12 +574,12 @@ class Parser:
         name = None
         if kw != "check":
             name = self.expect_name()
-            self.expect_punct("=")
+            self.expect("=")
         keywords = CLOSURE_KEYWORDS if kw == "closure" else ()
         form = self.expect_name(*keywords, *SIGNATURES[kw])
         args, bound = ((), {}) if form in keywords else \
             self.scan_call(form)
-        self.expect_punct(";")
+        self.expect(";")
         if kw == "check":
             return CheckStmt(form, args, bound=bound)
         node = {"module": ModuleDef, "closure": ClosureDef,
@@ -661,95 +590,85 @@ class Parser:
         name = self.expect_name("Q", "Fp")
         if name == "Q":
             return ("Q",)
-        self.expect_punct("(")
+        self.expect("(")
         p = self.expect_int()
-        self.expect_punct(")")
+        self.expect(")")
         return ("Fp", p)
 
-    def parse_varlist(self):
-        self.expect_punct("[")
-        names = [self.expect_name()]
-        while self.at_punct(","):
+    def parse_list(self, item):
+        """'[' item {',' item} ']': the tuple of what item() returns."""
+        self.expect("[")
+        items = [item()]
+        while self.at(","):
             self.take()
-            names.append(self.expect_name())
-        self.expect_punct("]")
-        return tuple(names)
+            items.append(item())
+        self.expect("]")
+        return tuple(items)
+
+    def parse_varlist(self):
+        return self.parse_list(self.expect_name)
 
     def parse_order(self):
         name = self.expect_name("lex", "degrevlex", "wdegrevlex")
         if name != "wdegrevlex":
             return (name,)
-        self.expect_punct("[")
-        ints = [self.expect_int()]
-        while self.at_punct(","):
-            self.take()
-            ints.append(self.expect_int())
-        self.expect_punct("]")
-        return ("wdegrevlex", tuple(ints))
+        return ("wdegrevlex", self.parse_list(self.expect_int))
 
-    def parse_poly_texts_until(self, closer):
-        texts = []
-        while True:
-            arg = self.scan_arg()
-            texts.append(arg.show() if not isinstance(arg, Expr) else arg.text)
-            if self.at_punct(","):
-                self.take()
-                continue
-            break
+    def parse_poly_texts(self):
+        """Arguments up to the next one not followed by ',', as written."""
+        texts = [self.scan_arg().show()]
+        while self.at(","):
+            self.take()
+            texts.append(self.scan_arg().show())
         return tuple(texts)
 
     def parse_ringdef(self):
         name = self.expect_name()
-        self.expect_punct("=")
+        self.expect("=")
         form = self.expect_name("poly", "subring")
-        self.expect_punct("(")
+        self.expect("(")
         fs = self.parse_field()
-        self.expect_punct(",")
+        self.expect(",")
         vars_ = self.parse_varlist()
-        self.expect_punct(",")
+        self.expect(",")
         if form == "poly":
             order = self.parse_order()
-            self.expect_punct(")")
+            self.expect(")")
             rels = ()
-            if self.at_punct("/"):
+            if self.at("/"):
                 self.take()
-                self.expect_punct("(")
-                rels = self.parse_poly_texts_until(")")
-                self.expect_punct(")")
-            self.expect_punct(";")
+                self.expect("(")
+                rels = self.parse_poly_texts()
+                self.expect(")")
+            self.expect(";")
             return RingDef(name, "poly", fs, vars_, order, relations=rels)
-        self.expect_punct("[")
-        images = self.parse_poly_texts_until("]")
-        self.expect_punct("]")
+        images = tuple(arg.show() for arg in self.parse_list(self.scan_arg))
         pres = ()
-        if self.at_punct(","):
+        if self.at(","):
             self.take()
             pres = self.parse_varlist()
-        self.expect_punct(")")
-        self.expect_punct(";")
+        self.expect(")")
+        self.expect(";")
         return RingDef(name, "subring", fs, vars_, ("wdegrevlex", ()),
                        images=images, pres_names=pres)
 
     def parse_idealdef(self):
         name = self.expect_name()
-        self.expect_punct("=")
+        self.expect("=")
         self.expect_name("ideal")
-        self.expect_punct("(")
+        self.expect("(")
         ring = self.expect_name()
-        self.expect_punct(",")
-        polys = self.parse_poly_texts_until(")")
-        self.expect_punct(")")
-        self.expect_punct(";")
+        self.expect(",")
+        polys = self.parse_poly_texts()
+        self.expect(")")
+        self.expect(";")
         return IdealDef(name, ring, polys)
 
     def parse_export(self):
         what = self.expect_name("json", "session")
-        t = self.take()
-        if t.kind != "string":
-            raise ScriptError(f"found {t.value!r}", self.text, t.pos,
-                              expected=("string path",))
-        self.expect_punct(";")
-        return ExportStmt(what, t.value)
+        path = self.expect("string", "string path").value
+        self.expect(";")
+        return ExportStmt(what, path)
 
 
 def parse_script(text: str):

@@ -152,13 +152,13 @@ def vec_coords(v: Vec, terms, field):
     return coords
 
 
-def span_rows(cols, shifts, d, ring, terms=None):
-    """Coordinate rows spanning the degree-d piece of the column span.
+def span_rows(cols, shifts, d, ring):
+    """Coordinate rows spanning the degree-d piece of the column span, and
+    the terms (component_terms) their coordinates stand for.
 
     Multiplies every column by all monomials landing it in degree d.
     """
-    if terms is None:
-        terms = component_terms(ring, shifts, d)
+    terms = component_terms(ring, shifts, d)
     rows = []
     for col in cols:
         if col.is_zero():

@@ -46,6 +46,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
+from .field import field_terms
 from .gb import (GroebnerBasis, KernelCol, Vec, _from_kernel, _normalize,
                  _reduce_terms, _shift_terms, _to_kernel, buchberger)
 from .linalg import Echelon
@@ -222,27 +223,12 @@ class FPModule:
         if col.ncomps != n:
             raise ContextError(f"vector of rank {col.ncomps} in a module "
                                f"of rank {n}")
-        # a nonzero field value is an int in 1..p-1 over GF(p), and a
-        # Fraction over Q, whose numerator is read (its truth value costs
-        # a Python call per term)
-        fld = amb.field
-        value_type, p = fld.one.__class__, fld.char
-        clean = True
-        for (j, _m), c in col.terms.items():
+        for j, _m in col.terms:
             if not 0 <= j < n:
                 raise ContextError(f"term in component {j} outside "
                                    f"0..{n - 1}")
-            if c.__class__ is not value_type or \
-                    not (0 < c < p if p else c._numerator):
-                clean = False
-        if clean:
-            return col
-        terms = {}
-        for key, c in col.terms.items():
-            c = fld.from_fraction(c.numerator, c.denominator)
-            if c:
-                terms[key] = c
-        return Vec(amb, n, terms)
+        terms = field_terms(amb.field, col.terms)
+        return col if terms is col.terms else Vec(amb, n, terms)
 
     def gen(self, i) -> Vec:
         return Vec.unit(self.ring.ambient, self.ngens, i)

@@ -120,10 +120,16 @@ class MonomialCode:
         self.xor, self.add, self.guard = xor, add, guard
 
 
-def _out_of_range(e):
+def _out_of_range(e, nvars):
+    """The error of exponents e that have no code on nvars variables."""
+    e = tuple(e)
+    if len(e) != nvars:
+        return UnsupportedInputError(
+            f"exponents {e} of length {len(e)} in an order on {nvars} "
+            f"variables")
     return UnsupportedInputError(
-        f"exponents {tuple(e)} out of range: monomial orders take exponents "
-        f"up to {EXP_BOUND}")
+        f"exponents {e} out of range: monomial orders take exponents up to "
+        f"{EXP_BOUND}")
 
 
 def _field_bits(k):
@@ -157,7 +163,7 @@ def _revlex_block(k, weights):
         except struct.error:
             x = guards
         if x & guards:
-            raise _out_of_range(e)
+            raise _out_of_range(e, k)
         d = sum(e) * w if w else sum(map(mul, weights, e))
         return (d << nbits) - x
 
@@ -187,7 +193,7 @@ def _monomial_code(order: MonomialOrder, nvars: int) -> MonomialCode:
             except struct.error:
                 x = guards
             if x & guards:
-                raise _out_of_range(e)
+                raise _out_of_range(e, nvars)
             return x
 
         def decode(m):
@@ -226,7 +232,10 @@ def _monomial_code(order: MonomialOrder, nvars: int) -> MonomialCode:
     low = (1 << shift) - 1
 
     def encode(e):
-        return (enc1(e[:k]) << shift) + enc2(e[k:])
+        try:
+            return (enc1(e[:k]) << shift) + enc2(e[k:])
+        except UnsupportedInputError:
+            raise _out_of_range(e, nvars) from None
 
     def decode(m):
         return dec1(m >> shift) + dec2(m & low)

@@ -9,6 +9,11 @@ runs in C.  Terms are ordered by the order code of the ring's order
 (PolyRing.key, the encode of orders.MonomialCode): printing, leading_term
 and sorted_terms go by it, and a polynomial with an exponent past
 orders.EXP_BOUND raises UnsupportedInputError when it is first ordered.
+
+Text is read by one scanner, tokenize, for polynomials (PolyRing.parse,
+check_syntax) and, with script=True, for closure-lab scripts (dsl): an
+integer is a run of decimal digits (str.isdecimal, which int reads), so
+'²' is an unexpected character.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from operator import add, le, mul
 from .field import QQ, FieldError
 from .orders import DEGREVLEX, MonomialOrder
 from .orders import UnsupportedInputError  # noqa: F401 (re-exported)
+from .values import Record
 
 
 class ContextError(ValueError):
@@ -287,60 +293,81 @@ def format_polynomial(f: Polynomial) -> str:
 
 class ParseError(ValueError):
     """token is the parser token the grammar stopped at (None for an
-    error it did not find: an unexpected character, an integer literal too
-    long to convert, or nesting too deep)."""
+    error it did not find: one of the scanner's, or nesting too deep)."""
 
-    def __init__(self, message: str, text: str, pos: int, line: int = 1,
-                 col: int | None = None, token=None):
+    def __init__(self, message: str, text: str, pos: int, token=None):
         self.pos = pos
-        self.line = line
-        self.col = pos + 1 if col is None else col
+        self.col = pos + 1
         super().__init__(f"{message} (column {self.col})")
         self.bare_message = message
         self.text = text
         self.token = token
 
 
-class _Tok:
-    __slots__ = ("kind", "value", "pos")
+class Token(Record):
+    """kind is int, name, string, end, or the character of a punctuation
+    token; text[pos:end] is what was read."""
 
-    def __init__(self, kind, value, pos):
+    __slots__ = ("kind", "value", "pos", "end")
+
+    def __init__(self, kind: str, value: object, pos: int, end: int):
         self.kind = kind
         self.value = value
         self.pos = pos
+        self.end = end
 
 
-def _tokenize_poly(text: str):
+_PUNCT = "+-*^()/"
+_SCRIPT_PUNCT = _PUNCT + "[]{},;="
+
+
+def tokenize(text: str, script=False):
+    """The tokens of text, the last of kind end: integers (runs of
+    str.isdecimal digits, which int reads), names (a letter or '_', then
+    str.isalnum characters or '_') and the punctuation of polynomial text.
+    A script also has '#' comments to the end of the line, "strings" and
+    the punctuation of statements.
+
+    Raises ParseError at any other character, at an unterminated string,
+    and at an integer literal too long for int.
+    """
+    punct = _SCRIPT_PUNCT if script else _PUNCT
     toks = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        j = i + 1
         if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+            pass
+        elif ch.isdecimal():
+            while j < n and text[j].isdecimal():
                 j += 1
             try:
                 value = int(text[i:j])
             except ValueError:
                 raise ParseError(f"integer literal too long ({j - i} digits)",
                                  text, i) from None
-            toks.append(_Tok("int", value, i))
-            i = j
+            toks.append(Token("int", value, i, j))
         elif ch.isalpha() or ch == "_":
-            j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("name", text[i:j], i))
-            i = j
-        elif ch in "+-*^()/":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
+            toks.append(Token("name", text[i:j], i, j))
+        elif ch in punct:
+            toks.append(Token(ch, ch, i, j))
+        elif script and ch == "#":
+            j = text.find("\n", j)
+            if j < 0:
+                j = n
+        elif script and ch == '"':
+            k = text.find('"', j)
+            if k < 0:
+                raise ParseError("unterminated string", text, i)
+            toks.append(Token("string", text[j:k], i, k + 1))
+            j = k + 1
         else:
             raise ParseError(f"unexpected character {ch!r}", text, i)
-    toks.append(_Tok("end", None, n))
+        i = j
+    toks.append(Token("end", None, n, n))
     return toks
 
 
@@ -360,7 +387,7 @@ class _PolyParser:
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
         self.text = text
-        self.toks = _tokenize_poly(text)
+        self.toks = tokenize(text)
         self.i = 0
 
     def peek(self):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .field import QQ
+from .field import QQ, field_terms
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
 from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
@@ -215,11 +215,23 @@ def _dim_from_leads(leads, nvars) -> int:
 
 class RingElem:
     """Element of a quotient ring, stored as its normal form: the
-    constructor reduces poly, and _of_nf takes one that is reduced."""
+    constructor puts poly into the field (field_terms) and reduces it, and
+    refuses exponents of another length than the ring's number of
+    variables; _of_nf takes a poly that is reduced."""
 
     __slots__ = ("ring", "poly")
 
     def __init__(self, ring: QuotientRing, poly: Polynomial):
+        amb, n = ring.ambient, ring.ambient.nvars
+        if poly.ring is not amb and poly.ring != amb:
+            raise ContextError("value over a different ambient ring")
+        for m in poly.terms:
+            if len(m) != n:
+                raise ContextError(f"exponents {m} of length {len(m)} in a "
+                                   f"ring of {n} variables")
+        terms = field_terms(amb.field, poly.terms)
+        if terms is not poly.terms:
+            poly = Polynomial(amb, terms)
         self.ring = ring
         self.poly = ring.nf(poly)
 

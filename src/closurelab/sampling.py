@@ -13,15 +13,15 @@ from .modules import ideal_submodule
 from .ring import QuotientRing
 
 
-def random_homogeneous_elem(ring: QuotientRing, deg: int, rng: random.Random,
-                            max_terms=2):
-    """A nonzero homogeneous normal form of the given degree, or None."""
+def random_homogeneous_elem(ring: QuotientRing, deg: int, rng: random.Random):
+    """A nonzero homogeneous normal form of the given degree, drawn as one
+    or two terms, or None."""
     monos = monomials_of_wdeg(ring.ambient, deg)
     if not monos:
         return None
     fld = ring.ambient.field
     for _attempt in range(8):
-        nterms = rng.randint(1, max_terms)
+        nterms = rng.randint(1, 2)
         terms = {}
         for _ in range(nterms):
             m = rng.choice(monos)
@@ -52,26 +52,25 @@ def random_ideal_gens(ring: QuotientRing, rng: random.Random, max_gens=3,
     return gens
 
 
-def sample_ideals(ring: QuotientRing, count: int, seed: int,
-                  max_gens=3, max_deg=4):
-    """Deterministic list of ideal submodules of R."""
+def sample_ideals(ring: QuotientRing, count: int, seed: int):
+    """Deterministic list of ideal submodules of R, each with up to three
+    generators of degree up to 4."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        out.append(ideal_submodule(ring, random_ideal_gens(ring, rng,
-                                                           max_gens, max_deg)))
+        out.append(ideal_submodule(ring, random_ideal_gens(ring, rng)))
     return out
 
 
-def sample_monomial_ideals(ring: QuotientRing, count: int, seed: int,
-                           max_gens=3, max_deg=4):
-    """Deterministic monomial ideals (for the integral-closure operation)."""
+def sample_monomial_ideals(ring: QuotientRing, count: int, seed: int):
+    """Deterministic monomial ideals (for the integral-closure operation),
+    each with up to three generators of degree up to 4."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         gens = []
-        for _g in range(rng.randint(1, max_gens)):
-            d = rng.choice(achievable_degrees(ring, 1, max_deg))
+        for _g in range(rng.randint(1, 3)):
+            d = rng.choice(achievable_degrees(ring, 1, 4))
             monos = monomials_of_wdeg(ring.ambient, d)
             m = rng.choice(monos)
             gens.append(ring.elem(ring.ambient.monomial(m)))

@@ -45,8 +45,10 @@ per-component index, product criterion at pair formation and partial
 final pass are checked against,
 `check_poly_syntax`, the separate
 syntax checker the script parser used before it shared the polynomial
-grammar, the `Fraction` Groebner kernel (`fraction_buchberger` and its
-reducer), the reference for the integer kernel in `closurelab.gb`, the
+grammar, with its scanner `tokenize_poly`, and `tokenize_script`, the
+scanner of scripts; the two scanners are the references for
+`closurelab.poly.tokenize` in its two modes, the `Fraction` Groebner
+kernel (`fraction_buchberger` and its reducer), the reference for the integer kernel in `closurelab.gb`, the
 closure key factories `top_key`, `block_key` and `elim_key`, the
 references for the order values in `closurelab.orders`, and the
 generator-expression monomial primitives (`mono_mul` .. `mono_gcd_is_one`)
@@ -83,8 +85,7 @@ from closurelab.linalg import (component_terms, graded_span_dim,
 from closurelab.modules import (FPModule, _unit_pairs, free_module,
                                 r_preimage, scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
-from closurelab.poly import (DomainError, ParseError, PolyRing, Polynomial,
-                             _tokenize_poly)
+from closurelab.poly import DomainError, ParseError, PolyRing, Polynomial
 from closurelab.sampling import achievable_degrees, random_homogeneous_elem
 
 
@@ -1380,6 +1381,114 @@ def greedy_minimal_generators(ring, cols, shifts, relations=()):
     return kept
 
 
+# --- the two scanners that poly.tokenize replaced ------------------------------------
+
+
+class _Tok:
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind, value, pos):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
+
+
+def tokenize_poly(text: str):
+    """The scanner of polynomial text: punctuation tokens have their
+    character as kind."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError(f"integer literal too long ({j - i} digits)",
+                                 text, i) from None
+            toks.append(_Tok("int", value, i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Tok("name", text[i:j], i))
+            i = j
+        elif ch in "+-*^()/":
+            toks.append(_Tok(ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", text, i)
+    toks.append(_Tok("end", None, n))
+    return toks
+
+
+class ScriptToken:
+    __slots__ = ("kind", "value", "pos", "end")
+
+    def __init__(self, kind, value, pos, end):
+        self.kind = kind    # name int string punct end
+        self.value = value
+        self.pos = pos
+        self.end = end
+
+
+_PUNCT = "()[]{},;=/^*+-"
+
+
+def tokenize_script(text: str):
+    """The scanner of scripts: punctuation tokens are of kind punct."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ScriptError(f"integer literal too long ({j - i} digits)",
+                                  text, i) from None
+            toks.append(ScriptToken("int", value, i, j))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(ScriptToken("name", text[i:j], i, j))
+            i = j
+        elif ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 1
+            if j >= n:
+                raise ScriptError("unterminated string", text, i)
+            toks.append(ScriptToken("string", text[i + 1:j], i, j + 1))
+            i = j + 1
+        elif ch in _PUNCT:
+            toks.append(ScriptToken("punct", ch, i, i + 1))
+            i += 1
+        else:
+            raise ScriptError(f"unexpected character {ch!r}", text, i)
+    toks.append(ScriptToken("end", None, n, n))
+    return toks
+
+
 # --- polynomial arguments of scripts, a recursive descent of their own -------------
 
 
@@ -1390,7 +1499,7 @@ def check_poly_syntax(text: str, offset: int, script: str, end_pos=None):
     unbalanced parentheses at parse time, with script coordinates.
     """
     try:
-        toks = _tokenize_poly(text)
+        toks = tokenize_poly(text)
     except ParseError as exc:
         raise ScriptError(exc.bare_message, script, offset + exc.pos) from exc
 

@@ -97,6 +97,16 @@ def test_syntax_error_position_dangling_star():
     assert "^" in str(err.value)
 
 
+def test_scripts_read_decimal_digits_only():
+    text = "ring R = poly(Q, [x], wdegrevlex[²]);"
+    with pytest.raises(ScriptError) as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col, err.value.bare_message) == \
+        (1, 34, "unexpected character '²'")
+    assert parse_one(text.replace("²", "٣")).order_spec == \
+        ("wdegrevlex", (3,))
+
+
 def test_unknown_statement_keyword():
     with pytest.raises(ScriptError) as err:
         parse_script("rang R = poly(Q,[x],lex);")

@@ -210,6 +210,16 @@ def test_parse_rejects_overlong_integer_literal_at_its_column():
     assert "integer literal too long" in str(err.value)
 
 
+def test_parse_reads_decimal_digits_only():
+    """A character such as '²' passes str.isdigit, but int refuses it:
+    it is an unexpected character, and a decimal digit of any script is
+    read as its value."""
+    with pytest.raises(ParseError) as err:
+        R2.parse("x^²")
+    assert str(err.value) == "unexpected character '²' (column 3)"
+    assert R2.parse("٣*x") == R2.parse("3*x")
+
+
 @pytest.mark.parametrize("opener", ["(", "-"])
 def test_parse_stops_deep_nesting_at_the_first_level_too_many(opener):
     depth = 100
@@ -298,3 +308,17 @@ def test_ordering_an_exponent_past_the_bound_is_unsupported_input(order):
                            match="out of range") as err:
             ordering(f)
         assert not isinstance(err.value, OverflowError)
+
+
+@pytest.mark.parametrize("order", ORDERS,
+                         ids=lambda o: o.describe() + str(o.nelim or ""))
+def test_ordering_exponents_of_another_length_names_the_whole_tuple(order):
+    """An exponent tuple of the wrong length is named whole, with its
+    length and the number of variables, not as out of range (an elim
+    order once showed only the tail past its first block)."""
+    ring = PolyRing(("x", "y", "z"), QQ, order)
+    for exps in ((1, 0), (0, 1, 0, 2)):
+        with pytest.raises(UnsupportedInputError) as err:
+            str(Polynomial(ring, {exps: QQ.one}))
+        assert str(err.value) == (f"exponents {exps} of length {len(exps)} "
+                                  "in an order on 3 variables")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
 from closurelab.linalg import span_rows
 from closurelab.orders import DEGREVLEX
-from closurelab.poly import ContextError, DomainError, PolyRing
+from closurelab.poly import ContextError, DomainError, PolyRing, Polynomial
 from closurelab.ring import (ParameterSequence, make_quotient_ring,
                              presented_subring)
 
@@ -42,6 +43,29 @@ def test_ring_elem_from_any_polynomial_is_its_normal_form(segre):
     assert b2.poly == ac.poly
     assert b2 == ac and hash(b2) == hash(ac)
     assert (b2 - ac).is_zero()
+
+
+def test_ring_elem_puts_a_polynomial_into_the_field(segre, kxy, kxy_f5):
+    """RingElem drops zero terms and puts coefficients into the field
+    before the normal form, and refuses an exponent tuple of another
+    length, and a polynomial of another ring before its coefficients are
+    converted; a polynomial already clean is reduced as it is."""
+    P, P5 = segre.ambient, kxy_f5.ambient
+    a, c = (1, 0, 0), (0, 0, 1)
+    assert not segre.elem(Polynomial(P, {c: Fraction(0)}))
+    padded = segre.elem(Polynomial(P, {a: 1, c: 0}))
+    assert padded == segre.elem("a") and hash(padded) == hash(segre.elem("a"))
+    assert [c.__class__ for c in padded.poly.terms.values()] == [Fraction]
+    x = (1, 0)
+    assert kxy_f5.elem(Polynomial(P5, {x: 7})) == kxy_f5.elem("2*x")
+    assert kxy_f5.elem(Polynomial(P5, {x: -5})).is_zero()
+    with pytest.raises(ContextError, match="different ambient ring"):
+        kxy_f5.elem(Polynomial(kxy.ambient, {x: Fraction(1, 5)}))
+    with pytest.raises(ContextError, match=r"exponents \(1, 0\) of length 2 "
+                       "in a ring of 3 variables"):
+        segre.elem(Polynomial(P, {(1, 0): QQ.one}))
+    clean = P.parse("a*c - 2*a^2")
+    assert segre.elem(clean).poly is clean
 
 
 def test_normal_form_returns_a_reduced_input_as_it_is(segre, monkeypatch):
