@@ -644,9 +644,9 @@ def _run_unit(unit):
 def _run_unit_in_worker(unit):
     """`_run_unit` in a pool worker; None when it raised.  An exception
     does not cross back: one whose constructor takes other arguments than
-    its message cannot be unpickled, and that stops the pool's result
-    thread.  The parent runs a unit that raised again, and gets the same
-    exception, since every unit is deterministic."""
+    its message cannot be unpickled in the parent, and that would break
+    the pool.  The parent runs a unit that raised again, and gets the
+    same exception, since every unit is deterministic."""
     try:
         return _run_unit(unit)
     except Exception:
@@ -676,8 +676,10 @@ def run_all(verbose=True):
     """Run the criteria and return their results in criterion order, on
     worker processes or in this one as the module docstring says (a
     forked child holds a copy of the calling thread alone, hence no pool
-    while other threads are alive).  Every worker has been reaped when
-    this returns or raises."""
+    while other threads are alive).  A unit whose worker raised or died
+    is run again in this process; once a worker dies, the pool is broken
+    and every unit still out is run here.  Every worker has been reaped
+    when this returns or raises."""
     units = [u for fn in CRITERIA for u in _units(fn)]
     workers = _worker_count(len(units))
     if workers > 1:
@@ -687,17 +689,22 @@ def run_all(verbose=True):
             workers = 1
     if workers < 2:
         return _report(lambda fn: fn(), verbose)
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     # the closure-axioms suite, about a third of the work, goes first
     units.sort(key=lambda u: u != (7, 0))
     # an interrupt reaches this process alone, which then ends the workers
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
-        pending = {u: pool.apply_async(_run_unit_in_worker, (u,))
-                   for u in units}
+        pending = {u: pool.submit(_run_unit_in_worker, u) for u in units}
 
         def outcome(unit):
-            out = pending[unit].get()
+            try:
+                out = pending[unit].result()
+            except BrokenProcessPool:
+                out = None
             return _run_unit(unit) if out is None else out
 
         def run(fn):
@@ -706,6 +713,17 @@ def run_all(verbose=True):
             return outcome((fn.number, None))
 
         return _report(run, verbose)
+    except BaseException:
+        # an early exit ends the running units too: by the executor's
+        # terminate_workers (Python 3.14) where it has one, else by its
+        # worker table, read so that a change to it cannot hide the exit
+        stop = getattr(pool, "terminate_workers", None)
+        if stop is not None:
+            stop()
+        else:
+            for proc in list((getattr(pool, "_processes", None)
+                              or {}).values()):
+                proc.terminate()
+        raise
     finally:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(cancel_futures=True)

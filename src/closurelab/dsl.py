@@ -34,7 +34,7 @@ equal AST.
 
 from __future__ import annotations
 
-from .poly import ParseError, check_syntax, tokenize
+from .poly import ParseError, check_syntax, locate, tokenize
 from .values import Frozen
 
 
@@ -125,16 +125,6 @@ CHECK_FNS = tuple(SIGNATURES["check"])
 SET_HEADS = tuple(SIGNATURES["set"])
 
 CLOSURE_KEYWORDS = ("trivial", "integral_closure")
-
-
-def locate(text, pos) -> dict:
-    """{"line", "column", "source"}: the 1-based line and column of offset
-    pos in text, and the text of that line."""
-    before = text[:pos]
-    line = before.count("\n") + 1
-    lines = text.splitlines()
-    return {"line": line, "column": pos - (before.rfind("\n") + 1) + 1,
-            "source": lines[line - 1] if line <= len(lines) else ""}
 
 
 def show_position(message, where) -> str:

@@ -220,12 +220,18 @@ class Vec:
 
 def _to_kernel(terms, p, code):
     """(int terms, den) with int terms == den * terms, monomials as order
-    codes; den is 1 over GF(p)."""
+    codes; den is 1 over GF(p).  A Fraction's _numerator and _denominator
+    are read as slots, not through its properties; a value built by hand
+    over Q may hold an int, which is first made a Fraction."""
     enc = code.encode
     if p:
         return {(j, enc(m)): c for (j, m), c in terms.items()}, 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {(j, enc(m)): c.numerator * (den // c.denominator)
+    try:
+        den = lcm(*(c._denominator for c in terms.values()))
+    except AttributeError:
+        return _to_kernel({key: Fraction(c.numerator, c.denominator)
+                           for key, c in terms.items()}, p, code)
+    return {(j, enc(m)): c._numerator * (den // c._denominator)
             for (j, m), c in terms.items()}, den
 
 

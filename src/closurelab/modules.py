@@ -16,7 +16,7 @@ Any other module builds its basis by one span run on first use, and
 keeps it.  A submodule may likewise be born with its span basis
 (Submodule._with_span), as the tensor image of a module closure is.
 Normal forms modulo the ideal are the ring's: QuotientRing.nf for Vecs,
-and for kernel rows its reach test and bases (_distinct_monic).
+and its reduction of kernel terms for kernel rows (_distinct_monic).
 
 Every block-order question is one seeded run of the one block-run
 construction, _block_basis, on the columns (map column | value),
@@ -140,37 +140,29 @@ def _distinct_monic(ring: QuotientRing, ncomps, rows,
     occurrences in order.
 
     Each row is normalized (gb._normalize), its terms in descending order,
-    lead first.  A row that no ideal lead reaches (QuotientRing.reaches)
-    is its own normal form, and comes back as it is.  Only a reached row
-    is reduced, against the ring's basis of I P^ncomps, and normalized
-    again; it may vanish, or meet another row.  Rows compare by their int
-    terms, which normalization makes canonical.
+    lead first.  The ring reduces a row (QuotientRing.reduce_terms): one
+    that no ideal lead reaches comes back as it is, and a reached one is
+    normalized again; it may vanish, or meet another row.  Rows compare
+    by their int terms, which normalization makes canonical.
 
     Without compare the rows are those of one reduced basis, pairwise
     distinct, and they are compared only when a row was reduced.  With
     compare they are any candidates, always compared.
     """
-    amb = ring.ambient
-    p, code = amb.field.char, amb.code
+    p = ring.ambient.field.char
     forms = []
     for row in rows:
-        terms = row[3]
-        if ring.reaches(terms):
-            ideal = ring.free_relation_basis(ncomps)
-            terms, _mult = _reduce_terms(dict(terms), ideal._rows_of,
-                                         ideal._key, code, p)
-            if not terms:
+        reduced = ring.reduce_terms(row[3], ncomps)
+        if reduced is not None:
+            if not reduced[0]:
                 continue
-            row, compare = (*_normalize(terms, p), terms), True
+            row, compare = (*_normalize(reduced[0], p), reduced[0]), True
         forms.append(row)
     if compare:
-        seen, unique = set(), []
+        unique = {}
         for row in forms:
-            key = frozenset(row[3].items())
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        forms = unique
+            unique.setdefault(frozenset(row[3].items()), row)
+        forms = list(unique.values())
     return forms
 
 
@@ -184,8 +176,9 @@ class FPModule:
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         rels = []
-        for col in relations:
-            col = ring.nf(self.vec(col))
+        for col in relations:   # ring elements are normal forms already
+            col = ring.nf(self.vec(col)) if isinstance(col, Vec) else \
+                self.vec(col)
             if col.is_zero():
                 continue
             if not col.is_homogeneous(self.gen_degrees):
@@ -287,7 +280,8 @@ class FPModule:
     def submodule(self, gens) -> "Submodule":
         vecs = []
         for g in gens:
-            v = self.ring.nf(self.vec(g))
+            v = self.ring.nf(self.vec(g)) if isinstance(g, Vec) else \
+                self.vec(g)
             if not v.is_homogeneous(self.gen_degrees):
                 raise DomainError(f"inhomogeneous generator {v}")
             if not v.is_zero():

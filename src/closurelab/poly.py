@@ -13,7 +13,8 @@ orders.EXP_BOUND raises UnsupportedInputError when it is first ordered.
 Text is read by one scanner, tokenize, for polynomials (PolyRing.parse,
 check_syntax) and, with script=True, for closure-lab scripts (dsl): an
 integer is a run of decimal digits (str.isdecimal, which int reads), so
-'²' is an unexpected character.
+'²' is an unexpected character.  Polynomial and script errors place an
+offset by one rule, locate: its line and its column on that line.
 """
 
 from __future__ import annotations
@@ -291,14 +292,29 @@ def format_polynomial(f: Polynomial) -> str:
 # --- parsing -----------------------------------------------------------------
 
 
+def locate(text, pos) -> dict:
+    """{"line", "column", "source"}: the 1-based line and column of offset
+    pos in text, and the text of that line."""
+    before = text[:pos]
+    line = before.count("\n") + 1
+    lines = text.splitlines()
+    return {"line": line, "column": pos - (before.rfind("\n") + 1) + 1,
+            "source": lines[line - 1] if line <= len(lines) else ""}
+
+
 class ParseError(ValueError):
-    """token is the parser token the grammar stopped at (None for an
-    error it did not find: one of the scanner's, or nesting too deep)."""
+    """An error at offset pos of text, on line `line` at column `col`
+    (locate); the message names the line when text has more than one.
+    token is the parser token the grammar stopped at (None for an error
+    it did not find: one of the scanner's, or nesting too deep)."""
 
     def __init__(self, message: str, text: str, pos: int, token=None):
         self.pos = pos
-        self.col = pos + 1
-        super().__init__(f"{message} (column {self.col})")
+        where = locate(text, pos)
+        self.line, self.col = where["line"], where["column"]
+        at = f"line {self.line}, column {self.col}" if "\n" in text \
+            else f"column {self.col}"
+        super().__init__(f"{message} ({at})")
         self.bare_message = message
         self.text = text
         self.token = token

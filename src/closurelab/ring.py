@@ -5,9 +5,9 @@ classes of the variables, all of positive weight.  Krull dimension comes
 from the leading-term ideal of the reduced defining Groebner basis (the
 standard flat-degeneration argument makes this exact for global orders).
 
-The ring owns normal forms modulo I: the ideal's leads, its bases of
-I P^n (free_relation_basis), nf for Polynomials and Vecs and its reach
-test on kernel rows (reaches).  A sum of two elements is a normal form.
+The ring owns normal forms modulo I: the ideal's leads as order codes,
+its bases of I P^n (free_relation_basis) and reduce_terms, which nf and
+modules._distinct_monic call.  A sum of two elements is a normal form.
 
 A monomial subring is presented through its graph ring, itself a
 QuotientRing under an elimination order (SubringPresentation): one
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .field import QQ, field_terms
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
-from .poly import (ContextError, DomainError, ParseError, PolyRing, Polynomial,
-                   mono_divides)
-from .gb import GroebnerBasis, Vec, buchberger
+from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
+from .gb import GroebnerBasis, Vec, _from_kernel, _reduce_terms, buchberger
 from .values import Record
 
 
@@ -44,9 +44,7 @@ class QuotientRing:
         cols = [Vec.from_polys([g]) for g in gens]
         basis = buchberger(cols, 1, ModuleOrder(ambient.order), ambient)
         self.ideal_basis = [v.component(0) for v in basis]
-        # the ideal's leads as order codes (reaches) and tuples (nf)
         self._lead_codes = tuple(e for _c, e, _lc, _t in basis._rows)
-        self._leads = tuple(e for _c, e in basis.leading_terms())
         self.domain_status = domain_status
         self.presentation = presentation
         self._free_bases = {(1, None): basis}   # see free_relation_basis
@@ -66,32 +64,47 @@ class QuotientRing:
 
     def nf(self, value):
         """The normal form modulo I of a Polynomial, or of a Vec of rank n
-        modulo I P^n, a polynomial being the rank-1 case.  A value no term
-        of which an ideal lead divides (as when there is no ideal) is its
-        own, and comes back as it is; a reached one is reduced once, whole,
-        against the ring's basis of I P^n (free_relation_basis)."""
+        modulo I P^n: put into the field (field_terms), encoded once and
+        reduced by reduce_terms.  A value of nonzero field coefficients
+        that no ideal lead reaches comes back as it is."""
         amb = self.ambient
         if value.ring is not amb and value.ring != amb:
             raise ContextError("value over a different ambient ring")
         poly = isinstance(value, Polynomial)
-        monos = value.terms if poly else [m for _j, m in value.terms]
-        leads = self._leads
-        if not any(mono_divides(e, m) for m in monos for e in leads):
+        terms = field_terms(amb.field, value.terms)
+        if terms is not value.terms:
+            value = Polynomial(amb, terms) if poly else \
+                Vec(amb, value.ncomps, terms)
+        if not self._lead_codes:
             return value
-        if not poly:
-            return self.free_relation_basis(value.ncomps).normal_form(value)
-        rem = self.free_relation_basis(1).normal_form(
-            Vec(amb, 1, {(0, m): c for m, c in value.terms.items()}))
-        return Polynomial(amb, {m: c for (_0, m), c in rem.terms.items()})
+        enc = amb.code.encode
+        terms = {(0, enc(m)): c for m, c in terms.items()} if poly else \
+            {(j, enc(m)): c for (j, m), c in terms.items()}
+        reduced = self.reduce_terms(terms, 1 if poly else value.ncomps)
+        if reduced is None:
+            return value
+        terms = _from_kernel(*reduced, amb.field.char, amb.code)
+        return Polynomial(amb, {m: c for (_0, m), c in terms.items()}) \
+            if poly else Vec(amb, value.ncomps, terms)
 
-    def reaches(self, terms) -> bool:
-        """Whether an ideal lead divides a kernel term (comp, m) of terms,
-        m an order code: the reach test of nf on kernel rows."""
+    def reduce_terms(self, terms, ncomps):
+        """(rem, mult) for the terms (comp, m) of P^ncomps, m an order code,
+        their coefficients field values or ints: rem the int terms of mult
+        times their normal form modulo I P^ncomps (gb._reduce_terms against
+        free_relation_basis).  None, and no coefficient read, when no ideal
+        lead divides one of their monomials: the terms are their own."""
         code = self.ambient.code
         xor, add, guard = code.xor, code.add, code.guard
-        leads = self._lead_codes
-        return any(not ((((m - e) ^ xor) + add) & guard)
-                   for _j, m in terms for e in leads)
+        if not any(not ((((m - e) ^ xor) + add) & guard)
+                   for _j, m in terms for e in self._lead_codes):
+            return None
+        den = lcm(*(c.denominator for c in terms.values()))   # 1 over GF(p)
+        ideal = self.free_relation_basis(ncomps)
+        rem, mult = _reduce_terms(
+            {key: c.numerator * (den // c.denominator)
+             for key, c in terms.items()},
+            ideal._rows_of, ideal._key, code, self.ambient.field.char)
+        return rem, mult * den
 
     def free_relation_basis(self, ncomps, nreal=None) -> GroebnerBasis:
         """Reduced Groebner basis of I P^ncomps, the relations of R^ncomps,
@@ -171,16 +184,24 @@ class QuotientRing:
 
     @cached_property
     def dim(self) -> int:
-        return _dim_from_leads(self._leads, self.ambient.nvars)
+        return self.dim_modulo(())
 
     def dim_modulo(self, elems) -> int:
-        """Krull dimension of R/(elems): one run on the elements, seeded
-        with the ideal's reduced basis."""
+        """Krull dimension of R/(elems), read from the leads of one run on
+        the elements, seeded with the ideal's reduced basis."""
         cols = [Vec.from_polys([self.elem(x).poly]) for x in elems]
         gb = buchberger(cols, 1, ModuleOrder(self.ambient.order), self.ambient,
                         seed=self.free_relation_basis(1))
-        return _dim_from_leads([e for _c, e in gb.leading_terms()],
-                               self.ambient.nvars)
+        nvars, leads = self.ambient.nvars, [e for _c, e in gb.leading_terms()]
+        if any(all(e == 0 for e in m) for m in leads):
+            return -1  # unit ideal
+        supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+        for size in range(nvars, -1, -1):
+            for subset in combinations(range(nvars), size):
+                sset = set(subset)
+                if all(not sup <= sset for sup in supports):
+                    return size
+        return 0
 
     def is_partial_sop(self, elems) -> bool:
         elems = [self.elem(x) for x in elems]
@@ -201,37 +222,21 @@ class QuotientRing:
         }
 
 
-def _dim_from_leads(leads, nvars) -> int:
-    if any(all(e == 0 for e in m) for m in leads):
-        return -1  # unit ideal
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not sup <= sset for sup in supports):
-                return size
-    return 0
-
-
 class RingElem:
     """Element of a quotient ring, stored as its normal form: the
-    constructor puts poly into the field (field_terms) and reduces it, and
-    refuses exponents of another length than the ring's number of
-    variables; _of_nf takes a poly that is reduced."""
+    constructor refuses exponents of another length than the ring's number
+    of variables and takes the normal form of poly (QuotientRing.nf, which
+    refuses another ring and puts poly into the field); _of_nf takes a
+    poly that is reduced."""
 
     __slots__ = ("ring", "poly")
 
     def __init__(self, ring: QuotientRing, poly: Polynomial):
-        amb, n = ring.ambient, ring.ambient.nvars
-        if poly.ring is not amb and poly.ring != amb:
-            raise ContextError("value over a different ambient ring")
+        n = ring.ambient.nvars
         for m in poly.terms:
             if len(m) != n:
                 raise ContextError(f"exponents {m} of length {len(m)} in a "
                                    f"ring of {n} variables")
-        terms = field_terms(amb.field, poly.terms)
-        if terms is not poly.terms:
-            poly = Polynomial(amb, terms)
         self.ring = ring
         self.poly = ring.nf(poly)
 

@@ -10,12 +10,14 @@ import random
 
 from .linalg import monomials_of_wdeg
 from .modules import ideal_submodule
-from .ring import QuotientRing
+from .poly import Polynomial
+from .ring import QuotientRing, RingElem
 
 
 def random_homogeneous_elem(ring: QuotientRing, deg: int, rng: random.Random):
     """A nonzero homogeneous normal form of the given degree, drawn as one
-    or two terms, or None."""
+    or two terms, or None.  A coefficient that is 0 in the field (3 in
+    GF(3)) drops its term."""
     monos = monomials_of_wdeg(ring.ambient, deg)
     if not monos:
         return None
@@ -27,10 +29,9 @@ def random_homogeneous_elem(ring: QuotientRing, deg: int, rng: random.Random):
             m = rng.choice(monos)
             c = rng.randint(1, 3) * rng.choice((1, -1))
             terms[m] = fld.from_int(c)
-        from .poly import Polynomial
-        p = ring.nf(Polynomial(ring.ambient, dict(terms)))
+        p = ring.nf(Polynomial(ring.ambient, terms))
         if not p.is_zero():
-            return ring.elem(p)
+            return RingElem._of_nf(ring, p)
     return None
 
 

@@ -28,7 +28,10 @@ component, the reference for `QuotientRing.free_relation_basis`,
 canonicalization (normal form by the `Fraction` reducer against the
 ideal's `Fraction` basis, `ref_ideal_normal_form`, monic form, dedup on
 field terms) that the kernel-row `_distinct_monic` and the normal forms
-of `QuotientRing.nf` are checked against,
+of `QuotientRing.nf` are checked against, `tuple_lead_nf`, the
+`QuotientRing.nf` that tested reach on the ideal's leads as exponent
+tuples and reduced a polynomial through a rank-1 `Vec`, which the `nf`
+on order codes is checked against,
 with `kernel_terms_vec` and `ref_decoded_rows`, which read kernel terms
 and rows as `Vec`s without the engine's decoder,
 `ref_module_relation_columns`, the syzygy-then-elimination construction
@@ -85,7 +88,8 @@ from closurelab.linalg import (component_terms, graded_span_dim,
 from closurelab.modules import (FPModule, _unit_pairs, free_module,
                                 r_preimage, scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
-from closurelab.poly import DomainError, ParseError, PolyRing, Polynomial
+from closurelab.poly import (ContextError, DomainError, ParseError, PolyRing,
+                             Polynomial)
 from closurelab.sampling import achievable_degrees, random_homogeneous_elem
 
 
@@ -1132,6 +1136,27 @@ def ref_ideal_normal_form(ring, v: Vec) -> Vec:
     basis = fraction_buchberger(ideal_columns(ring, v.ncomps), v.ncomps,
                                 keyfn, ring.ambient)
     return fraction_normal_form(basis, keyfn, v)
+
+
+def tuple_lead_nf(ring, value):
+    """QuotientRing.nf as it was before it worked on order codes: the
+    reach test on the ideal's leads as exponent tuples, then
+    GroebnerBasis.normal_form against the ring's basis of I P^n, a
+    Polynomial going there as a rank-1 Vec and back.  A value that no
+    lead reaches comes back as it is."""
+    amb = ring.ambient
+    if value.ring is not amb and value.ring != amb:
+        raise ContextError("value over a different ambient ring")
+    poly = isinstance(value, Polynomial)
+    monos = value.terms if poly else [m for _j, m in value.terms]
+    leads = [e for _c, e in ring.free_relation_basis(1).leading_terms()]
+    if not any(mono_divides(e, m) for m in monos for e in leads):
+        return value
+    if not poly:
+        return ring.free_relation_basis(value.ncomps).normal_form(value)
+    rem = ring.free_relation_basis(1).normal_form(
+        Vec(amb, 1, {(0, m): c for m, c in value.terms.items()}))
+    return Polynomial(amb, {m: c for (_0, m), c in rem.terms.items()})
 
 
 def ref_distinct_monic(ring, vecs) -> list:

@@ -5,8 +5,8 @@ them); `closure-lab verify-paper` prints the same lines.  Each record,
 without `seconds`, must also equal its entry in
 `tests/golden/verify_paper.json` (see test_golden.py).  The tests after
 them run `verify-paper` through the CLI, on a pool of two workers and
-in-process, and check its records, its failures and that no worker
-outlives it.
+in-process, and check its records, its failures, a worker that dies, and
+that no worker outlives it.
 """
 
 import json
@@ -109,6 +109,31 @@ def test_raising_suite_is_an_internal_error(workers, exc, line, pinned,
     assert multiprocessing.active_children() == []
 
 
+def test_dead_worker_unit_is_run_again_in_process(pinned, monkeypatch,
+                                                  capsys):
+    """A worker that dies, as under the OOM killer, does not hang the
+    pass: its unit, and every unit still out of the broken pool, is run
+    again in this process, the records are the golden ones, and no worker
+    is left."""
+    parent = os.getpid()
+    _name, real, _count, _seed = acceptance.PROPERTY_SUITES[2]
+    ran_here = []
+
+    def dying(count, seed):
+        if os.getpid() != parent:
+            os._exit(3)
+        ran_here.append(seed)
+        return real(count, seed)
+
+    _patch_suite(monkeypatch, 2, dying)
+    pinned(2)
+    code, records = _verify_paper_records(capsys)
+    assert code == 0
+    assert records == list(GOLDEN.values())
+    assert len(ran_here) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_failing_suite_gives_the_in_process_detail(pinned, monkeypatch,
                                                    capsys):
     _patch_suite(monkeypatch, 3, lambda count, seed: (False, "broken"))
@@ -168,6 +193,6 @@ def test_interrupt_ends_every_worker():
     _out, err = proc.communicate(timeout=120)
     assert proc.returncode == -signal.SIGINT
     assert err.splitlines()[-1] == "KeyboardInterrupt"
-    assert "ForkPoolWorker" not in err      # the workers ignore the interrupt
+    assert "ForkProcess" not in err         # the workers ignore the interrupt
     with pytest.raises(ProcessLookupError):  # and none is left in its group
         os.killpg(proc.pid, 0)

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from closurelab import closure, modules
+from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
 from closurelab.orders import wdegrevlex
 from closurelab.poly import ContextError, DomainError, PolyRing, Polynomial
@@ -391,7 +392,8 @@ def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
     the rows of a preimage basis that no ideal lead reaches and the
     already normal generators handed to minimalization are not reduced
     again.  The rows an ideal lead reaches are reduced as kernel rows
-    (modules._distinct_monic), and QuotientRing.nf is not called.
+    (modules._distinct_monic, through QuotientRing.reduce_terms), and
+    QuotientRing.nf is not called.
     Minimalization reduces the candidates of a degree block modulo the
     span of those kept below it as kernel rows too, against that span's
     rows, where it called GroebnerBasis.normal_form on decoded Vecs."""
@@ -413,6 +415,7 @@ def test_closure_normal_forms_only_what_is_not_normal(veronese4, s2_module,
     N = ideal_submodule(veronese4, ["a^2", "a*b", "b*c", "d^2"])
     cl = ModuleClosure(s2_module, "cl_S")
     monkeypatch.setattr(modules, "_reduce_terms", counting)
+    monkeypatch.setattr(ring_module, "_reduce_terms", counting)
     monkeypatch.setattr(QuotientRing, "nf", counting_nf)
     closed = cl.closure(N)
     assert sorted(str(g) for g in closed.gens) == \

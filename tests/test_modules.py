@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from closurelab import gb, modules
+from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
 from closurelab.gb import Vec, buchberger
 from closurelab.orders import DEGREVLEX, ModuleOrder, wdegrevlex
@@ -28,7 +29,8 @@ from oracles import (brute_member, brute_syzygies_complete,
                      ref_distinct_monic, ref_ideal_normal_form,
                      ref_intersect_preimage, ref_kernel_preimage,
                      ref_monic_vec, ref_span_basis, ref_syzygy_basis,
-                     same_presentation, vec_minimal_generators,
+                     same_presentation, tuple_lead_nf,
+                     vec_minimal_generators,
                      vec_resolution, vec_syzygies, verify_resolution)
 
 
@@ -767,20 +769,21 @@ def test_greedy_minimal_generators_uses_the_reference(kxy, monkeypatch):
 def test_nf_reduces_a_reached_vector_once(segre, monkeypatch):
     """QuotientRing.nf reduces a vector that an ideal lead (here b^2)
     reaches once, whole, zero components included, against the ring's
-    basis of I P^n; its normal form, unreached, comes back as it is, with
-    no reduction."""
+    basis of I P^n (reduce_terms); its normal form, unreached, comes back
+    as it is, with no reduction."""
     v = Vec.from_polys([segre.ambient.parse(t)
                         for t in ["0", "b^2", "0", "a + c"]])
     bases = []
-    real = gb.GroebnerBasis.normal_form
+    real = ring_module._reduce_terms
 
-    def counting(self, w):
-        bases.append(self)
-        return real(self, w)
+    def counting(terms, rows_of, *args):
+        bases.append(rows_of)
+        return real(terms, rows_of, *args)
 
-    monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counting)
+    monkeypatch.setattr(ring_module, "_reduce_terms", counting)
     w = segre.nf(v)
-    assert len(bases) == 1 and bases[0] is segre.free_relation_basis(4)
+    assert len(bases) == 1
+    assert bases[0] is segre.free_relation_basis(4)._rows_of
     assert segre.nf(w) is w and len(bases) == 1
     assert str(w) == "(0, a*c, 0, a + c)"
     assert w == Vec.from_polys([segre.nf(p) for p in v.to_polys()])
@@ -850,16 +853,82 @@ def test_normal_forms_agree_with_the_fraction_reference(field):
     assert seen["reached"] >= 50 and seen["unreached"] >= 50, seen
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_nf_agrees_with_the_tuple_lead_nf(field):
+    """QuotientRing.nf, which tests reach and reduces on order codes,
+    gives what it gave when it tested reach on exponent tuples and
+    reduced a polynomial as a rank-1 Vec (tuple_lead_nf), term order
+    included, on the cone, xy = uv, the Veronese-4 ring and k[x, y], for
+    polynomials and vectors, reached by an ideal lead and not; a value
+    that no lead reaches comes back as the same object from both."""
+    rng = random.Random(f"tuple-nf-{field}")
+    seen = Counter()
+    for ring in _span_rings(field):
+        amb = ring.ambient
+        for _ in range(60):
+            v = _random_vec(amb, rng.randint(1, 3), rng)
+            for value in (v, v.component(0)):
+                want = tuple_lead_nf(ring, value)
+                got = ring.nf(value)
+                kind = "poly" if isinstance(value, Polynomial) else "vec"
+                seen[kind, want is value] += 1
+                assert type(got) is type(want), (ring, value)
+                assert list(got.terms.items()) == \
+                    list(want.terms.items()), (ring, value)
+                assert (got is value) == (want is value), (ring, value)
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def test_random_homogeneous_elem_reduces_each_draw_once(segre, monkeypatch):
+    """Each polynomial random_homogeneous_elem draws is reduced once
+    (QuotientRing.nf), and a nonzero normal form becomes the element as
+    it is (RingElem._of_nf), with no second reduction."""
+    outs = []
+    real = QuotientRing.nf
+
+    def counted(self, value):
+        outs.append(real(self, value))
+        return outs[-1]
+
+    rng = random.Random(4)
+    monkeypatch.setattr(QuotientRing, "nf", counted)
+    elems = [random_homogeneous_elem(segre, 4, rng) for _ in range(200)]
+    monkeypatch.undo()
+    assert None not in elems
+    drawn = [out for out in outs if out]
+    assert len(drawn) == len(elems) == 200
+    assert all(e.poly is out for e, out in zip(elems, drawn))
+    assert len(outs) - len(drawn) == 1     # one draw, b^2 - a*c, was 0
+    assert all(e == segre.elem(e.poly) and e.degree() == 4 for e in elems)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_random_homogeneous_elem_is_nonzero_over_small_fields(p):
+    """Over GF(2) and GF(3) a drawn coefficient may be 0 in the field: its
+    term is dropped before the normal form, so every element drawn is
+    nonzero, has no zero coefficient and is its own normal form."""
+    amb = PolyRing(("a", "b", "c"), prime_field(p), wdegrevlex((2, 2, 2)))
+    R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
+    rng = random.Random(1)
+    elems = [random_homogeneous_elem(R, 4, rng) for _ in range(100)]
+    assert None not in elems
+    for e in elems:
+        assert e and all(e.poly.terms.values()), e
+        assert R.elem(e.poly).poly == e.poly
+
+
 def test_normal_form_work_counts_are_pinned(monkeypatch):
     """Building a few elements, modules and submodules of a fresh cone
     makes a fixed number of normal forms of polynomials and of vectors,
     reached by an ideal lead or not, and reduces each reached one once
-    (GroebnerBasis.normal_form); a change that means to alter them
-    updates them here."""
+    (the ring's reduction modulo I, QuotientRing.reduce_terms).  A
+    relation or a generator given as ring elements is a normal form
+    already, and is not normalized again as a vector.  A change that
+    means to alter the counts updates them here."""
     amb = PolyRing(("a", "b", "c"), QQ, wdegrevlex((2, 2, 2)))
     R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
     counts = Counter()
-    real_nf, real_reduce = QuotientRing.nf, gb.GroebnerBasis.normal_form
+    real_nf, real_reduce = QuotientRing.nf, ring_module._reduce_terms
 
     def counted_nf(self, value):
         out = real_nf(self, value)
@@ -867,12 +936,12 @@ def test_normal_form_work_counts_are_pinned(monkeypatch):
         counts[kind, "reached" if out is not value else "unreached"] += 1
         return out
 
-    def counted_reduce(self, v):
-        counts["normal_form"] += 1
-        return real_reduce(self, v)
+    def counted_reduce(*args):
+        counts["reductions"] += 1
+        return real_reduce(*args)
 
     monkeypatch.setattr(QuotientRing, "nf", counted_nf)
-    monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counted_reduce)
+    monkeypatch.setattr(ring_module, "_reduce_terms", counted_reduce)
     a, b, c = R.gens()
     assert str(b * b + a * b - 1 + 1) == "a*b + a*c"
     M = FPModule(R, (0, 0), [["b", "-a"], ["c", "-b"], ["b^2", "b^2"]])
@@ -882,7 +951,7 @@ def test_normal_form_work_counts_are_pinned(monkeypatch):
         M.vec(["b", "b"]))) == "(a*c, a*c)"
     assert counts == {
         ("poly", "unreached"): 21, ("poly", "reached"): 4,
-        ("vec", "unreached"): 6, ("vec", "reached"): 3, "normal_form": 7}
+        ("vec", "unreached"): 1, ("vec", "reached"): 3, "reductions": 7}
 
 
 def test_minimalized_rejects_inhomogeneous_generator(kxy):

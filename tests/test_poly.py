@@ -128,6 +128,25 @@ def test_parse_dangling_operator_column():
     assert err.value.col >= 2
 
 
+def test_parse_error_on_multi_line_text_names_line_and_column():
+    """On text of several lines a parse error names the line and the
+    column on it, by the rule that places script errors (locate); on
+    one line it names the column alone."""
+    cases = [("x +\n\n q", 3, 2, "unknown variable 'q'"),
+             ("x +\ny +", 2, 4, "unexpected end of input"),
+             ("x\n+ ²", 2, 3, "unexpected character '²'"),
+             ("(x\n + y", 2, 5, "expected ')', found end of input")]
+    for text, line, col, message in cases:
+        with pytest.raises(ParseError) as err:
+            R2.parse(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+    with pytest.raises(ParseError) as err:
+        R2.parse("x + q")
+    assert (err.value.line, err.value.col) == (1, 5)
+    assert str(err.value) == "unknown variable 'q' (column 5)"
+
+
 def test_parse_rational_coefficients():
     f = R2.parse("1/2*x + 3/4*y")
     assert f.terms[(1, 0)] == Fraction(1, 2)

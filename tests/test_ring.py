@@ -6,6 +6,7 @@ import pytest
 from closurelab import gb, modules
 from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
+from closurelab.gb import Vec
 from closurelab.linalg import span_rows
 from closurelab.orders import DEGREVLEX
 from closurelab.poly import ContextError, DomainError, PolyRing, Polynomial
@@ -49,7 +50,8 @@ def test_ring_elem_puts_a_polynomial_into_the_field(segre, kxy, kxy_f5):
     """RingElem drops zero terms and puts coefficients into the field
     before the normal form, and refuses an exponent tuple of another
     length, and a polynomial of another ring before its coefficients are
-    converted; a polynomial already clean is reduced as it is."""
+    converted; a polynomial already clean is reduced as it is.  So does
+    QuotientRing.nf, for polynomials and vectors."""
     P, P5 = segre.ambient, kxy_f5.ambient
     a, c = (1, 0, 0), (0, 0, 1)
     assert not segre.elem(Polynomial(P, {c: Fraction(0)}))
@@ -66,24 +68,61 @@ def test_ring_elem_puts_a_polynomial_into_the_field(segre, kxy, kxy_f5):
         segre.elem(Polynomial(P, {(1, 0): QQ.one}))
     clean = P.parse("a*c - 2*a^2")
     assert segre.elem(clean).poly is clean
+    # nf itself, which encodes every value, puts it into the field first
+    b2 = (0, 2, 0)
+    for value in (Polynomial(P, {b2: 1, c: 0}),
+                  Vec(P, 2, {(1, b2): 1, (0, a): 2})):
+        got = segre.nf(value)
+        assert [c.__class__ for c in got.terms.values()] == \
+            [Fraction] * len(got.terms)
+    assert segre.nf(Polynomial(P, {b2: 1, c: 0})) == P.parse("a*c")
+    assert str(segre.nf(Vec(P, 2, {(1, b2): 1, (0, a): 2}))) == "(2*a, a*c)"
+    assert kxy_f5.nf(Polynomial(P5, {x: 7})) == P5.parse("2*x")
+
+
+def test_hand_built_int_coefficients_over_q_are_read_as_rationals(
+        segre, veronese4):
+    """A relation, a module generator or a vector built by hand over Q may
+    hold int coefficients, as the public Polynomial, monomial and Vec
+    constructors allow.  A ring built from such relations, a subring's
+    module relations and a basis's membership test and normal form read
+    them as the rationals they are."""
+    P = segre.ambient
+    ac, b2 = (1, 0, 1), (0, 2, 0)
+    R = make_quotient_ring(P, [P.monomial(ac, 2) - P.parse("b^2")])
+    assert R.ideal_basis == make_quotient_ring(P, ["2*a*c - b^2"]).ideal_basis
+    R = make_quotient_ring(P, [Polynomial(P, {ac: 1, b2: -1})])
+    assert R.ideal_basis == segre.ideal_basis
+    basis = R.free_relation_basis(1)
+    assert basis.contains(Vec(P, 1, {(0, ac): 3, (0, b2): -3}))
+    assert not basis.contains(Vec(P, 1, {(0, ac): 3}))
+    assert basis.normal_form(Vec(P, 1, {(0, b2): 2})) == \
+        Vec.from_polys([P.parse("2*a*c")])
+    sp = veronese4.presentation
+    T = sp.target
+    gens = [Polynomial(T, {(0, 0): 1}), Polynomial(T, {(2, 2): 2})]
+    cols = sp.module_relation_columns(gens)
+    assert cols and cols == sp.module_relation_columns(
+        [T.one(), T.parse("2*x^2*y^2")])
 
 
 def test_normal_form_returns_a_reduced_input_as_it_is(segre, monkeypatch):
     """nf hands back a polynomial none of whose terms an ideal lead (here
     b^2) divides, and runs no reduction for it; one it divides is
-    reduced once, against the ring's basis of I P^1."""
+    reduced once, against the ring's basis of I P^1 (reduce_terms)."""
     reduced = segre.ambient.parse("a*c + a*b - 3*c^2")
     calls = []
-    real = gb.GroebnerBasis.normal_form
+    real = ring_module._reduce_terms
 
-    def counted(self, v):
-        calls.append(self)
-        return real(self, v)
+    def counted(terms, rows_of, *args):
+        calls.append(rows_of)
+        return real(terms, rows_of, *args)
 
-    monkeypatch.setattr(gb.GroebnerBasis, "normal_form", counted)
+    monkeypatch.setattr(ring_module, "_reduce_terms", counted)
     assert segre.nf(reduced) is reduced and not calls
     assert str(segre.nf(segre.ambient.parse("b^2 + a*b"))) == "a*b + a*c"
-    assert len(calls) == 1 and calls[0] is segre.free_relation_basis(1)
+    assert len(calls) == 1
+    assert calls[0] is segre.free_relation_basis(1)._rows_of
 
 
 def test_unit_ideal_ring_is_zero():
