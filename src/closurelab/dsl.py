@@ -28,6 +28,13 @@ that is no string, [list] or set head is a balanced run of tokens: an
 integer, a negative integer or a name, or else polynomial text, which
 check_syntax scans again in polynomial mode.
 
+A statement parses into one of three nodes: RingDef, ExportStmt, or
+CallStmt for every other keyword.  Eq, hash and repr read every field of
+RingDef and ExportStmt, and of a CallStmt kind, name, form and args, but
+not bound, which follows from args.  An ideal's arguments are not bound
+through SIGNATURES: its ring is a bare name, and its generators are
+checked when the statement runs.
+
 Printing an AST yields canonical source; parsing that source returns an
 equal AST.
 """
@@ -251,70 +258,29 @@ class RingDef(Frozen):
                 f"[{', '.join(self.vars)}], {srcs}{extra});")
 
 
-class IdealDef(Frozen):
-    __slots__ = ("name", "ring", "polys", "kind")
+class CallStmt(Frozen):
+    """A statement that is a call: kind is its keyword (ideal, module,
+    closure, check or modify), name the name it binds (None for a check),
+    form the call's head and args its arguments.  A closure keyword is a
+    form without arguments, and prints bare.  bound: parameter name ->
+    argument value, as Parser.bind gives them (for an ideal, R and the
+    generator texts as written); it follows from args, and is left out of
+    eq, hash and repr."""
 
-    def __init__(self, name: str, ring: str, polys: tuple,
-                 kind: str = "ideal"):
-        self._set_slots(name, ring, polys, kind)
+    __slots__ = ("kind", "name", "form", "args", "bound")
+    _fields = ("kind", "name", "form", "args")
 
-    def show(self):
-        return (f"ideal {self.name} = ideal({self.ring}, "
-                f"{', '.join(self.polys)});")
-
-
-class ModuleDef(Frozen):
-    __slots__ = ("name", "form", "args", "kind", "bound")
-    _fields = ("name", "form", "args", "kind")
-
-    def __init__(self, name: str, form: str, args: tuple,
-                 kind: str = "module", bound: dict | None = None):
-        self._set_slots(name, form, args, kind,
-                        {} if bound is None else bound)
-
-    def show(self):
-        return f"module {self.name} = {Call(self.form, self.args).show()};"
-
-
-class ClosureDef(Frozen):
-    # form: trivial | integral_closure | module_closure | intersect
-    __slots__ = ("name", "form", "args", "kind", "bound")
-    _fields = ("name", "form", "args", "kind")
-
-    def __init__(self, name: str, form: str, args: tuple = (),
-                 kind: str = "closure", bound: dict | None = None):
-        self._set_slots(name, form, args, kind,
-                        {} if bound is None else bound)
-
-    def show(self):
-        if self.form in CLOSURE_KEYWORDS:
-            return f"closure {self.name} = {self.form};"
-        return f"closure {self.name} = {Call(self.form, self.args).show()};"
-
-
-class CheckStmt(Frozen):
-    __slots__ = ("fn", "args", "kind", "bound")
-    _fields = ("fn", "args", "kind")
-
-    def __init__(self, fn: str, args: tuple, kind: str = "check",
+    def __init__(self, kind: str, name: str | None, form: str, args: tuple,
                  bound: dict | None = None):
-        self._set_slots(fn, args, kind, {} if bound is None else bound)
-
-    def show(self):
-        return f"check {Call(self.fn, self.args).show()};"
-
-
-class ModifyStmt(Frozen):
-    __slots__ = ("name", "form", "args", "kind", "bound")
-    _fields = ("name", "form", "args", "kind")
-
-    def __init__(self, name: str, form: str, args: tuple,
-                 kind: str = "modify", bound: dict | None = None):
-        self._set_slots(name, form, args, kind,
+        self._set_slots(kind, name, form, args,
                         {} if bound is None else bound)
 
     def show(self):
-        return f"modify {self.name} = {Call(self.form, self.args).show()};"
+        call = self.form if self.form in CLOSURE_KEYWORDS else \
+            Call(self.form, self.args).show()
+        head = self.kind if self.name is None else \
+            f"{self.kind} {self.name} ="
+        return f"{head} {call};"
 
 
 class ExportStmt(Frozen):
@@ -477,16 +443,20 @@ class Parser:
 
     def scan_args_until(self, closer):
         """The arguments up to closer, and the position of each."""
-        args, starts = [], []
         if self.at(closer):
-            return args, starts
+            return [], []
+        return self.scan_args()
+
+    def scan_args(self):
+        """One argument or more, up to the next one not followed by ',',
+        and the position of each."""
+        args, starts = [], []
         while True:
             starts.append(self.peek().pos)
             args.append(self.scan_arg())
-            if self.at(","):
-                self.take()
-                continue
-            return args, starts
+            if not self.at(","):
+                return args, starts
+            self.take()
 
     def scan_call(self, form):
         """'(' arguments ')' of form: the argument tuple and its binding."""
@@ -570,11 +540,7 @@ class Parser:
         args, bound = ((), {}) if form in keywords else \
             self.scan_call(form)
         self.expect(";")
-        if kw == "check":
-            return CheckStmt(form, args, bound=bound)
-        node = {"module": ModuleDef, "closure": ClosureDef,
-                "modify": ModifyStmt}[kw]
-        return node(name, form, args, bound=bound)
+        return CallStmt(kw, name, form, args, bound)
 
     def parse_field(self):
         name = self.expect_name("Q", "Fp")
@@ -604,14 +570,6 @@ class Parser:
             return (name,)
         return ("wdegrevlex", self.parse_list(self.expect_int))
 
-    def parse_poly_texts(self):
-        """Arguments up to the next one not followed by ',', as written."""
-        texts = [self.scan_arg().show()]
-        while self.at(","):
-            self.take()
-            texts.append(self.scan_arg().show())
-        return tuple(texts)
-
     def parse_ringdef(self):
         name = self.expect_name()
         self.expect("=")
@@ -628,7 +586,7 @@ class Parser:
             if self.at("/"):
                 self.take()
                 self.expect("(")
-                rels = self.parse_poly_texts()
+                rels = tuple(a.show() for a in self.scan_args()[0])
                 self.expect(")")
             self.expect(";")
             return RingDef(name, "poly", fs, vars_, order, relations=rels)
@@ -649,10 +607,11 @@ class Parser:
         self.expect("(")
         ring = self.expect_name()
         self.expect(",")
-        polys = self.parse_poly_texts()
+        gens = tuple(self.scan_args()[0])
         self.expect(")")
         self.expect(";")
-        return IdealDef(name, ring, polys)
+        return CallStmt("ideal", name, "ideal", (Name(ring), *gens),
+                        {"R": ring, "gens": tuple(a.show() for a in gens)})
 
     def parse_export(self):
         what = self.expect_name("json", "session")

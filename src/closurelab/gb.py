@@ -499,11 +499,12 @@ def _undominated(basis, nseed, code):
             if c not in later or not _reached(((c, e),), later, i, code)]
 
 
-def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
+def buchberger(cols, ncomps, keyfn, ring, seed=None,
                eliminate=False) -> GroebnerBasis:
-    """Reduced Groebner basis of the span of cols in P^ncomps under the
-    module order keyfn (a ModuleOrder).  A column is a Vec, encoded here,
-    or a KernelCol, whose terms are taken as they are (and not changed).
+    """Reduced Groebner basis of the span of cols in P^ncomps, P = ring,
+    under the module order keyfn (a ModuleOrder).  A column is a Vec,
+    encoded here, or a KernelCol, whose terms are taken as they are (and
+    not changed).
 
     seed, a GroebnerBasis over the same ring, ncomps and order, adds its
     span: its kernel rows start the basis as they are, and no pair of two
@@ -520,10 +521,6 @@ def buchberger(cols, ncomps, keyfn, ring=None, seed=None,
     value components alone, so no real row can reduce or dominate it,
     and the final pass leaves out the real rows.
     """
-    if ring is None:
-        if not cols:
-            raise ValueError("need a ring for an empty generating set")
-        ring = cols[0].ring
     if seed is not None and (seed.ring, seed.ncomps, seed.order) != (
             ring, ncomps, keyfn):
         raise ValueError("seed basis of another ring, rank or order")

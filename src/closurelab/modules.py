@@ -52,7 +52,7 @@ from .gb import (GroebnerBasis, KernelCol, Vec, _from_kernel, _normalize,
 from .linalg import Echelon
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError
-from .ring import QuotientRing
+from .ring import QuotientRing, RingElem
 
 
 # --- quotient-ring module primitives ----------------------------------------
@@ -431,7 +431,9 @@ class Submodule:
         if not full.take_components(0, s).is_zero():
             return None
         coeffs = (-full.take_components(s, s + t)).to_polys()
-        return [self.ring.elem(c) for c in coeffs[:len(self.gens)]]
+        # ext holds I on every value component: each is reduced modulo I
+        return [RingElem._of_nf(self.ring, c)
+                for c in coeffs[:len(self.gens)]]
 
     def first_outside(self, gens):
         """The first of gens, in order, that is not in this submodule, or

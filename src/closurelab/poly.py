@@ -294,12 +294,19 @@ def format_polynomial(f: Polynomial) -> str:
 
 def locate(text, pos) -> dict:
     """{"line", "column", "source"}: the 1-based line and column of offset
-    pos in text, and the text of that line."""
-    before = text[:pos]
-    line = before.count("\n") + 1
-    lines = text.splitlines()
-    return {"line": line, "column": pos - (before.rfind("\n") + 1) + 1,
-            "source": lines[line - 1] if line <= len(lines) else ""}
+    pos in text, and the text of that line.  Lines end where
+    str.splitlines breaks them ("\r\n" is one break); an offset on a break
+    is on the line the break ends, and the end of text after a final
+    break is on an empty line."""
+    number, start = 0, 0
+    for number, line in enumerate(text.splitlines(keepends=True), 1):
+        source = line.splitlines()[0]
+        # the last line, with no break, also holds the end of text
+        if pos < start + len(line) or source == line:
+            return {"line": number, "column": pos - start + 1,
+                    "source": source}
+        start += len(line)
+    return {"line": number + 1, "column": pos - start + 1, "source": ""}
 
 
 class ParseError(ValueError):
@@ -312,8 +319,8 @@ class ParseError(ValueError):
         self.pos = pos
         where = locate(text, pos)
         self.line, self.col = where["line"], where["column"]
-        at = f"line {self.line}, column {self.col}" if "\n" in text \
-            else f"column {self.col}"
+        at = f"line {self.line}, column {self.col}" \
+            if where["source"] != text else f"column {self.col}"
         super().__init__(f"{message} ({at})")
         self.bare_message = message
         self.text = text

@@ -19,9 +19,8 @@ from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
                       check_generalized_colon_capturing,
                       check_semi_residuality, dietz_obstruction,
                       is_trivial_on_sample, phantom_test)
-from .dsl import (Call, CheckStmt, ClosureDef, ExportStmt, IdealDef,
-                  ModifyStmt, ModuleDef, Name, Parser, RingDef, ScriptError,
-                  print_statements)
+from .dsl import (Call, CallStmt, ExportStmt, Name, Parser, RingDef,
+                  ScriptError, print_statements)
 from .field import QQ, prime_field
 from .gb import Vec
 from .modify import parameter_chain
@@ -275,14 +274,15 @@ class Session:
         res.result = ring.descriptor()
         self._bind(stmt.name, "ring", ring)
 
-    def _eval_ideal(self, stmt: IdealDef, res):
-        ring = self._ring(stmt.ring)
-        elems = [ring.elem(t) for t in stmt.polys]
+    def _eval_ideal(self, stmt: CallStmt, res):
+        args = stmt.bound
+        ring = self._ring(args["R"])
+        elems = self._elems(ring, args["gens"])
         value = IdealValue(ring, elems, ideal_submodule(ring, elems))
-        res.result = {"ring": stmt.ring, "gens": value.gens_strings()}
+        res.result = {"ring": args["R"], "gens": value.gens_strings()}
         self._bind(stmt.name, "ideal", value)
 
-    def _eval_module(self, stmt: ModuleDef, res):
+    def _eval_module(self, stmt: CallStmt, res):
         args = stmt.bound
         ring = self._ring(args["R"])
         if stmt.form == "ideal_module":
@@ -301,7 +301,7 @@ class Session:
         res.result = M.descriptor()
         self._bind(stmt.name, "module", M)
 
-    def _eval_closure(self, stmt: ClosureDef, res):
+    def _eval_closure(self, stmt: CallStmt, res):
         args = stmt.bound
         if stmt.form == "module_closure":
             cl = ModuleClosure(self._lookup(args["M"], "module"),
@@ -314,7 +314,7 @@ class Session:
         res.result = {"closure": cl.describe()}
         self._bind(stmt.name, "closure", cl)
 
-    def _eval_modify(self, stmt: ModifyStmt, res):
+    def _eval_modify(self, stmt: CallStmt, res):
         args = stmt.bound
         ring = self._ring(args["R"])
         cl = self._closure(args["cl"])
@@ -327,8 +327,8 @@ class Session:
         res.result = trace.descriptor()
         self._bind(stmt.name, "trace", trace)
 
-    def _eval_check(self, stmt: CheckStmt, res):
-        fn, args = stmt.fn, stmt.bound
+    def _eval_check(self, stmt: CallStmt, res):
+        fn, args = stmt.form, stmt.bound
         if fn == "member":
             res.ok, res.certificate = self._member_query(args["u"],
                                                          args["N"])

@@ -365,7 +365,7 @@ def test_member_builds_tensor_image_once_per_pair(veronese4, s2_module,
     runs = []
     real = modules.buchberger
 
-    def counting(cols, ncomps, keyfn, ring=None, seed=None, **kwargs):
+    def counting(cols, ncomps, keyfn, ring, seed=None, **kwargs):
         runs.append((len(cols), seed is not None and len(seed)))
         return real(cols, ncomps, keyfn, ring, seed, **kwargs)
 

@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from closurelab.dsl import (PARAMS, SIGNATURES, Call, CheckStmt, ClosureDef,
-                            Expr, ExportStmt, IntArg, ListArg, ModifyStmt,
-                            ModuleDef, Name, RingDef, ScriptError,
-                            parse_script, print_statements)
+from closurelab.dsl import (PARAMS, SIGNATURES, Call, CallStmt, Expr,
+                            ExportStmt, IntArg, ListArg, Name, RingDef,
+                            ScriptError, parse_script, print_statements)
 
 
 def parse_one(text):
@@ -47,8 +46,8 @@ def test_subring_def():
 
 def test_check_member_ast():
     s = parse_one("check member(a*c, closure(cl_M, I));")
-    assert isinstance(s, CheckStmt)
-    assert s.fn == "member"
+    assert isinstance(s, CallStmt) and s.kind == "check"
+    assert s.name is None and s.form == "member"
     assert s.args[0] == Expr("a*c")
     assert s.args[1] == Call("closure", (Name("cl_M"), Name("I")))
 
@@ -65,16 +64,31 @@ def test_check_with_list_and_ints():
 
 def test_moduledef_and_closuredef():
     m = parse_one("module M = ideal_module(R, a, b);")
-    assert isinstance(m, ModuleDef) and m.form == "ideal_module"
+    assert isinstance(m, CallStmt) and m.kind == "module"
+    assert m.name == "M" and m.form == "ideal_module"
     c = parse_one("closure t = trivial;")
-    assert isinstance(c, ClosureDef) and c.form == "trivial"
+    assert isinstance(c, CallStmt) and c.kind == "closure"
+    assert c.form == "trivial" and c.args == () and c.bound == {}
     c2 = parse_one("closure both = intersect(clM, t);")
     assert c2.args == (Name("clM"), Name("t"))
 
 
+def test_idealdef_is_a_call_with_generator_texts():
+    text = "ideal I = ideal(R, a^2, b, 3, a*(b + c));"
+    s = parse_one(text)
+    assert s == CallStmt("ideal", "I", "ideal",
+                         (Name("R"), Expr("a^2"), Name("b"), IntArg(3),
+                          Expr("a*(b + c)")))
+    assert s.bound == {"R": "R", "gens": ("a^2", "b", "3", "a*(b + c)")}
+    assert s.show() == text
+    with pytest.raises(ScriptError) as err:
+        parse_script("ideal I = ideal([R], a);")
+    assert err.value.col == 17
+
+
 def test_modify_and_export():
     m = parse_one("modify T = parameter_chain(R, clS, [a, d], 1);")
-    assert isinstance(m, ModifyStmt)
+    assert isinstance(m, CallStmt) and m.kind == "modify"
     e = parse_one('export json "out.json";')
     assert isinstance(e, ExportStmt)
     assert e.what == "json" and e.path == "out.json"
@@ -125,9 +139,18 @@ def test_unterminated_string():
 
 
 def test_error_reports_line_numbers():
+    """Every break that splits the source lines counts once, "\r\n" too,
+    for the line and the column of an error as for the line shown."""
     with pytest.raises(ScriptError) as err:
         parse_script("ring R = poly(Q, [x], lex);\ncheck member(x*, I);\n")
     assert err.value.line == 2
+    for brk in ("\x0c", "\r", "\r\n"):
+        with pytest.raises(ScriptError) as err:
+            parse_script("ring P = poly(Q, [x, y], lex);" + brk
+                         + "ideal I = ideal(P, x @ y);")
+        assert (err.value.line, err.value.col) == (2, 22), repr(brk)
+        assert str(err.value).split("\n")[1] == \
+            "  ideal I = ideal(P, x @ y);"
 
 
 # Each statement has one argument too many for its form or set head; "@"

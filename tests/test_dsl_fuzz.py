@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from closurelab import cli, dsl
-from closurelab.dsl import ScriptError, parse_script, print_statements
+from closurelab.dsl import (Call, CallStmt, ScriptError, parse_script,
+                            print_statements)
 
 from oracles import check_poly_syntax
 
@@ -233,11 +234,26 @@ def scripts(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(scripts())
 def test_parse_raises_only_script_errors_and_round_trips(text):
+    """A reprinted script parses into equal statements that bind the same
+    arguments: equality leaves out the bindings, so they are compared
+    apart, down to those of set expressions."""
     try:
         stmts = parse_script(text)
     except ScriptError:
         return
-    assert parse_script(print_statements(stmts)) == stmts
+    again = parse_script(print_statements(stmts))
+    assert again == stmts
+    assert [_bindings(s) for s in again] == [_bindings(s) for s in stmts]
+
+
+def _bindings(value):
+    """The binding of a statement or call, with the bindings of the calls
+    it holds in place of them."""
+    if isinstance(value, (CallStmt, Call)):
+        return {k: _bindings(v) for k, v in value.bound.items()}
+    if isinstance(value, tuple):
+        return tuple(_bindings(v) for v in value)
+    return value
 
 
 # --- small scripts through the command line ----------------------------------------

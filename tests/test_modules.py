@@ -667,6 +667,36 @@ def test_certificates_match_the_extended_run(field):
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
+def test_certificate_reduces_nothing_modulo_the_ideal(field, monkeypatch):
+    """ext holds I on every value component, so the value block of a
+    normal form against it is reduced modulo I already: once ext is
+    built, certificate makes no QuotientRing.nf call, and each of its
+    coefficients is its own normal form.  Members of random submodules
+    of free modules over the cone and over xy = uv."""
+    rng = random.Random(f"certificate-nf-{field}")
+    cone, xyuv, _veronese, _kxy = _span_rings(field)
+    real_nf, calls, coeffs = QuotientRing.nf, [], []
+
+    def counting(ring, value):
+        calls.append(value)
+        return real_nf(ring, value)
+
+    for ring in (cone, xyuv):
+        for _ in range(10):
+            M = free_module(ring, (0, rng.randint(0, 1)))
+            N = random_submodule_pair(M, rng, max_deg=4)
+            v = _combination(N, rng)
+            N.ext
+            monkeypatch.setattr(QuotientRing, "nf", counting)
+            cert = N.certificate(v)
+            monkeypatch.setattr(QuotientRing, "nf", real_nf)
+            assert calls == [] and cert is not None
+            coeffs += [c for c in cert if c]
+    assert all(c.ring.nf(c.poly) == c.poly for c in coeffs)
+    assert len(coeffs) >= 20
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
 def test_syzygies_are_the_reduced_basis_of_the_syzygy_module(field):
     """The syzygy run, one preimage run of I P^s under the map the
     columns give, lists the distinct monic normal forms of the reduced

@@ -135,7 +135,10 @@ def test_parse_error_on_multi_line_text_names_line_and_column():
     cases = [("x +\n\n q", 3, 2, "unknown variable 'q'"),
              ("x +\ny +", 2, 4, "unexpected end of input"),
              ("x\n+ ²", 2, 3, "unexpected character '²'"),
-             ("(x\n + y", 2, 5, "expected ')', found end of input")]
+             ("(x\n + y", 2, 5, "expected ')', found end of input"),
+             ("x +\r\n\r\n q", 3, 2, "unknown variable 'q'"),
+             ("x +\ry +", 2, 4, "unexpected end of input"),
+             ("x\x0c+ ²", 2, 3, "unexpected character '²'")]
     for text, line, col, message in cases:
         with pytest.raises(ParseError) as err:
             R2.parse(text)

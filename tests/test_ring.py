@@ -299,7 +299,7 @@ def test_module_relation_columns_make_one_seeded_run(veronese4, monkeypatch):
     runs = []
     real_run = gb.buchberger
 
-    def buchberger(cols, ncomps, keyfn, ring=None, seed=None, **kwargs):
+    def buchberger(cols, ncomps, keyfn, ring, seed=None, **kwargs):
         runs.append((ncomps, keyfn.nreal, seed is not None))
         return real_run(cols, ncomps, keyfn, ring, seed, **kwargs)
 

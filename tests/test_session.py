@@ -679,6 +679,9 @@ SUBRING_R = ("ring R = subring(Fp(5), [x, y], [x^4, x^3*y, x*y^3, y^4], "
      "unknown variable 'a'"),
     (PXY + "ideal I = ideal(P, x^2,\n    x*y + z^2);\n", 3, 11,
      "unknown variable 'z'"),
+    # a form feed breaks the line as a newline does
+    ("ring P = poly(Q, [x, y], lex);\x0cideal I = ideal(P, x, q);\n", 2, 23,
+     "unknown variable 'q'"),
     # EvalError about a name: at the name
     (PXY + "check member(x, J);\n", 2, 17, "unknown name 'J'"),
     (PXY + "ideal I = ideal(P, x);\nclosure c = module_closure(I);\n", 3, 28,
@@ -688,7 +691,8 @@ SUBRING_R = ("ring R = subring(Fp(5), [x, y], [x^4, x^3*y, x*y^3, y^4], "
     (PXY + "ideal I = ideal(P, x^2147483648, y);\n", 2, 1,
      "exponents (2147483648, 0) out of range"),
     ("ring F = poly(Fp(4), [x], lex);\n", 1, 1, "4 is not prime"),
-], ids=["parse-subring-generator", "parse-second-line", "unknown-name",
+], ids=["parse-subring-generator", "parse-second-line",
+        "parse-after-form-feed", "unknown-name",
         "kind-mismatch", "domain", "unsupported-exponent", "field"])
 def test_runtime_errors_name_their_statement(tmp_path, capsys, script, line,
                                              column, message):

@@ -10,7 +10,7 @@ import pytest
 
 from closurelab.acceptance import CriterionResult
 from closurelab.closure import CheckOutcome, MembershipOutcome
-from closurelab.dsl import Call, CheckStmt, Name, Parser, parse_script
+from closurelab.dsl import Call, CallStmt, Name, Parser, parse_script
 from closurelab.orders import DEGREVLEX, ModuleOrder, MonomialOrder, wdegrevlex
 from closurelab.ring import ParameterSequence
 from closurelab.session import StatementResult
@@ -20,6 +20,7 @@ module M = ideal_module(R, x, y);
 closure c = module_closure(M);
 check member(x*y, closure(c, ideal(R, x)));
 export json "out.json";
+ideal I = ideal(R, x, y^2);
 """
 
 
@@ -69,8 +70,8 @@ def test_bound_is_left_out_of_equality():
     assert Call("closure", args, {"cl": "c"}) == Call("closure", args)
     assert hash(Call("closure", args, {"cl": "c"})) == hash(
         Call("closure", args))
-    assert CheckStmt("member", args, bound={"u": "x"}) == CheckStmt("member",
-                                                                    args)
+    assert CallStmt("check", None, "member", args, {"u": "x"}) == \
+        CallStmt("check", None, "member", args)
     assert Call("closure", args).bound == {}
 
 
@@ -106,14 +107,17 @@ def test_reprs_are_the_dataclass_reprs():
         "RingDef(name='R', form='poly', field_spec=('Fp', 5), "
         "vars=('x', 'y'), order_spec=('wdegrevlex', (1, 2)), "
         "relations=('x^2 - y',), images=(), pres_names=(), kind='ring')",
-        "ModuleDef(name='M', form='ideal_module', args=(Name(value='R'), "
-        "Name(value='x'), Name(value='y')), kind='module')",
-        "ClosureDef(name='c', form='module_closure', "
-        "args=(Name(value='M'),), kind='closure')",
-        "CheckStmt(fn='member', args=(Expr(text='x*y'), Call(head='closure', "
+        "CallStmt(kind='module', name='M', form='ideal_module', "
+        "args=(Name(value='R'), Name(value='x'), Name(value='y')))",
+        "CallStmt(kind='closure', name='c', form='module_closure', "
+        "args=(Name(value='M'),))",
+        "CallStmt(kind='check', name=None, form='member', "
+        "args=(Expr(text='x*y'), Call(head='closure', "
         "args=(Name(value='c'), Call(head='ideal', args=(Name(value='R'), "
-        "Name(value='x')))))), kind='check')",
-        "ExportStmt(what='json', path='out.json', kind='export')"]
+        "Name(value='x')))))))",
+        "ExportStmt(what='json', path='out.json', kind='export')",
+        "CallStmt(kind='ideal', name='I', form='ideal', "
+        "args=(Name(value='R'), Name(value='x'), Expr(text='y^2')))"]
     parser = Parser("check member(x, N);")
     parser.parse_script()
     assert repr(parser.spans) == (
