@@ -71,14 +71,12 @@ class MembershipOutcome(Record):
 
 
 class CheckOutcome(Record):
-    __slots__ = ("holds", "witness", "note", "data")
+    __slots__ = ("holds", "witness", "note")
 
-    def __init__(self, holds: bool, witness: object = None, note: str = "",
-                 data: dict | None = None):
+    def __init__(self, holds: bool, witness: object = None, note: str = ""):
         self.holds = holds
         self.witness = witness
         self.note = note
-        self.data = {} if data is None else data
 
     def __bool__(self):
         return self.holds
@@ -585,15 +583,13 @@ class PhantomInstance:
         return free_module(self.ring, shifts)
 
 
-def phantom_test(cl: ClosureOp, inst: PhantomInstance,
-                 want_certificate=False) -> CheckOutcome:
+def phantom_test(cl: ClosureOp, inst: PhantomInstance) -> CheckOutcome:
     if inst.m == 0:
         return CheckOutcome(True, note="no relations: split extension")
     F = inst.free_cover()
     top = F.vec(inst.rows[0])
     span = F.submodule([row for row in inst.rows[1:]])
-    out = cl.member(top, span, want_certificate=want_certificate)
-    return CheckOutcome(bool(out.holds), data={"certificate": out.certificate})
+    return CheckOutcome(bool(cl.member(top, span).holds))
 
 
 # --- obstructions and triviality -------------------------------------------------

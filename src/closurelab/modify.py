@@ -60,6 +60,18 @@ class BadRelation(Record):
         }
 
 
+def _modified(M: FPModule, degrees, cols):
+    """(M', inclusion M -> M'): M' adds generators of the given degrees to
+    M, and the columns cols to its relations, padded to the new rank."""
+    total = M.ngens + len(degrees)
+    amb = M.ring.ambient
+    rels = [c.pad(total) for c in M.relations] + cols
+    M2 = FPModule(M.ring, M.gen_degrees + tuple(degrees), rels)
+    incl = ModuleMap(M, M2, [Vec.unit(amb, total, j)
+                             for j in range(M.ngens)])
+    return M2, incl
+
+
 def parameter_modification(M: FPModule, rel: BadRelation):
     """The parameter module modification of M along rel.
 
@@ -68,22 +80,10 @@ def parameter_modification(M: FPModule, rel: BadRelation):
     """
     if rel.module != M:
         raise ContextError("relation belongs to a different module")
-    ring = M.ring
-    elems = list(rel.xs.elems)
-    k = rel.k
+    params = rel.xs.elems[:-1]
     deg_u = rel.u.degree(M.gen_degrees)
-    new_degrees = M.gen_degrees + tuple(deg_u - x.degree() for x in elems[:-1])
-    n = M.ngens
-    total = n + k
-    col = rel.u.pad(total)
-    for i, x in enumerate(elems[:-1]):
-        col = col + Vec(ring.ambient, total,
-                        {(n + i, m): c for m, c in x.poly.terms.items()})
-    rels = [c.pad(total) for c in M.relations] + [col]
-    M2 = FPModule(ring, new_degrees, rels)
-    incl = ModuleMap(M, M2, [Vec.unit(ring.ambient, total, j)
-                             for j in range(n)])
-    return M2, incl
+    col = Vec.from_polys(rel.u.to_polys() + [x.poly for x in params])
+    return _modified(M, [deg_u - x.degree() for x in params], [col])
 
 
 def containment_modification(M: FPModule, cl: ClosureOp, G: Submodule,
@@ -110,29 +110,13 @@ def containment_modification(M: FPModule, cl: ClosureOp, G: Submodule,
     if x is None:
         x = M.gen(0)
     x = M.vec(x)
-    s = F.ngens
-    gens_e = list(G.gens)
-    k = len(gens_e)
-    n = M.ngens
-    total = n + k
-    deg_v = v.degree(F.gen_degrees)
-    deg_x = x.degree(M.gen_degrees)
-    new_degrees = M.gen_degrees + tuple(
-        deg_v + deg_x - e.degree(F.gen_degrees) for e in gens_e)
-    cols = []
-    for i in range(s):
-        col = x.scale(v.component(i)).pad(total)
-        for l, e in enumerate(gens_e):
-            coeff = e.component(i)
-            if coeff:
-                col = col + Vec(ring.ambient, total,
-                                {(n + l, m): c for m, c in coeff.terms.items()})
-        cols.append(col)
-    rels = [c.pad(total) for c in M.relations] + cols
-    M2 = FPModule(ring, new_degrees, rels)
-    incl = ModuleMap(M, M2, [Vec.unit(ring.ambient, total, j)
-                             for j in range(n)])
-    return M2, incl
+    deg_vx = v.degree(F.gen_degrees) + x.degree(M.gen_degrees)
+    xs = x.to_polys()
+    cols = [Vec.from_polys([p * vi for p in xs]
+                           + [e.component(i) for e in G.gens])
+            for i, vi in enumerate(v.to_polys())]
+    return _modified(M, [deg_vx - e.degree(F.gen_degrees) for e in G.gens],
+                     cols)
 
 
 def find_bad_relation(M: FPModule, xs, degree_bound=None):
@@ -152,14 +136,9 @@ def find_bad_relation(M: FPModule, xs, degree_bound=None):
         return None
     i, N, u = failure
     cert = N.certificate(u.scale(elems[i].poly))
-    us = []
-    for l in range(i):
-        acc = Vec.zero(ring.ambient, M.ngens)
-        for j in range(M.ngens):
-            c = cert[l * M.ngens + j]
-            if not c.is_zero():
-                acc = acc + M.gen(j).scale(c.poly)
-        us.append(acc)
+    n = M.ngens
+    us = [Vec.from_polys([c.poly for c in cert[l * n:(l + 1) * n]])
+          for l in range(i)]
     seq = ParameterSequence(tuple(elems[:i + 1]), xs.verified_partial_sop)
     return BadRelation(M, seq, u, tuple(us))
 

@@ -34,8 +34,9 @@ decodes only what it returns.  minimal_generators takes kernel rows: the
 closure, intersect, colon_elem, kernel and resolution hand it those of
 r_preimage as they are, so a resolution stays in rows from one syzygy
 run to the next, and only the generators kept are decoded.
-Submodule.minimalized and minimal presentations encode their Vecs once,
-at that edge (_vec_rows).  Membership certificates read the value block
+Submodule.minimalized encodes its Vecs once, at that edge (_vec_rows),
+which is also the one Vec edge of a minimal presentation: its unit
+elimination stays in rows.  Membership certificates read the value block
 of a normal form against the whole block basis (Submodule.ext).  The
 ideal never enters a run as input columns.
 """
@@ -678,48 +679,48 @@ def tensor_elem(A: FPModule, B: FPModule, i: int, v) -> Vec:
 
 
 def _minimal_presentation(M: FPModule) -> FPModule:
+    """M with its unit relations eliminated and the others minimal, on
+    kernel rows from _vec_rows, its one Vec edge, to minimal_generators.
+
+    The pivot is the first row with a unit entry, a term of code 0 (the
+    monomial 1); g is the lowest component of its unit entries, the first
+    one in term order, and by homogeneity the unit is the pivot's one term
+    in g.  Every other row is reduced by the pivot under TOP with g on
+    top.  gb._reduce_terms sets a term aside for good once no row reduces
+    it, which is safe only when the reducing row leads with its largest
+    term; under plain TOP the unit is the pivot's smallest, and a term set
+    aside would lose what a later step adds to it.  The remainder, free
+    of g and in TOP order, is relabelled past g, the rows are made
+    canonical again (_distinct_monic), and generator g goes.
+    """
     ring = M.ring
+    amb = ring.ambient
+    p, code = amb.field.char, amb.code
+    term_key = ModuleOrder(amb.order).term_key
     degrees = list(M.gen_degrees)
-    cols = [dict(c.terms) for c in M.relations]
-
-    def find_unit():
-        for cj, col in enumerate(cols):
-            for (i, m), c in col.items():
-                if not any(m):
-                    return cj, i, c
-        return None
-
+    rows = _vec_rows(M, M.relations)
     while True:
-        hit = find_unit()
-        if hit is None:
+        pivot = next((row for row in rows if any(not m for _j, m in row[3])),
+                     None)
+        if pivot is None:
             break
-        cj, row, c = hit
-        fld = ring.ambient.field
-        inv = fld.inv(c)
-        pivot = Vec(ring.ambient, len(degrees), dict(cols[cj]))
-        new_cols = []
-        for k, col in enumerate(cols):
-            if k == cj:
-                continue
-            v = Vec(ring.ambient, len(degrees), dict(col))
-            entry = v.component(row)
-            if entry:
-                v = v - pivot.scale(entry.scalar_mul(inv))
-            new_cols.append(v)
-        # drop the generator `row`
-        keep = [i for i in range(len(degrees)) if i != row]
-        remap = {old: new for new, old in enumerate(keep)}
-        degrees = [degrees[i] for i in keep]
-        cols = []
-        for v in new_cols:
-            v = ring.nf(v)
-            terms = {(remap[i], m): c for (i, m), c in v.terms.items()
-                     if i != row}
-            if terms:
-                cols.append(terms)
+        terms = pivot[3]
+        g = min(j for j, m in terms if not m)
+        rows_of = {g: [(g, 0, terms[g, 0], terms)]}
 
+        def key(t):
+            return t[0] == g, term_key(t)
+
+        reduced = []
+        for row in rows:
+            if row is not pivot:
+                rem = _reduce_terms(dict(row[3]), rows_of, key, code, p)[0]
+                if rem:
+                    rem = {(j - (j > g), m): c for (j, m), c in rem.items()}
+                    reduced.append((*_normalize(rem, p), rem))
+        del degrees[g]
+        rows = _distinct_monic(ring, len(degrees), reduced, compare=True)
     F = free_module(ring, degrees)
-    rows = _vec_rows(F, [Vec(ring.ambient, len(degrees), t) for t in cols])
     return FPModule(ring, tuple(degrees), minimal_generators(F, rows))
 
 

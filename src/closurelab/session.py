@@ -358,9 +358,8 @@ class Session:
                 M = value
             else:
                 raise EvalError(f"{args['M']!r} is not a module or trace")
-            out = phantom_test(cl, PhantomInstance.from_module(M))
-            res.ok = bool(out.holds)
-            res.certificate = out.data.get("certificate")
+            res.ok = bool(phantom_test(
+                cl, PhantomInstance.from_module(M)).holds)
             return
         if fn == "regular_sequence":
             ring = self._ring(args["R"])

@@ -9,7 +9,9 @@ minimalization is checked against, `vec_minimal_generators`, the
 per-degree minimalization on `Vec`s that the one on kernel rows is
 checked against, `vec_syzygies` and `vec_resolution`, the syzygies
 decoded into `Vec`s and the resolution built from them, that the
-resolution on kernel rows is checked against, `ref_span_basis`, the
+resolution on kernel rows is checked against, `vec_minimal_presentation`,
+the unit elimination by `Vec` arithmetic that the one on kernel rows is
+checked against, `ref_span_basis`, the
 unseeded span run (the ideal as input columns) that the seeded
 `r_span_basis` is checked against, and `ref_relation_basis`, the same
 run on a module's relations, that the relation bases modules are born
@@ -85,8 +87,9 @@ from closurelab.gb import (GroebnerBasis, Vec, _normalize, _term_key,
                            _to_kernel, buchberger)
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
-from closurelab.modules import (FPModule, _unit_pairs, free_module,
-                                r_preimage, scaled_gens, tensor, tensor_elem)
+from closurelab.modules import (FPModule, _unit_pairs, _vec_rows,
+                                free_module, minimal_generators, r_preimage,
+                                scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import (ContextError, DomainError, ParseError, PolyRing,
                              Polynomial)
@@ -1404,6 +1407,60 @@ def greedy_minimal_generators(ring, cols, shifts, relations=()):
         else:
             i += 1
     return kept
+
+
+# --- minimal presentations by Vec arithmetic ----------------------------------------
+
+
+def vec_minimal_presentation(M: FPModule) -> FPModule:
+    """FPModule.minimal_presentation as it ran on Vecs before it stayed in
+    kernel rows: the pivot is the first unit term in the dict order of the
+    first relation that has one, each other relation loses its entry there
+    by Vec arithmetic and a normal form, and the generator is dropped by a
+    remap; the relations left are encoded at the end."""
+    ring = M.ring
+    degrees = list(M.gen_degrees)
+    cols = [dict(c.terms) for c in M.relations]
+
+    def find_unit():
+        for cj, col in enumerate(cols):
+            for (i, m), c in col.items():
+                if not any(m):
+                    return cj, i, c
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        cj, row, c = hit
+        fld = ring.ambient.field
+        inv = fld.inv(c)
+        pivot = Vec(ring.ambient, len(degrees), dict(cols[cj]))
+        new_cols = []
+        for k, col in enumerate(cols):
+            if k == cj:
+                continue
+            v = Vec(ring.ambient, len(degrees), dict(col))
+            entry = v.component(row)
+            if entry:
+                v = v - pivot.scale(entry.scalar_mul(inv))
+            new_cols.append(v)
+        # drop the generator `row`
+        keep = [i for i in range(len(degrees)) if i != row]
+        remap = {old: new for new, old in enumerate(keep)}
+        degrees = [degrees[i] for i in keep]
+        cols = []
+        for v in new_cols:
+            v = ring.nf(v)
+            terms = {(remap[i], m): c for (i, m), c in v.terms.items()
+                     if i != row}
+            if terms:
+                cols.append(terms)
+
+    F = free_module(ring, degrees)
+    rows = _vec_rows(F, [Vec(ring.ambient, len(degrees), t) for t in cols])
+    return FPModule(ring, tuple(degrees), minimal_generators(F, rows))
 
 
 # --- the two scanners that poly.tokenize replaced ------------------------------------

@@ -7,8 +7,8 @@ from closurelab.gb import Vec
 from closurelab.orders import DEGREVLEX
 from closurelab.poly import ContextError, DomainError, PolyRing
 from closurelab.ring import ParameterSequence
-from closurelab.modules import (Submodule, ideal_as_module, ideal_submodule,
-                                ring_as_module, scaled_gens)
+from closurelab.modules import (Submodule, free_module, ideal_as_module,
+                                ideal_submodule, ring_as_module, scaled_gens)
 from closurelab.closure import (ModuleClosure, MonomialIntegralClosure,
                                 PhantomInstance, TrivialClosure, phantom_test)
 from closurelab.modify import (BadRelation, ModificationTrace,
@@ -73,6 +73,46 @@ def test_containment_modification_via_s2(veronese4, s2_module):
     assert [str(r) for r in M2.relations] == ["(b^2, a)"]
     aM2 = Submodule(M2, tuple(scaled_gens(M2, [veronese4.elem("a")])))
     assert aM2.contains(M2.vec(["b^2", "0"]))
+
+
+def _columns(f):
+    return [[str(p) for p in col.to_polys()] for col in f.cols]
+
+
+def test_containment_modification_of_rank_two(veronese4, s2_module):
+    """G of rank 2 with two generators, against x = (c, 1) in a module of
+    rank 2: one relation v_i x + e_1i f_1 + e_2i f_2 per coordinate, each
+    in normal form (b^2 c = abd)."""
+    M, _incl = parameter_modification(
+        ring_as_module(veronese4),
+        find_bad_relation(ring_as_module(veronese4), ["a", "d"], 12))
+    F = free_module(veronese4, (0, 0))
+    G = F.submodule([["a", "b"], ["0", "a"]])
+    M2, incl = containment_modification(M, ModuleClosure(s2_module), G,
+                                        F.vec(["a*c", "b^2"]),
+                                        M.vec(["c", "1"]))
+    assert M2.descriptor() == {
+        "ngens": 4, "gen_degrees": [0, 4, 8, 8],
+        "relations": [["b^2", "a", "0", "0"], ["b^2*d", "a*c", "a", "0"],
+                      ["a*b*d", "b^2", "b", "a"]]}
+    assert _columns(incl) == [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+
+
+def test_parameter_modification_with_two_parameters(kxyz):
+    """On the ideal (x, y) of k[x, y, z] the sequence z, x, y fails at y:
+    y e_0 = x e_1, with u = e_0 outside (z, x)M and u_1 = 0, u_2 = e_1.  The
+    new relation u + z f_1 + x f_2 joins the old one."""
+    M = ideal_as_module(kxyz, ["x", "y"])
+    rel = find_bad_relation(M, ["z", "x", "y"], 6)
+    assert rel.k == 2
+    assert rel.descriptor() == {"kind": "parameter", "xs": ["z", "x", "y"],
+                                "u": ["1", "0"],
+                                "us": [["0", "0"], ["0", "1"]]}
+    M2, incl = parameter_modification(M, rel)
+    assert M2.descriptor() == {
+        "ngens": 4, "gen_degrees": [1, 1, 0, 0],
+        "relations": [["-y", "x", "0", "0"], ["1", "0", "z", "x"]]}
+    assert _columns(incl) == [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
 
 
 def test_containment_modification_preconditions(veronese4, s2_module):

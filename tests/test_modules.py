@@ -30,7 +30,7 @@ from oracles import (brute_member, brute_syzygies_complete,
                      ref_intersect_preimage, ref_kernel_preimage,
                      ref_monic_vec, ref_span_basis, ref_syzygy_basis,
                      same_presentation, tuple_lead_nf,
-                     vec_minimal_generators,
+                     vec_minimal_generators, vec_minimal_presentation,
                      vec_resolution, vec_syzygies, verify_resolution)
 
 
@@ -1012,6 +1012,154 @@ def test_minimal_presentation_of_tensor_unit(segre):
     M = ideal_as_module(segre, ["a", "b"])
     assert same_presentation(
         tensor(ring_as_module(segre), M).minimal_presentation(), M)
+
+
+def test_equal_modules_present_equally(kxy):
+    """Two modules built from the relations e0 + e1 and x*e0 + y*e2, the
+    first with its e0 term inserted first or last, are equal and hash
+    equal, and present equally: e0 is eliminated, the lowest component
+    with a unit entry, whatever order the terms came in."""
+    amb = kxy.ambient
+    one, x, y = (0, 0), (1, 0), (0, 1)
+    other = Vec(amb, 3, {(0, x): QQ.one, (2, y): QQ.one})
+    modules_ = [FPModule(kxy, (0, 0, 0), [Vec(amb, 3, dict(terms)), other])
+                for terms in ([((0, one), QQ.one), ((1, one), QQ.one)],
+                              [((1, one), QQ.one), ((0, one), QQ.one)])]
+    A, B = modules_
+    assert A == B and hash(A) == hash(B)
+    assert list(A.relations[0].terms) != list(B.relations[0].terms)
+    for M in modules_:
+        assert M.minimal_presentation().presentation_strings() == \
+            [["x", "-y"]]
+
+
+def test_unit_elimination_puts_the_pivot_component_on_top():
+    """Each row is reduced by the pivot with the pivot's component on top
+    of TOP.  Here the pivot (0, 4, 0) has its unit, e1, as its smallest
+    term; a reduction under plain TOP sets the e2 term of (0, 4, 2x + 3y)
+    aside before the pivot's multiple of (0, 2x + 3y, 0) adds to it, and
+    keeps a wrong x^2 + 4xy + y^2."""
+    R = make_quotient_ring(PolyRing(("x", "y"), prime_field(5), DEGREVLEX),
+                           [])
+    M = FPModule(R, (1, 1, 0), [["0", "4", "2*x + 3*y"], ["0", "4", "0"],
+                                ["0", "2*x + 3*y", "0"]])
+    assert M.minimal_presentation().descriptor() == {
+        "ngens": 2, "gen_degrees": [1, 0], "relations": [["0", "x + 4*y"]]}
+
+
+def _sorted_terms(v):
+    """The Vec v with its terms inserted in descending term order."""
+    key = ModuleOrder(v.ring.order)
+    return Vec(v.ring, v.ncomps, dict(sorted(v.terms.items(),
+                                             key=lambda t: key(*t[0]),
+                                             reverse=True)))
+
+
+def _unit_rings(field):
+    """k[x, y] and xy = uv over the field."""
+    fld = QQ if field == "Q" else prime_field(5)
+    return [make_quotient_ring(PolyRing(("x", "y"), fld, DEGREVLEX), []),
+            _span_rings(field)[1]]
+
+
+def _unit_relation_module(ring, rng):
+    """A random module with 2-4 generators of degree 0 or 1 and 1-4
+    homogeneous relations of degree 0 to 2, most of them with unit entries;
+    the terms of each relation in descending term order."""
+    amb = ring.ambient
+    degrees = tuple(rng.choice((0, 1)) for _ in range(rng.randint(2, 4)))
+    cols = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.choice((0, 1, 1, 2))
+        entries = []
+        for shift in degrees:
+            e = None
+            if d >= shift and rng.random() < 0.7:
+                e = random_homogeneous_elem(ring, d - shift, rng)
+            entries.append(e.poly if e is not None else amb.zero())
+        cols.append(Vec.from_polys(entries))
+    return FPModule(ring, degrees, [
+        _sorted_terms(r) for r in FPModule(ring, degrees, cols).relations])
+
+
+def _shuffled(M, rng):
+    """M with the terms of each relation inserted in a random order."""
+    rels = []
+    for r in M.relations:
+        terms = list(r.terms.items())
+        rng.shuffle(terms)
+        rels.append(Vec(r.ring, r.ncomps, dict(terms)))
+    return FPModule(M.ring, M.gen_degrees, rels)
+
+
+def _unit_entries(M):
+    return max((sum(not any(m) for _j, m in r.terms) for r in M.relations),
+               default=0)
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_minimal_presentation_matches_the_vec_reference(field, monkeypatch):
+    """The unit elimination on kernel rows against the one on Vecs
+    (oracles.vec_minimal_presentation), on random modules over k[x, y]
+    and xy = uv.  When the reference sees every relation's terms in
+    descending term order, its first unit term is the lowest component's
+    and the presentations are equal, exactly; the relations come in that
+    order, and a normal form that sorts its terms keeps them so after
+    each round, where Vec arithmetic appends new terms at the end.  With
+    the terms shuffled, the reference may drop another generator; the
+    generator degrees, the relation count and the Hilbert function up to
+    degree 4 still agree."""
+    rng = random.Random(f"minimal-presentation-{field}")
+    real_nf = QuotientRing.nf
+
+    def sorted_nf(ring, value):
+        value = real_nf(ring, value)
+        return _sorted_terms(value) if isinstance(value, Vec) else value
+
+    counts = Counter()
+    for ring in _unit_rings(field):
+        for _trial in range(80):
+            M = _unit_relation_module(ring, rng)
+            mp = M.minimal_presentation()
+            with monkeypatch.context() as patch:
+                patch.setattr(QuotientRing, "nf", sorted_nf)
+                ref = vec_minimal_presentation(M)
+            assert mp.descriptor() == ref.descriptor(), M
+            counts["modules"] += 1
+            counts["two units"] += _unit_entries(M) >= 2
+            counts["eliminated"] += mp.ngens < M.ngens
+            ref = vec_minimal_presentation(_shuffled(M, rng))
+            assert sorted(ref.gen_degrees) == sorted(mp.gen_degrees)
+            assert len(ref.relations) == len(mp.relations)
+            assert [module_graded_dim(ref, d) for d in range(5)] == \
+                [module_graded_dim(mp, d) for d in range(5)]
+    assert counts["modules"] == 160, counts
+    assert counts["two units"] >= 40 and counts["eliminated"] >= 100, counts
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_presentations_do_not_depend_on_term_order(field):
+    """Equal modules present equally: random modules with unit relations
+    over k[x, y] and xy = uv, each relation's terms shuffled several
+    times, give one minimal presentation, one resolution to length 2 and
+    one first syzygy module."""
+    rng = random.Random(f"term-order-{field}")
+
+    def described(M):
+        steps = [[list(degrees), [[str(p) for p in c.to_polys()]
+                                  for c in cols]]
+                 for degrees, cols in M.resolution(2)]
+        return (M.minimal_presentation().descriptor(), steps,
+                M.syzygy(1).descriptor())
+
+    for ring in _unit_rings(field):
+        for _trial in range(12):
+            M = _unit_relation_module(ring, rng)
+            want = described(M)
+            for _shuffle in range(4):
+                S = _shuffled(M, rng)
+                assert S == M and hash(S) == hash(M)
+                assert described(S) == want, M
 
 
 # --- resolutions and syzygies --------------------------------------------------------------
