@@ -291,11 +291,12 @@ def newton_facets(betas):
     not an extreme combination, hence redundant (Chernikov), and of rows
     combining the same input rows one is kept.  Rows without variables
     that always hold are dropped; with no betas the row 1 <= 0 remains,
-    so no point is inside.
+    so no point is inside.  Exponent vectors of different lengths are
+    refused.
     """
     betas = [tuple(b) for b in betas]
     t = len(betas)
-    n = len(betas[0]) if betas else 0
+    n = _common_length(betas)
     system = []                                 # (lambda, alpha, constant)
     for q in range(t):
         system.append(tuple(-(r == q) for r in range(t)) + (0,) * n + (0,))
@@ -324,12 +325,24 @@ def newton_facets(betas):
     return tuple(sorted({(r[t:-1], r[-1]) for r in rows.values()}))
 
 
+def _common_length(vectors) -> int:
+    """The length that all the exponent vectors share (0 for none)."""
+    lengths = sorted({len(v) for v in vectors})
+    if len(lengths) > 1:
+        raise DomainError(f"exponent vectors of different lengths: "
+                          f"{', '.join(map(str, lengths))}")
+    return lengths[0] if lengths else 0
+
+
 def _inside(alpha, facets) -> bool:
     return all(sum(map(mul, a, alpha)) + k <= 0 for a, k in facets)
 
 
 def newton_polyhedron_member(alpha, betas) -> bool:
-    """Is alpha in conv(betas) + nonnegative orthant?  Exact, on integers."""
+    """Is alpha in conv(betas) + nonnegative orthant?  Exact, on integers;
+    alpha and the betas must have one length."""
+    alpha, betas = tuple(alpha), [tuple(b) for b in betas]
+    _common_length([alpha, *betas])
     return _inside(alpha, newton_facets(betas))
 
 

@@ -13,11 +13,13 @@ are appended to the list unsorted, and each pop takes the list's first
 entry (heapq.heappop), which need not be the least pending pair (see
 push_pairs in buchberger).  The order is deterministic.  Rows are indexed
 by lead component, so reductions, pair formation and the chain criterion
-scan only the rows of one component, in basis order.  The final pass
-reduces again only the rows whose terms the lead of a later kept row
-divides: every other row was fully reduced against the rest when it was
-made.  Output bases are reduced, monic and canonically sorted, hence
-unique for a given module and order, whatever the pair order.
+scan only the rows of one component, in basis order.  A row whose lead
+a later lead divides is marked dominated where their pair is formed (as
+Gebauer and Moeller drop it), and the final pass drops it.  That pass
+reduces again only the rows whose terms the lead of a later non-seed row
+divides (_reached): every other row was fully reduced against the rest
+when it was made.  Output bases are reduced, monic and canonically
+sorted, hence unique for a given module and order, whatever the pair order.
 
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
 which may be an elimination order, and the block order.  buchberger is
@@ -98,6 +100,8 @@ class Vec:
     @classmethod
     def from_polys(cls, polys):
         polys = list(polys)
+        if not polys:
+            raise ContextError("a vector needs at least one polynomial")
         ring = polys[0].ring
         terms = {}
         for i, p in enumerate(polys):
@@ -464,39 +468,19 @@ def _lead_mask(comp, m, terms, decode):
     return sum(1 << v for v, x in enumerate(decode(m)) if x)
 
 
-def _index_leads(basis, indices):
-    """Component -> (index, lead) of the given rows, in index order."""
-    leads_of = {}
-    for k in indices:
-        c, e, _lc, _b = basis[k]
-        leads_of.setdefault(c, []).append((k, e))
-    return leads_of
-
-
 def _reached(terms, leads_of, after, code):
     """Does the lead of a row with an index past `after` divide one of the
-    terms (comp, m)?  leads_of maps a component to (index, lead) pairs in
-    index order (_index_leads)."""
+    terms (comp, m)?  leads_of maps a component to the (index, lead, lead
+    mask) of the rows with their lead in it, in index order: the pair data
+    of a run (GroebnerBasis._leads_of)."""
     xor, add, guard = code.xor, code.add, code.guard
     for c, m in terms:
-        for k, e in reversed(leads_of.get(c, ())):
+        for k, e, _mask in reversed(leads_of.get(c, ())):
             if k <= after:
                 break
             if not ((((m - e) ^ xor) + add) & guard):
                 return True
     return False
-
-
-def _undominated(basis, nseed, code):
-    """Indices of the basis rows whose lead no other row's lead divides.
-
-    Each row past the seed is fully reduced against the rows before it, and
-    the seed rows are reduced among themselves, so only a non-seed row
-    after a row can divide its lead.
-    """
-    later = _index_leads(basis, range(nseed, len(basis)))
-    return [i for i, (c, e, _lc, _b) in enumerate(basis)
-            if c not in later or not _reached(((c, e),), later, i, code)]
 
 
 def buchberger(cols, ncomps, keyfn, ring, seed=None,
@@ -536,6 +520,7 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
     rows_of = {}      # comp -> the rows with their lead in it, in order
     leads_of = {}     # comp -> (index, lead, lead mask) of those rows
     pending = set()   # pending pair indices
+    dominated = set()  # rows whose lead a later row's lead divides
     queue = []        # (sortkey, i, j, lcm)
     if seed is not None:
         basis.extend(seed._rows)
@@ -555,14 +540,22 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
     # them did more work (on the closure benchmark 5% more pairs and 2%
     # more reduced S-pairs, and no faster), so this order stays, and the
     # pinned work counts in the tests guard it.
+    # A pair whose lcm is the earlier lead marks that row dominated; a new
+    # row of lead 1 and mask 0 marks every earlier row of its component,
+    # whose pairs the product criterion may settle unformed.  Only a later
+    # lead can divide another: rows are reduced when they are made.
     def push_pairs(new_idx):
         nc, ne, _lc, terms = basis[new_idx]
         nmask = _lead_mask(nc, ne, terms, dec)
         leads = leads_of.setdefault(nc, [])
+        if nmask == 0:
+            dominated.update(i for i, _ie, _imask in leads)
         for i, ie, imask in leads:
             if nmask is not None and imask is not None and not nmask & imask:
                 continue
             lcm = mlcm(ie, ne)
+            if lcm == ie:
+                dominated.add(i)
             queue.append((key((nc, lcm)), i, new_idx, lcm))
             pending.add((i, new_idx))
         leads.append((new_idx, ne, nmask))
@@ -622,23 +615,24 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
 
     # interreduce the undominated rows in ascending lead order: a tail term
     # is only divisible by a smaller lead, so reducing each element against
-    # the finished ones leaves every tail fully reduced in one pass.  A row
-    # was reduced when it was made against the rows before it (a seed row
-    # against the other seed rows), so only the lead of a kept non-seed
-    # row after it can divide one of its terms.  Where none does, the row
-    # is kept as it is: reducing and normalizing it again would give it
-    # back unchanged, dict order included.  An eliminating run keeps the
-    # value rows alone; only value rows reach them.
-    keep = _undominated(basis, nseed, code)
-    if eliminate:
-        nreal = keyfn.nreal
-        keep = [i for i in keep if basis[i][0] >= nreal]
-    later = _index_leads(basis, [k for k in keep if k >= nseed])
-    keep.sort(key=lambda i: key(basis[i][:2]))
+    # the finished ones leaves every tail fully reduced in one pass.  An
+    # eliminating run keeps the value rows alone.  A row was reduced when
+    # it was made against the rows before it (a seed row against the other
+    # seed rows), so only the lead of a non-seed row after it can divide
+    # one of its terms.  Where none does, the row is kept as it is:
+    # reducing and normalizing it again would give it back unchanged, dict
+    # order included.  The reach test reads the run's own leads, dropped
+    # rows among them, and that changes no answer: the row that dominates
+    # a dominated one comes later still, and its lead divides the same
+    # term; a real row's lead is in a component no value row has a term in.
+    nreal = keyfn.nreal if eliminate else 0
+    keep = sorted((i for i, row in enumerate(basis)
+                   if row[0] >= nreal and i not in dominated),
+                  key=lambda i: key(basis[i][:2]))
     done, done_of = [], {}
     for i in keep:
         row = basis[i]
-        if _reached(row[3], later, i, code):
+        if _reached(row[3], leads_of, max(i, nseed - 1), code):
             rem, _mult = _reduce_terms(dict(row[3]), done_of, key, code, p)
             row = (*_normalize(rem, p), rem)
         done.append(row)

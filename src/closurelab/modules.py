@@ -202,14 +202,18 @@ class FPModule:
         return hash((self.ring, self.gen_degrees, self.relations))
 
     def vec(self, col) -> Vec:
-        """A cover vector from ring elements / strings / polynomials, or a
-        Vec over the ambient ring, of the cover's rank, with its
-        coefficients put into the field and its zero terms dropped; a Vec
-        of another ring or rank, or with a term past its rank, is refused.
-        A Vec whose coefficients are all nonzero field values is returned
-        as it is."""
+        """A cover vector from a list or tuple of ring elements / strings /
+        polynomials, or a Vec over the ambient ring, of the cover's rank,
+        with its coefficients put into the field and its zero terms
+        dropped; anything else, a Vec of another ring or rank, or one with
+        a term past its rank, is refused.  A Vec whose coefficients are all
+        nonzero field values is returned as it is."""
         amb, n = self.ring.ambient, len(self.gen_degrees)
         if not isinstance(col, Vec):
+            if not isinstance(col, (list, tuple)):
+                raise ContextError(f"cannot read a {type(col).__name__} as "
+                                   f"a vector: give a Vec or a list of "
+                                   f"entries")
             entries = [self.ring.elem(x).poly for x in col]
             col = Vec.from_polys(entries) if entries else Vec.zero(amb, 0)
         if col.ring is not amb and col.ring != amb:
@@ -314,8 +318,10 @@ class FPModule:
         written in the cover of F_{i-1}.  cols_1 are the relations of the
         minimal presentation, already minimal; each later step is the
         syzygy preimage of the previous columns, its kernel rows handed to
-        minimal_generators as they are.
+        minimal_generators as they are.  A negative length is refused.
         """
+        if length < 0:
+            raise DomainError(f"resolution length {length} is negative")
         mp = _minimal_presentation(self)
         ring = self.ring
         steps = [(mp.gen_degrees, ())]
@@ -336,7 +342,9 @@ class FPModule:
         return steps[:length + 1]
 
     def syzygy(self, d: int) -> "FPModule":
-        """The d-th syzygy module of the minimal resolution."""
+        """The d-th syzygy module of the minimal resolution, d >= 0."""
+        if d < 0:
+            raise DomainError(f"syzygy index {d} is negative")
         if d == 0:
             return self.minimal_presentation()
         steps = self.resolution(d + 1)

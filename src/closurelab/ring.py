@@ -5,8 +5,8 @@ classes of the variables, all of positive weight.  Krull dimension comes
 from the leading-term ideal of the reduced defining Groebner basis (the
 standard flat-degeneration argument makes this exact for global orders).
 
-The ring owns normal forms modulo I: the ideal's leads as order codes,
-its bases of I P^n (free_relation_basis) and reduce_terms, which nf and
+The ring owns normal forms modulo I: its bases of I P^n
+(free_relation_basis) and reduce_terms, which nf and
 modules._distinct_monic call.  A sum of two elements is a normal form.
 
 A monomial subring is presented through its graph ring, itself a
@@ -26,7 +26,8 @@ from .field import QQ, field_terms
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
 from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import GroebnerBasis, Vec, _from_kernel, _reduce_terms, buchberger
+from .gb import (GroebnerBasis, Vec, _from_kernel, _reached, _reduce_terms,
+                 buchberger)
 from .values import Record
 
 
@@ -44,7 +45,6 @@ class QuotientRing:
         cols = [Vec.from_polys([g]) for g in gens]
         basis = buchberger(cols, 1, ModuleOrder(ambient.order), ambient)
         self.ideal_basis = [v.component(0) for v in basis]
-        self._lead_codes = tuple(e for _c, e, _lc, _t in basis._rows)
         self.domain_status = domain_status
         self.presentation = presentation
         self._free_bases = {(1, None): basis}   # see free_relation_basis
@@ -75,7 +75,7 @@ class QuotientRing:
         if terms is not value.terms:
             value = Polynomial(amb, terms) if poly else \
                 Vec(amb, value.ncomps, terms)
-        if not self._lead_codes:
+        if not self.ideal_basis:
             return value
         enc = amb.code.encode
         terms = {(0, enc(m)): c for m, c in terms.items()} if poly else \
@@ -92,14 +92,13 @@ class QuotientRing:
         their coefficients field values or ints: rem the int terms of mult
         times their normal form modulo I P^ncomps (gb._reduce_terms against
         free_relation_basis).  None, and no coefficient read, when no ideal
-        lead divides one of their monomials: the terms are their own."""
+        lead divides one of their monomials (gb._reached): the terms are
+        their own."""
         code = self.ambient.code
-        xor, add, guard = code.xor, code.add, code.guard
-        if not any(not ((((m - e) ^ xor) + add) & guard)
-                   for _j, m in terms for e in self._lead_codes):
+        ideal = self.free_relation_basis(ncomps)
+        if not _reached(terms, ideal._leads_of, -1, code):
             return None
         den = lcm(*(c.denominator for c in terms.values()))   # 1 over GF(p)
-        ideal = self.free_relation_basis(ncomps)
         rem, mult = _reduce_terms(
             {key: c.numerator * (den // c.denominator)
              for key, c in terms.items()},

@@ -42,7 +42,7 @@ the run with the ideal as input columns, each with a shadow component,
 that certificates (`ref_certificate`) and syzygies (`ref_syzygy_basis`)
 are checked against,
 `ref_undominated`, the all-pairs drop of dominated rows that the
-kernel's pass over later rows is checked against,
+dominance a run records where it forms pairs is checked against,
 `scan_buchberger_rows` and its reducer `scan_reduce_terms`, the integer
 kernel with its earlier bookkeeping (every pair queued, whole-basis
 scans, every kept row reduced again at the end), which the kernel's
@@ -556,8 +556,7 @@ def ref_reduce(vec_terms, basis, keyfn, fld):
 def ref_undominated(leads):
     """Indices of the leads (comp, exps) that no other lead in the same
     component divides, of equal leads the first: the all-pairs pass with
-    which the kernel dropped dominated rows before it checked each row
-    against the non-seed rows after it alone."""
+    which the kernel once dropped dominated rows."""
     keep = []
     for i, (ci, ei) in enumerate(leads):
         dominated = False

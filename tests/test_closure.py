@@ -100,6 +100,21 @@ def test_newton_polyhedron_halves():
     assert not newton_polyhedron_member((0, 0), [])
 
 
+@pytest.mark.parametrize("alpha, betas, lengths", [
+    ((1,), [(1, 1)], "1, 2"),
+    ((1, 1), [(1,), (1, 1)], "1, 2"),
+    ((2, 2, 2), [(1, 1)], "2, 3"),
+    ((1, 1), [(1, 1), (1,)], "1, 2")],
+    ids=["short_alpha", "short_first_beta", "long_alpha", "short_last_beta"])
+def test_newton_exponents_of_different_lengths_refused(alpha, betas,
+                                                       lengths):
+    with pytest.raises(DomainError, match=f"different lengths: {lengths}"):
+        newton_polyhedron_member(alpha, betas)
+    if len({len(b) for b in betas}) > 1:
+        with pytest.raises(DomainError, match=lengths):
+            closure.newton_facets(betas)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_newton_facets_match_per_point_fourier_motzkin(n):
     """The facet test against one Fourier-Motzkin run per point, on 220

@@ -244,25 +244,44 @@ def test_integer_kernel_matches_fraction_reference(field):
 
 @pytest.mark.parametrize("field", [QQ, prime_field(5)], ids=["Q", "F5"])
 def test_dropped_rows_match_the_all_pairs_reference(field, monkeypatch):
-    """The drop-dominated pass checks each row against the non-seed rows
-    after it alone; on random seeded and unseeded multi-component runs,
-    under TOP and the block order, it keeps the rows that the all-pairs
-    reference keeps."""
+    """A run marks a row dominated where it forms the row's pairs, and its
+    final pass drops the marked rows.  On random seeded and unseeded
+    multi-component runs, under TOP and the block order, the leads it keeps
+    are those that the all-pairs reference keeps of the leads of all its
+    rows, seed rows and made rows.  One more run makes a unit vector of one
+    component (lead 1, mask 0), whose pairs with the rows of that
+    component alone the product criterion never forms."""
     from closurelab import gb as gb_module
-    real = gb_module._undominated
-    seen = {"runs": 0, "seeded": 0, "dropped": 0}
+    normalize = gb_module._normalize
+    made = []   # (comp, lead code, lives in its lead component) per row
 
-    def checked(basis, nseed, code):
-        keep = real(basis, nseed, code)
-        leads = [(c, code.decode(m)) for c, m, _lc, _terms in basis]
-        assert keep == ref_undominated(leads)
-        seen["runs"] += 1
-        seen["seeded"] += nseed > 0
-        seen["dropped"] += len(basis) - len(keep)
-        return keep
+    def recorded(terms, p):
+        lead = normalize(terms, p)
+        made.append((lead[0], lead[1],
+                     all(j == lead[0] for j, _m in terms)))
+        return lead
 
-    monkeypatch.setattr(gb_module, "_undominated", checked)
+    monkeypatch.setattr(gb_module, "_normalize", recorded)
     ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    seen = {"runs": 0, "seeded": 0, "dropped": 0, "constant": 0}
+
+    def checked(cols, ncomps, order, seed=None):
+        made.clear()
+        basis = buchberger(cols, ncomps, order, ring, seed=seed)
+        leads = [] if seed is None else seed.leading_terms()
+        for c, m, _alone in made:
+            lead = (c, ring.code.decode(m))
+            # a row the final pass reduces again keeps its lead
+            if lead not in leads:
+                leads.append(lead)
+        assert sorted(basis.leading_terms()) == \
+            sorted(leads[i] for i in ref_undominated(leads))
+        seen["runs"] += 1
+        seen["seeded"] += seed is not None
+        seen["dropped"] += len(leads) - len(basis)
+        seen["constant"] += any(alone and not any(ring.code.decode(m))
+                                for _c, m, alone in made)
+
     rng = random.Random(59)
     for trial in range(60):
         shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
@@ -275,7 +294,10 @@ def test_dropped_rows_match_the_all_pairs_reference(field, monkeypatch):
         if trial % 2:
             seed = buchberger(cols[:2], len(shifts), order, ring)
             cols = cols[2:] + [_random_vec(ring, rng, shifts, 2, 3)]
-        buchberger(cols, len(shifts), order, ring, seed=seed)
+        checked(cols, len(shifts), order, seed=seed)
+    polys = [[ring.parse(t) for t in texts]
+             for texts in (["x + y", "0"], ["z^2", "x"], ["1", "0"])]
+    checked([Vec.from_polys(ps) for ps in polys], 2, ModuleOrder(ring.order))
     assert min(seen.values()) > 0, seen
 
 
@@ -553,7 +575,7 @@ def test_preimage_runs_do_only_the_work_their_callers_read(monkeypatch):
 
     def counted_reached(terms, *args):
         # the final pass asks it of every row it keeps, with the row's
-        # terms as a dict; _undominated asks it of a lead, as a tuple
+        # terms as a dict; QuotientRing.reduce_terms asks it outside runs
         counts["final_rows"] += in_block[0] and isinstance(terms, dict)
         return reached(terms, *args)
 

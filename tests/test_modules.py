@@ -1182,6 +1182,16 @@ def test_koszul_resolution(kxy):
     assert same_presentation(s0, k)
 
 
+def test_negative_syzygy_and_resolution_indices_refused(kxy):
+    """A negative syzygy index or resolution length is refused, not read
+    from the end of the steps list."""
+    k = residue_field(kxy)
+    with pytest.raises(DomainError, match="-1"):
+        k.syzygy(-1)
+    with pytest.raises(DomainError, match="-1"):
+        k.resolution(-1)
+
+
 def test_resolution_composites_vanish(segre):
     k = residue_field(segre)
     steps = k.resolution(4)
@@ -1471,6 +1481,24 @@ def test_vector_of_wrong_length_rejected(segre):
     M = ideal_as_module(segre, ["a", "b"])
     with pytest.raises(ContextError):
         M.vec(["a"])  # needs two coordinates
+
+
+@pytest.mark.parametrize("arg", ["xy", "x*y", "elem", 3],
+                         ids=["str", "product", "elem", "int"])
+def test_vec_refuses_what_is_not_a_list_of_entries(kxy, arg):
+    """FPModule.vec refuses an argument that is neither a Vec nor a list
+    or tuple of entries, naming its type, instead of reading a string's
+    characters as entries or iterating what is not iterable."""
+    if arg == "elem":
+        arg = kxy.elem("x")
+    with pytest.raises(ContextError, match=type(arg).__name__):
+        ring_as_module(kxy).vec(arg)
+
+
+def test_vec_from_no_polynomials_refused(kxy):
+    with pytest.raises(ContextError, match="at least one polynomial"):
+        Vec.from_polys([])
+    assert free_module(kxy, ()).vec(()) == Vec.zero(kxy.ambient, 0)
 
 
 @pytest.mark.parametrize("rank", [1, 3])
