@@ -26,11 +26,11 @@ forms of the reduced basis a preimage run returned), and a run on them
 would hand back the same list, so the closure is unchanged by the skip.
 
 Both member and closure work on kernel rows and terms (gb) from input to
-answer.  Each generator of N is encoded once, when the image context is
-built, and u once per query; s_i (x) u is a relabel of u's terms into the
-components of s_i, and the span so far stays the rows a preimage run
-hands back.  Only the closure's kept generators are decoded, and the
-image's Vec generators are built only for certificates.
+answer.  A Vec holds kernel terms, so nothing is encoded: the image
+context relabels N's generators, s_i (x) u is a relabel of u's terms into
+the components of s_i, and the span so far stays the rows a preimage run
+hands back.  The closure's kept generators are Vecs of their rows, and
+the image's Vec generators are built only for certificates.
 
 The axiom checkers are instance-level falsifiers: they verify a stated
 inclusion on the given data and report {holds-on-instance} or
@@ -45,7 +45,7 @@ from math import gcd
 from operator import mul
 from weakref import WeakKeyDictionary
 
-from .gb import KernelCol, Vec, _shift_terms, _to_kernel
+from .gb import Vec, _shift_terms
 from .modules import (FPModule, ModuleMap, Submodule, _minimal_submodule,
                       _unit_rows, direct_sum, free_module, ideal_submodule,
                       quotient_module, r_preimage, r_span_basis,
@@ -122,9 +122,9 @@ class TrivialClosure(ClosureOp):
 class _ImageContext:
     """T = S (x) M and the image of S (x) N in it, for N inside M.
 
-    Each generator of N is encoded once (rows), and relabelled into the
-    components p * nb + j of each generator s_p of S, nb = M.ngens, as
-    kernel columns; span is their reduced basis with T's relations, which
+    Each generator of N is relabelled into the components p * nb + j of
+    each generator s_p of S, nb = M.ngens, its kernel terms as they are
+    (Vec.pad); span is their reduced basis with T's relations, which
     answers membership.  The image as a Submodule, with Vec generators
     s_p (x) n_q and born with that span, is built only when a certificate
     asks for it.
@@ -132,11 +132,9 @@ class _ImageContext:
 
     def __init__(self, S: FPModule, N: Submodule, T: FPModule):
         self.S, self.N, self.T = S, N, T
-        amb = N.ring.ambient
-        p, code, nb = amb.field.char, amb.code, N.module.ngens
-        rows = [_to_kernel(g.terms, p, code)[0] for g in N.gens]
-        self.span = r_span_basis(T, [KernelCol(_shift_terms(t, i * nb))
-                                     for i in range(S.ngens) for t in rows])
+        nb = N.module.ngens
+        self.span = r_span_basis(T, [g.pad(T.ngens, i * nb)
+                                     for i in range(S.ngens) for g in N.gens])
 
     @cached_property
     def image(self) -> Submodule:
@@ -192,12 +190,11 @@ class ModuleClosure(ClosureOp):
         return context
 
     def member(self, u, N, want_certificate=False):
-        """u is encoded once, and s_i (x) u is its terms relabelled into
-        the components of s_i, tested against the image span."""
+        """s_i (x) u is u's kernel terms relabelled into the components of
+        s_i, tested against the image span."""
         u = N.module.vec(u)
         context = self._image_context(N)
-        amb, nb = N.ring.ambient, N.module.ngens
-        terms = _to_kernel(u.terms, amb.field.char, amb.code)[0]
+        terms, nb = u._terms, N.module.ngens
         certs = []
         for i in range(self.S.ngens):
             if not context.span.contains_terms(_shift_terms(terms, i * nb)):
@@ -218,7 +215,7 @@ class ModuleClosure(ClosureOp):
         columns s_i (x) w all lie in the image already cannot shrink the
         span (see the skip rule in the module docstring), and it makes no
         run.  The rows kept are canonical, so minimalization takes them as
-        they are, and decodes only the generators it keeps.
+        they are, and makes Vecs of the generators it keeps.
         """
         M = N.module
         context = self._image_context(N)

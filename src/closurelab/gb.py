@@ -24,7 +24,7 @@ sorted, hence unique for a given module and order, whatever the pair order.
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
 which may be an elimination order, and the block order.  buchberger is
 the one constructor of a GroebnerBasis; the basis keeps only the kernel
-rows the run ended with, and iterating it decodes them into Vecs.  A run
+rows the run ended with, and iterating it gives them as Vecs.  A run
 may start from a known basis (a seed), whose rows it takes as they are.
 
 Inside the kernel every coefficient is a Python int, and one reducer and
@@ -33,25 +33,22 @@ Q a basis element is a primitive integer vector with a positive lead
 coefficient, and a reduction step cross-multiplies instead of dividing
 (fraction-free, as with primitive polynomial remainder sequences); over
 GF(p) a basis element is monic and coefficients are kept in [0, p).
-Fractions appear only where a Vec enters the kernel (denominators
-cleared) or leaves it (output bases made monic, normal forms divided by
-the accumulated multiplier).  A kernel column or term dict may sit at any
-nonzero scale: spans, membership and normalized rows do not see it.
+A Vec holds such int terms over one denominator, so Fractions appear
+only at its edges.  A kernel column or term dict may sit at any nonzero
+scale: spans, membership and normalized rows do not see it.
 
 Inside the kernel every monomial is an int too, its order code
 (orders.MonomialCode), the one implementation of the ring order: codes
 compare the way the order does, a product of monomials is a sum of codes,
-and divisibility is one test on the difference of two codes.  Exponent
-tuples become codes in one place, _to_kernel, where a Vec enters the
-kernel: a Vec column of buchberger, the argument of normal_form and
-contains, and the edges of the closure path in modules and closure, which
-then work on kernel terms and rows (KernelCol columns, contains_terms,
-_reduce_terms) until an answer leaves.  Codes become tuples again in
-_from_kernel, where a basis or a kept generator is decoded, and in
-leading_terms; Vecs keep tuples, which they order by the same codes.  An
-exponent past orders.EXP_BOUND raises UnsupportedInputError: encode
-refuses it on the way in (if nothing ordered it before), and a reduction
-that grows one stops.
+and divisibility is one test on the difference of two codes.  A Vec
+holds codes too, so every Vec enters the kernel as it is.  Exponent
+tuples become codes where a Vec is made of them and where QuotientRing.nf
+takes a Polynomial, and codes become tuples again (_from_kernel) only
+where a value is read or printed.  A run under an order other than the
+ring's recodes its Vecs' terms (_recoded); no run of the engine is one.
+An exponent past orders.EXP_BOUND raises UnsupportedInputError: encode
+refuses it, a product of vectors refuses it (_check_bound), and a
+reduction that grows one stops.
 
 Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
@@ -80,22 +77,47 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .orders import EXP_BOUND, ModuleOrder, UnsupportedInputError
-from .poly import ContextError, PolyRing, Polynomial, mono_mul
+from .poly import ContextError, PolyRing, Polynomial
 
 
 class Vec:
-    """Element of a free module P^ncomps, as a {(comp, exps): coeff} map."""
+    """Element of a free module P^ncomps, held as the kernel holds it: int
+    terms {(comp, m): c}, m the monomial's order code (ring.code), over one
+    positive denominator that no prime divides along with every
+    coefficient (over GF(p) it is 1, and coefficients lie in 1..p-1), so
+    equal vectors compare and hash equal.  The constructor and from_polys
+    encode {(comp, exps): coeff}, putting each coefficient into the field
+    and dropping zeros; a component outside 0..ncomps-1, exponents of
+    another length than the ring's or a coefficient that is not rational
+    is refused (ContextError).  terms, component, to_polys and str decode.
+    The engine makes vectors of kernel terms that are normal already
+    (_of_kernel, _of_row), as RingElem._of_nf takes a normal form.
+    """
 
-    __slots__ = ("ring", "ncomps", "terms")
+    __slots__ = ("ring", "ncomps", "_terms", "_den")
 
     def __init__(self, ring: PolyRing, ncomps: int, terms: dict):
         self.ring = ring
         self.ncomps = ncomps
-        self.terms = terms
+        self._terms, self._den = _encoded(ring, ncomps, terms)
+
+    @classmethod
+    def _of_kernel(cls, ring, ncomps, terms, den=1):
+        """The vector terms / den, both normal already; terms is kept, and
+        never changed."""
+        v = cls.__new__(cls)
+        v.ring, v.ncomps, v._terms, v._den = ring, ncomps, terms, den
+        return v
+
+    @classmethod
+    def _of_row(cls, ring, ncomps, row):
+        """The monic vector of a kernel row (comp, m, lc, terms): a row is
+        normalized (_normalize), so its terms over its lc are normal."""
+        return cls._of_kernel(ring, ncomps, row[3], row[2])
 
     @classmethod
     def zero(cls, ring, ncomps):
-        return cls(ring, ncomps, {})
+        return cls._of_kernel(ring, ncomps, {})
 
     @classmethod
     def from_polys(cls, polys):
@@ -113,100 +135,123 @@ class Vec:
 
     @classmethod
     def unit(cls, ring, ncomps, comp):
-        return cls(ring, ncomps, {(comp, (0,) * ring.nvars): ring.field.one})
+        return cls(ring, ncomps, {(comp, (0,) * ring.nvars): 1})
+
+    @property
+    def terms(self) -> dict:
+        """{(comp, exps): coeff}, the coefficients field values, in the
+        order the vector holds its terms: decoded on every read."""
+        return _from_kernel(self._terms, self._den, self.ring.field.char,
+                            self.ring.code)
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         return (isinstance(other, Vec) and self.ring == other.ring
-                and self.ncomps == other.ncomps and self.terms == other.terms)
+                and self.ncomps == other.ncomps and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.ring, self.ncomps, frozenset(self.terms.items())))
+        return hash((self.ring, self.ncomps, self._den,
+                     frozenset(self._terms.items())))
 
     def component(self, i) -> Polynomial:
-        return Polynomial(self.ring,
-                          {m: c for (j, m), c in self.terms.items() if j == i})
+        return self.to_polys()[i]
 
     def to_polys(self):
-        return [self.component(i) for i in range(self.ncomps)]
+        polys = [{} for _ in range(self.ncomps)]
+        for (j, m), c in self.terms.items():
+            polys[j][m] = c
+        return [Polynomial(self.ring, terms) for terms in polys]
 
     def __add__(self, other):
-        fld = self.ring.field
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = fld.add(terms.get(k, fld.zero), c)
-            if s == fld.zero:
-                terms.pop(k, None)
-            else:
+        if self.ncomps != other.ncomps or self.ring != other.ring:
+            raise ContextError("vectors of different ranks or rings")
+        p = self.ring.field.char
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        terms = {k: c * fa for k, c in self._terms.items()}
+        for k, c in other._terms.items():
+            s = terms.get(k, 0) + c * fb
+            if p:
+                s %= p
+            if s:
                 terms[k] = s
-        return Vec(self.ring, self.ncomps, terms)
+            else:
+                terms.pop(k, None)
+        return Vec._of_kernel(self.ring, self.ncomps,
+                              *_content_free(terms, den))
 
     def __neg__(self):
-        fld = self.ring.field
-        return Vec(self.ring, self.ncomps,
-                   {k: fld.neg(c) for k, c in self.terms.items()})
+        p = self.ring.field.char
+        return Vec._of_kernel(self.ring, self.ncomps,
+                              {k: p - c if p else -c
+                               for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, poly: Polynomial) -> "Vec":
         """Multiply by a ring element."""
-        fld = self.ring.field
+        if poly.ring != self.ring:
+            raise ContextError("a vector scaled by another ring's element")
+        ring, p = self.ring, self.ring.field.char
+        factor, fden = _encoded(ring, 1, {(0, m): c
+                                          for m, c in poly.terms.items()})
         terms: dict = {}
-        for (j, m1), c1 in self.terms.items():
-            for m2, c2 in poly.terms.items():
-                k = (j, mono_mul(m1, m2))
-                s = fld.add(terms.get(k, fld.zero), fld.mul(c1, c2))
-                if s == fld.zero:
-                    terms.pop(k, None)
-                else:
+        for (j, m1), c1 in self._terms.items():
+            for (_0, m2), c2 in factor.items():
+                k = (j, m1 + m2)
+                s = terms.get(k, 0) + c1 * c2
+                if p:
+                    s %= p
+                if s:
                     terms[k] = s
-        return Vec(self.ring, self.ncomps, terms)
+                else:
+                    terms.pop(k, None)
+        _check_bound(terms, ring.code)
+        return Vec._of_kernel(ring, self.ncomps,
+                              *_content_free(terms, self._den * fden))
 
     def term_mul(self, coeff, exps) -> "Vec":
-        fld = self.ring.field
-        return Vec(self.ring, self.ncomps,
-                   {(j, mono_mul(m, exps)): fld.mul(c, coeff)
-                    for (j, m), c in self.terms.items()})
-
-    def leading(self, keyfn):
-        if not self.terms:
-            raise ValueError("leading term of zero vector")
-        comp, exps = max(self.terms, key=lambda t: keyfn(t[0], t[1]))
-        return comp, exps, self.terms[(comp, exps)]
+        """Multiply by the term coeff * x^exps."""
+        return self.scale(Polynomial(self.ring, {tuple(exps): coeff}))
 
     def pad(self, ncomps, offset=0) -> "Vec":
         """Reembed into P^ncomps, shifting components by offset."""
-        return Vec(self.ring, ncomps,
-                   {(j + offset, m): c for (j, m), c in self.terms.items()})
+        if offset < 0 or offset + self.ncomps > ncomps:
+            raise ContextError(f"a vector of rank {self.ncomps} shifted by "
+                               f"{offset} does not fit rank {ncomps}")
+        return Vec._of_kernel(self.ring, ncomps,
+                              _shift_terms(self._terms, offset), self._den)
 
     def take_components(self, lo, hi) -> "Vec":
-        return Vec(self.ring, hi - lo,
-                   {(j - lo, m): c for (j, m), c in self.terms.items()
-                    if lo <= j < hi})
+        terms = {(j - lo, m): c for (j, m), c in self._terms.items()
+                 if lo <= j < hi}
+        return Vec._of_kernel(self.ring, hi - lo,
+                              *_content_free(terms, self._den))
 
     def has_vars_below(self, n_elim) -> bool:
-        return any(any(m[:n_elim]) for (_j, m) in self.terms)
+        dec = self.ring.code.decode
+        return any(any(dec(m)[:n_elim]) for (_j, m) in self._terms)
+
+    def _degrees(self, shifts):
+        dec, wdeg = self.ring.code.decode, self.ring.wdeg
+        return {wdeg(dec(m)) + (shifts[j] if shifts else 0)
+                for (j, m) in self._terms}
 
     def degree(self, shifts=None) -> int:
-        """Weighted degree, assuming homogeneity; shifts indexed by component."""
-        if not self.terms:
-            return -1
-        degs = set()
-        for (j, m) in self.terms:
-            d = self.ring.wdeg(m) + (shifts[j] if shifts else 0)
-            degs.add(d)
-        return max(degs)
+        """Weighted degree, assuming homogeneity; shifts indexed by
+        component."""
+        return max(self._degrees(shifts), default=-1)
 
     def is_homogeneous(self, shifts=None) -> bool:
-        degs = {self.ring.wdeg(m) + (shifts[j] if shifts else 0)
-                for (j, m) in self.terms}
-        return len(degs) <= 1
+        return len(self._degrees(shifts)) <= 1
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
@@ -222,26 +267,59 @@ class Vec:
 # divides one with code m iff not (((m - e) ^ xor) + add) & guard.
 
 
-def _to_kernel(terms, p, code):
-    """(int terms, den) with int terms == den * terms, monomials as order
-    codes; den is 1 over GF(p).  A Fraction's _numerator and _denominator
-    are read as slots, not through its properties; a value built by hand
-    over Q may hold an int, which is first made a Fraction."""
-    enc = code.encode
+def _encoded(ring, ncomps, terms):
+    """(int terms, den) of the Vec {(comp, exps): coeff} of P^ncomps, its
+    terms in the order given (see Vec)."""
+    nvars, enc, fld = ring.nvars, ring.code.encode, ring.field
+    value_type, p = fld.one.__class__, fld.char
+    out = {}
+    for (j, m), c in terms.items():
+        if not 0 <= j < ncomps:
+            raise ContextError(f"term in component {j} outside "
+                               f"0..{ncomps - 1}")
+        if len(m) != nvars:
+            raise ContextError(f"exponents {tuple(m)} of length {len(m)} "
+                               f"in a ring of {nvars} variables")
+        if c.__class__ is not value_type or p and not 0 <= c < p:
+            try:
+                c = fld.from_fraction(c.numerator, c.denominator)
+            except AttributeError:
+                raise ContextError(f"coefficient {c!r} is not a rational "
+                                   f"number") from None
+        if c if p else c._numerator:
+            out[j, enc(m)] = c
     if p:
-        return {(j, enc(m)): c for (j, m), c in terms.items()}, 1
-    try:
-        den = lcm(*(c._denominator for c in terms.values()))
-    except AttributeError:
-        return _to_kernel({key: Fraction(c.numerator, c.denominator)
-                           for key, c in terms.items()}, p, code)
-    return {(j, enc(m)): c._numerator * (den // c._denominator)
-            for (j, m), c in terms.items()}, den
+        return out, 1
+    den = lcm(*(c._denominator for c in out.values()))
+    return {k: c._numerator * (den // c._denominator)
+            for k, c in out.items()}, den
+
+
+def _content_free(terms, den):
+    """(terms, den) divided by the gcd of den and every coefficient: the
+    normal form of the vector terms / den, den > 0 (1 over GF(p))."""
+    if den == 1:
+        return terms, 1
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: c // g for k, c in terms.items()}, den // g
+
+
+def _check_bound(terms, code):
+    """Refuse kernel terms with an exponent past EXP_BOUND: a product of
+    two monomials within it has none that carries out of its field."""
+    xor, add, guard = code.xor, code.add, code.guard
+    for _j, m in terms:
+        if ((m ^ xor) + add) & guard:
+            raise UnsupportedInputError(
+                f"a product has an exponent past {EXP_BOUND}")
 
 
 def _from_kernel(terms, den, p, code):
     """Field coefficients of the int terms divided by den, monomials as
-    exponent tuples."""
+    exponent tuples: the one decoder, behind Vec.terms and the normal
+    forms of polynomials."""
     dec = code.decode
     if p:
         return {(j, dec(m)): c for (j, m), c in terms.items()}
@@ -250,15 +328,14 @@ def _from_kernel(terms, den, p, code):
     return {(j, dec(m)): Fraction(c, den) for (j, m), c in terms.items()}
 
 
-class KernelCol:
-    """A column already in kernel form: its int terms {(comp, m): c}, m
-    the monomial's order code, at any nonzero scale.  buchberger takes
-    its terms as they are, where it encodes a Vec (_to_kernel)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
+def _recoded(terms, src, dst):
+    """Kernel terms under the code src as terms under dst: the terms
+    themselves when the two are one code, as for every run of the engine
+    (see _order_code)."""
+    if src is dst:
+        return terms
+    dec, enc = src.decode, dst.encode
+    return {(j, enc(dec(m))): c for (j, m), c in terms.items()}
 
 
 def _shift_terms(terms, offset):
@@ -353,7 +430,7 @@ class GroebnerBasis:
 
     Built by buchberger from its kernel rows (comp, m, lc, terms), lead
     first and sorted by lead descending (see _reduce_terms).  Iterating
-    it gives the elements, monic Vecs, decoded from the rows each time.
+    it gives the elements, monic Vecs of the rows' terms.
     The rows indexed by lead component, and the pair data of a run that
     it seeds, are built once per basis, on first use, or assembled from
     the indices of the two bases it stacks (stacked).
@@ -406,25 +483,29 @@ class GroebnerBasis:
         return leads_of
 
     def __iter__(self):
-        p, code = self.ring.field.char, self._code
+        ring, code = self.ring, self._code
         for _c, _e, lc, terms in self._rows:
-            yield Vec(self.ring, self.ncomps, _from_kernel(terms, lc, p, code))
+            yield Vec._of_kernel(ring, self.ncomps,
+                                 _recoded(terms, code, ring.code), lc)
 
     def __len__(self):
         return len(self._rows)
 
     def normal_form(self, v: Vec) -> Vec:
-        p, code = self.ring.field.char, self._code
-        terms, den = _to_kernel(v.terms, p, code)
-        rem, mult = _reduce_terms(terms, self._rows_of, self._key, code, p)
-        return Vec(self.ring, self.ncomps,
-                   _from_kernel(rem, den * mult, p, code))
+        """The normal form of v, whose kernel terms are reduced as they
+        are: mult * v._terms == rem + (a combination of the basis)."""
+        ring, code = self.ring, self._code
+        rem, mult = _reduce_terms(dict(_recoded(v._terms, ring.code, code)),
+                                  self._rows_of, self._key, code,
+                                  ring.field.char)
+        return Vec._of_kernel(ring, self.ncomps,
+                              *_content_free(_recoded(rem, code, ring.code),
+                                             v._den * mult))
 
     def contains(self, v: Vec) -> bool:
-        """Is v in the span?  v is encoded, and its terms tested
-        (contains_terms)."""
+        """Is v in the span?  Its kernel terms are tested (contains_terms)."""
         return self.contains_terms(
-            _to_kernel(v.terms, self.ring.field.char, self._code)[0])
+            dict(_recoded(v._terms, self.ring.code, self._code)))
 
     def contains_terms(self, terms) -> bool:
         """Are the kernel terms, at any nonzero scale, in the span?  They
@@ -487,8 +568,7 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
                eliminate=False) -> GroebnerBasis:
     """Reduced Groebner basis of the span of cols in P^ncomps, P = ring,
     under the module order keyfn (a ModuleOrder).  A column is a Vec,
-    encoded here, or a KernelCol, whose terms are taken as they are (and
-    not changed).
+    whose kernel terms are taken as they are (and not changed).
 
     seed, a GroebnerBasis over the same ring, ncomps and order, adds its
     span: its kernel rows start the basis as they are, and no pair of two
@@ -508,7 +588,7 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
     if seed is not None and (seed.ring, seed.ncomps, seed.order) != (
             ring, ncomps, keyfn):
         raise ValueError("seed basis of another ring, rank or order")
-    cols = [c for c in cols if c.terms]
+    cols = [c for c in cols if c._terms]
     if seed is not None and not cols and not eliminate:
         return seed
     p = ring.field.char
@@ -567,8 +647,7 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
         push_pairs(len(basis) - 1)
 
     for col in cols:
-        terms = (_to_kernel(col.terms, p, code)[0] if isinstance(col, Vec)
-                 else dict(col.terms))
+        terms = dict(_recoded(col._terms, ring.code, code))
         rem, _mult = _reduce_terms(terms, rows_of, key, code, p)
         if rem:
             add_element(rem)

@@ -17,39 +17,39 @@ keeps it.  A submodule may likewise be born with its span basis
 (Submodule._with_span), as the tensor image of a module closure is.
 Normal forms modulo the ideal are the ring's: QuotientRing.nf for Vecs,
 and its reduction of kernel terms for kernel rows (_distinct_monic).
+A Vec holds kernel terms (gb.Vec), so no vector is encoded here.
 
 Every block-order question is one seeded run of the one block-run
 construction, _block_basis, on the columns (map column | value),
-assembled from kernel terms (gb.KernelCol): a caller with Vecs encodes
-each once at its edge (_unit_pairs for the unit values of syzygies,
-kernels, colons and certificates), and the closure hands over the rows
-it already holds.  The run starts from the reduced span basis of the
-target stacked on the ideal's basis on the value components; both are
-kept, the span by its owner and the ideal's rows by the ring
-(QuotientRing.free_relation_basis), each with its index, so no seed is
-rebuilt for a run.  Preimages and syzygies are eliminating runs, which
-hand back the value block alone; r_preimage makes them canonical on its
-kernel rows (_distinct_monic) and hands the rows to every caller, which
-decodes only what it returns.  minimal_generators takes kernel rows: the
-closure, intersect, colon_elem, kernel and resolution hand it those of
-r_preimage as they are, so a resolution stays in rows from one syzygy
-run to the next, and only the generators kept are decoded.
-Submodule.minimalized encodes its Vecs once, at that edge (_vec_rows),
-which is also the one Vec edge of a minimal presentation: its unit
-elimination stays in rows.  Membership certificates read the value block
-of a normal form against the whole block basis (Submodule.ext).  The
-ideal never enters a run as input columns.
+assembled from kernel terms as Vecs: a caller with Vecs hands over their
+terms (_unit_pairs for the unit values of syzygies, kernels, colons and
+certificates), and the closure hands over the rows it already holds.
+The run starts from the reduced span basis of the target stacked on the
+ideal's basis on the value components; both are kept, the span by its
+owner and the ideal's rows by the ring (QuotientRing.free_relation_basis),
+each with its index, so no seed is rebuilt for a run.  Preimages and
+syzygies are eliminating runs, which hand back the value block alone;
+r_preimage makes them canonical on its kernel rows (_distinct_monic) and
+hands the rows to every caller, which makes Vecs (gb.Vec._of_row) only of
+what it returns.  minimal_generators takes kernel rows: the closure,
+intersect, colon_elem, kernel and resolution hand it those of r_preimage
+as they are, so a resolution stays in rows from one syzygy run to the
+next, and only the generators kept become Vecs.  Submodule.minimalized
+sorts and normalizes its Vecs' terms into rows (_vec_rows), as a minimal
+presentation does its relations: its unit elimination stays in rows.
+Membership certificates read the value block of a normal form against
+the whole block basis (Submodule.ext).  The ideal never enters a run as
+input columns.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
+from operator import index, itemgetter
 
-from .field import field_terms
-from .gb import (GroebnerBasis, KernelCol, Vec, _from_kernel, _normalize,
-                 _reduce_terms, _shift_terms, _to_kernel, buchberger)
+from .gb import (GroebnerBasis, Vec, _normalize, _reduce_terms,
+                 _shift_terms, buchberger)
 from .linalg import Echelon
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError
@@ -67,32 +67,18 @@ def r_span_basis(M: FPModule, cols):
                       seed=M.relation_basis())
 
 
-def _unit_pairs(ring: QuotientRing, cols):
-    """(map columns, values) of the block columns (col_l | e_l): each Vec
-    col_l encoded, and the unit e_l at the scale its encoding cleared the
-    denominators by, as kernel terms.  These are the block columns of
+def _unit_pairs(cols):
+    """(map columns, values) of the block columns (col_l | e_l), as kernel
+    terms: each Vec col_l's terms as they are, and the unit e_l at the
+    scale of col_l, its denominator.  These are the block columns of
     syzygies, kernels, colons and certificates."""
-    amb = ring.ambient
-    p, code = amb.field.char, amb.code
-    maps, values = [], []
-    for l, col in enumerate(cols):
-        terms, den = _to_kernel(col.terms, p, code)
-        maps.append(terms)
-        values.append({(l, 0): den})    # 0 is the code of the monomial 1
-    return maps, values
+    return ([col._terms for col in cols],
+            [{(l, 0): col._den} for l, col in enumerate(cols)])  # 0 codes 1
 
 
 def _unit_rows(n):
     """The kernel rows of the unit vectors e_0..e_{n-1} of P^n."""
     return [(j, 0, 1, {(j, 0): 1}) for j in range(n)]
-
-
-def _decoded(ring: QuotientRing, ncomps, rows) -> list:
-    """The kernel rows (comp, m, lc, terms) of P^ncomps as monic Vecs."""
-    amb = ring.ambient
-    p, code = amb.field.char, amb.code
-    return [Vec(amb, ncomps, _from_kernel(terms, lc, p, code))
-            for _c, _m, lc, terms in rows]
 
 
 def _block_basis(ring: QuotientRing, map_cols, values, nvalues, span,
@@ -113,9 +99,10 @@ def _block_basis(ring: QuotientRing, map_cols, values, nvalues, span,
     last n components, which the ring keeps.
     """
     lower = ring.free_relation_basis(nvalues, ncomps)
-    cols = [KernelCol({**mc, **_shift_terms(v, ncomps)})
+    amb, big = ring.ambient, ncomps + nvalues
+    cols = [Vec._of_kernel(amb, big, {**mc, **_shift_terms(v, ncomps)})
             for mc, v in zip(map_cols, values)]
-    return buchberger(cols, ncomps + nvalues, lower.order, ring.ambient,
+    return buchberger(cols, big, lower.order, amb,
                       seed=GroebnerBasis.stacked(span, lower),
                       eliminate=eliminate)
 
@@ -126,7 +113,8 @@ def r_preimage(ring: QuotientRing, map_cols, values, nvalues, span, ncomps):
     monic normal forms of the rows of the eliminating _block_basis (two
     of them may be equal in R, as b^2 and ac are in k[a,b,c]/(b^2 - ac),
     and one may vanish there), as kernel rows.  A caller that needs Vecs
-    decodes them (_decoded); minimal_generators takes them as they are."""
+    makes them of the rows (Vec._of_row); minimal_generators takes them as
+    they are."""
     if not values:
         return []
     basis = _block_basis(ring, map_cols, values, nvalues, span, ncomps,
@@ -167,6 +155,14 @@ def _distinct_monic(ring: QuotientRing, ncomps, rows,
     return forms
 
 
+def _natural(value, what) -> int:
+    """value as an int >= 0 (operator.index); a bool is refused too."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or \
+            index(value) < 0:
+        raise DomainError(f"{what} {value!r} is not an integer >= 0")
+    return index(value)
+
+
 # --- finitely presented modules ----------------------------------------------
 
 
@@ -203,11 +199,9 @@ class FPModule:
 
     def vec(self, col) -> Vec:
         """A cover vector from a list or tuple of ring elements / strings /
-        polynomials, or a Vec over the ambient ring, of the cover's rank,
-        with its coefficients put into the field and its zero terms
-        dropped; anything else, a Vec of another ring or rank, or one with
-        a term past its rank, is refused.  A Vec whose coefficients are all
-        nonzero field values is returned as it is."""
+        polynomials, or a Vec over the ambient ring of the cover's rank,
+        which is returned as it is (a Vec is normalized when it is made);
+        anything else, or a Vec of another ring or rank, is refused."""
         amb, n = self.ring.ambient, len(self.gen_degrees)
         if not isinstance(col, Vec):
             if not isinstance(col, (list, tuple)):
@@ -221,12 +215,7 @@ class FPModule:
         if col.ncomps != n:
             raise ContextError(f"vector of rank {col.ncomps} in a module "
                                f"of rank {n}")
-        for j, _m in col.terms:
-            if not 0 <= j < n:
-                raise ContextError(f"term in component {j} outside "
-                                   f"0..{n - 1}")
-        terms = field_terms(amb.field, col.terms)
-        return col if terms is col.terms else Vec(amb, n, terms)
+        return col
 
     def gen(self, i) -> Vec:
         return Vec.unit(self.ring.ambient, self.ngens, i)
@@ -318,10 +307,10 @@ class FPModule:
         written in the cover of F_{i-1}.  cols_1 are the relations of the
         minimal presentation, already minimal; each later step is the
         syzygy preimage of the previous columns, its kernel rows handed to
-        minimal_generators as they are.  A negative length is refused.
+        minimal_generators as they are.  A length that is not an int >= 0
+        is refused.
         """
-        if length < 0:
-            raise DomainError(f"resolution length {length} is negative")
+        length = _natural(length, "resolution length")
         mp = _minimal_presentation(self)
         ring = self.ring
         steps = [(mp.gen_degrees, ())]
@@ -334,7 +323,7 @@ class FPModule:
                 steps.append(((), ()))
                 continue
             n = len(steps[-2][0])
-            rows = r_preimage(ring, *_unit_pairs(ring, prev_cols),
+            rows = r_preimage(ring, *_unit_pairs(prev_cols),
                               len(prev_cols), ring.free_relation_basis(n), n)
             syz = minimal_generators(free_module(ring, prev_degrees), rows)
             steps.append((tuple(c.degree(prev_degrees) for c in syz),
@@ -343,8 +332,7 @@ class FPModule:
 
     def syzygy(self, d: int) -> "FPModule":
         """The d-th syzygy module of the minimal resolution, d >= 0."""
-        if d < 0:
-            raise DomainError(f"syzygy index {d} is negative")
+        d = _natural(d, "syzygy index")
         if d == 0:
             return self.minimal_presentation()
         steps = self.resolution(d + 1)
@@ -413,7 +401,7 @@ class Submodule:
         generator and each relation of the module, seeded with I P^s."""
         cols = list(self.gens) + list(self.module.relations)
         s = self.module.ngens
-        return _block_basis(self.ring, *_unit_pairs(self.ring, cols),
+        return _block_basis(self.ring, *_unit_pairs(cols),
                             len(cols), self.ring.free_relation_basis(s), s)
 
     def contains(self, v) -> bool:
@@ -470,9 +458,8 @@ class Submodule:
         other's span basis contains."""
         if other.module != self.module:
             raise ContextError("submodules of different modules")
-        amb, n = self.ring.ambient, self.module.ngens
-        cols = [_to_kernel(c.terms, amb.field.char, amb.code)[0]
-                for c in list(self.gens) + list(self.module.relations)]
+        n = self.module.ngens
+        cols = [c._terms for c in self.gens + self.module.relations]
         return _minimal_submodule(self.module, r_preimage(
             self.ring, cols, cols, n, other.span, n))
 
@@ -480,7 +467,7 @@ class Submodule:
         """(self :_M x) = {m in M : x m in self}."""
         n = self.module.ngens
         return _minimal_submodule(self.module, r_preimage(
-            self.ring, *_unit_pairs(self.ring, scaled_gens(self.module, [x])),
+            self.ring, *_unit_pairs(scaled_gens(self.module, [x])),
             n, self.span, n))
 
     def minimalized(self) -> "Submodule":
@@ -534,7 +521,7 @@ class ModuleMap:
 
     def kernel(self) -> Submodule:
         return _minimal_submodule(self.source, r_preimage(
-            self.source.ring, *_unit_pairs(self.source.ring, self.cols),
+            self.source.ring, *_unit_pairs(self.cols),
             self.source.ngens, self.target.relation_basis(),
             self.target.ngens))
 
@@ -571,8 +558,7 @@ def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
 
     One syzygy run: its value block, the reduced basis of the syzygies
     plus I P^t under TOP, is the module's relation basis, and its
-    distinct monic rows (as r_preimage hands them out), decoded, the
-    relations."""
+    distinct monic rows (as r_preimage hands them out) the relations."""
     elems = [ring.elem(g) for g in gens]
     if any(e.is_zero() for e in elems):
         raise DomainError("zero ideal generator")
@@ -580,10 +566,10 @@ def ideal_as_module(ring: QuotientRing, gens) -> FPModule:
     if not elems:
         return free_module(ring, degrees)
     cols = [Vec.from_polys([e.poly]) for e in elems]
-    basis = _block_basis(ring, *_unit_pairs(ring, cols), len(cols),
+    basis = _block_basis(ring, *_unit_pairs(cols), len(cols),
                          ring.free_relation_basis(1), 1, eliminate=True)
-    syz = _decoded(ring, basis.ncomps,
-                   _distinct_monic(ring, basis.ncomps, basis._rows))
+    syz = [Vec._of_row(ring.ambient, basis.ncomps, row)
+           for row in _distinct_monic(ring, basis.ncomps, basis._rows)]
     return FPModule._with_basis(ring, degrees, syz, basis)
 
 
@@ -648,25 +634,20 @@ def tensor(A: FPModule, B: FPModule) -> FPModule:
 
     degrees = tuple(A.gen_degrees[i] + B.gen_degrees[j]
                     for i in range(A.ngens) for j in range(nb))
-    rels = []
-    for col in A.relations:
-        for j in range(nb):
-            rels.append(Vec(A.ring.ambient, n,
-                            {(idx(i, j), m): c
-                             for (i, m), c in col.terms.items()}))
-    for col in B.relations:
-        for i in range(A.ngens):
-            rels.append(Vec(A.ring.ambient, n,
-                            {(idx(i, j), m): c
-                             for (j, m), c in col.terms.items()}))
+    # the relabels of A's components, one per generator of B, and of B's
+    a_maps = [lambda i, j=j: idx(i, j) for j in range(nb)]
+    b_maps = [lambda j, i=i: idx(i, j) for i in range(A.ngens)]
+
+    def relabelled(col, relabel):
+        return Vec._of_kernel(A.ring.ambient, n, {
+            (relabel(i), m): c for (i, m), c in col._terms.items()}, col._den)
+
+    rels = [relabelled(col, f) for col in A.relations for f in a_maps]
+    rels += [relabelled(col, f) for col in B.relations for f in b_maps]
     if not rels or (A.relations and B.relations):
         return FPModule(A.ring, degrees, rels)
-    if A.relations:
-        parts = [(A.relation_basis(), lambda i, j=j: idx(i, j))
-                 for j in range(nb)]
-    else:
-        parts = [(B.relation_basis(), lambda j, i=i: idx(i, j))
-                 for i in range(A.ngens)]
+    parts = [(A.relation_basis(), f) for f in a_maps] if A.relations else \
+        [(B.relation_basis(), f) for f in b_maps]
     return FPModule._with_basis(A.ring, degrees, rels,
                                 _assembled_basis(A.ring, n, parts))
 
@@ -676,11 +657,7 @@ def tensor_elem(A: FPModule, B: FPModule, i: int, v) -> Vec:
     through B.vec, and an i that indexes no generator of A is refused."""
     if not 0 <= i < A.ngens:
         raise ContextError(f"generator index {i} outside 0..{A.ngens - 1}")
-    v = B.vec(v)
-    nb = B.ngens
-    n = A.ngens * nb
-    return Vec(A.ring.ambient, n,
-               {(i * nb + j, m): c for (j, m), c in v.terms.items()})
+    return B.vec(v).pad(A.ngens * B.ngens, i * B.ngens)
 
 
 # --- minimal presentations -----------------------------------------------------
@@ -688,7 +665,7 @@ def tensor_elem(A: FPModule, B: FPModule, i: int, v) -> Vec:
 
 def _minimal_presentation(M: FPModule) -> FPModule:
     """M with its unit relations eliminated and the others minimal, on
-    kernel rows from _vec_rows, its one Vec edge, to minimal_generators.
+    kernel rows from _vec_rows to minimal_generators.
 
     The pivot is the first row with a unit entry, a term of code 0 (the
     monomial 1); g is the lowest component of its unit entries, the first
@@ -734,26 +711,22 @@ def _minimal_presentation(M: FPModule) -> FPModule:
 
 def _vec_rows(M: FPModule, cols) -> list:
     """The candidates of minimal_generators made of Vecs in the cover of
-    M: each encoded once, its terms in descending order, normalized, then
-    made canonical (_distinct_monic, always compared).  A candidate whose
-    terms are not all of one degree is refused."""
-    ring, shifts = M.ring, M.gen_degrees
-    amb = ring.ambient
-    p, code, wdeg = amb.field.char, amb.code, amb.wdeg
-    key = ModuleOrder(amb.order).term_key
+    M: each one's kernel terms in descending order, normalized, then made
+    canonical (_distinct_monic, always compared).  A candidate whose terms
+    are not all of one degree is refused."""
+    ring, amb = M.ring, M.ring.ambient
+    p, key = amb.field.char, ModuleOrder(amb.order).term_key
     rows = []
     for col in cols:
-        if col.terms:
-            terms = dict(sorted(_to_kernel(col.terms, p, code)[0].items(),
+        if col._terms:
+            terms = dict(sorted(col._terms.items(),
                                 key=lambda t: key(t[0]), reverse=True))
             rows.append((*_normalize(terms, p), terms))
     rows = _distinct_monic(ring, M.ngens, rows, compare=True)
     for row in rows:
-        c, m, _lc, terms = row
-        d = wdeg(code.decode(m)) + shifts[c]
-        if any(wdeg(code.decode(e)) + shifts[j] != d for j, e in terms):
-            raise DomainError("inhomogeneous generator "
-                              f"{_decoded(ring, M.ngens, [row])[0]}")
+        v = Vec._of_row(amb, M.ngens, row)
+        if not v.is_homogeneous(M.gen_degrees):
+            raise DomainError(f"inhomogeneous generator {v}")
     return rows
 
 
@@ -774,20 +747,11 @@ def minimal_generators(M: FPModule, rows):
     makes them of Vecs.  A degree is read from the lead, and a candidate is
     decoded to be printed only to order a block of two or more.  Normal
     forms modulo A are reduced against its rows, and the rank tests run
-    on their int coefficients.  The kept rows come back as Vecs, each
-    decoded once.
+    on their int coefficients.  The kept rows come back as Vecs of their
+    terms (Vec._of_row).
     """
-    ring, shifts = M.ring, M.gen_degrees
-    amb = ring.ambient
+    shifts, amb, n = M.gen_degrees, M.ring.ambient, M.ngens
     p, dec, wdeg = amb.field.char, amb.code.decode, amb.wdeg
-    vecs = {}       # id of a row of rows -> its Vec, decoded once
-
-    def vec(row):
-        v = vecs.get(id(row))
-        if v is None:
-            v = vecs[id(row)] = _decoded(ring, M.ngens, [row])[0]
-        return v
-
     graded = sorted(((wdeg(dec(row[1])) + shifts[row[0]], row)
                      for row in rows), key=itemgetter(0))
     kept: list = []
@@ -798,9 +762,10 @@ def minimal_generators(M: FPModule, rows):
     for _d, block in groupby(graded, key=itemgetter(0)):
         block = [row for _d, row in block]
         if len(block) > 1:
-            block.sort(key=lambda row: str(vec(row)))
+            block.sort(key=lambda row: str(Vec._of_row(amb, n, row)))
         if len(kept) > spanned:
-            span = r_span_basis(M, [KernelCol(row[3]) for row in kept])
+            span = r_span_basis(M, [Vec._of_row(amb, n, row)
+                                    for row in kept])
             spanned = len(kept)
         if span is None:
             forms = [row[3] for row in block]
@@ -809,7 +774,7 @@ def minimal_generators(M: FPModule, rows):
                                    span._code, p)[0] for row in block]
         flags = _outside_later_spans(forms, amb.field)
         kept += [row for row, keep in zip(block, flags) if keep]
-    return [vec(row) for row in kept]
+    return [Vec._of_row(amb, n, row) for row in kept]
 
 
 def _minimal_submodule(M: FPModule, rows) -> "Submodule":
@@ -865,10 +830,8 @@ def scaled_gens(M: FPModule, elems):
     """Generators x * e_j of (elems) M inside the cover of M."""
     out = []
     for x in elems:
-        x = M.ring.elem(x)
-        for j in range(M.ngens):
-            out.append(Vec(M.ring.ambient, M.ngens,
-                           {(j, m): c for m, c in x.poly.terms.items()}))
+        v = Vec.from_polys([M.ring.elem(x).poly])
+        out += [v.pad(M.ngens, j) for j in range(M.ngens)]
     return out
 
 

@@ -276,10 +276,8 @@ class ModuleOrder(Frozen):
 
     A term is keyed as (comp, m), m the order code of its monomial (code),
     and term_key gives its key: (m, -comp) for TOP, (comp < nreal, m,
-    -comp) for the block order.  Calling the order on (comp, exps) gives
-    the key of (comp, the code of exps).  Equal orders compare and hash
-    equal; the term key is held outside eq and hash, and the hash is
-    computed once.
+    -comp) for the block order.  Equal orders compare and hash equal; the
+    term key is held outside eq and hash, and the hash is computed once.
     """
 
     __slots__ = ("ring_order", "nreal", "term_key", "_hash")
@@ -308,6 +306,3 @@ class ModuleOrder(Frozen):
     def code(self, nvars) -> MonomialCode:
         """The order code of the ring order on nvars variables."""
         return self.ring_order.code(nvars)
-
-    def __call__(self, comp, exps):
-        return self.term_key((comp, self.code(len(exps)).encode(exps)))

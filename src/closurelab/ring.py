@@ -26,8 +26,8 @@ from .field import QQ, field_terms
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
 from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import (GroebnerBasis, Vec, _from_kernel, _reached, _reduce_terms,
-                 buchberger)
+from .gb import (GroebnerBasis, Vec, _content_free, _from_kernel, _reached,
+                 _reduce_terms, buchberger)
 from .values import Record
 
 
@@ -64,28 +64,34 @@ class QuotientRing:
 
     def nf(self, value):
         """The normal form modulo I of a Polynomial, or of a Vec of rank n
-        modulo I P^n: put into the field (field_terms), encoded once and
-        reduced by reduce_terms.  A value of nonzero field coefficients
-        that no ideal lead reaches comes back as it is."""
+        modulo I P^n, reduced by reduce_terms: a Vec's kernel terms as they
+        are, a Polynomial's put into the field (field_terms) and encoded.
+        A Vec that no ideal lead reaches, or a Polynomial of nonzero field
+        coefficients, comes back as it is."""
         amb = self.ambient
         if value.ring is not amb and value.ring != amb:
             raise ContextError("value over a different ambient ring")
-        poly = isinstance(value, Polynomial)
+        if isinstance(value, Vec):
+            if not self.ideal_basis:
+                return value
+            reduced = self.reduce_terms(value._terms, value.ncomps)
+            if reduced is None:
+                return value
+            rem, mult = reduced
+            return Vec._of_kernel(amb, value.ncomps,
+                                  *_content_free(rem, mult * value._den))
         terms = field_terms(amb.field, value.terms)
         if terms is not value.terms:
-            value = Polynomial(amb, terms) if poly else \
-                Vec(amb, value.ncomps, terms)
+            value = Polynomial(amb, terms)
         if not self.ideal_basis:
             return value
         enc = amb.code.encode
-        terms = {(0, enc(m)): c for m, c in terms.items()} if poly else \
-            {(j, enc(m)): c for (j, m), c in terms.items()}
-        reduced = self.reduce_terms(terms, 1 if poly else value.ncomps)
+        reduced = self.reduce_terms({(0, enc(m)): c for m, c in terms.items()},
+                                    1)
         if reduced is None:
             return value
         terms = _from_kernel(*reduced, amb.field.char, amb.code)
-        return Polynomial(amb, {m: c for (_0, m), c in terms.items()}) \
-            if poly else Vec(amb, value.ncomps, terms)
+        return Polynomial(amb, {m: c for (_0, m), c in terms.items()})
 
     def reduce_terms(self, terms, ncomps):
         """(rem, mult) for the terms (comp, m) of P^ncomps, m an order code,
@@ -144,7 +150,7 @@ class QuotientRing:
         elif isinstance(x, int):
             x = self.ambient.const(x)
         elif not isinstance(x, Polynomial):
-            raise TypeError(f"cannot coerce {x!r} into the ring")
+            raise ContextError(f"cannot coerce {x!r} into the ring")
         return RingElem(self, x)
 
     def zero(self):
@@ -297,7 +303,7 @@ class RingElem:
         if not isinstance(other, RingElem):
             try:
                 other = self.ring.elem(other)
-            except (TypeError, ContextError, ParseError):
+            except (ContextError, ParseError):
                 return NotImplemented
         return self.ring == other.ring and self.poly == other.poly
 
@@ -433,7 +439,7 @@ class SubringPresentation:
             return []
         B, n_t, t = self.graph, self.target.nvars, len(gens)
         cols = [Vec.from_polys([_lift(g, B.ambient)]) for g in gens]
-        basis = _block_basis(B, *_unit_pairs(B, cols), t,
+        basis = _block_basis(B, *_unit_pairs(cols), t,
                              B.free_relation_basis(1), 1, eliminate=True)
         return [Vec(self.pres_ring, t,
                     {(j, m[n_t:]): c for (j, m), c in v.terms.items()})

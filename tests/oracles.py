@@ -64,7 +64,13 @@ reduction (`row_reduce`, `rank`, `residual`) and independence scan
 (`outside_later_spans`), the references for the integer echelon routine
 in `closurelab.linalg`, and the per-point `Fraction` Fourier-Motzkin test
 (`fm_newton_member`), the reference for the Newton facets in
-`closurelab.closure`.  The oracles here use these
+`closurelab.closure`, and `RefVec`, the vector of exponent tuples and
+field values that `gb.Vec` was before it held kernel terms, the
+reference of the differential test of `Vec`, with `to_kernel`, the
+encoder that read it into kernel terms.  `leading` (a vector's lead
+term) and `as_keyfn` (a module order's key of a term written with
+exponents) were `Vec.leading` and `ModuleOrder.__call__`, which only
+tests used.  The oracles here use these
 references, so they share no bug with the primitives under test.
 
 Four helpers serve the tests without being references for an engine
@@ -84,7 +90,7 @@ from operator import itemgetter
 from closurelab.dsl import ScriptError
 from closurelab.field import Rationals
 from closurelab.gb import (GroebnerBasis, Vec, _normalize, _term_key,
-                           _to_kernel, buchberger)
+                           buchberger)
 from closurelab.linalg import (component_terms, graded_span_dim,
                                monomials_of_wdeg, span_rows, vec_coords)
 from closurelab.modules import (FPModule, _unit_pairs, _vec_rows,
@@ -131,6 +137,178 @@ def make_wdegrevlex_key(weights):
                 tuple(-e for e in reversed(exps)))
 
     return key
+
+
+# --- the tuple/Fraction vector, and keys of module orders ---------------------
+
+
+class RefVec:
+    """gb.Vec as it was before it held kernel terms: an element of a free
+    module P^ncomps as a {(comp, exps): field coefficient} map, the
+    reference of the kernel-form Vec."""
+
+    __slots__ = ("ring", "ncomps", "terms")
+
+    def __init__(self, ring: PolyRing, ncomps: int, terms: dict):
+        self.ring = ring
+        self.ncomps = ncomps
+        self.terms = terms
+
+    @classmethod
+    def zero(cls, ring, ncomps):
+        return cls(ring, ncomps, {})
+
+    @classmethod
+    def from_polys(cls, polys):
+        polys = list(polys)
+        if not polys:
+            raise ContextError("a vector needs at least one polynomial")
+        ring = polys[0].ring
+        terms = {}
+        for i, p in enumerate(polys):
+            if p.ring != ring:
+                raise ContextError("mixed rings in vector")
+            for m, c in p.terms.items():
+                terms[(i, m)] = c
+        return cls(ring, len(polys), terms)
+
+    @classmethod
+    def unit(cls, ring, ncomps, comp):
+        return cls(ring, ncomps, {(comp, (0,) * ring.nvars): ring.field.one})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, Vec) and self.ring == other.ring
+                and self.ncomps == other.ncomps and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.ring, self.ncomps, frozenset(self.terms.items())))
+
+    def component(self, i) -> Polynomial:
+        return Polynomial(self.ring,
+                          {m: c for (j, m), c in self.terms.items() if j == i})
+
+    def to_polys(self):
+        return [self.component(i) for i in range(self.ncomps)]
+
+    def __add__(self, other):
+        fld = self.ring.field
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            s = fld.add(terms.get(k, fld.zero), c)
+            if s == fld.zero:
+                terms.pop(k, None)
+            else:
+                terms[k] = s
+        return RefVec(self.ring, self.ncomps, terms)
+
+    def __neg__(self):
+        fld = self.ring.field
+        return RefVec(self.ring, self.ncomps,
+                   {k: fld.neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, poly: Polynomial) -> "RefVec":
+        """Multiply by a ring element."""
+        fld = self.ring.field
+        terms: dict = {}
+        for (j, m1), c1 in self.terms.items():
+            for m2, c2 in poly.terms.items():
+                k = (j, mono_mul(m1, m2))
+                s = fld.add(terms.get(k, fld.zero), fld.mul(c1, c2))
+                if s == fld.zero:
+                    terms.pop(k, None)
+                else:
+                    terms[k] = s
+        return RefVec(self.ring, self.ncomps, terms)
+
+    def term_mul(self, coeff, exps) -> "RefVec":
+        fld = self.ring.field
+        return RefVec(self.ring, self.ncomps,
+                   {(j, mono_mul(m, exps)): fld.mul(c, coeff)
+                    for (j, m), c in self.terms.items()})
+
+    def pad(self, ncomps, offset=0) -> "RefVec":
+        """Reembed into P^ncomps, shifting components by offset."""
+        return RefVec(self.ring, ncomps,
+                   {(j + offset, m): c for (j, m), c in self.terms.items()})
+
+    def take_components(self, lo, hi) -> "RefVec":
+        return RefVec(self.ring, hi - lo,
+                   {(j - lo, m): c for (j, m), c in self.terms.items()
+                    if lo <= j < hi})
+
+    def has_vars_below(self, n_elim) -> bool:
+        return any(any(m[:n_elim]) for (_j, m) in self.terms)
+
+    def degree(self, shifts=None) -> int:
+        """Weighted degree, assuming homogeneity; shifts indexed by component."""
+        if not self.terms:
+            return -1
+        degs = set()
+        for (j, m) in self.terms:
+            d = self.ring.wdeg(m) + (shifts[j] if shifts else 0)
+            degs.add(d)
+        return max(degs)
+
+    def is_homogeneous(self, shifts=None) -> bool:
+        degs = {self.ring.wdeg(m) + (shifts[j] if shifts else 0)
+                for (j, m) in self.terms}
+        return len(degs) <= 1
+
+    def __str__(self):
+        return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
+
+    __repr__ = __str__
+
+
+# --- integer kernel: int coefficients, p the characteristic (0 for Q) ------
+#
+# A kernel term is (comp, m), m the order code of its monomial (see
+# orders.MonomialCode); a kernel row is (comp, m, lc, terms), the lead
+
+
+def to_kernel(terms, p, code):
+    """(int terms, den) with int terms == den * terms, {(comp, exps):
+    field value} with monomials as order codes; den is 1 over GF(p).  The
+    encoder that gb used before a Vec held kernel terms."""
+    enc = code.encode
+    if p:
+        return {(j, enc(m)): c for (j, m), c in terms.items()}, 1
+    terms = {k: Fraction(c) for k, c in terms.items()}
+    den = 1
+    for c in terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {(j, enc(m)): c.numerator * (den // c.denominator)
+            for (j, m), c in terms.items()}, den
+
+
+def as_keyfn(order):
+    """A key function (comp, exps) -> key: for a ModuleOrder, its term key
+    on the code of exps (what calling the order once did), else order
+    itself."""
+    if not isinstance(order, ModuleOrder):
+        return order
+    return lambda comp, exps: order.term_key(
+        (comp, order.code(len(exps)).encode(exps)))
+
+
+def leading(v, keyfn):
+    """(comp, exps, coeff) of the term of the nonzero vector v (a Vec or
+    a RefVec) that is greatest under keyfn (see as_keyfn)."""
+    keyfn = as_keyfn(keyfn)
+    terms = v.terms
+    if not terms:
+        raise ValueError("leading term of zero vector")
+    comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
+    return comp, exps, terms[(comp, exps)]
 
 
 # --- reference order comparisons ------------------------------------------------
@@ -529,6 +707,7 @@ def verify_resolution(M: FPModule, length: int, bound=None) -> bool:
 
 def ref_reduce(vec_terms, basis, keyfn, fld):
     """Straightforward top-reduction, written independently of gb._reduce_terms."""
+    keyfn = as_keyfn(keyfn)
     terms = dict(vec_terms)
     while terms:
         t = max(terms, key=lambda ce: keyfn(ce[0], ce[1]))
@@ -573,10 +752,10 @@ def ref_undominated(leads):
 
 def buchberger_criterion_holds(gb_vecs, ncomps, keyfn, ring) -> bool:
     """Every S-pair of the given basis top-reduces to zero (reference code)."""
-    fld = ring.field
+    fld, keyfn = ring.field, as_keyfn(keyfn)
     data = []
     for v in gb_vecs:
-        comp, exps, coeff = v.leading(keyfn)
+        comp, exps, coeff = leading(v, keyfn)
         assert coeff == fld.one
         data.append((comp, exps, v.terms))
     for i in range(len(data)):
@@ -613,6 +792,7 @@ def fraction_reduce_terms(terms, basis, keyfn, fld, keycache=None):
     term dict.
     """
     kc = keycache if keycache is not None else {}
+    keyfn = as_keyfn(keyfn)
     rem = {}
     while terms:
         best = None
@@ -650,6 +830,7 @@ def fraction_reduce_terms(terms, basis, keyfn, fld, keycache=None):
 
 
 def fraction_make_monic(terms, keyfn, fld):
+    keyfn = as_keyfn(keyfn)
     comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
     lc = terms[(comp, exps)]
     if lc != fld.one:
@@ -666,6 +847,7 @@ def fraction_normalize(terms, keyfn, fld):
     content so coefficients stay small integers; over finite fields, make
     the vector monic.
     """
+    keyfn = as_keyfn(keyfn)
     comp, exps = max(terms, key=lambda t: keyfn(t[0], t[1]))
     if isinstance(fld, Rationals):
         num_gcd = 0
@@ -695,7 +877,7 @@ def fraction_buchberger(cols, ncomps, keyfn, ring=None) -> list:
     if not cols:
         return []
     ring = ring or cols[0].ring
-    fld = ring.field
+    fld, keyfn = ring.field, as_keyfn(keyfn)
     keycache: dict = {}
 
     basis = []        # (comp, exps, inv_lc, body terms), content-normalized
@@ -802,8 +984,8 @@ def fraction_buchberger(cols, ncomps, keyfn, ring=None) -> list:
 def fraction_normal_form(basis_vecs, keyfn, v: Vec) -> Vec:
     """Normal form of v modulo a reduced monic basis, by the Fraction
     reducer."""
-    one = v.ring.field.one
-    data = [(*b.leading(keyfn)[:2], one, b.terms) for b in basis_vecs]
+    one, keyfn = v.ring.field.one, as_keyfn(keyfn)
+    data = [(*leading(b, keyfn)[:2], one, b.terms) for b in basis_vecs]
     rem = fraction_reduce_terms(dict(v.terms), data, keyfn, v.ring.field)
     return Vec(v.ring, v.ncomps, rem)
 
@@ -900,7 +1082,7 @@ def scan_buchberger_rows(cols, ncomps, keyfn, ring, seed=None) -> list:
                 pending.add((i, new))
 
     for col in cols:
-        rem, _mult = scan_reduce_terms(_to_kernel(col.terms, p, code)[0],
+        rem, _mult = scan_reduce_terms(to_kernel(col.terms, p, code)[0],
                                        basis, key, code, p)
         if rem:
             add_element(rem)
@@ -1122,7 +1304,7 @@ def ref_monic_vec(v: Vec) -> Vec:
     """The nonzero v divided by its lead coefficient under TOP."""
     order = ModuleOrder(v.ring.order)
     enc, term_key = order.code(v.ring.nvars).encode, order.term_key
-    _c, _e, lc = v.leading(lambda j, e: term_key((j, enc(e))))
+    _c, _e, lc = leading(v, lambda j, e: term_key((j, enc(e))))
     fld = v.ring.field
     if lc == fld.one:
         return v
@@ -1219,7 +1401,7 @@ def ref_closure_steps(S, N):
     amb = M.ring.ambient
 
     def encoded(v):
-        return _to_kernel(v.terms, amb.field.char, amb.code)[0]
+        return to_kernel(v.terms, amb.field.char, amb.code)[0]
 
     steps, satisfied = [M.gens()], []
     for i in range(S.ngens):
@@ -1362,7 +1544,7 @@ def vec_syzygies(ring, cols, ncomps):
     of one syzygy run (r_preimage of I P^ncomps on the unit pairs of
     cols), decoded into monic Vecs (ref_decoded_rows)."""
     cols = list(cols)
-    rows = r_preimage(ring, *_unit_pairs(ring, cols), len(cols),
+    rows = r_preimage(ring, *_unit_pairs(cols), len(cols),
                       ring.free_relation_basis(ncomps), ncomps)
     return ref_decoded_rows(ring, len(cols), rows)
 

@@ -18,8 +18,8 @@ from closurelab.ring import (UnsupportedInputError, _strip_vars,
 from oracles import (brute_member, brute_syzygies_complete,
                      buchberger_criterion_holds, fraction_buchberger,
                      fraction_extended_reduce, fraction_normal_form,
-                     ref_reduce, ref_undominated, scan_buchberger_rows,
-                     vec_syzygies)
+                     leading, ref_reduce, ref_undominated,
+                     scan_buchberger_rows, vec_syzygies)
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 P2 = make_quotient_ring(R2, [])     # k[x,y] as a quotient ring, no ideal
@@ -157,7 +157,7 @@ def test_buchberger_output_is_reduced(field):
                  ModuleOrder(ring.order, rng.randint(1, ncomps - 1)))
         cols = _random_columns(ring, rng, ncomps)
         gb = buchberger(cols, ncomps, keyfn, ring)
-        leads = [v.leading(keyfn) for v in gb]
+        leads = [leading(v, keyfn) for v in gb]
         assert all(lc == field.one for _c, _e, lc in leads), trial
         for v, (comp, exps, _lc) in zip(gb, leads):
             for (j, m) in v.terms:
@@ -506,13 +506,16 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
 def test_syzygy_work_counts_are_pinned(monkeypatch, field):
     """syz^2 of the residue field of the cone, the module that criteria 9
     and 10 close over and that the cone's cl_{syz^2(k)} is built from,
-    makes a fixed number of encodings (_to_kernel), decodings
-    (_from_kernel), minimalizations and Buchberger runs, counted over the
-    whole call on a fresh ring.  The counts guard resolutions staying in
-    kernel rows: a syzygy run's rows go to minimal_generators as they
-    are, only the generators kept are decoded, and the relations of the
-    minimal presentation are not minimalized a second time.  A change
-    that means to alter them updates them here."""
+    makes a fixed number of encodings (gb._encoded, behind the Vec
+    constructor), decodings (gb._from_kernel, behind Vec.terms),
+    minimalizations and Buchberger runs, counted over the whole call on a
+    fresh ring.  The counts guard resolutions staying in kernel rows: the
+    three encodings are the residue field's generators a, b, c made into
+    Vecs; a syzygy run's rows go to minimal_generators as they are, and the
+    generators kept are Vecs of their rows, never encoded again; every
+    decoding prints a candidate to order a degree block of two or more;
+    and the relations of the minimal presentation are not minimalized a
+    second time.  A change that means to alter them updates them here."""
     from closurelab import closure as closure_module
     from closurelab import gb as gb_module
     from closurelab import modules as modules_module
@@ -523,7 +526,7 @@ def test_syzygy_work_counts_are_pinned(monkeypatch, field):
     fld = QQ if field == "Q" else prime_field(5)
     amb = PolyRing(("a", "b", "c"), fld, wdegrevlex((2, 2, 2)))
     R = make_quotient_ring(amb, [amb.parse("a*c - b^2")])
-    counts = dict.fromkeys(("_to_kernel", "_from_kernel",
+    counts = dict.fromkeys(("_encoded", "_from_kernel",
                             "minimal_generators", "buchberger"), 0)
 
     def counted(name, real):
@@ -540,7 +543,7 @@ def test_syzygy_work_counts_are_pinned(monkeypatch, field):
                                     counted(name, getattr(owner, name)))
     syz2 = residue_field(R).syzygy(2)
     assert syz2.gen_degrees == (4, 4, 4, 4) and len(syz2.relations) == 4
-    assert counts == {"_to_kernel": 10, "_from_kernel": 11,
+    assert counts == {"_encoded": 3, "_from_kernel": 11,
                       "minimal_generators": 3, "buchberger": 2}
 
 

@@ -21,7 +21,7 @@ from closurelab.ring import (QuotientRing, make_quotient_ring,
                              presented_subring)
 from closurelab.sampling import random_homogeneous_elem, random_ideal_gens
 
-from oracles import (brute_member, brute_syzygies_complete,
+from oracles import (as_keyfn, brute_member, brute_syzygies_complete,
                      graded_dim_of_span, greedy_minimal_generators,
                      ideal_columns, module_graded_dim, outside_later_spans,
                      random_submodule_pair, ref_certificate,
@@ -29,7 +29,7 @@ from oracles import (brute_member, brute_syzygies_complete,
                      ref_distinct_monic, ref_ideal_normal_form,
                      ref_intersect_preimage, ref_kernel_preimage,
                      ref_monic_vec, ref_span_basis, ref_syzygy_basis,
-                     same_presentation, tuple_lead_nf,
+                     same_presentation, to_kernel, tuple_lead_nf,
                      vec_minimal_generators, vec_minimal_presentation,
                      vec_resolution, vec_syzygies, verify_resolution)
 
@@ -338,7 +338,7 @@ def test_minimal_generators_on_rows_match_the_vec_routine(request, field):
         key = ModuleOrder(amb.order).term_key
         rows = []
         for v in canonical:
-            terms = gb._to_kernel(v.terms, amb.field.char, amb.code)[0]
+            terms = to_kernel(v.terms, amb.field.char, amb.code)[0]
             terms = dict(sorted(terms.items(), key=lambda t: key(t[0]),
                                 reverse=True))
             rows.append((*gb._normalize(terms, amb.field.char), terms))
@@ -411,31 +411,35 @@ def test_minimalized_builds_one_span_per_degree_block(kxy, monkeypatch):
 @pytest.mark.parametrize("extended", [False, True], ids=["span", "extended"])
 def test_output_basis_is_not_converted_back_into_the_kernel(
         segre, monkeypatch, extended):
-    """Each nonzero input column enters the integer kernel once, in the
-    run (span) or where the block columns are assembled (extended); the
-    output basis is built from the kernel rows and never converted back.
-    Span and certificate runs take the ideal from the ring's kernel rows,
-    as their seed, not as input columns."""
+    """Each input column is encoded once, when its Vec is made, and enters
+    the integer kernel as it is, in the run (span) or where the block
+    columns are assembled (extended); the output basis is built from the
+    kernel rows and never decoded or encoded again.  Span and certificate
+    runs take the ideal from the ring's kernel rows, as their seed, not
+    as input columns."""
     calls = []
-    real = gb._to_kernel
 
-    def counting(terms, *args, **kwargs):
-        calls.append(terms)
-        return real(terms, *args, **kwargs)
+    def counting(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(gb, "_to_kernel", counting)
-    monkeypatch.setattr(modules, "_to_kernel", counting)
+    for name in ("_encoded", "_from_kernel"):
+        monkeypatch.setattr(gb, name, counting(getattr(gb, name)))
     cols = [Vec.from_polys([segre.ambient.parse(t)])
             for t in ("a^2", "a*b", "b*c")]
+    assert calls == ["_encoded"] * len(cols)
+    calls.clear()
     if extended:
         out = Submodule(ring_as_module(segre), tuple(cols)).ext
-        assert len(calls) == len(cols) == 3
         # the seeded block basis holds I P^3 on the three value components
         assert len(out) == 10
     else:
         out = modules.r_span_basis(ring_as_module(segre), cols)
-        assert len(calls) == len(cols) == 3
         assert len(out) == 5
+    assert len(list(out)) == len(out)   # its Vecs are its rows' terms
+    assert calls == []
 
 
 # --- seeded span bases against the unseeded reference ------------------------------
@@ -598,7 +602,7 @@ def test_preimage_rows_equal_in_the_ring_give_one_generator(
     R1 = ring_as_module(R)
     a, c = (R1.vec([t]) for t in ("a", "c"))
     span = R1.submodule([c]).span
-    a = gb._to_kernel(a.terms, fld.char, amb.code)[0]
+    a = to_kernel(a.terms, fld.char, amb.code)[0]
     rows = modules.r_preimage(R, [a], [a], 1, span, 1)
     assert [str(g) for g in ref_decoded_rows(R, 1, rows)] == ["(a*c)"]
     assert modules.r_preimage(R, [a], [{(0, 0): 1}], 1,
@@ -843,7 +847,7 @@ def _kernel_row(v):
     descending order, as the engine makes its rows."""
     amb = v.ring
     p, key = amb.field.char, ModuleOrder(amb.order).term_key
-    terms = dict(sorted(gb._to_kernel(v.terms, p, amb.code)[0].items(),
+    terms = dict(sorted(to_kernel(v.terms, p, amb.code)[0].items(),
                         key=lambda t: key(t[0]), reverse=True))
     return (*gb._normalize(terms, p), terms)
 
@@ -1049,7 +1053,7 @@ def test_unit_elimination_puts_the_pivot_component_on_top():
 
 def _sorted_terms(v):
     """The Vec v with its terms inserted in descending term order."""
-    key = ModuleOrder(v.ring.order)
+    key = as_keyfn(ModuleOrder(v.ring.order))
     return Vec(v.ring, v.ncomps, dict(sorted(v.terms.items(),
                                              key=lambda t: key(*t[0]),
                                              reverse=True)))
@@ -1586,31 +1590,27 @@ def test_tensor_elem_refuses_an_index_or_vector_out_of_range(kxy):
 
 @pytest.mark.parametrize("comp", [2, 3, -1])
 def test_vec_with_a_term_past_its_rank_is_refused(kxy, comp):
-    """FPModule.vec refuses a Vec of the cover's rank with a term in a
-    component outside 0..ngens-1, and so do membership in the full
-    submodule, the trivial closure and a submodule built from it."""
-    from closurelab.closure import TrivialClosure
-    F = free_module(kxy, (0, 0))
-    v = Vec(kxy.ambient, 2, {(comp, (1, 0)): kxy.ambient.field.one})
-    match = f"term in component {comp} outside 0..1"
-    with pytest.raises(ContextError, match=match):
-        F.vec(v)
-    with pytest.raises(ContextError, match=match):
-        F.full_submodule().contains(v)
-    with pytest.raises(ContextError, match=match):
-        TrivialClosure().member(v, F.full_submodule())
-    with pytest.raises(ContextError, match=match):
-        F.submodule([v])
+    """The Vec constructor refuses a term in a component outside
+    0..ncomps-1, so FPModule.vec, membership, the trivial closure and
+    submodules never meet one.  Before, Vec(P, 2, {(3, x): 1}) was built,
+    and printed as (0, 0)."""
+    with pytest.raises(ContextError,
+                       match=f"term in component {comp} outside 0..1"):
+        Vec(kxy.ambient, 2, {(comp, (1, 0)): kxy.ambient.field.one})
+    with pytest.raises(ContextError, match="outside 0..1"):
+        Vec.unit(kxy.ambient, 2, comp)
+    with pytest.raises(ContextError, match="does not fit rank 2"):
+        Vec.unit(kxy.ambient, 2, 0).pad(2, 1 if comp > 0 else -1)
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
 def test_vec_puts_coefficients_into_the_field(field):
-    """FPModule.vec answers a Vec whose coefficients are not nonzero field
-    values (a zero term; over F5 a 5 or a -4; over Q an int) as the vector
-    it stands for.  On the cone, with N = (a): a + 0*c, a + 5*c and -4*a
-    are a, in N, and 0*c is the zero vector, in N too.  A Vec of nonzero
-    field values comes back as it is.  A list of polynomials with a zero
-    term is answered the same way."""
+    """A Vec given coefficients that are not nonzero field values (a zero
+    term; over F5 a 5 or a -4; over Q an int) is the vector they stand
+    for, from its constructor on.  On the cone, with N = (a): a + 0*c,
+    a + 5*c and -4*a are a, in N, and 0*c is the zero vector, in N too.
+    FPModule.vec gives a Vec back as it is.  A list of polynomials with a
+    zero term is answered the same way."""
     from closurelab.closure import ModuleClosure, TrivialClosure
     fld = QQ if field == "Q" else prime_field(5)
     amb = PolyRing(("a", "b", "c"), fld, wdegrevlex((2, 2, 2)))

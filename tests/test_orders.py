@@ -8,8 +8,8 @@ from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, ModuleOrder,
                                wdegrevlex)
 from closurelab.poly import mono_divides, mono_mul
 
-from oracles import (block_key, elim_key, mono_gcd_is_one, mono_lcm,
-                     ref_degrevlex_greater, ref_ring_key, top_key)
+from oracles import (as_keyfn, block_key, elim_key, mono_gcd_is_one,
+                     mono_lcm, ref_degrevlex_greater, ref_ring_key, top_key)
 
 
 def all_monos(nvars, max_exp=3):
@@ -79,7 +79,7 @@ def test_order_is_multiplicative_well_order(order):
 
 
 def test_module_order_keys():
-    top = ModuleOrder(DEGREVLEX)
+    top = as_keyfn(ModuleOrder(DEGREVLEX))
     # same monomial: lower component index wins
     assert top(0, (1, 0)) > top(1, (1, 0))
     # TOP compares the monomial first
@@ -87,7 +87,7 @@ def test_module_order_keys():
 
 
 def test_block_key_separates_blocks():
-    bk = ModuleOrder(DEGREVLEX, 2)
+    bk = as_keyfn(ModuleOrder(DEGREVLEX, 2))
     # any term in the first two components beats any later one
     assert bk(1, (0, 0)) > bk(2, (5, 5))
     assert bk(0, (1, 0)) > bk(3, (4, 4))
@@ -120,7 +120,8 @@ def test_module_order_values_sort_like_the_reference_closures(ring_order):
     cases += [(ModuleOrder(elimination(n)), top_key(elim_key(n)))
               for n in range(1, 4)]
     for order, ref in cases:
-        assert sorted(terms, key=lambda t: order(*t)) == \
+        key = as_keyfn(order)
+        assert sorted(terms, key=lambda t: key(*t)) == \
             sorted(terms, key=lambda t: ref(*t)), order
 
 
