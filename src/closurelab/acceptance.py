@@ -337,12 +337,9 @@ def _direct_sum_instances(count, seed):
         F = free_module(ring, (0, 0))
         n1 = random_ideal_gens(ring, rng, 2, 2)
         n2 = random_ideal_gens(ring, rng, 2, 2)
-        amb = ring.ambient
         N = F.submodule(
-            [Vec(amb, 2, {(0, m): c for m, c in ring.elem(g).poly.terms.items()})
-             for g in n1] +
-            [Vec(amb, 2, {(1, m): c for m, c in ring.elem(g).poly.terms.items()})
-             for g in n2])
+            [Vec.from_polys([ring.elem(g).poly]).pad(2) for g in n1] +
+            [Vec.from_polys([ring.elem(g).poly]).pad(2, 1) for g in n2])
         whole = cl.closure(N)
         c1 = cl.closure(ideal_submodule(ring, n1))
         c2 = cl.closure(ideal_submodule(ring, n2))
@@ -426,8 +423,7 @@ def _random_column(M, rng):
     e = random_homogeneous_elem(M.ring, rng.choice(degs), rng)
     if e is None:
         return None
-    return Vec(M.ring.ambient, M.ngens,
-               {(j, m): c for m, c in e.poly.terms.items()})
+    return Vec.from_polys([e.poly]).pad(M.ngens, j)
 
 
 PROPERTY_SUITES = (

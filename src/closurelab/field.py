@@ -125,23 +125,6 @@ class PrimeField:
 QQ = Rationals()
 
 
-def field_terms(field, terms):
-    """terms, a dict of coefficients, with each put into field and the zero
-    ones dropped; terms itself when each already is a nonzero value of
-    field: an int in 1..p-1 over GF(p), a Fraction over Q, whose numerator
-    is read (its truth value costs a Python call per term)."""
-    value_type, p = field.one.__class__, field.char
-    for c in terms.values():
-        if c.__class__ is not value_type or \
-                not (0 < c < p if p else c._numerator):
-            break
-    else:
-        return terms
-    values = ((key, field.from_fraction(c.numerator, c.denominator))
-              for key, c in terms.items())
-    return {key: c for key, c in values if c}
-
-
 def rationals() -> Rationals:
     return QQ
 

@@ -33,22 +33,23 @@ Q a basis element is a primitive integer vector with a positive lead
 coefficient, and a reduction step cross-multiplies instead of dividing
 (fraction-free, as with primitive polynomial remainder sequences); over
 GF(p) a basis element is monic and coefficients are kept in [0, p).
-A Vec holds such int terms over one denominator, so Fractions appear
-only at its edges.  A kernel column or term dict may sit at any nonzero
-scale: spans, membership and normalized rows do not see it.
+A Vec, like a Polynomial, holds such int terms over one denominator, so
+Fractions appear only at its edges.  A kernel column or term dict may sit
+at any nonzero scale: spans, membership and normalized rows do not see
+it.
 
 Inside the kernel every monomial is an int too, its order code
 (orders.MonomialCode), the one implementation of the ring order: codes
 compare the way the order does, a product of monomials is a sum of codes,
-and divisibility is one test on the difference of two codes.  A Vec
-holds codes too, so every Vec enters the kernel as it is.  Exponent
-tuples become codes where a Vec is made of them and where QuotientRing.nf
-takes a Polynomial, and codes become tuples again (_from_kernel) only
-where a value is read or printed.  A run under an order other than the
-ring's recodes its Vecs' terms (_recoded); no run of the engine is one.
-An exponent past orders.EXP_BOUND raises UnsupportedInputError: encode
-refuses it, a product of vectors refuses it (_check_bound), and a
-reduction that grows one stops.
+and divisibility is one test on the difference of two codes.  Vecs and
+Polynomials hold codes too, so every value enters the kernel as it is.
+Exponent tuples become codes only where a Polynomial or a Vec is made of
+them (poly._encoded), and codes become tuples again (poly._from_kernel)
+only where a value is read or printed.  A run under an order other than
+the ring's recodes its Vecs' terms (_recoded); no run of the engine is
+one.  An exponent past orders.EXP_BOUND raises UnsupportedInputError:
+encode refuses it, a product of polynomials or vectors refuses it
+(poly._check_bound), and a reduction that grows one stops.
 
 Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
@@ -70,14 +71,15 @@ sequential, so outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop
 from math import gcd, lcm
 from operator import itemgetter
 
 from .orders import EXP_BOUND, ModuleOrder, UnsupportedInputError
-from .poly import ContextError, PolyRing, Polynomial
+from .poly import (ContextError, PolyRing, Polynomial, _content_free,
+                   _encoded, _from_kernel, _negated, _product, _sum,
+                   _term_degrees)
 
 
 class Vec:
@@ -85,13 +87,13 @@ class Vec:
     terms {(comp, m): c}, m the monomial's order code (ring.code), over one
     positive denominator that no prime divides along with every
     coefficient (over GF(p) it is 1, and coefficients lie in 1..p-1), so
-    equal vectors compare and hash equal.  The constructor and from_polys
-    encode {(comp, exps): coeff}, putting each coefficient into the field
-    and dropping zeros; a component outside 0..ncomps-1, exponents of
-    another length than the ring's or a coefficient that is not rational
-    is refused (ContextError).  terms, component, to_polys and str decode.
-    The engine makes vectors of kernel terms that are normal already
-    (_of_kernel, _of_row), as RingElem._of_nf takes a normal form.
+    equal vectors compare and hash equal: what a Polynomial holds in
+    component 0, with the same arithmetic.  The constructor encodes
+    {(comp, exps): coeff} as Polynomial's does, and refuses a component
+    outside 0..ncomps-1 too (ContextError).  from_polys, component and
+    to_polys relabel components; terms and str decode.  The engine makes
+    vectors of kernel terms that are normal already (_of_kernel, _of_row),
+    as RingElem._of_nf takes a normal form.
     """
 
     __slots__ = ("ring", "ncomps", "_terms", "_den")
@@ -99,7 +101,7 @@ class Vec:
     def __init__(self, ring: PolyRing, ncomps: int, terms: dict):
         self.ring = ring
         self.ncomps = ncomps
-        self._terms, self._den = _encoded(ring, ncomps, terms)
+        self._terms, self._den = _encoded(ring, ncomps, terms.items())
 
     @classmethod
     def _of_kernel(cls, ring, ncomps, terms, den=1):
@@ -121,17 +123,21 @@ class Vec:
 
     @classmethod
     def from_polys(cls, polys):
+        """The polynomials' kernel terms relabelled into their components,
+        over the lcm of their denominators, which keeps them normal."""
         polys = list(polys)
         if not polys:
             raise ContextError("a vector needs at least one polynomial")
         ring = polys[0].ring
+        den = lcm(*(p._den for p in polys))
         terms = {}
         for i, p in enumerate(polys):
             if p.ring != ring:
                 raise ContextError("mixed rings in vector")
-            for m, c in p.terms.items():
-                terms[(i, m)] = c
-        return cls(ring, len(polys), terms)
+            f = den // p._den
+            for (_0, m), c in p._terms.items():
+                terms[i, m] = c * f
+        return cls._of_kernel(ring, len(polys), terms, den)
 
     @classmethod
     def unit(cls, ring, ncomps, comp):
@@ -141,8 +147,8 @@ class Vec:
     def terms(self) -> dict:
         """{(comp, exps): coeff}, the coefficients field values, in the
         order the vector holds its terms: decoded on every read."""
-        return _from_kernel(self._terms, self._den, self.ring.field.char,
-                            self.ring.code)
+        return dict(_from_kernel(self._terms.items(), self._den,
+                                 self.ring.field.char, self.ring.code))
 
     def is_zero(self):
         return not self._terms
@@ -163,35 +169,24 @@ class Vec:
         return self.to_polys()[i]
 
     def to_polys(self):
-        polys = [{} for _ in range(self.ncomps)]
-        for (j, m), c in self.terms.items():
-            polys[j][m] = c
-        return [Polynomial(self.ring, terms) for terms in polys]
+        parts = [{} for _ in range(self.ncomps)]
+        for (j, m), c in self._terms.items():
+            parts[j][0, m] = c
+        return [Polynomial._of_kernel(self.ring,
+                                      *_content_free(terms, self._den))
+                for terms in parts]
 
     def __add__(self, other):
         if self.ncomps != other.ncomps or self.ring != other.ring:
             raise ContextError("vectors of different ranks or rings")
-        p = self.ring.field.char
-        da, db = self._den, other._den
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        terms = {k: c * fa for k, c in self._terms.items()}
-        for k, c in other._terms.items():
-            s = terms.get(k, 0) + c * fb
-            if p:
-                s %= p
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return Vec._of_kernel(self.ring, self.ncomps,
-                              *_content_free(terms, den))
+        return Vec._of_kernel(self.ring, self.ncomps, *_sum(
+            self._terms, self._den, other._terms, other._den,
+            self.ring.field.char))
 
     def __neg__(self):
-        p = self.ring.field.char
         return Vec._of_kernel(self.ring, self.ncomps,
-                              {k: p - c if p else -c
-                               for k, c in self._terms.items()}, self._den)
+                              _negated(self._terms, self.ring.field.char),
+                              self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -200,27 +195,8 @@ class Vec:
         """Multiply by a ring element."""
         if poly.ring != self.ring:
             raise ContextError("a vector scaled by another ring's element")
-        ring, p = self.ring, self.ring.field.char
-        factor, fden = _encoded(ring, 1, {(0, m): c
-                                          for m, c in poly.terms.items()})
-        terms: dict = {}
-        for (j, m1), c1 in self._terms.items():
-            for (_0, m2), c2 in factor.items():
-                k = (j, m1 + m2)
-                s = terms.get(k, 0) + c1 * c2
-                if p:
-                    s %= p
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        _check_bound(terms, ring.code)
-        return Vec._of_kernel(ring, self.ncomps,
-                              *_content_free(terms, self._den * fden))
-
-    def term_mul(self, coeff, exps) -> "Vec":
-        """Multiply by the term coeff * x^exps."""
-        return self.scale(Polynomial(self.ring, {tuple(exps): coeff}))
+        return Vec._of_kernel(self.ring, self.ncomps, *_product(
+            self._terms, self._den, poly._terms, poly._den, self.ring))
 
     def pad(self, ncomps, offset=0) -> "Vec":
         """Reembed into P^ncomps, shifting components by offset."""
@@ -240,18 +216,13 @@ class Vec:
         dec = self.ring.code.decode
         return any(any(dec(m)[:n_elim]) for (_j, m) in self._terms)
 
-    def _degrees(self, shifts):
-        dec, wdeg = self.ring.code.decode, self.ring.wdeg
-        return {wdeg(dec(m)) + (shifts[j] if shifts else 0)
-                for (j, m) in self._terms}
-
     def degree(self, shifts=None) -> int:
         """Weighted degree, assuming homogeneity; shifts indexed by
         component."""
-        return max(self._degrees(shifts), default=-1)
+        return max(_term_degrees(self._terms, self.ring, shifts), default=-1)
 
     def is_homogeneous(self, shifts=None) -> bool:
-        return len(self._degrees(shifts)) <= 1
+        return len(_term_degrees(self._terms, self.ring, shifts)) <= 1
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
@@ -265,67 +236,6 @@ class Vec:
 # orders.MonomialCode); a kernel row is (comp, m, lc, terms), the lead
 # first.  Codes add to multiply monomials, and a monomial with lead code e
 # divides one with code m iff not (((m - e) ^ xor) + add) & guard.
-
-
-def _encoded(ring, ncomps, terms):
-    """(int terms, den) of the Vec {(comp, exps): coeff} of P^ncomps, its
-    terms in the order given (see Vec)."""
-    nvars, enc, fld = ring.nvars, ring.code.encode, ring.field
-    value_type, p = fld.one.__class__, fld.char
-    out = {}
-    for (j, m), c in terms.items():
-        if not 0 <= j < ncomps:
-            raise ContextError(f"term in component {j} outside "
-                               f"0..{ncomps - 1}")
-        if len(m) != nvars:
-            raise ContextError(f"exponents {tuple(m)} of length {len(m)} "
-                               f"in a ring of {nvars} variables")
-        if c.__class__ is not value_type or p and not 0 <= c < p:
-            try:
-                c = fld.from_fraction(c.numerator, c.denominator)
-            except AttributeError:
-                raise ContextError(f"coefficient {c!r} is not a rational "
-                                   f"number") from None
-        if c if p else c._numerator:
-            out[j, enc(m)] = c
-    if p:
-        return out, 1
-    den = lcm(*(c._denominator for c in out.values()))
-    return {k: c._numerator * (den // c._denominator)
-            for k, c in out.items()}, den
-
-
-def _content_free(terms, den):
-    """(terms, den) divided by the gcd of den and every coefficient: the
-    normal form of the vector terms / den, den > 0 (1 over GF(p))."""
-    if den == 1:
-        return terms, 1
-    g = gcd(den, *terms.values())
-    if g == 1:
-        return terms, den
-    return {k: c // g for k, c in terms.items()}, den // g
-
-
-def _check_bound(terms, code):
-    """Refuse kernel terms with an exponent past EXP_BOUND: a product of
-    two monomials within it has none that carries out of its field."""
-    xor, add, guard = code.xor, code.add, code.guard
-    for _j, m in terms:
-        if ((m ^ xor) + add) & guard:
-            raise UnsupportedInputError(
-                f"a product has an exponent past {EXP_BOUND}")
-
-
-def _from_kernel(terms, den, p, code):
-    """Field coefficients of the int terms divided by den, monomials as
-    exponent tuples: the one decoder, behind Vec.terms and the normal
-    forms of polynomials."""
-    dec = code.decode
-    if p:
-        return {(j, dec(m)): c for (j, m), c in terms.items()}
-    if den == 1:
-        return {(j, dec(m)): Fraction(c) for (j, m), c in terms.items()}
-    return {(j, dec(m)): Fraction(c, den) for (j, m), c in terms.items()}
 
 
 def _recoded(terms, src, dst):

@@ -165,7 +165,7 @@ def span_rows(cols, shifts, d, ring):
             continue
         cd = col.degree(shifts)
         for m in monomials_of_wdeg(ring, d - cd):
-            rows.append(vec_coords(col.term_mul(ring.field.one, m), terms,
+            rows.append(vec_coords(col.scale(ring.monomial(m)), terms,
                                    ring.field))
     return rows, terms
 

@@ -46,13 +46,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import groupby
-from operator import index, itemgetter
+from operator import itemgetter
 
 from .gb import (GroebnerBasis, Vec, _normalize, _reduce_terms,
                  _shift_terms, buchberger)
 from .linalg import Echelon
 from .orders import ModuleOrder
-from .poly import ContextError, DomainError
+from .poly import ContextError, DomainError, _natural
 from .ring import QuotientRing, RingElem
 
 
@@ -153,14 +153,6 @@ def _distinct_monic(ring: QuotientRing, ncomps, rows,
             unique.setdefault(frozenset(row[3].items()), row)
         forms = list(unique.values())
     return forms
-
-
-def _natural(value, what) -> int:
-    """value as an int >= 0 (operator.index); a bool is refused too."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or \
-            index(value) < 0:
-        raise DomainError(f"{what} {value!r} is not an integer >= 0")
-    return index(value)
 
 
 # --- finitely presented modules ----------------------------------------------

@@ -10,12 +10,13 @@ with a guard bit on top, so divisibility, and the bound on every exponent,
 is one test on the difference of two codes.
 
 Everything that orders monomials uses the code: a PolyRing keeps the code
-of its order (PolyRing.code), and PolyRing.key is its encode, so printing,
-leading terms and sorted monomial lists go by it; a ModuleOrder keys a
-term (comp, exps) by its component and the code of exps; and inside the
-Groebner kernel every monomial is its code.  An
-exponent past EXP_BOUND has no code: encode raises UnsupportedInputError,
-so such an input is refused where it is first ordered (printed, say).
+of its order (PolyRing.code, with PolyRing.key its encode), and every
+Polynomial and Vec holds its monomials as codes, so printing, leading
+terms and sorted monomial lists go by it; a ModuleOrder keys a term
+(comp, m) by its component and its code m; and inside the Groebner
+kernel every monomial is its code.  An exponent past EXP_BOUND has no
+code: encode raises UnsupportedInputError, so such an input is refused
+where a polynomial or vector holding it is made.
 """
 
 from __future__ import annotations

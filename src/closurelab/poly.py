@@ -1,14 +1,18 @@
 """Exact multivariate polynomial arithmetic over QQ or GF(p).
 
-Polynomials are immutable term maps {exponent tuple: nonzero coefficient}
-attached to a PolyRing (variable names, grading weights, coefficient field,
-monomial order).  Monomials are plain exponent tuples of non-negative ints;
-the monomial primitives below (product, divisibility) and the weighted
-degree map builtin operators over the two tuples, so the per-exponent loop
-runs in C.  Terms are ordered by the order code of the ring's order
-(PolyRing.key, the encode of orders.MonomialCode): printing, leading_term
-and sorted_terms go by it, and a polynomial with an exponent past
-orders.EXP_BOUND raises UnsupportedInputError when it is first ordered.
+A Polynomial of a PolyRing (variable names, grading weights, coefficient
+field, monomial order) holds what a rank-one gb.Vec holds: int terms
+{(0, m): c}, m the order code of the monomial (orders.MonomialCode), over
+one positive denominator that no prime divides along with every
+coefficient (1 over GF(p), where coefficients lie in 1..p-1).  Equal
+polynomials compare and hash equal, and polynomials and vectors share one
+term store, one arithmetic (_sum, _negated, _product) and one normal form
+(ring.QuotientRing.nf).  The public constructor normalizes, as the Vec
+constructor does (_encoded); the engine builds values that are normal
+already (_of_kernel).  Exponent tuples and field values appear only where
+a value is built from them, read through terms, or printed
+(_from_kernel).  An exponent past orders.EXP_BOUND is refused where a
+monomial, product or power is formed (a power before it is expanded).
 
 Text is read by one scanner, tokenize, for polynomials (PolyRing.parse,
 check_syntax) and, with script=True, for closure-lab scripts (dsl): an
@@ -19,11 +23,12 @@ offset by one rule, locate: its line and its column on that line.
 
 from __future__ import annotations
 
-from operator import add, le, mul
+from fractions import Fraction
+from math import gcd, lcm
+from operator import index, le, mul
 
 from .field import QQ, FieldError
-from .orders import DEGREVLEX, MonomialOrder
-from .orders import UnsupportedInputError  # noqa: F401 (re-exported)
+from .orders import DEGREVLEX, EXP_BOUND, MonomialOrder, UnsupportedInputError
 from .values import Record
 
 
@@ -35,12 +40,129 @@ class DomainError(ValueError):
     """Operation undefined for this input (e.g. leading term of 0)."""
 
 
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
 def mono_divides(a, b):
     return all(map(le, a, b))
+
+
+def _natural(value, what) -> int:
+    """value as an int >= 0 (operator.index); a bool is refused too."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or \
+            index(value) < 0:
+        raise DomainError(f"{what} {value!r} is not an integer >= 0")
+    return index(value)
+
+
+# --- kernel terms: int coefficients, p the characteristic (0 for Q) ----------
+#
+# A kernel term is (comp, m), m the order code of its monomial; a
+# polynomial's terms are all in component 0.  Term dicts keep the order in
+# which their terms were made.
+
+
+def _encoded(ring, ncomps, items):
+    """(int terms, den) of the items ((comp, exps), coeff) of P^ncomps, in
+    the order given, normalized (see Polynomial and gb.Vec)."""
+    nvars, enc, fld = ring.nvars, ring.code.encode, ring.field
+    value_type, p = fld.one.__class__, fld.char
+    out = {}
+    for (j, m), c in items:
+        if not 0 <= j < ncomps:
+            raise ContextError(f"term in component {j} outside "
+                               f"0..{ncomps - 1}")
+        if len(m) != nvars:
+            raise ContextError(f"exponents {tuple(m)} of length {len(m)} "
+                               f"in a ring of {nvars} variables")
+        if c.__class__ is not value_type or p and not 0 <= c < p:
+            try:
+                c = fld.from_fraction(c.numerator, c.denominator)
+            except AttributeError:
+                raise ContextError(f"coefficient {c!r} is not a rational "
+                                   f"number") from None
+        if c if p else c._numerator:
+            out[j, enc(m)] = c
+    if p:
+        return out, 1
+    den = lcm(*(c._denominator for c in out.values()))
+    return {k: c._numerator * (den // c._denominator)
+            for k, c in out.items()}, den
+
+
+def _content_free(terms, den):
+    """(terms, den) divided by the gcd of den and every coefficient: the
+    normal form of the value terms / den, den > 0 (1 over GF(p))."""
+    if den == 1:
+        return terms, 1
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: c // g for k, c in terms.items()}, den // g
+
+
+def _check_bound(terms, code):
+    """Refuse kernel terms with an exponent past EXP_BOUND: a product of
+    two monomials within it has none that carries out of its field."""
+    xor, add, guard = code.xor, code.add, code.guard
+    for _j, m in terms:
+        if ((m ^ xor) + add) & guard:
+            raise UnsupportedInputError(
+                f"a product has an exponent past {EXP_BOUND}")
+
+
+def _from_kernel(items, den, p, code):
+    """[((comp, exps), coeff)] of the items ((comp, m), c) of int terms
+    over den, in their order, each coefficient a field value: the one
+    decoder, behind the terms views and printing."""
+    dec = code.decode
+    if p:
+        return [((j, dec(m)), c) for (j, m), c in items]
+    return [((j, dec(m)), Fraction(c, den)) for (j, m), c in items]
+
+
+def _sum(a, da, b, db, p):
+    """(terms, den) of a / da + b / db, normalized: a's terms first, in
+    their order, then b's new ones."""
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    terms = {k: c * fa for k, c in a.items()}
+    for k, c in b.items():
+        s = terms.get(k, 0) + c * fb
+        if p:
+            s %= p
+        if s:
+            terms[k] = s
+        else:
+            terms.pop(k, None)
+    return _content_free(terms, den)
+
+
+def _negated(terms, p):
+    return {k: p - c if p else -c for k, c in terms.items()}
+
+
+def _product(a, da, b, db, ring):
+    """(terms, den) of a / da times b / db, normalized, b the terms of a
+    polynomial: each term of a, in its component, times each of b's."""
+    p = ring.field.char
+    terms: dict = {}
+    for (j, m1), c1 in a.items():
+        for (_0, m2), c2 in b.items():
+            k = (j, m1 + m2)
+            s = terms.get(k, 0) + c1 * c2
+            if p:
+                s %= p
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+    _check_bound(terms, ring.code)
+    return _content_free(terms, da * db)
+
+
+def _term_degrees(terms, ring, shifts=None):
+    """The weighted degrees of kernel terms, each plus its component's
+    shift when shifts are given."""
+    dec, wdeg = ring.code.decode, ring.wdeg
+    return {wdeg(dec(m)) + (shifts[j] if shifts else 0) for (j, m) in terms}
 
 
 class PolyRing:
@@ -83,31 +205,29 @@ class PolyRing:
                 f"{self.order.describe()})")
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._of_kernel(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: self.field.one})
+        # the monomial 1 has code 0 in every order
+        return Polynomial._of_kernel(self, {(0, 0): 1})
 
     def const(self, c) -> "Polynomial":
-        c = self.field.from_int(c) if isinstance(c, int) else c
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def var(self, i) -> "Polynomial":
-        if isinstance(i, str):
-            i = self._index[i]
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one})
+        """The variable named i, or the i-th (from 0)."""
+        if type(i) is int and 0 <= i < self.nvars:
+            i = self.names[i]
+        if not isinstance(i, str) or i not in self._index:
+            raise ContextError(f"no variable {i!r} in a ring of the "
+                               f"variables {', '.join(self.names)}")
+        exps = tuple(int(name == i) for name in self.names)
+        return Polynomial._of_kernel(self, {(0, self.key(exps)): 1})
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def monomial(self, exps, coeff=None) -> "Polynomial":
-        coeff = self.field.one if coeff is None else coeff
-        if coeff == self.field.zero:
-            return self.zero()
+    def monomial(self, exps, coeff=1) -> "Polynomial":
         return Polynomial(self, {tuple(exps): coeff})
 
     def wdeg(self, exps) -> int:
@@ -118,81 +238,95 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    """A polynomial of ring, held as int kernel terms over one denominator
+    (see the module docstring); terms is a decoding view."""
+
+    __slots__ = ("ring", "_terms", "_den")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = terms  # never mutated after construction
+        self._terms, self._den = _encoded(
+            ring, 1, (((0, m), c) for m, c in terms.items()))
+
+    @classmethod
+    def _of_kernel(cls, ring, terms, den=1):
+        """The polynomial terms / den, both normal already; terms is kept,
+        and never changed."""
+        f = cls.__new__(cls)
+        f.ring, f._terms, f._den = ring, terms, den
+        return f
+
+    @property
+    def terms(self) -> dict:
+        """{exps: coeff}, the coefficients field values, in the order the
+        polynomial holds its terms: decoded on every read."""
+        return {m: c for (_0, m), c in self._decoded(self._terms.items())}
+
+    def _decoded(self, items):
+        ring = self.ring
+        return _from_kernel(items, self._den, ring.field.char, ring.code)
 
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self._den == other._den and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self._den, frozenset(self._terms.items())))
 
-    def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise ContextError("polynomials from different rings")
+    def _operand(self, other) -> "Polynomial":
+        """other as a polynomial of this ring: an int is a constant."""
+        if isinstance(other, Polynomial):
+            if self.ring != other.ring:
+                raise ContextError("polynomials from different rings")
+            return other
+        if isinstance(other, int):
+            return self.ring.const(other)
+        raise ContextError(f"cannot combine a polynomial with a "
+                           f"{type(other).__name__}")
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = fld.add(terms.get(m, fld.zero), c)
-            if s == fld.zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(self.ring, terms)
-
-    def __neg__(self):
-        fld = self.ring.field
-        return Polynomial(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = fld.add(terms.get(m, fld.zero), fld.mul(c1, c2))
-                if s == fld.zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(self.ring, terms)
+        other = self._operand(other)
+        return Polynomial._of_kernel(self.ring, *_sum(
+            self._terms, self._den, other._terms, other._den,
+            self.ring.field.char))
 
     __radd__ = __add__
-    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Polynomial._of_kernel(
+            self.ring, _negated(self._terms, self.ring.field.char), self._den)
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative power")
+    def __mul__(self, other):
+        other = self._operand(other)
+        return Polynomial._of_kernel(self.ring, *_product(
+            self._terms, self._den, other._terms, other._den, self.ring))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        n = _natural(n, "power")
+        if n > 1 and self._terms:
+            # the greatest exponents of the power, refused past the bound
+            # before it is expanded
+            dec = self.ring.code.decode
+            self.ring.key(tuple(n * max(e) for e in zip(
+                *(dec(m) for _0, m in self._terms))))
         result = self.ring.one()
         base = self
         while n:
@@ -203,45 +337,31 @@ class Polynomial:
         return result
 
     def scalar_mul(self, c):
-        fld = self.ring.field
-        if isinstance(c, int):
-            c = fld.from_int(c)
-        if c == fld.zero:
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: fld.mul(c, co) for m, co in self.terms.items()})
+        return self * self.ring.const(c)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, lc = self.leading_term()
-        return self.scalar_mul(self.ring.field.inv(lc))
+        return self.scalar_mul(self.ring.field.inv(self.leading_term()[1])) \
+            if self._terms else self
 
     # -- structure -----------------------------------------------------------
 
-    def leading_term(self, key=None):
-        """Return (monomial, coefficient) maximal under the active order."""
-        if not self.terms:
+    def sorted_terms(self):
+        """[(exps, coeff)], the greatest term under the ring order first."""
+        return [(m, c) for (_0, m), c in
+                self._decoded(sorted(self._terms.items(), reverse=True))]
+
+    def leading_term(self):
+        """(exps, coeff) of the greatest term under the ring order."""
+        if not self._terms:
             raise DomainError("leading term of the zero polynomial")
-        key = key or self.ring.key
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
+        return self.sorted_terms()[0]
 
     def wdeg(self) -> int:
         """Weighted degree (maximum over terms); zero polynomial -> -1."""
-        if not self.terms:
-            return -1
-        return max(self.ring.wdeg(m) for m in self.terms)
+        return max(_term_degrees(self._terms, self.ring), default=-1)
 
-    def is_homogeneous(self, weights=None) -> bool:
-        if not self.terms:
-            return True
-        weights = self.ring.weights if weights is None else tuple(weights)
-        degs = {sum(map(mul, weights, m)) for m in self.terms}
-        return len(degs) == 1
-
-    def sorted_terms(self, key=None):
-        key = key or self.ring.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    def is_homogeneous(self) -> bool:
+        return len(_term_degrees(self._terms, self.ring)) <= 1
 
     # -- printing ------------------------------------------------------------
 

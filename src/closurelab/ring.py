@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
-from .field import QQ, field_terms
+from .field import QQ
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
-from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import (GroebnerBasis, Vec, _content_free, _from_kernel, _reached,
-                 _reduce_terms, buchberger)
+from .poly import (ContextError, DomainError, ParseError, PolyRing,
+                   Polynomial, _content_free, _natural)
+from .gb import GroebnerBasis, Vec, _reached, _reduce_terms, buchberger
 from .values import Record
 
 
@@ -55,7 +54,7 @@ class QuotientRing:
         if isinstance(g, RingElem):
             return g.poly
         if not isinstance(g, Polynomial):
-            raise TypeError(f"cannot use {g!r} as a ring relation")
+            raise ContextError(f"cannot use {g!r} as a ring relation")
         if g.ring != self.ambient:
             raise ContextError("relation from a different ambient ring")
         return g
@@ -64,52 +63,36 @@ class QuotientRing:
 
     def nf(self, value):
         """The normal form modulo I of a Polynomial, or of a Vec of rank n
-        modulo I P^n, reduced by reduce_terms: a Vec's kernel terms as they
-        are, a Polynomial's put into the field (field_terms) and encoded.
-        A Vec that no ideal lead reaches, or a Polynomial of nonzero field
-        coefficients, comes back as it is."""
+        modulo I P^n: its kernel terms as they are, reduced by
+        reduce_terms (a Polynomial's are in component 0).  A value that
+        no ideal lead reaches comes back as it is."""
         amb = self.ambient
         if value.ring is not amb and value.ring != amb:
             raise ContextError("value over a different ambient ring")
-        if isinstance(value, Vec):
-            if not self.ideal_basis:
-                return value
-            reduced = self.reduce_terms(value._terms, value.ncomps)
-            if reduced is None:
-                return value
-            rem, mult = reduced
-            return Vec._of_kernel(amb, value.ncomps,
-                                  *_content_free(rem, mult * value._den))
-        terms = field_terms(amb.field, value.terms)
-        if terms is not value.terms:
-            value = Polynomial(amb, terms)
         if not self.ideal_basis:
             return value
-        enc = amb.code.encode
-        reduced = self.reduce_terms({(0, enc(m)): c for m, c in terms.items()},
-                                    1)
+        vec = isinstance(value, Vec)
+        reduced = self.reduce_terms(value._terms, value.ncomps if vec else 1)
         if reduced is None:
             return value
-        terms = _from_kernel(*reduced, amb.field.char, amb.code)
-        return Polynomial(amb, {m: c for (_0, m), c in terms.items()})
+        rem, mult = reduced
+        terms, den = _content_free(rem, mult * value._den)
+        if vec:
+            return Vec._of_kernel(amb, value.ncomps, terms, den)
+        return Polynomial._of_kernel(amb, terms, den)
 
     def reduce_terms(self, terms, ncomps):
-        """(rem, mult) for the terms (comp, m) of P^ncomps, m an order code,
-        their coefficients field values or ints: rem the int terms of mult
-        times their normal form modulo I P^ncomps (gb._reduce_terms against
-        free_relation_basis).  None, and no coefficient read, when no ideal
-        lead divides one of their monomials (gb._reached): the terms are
-        their own."""
+        """(rem, mult) for the int terms (comp, m) of P^ncomps, m an order
+        code, which are left as they are: rem the int terms of mult times
+        their normal form modulo I P^ncomps (gb._reduce_terms against
+        free_relation_basis).  None when no ideal lead divides one of
+        their monomials (gb._reached): the terms are their own."""
         code = self.ambient.code
         ideal = self.free_relation_basis(ncomps)
         if not _reached(terms, ideal._leads_of, -1, code):
             return None
-        den = lcm(*(c.denominator for c in terms.values()))   # 1 over GF(p)
-        rem, mult = _reduce_terms(
-            {key: c.numerator * (den // c.denominator)
-             for key, c in terms.items()},
-            ideal._rows_of, ideal._key, code, self.ambient.field.char)
-        return rem, mult * den
+        return _reduce_terms(dict(terms), ideal._rows_of, ideal._key, code,
+                             self.ambient.field.char)
 
     def free_relation_basis(self, ncomps, nreal=None) -> GroebnerBasis:
         """Reduced Groebner basis of I P^ncomps, the relations of R^ncomps,
@@ -229,19 +212,13 @@ class QuotientRing:
 
 class RingElem:
     """Element of a quotient ring, stored as its normal form: the
-    constructor refuses exponents of another length than the ring's number
-    of variables and takes the normal form of poly (QuotientRing.nf, which
-    refuses another ring and puts poly into the field); _of_nf takes a
-    poly that is reduced."""
+    constructor takes the normal form of poly (QuotientRing.nf, which
+    refuses another ring; poly is normalized by its own constructor);
+    _of_nf takes a poly that is reduced."""
 
     __slots__ = ("ring", "poly")
 
     def __init__(self, ring: QuotientRing, poly: Polynomial):
-        n = ring.ambient.nvars
-        for m in poly.terms:
-            if len(m) != n:
-                raise ContextError(f"exponents {m} of length {len(m)} in a "
-                                   f"ring of {n} variables")
         self.ring = ring
         self.poly = ring.nf(poly)
 
@@ -292,10 +269,8 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative power")
         result = self.ring.one()
-        for _ in range(n):
+        for _ in range(_natural(n, "power")):
             result = result * self
         return result
 

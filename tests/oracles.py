@@ -64,10 +64,13 @@ reduction (`row_reduce`, `rank`, `residual`) and independence scan
 (`outside_later_spans`), the references for the integer echelon routine
 in `closurelab.linalg`, and the per-point `Fraction` Fourier-Motzkin test
 (`fm_newton_member`), the reference for the Newton facets in
-`closurelab.closure`, and `RefVec`, the vector of exponent tuples and
+`closurelab.closure`, `RefVec`, the vector of exponent tuples and
 field values that `gb.Vec` was before it held kernel terms, the
 reference of the differential test of `Vec`, with `to_kernel`, the
-encoder that read it into kernel terms.  `leading` (a vector's lead
+encoder that read it into kernel terms, and `RefPoly`, the polynomial of
+exponent tuples and field values that `poly.Polynomial` was, the
+reference of the differential test of `Polynomial`; `mono_mul` is the
+monomial product it multiplies with.  `leading` (a vector's lead
 term) and `as_keyfn` (a module order's key of a term written with
 exponents) were `Vec.leading` and `ModuleOrder.__call__`, which only
 tests used.  The oracles here use these
@@ -98,7 +101,7 @@ from closurelab.modules import (FPModule, _unit_pairs, _vec_rows,
                                 scaled_gens, tensor, tensor_elem)
 from closurelab.orders import ModuleOrder, elimination, wdegrevlex
 from closurelab.poly import (ContextError, DomainError, ParseError, PolyRing,
-                             Polynomial)
+                             Polynomial, format_polynomial)
 from closurelab.sampling import achievable_degrees, random_homogeneous_elem
 
 
@@ -267,6 +270,114 @@ class RefVec:
         return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
 
     __repr__ = __str__
+
+
+class RefPoly:
+    """The polynomial of exponent tuples and field values that
+    poly.Polynomial was before it held kernel terms: the reference of the
+    differential test of Polynomial.  Its terms are nonzero field values;
+    terms are ordered by the textbook key of the ring's order
+    (ref_ring_key), and printed by the engine's format_polynomial, which
+    reads sorted_terms."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: PolyRing, terms: dict):
+        self.ring = ring
+        self.terms = terms
+
+    def _const(self, c) -> "RefPoly":
+        fld = self.ring.field
+        c = fld.from_int(c)
+        if c == fld.zero:
+            return RefPoly(self.ring, {})
+        return RefPoly(self.ring, {(0,) * self.ring.nvars: c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, RefPoly) and self.ring == other.ring
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self._const(other)
+        fld = self.ring.field
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = fld.add(terms.get(m, fld.zero), c)
+            if s == fld.zero:
+                terms.pop(m, None)
+            else:
+                terms[m] = s
+        return RefPoly(self.ring, terms)
+
+    def __neg__(self):
+        fld = self.ring.field
+        return RefPoly(self.ring,
+                       {m: fld.neg(c) for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            other = self._const(other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            other = self._const(other)
+        fld = self.ring.field
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = mono_mul(m1, m2)
+                s = fld.add(terms.get(m, fld.zero), fld.mul(c1, c2))
+                if s == fld.zero:
+                    terms.pop(m, None)
+                else:
+                    terms[m] = s
+        return RefPoly(self.ring, terms)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise DomainError("negative power")
+        result = self._const(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def leading_term(self):
+        if not self.terms:
+            raise DomainError("leading term of the zero polynomial")
+        key = ref_ring_key(self.ring.order)
+        m = max(self.terms, key=key)
+        return m, self.terms[m]
+
+    def wdeg(self) -> int:
+        if not self.terms:
+            return -1
+        return max(self.ring.wdeg(m) for m in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        return len({self.ring.wdeg(m) for m in self.terms}) <= 1
+
+    def sorted_terms(self):
+        key = ref_ring_key(self.ring.order)
+        return sorted(self.terms.items(), key=lambda t: key(t[0]),
+                      reverse=True)
+
+    def __str__(self):
+        return format_polynomial(self)
 
 
 # --- integer kernel: int coefficients, p the characteristic (0 for Q) ------
@@ -638,7 +749,7 @@ def brute_kernel_dim(ring, cols, ncomps, col_degrees, d,
     rref, pivots = row_reduce(target_rows, fld) if target_rows else ([], [])
     matrix = []
     for (q, m) in uterms:
-        img = cols[q].term_mul(fld.one, m)
+        img = cols[q].scale(amb.monomial(m))
         coords = vec_coords(img, target_terms, fld)
         matrix.append(residual(rref, pivots, coords, fld))
     rank = len(row_reduce(matrix, fld)[0]) if matrix and matrix[0] else 0
@@ -1308,7 +1419,7 @@ def ref_monic_vec(v: Vec) -> Vec:
     fld = v.ring.field
     if lc == fld.one:
         return v
-    return v.term_mul(fld.inv(lc), (0,) * v.ring.nvars)
+    return v.scale(v.ring.const(fld.inv(lc)))
 
 
 def ref_ideal_normal_form(ring, v: Vec) -> Vec:

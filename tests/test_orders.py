@@ -6,10 +6,11 @@ import pytest
 from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, ModuleOrder,
                                UnsupportedInputError, elimination,
                                wdegrevlex)
-from closurelab.poly import mono_divides, mono_mul
+from closurelab.poly import mono_divides
 
 from oracles import (as_keyfn, block_key, elim_key, mono_gcd_is_one,
-                     mono_lcm, ref_degrevlex_greater, ref_ring_key, top_key)
+                     mono_lcm, mono_mul, ref_degrevlex_greater, ref_ring_key,
+                     top_key)
 
 
 def all_monos(nvars, max_exp=3):

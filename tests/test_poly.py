@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from closurelab.orders import (DEGREVLEX, EXP_BOUND, LEX, elimination,
                                wdegrevlex)
 from closurelab.poly import (ContextError, DomainError, ParseError, PolyRing,
                              Polynomial, UnsupportedInputError)
+from closurelab.ring import make_quotient_ring
 
 R2 = PolyRing(("x", "y"), QQ, DEGREVLEX)
 R3 = PolyRing(("a", "b", "c"), QQ, DEGREVLEX)
@@ -86,7 +88,7 @@ def test_weighted_degrees():
     assert W.parse("a + b").wdeg() == 2
 
 
-# --- parsing and printing -------------------------------------------------------
+# --- parsing and printing ----------------------------------------------------
 
 
 @pytest.mark.parametrize("text", [
@@ -156,7 +158,7 @@ def test_parse_rational_coefficients():
     assert f.terms[(0, 1)] == Fraction(3, 4)
 
 
-# --- property tests ----------------------------------------------------------------
+# --- property tests ----------------------------------------------------------
 
 
 def polys(ring, max_terms=4, max_exp=3):
@@ -187,10 +189,11 @@ def test_ring_axioms(f, g, h):
 def test_leading_term_multiplicative(order, f, g):
     if f.is_zero() or g.is_zero():
         return
-    key = order.code(2).encode
-    mf, cf = f.leading_term(key)
-    mg, cg = g.leading_term(key)
-    mfg, cfg = (f * g).leading_term(key)
+    ring = PolyRing(("x", "y"), QQ, order)
+    f, g = Polynomial(ring, f.terms), Polynomial(ring, g.terms)
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
+    mfg, cfg = (f * g).leading_term()
     assert mfg == tuple(a + b for a, b in zip(mf, mg))
     assert cfg == cf * cg
 
@@ -261,7 +264,6 @@ def test_monomial_primitives_match_reference():
     exponent tuples: 0-8 variables (the empty tuple too), exponents 0-40
     (half of them 0, so that dividing pairs occur), weights 1-5."""
     rng = random.Random(11)
-    binary = ["mono_mul", "mono_divides"]
 
     def exps(n):
         return tuple(rng.choice((0, rng.randint(0, 40))) for _ in range(n))
@@ -271,9 +273,8 @@ def test_monomial_primitives_match_reference():
         a, c = exps(n), exps(n)
         ab = oracles.mono_mul(a, c)
         for b in (c, ab, a):
-            for name in binary:
-                assert getattr(poly, name)(a, b) == \
-                    getattr(oracles, name)(a, b), (name, a, b)
+            assert poly.mono_divides(a, b) == oracles.mono_divides(a, b), \
+                (a, b)
         w = tuple(rng.randint(1, 5) for _ in range(n))
         ring = PolyRing([f"x{i}" for i in range(n)], QQ, weights=w)
         ref_wdeg = oracles.make_wdegrevlex_key(w)
@@ -323,13 +324,24 @@ def test_terms_are_ordered_like_the_reference_keys(order):
 @pytest.mark.parametrize("order", ORDERS,
                          ids=lambda o: o.describe() + str(o.nelim or ""))
 def test_ordering_an_exponent_past_the_bound_is_unsupported_input(order):
+    """An exponent past EXP_BOUND has no order code, so a polynomial with
+    one cannot be built: a monomial, a hand-built polynomial, a power or a
+    product that has one raises UnsupportedInputError where it is made
+    (it used to fail only where it was first ordered, printed say).  The
+    bound itself is a valid exponent."""
     ring = PolyRing(("x", "y", "z"), QQ, order)
-    f = ring.monomial((0, EXP_BOUND + 1, 0)) + ring.var("x")
-    for ordering in (str, Polynomial.leading_term, Polynomial.sorted_terms):
+    y = ring.var("y")
+    builds = [lambda: ring.monomial((0, EXP_BOUND + 1, 0)),
+              lambda: Polynomial(ring, {(0, EXP_BOUND + 1, 0): 1,
+                                        (1, 0, 0): 1}),
+              lambda: y ** (EXP_BOUND + 1), lambda: y ** 10 ** 10,
+              lambda: ring.monomial((0, EXP_BOUND, 0)) * (y + 1)]
+    for build in builds:
         with pytest.raises(UnsupportedInputError,
-                           match="out of range") as err:
-            ordering(f)
+                           match="out of range|past") as err:
+            build()
         assert not isinstance(err.value, OverflowError)
+    assert str(ring.monomial((0, EXP_BOUND, 0))) == f"y^{EXP_BOUND}"
 
 
 @pytest.mark.parametrize("order", ORDERS,
@@ -337,10 +349,180 @@ def test_ordering_an_exponent_past_the_bound_is_unsupported_input(order):
 def test_ordering_exponents_of_another_length_names_the_whole_tuple(order):
     """An exponent tuple of the wrong length is named whole, with its
     length and the number of variables, not as out of range (an elim
-    order once showed only the tail past its first block)."""
+    order once showed only the tail past its first block); the
+    Polynomial constructor refuses it with ContextError, as a RingElem
+    did before it."""
     ring = PolyRing(("x", "y", "z"), QQ, order)
     for exps in ((1, 0), (0, 1, 0, 2)):
         with pytest.raises(UnsupportedInputError) as err:
-            str(Polynomial(ring, {exps: QQ.one}))
+            ring.code.encode(exps)
         assert str(err.value) == (f"exponents {exps} of length {len(exps)} "
                                   "in an order on 3 variables")
+        with pytest.raises(ContextError, match=re.escape(
+                f"exponents {exps} of length {len(exps)} in a ring of 3 "
+                "variables")):
+            Polynomial(ring, {exps: QQ.one})
+
+
+# --- the normalizing constructor and its refusals ----------------------------
+
+
+def test_the_constructor_normalizes_what_it_is_given():
+    """A hand-built polynomial is put into the field and its zero terms
+    are dropped, so it equals the parsed one: Fraction(0) is no term, 7 is
+    2 over F5, and an int over Q is a Fraction.  Before, such a polynomial
+    was truthy, printed 0*x, or was unequal to its parsed twin."""
+    x = (1, 0)
+    zero = Polynomial(R2, {x: Fraction(0)})
+    assert not zero and str(zero) == "0" and zero == R2.zero()
+    assert hash(zero) == hash(R2.zero())
+    P5 = PolyRing(("x", "y"), prime_field(5), DEGREVLEX)
+    assert Polynomial(P5, {x: 7}) == P5.parse("2*x")
+    assert Polynomial(P5, {x: -5, (0, 1): 1}) == P5.parse("y")
+    assert Polynomial(P5, {x: Fraction(1, 2)}) == P5.parse("3*x")
+    f = Polynomial(R2, {x: 2, (0, 1): Fraction(-3, 6)})
+    assert f == R2.parse("2*x - 1/2*y") and hash(f) == hash(R2.parse(
+        "2*x - 1/2*y"))
+    assert [type(c) for c in f.terms.values()] == [Fraction, Fraction]
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Polynomial(R2, {(1, 0, 0): 1}), ContextError),
+    (lambda: Polynomial(R2, {(1,): 1}), ContextError),
+    (lambda: Polynomial(R2, {(1, 0): 1.5}), ContextError),
+    (lambda: R2.const(1.5), ContextError),
+    (lambda: R2.monomial((0, EXP_BOUND + 1)), UnsupportedInputError),
+    (lambda: R2.var("x") ** (10 ** 10), UnsupportedInputError),
+], ids=["long exponents", "short exponents", "float coefficient",
+        "float constant", "monomial past the bound", "power past the bound"])
+def test_malformed_polynomials_are_refused_when_built(build, error):
+    """Exponents of another length and coefficients that are not rational
+    are refused by the constructor (before, they were built and failed
+    when first ordered, or printed <1.5>); an exponent past EXP_BOUND is
+    refused where the monomial, power or product is formed."""
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize("n", [1.5, True, False, -1, "2", None])
+def test_powers_take_an_integer_at_least_zero(kxy, n):
+    """Polynomial and RingElem powers read their exponent through one
+    index check (poly._natural): 1.5, a bool, a negative int or a string
+    is a DomainError.  Before, 1.5 raised TypeError and True was 1."""
+    for base in (R2.parse("x + y"), kxy.elem("x + y")):
+        with pytest.raises(DomainError, match="power .* is not an integer"):
+            base ** n
+        assert base ** 2 == base * base
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: R2.parse("x") * 1.5, "float"),
+    (lambda: R2.parse("x") + Fraction(1, 2), "Fraction"),
+    (lambda: Fraction(1, 2) - R2.parse("x"), "Fraction"),
+    (lambda: R2.parse("x") * R3.parse("a"), "different rings"),
+    (lambda: R2.var(5), "5"),
+    (lambda: R2.var("z"), "'z'"),
+    (lambda: R2.var(True), "True"),
+    (lambda: make_quotient_ring(R2, [1.5]), "1.5"),
+], ids=["float product", "Fraction sum", "Fraction difference",
+        "other ring", "variable index", "variable name", "bool index",
+        "float relation"])
+def test_foreign_operands_and_names_are_a_context_error(call, named):
+    """An operand that is neither a polynomial of the ring nor an int, a
+    variable the ring does not have and a relation that is not a
+    polynomial are refused with ContextError naming them; before, they
+    raised AttributeError, IndexError, KeyError or TypeError."""
+    with pytest.raises(ContextError, match=re.escape(named)):
+        call()
+    assert R2.parse("x") * 2 - 1 == R2.parse("2*x - 1") == 2 * R2.var(0) - 1
+
+
+# --- against the tuple/Fraction polynomial it replaced -----------------------
+
+
+def _random_poly(ring, rng, like=None):
+    """{exps: nonzero field value}, sharing some of like's monomials with
+    the opposite coefficient so that sums and differences cancel."""
+    fld, terms = ring.field, {}
+    for m, c in (like or {}).items():
+        if rng.random() < 0.3:
+            terms[m] = fld.neg(c)
+    for _ in range(rng.randint(0, 4)):
+        m = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+        c = fld.from_fraction(rng.choice([n for n in range(-9, 10) if n]),
+                              rng.randint(1, 4))
+        if c != fld.zero:
+            terms[m] = c
+    return terms
+
+
+def _same(f, ref):
+    """f and the reference hold the same terms, in the same order, with
+    coefficients of the same types, and print alike."""
+    assert repr(list(f.terms.items())) == repr(list(ref.terms.items()))
+    assert str(f) == str(ref)
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_polynomial_matches_the_tuple_reference(field):
+    """On random polynomials over Q and F5 under a weighted order: +, -,
+    negation, * and ** give the reference's terms in its order and print
+    alike; leading_term, wdeg and is_homogeneous give its answers; == is
+    the reference's, and equal polynomials hash equal."""
+    fld = QQ if field == "Q" else prime_field(5)
+    P = PolyRing(("x", "y", "z"), fld, wdegrevlex((1, 2, 1)))
+    rng = random.Random(f"poly-{field}")
+    seen = {"cancel": 0, "equal": 0, "homogeneous": 0}
+    for trial in range(200):
+        ta = _random_poly(P, rng)
+        tb = _random_poly(P, rng, like=ta)
+        a, b = Polynomial(P, ta), Polynomial(P, tb)
+        ra, rb = oracles.RefPoly(P, ta), oracles.RefPoly(P, tb)
+        _same(a, ra)
+        for got, want in ((a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                          (a * b, ra * rb), (a ** 2, ra ** 2),
+                          (b ** 3, rb ** 3), (a + 3, ra + 3),
+                          (a * 2 - 1, ra * 2 - 1)):
+            _same(got, want)
+            if got:
+                assert got.leading_term() == want.leading_term(), trial
+            assert got.wdeg() == want.wdeg(), trial
+            assert got.is_homogeneous() == want.is_homogeneous(), trial
+            seen["homogeneous"] += got.is_homogeneous()
+        seen["cancel"] += len((ra + rb).terms) < len(ta) + len(tb)
+        for v, w, rv, rw in ((a, b, ra, rb), (a, a + b - b, ra, ra),
+                             (a, Polynomial(P, dict(ra.terms)), ra, ra)):
+            assert (v == w) == (rv == rw), trial
+            if v == w:
+                assert hash(v) == hash(w), trial
+                seen["equal"] += 1
+    assert seen["cancel"] > 30 and seen["equal"] >= 400, seen
+    assert seen["homogeneous"] > 100, seen
+
+
+def test_ring_elements_match_the_tuple_reference(segre, xyuv, veronese4):
+    """R.elem and RingElem +, -, * and ** on the cone, xy = uv and
+    Veronese-4 give the normal forms of the reference's results
+    (oracles.ref_ideal_normal_form, the Fraction reducer against the
+    ideal's Fraction basis)."""
+    rng = random.Random("ring-elem")
+    for R in (segre, xyuv, veronese4):
+        P = R.ambient
+
+        def ref_nf(rf):
+            v = oracles.ref_ideal_normal_form(
+                R, Vec(P, 1, {(0, m): c for m, c in rf.terms.items()}))
+            return {m: c for (_0, m), c in v.terms.items()}
+
+        for trial in range(12):
+            ta = _random_poly(P, rng)
+            tb = _random_poly(P, rng, like=ta)
+            a, b = R.elem(Polynomial(P, ta)), R.elem(Polynomial(P, tb))
+            ra, rb = oracles.RefPoly(P, ta), oracles.RefPoly(P, tb)
+            assert a.poly.terms == ref_nf(ra), trial
+            for got, want in ((a + b, ra + rb), (a - b, ra - rb),
+                              (-a, -ra), (a * b, ra * rb),
+                              (a ** 2, ra ** 2)):
+                assert got.poly.terms == ref_nf(want), trial
+                assert got == R.elem(str(got)) and \
+                    hash(got) == hash(R.elem(str(got)))

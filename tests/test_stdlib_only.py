@@ -28,11 +28,11 @@ def test_src_imports_only_stdlib_and_itself():
 
 def test_only_the_field_and_the_kernel_boundary_import_fractions():
     """Rational numbers are field values (field.py) and are cleared where a
-    vector enters the Groebner kernel (gb.py); everything else works on
-    field values or integers."""
+    polynomial or a vector is made, and made again where one is read
+    (poly.py); everything else works on field values or integers."""
     importers = sorted(p.name for p in SRC.rglob("*.py")
                        if "fractions" in _top_level_imports(p))
-    assert importers == ["field.py", "gb.py"]
+    assert importers == ["field.py", "poly.py"]
 
 
 def test_no_module_imports_dataclasses():

@@ -55,7 +55,8 @@ def _same(v, ref):
 @pytest.mark.parametrize("field", ["Q", "F5"])
 def test_vec_matches_the_tuple_reference(field):
     """On random vectors over Q and F5, with and without grading shifts:
-    +, -, negation, scale, term_mul, pad and take_components give the
+    +, -, negation, scale (by a polynomial and by a term, as the
+    reference's term_mul), pad and take_components give the
     reference's terms in its order, degree and is_homogeneous its answers,
     and == answers as the reference's does, equal vectors hashing equal
     (a vector and the same vector built from its reduced fractions, or
@@ -78,7 +79,7 @@ def test_vec_matches_the_tuple_reference(field):
                            _random_terms(P, rng, 1).items()})
         _same(a.scale(f), ra.scale(f))
         coeff, exps = _coeff(fld, rng), (rng.randint(0, 2), 0, 1)
-        _same(a.term_mul(coeff, exps), ra.term_mul(coeff, exps))
+        _same(a.scale(P.monomial(exps, coeff)), ra.term_mul(coeff, exps))
         _same(a.pad(n + 2, 1), ra.pad(n + 2, 1))
         lo = rng.randint(0, n - 1)
         hi = rng.randint(lo, n)
@@ -142,9 +143,9 @@ def test_a_product_past_the_exponent_bound_is_refused():
     exponent's field.  The bound itself is a valid exponent."""
     P = PolyRing(("x", "y"), QQ, DEGREVLEX)
     v = Vec(P, 1, {(0, (EXP_BOUND - 1, 0)): 1})
-    assert v.term_mul(1, (1, 0)).terms == {(0, (EXP_BOUND, 0)): 1}
+    assert v.scale(P.var("x")).terms == {(0, (EXP_BOUND, 0)): 1}
     with pytest.raises(UnsupportedInputError, match="past"):
-        v.term_mul(1, (2, 0))
+        v.scale(P.monomial((2, 0)))
     with pytest.raises(UnsupportedInputError, match="past"):
         v.scale(P.parse("x^2 + y"))
 
