@@ -22,8 +22,9 @@ from types import ModuleType as _ModuleType
 
 from .field import QQ, prime_field, rationals
 from .orders import DEGREVLEX, LEX, ModuleOrder, MonomialOrder, wdegrevlex
-from .poly import ContextError, DomainError, ParseError, PolyRing, Polynomial
-from .gb import GroebnerBasis, Vec, buchberger
+from .poly import (ContextError, DomainError, ParseError, PolyRing,
+                   Polynomial, Vec)
+from .gb import GroebnerBasis, buchberger
 from .ring import (ParameterSequence, QuotientRing, RingElem,
                    UnsupportedInputError, make_quotient_ring,
                    presented_subring)

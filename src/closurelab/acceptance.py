@@ -31,7 +31,6 @@ from .closure import (ModuleClosure, MonomialIntegralClosure,
                       ideal_member, intersect_closures,
                       is_trivial_on_sample, phantom_test)
 from .field import QQ, prime_field
-from .gb import Vec
 from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, rank,
                      span_rows, vec_coords)
 from .modify import parameter_chain
@@ -39,7 +38,7 @@ from .modules import (FPModule, Submodule, direct_sum, free_module,
                       ideal_as_module, ideal_submodule,
                       residue_field, ring_as_module, scaled_gens)
 from .orders import DEGREVLEX, wdegrevlex
-from .poly import PolyRing
+from .poly import PolyRing, Vec
 from .ring import make_quotient_ring, presented_subring
 from .sampling import random_ideal_gens, sample_ideals
 from .values import Record

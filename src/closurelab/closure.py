@@ -45,12 +45,11 @@ from math import gcd
 from operator import mul
 from weakref import WeakKeyDictionary
 
-from .gb import Vec, _shift_terms
 from .modules import (FPModule, ModuleMap, Submodule, _minimal_submodule,
                       _unit_rows, direct_sum, free_module, ideal_submodule,
                       quotient_module, r_preimage, r_span_basis,
                       ring_as_module, tensor, tensor_elem)
-from .poly import ContextError, DomainError, mono_divides
+from .poly import ContextError, DomainError, Vec, _shift_terms, mono_divides
 from .ring import ParameterSequence, QuotientRing, RingElem
 from .values import Record
 
@@ -126,8 +125,8 @@ class _ImageContext:
     each generator s_p of S, nb = M.ngens, its kernel terms as they are
     (Vec.pad); span is their reduced basis with T's relations, which
     answers membership.  The image as a Submodule, with Vec generators
-    s_p (x) n_q and born with that span, is built only when a certificate
-    asks for it.
+    s_p (x) n_q, is built only when a certificate asks for it, and only its
+    block basis (Submodule.ext) is read.
     """
 
     def __init__(self, S: FPModule, N: Submodule, T: FPModule):
@@ -138,11 +137,9 @@ class _ImageContext:
 
     @cached_property
     def image(self) -> Submodule:
-        S, N, T = self.S, self.N, self.T
-        return Submodule._with_span(
-            T, T.submodule([tensor_elem(S, N.module, p, nq)
-                            for p in range(S.ngens) for nq in N.gens]).gens,
-            self.span)
+        S, N = self.S, self.N
+        return self.T.submodule([tensor_elem(S, N.module, p, nq)
+                                 for p in range(S.ngens) for nq in N.gens])
 
 
 class ModuleClosure(ClosureOp):

@@ -22,7 +22,9 @@ when it was made.  Output bases are reduced, monic and canonically
 sorted, hence unique for a given module and order, whatever the pair order.
 
 Term orders are values (orders.ModuleOrder): TOP over the ring order,
-which may be an elimination order, and the block order.  buchberger is
+which may be an elimination order, and the block order.  A run's order
+is over its ring's own order, and buchberger refuses any other, so every
+run reads its columns' terms in the ring's code as they are.  buchberger is
 the one constructor of a GroebnerBasis; the basis keeps only the kernel
 rows the run ended with, and iterating it gives them as Vecs.  A run
 may start from a known basis (a seed), whose rows it takes as they are.
@@ -33,10 +35,10 @@ Q a basis element is a primitive integer vector with a positive lead
 coefficient, and a reduction step cross-multiplies instead of dividing
 (fraction-free, as with primitive polynomial remainder sequences); over
 GF(p) a basis element is monic and coefficients are kept in [0, p).
-A Vec, like a Polynomial, holds such int terms over one denominator, so
-Fractions appear only at its edges.  A kernel column or term dict may sit
-at any nonzero scale: spans, membership and normalized rows do not see
-it.
+A Vec, like a Polynomial (both poly._KernelValue), holds such int terms
+over one denominator, so Fractions appear only at its edges.  A kernel
+column or term dict may sit at any nonzero scale: spans, membership and
+normalized rows do not see it.
 
 Inside the kernel every monomial is an int too, its order code
 (orders.MonomialCode), the one implementation of the ring order: codes
@@ -45,11 +47,10 @@ and divisibility is one test on the difference of two codes.  Vecs and
 Polynomials hold codes too, so every value enters the kernel as it is.
 Exponent tuples become codes only where a Polynomial or a Vec is made of
 them (poly._encoded), and codes become tuples again (poly._from_kernel)
-only where a value is read or printed.  A run under an order other than
-the ring's recodes its Vecs' terms (_recoded); no run of the engine is
-one.  An exponent past orders.EXP_BOUND raises UnsupportedInputError:
-encode refuses it, a product of polynomials or vectors refuses it
-(poly._check_bound), and a reduction that grows one stops.
+only where a value is read or printed.  An exponent past
+orders.EXP_BOUND raises UnsupportedInputError: encode refuses it, a
+product of polynomials or vectors refuses it (poly._check_bound), and a
+reduction that grows one stops.
 
 Preimages, syzygies, membership certificates and the relations of
 subring modules are all one block-order construction, which the callers
@@ -62,8 +63,9 @@ is assembled from theirs.  A preimage run eliminates (buchberger's
 eliminate): its final pass keeps only the value block, the reduced basis
 of the span's intersection with the value components, which is all its
 callers read; a certificate run keeps the whole block basis, whose
-normal forms it needs.  This module is the kernel alone: Vec, the
-integer reducer, GroebnerBasis and buchberger.
+normal forms it needs.  This module is the kernel alone: the integer
+reducer, GroebnerBasis and buchberger; Vec lives in poly, next to
+Polynomial, and is imported here.
 
 All functions are pure over immutable inputs; S-pair processing is
 sequential, so outputs are reproducible bit for bit.
@@ -73,161 +75,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 
 from .orders import EXP_BOUND, ModuleOrder, UnsupportedInputError
-from .poly import (ContextError, PolyRing, Polynomial, _content_free,
-                   _encoded, _from_kernel, _negated, _product, _sum,
-                   _term_degrees)
-
-
-class Vec:
-    """Element of a free module P^ncomps, held as the kernel holds it: int
-    terms {(comp, m): c}, m the monomial's order code (ring.code), over one
-    positive denominator that no prime divides along with every
-    coefficient (over GF(p) it is 1, and coefficients lie in 1..p-1), so
-    equal vectors compare and hash equal: what a Polynomial holds in
-    component 0, with the same arithmetic.  The constructor encodes
-    {(comp, exps): coeff} as Polynomial's does, and refuses a component
-    outside 0..ncomps-1 too (ContextError).  from_polys, component and
-    to_polys relabel components; terms and str decode.  The engine makes
-    vectors of kernel terms that are normal already (_of_kernel, _of_row),
-    as RingElem._of_nf takes a normal form.
-    """
-
-    __slots__ = ("ring", "ncomps", "_terms", "_den")
-
-    def __init__(self, ring: PolyRing, ncomps: int, terms: dict):
-        self.ring = ring
-        self.ncomps = ncomps
-        self._terms, self._den = _encoded(ring, ncomps, terms.items())
-
-    @classmethod
-    def _of_kernel(cls, ring, ncomps, terms, den=1):
-        """The vector terms / den, both normal already; terms is kept, and
-        never changed."""
-        v = cls.__new__(cls)
-        v.ring, v.ncomps, v._terms, v._den = ring, ncomps, terms, den
-        return v
-
-    @classmethod
-    def _of_row(cls, ring, ncomps, row):
-        """The monic vector of a kernel row (comp, m, lc, terms): a row is
-        normalized (_normalize), so its terms over its lc are normal."""
-        return cls._of_kernel(ring, ncomps, row[3], row[2])
-
-    @classmethod
-    def zero(cls, ring, ncomps):
-        return cls._of_kernel(ring, ncomps, {})
-
-    @classmethod
-    def from_polys(cls, polys):
-        """The polynomials' kernel terms relabelled into their components,
-        over the lcm of their denominators, which keeps them normal."""
-        polys = list(polys)
-        if not polys:
-            raise ContextError("a vector needs at least one polynomial")
-        ring = polys[0].ring
-        den = lcm(*(p._den for p in polys))
-        terms = {}
-        for i, p in enumerate(polys):
-            if p.ring != ring:
-                raise ContextError("mixed rings in vector")
-            f = den // p._den
-            for (_0, m), c in p._terms.items():
-                terms[i, m] = c * f
-        return cls._of_kernel(ring, len(polys), terms, den)
-
-    @classmethod
-    def unit(cls, ring, ncomps, comp):
-        return cls(ring, ncomps, {(comp, (0,) * ring.nvars): 1})
-
-    @property
-    def terms(self) -> dict:
-        """{(comp, exps): coeff}, the coefficients field values, in the
-        order the vector holds its terms: decoded on every read."""
-        return dict(_from_kernel(self._terms.items(), self._den,
-                                 self.ring.field.char, self.ring.code))
-
-    def is_zero(self):
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Vec) and self.ring == other.ring
-                and self.ncomps == other.ncomps and self._den == other._den
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.ring, self.ncomps, self._den,
-                     frozenset(self._terms.items())))
-
-    def component(self, i) -> Polynomial:
-        return self.to_polys()[i]
-
-    def to_polys(self):
-        parts = [{} for _ in range(self.ncomps)]
-        for (j, m), c in self._terms.items():
-            parts[j][0, m] = c
-        return [Polynomial._of_kernel(self.ring,
-                                      *_content_free(terms, self._den))
-                for terms in parts]
-
-    def __add__(self, other):
-        if self.ncomps != other.ncomps or self.ring != other.ring:
-            raise ContextError("vectors of different ranks or rings")
-        return Vec._of_kernel(self.ring, self.ncomps, *_sum(
-            self._terms, self._den, other._terms, other._den,
-            self.ring.field.char))
-
-    def __neg__(self):
-        return Vec._of_kernel(self.ring, self.ncomps,
-                              _negated(self._terms, self.ring.field.char),
-                              self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, poly: Polynomial) -> "Vec":
-        """Multiply by a ring element."""
-        if poly.ring != self.ring:
-            raise ContextError("a vector scaled by another ring's element")
-        return Vec._of_kernel(self.ring, self.ncomps, *_product(
-            self._terms, self._den, poly._terms, poly._den, self.ring))
-
-    def pad(self, ncomps, offset=0) -> "Vec":
-        """Reembed into P^ncomps, shifting components by offset."""
-        if offset < 0 or offset + self.ncomps > ncomps:
-            raise ContextError(f"a vector of rank {self.ncomps} shifted by "
-                               f"{offset} does not fit rank {ncomps}")
-        return Vec._of_kernel(self.ring, ncomps,
-                              _shift_terms(self._terms, offset), self._den)
-
-    def take_components(self, lo, hi) -> "Vec":
-        terms = {(j - lo, m): c for (j, m), c in self._terms.items()
-                 if lo <= j < hi}
-        return Vec._of_kernel(self.ring, hi - lo,
-                              *_content_free(terms, self._den))
-
-    def has_vars_below(self, n_elim) -> bool:
-        dec = self.ring.code.decode
-        return any(any(dec(m)[:n_elim]) for (_j, m) in self._terms)
-
-    def degree(self, shifts=None) -> int:
-        """Weighted degree, assuming homogeneity; shifts indexed by
-        component."""
-        return max(_term_degrees(self._terms, self.ring, shifts), default=-1)
-
-    def is_homogeneous(self, shifts=None) -> bool:
-        return len(_term_degrees(self._terms, self.ring, shifts)) <= 1
-
-    def __str__(self):
-        return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
-
-    __repr__ = __str__
+from .poly import Vec, _content_free, _shift_terms
 
 
 # --- integer kernel: int coefficients, p the characteristic (0 for Q) ------
@@ -236,21 +88,6 @@ class Vec:
 # orders.MonomialCode); a kernel row is (comp, m, lc, terms), the lead
 # first.  Codes add to multiply monomials, and a monomial with lead code e
 # divides one with code m iff not (((m - e) ^ xor) + add) & guard.
-
-
-def _recoded(terms, src, dst):
-    """Kernel terms under the code src as terms under dst: the terms
-    themselves when the two are one code, as for every run of the engine
-    (see _order_code)."""
-    if src is dst:
-        return terms
-    dec, enc = src.decode, dst.encode
-    return {(j, enc(dec(m))): c for (j, m), c in terms.items()}
-
-
-def _shift_terms(terms, offset):
-    """A copy of kernel terms with every component moved by offset."""
-    return {(j + offset, m): c for (j, m), c in terms.items()}
 
 
 def _reduce_terms(terms, rows_of, key, code, p, stop_early=False):
@@ -350,7 +187,6 @@ class GroebnerBasis:
         self.ring = ring
         self.ncomps = ncomps
         self.order = order
-        self._code = _order_code(ring, order)
         self._key = _term_key(order, ncomps)
         self._rows = rows
 
@@ -386,17 +222,15 @@ class GroebnerBasis:
         lead in it, in basis order (see _lead_mask): the pair data that a
         run seeded with this basis starts from."""
         leads_of = {}
-        dec = self._code.decode
+        dec = self.ring.code.decode
         for k, (c, m, _lc, terms) in enumerate(self._rows):
             leads_of.setdefault(c, []).append(
                 (k, m, _lead_mask(c, m, terms, dec)))
         return leads_of
 
     def __iter__(self):
-        ring, code = self.ring, self._code
         for _c, _e, lc, terms in self._rows:
-            yield Vec._of_kernel(ring, self.ncomps,
-                                 _recoded(terms, code, ring.code), lc)
+            yield Vec._of_kernel(self.ring, self.ncomps, terms, lc)
 
     def __len__(self):
         return len(self._rows)
@@ -404,18 +238,15 @@ class GroebnerBasis:
     def normal_form(self, v: Vec) -> Vec:
         """The normal form of v, whose kernel terms are reduced as they
         are: mult * v._terms == rem + (a combination of the basis)."""
-        ring, code = self.ring, self._code
-        rem, mult = _reduce_terms(dict(_recoded(v._terms, ring.code, code)),
-                                  self._rows_of, self._key, code,
-                                  ring.field.char)
+        ring = self.ring
+        rem, mult = _reduce_terms(dict(v._terms), self._rows_of, self._key,
+                                  ring.code, ring.field.char)
         return Vec._of_kernel(ring, self.ncomps,
-                              *_content_free(_recoded(rem, code, ring.code),
-                                             v._den * mult))
+                              *_content_free(rem, v._den * mult))
 
     def contains(self, v: Vec) -> bool:
         """Is v in the span?  Its kernel terms are tested (contains_terms)."""
-        return self.contains_terms(
-            dict(_recoded(v._terms, self.ring.code, self._code)))
+        return self.contains_terms(dict(v._terms))
 
     def contains_terms(self, terms) -> bool:
         """Are the kernel terms, at any nonzero scale, in the span?  They
@@ -423,22 +254,14 @@ class GroebnerBasis:
         term that no row divides, which stays in the remainder, so they
         are not a member; nothing is decoded."""
         rem, _mult = _reduce_terms(terms, self._rows_of, self._key,
-                                   self._code, self.ring.field.char,
+                                   self.ring.code, self.ring.field.char,
                                    stop_early=True)
         return not rem
 
     def leading_terms(self):
         """The leads as (comp, exponent tuple), in basis order."""
-        dec = self._code.decode
+        dec = self.ring.code.decode
         return [(c, dec(m)) for (c, m, _lc, _b) in self._rows]
-
-
-def _order_code(ring, order):
-    """The order code of a module order's ring order on the ring's
-    variables.  In every run of the engine that is the ring's own order,
-    whose code the ring keeps, so nothing hashes the order to find it."""
-    ro = order.ring_order
-    return ring.code if ro is ring.order else ro.code(ring.nvars)
 
 
 def _term_key(order, ncomps):
@@ -477,8 +300,10 @@ def _reached(terms, leads_of, after, code):
 def buchberger(cols, ncomps, keyfn, ring, seed=None,
                eliminate=False) -> GroebnerBasis:
     """Reduced Groebner basis of the span of cols in P^ncomps, P = ring,
-    under the module order keyfn (a ModuleOrder).  A column is a Vec,
-    whose kernel terms are taken as they are (and not changed).
+    under the module order keyfn (a ModuleOrder) over the ring's own
+    order; a keyfn over another ring order is refused (ValueError), as a
+    foreign seed is.  A column is a Vec, whose kernel terms are taken as
+    they are (and not changed).
 
     seed, a GroebnerBasis over the same ring, ncomps and order, adds its
     span: its kernel rows start the basis as they are, and no pair of two
@@ -495,6 +320,8 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
     value components alone, so no real row can reduce or dominate it,
     and the final pass leaves out the real rows.
     """
+    if keyfn.ring_order is not ring.order and keyfn.ring_order != ring.order:
+        raise ValueError("module order over another order than the ring's")
     if seed is not None and (seed.ring, seed.ncomps, seed.order) != (
             ring, ncomps, keyfn):
         raise ValueError("seed basis of another ring, rank or order")
@@ -502,7 +329,7 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
     if seed is not None and not cols and not eliminate:
         return seed
     p = ring.field.char
-    code = _order_code(ring, keyfn)
+    code = ring.code
     key, mlcm, dec = _term_key(keyfn, ncomps), code.lcm, code.decode
     xor, add, guard = code.xor, code.add, code.guard
 
@@ -557,8 +384,7 @@ def buchberger(cols, ncomps, keyfn, ring, seed=None,
         push_pairs(len(basis) - 1)
 
     for col in cols:
-        terms = dict(_recoded(col._terms, ring.code, code))
-        rem, _mult = _reduce_terms(terms, rows_of, key, code, p)
+        rem, _mult = _reduce_terms(dict(col._terms), rows_of, key, code, p)
         if rem:
             add_element(rem)
 

@@ -1,12 +1,14 @@
 """Exact linear algebra over the coefficient field, degreewise.
 
-Used for graded-piece dimension counts (Hilbert-function style checks),
-for the rank tests of minimal generators, and by the brute-force oracles
-of the acceptance suite.  Coordinate rows are plain lists of field values;
-one fraction-free integer echelon routine, `Echelon`, serves every rank,
-residual and independence question, over Q and over GF(p) alike, and its
-results leave as field values.  It shares no code with the Groebner
-kernel, so the oracles stay independent of it.
+Used for graded-piece dimension counts (Hilbert-function style checks)
+and by the brute-force oracles of the acceptance suite; the samplers take
+their monomial lists from it.  Coordinate rows are plain lists of field
+values; one fraction-free integer echelon routine, `Echelon`, serves
+every rank, residual and independence question, over Q and over GF(p)
+alike, and its results leave as field values.  It shares no code with the
+Groebner kernel, and no engine module imports it (the rank tests of
+minimal generators are reductions of kernel rows), so the oracles stay
+independent of the engine.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .gb import Vec
-from .poly import PolyRing
+from .poly import PolyRing, Vec
 
 
 class Echelon:
     """Row echelon form over the coefficient field, one row at a time.
 
     Rows are sequences of field values, or of ints (read as field values;
-    over GF(p) in [0, p)), as the int coefficients of kernel rows are;
+    over GF(p) in [0, p));
     denominators are cleared on the way in, so the work is on Python
     ints, sparse by column.  A stored row's pivot is its first nonzero
     column.  Over Q a stored row is a primitive integer vector, and a

@@ -15,10 +15,9 @@ fed directly to the phantom-extension test.
 from __future__ import annotations
 
 from .closure import ClosureOp, PhantomInstance, phantom_test
-from .gb import Vec
 from .modules import (FPModule, ModuleMap, Submodule, colon_scan,
                       ring_as_module, scaled_gens)
-from .poly import ContextError, DomainError
+from .poly import ContextError, DomainError, Vec
 from .ring import ParameterSequence, QuotientRing
 from .values import Record
 

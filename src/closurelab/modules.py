@@ -13,11 +13,10 @@ A module is born with the basis its constructor already holds
 syzygy run, a tensor with a free module relabels copies of the other
 factor's rows, direct_sum relabels both factors' rows, and S (x) R is S.
 Any other module builds its basis by one span run on first use, and
-keeps it.  A submodule may likewise be born with its span basis
-(Submodule._with_span), as the tensor image of a module closure is.
+keeps it.
 Normal forms modulo the ideal are the ring's: QuotientRing.nf for Vecs,
 and its reduction of kernel terms for kernel rows (_distinct_monic).
-A Vec holds kernel terms (gb.Vec), so no vector is encoded here.
+A Vec holds kernel terms (poly.Vec), so no vector is encoded here.
 
 Every block-order question is one seeded run of the one block-run
 construction, _block_basis, on the columns (map column | value),
@@ -30,13 +29,16 @@ owner and the ideal's rows by the ring (QuotientRing.free_relation_basis),
 each with its index, so no seed is rebuilt for a run.  Preimages and
 syzygies are eliminating runs, which hand back the value block alone;
 r_preimage makes them canonical on its kernel rows (_distinct_monic) and
-hands the rows to every caller, which makes Vecs (gb.Vec._of_row) only of
+hands the rows to every caller, which makes Vecs (Vec._of_row) only of
 what it returns.  minimal_generators takes kernel rows: the closure,
 intersect, colon_elem, kernel and resolution hand it those of r_preimage
 as they are, so a resolution stays in rows from one syzygy run to the
-next, and only the generators kept become Vecs.  Submodule.minimalized
-sorts and normalizes its Vecs' terms into rows (_vec_rows), as a minimal
-presentation does its relations: its unit elimination stays in rows.
+next, and only the generators kept become Vecs; their rank tests are
+reductions of kernel rows too, by gb's one reducer, so no module here
+does linear algebra of its own.  Submodule.minimalized sorts and
+normalizes its Vecs' terms into rows (_vec_rows), as a minimal
+presentation does its relations, which it then sorts by their terms, so
+that its unit elimination, in rows, does not see the relations' order.
 Membership certificates read the value block of a normal form against
 the whole block basis (Submodule.ext).  The ideal never enters a run as
 input columns.
@@ -48,11 +50,9 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .gb import (GroebnerBasis, Vec, _normalize, _reduce_terms,
-                 _shift_terms, buchberger)
-from .linalg import Echelon
+from .gb import GroebnerBasis, _normalize, _reduce_terms, buchberger
 from .orders import ModuleOrder
-from .poly import ContextError, DomainError, _natural
+from .poly import ContextError, DomainError, Vec, _natural, _shift_terms
 from .ring import QuotientRing, RingElem
 
 
@@ -352,8 +352,8 @@ class Submodule:
     """Submodule of an FPModule, generated by vectors in its free cover.
 
     It keeps two bases, each built on first use: span, which answers
-    membership (or given at birth, _with_span), and ext, the block basis
-    whose normal forms give certificates.  They are reduced, hence canonical, so two threads
+    membership, and ext, the block basis whose normal forms give
+    certificates.  They are reduced, hence canonical, so two threads
     racing on one submodule at worst build two equal bases and keep
     either.  (On Python 3.11 cached_property holds a lock while it
     computes; from 3.12 it takes none.)
@@ -362,21 +362,6 @@ class Submodule:
     def __init__(self, module: FPModule, gens):
         self.module = module
         self.gens = tuple(gens)
-
-    @classmethod
-    def _with_span(cls, module: FPModule, gens, span) -> "Submodule":
-        """The submodule generated by gens, born with span as its span
-        basis: the reduced TOP basis of gens and the module's relations,
-        which its maker already holds, so no run builds it again.  A basis
-        of another ring, rank or order is refused, as buchberger refuses
-        such a seed."""
-        amb = module.ring.ambient
-        if (span.ring, span.ncomps, span.order) != (
-                amb, module.ngens, ModuleOrder(amb.order)):
-            raise ValueError("span basis of another ring, rank or order")
-        sub = cls(module, gens)
-        sub.span = span
-        return sub
 
     @property
     def ring(self):
@@ -659,10 +644,12 @@ def _minimal_presentation(M: FPModule) -> FPModule:
     """M with its unit relations eliminated and the others minimal, on
     kernel rows from _vec_rows to minimal_generators.
 
-    The pivot is the first row with a unit entry, a term of code 0 (the
-    monomial 1); g is the lowest component of its unit entries, the first
-    one in term order, and by homogeneity the unit is the pivot's one term
-    in g.  Every other row is reduced by the pivot under TOP with g on
+    The rows are sorted once, before the first round, by their normalized
+    terms, which _vec_rows makes canonical (_by_terms): so the presentation
+    does not depend on the order of M's relations.  The pivot is the first
+    row with a unit entry, a term of code 0 (the monomial 1); g is the
+    lowest component of its unit entries, the first one in term order, and
+    by homogeneity the unit is the pivot's one term in g.  Every other row is reduced by the pivot under TOP with g on
     top.  gb._reduce_terms sets a term aside for good once no row reduces
     it, which is safe only when the reducing row leads with its largest
     term; under plain TOP the unit is the pivot's smallest, and a term set
@@ -675,7 +662,7 @@ def _minimal_presentation(M: FPModule) -> FPModule:
     p, code = amb.field.char, amb.code
     term_key = ModuleOrder(amb.order).term_key
     degrees = list(M.gen_degrees)
-    rows = _vec_rows(M, M.relations)
+    rows = sorted(_vec_rows(M, M.relations), key=_by_terms)
     while True:
         pivot = next((row for row in rows if any(not m for _j, m in row[3])),
                      None)
@@ -699,6 +686,11 @@ def _minimal_presentation(M: FPModule) -> FPModule:
         rows = _distinct_monic(ring, len(degrees), reduced, compare=True)
     F = free_module(ring, degrees)
     return FPModule(ring, tuple(degrees), minimal_generators(F, rows))
+
+
+def _by_terms(row):
+    """The sort key of a normalized kernel row: its terms, in order."""
+    return tuple(row[3].items())
 
 
 def _vec_rows(M: FPModule, cols) -> list:
@@ -731,16 +723,17 @@ def minimal_generators(M: FPModule, rows):
     candidate of degree d lies in that span exactly when its normal form
     modulo A (the kept candidates of lower degree plus the relations) lies
     in the k-span of the normal forms of the other degree-d candidates.
-    Hence one Groebner basis of A per degree block, and rank tests on
-    coefficient rows inside the block.
+    Hence one Groebner basis of A per degree block, and rank tests inside
+    the block (_outside_later_spans).
 
     The candidates are kernel rows throughout, distinct monic normal forms
     of homogeneous columns, as r_preimage hands them out and _vec_rows
     makes them of Vecs.  A degree is read from the lead, and a candidate is
     decoded to be printed only to order a block of two or more.  Normal
-    forms modulo A are reduced against its rows, and the rank tests run
-    on their int coefficients.  The kept rows come back as Vecs of their
-    terms (Vec._of_row).
+    forms modulo A are reduced against its rows, and the rank tests are
+    reductions of those kernel terms too, by the one reducer
+    (gb._reduce_terms).  The kept rows come back as Vecs of their terms
+    (Vec._of_row).
     """
     shifts, amb, n = M.gen_degrees, M.ring.ambient, M.ngens
     p, dec, wdeg = amb.field.char, amb.code.decode, amb.wdeg
@@ -763,8 +756,8 @@ def minimal_generators(M: FPModule, rows):
             forms = [row[3] for row in block]
         else:
             forms = [_reduce_terms(dict(row[3]), span._rows_of, span._key,
-                                   span._code, p)[0] for row in block]
-        flags = _outside_later_spans(forms, amb.field)
+                                   amb.code, p)[0] for row in block]
+        flags = _outside_later_spans(forms, amb)
         kept += [row for row, keep in zip(block, flags) if keep]
     return [Vec._of_row(amb, n, row) for row in kept]
 
@@ -775,26 +768,29 @@ def _minimal_submodule(M: FPModule, rows) -> "Submodule":
     return Submodule(M, tuple(minimal_generators(M, rows)))
 
 
-def _outside_later_spans(forms, fld):
-    """For each kernel term dict, whether it lies outside the k-span of
-    those after it: a rank test on their int coefficients, each dict at
-    any nonzero scale.
+def _outside_later_spans(forms, ring):
+    """For each kernel term dict of one degree block of P^n, ring = P,
+    whether it lies outside the k-span of those after it, each dict at any
+    nonzero scale: Gaussian elimination on kernel rows, from the last
+    dict to the first.  Each is reduced against the rows kept so far
+    (gb._reduce_terms) and, when a remainder is left, that remainder,
+    normalized (gb._normalize), is kept as a row.  In one degree block a
+    lead divides a term only if it equals it, so a reduction step clears
+    one term, as a pivot column does.
 
     Dropping, in order, each vector that the remaining others span keeps
     exactly these: a kept vector spanned by later ones and earlier kept
     ones would make the earliest such kept vector redundant.
     """
-    index: dict = {}
-    for terms in forms:
-        for t in terms:
-            index.setdefault(t, len(index))
-    echelon = Echelon(fld)
+    p, code, key = ring.field.char, ring.code, ModuleOrder(ring.order).term_key
+    rows_of: dict = {}
     flags = [False] * len(forms)
     for i in reversed(range(len(forms))):
-        row = [0] * len(index)
-        for t, c in forms[i].items():
-            row[index[t]] = c
-        flags[i] = echelon.add(row)
+        rem = _reduce_terms(dict(forms[i]), rows_of, key, code, p)[0]
+        if rem:
+            row = (*_normalize(rem, p), rem)
+            rows_of.setdefault(row[0], []).append(row)
+            flags[i] = True
     return flags
 
 

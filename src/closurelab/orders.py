@@ -275,9 +275,9 @@ class ModuleOrder(Frozen):
     strictly below every term in the first nreal components, which hold
     the actual module element.
 
-    A term is keyed as (comp, m), m the order code of its monomial (code),
-    and term_key gives its key: (m, -comp) for TOP, (comp < nreal, m,
-    -comp) for the block order.  Equal orders compare and hash equal; the
+    A term is keyed as (comp, m), m the order code of its monomial under
+    ring_order, and term_key gives its key: (m, -comp) for TOP,
+    (comp < nreal, m, -comp) for the block order.  Equal orders compare and hash equal; the
     term key is held outside eq and hash, and the hash is computed once.
     """
 
@@ -303,7 +303,3 @@ class ModuleOrder(Frozen):
 
     def __reduce__(self):
         return ModuleOrder, (self.ring_order, self.nreal)
-
-    def code(self, nvars) -> MonomialCode:
-        """The order code of the ring order on nvars variables."""
-        return self.ring_order.code(nvars)

@@ -1,18 +1,23 @@
 """Exact multivariate polynomial arithmetic over QQ or GF(p).
 
 A Polynomial of a PolyRing (variable names, grading weights, coefficient
-field, monomial order) holds what a rank-one gb.Vec holds: int terms
-{(0, m): c}, m the order code of the monomial (orders.MonomialCode), over
+field, monomial order) and a Vec, an element of the free module P^ncomps,
+are one kernel value (_KernelValue), a polynomial being the rank-one
+case: int terms {(comp, m): c}, m the order code of the monomial
+(orders.MonomialCode) and a polynomial's terms all in component 0, over
 one positive denominator that no prime divides along with every
 coefficient (1 over GF(p), where coefficients lie in 1..p-1).  Equal
-polynomials compare and hash equal, and polynomials and vectors share one
-term store, one arithmetic (_sum, _negated, _product) and one normal form
-(ring.QuotientRing.nf).  The public constructor normalizes, as the Vec
-constructor does (_encoded); the engine builds values that are normal
-already (_of_kernel).  Exponent tuples and field values appear only where
-a value is built from them, read through terms, or printed
+values compare and hash equal.  Equality, hash, sum, negation, the
+product by a polynomial and the degree are written once, in the shared
+class; each class says which operands it takes (_operand), and
+_with makes a value of the same class and rank, which is how
+ring.QuotientRing.nf returns either without a type test.  The public
+constructors normalize (_encoded); the engine builds values that are
+normal already (_of_kernel).  Exponent tuples and field values appear
+only where a value is built from them, read through terms, or printed
 (_from_kernel).  An exponent past orders.EXP_BOUND is refused where a
 monomial, product or power is formed (a power before it is expanded).
+A power squares (_power), for polynomials and ring elements alike.
 
 Text is read by one scanner, tokenize, for polynomials (PolyRing.parse,
 check_syntax) and, with script=True, for closure-lab scripts (dsl): an
@@ -61,7 +66,7 @@ def _natural(value, what) -> int:
 
 def _encoded(ring, ncomps, items):
     """(int terms, den) of the items ((comp, exps), coeff) of P^ncomps, in
-    the order given, normalized (see Polynomial and gb.Vec)."""
+    the order given, normalized (see the module docstring)."""
     nvars, enc, fld = ring.nvars, ring.code.encode, ring.field
     value_type, p = fld.one.__class__, fld.char
     out = {}
@@ -137,6 +142,11 @@ def _sum(a, da, b, db, p):
 
 def _negated(terms, p):
     return {k: p - c if p else -c for k, c in terms.items()}
+
+
+def _shift_terms(terms, offset):
+    """A copy of kernel terms with every component moved by offset."""
+    return {(j + offset, m): c for (j, m), c in terms.items()}
 
 
 def _product(a, da, b, db, ring):
@@ -237,14 +247,83 @@ class PolyRing:
         return parse_polynomial(self, text)
 
 
-class Polynomial:
+class _KernelValue:
+    """What a Polynomial and a Vec share: ring, rank (ncomps, 1 for a
+    polynomial), and int kernel terms over one denominator, normalized (see
+    the module docstring), so one equality, hash, sum, negation, product
+    and degree serve both.  Each class's _operand says which operands it
+    takes; _with makes a value of the same class, ring and rank."""
+
+    __slots__ = ("ring", "ncomps", "_terms", "_den")
+
+    def _with(self, terms, den=1):
+        """The value terms / den of this class, ring and rank, both normal
+        already; terms is kept, and never changed."""
+        v = object.__new__(self.__class__)
+        v.ring, v.ncomps, v._terms, v._den = self.ring, self.ncomps, terms, den
+        return v
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.ring == other.ring
+                and self.ncomps == other.ncomps and self._den == other._den
+                and self._terms == other._terms)
+
+    def __hash__(self):
+        return hash((self.ring, self.ncomps, self._den,
+                     frozenset(self._terms.items())))
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return self._with(*_sum(self._terms, self._den, other._terms,
+                                other._den, self.ring.field.char))
+
+    def __neg__(self):
+        return self._with(_negated(self._terms, self.ring.field.char),
+                          self._den)
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def _times(self, poly):
+        """This value times the polynomial poly, of the same ring."""
+        return self._with(*_product(self._terms, self._den, poly._terms,
+                                    poly._den, self.ring))
+
+    def degree(self, shifts=None) -> int:
+        """Weighted degree (maximum over terms, each plus its component's
+        shift when shifts are given); zero -> -1."""
+        return max(_term_degrees(self._terms, self.ring, shifts), default=-1)
+
+    def is_homogeneous(self, shifts=None) -> bool:
+        return len(_term_degrees(self._terms, self.ring, shifts)) <= 1
+
+
+def _power(x, n, one):
+    """x ** n, n >= 0, by squaring: at most 2 * n.bit_length() products."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+class Polynomial(_KernelValue):
     """A polynomial of ring, held as int kernel terms over one denominator
     (see the module docstring); terms is a decoding view."""
 
-    __slots__ = ("ring", "_terms", "_den")
+    __slots__ = ()
 
     def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
+        self.ring, self.ncomps = ring, 1
         self._terms, self._den = _encoded(
             ring, 1, (((0, m), c) for m, c in terms.items()))
 
@@ -252,8 +331,8 @@ class Polynomial:
     def _of_kernel(cls, ring, terms, den=1):
         """The polynomial terms / den, both normal already; terms is kept,
         and never changed."""
-        f = cls.__new__(cls)
-        f.ring, f._terms, f._den = ring, terms, den
+        f = object.__new__(cls)
+        f.ring, f.ncomps, f._terms, f._den = ring, 1, terms, den
         return f
 
     @property
@@ -265,21 +344,6 @@ class Polynomial:
     def _decoded(self, items):
         ring = self.ring
         return _from_kernel(items, self._den, ring.field.char, ring.code)
-
-    # -- basics ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self._den == other._den and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self.ring, self._den, frozenset(self._terms.items())))
 
     def _operand(self, other) -> "Polynomial":
         """other as a polynomial of this ring: an int is a constant."""
@@ -294,28 +358,13 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._operand(other)
-        return Polynomial._of_kernel(self.ring, *_sum(
-            self._terms, self._den, other._terms, other._den,
-            self.ring.field.char))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial._of_kernel(
-            self.ring, _negated(self._terms, self.ring.field.char), self._den)
-
-    def __sub__(self, other):
-        return self + (-self._operand(other))
+    __radd__ = _KernelValue.__add__
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._operand(other)
-        return Polynomial._of_kernel(self.ring, *_product(
-            self._terms, self._den, other._terms, other._den, self.ring))
+        return self._times(self._operand(other))
 
     __rmul__ = __mul__
 
@@ -327,14 +376,7 @@ class Polynomial:
             dec = self.ring.code.decode
             self.ring.key(tuple(n * max(e) for e in zip(
                 *(dec(m) for _0, m in self._terms))))
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, self.ring.one())
 
     def scalar_mul(self, c):
         return self * self.ring.const(c)
@@ -356,12 +398,7 @@ class Polynomial:
             raise DomainError("leading term of the zero polynomial")
         return self.sorted_terms()[0]
 
-    def wdeg(self) -> int:
-        """Weighted degree (maximum over terms); zero polynomial -> -1."""
-        return max(_term_degrees(self._terms, self.ring), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        return len(_term_degrees(self._terms, self.ring)) <= 1
+    wdeg = _KernelValue.degree
 
     # -- printing ------------------------------------------------------------
 
@@ -370,6 +407,117 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{format_polynomial(self)}>"
+
+
+class Vec(_KernelValue):
+    """Element of a free module P^ncomps, held as a Polynomial is, with its
+    terms in components 0..ncomps-1.  The constructor encodes
+    {(comp, exps): coeff} as Polynomial's does, and refuses a component
+    outside 0..ncomps-1 too (ContextError).  from_polys, component and
+    to_polys relabel components; terms and str decode.  The engine makes
+    vectors of kernel terms that are normal already (_of_kernel, _of_row),
+    as RingElem._of_nf takes a normal form.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring: PolyRing, ncomps: int, terms: dict):
+        self.ring = ring
+        self.ncomps = ncomps
+        self._terms, self._den = _encoded(ring, ncomps, terms.items())
+
+    @classmethod
+    def _of_kernel(cls, ring, ncomps, terms, den=1):
+        """The vector terms / den, both normal already; terms is kept, and
+        never changed."""
+        v = object.__new__(cls)
+        v.ring, v.ncomps, v._terms, v._den = ring, ncomps, terms, den
+        return v
+
+    @classmethod
+    def _of_row(cls, ring, ncomps, row):
+        """The monic vector of a kernel row (comp, m, lc, terms): a row is
+        normalized (gb._normalize), so its terms over its lc are normal."""
+        return cls._of_kernel(ring, ncomps, row[3], row[2])
+
+    @classmethod
+    def zero(cls, ring, ncomps):
+        return cls._of_kernel(ring, ncomps, {})
+
+    @classmethod
+    def from_polys(cls, polys):
+        """The polynomials' kernel terms relabelled into their components,
+        over the lcm of their denominators, which keeps them normal."""
+        polys = list(polys)
+        if not polys:
+            raise ContextError("a vector needs at least one polynomial")
+        ring = polys[0].ring
+        den = lcm(*(p._den for p in polys))
+        terms = {}
+        for i, p in enumerate(polys):
+            if p.ring != ring:
+                raise ContextError("mixed rings in vector")
+            f = den // p._den
+            for (_0, m), c in p._terms.items():
+                terms[i, m] = c * f
+        return cls._of_kernel(ring, len(polys), terms, den)
+
+    @classmethod
+    def unit(cls, ring, ncomps, comp):
+        return cls(ring, ncomps, {(comp, (0,) * ring.nvars): 1})
+
+    @property
+    def terms(self) -> dict:
+        """{(comp, exps): coeff}, the coefficients field values, in the
+        order the vector holds its terms: decoded on every read."""
+        return dict(_from_kernel(self._terms.items(), self._den,
+                                 self.ring.field.char, self.ring.code))
+
+    def _operand(self, other) -> "Vec":
+        if not isinstance(other, Vec) or self.ncomps != other.ncomps or \
+                self.ring != other.ring:
+            raise ContextError("vectors of different ranks or rings")
+        return other
+
+    def component(self, i) -> Polynomial:
+        return self.to_polys()[i]
+
+    def to_polys(self):
+        parts = [{} for _ in range(self.ncomps)]
+        for (j, m), c in self._terms.items():
+            parts[j][0, m] = c
+        return [Polynomial._of_kernel(self.ring,
+                                      *_content_free(terms, self._den))
+                for terms in parts]
+
+    def scale(self, poly: Polynomial) -> "Vec":
+        """Multiply by a ring element."""
+        if poly.ring != self.ring:
+            raise ContextError("a vector scaled by another ring's element")
+        return self._times(poly)
+
+    def pad(self, ncomps, offset=0) -> "Vec":
+        """Reembed into P^ncomps, shifting components by offset."""
+        if offset < 0 or offset + self.ncomps > ncomps:
+            raise ContextError(f"a vector of rank {self.ncomps} shifted by "
+                               f"{offset} does not fit rank {ncomps}")
+        return Vec._of_kernel(self.ring, ncomps,
+                              _shift_terms(self._terms, offset), self._den)
+
+    def take_components(self, lo, hi) -> "Vec":
+        terms = {(j - lo, m): c for (j, m), c in self._terms.items()
+                 if lo <= j < hi}
+        return Vec._of_kernel(self.ring, hi - lo,
+                              *_content_free(terms, self._den))
+
+    def has_vars_below(self, n_elim) -> bool:
+        dec = self.ring.code.decode
+        return any(any(dec(m)[:n_elim]) for (_j, m) in self._terms)
+
+    def __str__(self):
+        return "(" + ", ".join(str(p) for p in self.to_polys()) + ")"
+
+    __repr__ = __str__
 
 
 # --- printing --------------------------------------------------------------

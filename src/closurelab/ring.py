@@ -7,13 +7,18 @@ standard flat-degeneration argument makes this exact for global orders).
 
 The ring owns normal forms modulo I: its bases of I P^n
 (free_relation_basis) and reduce_terms, which nf and
-modules._distinct_monic call.  A sum of two elements is a normal form.
+modules._distinct_monic call.  nf takes a Polynomial or a Vec alike, both
+kernel values of a rank (poly._KernelValue).  A sum of two elements is a
+normal form, and a power squares (poly._power), so x ** n takes at most
+2 * n.bit_length() normal forms.
 
 A monomial subring is presented through its graph ring, itself a
-QuotientRing under an elimination order (SubringPresentation): one
-Groebner basis gives the toric kernel and the rewriting into presentation
-variables, and the relations of a subring-generated module are one seeded
-preimage run in it.
+QuotientRing whose ambient ring carries the elimination order
+(SubringPresentation), since every Groebner run is under its ring's own
+order: one Groebner basis gives the toric kernel and the rewriting into
+presentation variables, and the relations of a subring-generated module
+are one seeded preimage run in it.  The subring is over its images'
+field (presented_subring refuses another).
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .field import QQ
 from .orders import (ModuleOrder, UnsupportedInputError, elimination,
                      wdegrevlex)
 from .poly import (ContextError, DomainError, ParseError, PolyRing,
-                   Polynomial, _content_free, _natural)
-from .gb import GroebnerBasis, Vec, _reached, _reduce_terms, buchberger
+                   Polynomial, Vec, _content_free, _natural, _power)
+from .gb import GroebnerBasis, _reached, _reduce_terms, buchberger
 from .values import Record
 
 
@@ -62,24 +66,20 @@ class QuotientRing:
     # -- element handling ---------------------------------------------------
 
     def nf(self, value):
-        """The normal form modulo I of a Polynomial, or of a Vec of rank n
-        modulo I P^n: its kernel terms as they are, reduced by
-        reduce_terms (a Polynomial's are in component 0).  A value that
-        no ideal lead reaches comes back as it is."""
+        """The normal form modulo I P^n of a Polynomial (n = 1) or a Vec of
+        rank n: its kernel terms as they are, reduced by reduce_terms, in a
+        value of its class and rank.  A value that no ideal lead reaches
+        comes back as it is."""
         amb = self.ambient
         if value.ring is not amb and value.ring != amb:
             raise ContextError("value over a different ambient ring")
         if not self.ideal_basis:
             return value
-        vec = isinstance(value, Vec)
-        reduced = self.reduce_terms(value._terms, value.ncomps if vec else 1)
+        reduced = self.reduce_terms(value._terms, value.ncomps)
         if reduced is None:
             return value
         rem, mult = reduced
-        terms, den = _content_free(rem, mult * value._den)
-        if vec:
-            return Vec._of_kernel(amb, value.ncomps, terms, den)
-        return Polynomial._of_kernel(amb, terms, den)
+        return value._with(*_content_free(rem, mult * value._den))
 
     def reduce_terms(self, terms, ncomps):
         """(rem, mult) for the int terms (comp, m) of P^ncomps, m an order
@@ -269,10 +269,7 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = self.ring.one()
-        for _ in range(_natural(n, "power")):
-            result = result * self
-        return result
+        return _power(self, _natural(n, "power"), self.ring.one())
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
@@ -421,17 +418,21 @@ class SubringPresentation:
                 for v in basis if not v.has_vars_below(n_t)]
 
 
-def presented_subring(images, names=None, field=QQ, target_ring=None):
+def presented_subring(images, names=None, field=None, target_ring=None):
     """Quotient ring presenting the monomial subring k[images] of k[x].
 
     images: monomials (strings or polynomials) in a common target polynomial
     ring; grading weights are the degrees of the images.  The resulting ring
-    is a domain by construction.
+    is a domain by construction, over the images' field k: field, when
+    given, must be k (ContextError otherwise).
     """
     if target_ring is None:
         if not images or not isinstance(images[0], Polynomial):
             raise ValueError("need polynomial images or an explicit target ring")
         target_ring = images[0].ring
+    if field is not None and field != target_ring.field:
+        raise ContextError(f"a subring over {field!r} of a ring over "
+                           f"{target_ring.field!r}")
     imgs = [target_ring.parse(f) if isinstance(f, str) else f for f in images]
     if names is None:
         names = []

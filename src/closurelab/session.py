@@ -22,14 +22,13 @@ from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
 from .dsl import (Call, CallStmt, ExportStmt, Name, Parser, RingDef,
                   ScriptError, print_statements)
 from .field import QQ, prime_field
-from .gb import Vec
 from .modify import parameter_chain
 from .modules import (FPModule, ModuleMap, Submodule, free_module,
                       ideal_as_module, ideal_submodule, is_regular_sequence,
                       quotient_module, residue_field, ring_as_module,
                       scaled_gens)
 from .orders import DEGREVLEX, LEX, wdegrevlex
-from .poly import DomainError, ParseError, PolyRing
+from .poly import DomainError, ParseError, PolyRing, Vec
 from .ring import QuotientRing, make_quotient_ring, presented_subring
 from .sampling import sample_ideals, sample_monomial_ideals
 from .values import Record

@@ -408,7 +408,7 @@ def as_keyfn(order):
     if not isinstance(order, ModuleOrder):
         return order
     return lambda comp, exps: order.term_key(
-        (comp, order.code(len(exps)).encode(exps)))
+        (comp, order.ring_order.code(len(exps)).encode(exps)))
 
 
 def leading(v, keyfn):
@@ -1164,7 +1164,7 @@ def scan_buchberger_rows(cols, ncomps, keyfn, ring, seed=None) -> list:
     and the drop of dominated rows scanning the whole basis, and every kept
     row reduced again at the end."""
     p = ring.field.char
-    code = keyfn.code(ring.nvars)
+    code = keyfn.ring_order.code(ring.nvars)
     key, mlcm = _term_key(keyfn, ncomps), code.lcm
     xor, add, guard = code.xor, code.add, code.guard
     cols = [c for c in cols if not c.is_zero()]
@@ -1414,7 +1414,7 @@ def ref_preimage_basis(ring, map_cols, values, nvalues, span, ncomps):
 def ref_monic_vec(v: Vec) -> Vec:
     """The nonzero v divided by its lead coefficient under TOP."""
     order = ModuleOrder(v.ring.order)
-    enc, term_key = order.code(v.ring.nvars).encode, order.term_key
+    enc, term_key = v.ring.code.encode, order.term_key
     _c, _e, lc = leading(v, lambda j, e: term_key((j, enc(e))))
     fld = v.ring.field
     if lc == fld.one:
@@ -1564,8 +1564,8 @@ def ref_module_relation_columns(images, pres_ring, module_gens):
     Two runs in k[x, names] (weights: the target's, then the image
     degrees): the syzygies of (g_1..g_t, name_i - image_i), projected to
     the first t components, span {c : sum c_l g_l in (name_i - image_i)};
-    an elimination run under TOP over the elimination of x keeps its
-    reduced basis elements free of x.
+    an elimination run under TOP over the elimination of x, in the same
+    variables ordered by it, keeps its reduced basis elements free of x.
     """
     target = images[0].ring
     fld, n_t, t = target.field, target.nvars, len(module_gens)
@@ -1584,7 +1584,9 @@ def ref_module_relation_columns(images, pres_ring, module_gens):
     proj = [v for v in proj if not v.is_zero()]
     if not proj:
         return []
-    gb = buchberger(proj, t, ModuleOrder(elimination(n_t)), big)
+    elim = PolyRing(big.names, fld, elimination(n_t), weights=big.weights)
+    gb = buchberger([Vec(elim, t, v.terms) for v in proj], t,
+                    ModuleOrder(elim.order), elim)
     return [Vec(pres_ring, t, {(j, m[n_t:]): c for (j, m), c in v.terms.items()})
             for v in gb if not v.has_vars_below(n_t)]
 

@@ -205,16 +205,18 @@ def test_integer_kernel_matches_fraction_reference(field):
     reduced bases, normal-form remainders, and the remainders and
     certificates of Submodule.certificate's block basis.  Inputs are
     homogeneous for random component shifts, as every Buchberger input of
-    the engine is."""
-    ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
-    no_ideal = make_quotient_ring(ring, [])
+    the engine is.  A run under an elimination order is a run in a ring
+    with that order."""
+    rings = {order: PolyRing(("x", "y", "z"), field, order)
+             for order in (DEGREVLEX, elimination(1), elimination(2))}
     rng = random.Random(47)
     for trial in range(210):
         shifts = [rng.randint(0, 1) for _ in range(rng.randint(2, 3))]
         ncomps = len(shifts)
-        keyfn = [ModuleOrder(ring.order),
-                 ModuleOrder(ring.order, rng.randint(1, ncomps - 1)),
-                 ModuleOrder(elimination(rng.randint(1, 2)))][trial % 3]
+        nreal, nelim = rng.randint(1, ncomps - 1), rng.randint(1, 2)
+        ring = rings[elimination(nelim) if trial % 3 == 2 else DEGREVLEX]
+        no_ideal = make_quotient_ring(ring, [])
+        keyfn = ModuleOrder(ring.order, nreal if trial % 3 == 1 else None)
         cols = [_random_vec(ring, rng, shifts, rng.randint(1, 3),
                             rng.randint(1, 4))
                 for _ in range(rng.randint(2, 4))]
@@ -319,15 +321,18 @@ def _mixed_columns(ring, rng, shifts, count):
 def _random_runs(field, seed, trials):
     """(cols, ncomps, order, ring, seed columns or None) of random seeded
     and unseeded runs under TOP, the block order and an elimination
-    order."""
-    ring = PolyRing(("x", "y", "z"), field, DEGREVLEX)
+    order, the last in a ring with that order."""
+    rings = {order: PolyRing(("x", "y", "z"), field, order)
+             for order in (DEGREVLEX, elimination(1), elimination(2))}
     rng = random.Random(seed)
     for trial in range(trials):
         shifts = [rng.randint(0, 1) for _ in range(rng.randint(1, 3))]
         ncomps = len(shifts)
         kind = trial % 3
+        ring = rings[DEGREVLEX]
         if kind == 2:
-            order = ModuleOrder(elimination(rng.randint(1, 2)))
+            ring = rings[elimination(rng.randint(1, 2))]
+            order = ModuleOrder(ring.order)
         elif kind == 1 and ncomps > 1:
             order = ModuleOrder(ring.order, rng.randint(1, ncomps - 1))
         else:
@@ -385,7 +390,7 @@ def test_pairs_settled_when_formed_reduce_to_zero(field, monkeypatch):
     monkeypatch.setattr(gb_module, "_lead_mask", recorded)
     checked = 0
     for cols, ncomps, order, ring, seed_cols in _random_runs(field, 67, 90):
-        fld, dec = ring.field, order.code(ring.nvars).decode
+        fld, dec = ring.field, ring.code.decode
         seed, nseed = None, 0
         if seed_cols is not None:
             seed = buchberger(seed_cols, ncomps, order, ring)
@@ -407,6 +412,24 @@ def test_pairs_settled_when_formed_reduce_to_zero(field, monkeypatch):
                 assert final.contains(s_vec)
                 checked += 1
     assert checked > 100, checked
+
+
+def test_a_run_under_another_ring_order_is_refused():
+    """A run reads its columns' terms in its ring's code, so buchberger
+    refuses a module order over another ring order, plain, block or
+    eliminating, with ValueError, as it refuses a foreign seed; the same
+    run in a ring with that order is made."""
+    cols = ideal_cols(R2, ["x^2 - y^2", "x*y"])
+    for order in (ModuleOrder(LEX), ModuleOrder(LEX, 1),
+                  ModuleOrder(elimination(1))):
+        with pytest.raises(ValueError, match="another order than the ring"):
+            buchberger(cols, 1, order, R2)
+    lex = PolyRing(("x", "y"), QQ, LEX)
+    basis = buchberger([Vec(lex, 1, v.terms) for v in cols], 1,
+                       ModuleOrder(LEX), lex)
+    assert [str(v.component(0)) for v in basis] == ["x^2 - y^2", "x*y",
+                                                    "y^3"]
+    assert buchberger(cols, 1, ModuleOrder(DEGREVLEX), R2)
 
 
 def test_exponent_growth_past_the_bound_is_unsupported():
@@ -460,8 +483,10 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     (in a preimage run, value rows only), the kernel-row canonicalization
     of modules._distinct_monic, the closure's step skip, S (x) R being S
     (no run builds its relation basis again) and minimalization taking
-    the preimage generators as they come (none is normalized again); a
-    change that means to alter them updates them here."""
+    the preimage generators as they come (none is normalized again; the
+    rank test of a degree block reduces and normalizes each of its five
+    candidates once, modules._outside_later_spans); a change that means
+    to alter them updates them here."""
     from closurelab import gb as gb_module
     from closurelab import modules as modules_module
     from closurelab import ring as ring_module
@@ -500,7 +525,7 @@ def test_buchberger_work_counts_are_pinned(monkeypatch):
     closed = cl.closure(ideal_submodule(R, ["a^2", "a*b", "b*c", "c^2"]))
     assert sorted(str(g.component(0)) for g in closed.gens) == \
         ["a*b", "a*c", "a^2", "b*c", "c^2"]
-    assert counts == {"reductions": 42, "to_zero": 26, "normalizations": 15,
+    assert counts == {"reductions": 47, "to_zero": 26, "normalizations": 20,
                       "pairs": 26}
 
 
@@ -637,7 +662,7 @@ def test_contains_agrees_with_the_normal_form(field, monkeypatch):
     on random members, members with one term added, and random vectors,
     under TOP and the block order, seeded and unseeded, it answers as
     normal_form(v).is_zero() does, and it decodes nothing."""
-    from closurelab import gb as gb_module
+    from closurelab import poly as poly_module
 
     def forbidden(*_args):
         raise AssertionError("contains decoded a remainder")
@@ -666,7 +691,7 @@ def test_contains_agrees_with_the_normal_form(field, monkeypatch):
         probes = [member, member + _random_vec(ring, rng, shifts, 2, 1),
                   _random_vec(ring, rng, shifts, 3, 4)]
         with monkeypatch.context() as patch:
-            patch.setattr(gb_module, "_from_kernel", forbidden)
+            patch.setattr(poly_module, "_from_kernel", forbidden)
             got = [gb.contains(v) for v in probes]
         assert got == [gb.normal_form(v).is_zero() for v in probes], trial
         answers += got

@@ -1,5 +1,6 @@
 """FPModule layer: presentations, membership, tensor, kernels, resolutions."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -363,10 +364,11 @@ def test_minimal_generators_keep_what_the_field_value_scan_keeps(
     real = modules._outside_later_spans
     blocks = []
 
-    def reference(forms, fld):
+    def reference(forms, ring):
+        fld = ring.field
         flags = outside_later_spans(
             [{t: fld.from_int(c) for t, c in f.items()} for f in forms], fld)
-        assert real(forms, fld) == flags
+        assert real(forms, ring) == flags
         blocks.append(len(forms))
         return flags
 
@@ -425,9 +427,8 @@ def test_output_basis_is_not_converted_back_into_the_kernel(
             return real(*args)
         return call
 
-    for owner in (poly, gb):
-        for name in ("_encoded", "_from_kernel"):
-            monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    for name in ("_encoded", "_from_kernel"):
+        monkeypatch.setattr(poly, name, counting(getattr(poly, name)))
     cols = [Vec.from_polys([segre.ambient.parse(t)])
             for t in ("a^2", "a*b", "b*c")]
     assert calls == []
@@ -1051,6 +1052,21 @@ def test_unit_elimination_puts_the_pivot_component_on_top():
         "ngens": 2, "gen_degrees": [1, 0], "relations": [["0", "x + 4*y"]]}
 
 
+def test_minimal_presentation_does_not_depend_on_relation_order(segre):
+    """On the cone with degrees (0, 2), the relations (0, -2),
+    (a - 2b, 1) and (2b - 3c, 1) present one module in every order: the
+    rows are sorted before the unit elimination picks its pivot.  The
+    first relation with a unit entry as pivot, in the order given, would
+    present the module as [a - 2b, b - 3/2 c], and with the first two
+    swapped as [a - 2b, a - 4b + 3c]."""
+    rels = [["0", "-2"], ["a - 2*b", "1"], ["2*b - 3*c", "1"]]
+    got = {str(FPModule(segre, (0, 2), order).minimal_presentation()
+               .descriptor())
+           for order in itertools.permutations(rels)}
+    assert got == {str({"ngens": 1, "gen_degrees": [0], "relations": [
+        ["a - 4*b + 3*c"], ["b - 3/2*c"]]})}
+
+
 def _sorted_terms(v):
     """The Vec v with its terms inserted in descending term order."""
     key = as_keyfn(ModuleOrder(v.ring.order))
@@ -1109,7 +1125,9 @@ def test_minimal_presentation_matches_the_vec_reference(field, monkeypatch):
     descending term order, its first unit term is the lowest component's
     and the presentations are equal, exactly; the relations come in that
     order, and a normal form that sorts its terms keeps them so after
-    each round, where Vec arithmetic appends new terms at the end.  With
+    each round, where Vec arithmetic appends new terms at the end.  The
+    reference gets the relations as the engine orders them before its
+    first round: normalized, distinct and sorted (modules._by_terms).  With
     the terms shuffled, the reference may drop another generator; the
     generator degrees, the relation count and the Hilbert function up to
     degree 4 still agree."""
@@ -1125,9 +1143,13 @@ def test_minimal_presentation_matches_the_vec_reference(field, monkeypatch):
         for _trial in range(80):
             M = _unit_relation_module(ring, rng)
             mp = M.minimal_presentation()
+            rows = sorted(modules._vec_rows(M, M.relations),
+                          key=modules._by_terms)
+            ordered = FPModule(ring, M.gen_degrees, [
+                Vec._of_row(ring.ambient, M.ngens, row) for row in rows])
             with monkeypatch.context() as patch:
                 patch.setattr(QuotientRing, "nf", sorted_nf)
-                ref = vec_minimal_presentation(M)
+                ref = vec_minimal_presentation(ordered)
             assert mp.descriptor() == ref.descriptor(), M
             counts["modules"] += 1
             counts["two units"] += _unit_entries(M) >= 2

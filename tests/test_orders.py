@@ -180,9 +180,8 @@ def test_order_codes_match_the_tuple_orders(order, nvars):
     of codes; divisibility, lcm and coprimality agree with the tuple
     primitives."""
     rng = random.Random(f"codes-{order}-{nvars}")
-    mo = ModuleOrder(order)
-    code = mo.code(nvars)
-    assert code is ModuleOrder(order, 1).code(nvars)
+    code = order.code(nvars)
+    assert code is order.code(nvars)
     monos = [_random_exps(rng, nvars, bound) for bound in
              (3, EXP_BOUND // 2, EXP_BOUND) for _ in range(60)]
     for e in monos:
@@ -215,7 +214,7 @@ def test_order_codes_refuse_exponents_past_the_bound(order):
     """encode takes exponents up to EXP_BOUND and raises
     UnsupportedInputError past it; a product past the bound fails the
     bound test on its code."""
-    code = ModuleOrder(order).code(3)
+    code = order.code(3)
     top = (EXP_BOUND, 0, EXP_BOUND)
     assert code.decode(code.encode(top)) == top
     for e in ((EXP_BOUND + 1, 0, 0), (0, 0, EXP_BOUND + 1), (0, 2 ** 40, 0),

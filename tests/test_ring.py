@@ -352,6 +352,44 @@ def test_ring_elem_negative_power_is_a_domain_error(kxy, segre):
             f ** -1
 
 
+@pytest.mark.parametrize("kind,text,n", [
+    ("segre", "a + b", 1), ("segre", "a + b", 31), ("segre", "a + b", 200),
+    ("veronese4", "a + b + c", 2), ("veronese4", "a + b + c", 40)])
+def test_ring_elem_power_squares(request, monkeypatch, kind, text, n):
+    """x ** n in R is R.elem of the ambient power, and it squares: its
+    products make at most 2 * n.bit_length() normal forms, the one of
+    R.one() included."""
+    R = request.getfixturevalue(kind)
+    x = R.elem(text)
+    want = R.elem(x.poly ** n)
+    calls = []
+    real_nf = ring_module.QuotientRing.nf
+
+    def counting_nf(self, value):
+        calls.append(value)
+        return real_nf(self, value)
+
+    monkeypatch.setattr(ring_module.QuotientRing, "nf", counting_nf)
+    assert x ** n == want
+    assert 0 < len(calls) <= 2 * n.bit_length()
+
+
+def test_presented_subring_checks_its_field():
+    """The subring is over its images' field: field=None takes it, the same
+    field is accepted, and another one is refused."""
+    T = PolyRing(("x", "y"), QQ, DEGREVLEX)
+    images = [T.parse("x^2"), T.parse("x*y"), T.parse("y^2")]
+    assert presented_subring(images).ambient.field == QQ
+    assert presented_subring(images, field=QQ).ambient.field == QQ
+    with pytest.raises(ContextError, match="GF.5. of a ring over QQ"):
+        presented_subring(images, field=prime_field(5))
+    T5 = PolyRing(("x", "y"), prime_field(5), DEGREVLEX)
+    assert presented_subring(["x^2", "y^2"], field=prime_field(5),
+                             target_ring=T5).ambient.field == prime_field(5)
+    with pytest.raises(ContextError):
+        presented_subring(["x^2", "y^2"], target_ring=T5, field=QQ)
+
+
 def test_descriptor_fields(segre):
     d = segre.descriptor()
     assert d["vars"] == ["a", "b", "c"]

@@ -41,3 +41,26 @@ def test_no_module_imports_dataclasses():
     importers = sorted(p.name for p in SRC.rglob("*.py")
                        if "dataclasses" in _top_level_imports(p))
     assert importers == []
+
+
+def _imported_names(path):
+    """Every dotted part and imported name of a file's imports, relative
+    ones included: `from .linalg import x`, `from . import linalg` and
+    `import closurelab.linalg` all give linalg."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from alias.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_the_acceptance_suite_and_the_samplers_import_linalg():
+    """linalg is the brute-force linear algebra of the acceptance oracles
+    and the samplers' monomial lists; the engine's rank tests are
+    reductions of kernel rows (modules._outside_later_spans), so no
+    engine module shares code with those oracles."""
+    importers = sorted(p.name for p in SRC.rglob("*.py")
+                       if "linalg" in _imported_names(p))
+    assert importers == ["acceptance.py", "sampling.py"]
