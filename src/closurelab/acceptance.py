@@ -500,28 +500,17 @@ def _brute_closure_dim(ring, s_gens, n_gens, d):
     if not monos:
         return 0
     prod_gens = [n * s for n in n_gens for s in s_gens]
-    constraints = []
+    residuals = []      # per generator s: the residual of m * s, per m
     for s in s_gens:
-        dd = d + s.degree()
-        echelon, terms = _brute_ideal_rows(ring, prod_gens, dd)
-        for m in monos:
-            p = amb.monomial(m) * s.poly
-            coords = vec_coords(Vec.from_polys([p]), terms, fld)
-            constraints.append((m, echelon.residual(coords)))
-    # one row per coefficient of u, concatenating the residuals across the
-    # per-generator constraints; valid u form the left kernel
-    ncols = len(monos)
-    blocks = []
-    for si in range(len(s_gens)):
-        blocks.append([constraints[si * len(monos) + mi][1]
-                       for mi in range(len(monos))])
-    matrix = []
-    for mi in range(len(monos)):
-        row = []
-        for block in blocks:
-            row.extend(block[mi])
-        matrix.append(row)
-    valid_dim = ncols - rank(matrix, fld)
+        echelon, terms = _brute_ideal_rows(ring, prod_gens, d + s.degree())
+        residuals.append([echelon.residual(vec_coords(
+            Vec.from_polys([amb.monomial(m) * s.poly]), terms, fld))
+            for m in monos])
+    # one row per coefficient of u, its residuals across the generators
+    # of S side by side; valid u form the left kernel
+    matrix = [[c for block in residuals for c in block[mi]]
+              for mi in range(len(monos))]
+    valid_dim = len(monos) - rank(matrix, fld)
     return valid_dim - graded_span_dim(list(ring.free_relation_basis(1)),
                                        (0,), d, amb)
 

@@ -36,9 +36,9 @@ def _print_result(res, stream=None):
               file=stream)
 
 
-def run_script(path, as_json=False, out=None, deg_bound=12, seed=0):
+def run_script(path, as_json=False, out=None, seed=0):
     try:
-        session = Session.load(path, deg_bound=deg_bound, seed=seed)
+        session = Session.load(path, seed=seed)
     except (OSError, ScriptError, SessionVersionError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -61,8 +61,8 @@ def run_script(path, as_json=False, out=None, deg_bound=12, seed=0):
     return session.exit_code()
 
 
-def repl(deg_bound=12, seed=0):
-    session = Session(deg_bound=deg_bound, seed=seed)
+def repl(seed=0):
+    session = Session(seed=seed)
     print("closure-lab repl; statements end with ';', :help for commands")
     buffer = ""
     while True:
@@ -97,8 +97,7 @@ def repl(deg_bound=12, seed=0):
                     print(f"error: {exc}")
             elif cmd == ":load":
                 try:
-                    session = Session.load(parts[1], deg_bound=deg_bound,
-                                           seed=seed)
+                    session = Session.load(parts[1], seed=seed)
                     print(f"loaded {parts[1]}")
                 except (OSError, ScriptError, SessionVersionError,
                         EvalError) as exc:
@@ -137,11 +136,9 @@ def main(argv=None) -> int:
     p_run.add_argument("script")
     p_run.add_argument("--json", action="store_true", dest="as_json")
     p_run.add_argument("--out", default=None, help="write JSON report here")
-    p_run.add_argument("--deg-bound", type=int, default=12)
     p_run.add_argument("--seed", type=int, default=0)
 
     p_repl = sub.add_parser("repl", help="interactive session")
-    p_repl.add_argument("--deg-bound", type=int, default=12)
     p_repl.add_argument("--seed", type=int, default=0)
 
     p_ver = sub.add_parser("verify-paper",
@@ -152,9 +149,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return run_script(args.script, as_json=args.as_json, out=args.out,
-                              deg_bound=args.deg_bound, seed=args.seed)
+                              seed=args.seed)
         if args.command == "repl":
-            return repl(deg_bound=args.deg_bound, seed=args.seed)
+            return repl(seed=args.seed)
         return verify_paper(as_json=args.as_json)
     except BrokenPipeError:
         import os

@@ -150,7 +150,6 @@ class ModuleClosure(ClosureOp):
             raise DomainError("module closure needs a nonzero module")
         self.S = S
         self.name = label or "cl_S"
-        self._tensor_slot = None
         self._image_slot = None
 
     def describe(self):
@@ -162,14 +161,13 @@ class ModuleClosure(ClosureOp):
         The last result is kept in one slot keyed by (N.module, N.gens),
         compared by value, so an equal but distinct N reuses it, together
         with its span and the image Submodule, with its ext basis, once a
-        certificate has built them.  S (x) M has a slot of its own, keyed
-        by M, so its relation basis, which S (x) M keeps and which seeds
-        the span of every image, is built once per M however many N a
-        caller walks through inside it.  One slot each,
-        not a table per N or M: memory stays flat.  The slots are read and
-        written by single attribute accesses and take no lock: every basis
-        in a context is reduced, hence canonical, so two threads racing on
-        one closure at worst build two equal contexts and keep either.
+        certificate has built them.  One slot, not a table per N: memory
+        stays flat.  S (x) M is built anew with each context: for M = R it
+        is S itself, with the relation basis S keeps.  The slot is read
+        and written by single attribute accesses and takes no lock: every
+        basis in a context is reduced, hence canonical, so two threads
+        racing on one closure at worst build two equal contexts and keep
+        either.
         """
         M = N.module
         if M.ring != self.S.ring:
@@ -178,11 +176,7 @@ class ModuleClosure(ClosureOp):
         slot = self._image_slot
         if slot is not None and slot[0] == key:
             return slot[1]
-        tensor_slot = self._tensor_slot
-        if tensor_slot is None or tensor_slot[0] != M:
-            tensor_slot = (M, tensor(self.S, M))
-            self._tensor_slot = tensor_slot
-        context = _ImageContext(self.S, N, tensor_slot[1])
+        context = _ImageContext(self.S, N, tensor(self.S, M))
         self._image_slot = (key, context)
         return context
 
@@ -529,7 +523,7 @@ def check_generalized_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
     if f is None:
         if M.ngens != 1:
             raise DomainError("default quotient map needs M = R")
-        f = ModuleMap(M, RJ, [[ring.one()]], check=False)
+        f = ModuleMap(M, RJ, [[ring.one()]])
     if v is None:
         v = M.vec([xk1])
     v = M.vec(v)
@@ -556,11 +550,12 @@ class PhantomInstance:
     """Presentation data for an injection alpha: R -> M, e_1 = alpha(1).
 
     rows is the n x m matrix (b_ij) whose columns are the relations of M on
-    generators e_1..e_n.  The extension is cl-phantom iff the top row lies
-    in the cl-closure, inside R^m, of the span of the remaining rows.
+    generators e_1..e_n, and col_degrees the degrees of those columns,
+    which grade R^m.  The extension is cl-phantom iff the top row lies in
+    the cl-closure, inside R^m, of the span of the remaining rows.
     """
 
-    def __init__(self, ring: QuotientRing, rows, col_degrees=None):
+    def __init__(self, ring: QuotientRing, rows, col_degrees):
         self.ring = ring
         self.rows = [[ring.elem(x) for x in row] for row in rows]
         self.m = len(self.rows[0]) if self.rows else 0
@@ -577,17 +572,10 @@ class PhantomInstance:
                  for col in M.relations]
                 for i in range(M.ngens)]
         degs = [col.degree(M.gen_degrees) for col in M.relations]
-        return cls(M.ring, rows, col_degrees=degs)
+        return cls(M.ring, rows, degs)
 
     def free_cover(self) -> FPModule:
-        if self.col_degrees is not None:
-            shifts = tuple(-d for d in self.col_degrees)
-        else:
-            if any(x.is_zero() for x in self.rows[0]):
-                raise DomainError("column degrees required when the top row "
-                                  "has zero entries")
-            shifts = tuple(-x.degree() for x in self.rows[0])
-        return free_module(self.ring, shifts)
+        return free_module(self.ring, tuple(-d for d in self.col_degrees))
 
 
 def phantom_test(cl: ClosureOp, inst: PhantomInstance) -> CheckOutcome:

@@ -83,7 +83,7 @@ SIGNATURES = {
     },
     "modify": {
         "parameter_chain": "R: ring, cl: closure, xs: [list], steps: int, "
-                           "deg_bound?: int",
+                           "deg_bound?: int = 12",
     },
 }
 

@@ -175,8 +175,6 @@ class ModificationTrace:
         return len(self.stages)
 
     def _phantom_flags(self, cl, before, after):
-        if cl is None:
-            return {}
         return {
             "closure": cl.describe(),
             "phantom_before": bool(phantom_test(
@@ -187,7 +185,7 @@ class ModificationTrace:
         }
 
     def extend_parameter(self, rel: BadRelation,
-                         cl: ClosureOp = None) -> "ModificationTrace":
+                         cl: ClosureOp) -> "ModificationTrace":
         M = self.current
         M2, incl = parameter_modification(M, rel)
         flags = self._phantom_flags(cl, M, M2)
@@ -245,5 +243,5 @@ def parameter_chain(ring: QuotientRing, cl: ClosureOp, xs, steps: int,
         rel = find_bad_relation(trace.current, seq, degree_bound)
         if rel is None:
             break
-        trace = trace.extend_parameter(rel, cl=cl)
+        trace = trace.extend_parameter(rel, cl)
     return trace

@@ -466,9 +466,14 @@ class Submodule:
 
 
 class ModuleMap:
-    """Map of FPModules given by images of the source generators."""
+    """Map of FPModules given by images of the source generators.
 
-    def __init__(self, source: FPModule, target: FPModule, cols, check=True):
+    Every map is checked to be well defined: each relation of the source
+    must map to zero in the target, or DomainError.  A map from a free
+    module has no relation to check and makes no Groebner run.
+    """
+
+    def __init__(self, source: FPModule, target: FPModule, cols):
         self.source = source
         self.target = target
         if source.ring != target.ring:
@@ -476,21 +481,18 @@ class ModuleMap:
         self.cols = tuple(target.vec(c) for c in cols)
         if len(self.cols) != source.ngens:
             raise ContextError("one image per source generator required")
-        if check:
-            zero = target.submodule(())
-            for r in source.relations:
-                if not zero.contains(self.apply(r)):
-                    raise DomainError(
-                        f"map not well defined: relation {r} maps to a "
-                        f"nonzero element")
+        for r in source.relations:
+            if not target.element_is_zero(self.apply(r)):
+                raise DomainError(
+                    f"map not well defined: relation {r} maps to a "
+                    f"nonzero element")
 
     def apply(self, v) -> Vec:
         v = self.source.vec(v)
         acc = Vec.zero(self.target.ring.ambient, self.target.ngens)
-        for i in range(self.source.ngens):
-            p = v.component(i)
+        for col, p in zip(self.cols, v.to_polys()):
             if p:
-                acc = acc + self.cols[i].scale(p)
+                acc = acc + col.scale(p)
         return self.target.ring.nf(acc)
 
     def image(self) -> Submodule:

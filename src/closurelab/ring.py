@@ -446,9 +446,7 @@ def presented_subring(images, names=None, field=None, target_ring=None):
                         presentation=presentation)
 
 
-def make_quotient_ring(ambient: PolyRing, ideal_gens,
-                       domain_status=None) -> QuotientRing:
+def make_quotient_ring(ambient: PolyRing, ideal_gens) -> QuotientRing:
     gens = list(ideal_gens)
-    if domain_status is None:
-        domain_status = "polynomial-ring" if not gens else "assumed"
-    return QuotientRing(ambient, gens, domain_status=domain_status)
+    return QuotientRing(ambient, gens, domain_status="polynomial-ring"
+                        if not gens else "assumed")

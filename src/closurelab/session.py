@@ -120,11 +120,18 @@ def _submodule_gens(sub: Submodule):
 
 
 class Session:
-    def __init__(self, deg_bound: int = 12, seed: int = 0):
+    """Named values and one result record per evaluated statement.
+
+    What a statement binds is fixed by its text and the defaults of its
+    form (dsl.SIGNATURES), so a saved session replays to its digest under
+    any command line; seed draws only the samples of `trivial_on`, a
+    check that binds nothing.
+    """
+
+    def __init__(self, seed: int = 0):
         self.env: dict = {}
         self.log: list = []
         self.last_ring: str = None
-        self.deg_bound = deg_bound
         self.seed = seed
 
     # -- lookups -------------------------------------------------------------
@@ -318,11 +325,8 @@ class Session:
         ring = self._ring(args["R"])
         cl = self._closure(args["cl"])
         xs = self._elems(ring, args["xs"])
-        bound = args["deg_bound"]
-        if bound is None:
-            bound = self.deg_bound
         trace = parameter_chain(ring, cl, xs, args["steps"],
-                                degree_bound=bound)
+                                degree_bound=args["deg_bound"])
         res.result = trace.descriptor()
         self._bind(stmt.name, "trace", trace)
 
@@ -350,13 +354,16 @@ class Session:
             return
         if fn == "phantom":
             cl = self._closure(args["cl"])
-            kind, value = self.env.get(args["M"], (None, None))
+            name = args["M"]
+            value = self._lookup(name)
+            kind = self.env[name][0]
             if kind == "trace":
                 M = value.current
             elif kind == "module":
                 M = value
             else:
-                raise EvalError(f"{args['M']!r} is not a module or trace")
+                raise EvalError(f"{name!r} is {_a(kind)}, expected a module "
+                                f"or trace", name)
             res.ok = bool(phantom_test(
                 cl, PhantomInstance.from_module(M)).holds)
             return
@@ -379,7 +386,7 @@ class Session:
             RJ = quotient_module(ring, J)
             if N.module.ngens != 1 or N.module.relations:
                 raise EvalError("functorial check expects N inside R")
-            f = ModuleMap(N.module, RJ, [[ring.one()]], check=False)
+            f = ModuleMap(N.module, RJ, [[ring.one()]])
             out = check_functoriality(cl, f, N)
             res.ok = bool(out.holds)
             res.witness = out.witness
@@ -483,7 +490,7 @@ class Session:
                     f"{self.script_text()}\n")
 
     @classmethod
-    def load(cls, path, deg_bound=12, seed=0) -> "Session":
+    def load(cls, path, seed=0) -> "Session":
         """Evaluate a script or session file, read as UTF-8 text after any
         leading byte-order mark, with universal newlines.  A file that is
         not raises EvalError naming the file offset of the first bad byte.
@@ -501,7 +508,7 @@ class Session:
             raise EvalError(f"{path}: not UTF-8 text (line {line}, byte "
                             f"{len(data) - len(body) + exc.start})") from None
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-        session = cls(deg_bound=deg_bound, seed=seed)
+        session = cls(seed=seed)
         first = text.split("\n", 1)[0]
         header = first.split()
         if header[:2] != SESSION_HEADER.split()[:2]:

@@ -13,6 +13,8 @@ and compare what it prints:
 - `ModuleClosure(S).closure(N)` with N's generators shuffled, scaled or
   repeated, and with S re-presented (generators reordered, a generator
   repeated, or its minimal presentation);
+- `intersect` (N with L, and L with N), `colon_elem` and the kernel of
+  `ModuleMap` M -> M/N with N's generators shuffled, scaled or repeated;
 - the minimal presentation and first syzygy module of a module whose
   relations are scaled, repeated, written with their terms in another
   order or given in another order.
@@ -32,8 +34,9 @@ from closurelab.closure import ModuleClosure
 from closurelab.field import QQ, prime_field
 from closurelab.gb import Vec
 from closurelab.linalg import monomials_of_wdeg
-from closurelab.modules import (FPModule, free_module, ideal_as_module,
-                                quotient_module, residue_field)
+from closurelab.modules import (FPModule, ModuleMap, free_module,
+                                ideal_as_module, quotient_module,
+                                residue_field)
 from closurelab.orders import DEGREVLEX, wdegrevlex
 from closurelab.poly import PolyRing, Polynomial
 from closurelab.ring import make_quotient_ring, presented_subring
@@ -202,6 +205,14 @@ def _printed(sub):
     return [str(g) for g in sub.gens]
 
 
+def _regenerated(R, gens, rng):
+    """gens scaled by 2, -1 or 3, one of them repeated, all shuffled."""
+    other = [g.scale(R.ambient.const(rng.choice((2, -1, 3)))) for g in gens]
+    other.append(rng.choice(other))
+    rng.shuffle(other)
+    return other
+
+
 @settings(SETTINGS, max_examples=100)
 @given(rings, st.sampled_from(["ideal", "k", "cyclic", "syz2"]),
        st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
@@ -216,14 +227,34 @@ def test_closure_does_not_depend_on_presentations(kind_p, skind, rank, seed):
     M = free_module(R, (0,) * rank)
     gens = _submodule_gens(R, rank, rng)
     want = _printed(ModuleClosure(S).closure(M.submodule(gens)))
-    other = [g.scale(R.ambient.const(rng.choice((2, -1, 3)))) for g in gens]
-    other.append(rng.choice(other))
-    rng.shuffle(other)
+    other = _regenerated(R, gens, rng)
     assert _printed(ModuleClosure(S).closure(M.submodule(other))) == want
     for S2 in (_reordered(S, rng), _repeated(S, rng),
                S.minimal_presentation()):
         got = _printed(ModuleClosure(S2).closure(M.submodule(gens)))
         assert got == want, (S, S2)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(rings, st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_intersections_colons_and_kernels_do_not_depend_on_presentations(
+        kind_p, rank, seed):
+    """N.intersect(L), L.intersect(N), N.colon_elem(x) and the kernel of
+    the projection M -> M/N print identically for N's generators
+    shuffled, scaled by 2, -1 or 3 and one repeated."""
+    R, rng = ring(*kind_p), random.Random(seed)
+    M = free_module(R, (0,) * rank)
+    gens = _submodule_gens(R, rank, rng)
+    L = M.submodule(_submodule_gens(R, rank, rng))
+    x = _elem(R, _degrees(R)[0], rng)
+
+    def printed(gens):
+        N = M.submodule(gens)
+        kernel = ModuleMap(M, M.quotient_by(N), M.gens()).kernel()
+        return (_printed(N.intersect(L)), _printed(L.intersect(N)),
+                _printed(N.colon_elem(x)), _printed(kernel))
+
+    assert printed(_regenerated(R, gens, rng)) == printed(gens)
 
 
 # --- presentations: relations presented differently --------------------------

@@ -637,7 +637,7 @@ def test_functoriality_instance(segre):
     clM = ModuleClosure(M)
     R1 = ring_as_module(segre)
     RJ = quotient_module(segre, ["a"])
-    f = ModuleMap(R1, RJ, [["1"]], check=False)
+    f = ModuleMap(R1, RJ, [["1"]])
     N = ideal_submodule(segre, ["a^2", "a*b", "b*c", "c^2"])
     assert check_functoriality(clM, f, N).holds
 
@@ -758,7 +758,7 @@ def test_functoriality_detects_rank_two_blowup(kxy):
     # the closure of 0 in R (which is 0)
     R2 = free_module(kxy, (0, 0))
     R1 = ring_as_module(kxy)
-    f = ModuleMap(R2, R1, [["1"], ["0"]], check=False)
+    f = ModuleMap(R2, R1, [["1"], ["0"]])
     out = check_functoriality(EverythingOnRankTwo(), f, R2.zero_submodule())
     assert not out.holds
 
@@ -775,10 +775,17 @@ def test_gcc_detects_broken_closure(kxyz):
 def test_gcc_validates_preconditions(kxy):
     R1 = ring_as_module(kxy)
     RJ = quotient_module(kxy, ["x"])
-    f = ModuleMap(R1, RJ, [["1"]], check=False)
+    f = ModuleMap(R1, RJ, [["1"]])
     with pytest.raises(DomainError):
         check_generalized_colon_capturing(
             TrivialClosure(), kxy, ["x", "y"], M=R1, f=f, v=R1.vec(["x"]))
+
+
+def test_gcc_refuses_a_default_map_that_is_not_well_defined(kxy):
+    # the default f: R/(y) -> R/(x), 1 -> 1, sends the relation y to y
+    with pytest.raises(DomainError, match="not well defined"):
+        check_generalized_colon_capturing(TrivialClosure(), kxy, ["x", "y"],
+                                          M=quotient_module(kxy, ["y"]))
 
 
 # --- phantom extensions ----------------------------------------------------------------------------

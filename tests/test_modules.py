@@ -1671,6 +1671,6 @@ def test_submodule_rejects_inhomogeneous_vector(segre):
 def test_kernel_of_map_to_zero_module(segre):
     M = ideal_as_module(segre, ["a", "b"])
     Z = FPModule(segre, (), ())
-    f = ModuleMap(M, Z, [Z.vec([]) for _ in range(M.ngens)], check=False)
+    f = ModuleMap(M, Z, [Z.vec([]) for _ in range(M.ngens)])
     K = f.kernel()
     assert K.same_as(M.full_submodule())

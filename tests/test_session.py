@@ -1,6 +1,8 @@
 """Session evaluation, reporting, persistence, and the CLI entry point."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -240,7 +242,48 @@ def test_cli_run_replays_a_saved_session(tmp_path, capsys):
     assert "ideal I = ideal(P, x);" in capsys.readouterr().out
 
 
+def test_a_saved_chain_replays_under_any_command_line(tmp_path, capsys):
+    """parameter_chain depends on its statement alone: with deg_bound 3 or
+    the grammar's 12 the script binds different traces, and the session
+    each exports replays to its digest through `closure-lab run`; no
+    --deg-bound on the command line can make them differ."""
+    script, saved = tmp_path / "chain.clab", tmp_path / "saved.clab"
+    digests = []
+    for bound in (", 3", ""):
+        script.write_text(VERONESE4 +
+                          "module S = subring_module(R, [1, x^2*y^2]);\n"
+                          "closure clS = module_closure(S);\n"
+                          f"modify T = parameter_chain(R, clS, [a, d], 1"
+                          f"{bound});\n"
+                          f'export session "{saved}";\n')
+        assert main(["run", str(script), "--json"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["digest"])
+        assert main(["run", str(saved), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["digest"] == digests[-1]
+    assert digests[0] != digests[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(script), "--deg-bound", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deg-bound" in capsys.readouterr().err
+
+
 # --- CLI entry -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["run", "repl", "verify-paper"])
+def test_readme_shows_exactly_the_options_of_each_command(capsys, command):
+    """The --options that `closure-lab <command> --help` lists, but
+    --help, are those on the README lines that start with
+    `closure-lab <command>`."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    option = r"(?<![\w-])--[a-z][\w-]*"
+    listed = set(re.findall(option, capsys.readouterr().out)) - {"--help"}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    shown = {o for line in re.findall(rf"^closure-lab {command}\b(.*)$",
+                                      readme, re.M)
+             for o in re.findall(option, line.split("#")[0])}
+    assert shown == listed
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
@@ -691,9 +734,14 @@ SUBRING_R = ("ring R = subring(Fp(5), [x, y], [x^4, x^3*y, x*y^3, y^4], "
     (PXY + "ideal I = ideal(P, x^2147483648, y);\n", 2, 1,
      "exponents (2147483648, 0) out of range"),
     ("ring F = poly(Fp(4), [x], lex);\n", 1, 1, "4 is not prime"),
+    # check phantom looks its module up as every statement does
+    (PXY + "check phantom(trivial, Nope);\n", 2, 24, "unknown name 'Nope'"),
+    (PXY + "ideal I = ideal(P, x);\ncheck phantom(trivial, I);\n", 3, 24,
+     "'I' is an ideal, expected a module or trace"),
 ], ids=["parse-subring-generator", "parse-second-line",
         "parse-after-form-feed", "unknown-name",
-        "kind-mismatch", "domain", "unsupported-exponent", "field"])
+        "kind-mismatch", "domain", "unsupported-exponent", "field",
+        "phantom-unknown-name", "phantom-kind-mismatch"])
 def test_runtime_errors_name_their_statement(tmp_path, capsys, script, line,
                                              column, message):
     """An error met while a statement runs names its line and column: the
