@@ -34,10 +34,9 @@ from .modules import (FPModule, ModuleMap, Submodule, direct_sum, free_module,
                       scaled_gens, tensor, tensor_elem)
 from .closure import (CheckOutcome, ClosureOp, IntersectionClosure,
                       MembershipOutcome, ModuleClosure,
-                      MonomialIntegralClosure, PhantomInstance,
-                      TrivialClosure, check_colon_capturing,
-                      check_faithfulness, check_functoriality,
-                      check_generalized_colon_capturing,
+                      MonomialIntegralClosure, TrivialClosure,
+                      check_colon_capturing, check_faithfulness,
+                      check_functoriality, check_generalized_colon_capturing,
                       check_semi_residuality, closure_of_ideal,
                       dietz_obstruction, direct_sum_closure, ideal_member,
                       intersect_closures, is_trivial_on_sample,

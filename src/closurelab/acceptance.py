@@ -24,12 +24,10 @@ import signal
 import threading
 import time
 
-from .closure import (ModuleClosure, MonomialIntegralClosure,
-                      PhantomInstance, TrivialClosure,
+from .closure import (ModuleClosure, MonomialIntegralClosure, TrivialClosure,
                       check_colon_capturing, check_faithfulness,
-                      dietz_obstruction, direct_sum_closure,
-                      ideal_member, intersect_closures,
-                      is_trivial_on_sample, phantom_test)
+                      dietz_obstruction, direct_sum_closure, ideal_member,
+                      intersect_closures, is_trivial_on_sample, phantom_test)
 from .field import QQ, prime_field
 from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, rank,
                      span_rows, vec_coords)
@@ -232,9 +230,8 @@ def criterion_6():
     step = trace.stages[-1]
     if step.descriptor.get("u") != ["b^2"]:
         return False, f"unexpected bad relation: {step.descriptor}"
-    inst = PhantomInstance.from_module(trace.current)
-    ph_s = phantom_test(clS, inst)
-    ph_t = phantom_test(TrivialClosure(), inst)
+    ph_s = phantom_test(clS, trace.current)
+    ph_t = phantom_test(TrivialClosure(), trace.current)
     if not ph_s.holds:
         return False, "modification is not cl_S-phantom"
     if ph_t.holds:

@@ -26,11 +26,11 @@ forms of the reduced basis a preimage run returned), and a run on them
 would hand back the same list, so the closure is unchanged by the skip.
 
 Both member and closure work on kernel rows and terms (gb) from input to
-answer.  A Vec holds kernel terms, so nothing is encoded: the image
-context relabels N's generators, s_i (x) u is a relabel of u's terms into
-the components of s_i, and the span so far stays the rows a preimage run
-hands back.  The closure's kept generators are Vecs of their rows, and
-the image's Vec generators are built only for certificates.
+answer.  A Vec holds kernel terms, so nothing is encoded: the image of
+S (x) N is the Submodule of S (x) M generated by N's generators
+relabelled, s_i (x) u is a relabel of u's terms into the components of
+s_i, and the span so far stays the rows a preimage run hands back.  The
+closure's kept generators are Vecs of their rows.
 
 The axiom checkers are instance-level falsifiers: they verify a stated
 inclusion on the given data and report {holds-on-instance} or
@@ -39,7 +39,6 @@ inclusion on the given data and report {holds-on-instance} or
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
@@ -47,10 +46,9 @@ from weakref import WeakKeyDictionary
 
 from .modules import (FPModule, ModuleMap, Submodule, _minimal_submodule,
                       _unit_rows, direct_sum, free_module, ideal_submodule,
-                      quotient_module, r_preimage, r_span_basis,
-                      ring_as_module, tensor, tensor_elem)
+                      quotient_module, r_preimage, ring_as_module, tensor)
 from .poly import ContextError, DomainError, Vec, _shift_terms, mono_divides
-from .ring import ParameterSequence, QuotientRing, RingElem
+from .ring import ParameterSequence, QuotientRing
 from .values import Record
 
 
@@ -115,31 +113,7 @@ class TrivialClosure(ClosureOp):
         return MembershipOutcome(True, [str(c) for c in cert] if cert else None)
 
     def closure(self, N):
-        return Submodule(N.module, N.gens).minimalized()
-
-
-class _ImageContext:
-    """T = S (x) M and the image of S (x) N in it, for N inside M.
-
-    Each generator of N is relabelled into the components p * nb + j of
-    each generator s_p of S, nb = M.ngens, its kernel terms as they are
-    (Vec.pad); span is their reduced basis with T's relations, which
-    answers membership.  The image as a Submodule, with Vec generators
-    s_p (x) n_q, is built only when a certificate asks for it, and only its
-    block basis (Submodule.ext) is read.
-    """
-
-    def __init__(self, S: FPModule, N: Submodule, T: FPModule):
-        self.S, self.N, self.T = S, N, T
-        nb = N.module.ngens
-        self.span = r_span_basis(T, [g.pad(T.ngens, i * nb)
-                                     for i in range(S.ngens) for g in N.gens])
-
-    @cached_property
-    def image(self) -> Submodule:
-        S, N = self.S, self.N
-        return self.T.submodule([tensor_elem(S, N.module, p, nq)
-                                 for p in range(S.ngens) for nq in N.gens])
+        return N.minimalized()
 
 
 class ModuleClosure(ClosureOp):
@@ -155,19 +129,23 @@ class ModuleClosure(ClosureOp):
     def describe(self):
         return f"module_closure({self.name})"
 
-    def _image_context(self, N: Submodule) -> _ImageContext:
-        """S (x) M and the image of S (x) N in it, for N inside M.
+    def _image(self, N: Submodule) -> Submodule:
+        """The image of S (x) N in T = S (x) M, for N inside M.
 
-        The last result is kept in one slot keyed by (N.module, N.gens),
-        compared by value, so an equal but distinct N reuses it, together
-        with its span and the image Submodule, with its ext basis, once a
-        certificate has built them.  One slot, not a table per N: memory
-        stays flat.  S (x) M is built anew with each context: for M = R it
-        is S itself, with the relation basis S keeps.  The slot is read
-        and written by single attribute accesses and takes no lock: every
-        basis in a context is reduced, hence canonical, so two threads
-        racing on one closure at worst build two equal contexts and keep
-        either.
+        Its generators s_p (x) n_q are N's generators relabelled into the
+        components p * nb + q of T, nb = M.ngens, their kernel terms as
+        they are (Vec.pad): N's are normal and homogeneous, so these are
+        too.  Its span answers membership; its ext basis, built only when
+        a certificate is asked for, gives certificates.
+
+        The last image is kept in one slot keyed by (M, N.gens), compared
+        by value, so an equal but distinct N reuses it, with the bases it
+        has built.  One slot, not a table per N: memory stays flat.  T is
+        built anew with each image: for M = R it is S itself, with the
+        relation basis S keeps.  The slot is read and written by single
+        attribute accesses and takes no lock: the image's bases are
+        reduced, hence canonical, so two threads racing on one closure at
+        worst build two equal images and keep either.
         """
         M = N.module
         if M.ring != self.S.ring:
@@ -176,23 +154,28 @@ class ModuleClosure(ClosureOp):
         slot = self._image_slot
         if slot is not None and slot[0] == key:
             return slot[1]
-        context = _ImageContext(self.S, N, tensor(self.S, M))
-        self._image_slot = (key, context)
-        return context
+        # plain loops: a comprehension here would put N in a cell, which
+        # every call pays for, slot hits included
+        T, nb, gens = tensor(self.S, M), M.ngens, []
+        for i in range(self.S.ngens):
+            for g in N.gens:
+                gens.append(g.pad(T.ngens, i * nb))
+        image = Submodule(T, gens)
+        self._image_slot = (key, image)
+        return image
 
     def member(self, u, N, want_certificate=False):
         """s_i (x) u is u's kernel terms relabelled into the components of
         s_i, tested against the image span."""
         u = N.module.vec(u)
-        context = self._image_context(N)
-        terms, nb = u._terms, N.module.ngens
+        image = self._image(N)
+        span, terms, nb = image.span, u._terms, N.module.ngens
         certs = []
         for i in range(self.S.ngens):
-            if not context.span.contains_terms(_shift_terms(terms, i * nb)):
+            if not span.contains_terms(_shift_terms(terms, i * nb)):
                 return MembershipOutcome(False)
             if want_certificate:
-                cert = context.image.certificate(
-                    tensor_elem(self.S, N.module, i, u))
+                cert = image.certificate(u.pad(image.module.ngens, i * nb))
                 certs.append([str(c) for c in cert] if cert else None)
         return MembershipOutcome(True, certs if want_certificate else None)
 
@@ -209,8 +192,8 @@ class ModuleClosure(ClosureOp):
         they are, and makes Vecs of the generators it keeps.
         """
         M = N.module
-        context = self._image_context(N)
-        span, nb = context.span, M.ngens
+        image = self._image(N)
+        span, nb = image.span, M.ngens
         rows = _unit_rows(nb)
         for i in range(self.S.ngens):
             if all(span.contains_terms(_shift_terms(row[3], i * nb))
@@ -219,7 +202,7 @@ class ModuleClosure(ClosureOp):
             rows = r_preimage(M.ring,
                               [_shift_terms(row[3], i * nb) for row in rows],
                               [row[3] for row in rows], nb, span,
-                              context.T.ngens)
+                              image.module.ngens)
         return _minimal_submodule(M, rows)
 
 
@@ -463,11 +446,10 @@ def check_semi_residuality(cl: ClosureOp, N: Submodule) -> CheckOutcome:
 
 
 def _require_sop(ring: QuotientRing, xs) -> ParameterSequence:
-    if isinstance(xs, ParameterSequence):
-        if not xs.verified_partial_sop:
-            raise DomainError("parameter sequence was not verified")
-        return xs
-    return ParameterSequence.verified(ring, xs)
+    """xs if it is a ParameterSequence, which was verified when made, else
+    the sequence of ring elements xs, verified now."""
+    return xs if isinstance(xs, ParameterSequence) else \
+        ParameterSequence(ring, xs)
 
 
 def check_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
@@ -478,8 +460,7 @@ def check_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
     strongA:  (x_1^t, x_2..x_k)^cl : x_1^a inside (x_1^{t-a}, x_2..x_k)^cl
     strongB:  (x_1..x_k)^cl : x_{k+1}      inside (x_1..x_k)^cl
     """
-    seq = _require_sop(ring, xs)
-    elems = list(seq.elems)
+    elems = list(_require_sop(ring, xs).elems)
     if variant == "plain":
         if len(elems) < 1:
             raise DomainError("need at least one parameter")
@@ -511,8 +492,7 @@ def check_generalized_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
     Defaults build the canonical instance M = R, f the quotient map onto
     R/J, v = x_{k+1}.
     """
-    seq = _require_sop(ring, xs)
-    elems = list(seq.elems)
+    elems = list(_require_sop(ring, xs).elems)
     if len(elems) < 2:
         raise DomainError("need a partial s.o.p. x_1..x_{k+1} with k >= 1")
     J = elems[:-1]
@@ -546,45 +526,25 @@ def check_generalized_colon_capturing(cl: ClosureOp, ring: QuotientRing, xs,
 # --- phantom extensions ---------------------------------------------------------
 
 
-class PhantomInstance:
-    """Presentation data for an injection alpha: R -> M, e_1 = alpha(1).
+def phantom_test(cl: ClosureOp, M: FPModule) -> CheckOutcome:
+    """Is the extension alpha: R -> M, 1 -> e_1, the first generator of M,
+    cl-phantom?
 
-    rows is the n x m matrix (b_ij) whose columns are the relations of M on
-    generators e_1..e_n, and col_degrees the degrees of those columns,
-    which grade R^m.  The extension is cl-phantom iff the top row lies in
-    the cl-closure, inside R^m, of the span of the remaining rows.
+    The rows of the n x m matrix whose columns are M's relations, on
+    generators e_1..e_n, are vectors of R^m, graded by the negated
+    relation degrees.  The extension is cl-phantom iff the top row lies in
+    the cl-closure, inside R^m, of the span of the remaining nonzero rows.
+    With no relations it splits, and is phantom.
     """
-
-    def __init__(self, ring: QuotientRing, rows, col_degrees):
-        self.ring = ring
-        self.rows = [[ring.elem(x) for x in row] for row in rows]
-        self.m = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.m:
-                raise DomainError("ragged phantom matrix")
-        self.col_degrees = col_degrees
-
-    @classmethod
-    def from_module(cls, M: FPModule):
-        """Instance for alpha: R -> M sending 1 to the first generator."""
-        # the relations are stored as normal forms (FPModule.__init__)
-        rows = [[RingElem._of_nf(M.ring, col.component(i))
-                 for col in M.relations]
-                for i in range(M.ngens)]
-        degs = [col.degree(M.gen_degrees) for col in M.relations]
-        return cls(M.ring, rows, degs)
-
-    def free_cover(self) -> FPModule:
-        return free_module(self.ring, tuple(-d for d in self.col_degrees))
-
-
-def phantom_test(cl: ClosureOp, inst: PhantomInstance) -> CheckOutcome:
-    if inst.m == 0:
+    if not M.relations:
         return CheckOutcome(True, note="no relations: split extension")
-    F = inst.free_cover()
-    top = F.vec(inst.rows[0])
-    span = F.submodule([row for row in inst.rows[1:]])
-    return CheckOutcome(bool(cl.member(top, span).holds))
+    # the relations are stored as normal forms (FPModule.__init__)
+    rows = [Vec.from_polys(row) for row in
+            zip(*(col.to_polys() for col in M.relations))]
+    F = free_module(M.ring, tuple(-col.degree(M.gen_degrees)
+                                  for col in M.relations))
+    span = Submodule(F, tuple(row for row in rows[1:] if not row.is_zero()))
+    return CheckOutcome(bool(cl.member(rows[0], span).holds))
 
 
 # --- obstructions and triviality -------------------------------------------------
@@ -596,8 +556,7 @@ def dietz_obstruction(cl: ClosureOp, ring: QuotientRing, xs, t_max):
     A returned t certifies that cl fails strong colon-capturing version A
     on a faithful closure, hence cannot be a Dietz closure.
     """
-    seq = _require_sop(ring, xs)
-    elems = list(seq.elems)
+    elems = list(_require_sop(ring, xs).elems)
     if not elems:
         raise DomainError("need parameters")
     R1 = ring_as_module(ring)

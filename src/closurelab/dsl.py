@@ -9,7 +9,7 @@ Grammar (statements end with ';', '#' starts a comment):
                  "[" polylist "]" ["," varlist] ")" ";"
   field   := "Q" | "Fp" "(" INT ")"
   order   := "lex" | "degrevlex" | "wdegrevlex" "[" intlist "]"
-  iddef   := "ideal" NAME "=" "ideal" "(" NAME "," polylist ")" ";"
+  iddef   := "ideal" NAME "=" call ";"
   moddef  := "module" NAME "=" call ";"
   cldef   := "closure" NAME "=" ("trivial" | "integral_closure" | call) ";"
   check   := "check" call ";"
@@ -31,9 +31,9 @@ check_syntax scans again in polynomial mode.
 A statement parses into one of three nodes: RingDef, ExportStmt, or
 CallStmt for every other keyword.  Eq, hash and repr read every field of
 RingDef and ExportStmt, and of a CallStmt kind, name, form and args, but
-not bound, which follows from args.  An ideal's arguments are not bound
-through SIGNATURES: its ring is a bare name, and its generators are
-checked when the statement runs.
+not bound, which follows from args.  An ideal statement's one form is the
+set head ideal, bound by the same signature: its generators are element
+texts, read in the ring when the statement runs.
 
 Printing an AST yields canonical source; parsing that source returns an
 equal AST.
@@ -69,6 +69,9 @@ SIGNATURES = {
         "closure": "cl: closure, N: set",
         "product": "I: name, M: name",
         "mult": "I: name, J: name",
+        "ideal": "R: ring, *gens: element",
+    },
+    "ideal": {
         "ideal": "R: ring, *gens: element",
     },
     "module": {
@@ -125,7 +128,7 @@ def _params(spec):
     return tuple(params)
 
 
-# no two statements share a form name
+# a form name shared by two statements (ideal) has one signature in both
 PARAMS = {form: _params(spec) for forms in SIGNATURES.values()
           for form, spec in forms.items()}
 CHECK_FNS = tuple(SIGNATURES["check"])
@@ -263,9 +266,8 @@ class CallStmt(Frozen):
     closure, check or modify), name the name it binds (None for a check),
     form the call's head and args its arguments.  A closure keyword is a
     form without arguments, and prints bare.  bound: parameter name ->
-    argument value, as Parser.bind gives them (for an ideal, R and the
-    generator texts as written); it follows from args, and is left out of
-    eq, hash and repr."""
+    argument value, as Parser.bind gives them; it follows from args, and
+    is left out of eq, hash and repr."""
 
     __slots__ = ("kind", "name", "form", "args", "bound")
     _fields = ("kind", "name", "form", "args")
@@ -522,8 +524,6 @@ class Parser:
                               "modify", "export")
         if kw == "ring":
             return self.parse_ringdef()
-        if kw == "ideal":
-            return self.parse_idealdef()
         if kw == "export":
             return self.parse_export()
         return self.parse_call_statement(kw)
@@ -599,19 +599,6 @@ class Parser:
         self.expect(";")
         return RingDef(name, "subring", fs, vars_, ("wdegrevlex", ()),
                        images=images, pres_names=pres)
-
-    def parse_idealdef(self):
-        name = self.expect_name()
-        self.expect("=")
-        self.expect_name("ideal")
-        self.expect("(")
-        ring = self.expect_name()
-        self.expect(",")
-        gens = tuple(self.scan_args()[0])
-        self.expect(")")
-        self.expect(";")
-        return CallStmt("ideal", name, "ideal", (Name(ring), *gens),
-                        {"R": ring, "gens": tuple(a.show() for a in gens)})
 
     def parse_export(self):
         what = self.expect_name("json", "session")

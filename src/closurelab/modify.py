@@ -14,35 +14,37 @@ fed directly to the phantom-extension test.
 
 from __future__ import annotations
 
-from .closure import ClosureOp, PhantomInstance, phantom_test
+from .closure import ClosureOp, _require_sop, phantom_test
 from .modules import (FPModule, ModuleMap, Submodule, colon_scan,
                       ring_as_module, scaled_gens)
 from .poly import ContextError, DomainError, Vec
-from .ring import ParameterSequence, QuotientRing
+from .ring import QuotientRing
 from .values import Record
 
 
 class BadRelation(Record):
-    """x_{k+1} u = x_1 u_1 + .. + x_k u_k in M, with u outside (x_1..x_k)M."""
+    """x_{k+1} u = x_1 u_1 + .. + x_k u_k in M, with u outside (x_1..x_k)M.
+
+    xs is the tuple x_1 .. x_{k+1} of ring elements, each coerced through
+    module.ring.elem; us are u_1 .. u_k, vectors in the cover of M.
+    """
 
     __slots__ = ("module", "xs", "u", "us")
 
-    def __init__(self, module: FPModule, xs: ParameterSequence, u: Vec,
-                 us: tuple):
+    def __init__(self, module: FPModule, xs, u: Vec, us: tuple):
         self.module = module
-        self.xs = xs        # x_1 .. x_{k+1}
+        self.xs = tuple(module.ring.elem(x) for x in xs)
         self.u = u
-        self.us = us        # u_1 .. u_k, vectors in the cover of M
-        M = self.module
-        elems = list(self.xs.elems)
-        if len(self.us) != len(elems) - 1:
+        self.us = us
+        M, xs = self.module, self.xs
+        if len(self.us) != len(xs) - 1:
             raise DomainError("need one u_i per x_i (i <= k)")
-        lhs = self.u.scale(elems[-1].poly)
-        for x, ui in zip(elems[:-1], self.us):
+        lhs = self.u.scale(xs[-1].poly)
+        for x, ui in zip(xs[:-1], self.us):
             lhs = lhs - ui.scale(x.poly)
         if not M.element_is_zero(lhs):
             raise DomainError("the stated relation does not hold in M")
-        span = Submodule(M, tuple(scaled_gens(M, elems[:-1])))
+        span = Submodule(M, tuple(scaled_gens(M, xs[:-1])))
         if span.contains(self.u):
             raise DomainError("u lies in (x_1..x_k)M: not a bad relation")
 
@@ -79,7 +81,7 @@ def parameter_modification(M: FPModule, rel: BadRelation):
     """
     if rel.module != M:
         raise ContextError("relation belongs to a different module")
-    params = rel.xs.elems[:-1]
+    params = rel.xs[:-1]
     deg_u = rel.u.degree(M.gen_degrees)
     col = Vec.from_polys(rel.u.to_polys() + [x.poly for x in params])
     return _modified(M, [deg_u - x.degree() for x in params], [col])
@@ -119,17 +121,15 @@ def containment_modification(M: FPModule, cl: ClosureOp, G: Submodule,
 
 
 def find_bad_relation(M: FPModule, xs, degree_bound=None):
-    """Search for a bad relation on M against the partial s.o.p. xs.
+    """Search for a bad relation on M against the partial s.o.p. xs, a
+    ParameterSequence or elements verified here.
 
     Scans the colon ((x_1..x_{i-1})M : x_i) at the first index where the
     sequence fails to be regular and takes the least witness, by degree
     with a deterministic tie-break.  Returns None when xs is regular on M
     (up to the degree bound).
     """
-    ring = M.ring
-    if not isinstance(xs, ParameterSequence):
-        xs = ParameterSequence.verified(ring, xs)
-    elems = list(xs.elems)
+    elems = _require_sop(M.ring, xs).elems
     failure = colon_scan(M, elems, degree_bound)
     if failure is None:
         return None
@@ -138,8 +138,7 @@ def find_bad_relation(M: FPModule, xs, degree_bound=None):
     n = M.ngens
     us = [Vec.from_polys([c.poly for c in cert[l * n:(l + 1) * n]])
           for l in range(i)]
-    seq = ParameterSequence(tuple(elems[:i + 1]), xs.verified_partial_sop)
-    return BadRelation(M, seq, u, tuple(us))
+    return BadRelation(M, elems[:i + 1], u, tuple(us))
 
 
 class Stage(Record):
@@ -177,11 +176,8 @@ class ModificationTrace:
     def _phantom_flags(self, cl, before, after):
         return {
             "closure": cl.describe(),
-            "phantom_before": bool(phantom_test(
-                cl, PhantomInstance.from_module(before)).holds)
-            if before.relations else True,
-            "phantom_after": bool(phantom_test(
-                cl, PhantomInstance.from_module(after)).holds),
+            "phantom_before": bool(phantom_test(cl, before).holds),
+            "phantom_after": bool(phantom_test(cl, after).holds),
         }
 
     def extend_parameter(self, rel: BadRelation,
@@ -236,8 +232,7 @@ def parameter_chain(ring: QuotientRing, cl: ClosureOp, xs, steps: int,
                     degree_bound=None) -> ModificationTrace:
     """Run up to `steps` parameter modifications from R along xs, each on
     the least bad relation (see find_bad_relation)."""
-    seq = xs if isinstance(xs, ParameterSequence) else \
-        ParameterSequence.verified(ring, xs)
+    seq = _require_sop(ring, xs)
     trace = ModificationTrace.start(ring)
     for _step in range(steps):
         rel = find_bad_relation(trace.current, seq, degree_bound)

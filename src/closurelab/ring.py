@@ -289,22 +289,18 @@ class RingElem:
 
 
 class ParameterSequence(Record):
-    """Elements asserted to be a partial system of parameters."""
+    """A partial system of parameters of ring: elems, coerced through
+    ring.elem, verified when the sequence is made (DomainError if not)."""
 
-    __slots__ = ("elems", "verified_partial_sop")
+    __slots__ = ("elems",)
 
-    def __init__(self, elems: tuple, verified_partial_sop: bool = False):
-        self.elems = elems
-        self.verified_partial_sop = verified_partial_sop
-
-    @classmethod
-    def verified(cls, ring: QuotientRing, elems):
+    def __init__(self, ring: QuotientRing, elems):
         elems = tuple(ring.elem(x) for x in elems)
         if not ring.is_partial_sop(elems):
             raise DomainError(
                 "not a partial system of parameters: (%s)"
                 % ", ".join(str(x) for x in elems))
-        return cls(elems, True)
+        self.elems = elems
 
     def __len__(self):
         return len(self.elems)

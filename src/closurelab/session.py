@@ -13,10 +13,9 @@ import hashlib
 import json
 import time
 from .closure import (ClosureOp, IntersectionClosure, ModuleClosure,
-                      MonomialIntegralClosure, PhantomInstance,
-                      TrivialClosure, check_colon_capturing,
-                      check_faithfulness, check_functoriality,
-                      check_generalized_colon_capturing,
+                      MonomialIntegralClosure, TrivialClosure,
+                      check_colon_capturing, check_faithfulness,
+                      check_functoriality, check_generalized_colon_capturing,
                       check_semi_residuality, dietz_obstruction,
                       is_trivial_on_sample, phantom_test)
 from .dsl import (Call, CallStmt, ExportStmt, Name, Parser, RingDef,
@@ -364,8 +363,7 @@ class Session:
             else:
                 raise EvalError(f"{name!r} is {_a(kind)}, expected a module "
                                 f"or trace", name)
-            res.ok = bool(phantom_test(
-                cl, PhantomInstance.from_module(M)).holds)
+            res.ok = bool(phantom_test(cl, M).holds)
             return
         if fn == "regular_sequence":
             ring = self._ring(args["R"])

@@ -17,7 +17,13 @@ and compare what it prints:
   `ModuleMap` M -> M/N with N's generators shuffled, scaled or repeated;
 - the minimal presentation and first syzygy module of a module whose
   relations are scaled, repeated, written with their terms in another
-  order or given in another order.
+  order or given in another order;
+- `TrivialClosure` and `IntersectionClosure(cl_S, trivial)` closures with
+  N's generators shuffled, scaled or repeated;
+- `phantom_test(cl, M)` under trivial, cl_S and their intersection, with
+  M's relations scaled, one repeated, shuffled, or joined by the sum of
+  two of one degree; M's generators keep their order, since the first is
+  the image of 1.
 
 Hypothesis runs derandomized with few examples, as tests/test_dsl_fuzz.py
 does: the suite is a fixed, reproducible set of cases.
@@ -27,13 +33,16 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from closurelab.closure import ModuleClosure
+from closurelab.closure import (IntersectionClosure, ModuleClosure,
+                                TrivialClosure, phantom_test)
 from closurelab.field import QQ, prime_field
 from closurelab.gb import Vec
 from closurelab.linalg import monomials_of_wdeg
+from closurelab.modify import parameter_chain
 from closurelab.modules import (FPModule, ModuleMap, free_module,
                                 ideal_as_module, quotient_module,
                                 residue_field)
@@ -257,6 +266,32 @@ def test_intersections_colons_and_kernels_do_not_depend_on_presentations(
     assert printed(_regenerated(R, gens, rng)) == printed(gens)
 
 
+def _closures(S):
+    """The trivial closure, cl_S and their intersection."""
+    clS = ModuleClosure(S)
+    return (TrivialClosure(), clS,
+            IntersectionClosure([clS, TrivialClosure()]))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(rings, st.sampled_from(["ideal", "k", "cyclic"]), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_trivial_and_intersection_closures_do_not_depend_on_generators(
+        kind_p, skind, rank, seed):
+    """The trivial closure and cl_S intersected with it print identically
+    for N's generators shuffled, scaled by 2, -1 or 3 and one repeated.
+    Generators are not joined by their sums: minimalization chooses from
+    the candidates it is given."""
+    R, rng = ring(*kind_p), random.Random(seed)
+    trivial, _clS, both = _closures(_closure_module(R, skind, rng))
+    M = free_module(R, (0,) * rank)
+    gens = _submodule_gens(R, rank, rng)
+    other = _regenerated(R, gens, rng)
+    for cl in (trivial, both):
+        assert _printed(cl.closure(M.submodule(other))) == \
+            _printed(cl.closure(M.submodule(gens))), cl.describe()
+
+
 # --- presentations: relations presented differently --------------------------
 
 
@@ -312,3 +347,73 @@ def test_presentations_do_not_depend_on_how_relations_are_written(kind_p,
         N = _represented(M, rng)
         assert (N.minimal_presentation().descriptor(),
                 N.syzygy(1).descriptor()) == want, M
+
+
+# --- phantom tests: relations presented differently --------------------------
+
+
+def _phantom_representations(M, rng):
+    """M with its relations scaled by 2, -1 or 3; one of them repeated;
+    all shuffled; and, when two have one degree, their sum appended.
+    The generators keep their order; with no relations there is none."""
+    amb, rels = M.ring.ambient, list(M.relations)
+    if not rels:
+        return []
+    scaled = [r.scale(amb.const(rng.choice((2, -1, 3)))) for r in rels]
+    shuffled = rels[:]
+    rng.shuffle(shuffled)
+    out = [scaled, rels + [rng.choice(rels)], shuffled]
+    degree = [r.degree(M.gen_degrees) for r in rels]
+    pairs = [(i, j) for i in range(len(rels)) for j in range(i)
+             if degree[i] == degree[j]]
+    if pairs:
+        i, j = rng.choice(pairs)
+        out.append(rels + [rels[i] + rels[j]])
+    return [FPModule(M.ring, M.gen_degrees, r) for r in out]
+
+
+def _phantom_answers(closures, M, rng):
+    """phantom_test of each closure on M, asserted to be the same on every
+    re-presentation of M's relations."""
+    want = [bool(phantom_test(cl, M).holds) for cl in closures]
+    for M2 in _phantom_representations(M, rng):
+        got = [bool(phantom_test(cl, M2).holds) for cl in closures]
+        assert got == want, ([str(r) for r in M.relations],
+                             [str(r) for r in M2.relations])
+    return want
+
+
+@cache
+def _stages(p):
+    """The closure module S2 of Veronese-4 over Q or GF(p), and the stage
+    modules of four parameter modifications along a, d under cl_S."""
+    R = ring("ver4", p)
+    sp = R.presentation
+    S = FPModule(R, (0, 4), sp.module_relation_columns(
+        [sp.target.one(), sp.target.parse("x^2*y^2")]))
+    trace = parameter_chain(R, ModuleClosure(S), ["a", "d"], 4)
+    return S, [stage.module for stage in trace.stages[1:]]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_phantom_test_does_not_depend_on_the_relations_of_a_stage(p):
+    """Each Veronese-4 stage module is phantom under cl_S and not under
+    the trivial closure or the intersection, however its relations are
+    written."""
+    S, stages = _stages(p)
+    rng = random.Random(f"phantom-stages-{p}")
+    assert len(stages) == 4
+    for M in stages:
+        assert _phantom_answers(_closures(S), M, rng) == [False, True, False]
+
+
+@settings(SETTINGS, max_examples=40)
+@given(rings, st.sampled_from(["ideal", "k", "cyclic"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_phantom_test_does_not_depend_on_how_relations_are_written(
+        kind_p, skind, seed):
+    """phantom_test under trivial, cl_S and their intersection gives one
+    answer for a module and for its relations re-presented."""
+    R, rng = ring(*kind_p), random.Random(seed)
+    _phantom_answers(_closures(_closure_module(R, skind, rng)),
+                     _relation_module(R, rng), rng)

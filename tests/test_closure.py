@@ -9,7 +9,8 @@ from closurelab import closure, modules
 from closurelab import ring as ring_module
 from closurelab.field import QQ, prime_field
 from closurelab.orders import wdegrevlex
-from closurelab.poly import ContextError, DomainError, PolyRing, Polynomial
+from closurelab.poly import (ContextError, DomainError, PolyRing, Polynomial,
+                             Vec)
 from closurelab.ring import QuotientRing, make_quotient_ring
 from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 free_module,
@@ -17,8 +18,8 @@ from closurelab.modules import (FPModule, ModuleMap, Submodule, direct_sum,
                                 quotient_module, residue_field,
                                 ring_as_module, scaled_gens)
 from closurelab.closure import (ClosureOp, ModuleClosure,
-                                MonomialIntegralClosure, PhantomInstance,
-                                TrivialClosure, UnsupportedQueryError,
+                                MonomialIntegralClosure, TrivialClosure,
+                                UnsupportedQueryError,
                                 check_colon_capturing, check_faithfulness,
                                 check_functoriality,
                                 check_generalized_colon_capturing,
@@ -43,6 +44,27 @@ def test_square_subring_membership(segre):
     assert out.holds
     assert out.certificate is not None
     assert len(out.certificate) == M.ngens
+
+
+def test_module_closure_certificate_has_one_entry_per_image_generator(
+        veronese4, s2_module):
+    """A cl_S certificate for s_i (x) u has one coefficient per s_p (x) n_q,
+    N's generators taken as they are, a zero one included, at index
+    p * len(N.gens) + q, and their combination is s_i (x) u."""
+    R1 = ring_as_module(veronese4)
+    N = Submodule(R1, (R1.vec(["a"]), R1.vec(["0"]), R1.vec(["d"])))
+    out = ModuleClosure(s2_module).member(["b^2"], N, want_certificate=True)
+    assert out.holds and len(out.certificate) == s2_module.ngens
+    T = modules.tensor(s2_module, R1)
+    for i, cert in enumerate(out.certificate):
+        assert len(cert) == s2_module.ngens * len(N.gens)
+        total = Vec.zero(veronese4.ambient, T.ngens)
+        for l, c in enumerate(cert):
+            p, q = divmod(l, len(N.gens))
+            total = total + modules.tensor_elem(s2_module, R1, p, N.gens[q]) \
+                .scale(veronese4.elem(c).poly)
+        assert T.elements_equal(total, T.vec(["b^2" if j == i else "0"
+                                              for j in range(T.ngens)]))
 
 
 def test_s2_closure_membership(veronese4, s2_module):
@@ -565,7 +587,6 @@ def test_closure_makes_one_image_span_and_one_preimage_run_per_unsatisfied_step(
         return real(module, cols)
 
     monkeypatch.setattr(modules, "r_span_basis", counting)
-    monkeypatch.setattr(closure, "r_span_basis", counting)
     cl = ModuleClosure(s2_module)
     _gens, runs = raw_preimage(lambda: cl.closure(N))
     assert runs == want and spans.count(T) == 1
@@ -792,22 +813,20 @@ def test_gcc_refuses_a_default_map_that_is_not_well_defined(kxy):
 
 
 def test_split_extension_is_phantom(segre):
-    inst = PhantomInstance.from_module(free_module(segre, (0, 2)))
-    assert phantom_test(TrivialClosure(), inst).holds
+    out = phantom_test(TrivialClosure(), free_module(segre, (0, 2)))
+    assert out.holds and out.note == "no relations: split extension"
 
 
 def test_parameter_modification_phantom(veronese4, s2_module):
     Mp = FPModule(veronese4, (0, 4), [["b^2", "a"]])
-    inst = PhantomInstance.from_module(Mp)
-    assert phantom_test(ModuleClosure(s2_module), inst).holds
-    assert not phantom_test(TrivialClosure(), inst).holds
+    assert phantom_test(ModuleClosure(s2_module), Mp).holds
+    assert not phantom_test(TrivialClosure(), Mp).holds
 
 
 def test_top_row_already_in_span_is_phantom(kxy):
     # relation column (x, x): top row x lies in the span of row 2
     M = FPModule(kxy, (0, 0), [["x", "x"]])
-    inst = PhantomInstance.from_module(M)
-    assert phantom_test(TrivialClosure(), inst).holds
+    assert phantom_test(TrivialClosure(), M).holds
 
 
 # --- obstruction and triviality --------------------------------------------------------------------

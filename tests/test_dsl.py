@@ -222,18 +222,22 @@ WRONG = {"name": "[x]", "ring": "[x]", "closure": "[x]", "set": "[x]",
          "[int list]": "3", "int": "x", "ideal|[list]": "3"}
 # where a form of each statement stands, as "{}"
 STANDS = {"check": "check {};", "set": "check member(x, {});",
-          "module": "module M = {};", "closure": "closure c = {};",
-          "modify": "modify T = {};"}
+          "ideal": "ideal J = {};", "module": "module M = {};",
+          "closure": "closure c = {};", "modify": "modify T = {};"}
 
 
 def _signature_cases():
     """(statement, error column, message prefix) for each form: its last
     required argument dropped, and each argument in turn of the wrong
     shape.  An optional ring before other parameters is not one: a
-    misshapen argument in its place is bound to the next parameter."""
+    misshapen argument in its place is bound to the next parameter.  A
+    form that an earlier statement has too is named with its statement."""
+    seen = set()
     for statement, forms in SIGNATURES.items():
         before = STANDS[statement].index("{}") + 1
         for form in forms:
+            label = f"{statement}:{form}" if form in seen else form
+            seen.add(form)
             params = PARAMS[form]
             args = [GOOD[p.kind] for p in params]
             required = [i for i, p in enumerate(params)
@@ -241,7 +245,7 @@ def _signature_cases():
             if required:
                 j = required[-1]
                 call = f"{form}({', '.join(args[:j])})"
-                yield (f"{form}-missing", STANDS[statement].format(call),
+                yield (f"{label}-missing", STANDS[statement].format(call),
                        before + len(call) - 1,
                        f"{form}: argument {j + 1} is missing")
             for i, p in enumerate(params):
@@ -249,7 +253,7 @@ def _signature_cases():
                     continue
                 head = f"{form}(" + "".join(a + ", " for a in args[:i])
                 call = head + ", ".join([WRONG[p.kind]] + args[i + 1:]) + ")"
-                yield (f"{form}-{p.name}", STANDS[statement].format(call),
+                yield (f"{label}-{p.name}", STANDS[statement].format(call),
                        before + len(head),
                        f"{form}: argument {i + 1} must be ")
 
@@ -270,8 +274,9 @@ def test_every_form_rejects_a_missing_or_misshapen_argument(stmt, column,
 
 def test_readme_lists_exactly_the_forms_of_the_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    listed = re.findall(r"^(check|set|module|closure|modify) (\w+)\((.*)\)$",
-                        readme, re.M)
+    listed = re.findall(
+        r"^(check|set|ideal|module|closure|modify) (\w+)\((.*)\)$",
+        readme, re.M)
     assert sorted(listed) == sorted(
         (statement, form, spec) for statement, forms in SIGNATURES.items()
         for form, spec in forms.items())

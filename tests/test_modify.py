@@ -6,11 +6,12 @@ from closurelab.field import QQ
 from closurelab.gb import Vec
 from closurelab.orders import DEGREVLEX
 from closurelab.poly import ContextError, DomainError, PolyRing
-from closurelab.ring import ParameterSequence
+from closurelab.ring import ParameterSequence, QuotientRing
 from closurelab.modules import (Submodule, free_module, ideal_as_module,
                                 ideal_submodule, ring_as_module, scaled_gens)
 from closurelab.closure import (ModuleClosure, MonomialIntegralClosure,
-                                PhantomInstance, TrivialClosure, phantom_test)
+                                TrivialClosure, check_colon_capturing,
+                                dietz_obstruction, phantom_test)
 from closurelab.modify import (BadRelation, ModificationTrace,
                                containment_modification, find_bad_relation,
                                parameter_chain, parameter_modification)
@@ -31,13 +32,44 @@ def test_find_bad_relation_none_on_regular(kxy):
 
 def test_bad_relation_validation(veronese4):
     M = ring_as_module(veronese4)
-    seq = ParameterSequence.verified(veronese4, ["a", "d"])
+    seq = ParameterSequence(veronese4, ["a", "d"])
     # stated relation must hold
     with pytest.raises(DomainError):
         BadRelation(M, seq, M.vec(["b^2"]), (M.vec(["c"]),))
     # u inside (x_1..x_k)M is not a bad relation
     with pytest.raises(DomainError):
         BadRelation(M, seq, M.vec(["a*c"]), (M.vec(["b*c - a*d + c^2"]),))
+
+
+def test_bad_relation_reads_its_parameters_as_ring_elements(veronese4):
+    M = ring_as_module(veronese4)
+    rel = find_bad_relation(M, ["a", "d"], 12)
+    elems = (veronese4.elem("a"), veronese4.elem("d"))
+    assert rel.xs == elems
+    assert BadRelation(M, ["a", "d"], rel.u, rel.us) == \
+        BadRelation(M, elems, rel.u, rel.us) == rel
+
+
+def test_a_parameter_sequence_is_not_verified_again(veronese4, monkeypatch):
+    """A ParameterSequence was verified when made: the checkers and the
+    parameter chain take it as it is, with no further is_partial_sop."""
+    calls = []
+    real = QuotientRing.is_partial_sop
+
+    def counting(ring, elems):
+        calls.append(elems)
+        return real(ring, elems)
+
+    monkeypatch.setattr(QuotientRing, "is_partial_sop", counting)
+    seq = ParameterSequence(veronese4, ["a", "d"])
+    assert len(calls) == 1
+    cl = TrivialClosure()
+    assert not check_colon_capturing(cl, veronese4, seq).holds
+    assert dietz_obstruction(cl, veronese4, seq, 1) is None
+    assert len(parameter_chain(veronese4, cl, seq, 1)) == 2
+    assert len(calls) == 1
+    parameter_chain(veronese4, cl, ["a", "d"], 1)
+    assert len(calls) == 2
 
 
 def test_parameter_modification_presentation(veronese4):
@@ -206,8 +238,7 @@ def test_phantom_instance_from_stage_modules(veronese4, s2_module):
     clS = ModuleClosure(s2_module)
     trace = parameter_chain(veronese4, clS, ["a", "d"], 2)
     for stage in trace.stages[1:]:
-        inst = PhantomInstance.from_module(stage.module)
-        assert phantom_test(clS, inst).holds
+        assert phantom_test(clS, stage.module).holds
 
 
 def test_three_step_chain_stays_phantom(veronese4, s2_module):

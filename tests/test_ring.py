@@ -166,11 +166,10 @@ def test_partial_sop_rejects_degenerate_inputs(kxy):
 
 
 def test_parameter_sequence_verification(veronese4):
-    seq = ParameterSequence.verified(veronese4, ["a", "d"])
-    assert seq.verified_partial_sop
+    seq = ParameterSequence(veronese4, ["a", "d"])
     assert [str(x) for x in seq] == ["a", "d"]
     with pytest.raises(DomainError):
-        ParameterSequence.verified(veronese4, ["a", "b", "c"])
+        ParameterSequence(veronese4, ["a", "b", "c"])
 
 
 def test_nzd_drops_dimension_by_one(segre, xyuv):

@@ -727,6 +727,7 @@ SUBRING_R = ("ring R = subring(Fp(5), [x, y], [x^4, x^3*y, x*y^3, y^4], "
      "unknown variable 'q'"),
     # EvalError about a name: at the name
     (PXY + "check member(x, J);\n", 2, 17, "unknown name 'J'"),
+    (PXY + "ideal I = ideal(Nope, x);\n", 2, 17, "unknown name 'Nope'"),
     (PXY + "ideal I = ideal(P, x);\nclosure c = module_closure(I);\n", 3, 28,
      "'I' is an ideal, expected a module"),
     # DomainError, UnsupportedInputError, FieldError: at the statement
@@ -739,7 +740,7 @@ SUBRING_R = ("ring R = subring(Fp(5), [x, y], [x^4, x^3*y, x*y^3, y^4], "
     (PXY + "ideal I = ideal(P, x);\ncheck phantom(trivial, I);\n", 3, 24,
      "'I' is an ideal, expected a module or trace"),
 ], ids=["parse-subring-generator", "parse-second-line",
-        "parse-after-form-feed", "unknown-name",
+        "parse-after-form-feed", "unknown-name", "ideal-unknown-ring",
         "kind-mismatch", "domain", "unsupported-exponent", "field",
         "phantom-unknown-name", "phantom-kind-mismatch"])
 def test_runtime_errors_name_their_statement(tmp_path, capsys, script, line,

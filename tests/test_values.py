@@ -1,10 +1,13 @@
 """Value types and the package import: `import closurelab` loads the
-engine alone, and the value types written out in place of dataclasses
-keep a dataclass's equality, hash, repr, immutability and pickling."""
+engine alone, the README's Python sketch runs as printed, and the value
+types written out in place of dataclasses keep a dataclass's equality,
+hash, repr, immutability and pickling."""
 
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,19 @@ def test_import_loads_the_engine_alone():
                    "closurelab.session closurelab.dsl closurelab.modify"]
 
 
+def test_readme_python_sketch_prints_its_comment():
+    """The README's fenced python block, run in a fresh interpreter with
+    src/ on PYTHONPATH (tests/conftest.py puts it there), prints exactly
+    its `# ...` comment lines."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    want = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    out = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert want == ["['a*b', 'a*c', 'a^2', 'b*c', 'c^2']"]
+    assert out.stdout.splitlines() == want
+
+
 def test_lazy_names_are_listed_and_unknown_names_refused():
     import closurelab
     for name in ("Session", "StatementResult", "parse_script",
@@ -75,7 +91,7 @@ def test_bound_is_left_out_of_equality():
     assert Call("closure", args).bound == {}
 
 
-def test_frozen_values_refuse_assignment_and_results_are_unhashable():
+def test_frozen_values_refuse_assignment_and_results_are_unhashable(kxy):
     node = parse_script(SCRIPT)[0]
     for value, field in ((DEGREVLEX, "kind"),
                          (ModuleOrder(DEGREVLEX), "nreal"),
@@ -87,7 +103,7 @@ def test_frozen_values_refuse_assignment_and_results_are_unhashable():
     for value in (MembershipOutcome(True), CheckOutcome(False),
                   StatementResult("check x;", "check"),
                   CriterionResult(1, "t", True, "d", 0.5),
-                  ParameterSequence(())):
+                  ParameterSequence(kxy, ())):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
     out = MembershipOutcome(True)
