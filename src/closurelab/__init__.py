@@ -12,9 +12,11 @@ StatementResult, parse_script, print_statements) are in `__all__` too;
 the module `__getattr__` imports their modules when one of them is first
 used, so a caller of the engine alone does not pay for them
 (closurelab.cli imports them at once).  Value types (orders, syntax
-nodes, outcomes, results) are plain classes with `__slots__` and the
-methods of `values.Record`, not dataclasses: a dataclass generates its
-methods from source at every import, which took about a fifth of it.
+nodes, outcomes, parameter sequences, traces, results) are plain classes
+with `__slots__` and the methods of `values.Record`, not dataclasses: a
+dataclass generates its methods from source at every import, which took
+about a fifth of it.  Each is fixed once made: `Record` refuses
+assignment and deletion after `__init__`.
 """
 
 from importlib import import_module as _import_module
@@ -31,7 +33,7 @@ from .ring import (ParameterSequence, QuotientRing, RingElem,
 from .modules import (FPModule, ModuleMap, Submodule, direct_sum, free_module,
                       ideal_as_module, ideal_submodule, is_regular_sequence,
                       quotient_module, residue_field, ring_as_module,
-                      scaled_gens, tensor, tensor_elem)
+                      scaled_gens, scaled_submodule, tensor, tensor_elem)
 from .closure import (CheckOutcome, ClosureOp, IntersectionClosure,
                       MembershipOutcome, ModuleClosure,
                       MonomialIntegralClosure, TrivialClosure,

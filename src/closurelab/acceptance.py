@@ -32,9 +32,9 @@ from .field import QQ, prime_field
 from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, rank,
                      span_rows, vec_coords)
 from .modify import parameter_chain
-from .modules import (FPModule, Submodule, direct_sum, free_module,
-                      ideal_as_module, ideal_submodule,
-                      residue_field, ring_as_module, scaled_gens)
+from .modules import (FPModule, direct_sum, free_module, ideal_as_module,
+                      ideal_submodule, residue_field, ring_as_module,
+                      scaled_submodule)
 from .orders import DEGREVLEX, wdegrevlex
 from .poly import PolyRing, Vec
 from .ring import make_quotient_ring, presented_subring
@@ -47,11 +47,7 @@ class CriterionResult(Record):
 
     def __init__(self, number: int, title: str, passed: bool, detail: str,
                  seconds: float):
-        self.number = number
-        self.title = title
-        self.passed = passed
-        self.detail = detail
-        self.seconds = seconds
+        self._set_slots(number, title, passed, detail, seconds)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -118,8 +114,8 @@ def criterion_1():
         clM = ModuleClosure(M, "cl_M")
         I = ["a^2", "a*b", "b*c", "c^2"]
         J = I + ["a*c"]
-        IM = Submodule(M, tuple(scaled_gens(M, [R.elem(g) for g in I])))
-        JM = Submodule(M, tuple(scaled_gens(M, [R.elem(g) for g in J])))
+        IM = scaled_submodule(M, I)
+        JM = scaled_submodule(M, J)
         if not IM.same_as(JM):
             return False, f"IM != JM over {fname}"
         CI = clM.closure(ideal_submodule(R, I))
@@ -138,8 +134,8 @@ def criterion_2():
     M = ideal_as_module(R, ["x", "u"])
     I = [R.elem(g) for g in ("x^2", "u^2")]
     J = [R.elem(g) for g in ("x^2", "x*u", "u^2")]
-    IM = Submodule(M, tuple(scaled_gens(M, I)))
-    JM = Submodule(M, tuple(scaled_gens(M, J)))
+    IM = scaled_submodule(M, I)
+    JM = scaled_submodule(M, J)
     if not IM.same_as(JM):
         return False, "IM != JM for the second pair"
     K = ideal_submodule(R, ["x", "u"])
@@ -156,8 +152,8 @@ def criterion_2():
     # first pair: computed and reported, never asserted
     I1 = [R.elem(g) for g in ("y^2", "v^2")]
     J1 = [R.elem("y*v")]
-    IM1 = Submodule(M, tuple(scaled_gens(M, I1)))
-    JM1 = Submodule(M, tuple(scaled_gens(M, J1)))
+    IM1 = scaled_submodule(M, I1)
+    JM1 = scaled_submodule(M, J1)
     eq1 = IM1.same_as(JM1)
     report = f"first pair (y^2,v^2) vs (yv): engine reports IM=JM is {eq1}"
     if not eq1:
@@ -358,8 +354,7 @@ def _faithful_bound_instances(count, seed):
         N = ideal_submodule(ring, random_ideal_gens(ring, rng, 2, 3))
         closed = cl.closure(N)
         R1 = ring_as_module(ring)
-        bound = N.sum(Submodule(R1, tuple(
-            scaled_gens(R1, ring.maximal_ideal_gens()))))
+        bound = N.sum(scaled_submodule(R1, ring.maximal_ideal_gens()))
         for g in closed.gens:
             if not bound.contains(g):
                 return False, f"N^cl exceeds N + mM at {g} (instance {i})"

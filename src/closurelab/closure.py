@@ -60,8 +60,10 @@ class MembershipOutcome(Record):
     __slots__ = ("holds", "certificate")
 
     def __init__(self, holds: bool, certificate: object = None):
-        self.holds = holds
-        self.certificate = certificate
+        # one is built per membership query: no _set_slots loop
+        set_slot = object.__setattr__
+        set_slot(self, "holds", holds)
+        set_slot(self, "certificate", certificate)
 
     def __bool__(self):
         return self.holds
@@ -71,9 +73,7 @@ class CheckOutcome(Record):
     __slots__ = ("holds", "witness", "note")
 
     def __init__(self, holds: bool, witness: object = None, note: str = ""):
-        self.holds = holds
-        self.witness = witness
-        self.note = note
+        self._set_slots(holds, witness, note)
 
     def __bool__(self):
         return self.holds

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .closure import ClosureOp, _require_sop, phantom_test
 from .modules import (FPModule, ModuleMap, Submodule, colon_scan,
-                      ring_as_module, scaled_gens)
+                      ring_as_module, scaled_submodule)
 from .poly import ContextError, DomainError, Vec
 from .ring import QuotientRing
 from .values import Record
@@ -32,21 +32,17 @@ class BadRelation(Record):
     __slots__ = ("module", "xs", "u", "us")
 
     def __init__(self, module: FPModule, xs, u: Vec, us: tuple):
-        self.module = module
-        self.xs = tuple(module.ring.elem(x) for x in xs)
-        self.u = u
-        self.us = us
-        M, xs = self.module, self.xs
-        if len(self.us) != len(xs) - 1:
+        xs = tuple(module.ring.elem(x) for x in xs)
+        if len(us) != len(xs) - 1:
             raise DomainError("need one u_i per x_i (i <= k)")
-        lhs = self.u.scale(xs[-1].poly)
-        for x, ui in zip(xs[:-1], self.us):
+        lhs = u.scale(xs[-1].poly)
+        for x, ui in zip(xs[:-1], us):
             lhs = lhs - ui.scale(x.poly)
-        if not M.element_is_zero(lhs):
+        if not module.element_is_zero(lhs):
             raise DomainError("the stated relation does not hold in M")
-        span = Submodule(M, tuple(scaled_gens(M, xs[:-1])))
-        if span.contains(self.u):
+        if scaled_submodule(module, xs[:-1]).contains(u):
             raise DomainError("u lies in (x_1..x_k)M: not a bad relation")
+        self._set_slots(module, xs, u, us)
 
     @property
     def k(self):
@@ -147,19 +143,18 @@ class Stage(Record):
     def __init__(self, module: FPModule, kind: str, descriptor: dict,
                  map_from_prev: ModuleMap | None = None,
                  flags: dict | None = None):
-        self.module = module
-        self.kind = kind    # "start" | "parameter" | "containment"
-        self.descriptor = descriptor
-        self.map_from_prev = map_from_prev
-        self.flags = {} if flags is None else flags
+        # kind is "start", "parameter" or "containment"
+        self._set_slots(module, kind, descriptor, map_from_prev,
+                        {} if flags is None else flags)
 
 
-class ModificationTrace:
-    """Immutable chain R = M_0 -> M_1 -> ... of module modifications."""
+class ModificationTrace(Record):
+    """Chain R = M_0 -> M_1 -> ... of module modifications."""
+
+    __slots__ = ("ring", "stages")
 
     def __init__(self, ring: QuotientRing, stages):
-        self.ring = ring
-        self.stages = tuple(stages)
+        self._set_slots(ring, tuple(stages))
 
     @classmethod
     def start(cls, ring: QuotientRing) -> "ModificationTrace":
@@ -209,7 +204,7 @@ class ModificationTrace:
     def image_of_one_in_m(self) -> bool:
         """Exact test: does the image of 1 lie in m * (final stage)?"""
         M = self.current
-        mM = Submodule(M, tuple(scaled_gens(M, self.ring.maximal_ideal_gens())))
+        mM = scaled_submodule(M, self.ring.maximal_ideal_gens())
         return mM.contains(self.image_of_one())
 
     def descriptor(self) -> dict:

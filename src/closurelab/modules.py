@@ -54,6 +54,7 @@ from .gb import GroebnerBasis, _normalize, _reduce_terms, buchberger
 from .orders import ModuleOrder
 from .poly import ContextError, DomainError, Vec, _natural, _shift_terms
 from .ring import QuotientRing, RingElem
+from .values import Record
 
 
 # --- quotient-ring module primitives ----------------------------------------
@@ -799,21 +800,14 @@ def _outside_later_spans(forms, ring):
 # --- regular sequences ----------------------------------------------------------
 
 
-class RegularSequenceResult:
+class RegularSequenceResult(Record):
+    __slots__ = ("ok", "fail_index", "witness", "note")
+
     def __init__(self, ok, fail_index=None, witness=None, note=""):
-        self.ok = ok
-        self.fail_index = fail_index
-        self.witness = witness
-        self.note = note
+        self._set_slots(ok, fail_index, witness, note)
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "RegularSequenceResult(ok)"
-        return (f"RegularSequenceResult(fail at {self.fail_index}, "
-                f"witness={self.witness}, {self.note})")
 
 
 def scaled_gens(M: FPModule, elems):
@@ -823,6 +817,13 @@ def scaled_gens(M: FPModule, elems):
         v = Vec.from_polys([M.ring.elem(x).poly])
         out += [v.pad(M.ngens, j) for j in range(M.ngens)]
     return out
+
+
+def scaled_submodule(M: FPModule, elems) -> Submodule:
+    """(elems) M as a submodule of M: the generators x * e_j of
+    scaled_gens for each x of elems that is not zero in the ring."""
+    xs = [M.ring.elem(x) for x in elems]
+    return Submodule(M, tuple(scaled_gens(M, [x for x in xs if x])))
 
 
 def colon_scan(M: FPModule, elems, degree_bound=None):
@@ -859,7 +860,7 @@ def is_regular_sequence(xs, M: FPModule) -> RegularSequenceResult:
         return RegularSequenceResult(
             False, i, witness,
             note=f"({elems[i]}) times witness lies in the previous span")
-    full = Submodule(M, tuple(scaled_gens(M, elems)))
+    full = scaled_submodule(M, elems)
     if all(full.contains(M.gen(j)) for j in range(M.ngens)):
         return RegularSequenceResult(False, len(elems), None,
                                      note="M equals (xs)M")

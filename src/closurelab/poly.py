@@ -602,10 +602,12 @@ class Token(Record):
     __slots__ = ("kind", "value", "pos", "end")
 
     def __init__(self, kind: str, value: object, pos: int, end: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-        self.end = end
+        # one is built per token read: no _set_slots loop
+        set_slot = object.__setattr__
+        set_slot(self, "kind", kind)
+        set_slot(self, "value", value)
+        set_slot(self, "pos", pos)
+        set_slot(self, "end", end)
 
 
 _PUNCT = "+-*^()/"

@@ -300,7 +300,7 @@ class ParameterSequence(Record):
             raise DomainError(
                 "not a partial system of parameters: (%s)"
                 % ", ".join(str(x) for x in elems))
-        self.elems = elems
+        self._set_slots(elems)
 
     def __len__(self):
         return len(self.elems)

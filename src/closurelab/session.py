@@ -25,7 +25,7 @@ from .modify import parameter_chain
 from .modules import (FPModule, ModuleMap, Submodule, free_module,
                       ideal_as_module, ideal_submodule, is_regular_sequence,
                       quotient_module, residue_field, ring_as_module,
-                      scaled_gens)
+                      scaled_submodule)
 from .orders import DEGREVLEX, LEX, wdegrevlex
 from .poly import DomainError, ParseError, PolyRing, Vec
 from .ring import QuotientRing, make_quotient_ring, presented_subring
@@ -53,9 +53,7 @@ class IdealValue(Record):
     __slots__ = ("ring", "elems", "submodule")
 
     def __init__(self, ring: QuotientRing, elems: list, submodule: Submodule):
-        self.ring = ring
-        self.elems = elems
-        self.submodule = submodule
+        self._set_slots(ring, elems, submodule)
 
     def gens_strings(self):
         return [str(e) for e in self.elems]
@@ -69,15 +67,10 @@ class StatementResult(Record):
                  result: object = None, witness: object = None,
                  certificate: object = None, error: str = None,
                  where: dict = None, seconds: float = 0.0):
-        self.src = src
-        self.kind = kind
-        self.ok = ok            # True/False for boolean checks, None otherwise
-        self.result = result
-        self.witness = witness
-        self.certificate = certificate
-        self.error = error
-        self.where = where      # locate() of the error in the script
-        self.seconds = seconds
+        # ok is True/False for boolean checks, None otherwise; where is
+        # the Span.where() of the error in the script
+        self._set_slots(src, kind, ok, result, witness, certificate, error,
+                        where, seconds)
 
     def record(self):
         out = {"src": self.src, "kind": self.kind}
@@ -100,7 +93,10 @@ def _located(exc, span):
     """(message, where) of an error of the statement at span: a parse
     error is placed at the character of its argument where parsing stopped
     (its message then needs no column of its own), an error about a name
-    at that name, any other at the statement."""
+    at that name, any other at the statement.  With no span there is no
+    where, and the message is the error's own."""
+    if span is None:
+        return str(exc), None
     if isinstance(exc, ParseError):
         return exc.bare_message, span.where(exc.text, exc.pos)
     if isinstance(exc, EvalError):
@@ -110,6 +106,11 @@ def _located(exc, span):
 
 def _a(word):
     return ("an " if word[0] in "aeiou" else "a ") + word
+
+
+def _checked(out):
+    """The result fields ok and witness of a checker's CheckOutcome."""
+    return {"ok": bool(out.holds), "witness": out.witness}
 
 
 def _submodule_gens(sub: Submodule):
@@ -135,12 +136,14 @@ class Session:
 
     # -- lookups -------------------------------------------------------------
 
-    def _bind(self, name, kind, value):
-        """Bind a defined value; called only once the statement's result
-        is built, so a failed definition binds nothing."""
+    def _bind(self, name, kind, value, result):
+        """Bind a defined value and return the fields of its statement's
+        result.  The caller computes result first, so a definition that
+        fails binds nothing."""
         self.env[name] = (kind, value)
         if kind == "ring":
             self.last_ring = name
+        return {"result": result}
 
     def _lookup(self, name, kind=None):
         if name not in self.env:
@@ -190,7 +193,7 @@ class Session:
         if arg.head == "product":
             ideal = self._lookup(args["I"], "ideal")
             M = self._lookup(args["M"], "module")
-            return Submodule(M, tuple(scaled_gens(M, ideal.elems)))
+            return scaled_submodule(M, ideal.elems)
         if arg.head == "mult":
             I = self._lookup(args["I"], "ideal")
             J = self._lookup(args["J"], "ideal")
@@ -200,18 +203,20 @@ class Session:
         return ideal_submodule(ring, self._elems(ring, args["gens"]))
 
     def _member_query(self, u, set_arg):
-        """member(u, set): direct closure membership when set is closure(...)."""
+        """member(u, set): direct closure membership when set is closure(...).
+        Returns the fields ok and certificate of the statement's result."""
         if isinstance(set_arg, Call) and set_arg.head == "closure":
             cl = self._closure(set_arg.bound["cl"])
             N = self._set_value(set_arg.bound["N"])
             out = cl.member(self._element_in(N.module, u), N,
                             want_certificate=True)
-            return bool(out.holds), out.certificate
+            return {"ok": bool(out.holds), "certificate": out.certificate}
         N = self._set_value(set_arg)
         u = self._element_in(N.module, u)
         ok = N.contains(u)
         cert = N.certificate(u) if ok else None
-        return ok, [str(c) for c in cert] if cert else None
+        return {"ok": ok,
+                "certificate": [str(c) for c in cert] if cert else None}
 
     @staticmethod
     def _element_in(M: FPModule, u) -> Vec:
@@ -236,28 +241,24 @@ class Session:
         statement's dsl.Span, an error also records where it is (see
         _located)."""
         t0 = time.monotonic()
-        res = StatementResult(src=stmt.show(), kind=stmt.kind)
         try:
-            handler = getattr(self, f"_eval_{stmt.kind}")
-            handler(stmt, res)
+            # the handler returns the fields of the result, or raises
+            fields = getattr(self, f"_eval_{stmt.kind}")(stmt)
         except (EvalError, DomainError, ParseError, ScriptError,
                 ValueError) as exc:
-            res.error = str(exc)
-            res.ok = None
-            if span is not None:
-                res.error, res.where = _located(exc, span)
+            error, where = _located(exc, span)
+            fields = {"error": error, "where": where}
         except Exception as exc:
             # A defect in the engine, not in the script: it is recorded on
             # the statement (exit code 2) and the session keeps going.
-            res.error = f"internal error: {type(exc).__name__}: {exc}"
-            res.ok = None
-            if span is not None:
-                res.where = span.where()
-        res.seconds = time.monotonic() - t0
+            fields = {"error": f"internal error: {type(exc).__name__}: {exc}",
+                      "where": None if span is None else span.where()}
+        res = StatementResult(stmt.show(), stmt.kind, **fields,
+                              seconds=time.monotonic() - t0)
         self.log.append((stmt, res))
         return res
 
-    def _eval_ring(self, stmt: RingDef, res):
+    def _eval_ring(self, stmt: RingDef):
         fld = QQ if stmt.field_spec[0] == "Q" else prime_field(stmt.field_spec[1])
         if stmt.form == "poly":
             kind = stmt.order_spec[0]
@@ -276,18 +277,17 @@ class Session:
             names = stmt.pres_names or None
             ring = presented_subring(images, names=names, field=fld,
                                      target_ring=target)
-        res.result = ring.descriptor()
-        self._bind(stmt.name, "ring", ring)
+        return self._bind(stmt.name, "ring", ring, ring.descriptor())
 
-    def _eval_ideal(self, stmt: CallStmt, res):
+    def _eval_ideal(self, stmt: CallStmt):
         args = stmt.bound
         ring = self._ring(args["R"])
         elems = self._elems(ring, args["gens"])
         value = IdealValue(ring, elems, ideal_submodule(ring, elems))
-        res.result = {"ring": args["R"], "gens": value.gens_strings()}
-        self._bind(stmt.name, "ideal", value)
+        return self._bind(stmt.name, "ideal", value,
+                          {"ring": args["R"], "gens": value.gens_strings()})
 
-    def _eval_module(self, stmt: CallStmt, res):
+    def _eval_module(self, stmt: CallStmt):
         args = stmt.bound
         ring = self._ring(args["R"])
         if stmt.form == "ideal_module":
@@ -303,10 +303,9 @@ class Session:
             M = free_module(ring, list(args["degrees"]))
         else:
             M = residue_field(ring).syzygy(args["i"])
-        res.result = M.descriptor()
-        self._bind(stmt.name, "module", M)
+        return self._bind(stmt.name, "module", M, M.descriptor())
 
-    def _eval_closure(self, stmt: CallStmt, res):
+    def _eval_closure(self, stmt: CallStmt):
         args = stmt.bound
         if stmt.form == "module_closure":
             cl = ModuleClosure(self._lookup(args["M"], "module"),
@@ -316,25 +315,21 @@ class Session:
             cl = IntersectionClosure(parts, label=stmt.name)
         else:
             cl = self._closure(stmt.form)
-        res.result = {"closure": cl.describe()}
-        self._bind(stmt.name, "closure", cl)
+        return self._bind(stmt.name, "closure", cl, {"closure": cl.describe()})
 
-    def _eval_modify(self, stmt: CallStmt, res):
+    def _eval_modify(self, stmt: CallStmt):
         args = stmt.bound
         ring = self._ring(args["R"])
         cl = self._closure(args["cl"])
         xs = self._elems(ring, args["xs"])
         trace = parameter_chain(ring, cl, xs, args["steps"],
                                 degree_bound=args["deg_bound"])
-        res.result = trace.descriptor()
-        self._bind(stmt.name, "trace", trace)
+        return self._bind(stmt.name, "trace", trace, trace.descriptor())
 
-    def _eval_check(self, stmt: CallStmt, res):
+    def _eval_check(self, stmt: CallStmt):
         fn, args = stmt.form, stmt.bound
         if fn == "member":
-            res.ok, res.certificate = self._member_query(args["u"],
-                                                         args["N"])
-            return
+            return self._member_query(args["u"], args["N"])
         if fn == "equal":
             a = self._set_value(args["A"])
             b = self._set_value(args["B"])
@@ -342,15 +337,15 @@ class Session:
                 raise EvalError("cannot compare submodules of different "
                                 "ambient modules")
             ok = a.same_as(b)
-            res.ok = ok
-            res.result = {"left": _submodule_gens(a),
-                          "right": _submodule_gens(b)}
+            fields = {"ok": ok, "result": {"left": _submodule_gens(a),
+                                           "right": _submodule_gens(b)}}
             if not ok:
                 g = b.first_outside(a.gens)
                 if g is None:
                     g = a.first_outside(b.gens)
-                res.witness = str(g if a.module.ngens > 1 else g.component(0))
-            return
+                fields["witness"] = str(g if a.module.ngens > 1
+                                        else g.component(0))
+            return fields
         if fn == "phantom":
             cl = self._closure(args["cl"])
             name = args["M"]
@@ -363,17 +358,16 @@ class Session:
             else:
                 raise EvalError(f"{name!r} is {_a(kind)}, expected a module "
                                 f"or trace", name)
-            res.ok = bool(phantom_test(cl, M).holds)
-            return
+            return {"ok": bool(phantom_test(cl, M).holds)}
         if fn == "regular_sequence":
             ring = self._ring(args["R"])
             M = self._lookup(args["M"], "module") if args["M"] is not None \
                 else ring_as_module(ring)
             out = is_regular_sequence(self._elems(M.ring, args["xs"]), M)
-            res.ok = bool(out)
-            if not out:
-                res.witness = str(out.witness) if out.witness else out.note
-            return
+            if out:
+                return {"ok": True}
+            return {"ok": False,
+                    "witness": str(out.witness) if out.witness else out.note}
         cl = self._closure(args["cl"])
         if fn == "functorial":
             N = self._set_value(args["N"])
@@ -385,23 +379,15 @@ class Session:
             if N.module.ngens != 1 or N.module.relations:
                 raise EvalError("functorial check expects N inside R")
             f = ModuleMap(N.module, RJ, [[ring.one()]])
-            out = check_functoriality(cl, f, N)
-            res.ok = bool(out.holds)
-            res.witness = out.witness
-            return
+            return _checked(check_functoriality(cl, f, N))
         if fn == "semi_residual":
             out = check_semi_residuality(cl, self._set_value(args["N"]))
-            res.ok = bool(out.holds)
-            res.witness = out.witness
-            res.result = {"note": out.note} if out.note else None
-            return
+            return {**_checked(out),
+                    "result": {"note": out.note} if out.note else None}
         if fn == "faithful":
             ring = cl.S.ring if args["R"] is None and \
                 isinstance(cl, ModuleClosure) else self._ring(args["R"])
-            out = check_faithfulness(cl, ring)
-            res.ok = bool(out.holds)
-            res.witness = out.witness
-            return
+            return _checked(check_faithfulness(cl, ring))
         ring = self._ring(args["R"])
         if fn == "trivial_on":
             if isinstance(cl, MonomialIntegralClosure):
@@ -410,34 +396,29 @@ class Session:
             else:
                 sample = sample_ideals(ring, args["count"], self.seed)
             out = is_trivial_on_sample(cl, sample)
-            res.result = {"trivial": bool(out.holds)}
-            if not out.holds:
-                N, g = out.witness
-                res.witness = {
-                    "ideal": _submodule_gens(N),
-                    "element": str(g.component(0)),
-                }
-            return
+            if out.holds:
+                return {"result": {"trivial": True}}
+            N, g = out.witness
+            return {"result": {"trivial": False},
+                    "witness": {"ideal": _submodule_gens(N),
+                                "element": str(g.component(0))}}
         xs = self._elems(ring, args["xs"])
         if fn == "dietz_obstruction":
-            res.result = {"t": dietz_obstruction(cl, ring, xs, args["t"])}
-            return
+            return {"result": {"t": dietz_obstruction(cl, ring, xs,
+                                                      args["t"])}}
         if fn == "gcc":
-            out = check_generalized_colon_capturing(cl, ring, xs)
-        else:
-            out = check_colon_capturing(cl, ring, xs, args["variant"],
-                                        t=args["t"], a=args["a"])
-        res.ok = bool(out.holds)
-        res.witness = out.witness
+            return _checked(check_generalized_colon_capturing(cl, ring, xs))
+        return _checked(check_colon_capturing(cl, ring, xs, args["variant"],
+                                              t=args["t"], a=args["a"]))
 
-    def _eval_export(self, stmt: ExportStmt, res):
+    def _eval_export(self, stmt: ExportStmt):
         if stmt.what == "json":
             payload = self.report(include_timings=True)
             _write_text(stmt.path, json.dumps(payload, indent=2,
                                               sort_keys=True))
         else:
             self.save(stmt.path)
-        res.result = {"written": stmt.path}
+        return {"result": {"written": stmt.path}}
 
     # -- reporting and persistence ---------------------------------------------
 

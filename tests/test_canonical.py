@@ -23,13 +23,21 @@ and compare what it prints:
 - `phantom_test(cl, M)` under trivial, cl_S and their intersection, with
   M's relations scaled, one repeated, shuffled, or joined by the sum of
   two of one degree; M's generators keep their order, since the first is
-  the image of 1.
+  the image of 1;
+- session statements on `product(I, F)`, with I written with and
+  without a zero generator, and on `mult(I, J)` against the product
+  ideal written out: equal records;
+- `verify-paper --json` under two string-hash seeds: equal records.
 
 Hypothesis runs derandomized with few examples, as tests/test_dsl_fuzz.py
 does: the suite is a fixed, reproducible set of cases.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -50,6 +58,7 @@ from closurelab.orders import DEGREVLEX, wdegrevlex
 from closurelab.poly import PolyRing, Polynomial
 from closurelab.ring import make_quotient_ring, presented_subring
 from closurelab.sampling import random_homogeneous_elem
+from closurelab.session import Session
 
 RINGS = ("cone", "xyuv", "ver4")
 FIELDS = (0, 5)
@@ -417,3 +426,56 @@ def test_phantom_test_does_not_depend_on_how_relations_are_written(
     R, rng = ring(*kind_p), random.Random(seed)
     _phantom_answers(_closures(_closure_module(R, skind, rng)),
                      _relation_module(R, rng), rng)
+
+
+VER4_F = ("ring R = subring(Q, [x, y], [x^4, x^3*y, x*y^3, y^4], "
+          "[a, b, c, d]);\nmodule F = free(R, [0, 0]);\n")
+
+
+def _records(script, skip):
+    """The records of a script's statements after the first skip, each
+    without its text, evaluated in a fresh session."""
+    records = [res.record() for res in Session().eval_text(script)[skip:]]
+    for rec in records:
+        del rec["src"]
+    return records
+
+
+def test_session_records_do_not_depend_on_the_route_to_a_submodule():
+    """product(I, F) with a zero among I's generators is product(I, F)
+    without it: equal certificates and equal generator lists.  mult(I, J)
+    is its product ideal written out in the same order."""
+    checks = ("check member([a, d], product(I, F));\n"
+              "check equal(product(I, F), F);\n")
+    with_zero, without = (
+        _records(VER4_F + f"ideal I = ideal(R, {gens});\n" + checks, 3)
+        for gens in ("0, a, d", "a, d"))
+    assert with_zero == without
+    assert with_zero[0]["certificate"] == ["1", "0", "0", "1"]
+    assert with_zero[1]["result"]["left"] == [
+        "(0, a)", "(0, d)", "(a, 0)", "(d, 0)"]
+    mult, written = (
+        _records(VER4_F + "ideal I = ideal(R, a, d);\n"
+                 "ideal J = ideal(R, b, c);\n"
+                 f"check member(a*b + c*d, {N});\n"
+                 f"check equal({N}, ideal(R, b^2, c^2));\n", 4)
+        for N in ("mult(I, J)", "ideal(R, a*b, a*c, d*b, d*c)"))
+    assert mult == written
+    assert mult[0]["certificate"] == ["1", "0", "0", "1"]
+
+
+def test_verify_paper_records_do_not_depend_on_the_hash_seed():
+    """verify-paper --json, without seconds, gives one record list under
+    PYTHONHASHSEED 0 and 1: no record depends on the set or dict order
+    of strings."""
+    runs = []
+    for seed in ("0", "1"):
+        out = subprocess.run(
+            [sys.executable, "-m", "closurelab.cli", "verify-paper",
+             "--json"], capture_output=True, text=True, check=True,
+            timeout=120, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        records = json.loads(out)
+        for rec in records:
+            del rec["seconds"]
+        runs.append(records)
+    assert runs[0] == runs[1]

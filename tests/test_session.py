@@ -450,7 +450,7 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch):
     s = Session()
     s.eval_text("ring P = poly(Q, [x,y], degrevlex);")
 
-    def broken(stmt, res):
+    def broken(stmt):
         raise KeyError("lost")
 
     monkeypatch.setattr(s, "_eval_ideal", broken)
@@ -686,6 +686,18 @@ check member([0, x*u], product(I, M));
     assert res[-1].ok is True
 
 
+def test_product_drops_the_zero_generators_of_its_ideal():
+    """product(I, M) is (I)M on the nonzero generators of I, as ideal(...)
+    and mult(...) are: a zero written in I adds no generator to it, and
+    no entry to a certificate."""
+    s = Session()
+    res = s.eval_text(VERONESE4 + "module F = free(R, [0, 0]);\n"
+                      "ideal I = ideal(R, 0, a, d);\n"
+                      "check member([a, d], product(I, F));")[-1]
+    assert res.ok is True
+    assert res.certificate == ["1", "0", "0", "1"]
+
+
 def test_nested_closure_idempotence_in_script():
     s = Session()
     res = s.eval_text(EX81 +
@@ -768,7 +780,7 @@ def test_runtime_errors_name_their_statement(tmp_path, capsys, script, line,
 def test_internal_errors_name_their_statement(monkeypatch):
     s = Session()
 
-    def broken(stmt, res):
+    def broken(stmt):
         raise KeyError("lost")
 
     monkeypatch.setattr(s, "_eval_ideal", broken)

@@ -3,7 +3,10 @@ engine alone, the README's Python sketch runs as printed, and the value
 types written out in place of dataclasses keep a dataclass's equality,
 hash, repr, immutability and pickling."""
 
+import copy
+import importlib
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,12 +14,17 @@ from pathlib import Path
 
 import pytest
 
+import closurelab
 from closurelab.acceptance import CriterionResult
-from closurelab.closure import CheckOutcome, MembershipOutcome
-from closurelab.dsl import Call, CallStmt, Name, Parser, parse_script
+from closurelab.closure import CheckOutcome, MembershipOutcome, TrivialClosure
+from closurelab.dsl import (Call, CallStmt, Expr, IntArg, ListArg, Name,
+                            Param, Parser, StrArg, parse_script)
+from closurelab.modify import find_bad_relation, parameter_chain
+from closurelab.modules import is_regular_sequence, ring_as_module
 from closurelab.orders import DEGREVLEX, ModuleOrder, MonomialOrder, wdegrevlex
 from closurelab.ring import ParameterSequence
-from closurelab.session import StatementResult
+from closurelab.session import Session, StatementResult
+from closurelab.values import Record
 
 SCRIPT = """ring R = poly(Fp(5), [x, y], wdegrevlex[1,2]) / (x^2 - y);
 module M = ideal_module(R, x, y);
@@ -107,8 +115,20 @@ def test_frozen_values_refuse_assignment_and_results_are_unhashable(kxy):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
     out = MembershipOutcome(True)
-    out.holds = False
-    assert out == MembershipOutcome(False) != MembershipOutcome(True)
+    with pytest.raises(AttributeError):
+        out.holds = False
+    assert out == MembershipOutcome(True) != MembershipOutcome(False)
+
+
+def test_a_verified_parameter_sequence_cannot_be_changed(veronese4):
+    """A ParameterSequence is checked when made; its elements cannot be
+    swapped afterwards for a sequence that is not a partial s.o.p."""
+    seq = ParameterSequence(veronese4, ["a", "d"])
+    with pytest.raises(AttributeError):
+        seq.elems = tuple(veronese4.elem(x) for x in "abc")
+    with pytest.raises(AttributeError):
+        del seq.elems
+    assert [str(x) for x in seq] == ["a", "d"]
 
 
 def test_reprs_are_the_dataclass_reprs():
@@ -158,3 +178,66 @@ def test_values_survive_pickling():
     assert block.term_key((3, 5)) == (False, 5, -3)
     stmt = parse_script(SCRIPT)[3]
     assert pickle.loads(pickle.dumps(stmt)).bound == stmt.bound != {}
+
+
+def _samples(kxy, veronese4):
+    """One instance of every value type of the package, by class."""
+    script = parse_script(SCRIPT)
+    parser = Parser("check member(x, N);")
+    parser.parse_script()
+    session = Session()
+    session.eval_text("ring P = poly(Q, [x, y], degrevlex);\n"
+                      "ideal I = ideal(P, x, y^2);")
+    M = ring_as_module(veronese4)
+    trace = parameter_chain(veronese4, TrivialClosure(), ["a", "d"], 1)
+    samples = [
+        Param("N", "set", optional=True), Name("x"), IntArg(3),
+        StrArg("out.json"), Expr("x*y"), ListArg((Name("x"), IntArg(1))),
+        Call("closure", (Name("c"),), {"cl": "c"}), *script, parser.spans[0],
+        parser.toks[0], wdegrevlex((1, 2)), ModuleOrder(DEGREVLEX, 2),
+        MembershipOutcome(True, ["x"]), CheckOutcome(False, "y", "note"),
+        ParameterSequence(veronese4, ["a", "d"]),
+        find_bad_relation(M, ["a", "d"], 12), trace.stages[1], trace,
+        CriterionResult(1, "t", True, "d", 0.5),
+        session.env["I"][1], session.log[1][1],
+        is_regular_sequence(["x", "y"], ring_as_module(kxy))]
+    return {type(value): value for value in samples}
+
+
+# values that hold a ring, or its elements or modules: a ring does not
+# pickle (its monomial encoders are local functions), so these are
+# copied, which takes the same state back through __setstate__
+HOLD_A_RING = {"ParameterSequence", "BadRelation", "Stage",
+               "ModificationTrace", "IdealValue"}
+
+
+def _value_types():
+    """Every Record subclass with fields in the closurelab package, with
+    all of its modules imported."""
+    for info in pkgutil.iter_modules(closurelab.__path__):
+        importlib.import_module(f"closurelab.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls._fields and cls.__module__.startswith("closurelab."):
+                found.add(cls)
+    return found
+
+
+def test_every_value_type_is_fixed_once_made_and_pickles(kxy, veronese4):
+    """A value type missing from the samples fails here: each refuses
+    assignment and deletion of its fields after __init__, and comes back
+    equal from pickle (the verify-paper pool pickles CriterionResult back
+    from its workers) or, holding a ring, from copy."""
+    samples = _samples(kxy, veronese4)
+    assert _value_types() == set(samples)
+    for cls, value in samples.items():
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert copy.copy(value) == value, cls
+        if cls.__name__ not in HOLD_A_RING:
+            assert pickle.loads(pickle.dumps(value)) == value, cls
