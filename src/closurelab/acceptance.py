@@ -2,43 +2,48 @@
 
 Every check is an exact symbolic computation (tolerance: exact equality).
 `closure-lab verify-paper` prints one pass/fail line per criterion, and
-tests/test_acceptance.py asserts each one.  The runtime targets quoted in
-the detail strings are informational.
+tests/test_acceptance.py asserts each one.  Criteria 1-6 are the paper's
+worked examples, stated once, as sections of the scripts in the checkout's
+`scripts/` (PAPER_SCRIPTS, `sections`); criteria 7-10 are Python.
 
-`run_all` runs the criteria, and criterion 7 suite by suite, on forked
-worker processes, one per CPU the process may use.  Its lines and records
-are those of running the criteria one after another: the lines still come
-in criterion order, each as soon as its result is in.  A record's
-`seconds` is the time its own computation took, wherever it ran; for
-criterion 7 it is the sum of its suites' times, so the `seconds` of a run
-add up to more than its wall time.  The criteria are run in this process
-instead when one CPU is usable, when the platform cannot fork, or when
-other threads are alive.
+`run_all` runs each script once, the other criteria, and criterion 7
+suite by suite, on forked worker processes, one per CPU the process may
+use.  Its lines and records are those of running the criteria one after
+another: the lines still come in criterion order, each as soon as its
+result is in.  A record's `seconds` is the time its own computation took,
+wherever it ran (criterion 7 adds up its suites'), so the `seconds` of a
+run add up to more than its wall time.  The criteria are run in this
+process instead when one CPU is usable, when the platform cannot fork, or
+when other threads are alive.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import random
+import re
 import signal
 import threading
 import time
+from pathlib import Path
 
 from .closure import (ModuleClosure, MonomialIntegralClosure, TrivialClosure,
-                      check_colon_capturing, check_faithfulness,
-                      dietz_obstruction, direct_sum_closure, ideal_member,
-                      intersect_closures, is_trivial_on_sample, phantom_test)
+                      check_faithfulness, direct_sum_closure,
+                      intersect_closures, is_trivial_on_sample)
+from .dsl import Parser
 from .field import QQ, prime_field
 from .linalg import (Echelon, graded_span_dim, monomials_of_wdeg, rank,
                      span_rows, vec_coords)
-from .modify import parameter_chain
-from .modules import (FPModule, direct_sum, free_module, ideal_as_module,
+from .modules import (direct_sum, free_module, ideal_as_module,
                       ideal_submodule, residue_field, ring_as_module,
                       scaled_submodule)
 from .orders import DEGREVLEX, wdegrevlex
 from .poly import PolyRing, Vec
-from .ring import make_quotient_ring, presented_subring
+from .ring import make_quotient_ring
 from .sampling import random_ideal_gens, sample_ideals
+from .session import EvalError, Session
 from .values import Record
 
 
@@ -68,9 +73,117 @@ def _criterion(number, title):
             return CriterionResult(number, title, passed, detail,
                                    time.monotonic() - t0)
         run.number = number
-        run.title = title
+        run.units = [(_run_criterion, number)]
         return run
     return wrap
+
+
+def _run_criterion(number):
+    """{number: the CriterionResult of CRITERIA's criterion number}."""
+    return {number: next(fn for fn in CRITERIA if fn.number == number)()}
+
+
+# --- criteria 1-6: the worked examples, as sections of the paper scripts ------
+
+
+SCRIPTS = Path(__file__).resolve().parents[2] / "scripts"
+# the scripts that state criteria 1-6, and the criteria each one holds
+PAPER_SCRIPTS = {"square_subring.clab": (1,), "hypersurface_xyuv.clab": (2,),
+                 "veronese_s2.clab": (3, 5, 6),
+                 "integral_obstruction.clab": (4,)}
+MARKER = re.compile(r"# criterion (\d+): (.+)")
+# facts that are values, not true or false, by criterion and statement
+# text: what the statement's record holds (_holds)
+VALUES = {2: {"check equal(mult(I, K), ideal(R, x^3, x^2*u, x*u^2, u^3));":
+              {"result": {"left": ["u^3", "x*u^2", "x^2*u", "x^3"]}}},
+          4: {"check dietz_obstruction(integral_closure, [x, y], 3);":
+              {"result": {"t": 1}},
+              "check dietz_obstruction(trivial, [x, y], 3);":
+              {"result": {"t": None}}},
+          5: {"check not colon_capturing(trivial, R, [a, d], plain);":
+              {"witness": "b^2"}},
+          6: {"modify T = parameter_chain(R, clS, [a, d], 1);":
+              {"result": {"stages": [{}, {"step": {"u": ["b^2"]}}],
+                          "image_of_one_in_m": False}}}}
+
+
+def _holds(value, want) -> bool:
+    """value holds want: a dict at least its keys and a list as many
+    items, each holding what want's does; anything else is equal."""
+    if isinstance(want, dict):
+        return isinstance(value, dict) and all(
+            k in value and _holds(value[k], w) for k, w in want.items())
+    if isinstance(want, list):
+        return isinstance(value, list) and len(value) == len(want) and \
+            all(map(_holds, value, want))
+    return type(value) is type(want) and value == want
+
+
+def sections(text):
+    """(line, section, statement, span) of each statement of a script, and
+    the title of each section by number: `# criterion N: <title>` starts
+    section N, and section 0, the set-up, precedes the first."""
+    parser, titles, of_line = Parser(text), {}, [0]
+    stmts = parser.parse_script()
+    for line in text.split("\n"):
+        if m := MARKER.fullmatch(line):
+            titles[int(m[1])] = m[2]
+        of_line.append(int(m[1]) if m else of_line[-1])
+    lines = [span.where()["line"] for span in parser.spans]
+    return [(n, of_line[n], stmt, span)
+            for n, stmt, span in zip(lines, stmts, parser.spans)], titles
+
+
+def _run_script(name):
+    """The CriterionResult of each section of scripts/name, by number: it
+    fails at the first statement of the set-up or the section that is an
+    error, a false check or a value other than VALUES gives, or when the
+    section lacks a check or a statement VALUES names."""
+    stmts, titles = sections((SCRIPTS / name).read_text(encoding="utf-8"))
+    if tuple(titles) != PAPER_SCRIPTS[name]:
+        raise EvalError(f"{SCRIPTS / name}: sections {tuple(titles)}, "
+                        f"expected {PAPER_SCRIPTS[name]}")
+    session, out = Session(), {}
+    ran = [(line, n, session.eval_statement(stmt, span))
+           for line, n, stmt, span in stmts]
+    for number, title in titles.items():
+        mine = [(line, n, res) for line, n, res in ran if n in (0, number)]
+        values, checks, passed = dict(VALUES.get(number, {})), 0, False
+        for line, n, res in mine:
+            want = values.pop(res.src, {})
+            if res.error:
+                why = f"error: {res.error}"
+            elif res.ok is False:
+                why = "does not hold"
+            elif not _holds(res.record(), want):
+                why = f"does not read {json.dumps(want)}"
+            else:
+                checks += n == number and res.ok is True
+                continue
+            detail = f"{name} line {line}: {res.src} {why}"
+            break
+        else:
+            passed = checks > 0 and not values
+            own = [line for line, n, _res in mine if n == number]
+            if passed:
+                detail = (f"{name} lines {own[0]}-{own[-1]}: checks hold "
+                          f"({checks}), values as given "
+                          f"({len(VALUES.get(number, ()))})")
+            else:
+                detail = (f"{name}: section {number} lacks "
+                          f"{next(iter(values), 'a check')}")
+        out[number] = CriterionResult(number, title, passed, detail, sum(
+            res.seconds for _line, _n, res in mine))
+    return out
+
+
+def _scripted(number, name):
+    """Criterion number, as the section of scripts/name that states it."""
+    def run():
+        return _run_script(name)[number]
+    run.number = number
+    run.units = [(_run_script, name)]
+    return run
 
 
 # --- shared fixtures -----------------------------------------------------------
@@ -81,161 +194,8 @@ def _segre_ring(field=QQ):
     return make_quotient_ring(amb, [amb.parse("a*c - b^2")])
 
 
-def _xyuv_ring(field=QQ):
-    amb = PolyRing(("x", "y", "u", "v"), field, DEGREVLEX)
-    return make_quotient_ring(amb, [amb.parse("x*y - u*v")])
-
-
-def _veronese4(field=QQ):
-    target = PolyRing(("x", "y"), field, DEGREVLEX)
-    R = presented_subring(
-        [target.parse("x^4"), target.parse("x^3*y"), target.parse("x*y^3"),
-         target.parse("y^4")], names=("a", "b", "c", "d"), field=field,
-        target_ring=target)
-    sp = R.presentation
-    S = FPModule(R, (0, 4), sp.module_relation_columns(
-        [target.one(), target.parse("x^2*y^2")]))
-    return R, S
-
-
 def _poly_ring(names, field=QQ):
     return make_quotient_ring(PolyRing(names, field, DEGREVLEX), [])
-
-
-# --- criteria 1-6: the worked closure examples -------------------------------
-
-
-@_criterion(1, "square-subring example: I^cl_M = J^cl_M over Q and F5")
-def criterion_1():
-    notes = []
-    for field, fname in ((QQ, "Q"), (prime_field(5), "F5")):
-        R = _segre_ring(field)
-        M = ideal_as_module(R, ["a", "b"])
-        clM = ModuleClosure(M, "cl_M")
-        I = ["a^2", "a*b", "b*c", "c^2"]
-        J = I + ["a*c"]
-        IM = scaled_submodule(M, I)
-        JM = scaled_submodule(M, J)
-        if not IM.same_as(JM):
-            return False, f"IM != JM over {fname}"
-        CI = clM.closure(ideal_submodule(R, I))
-        CJ = clM.closure(ideal_submodule(R, J))
-        if not CI.same_as(CJ):
-            return False, f"I^cl != J^cl over {fname}"
-        if not CI.contains(ring_as_module(R).vec(["a*c"])):
-            return False, f"a*c not in I^cl over {fname}"
-        notes.append(f"{fname}: IM=JM, I^cl=J^cl, a*c in I^cl")
-    return True, "; ".join(notes)
-
-
-@_criterion(2, "hypersurface xy=uv: IM = JM = (x^3,x^2u,xu^2,u^3)")
-def criterion_2():
-    R = _xyuv_ring()
-    M = ideal_as_module(R, ["x", "u"])
-    I = [R.elem(g) for g in ("x^2", "u^2")]
-    J = [R.elem(g) for g in ("x^2", "x*u", "u^2")]
-    IM = scaled_submodule(M, I)
-    JM = scaled_submodule(M, J)
-    if not IM.same_as(JM):
-        return False, "IM != JM for the second pair"
-    K = ideal_submodule(R, ["x", "u"])
-    prodI = ideal_submodule(R, [i * k for i in I
-                                for k in (R.elem("x"), R.elem("u"))])
-    printed = ideal_submodule(R, ["x^3", "x^2*u", "x*u^2", "u^3"])
-    if not prodI.same_as(printed):
-        return False, "I(x,u) != (x^3,x^2u,xu^2,u^3) as ideals"
-    literal = sorted(str(i * k) for i in I
-                     for k in (R.elem("x"), R.elem("u")))
-    expected = sorted(["x^3", "x^2*u", "x*u^2", "u^3"])
-    if literal != expected:
-        return False, f"product generators {literal} differ from print"
-    # first pair: computed and reported, never asserted
-    I1 = [R.elem(g) for g in ("y^2", "v^2")]
-    J1 = [R.elem("y*v")]
-    IM1 = scaled_submodule(M, I1)
-    JM1 = scaled_submodule(M, J1)
-    eq1 = IM1.same_as(JM1)
-    report = f"first pair (y^2,v^2) vs (yv): engine reports IM=JM is {eq1}"
-    if not eq1:
-        for g in IM1.gens:
-            if not JM1.contains(g):
-                report += f", witness {g}"
-                break
-    return True, "second pair verified exactly as printed; " + report
-
-
-@_criterion(3, "Veronese-4 S2-ification: b^2 in (a)^cl_S and c^2 in (d)^cl_S")
-def criterion_3():
-    R, S = _veronese4()
-    clS = ModuleClosure(S, "cl_S")
-    one = ideal_member(clS, R, "b^2", ["a"])
-    two = ideal_member(clS, R, "c^2", ["d"])
-    if not one.holds:
-        return False, "b^2 not in (a)^cl_S"
-    if not two.holds:
-        return False, "c^2 not in (d)^cl_S"
-    neither = ideal_member(TrivialClosure(), R, "b^2", ["a"]).holds
-    if neither:
-        return False, "b^2 already in (a): presentation broken"
-    return True, "both memberships hold (and fail for the trivial closure)"
-
-
-@_criterion(4, "integral-closure obstruction: t = 1 for (x,y) in k[x,y]")
-def criterion_4():
-    R = _poly_ring(("x", "y"))
-    t = dietz_obstruction(MonomialIntegralClosure(), R, ["x", "y"], 3)
-    if t != 1:
-        return False, f"expected t = 1, got {t}"
-    none = dietz_obstruction(TrivialClosure(), R, ["x", "y"], 3)
-    if none is not None:
-        return False, f"trivial closure produced obstruction t = {none}"
-    return True, "t = 1 for integral closure; none for trivial"
-
-
-@_criterion(5, "colon-capturing suite on the Veronese-4 ring, sop (a, d)")
-def criterion_5():
-    R, S = _veronese4()
-    clS = ModuleClosure(S, "cl_S")
-    triv = check_colon_capturing(TrivialClosure(), R, ["a", "d"], "plain")
-    if triv.holds or str(triv.witness) != "b^2":
-        return False, f"trivial closure: expected failure with witness b^2, " \
-                      f"got holds={triv.holds} witness={triv.witness}"
-    plain = check_colon_capturing(clS, R, ["a", "d"], "plain")
-    if not plain.holds:
-        return False, f"cl_S fails plain colon-capturing: {plain.witness}"
-    strong_b = check_colon_capturing(clS, R, ["a", "d"], "strongB")
-    if not strong_b.holds:
-        return False, f"cl_S fails strongB: {strong_b.witness}"
-    for t in (1, 2, 3):
-        for a in range(t):
-            out = check_colon_capturing(clS, R, ["a", "d"], "strongA",
-                                        t=t, a=a)
-            if not out.holds:
-                return False, f"cl_S fails strongA(t={t},a={a}): {out.witness}"
-    return True, "trivial fails with witness b^2; cl_S passes plain, " \
-                 "strongB, and strongA for t <= 3, a < t"
-
-
-@_criterion(6, "phantom flags and image of 1 after the parameter modification")
-def criterion_6():
-    R, S = _veronese4()
-    clS = ModuleClosure(S, "cl_S")
-    trace = parameter_chain(R, clS, ["a", "d"], 1)
-    if len(trace) != 2:
-        return False, "no modification step was taken"
-    step = trace.stages[-1]
-    if step.descriptor.get("u") != ["b^2"]:
-        return False, f"unexpected bad relation: {step.descriptor}"
-    ph_s = phantom_test(clS, trace.current)
-    ph_t = phantom_test(TrivialClosure(), trace.current)
-    if not ph_s.holds:
-        return False, "modification is not cl_S-phantom"
-    if ph_t.holds:
-        return False, "modification is trivially phantom (should fail)"
-    if trace.image_of_one_in_m():
-        return False, "image of 1 fell into m M'"
-    return True, "phantom under cl_S, not under trivial; image of 1 " \
-                 "outside m M'"
 
 
 # --- criterion 7: property suites -------------------------------------------------
@@ -457,6 +417,7 @@ def criterion_7():
 
 criterion_7.number = 7
 criterion_7.title = "randomized property suites (>= 50 instances each)"
+criterion_7.units = [(_run_suite, k) for k in range(len(PROPERTY_SUITES))]
 
 
 # --- criterion 8: brute-force oracle agreement ------------------------------------
@@ -596,25 +557,17 @@ def criterion_10():
                   f"({', '.join(sorted(str(v.component(0)) for v in N.gens))})")
 
 
-CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
-
-
-def _units(fn):
-    """The independent units of a criterion, as (number, suite): criterion
-    7 is one unit per property suite, every other criterion one whole."""
-    if fn.number == 7:
-        return [(7, k) for k in range(len(PROPERTY_SUITES))]
-    return [(fn.number, None)]
+CRITERIA = sorted([_scripted(n, name) for name, numbers in
+                   PAPER_SCRIPTS.items() for n in numbers] +
+                  [criterion_7, criterion_8, criterion_9, criterion_10],
+                  key=lambda fn: fn.number)
 
 
 def _run_unit(unit):
-    """A criterion's CriterionResult, or a suite's (passed, detail,
-    seconds)."""
-    number, suite = unit
-    if suite is not None:
-        return _run_suite(suite)
-    return next(fn for fn in CRITERIA if fn.number == number)()
+    """The outcome of a unit, (function, argument): a suite's (passed,
+    detail, seconds), or else CriterionResults by number."""
+    fn, arg = unit
+    return fn(arg)
 
 
 def _run_unit_in_worker(unit):
@@ -637,12 +590,14 @@ def _worker_count(units):
     return min(units, len(os.sched_getaffinity(0)))
 
 
-def _report(run, verbose):
-    """`run(fn)` for each criterion, in criterion order; with `verbose`,
-    each line is printed as its result comes in."""
+def _report(outcome, verbose):
+    """The result of each criterion, in criterion order, from outcome(unit)
+    of its units; with `verbose`, each line is printed as it comes in."""
     results = []
     for fn in CRITERIA:
-        results.append(run(fn))
+        outs = [outcome(unit) for unit in fn.units]
+        results.append(_criterion_7(outs) if fn.number == 7 else
+                       outs[0][fn.number])
         if verbose:
             print(results[-1].line(), flush=True)
     return results
@@ -656,7 +611,9 @@ def run_all(verbose=True):
     is run again in this process; once a worker dies, the pool is broken
     and every unit still out is run here.  Every worker has been reaped
     when this returns or raises."""
-    units = [u for fn in CRITERIA for u in _units(fn)]
+    for name in PAPER_SCRIPTS:      # FileNotFoundError before any line
+        (SCRIPTS / name).stat()
+    units = list(dict.fromkeys(u for fn in CRITERIA for u in fn.units))
     workers = _worker_count(len(units))
     if workers > 1:
         import multiprocessing
@@ -664,11 +621,11 @@ def run_all(verbose=True):
                 "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers < 2:
-        return _report(lambda fn: fn(), verbose)
+        return _report(functools.cache(_run_unit), verbose)
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     # the closure-axioms suite, about a third of the work, goes first
-    units.sort(key=lambda u: u != (7, 0))
+    units.sort(key=lambda u: u != (_run_suite, 0))
     # an interrupt reaches this process alone, which then ends the workers
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
@@ -676,6 +633,7 @@ def run_all(verbose=True):
     try:
         pending = {u: pool.submit(_run_unit_in_worker, u) for u in units}
 
+        @functools.cache
         def outcome(unit):
             try:
                 out = pending[unit].result()
@@ -683,12 +641,7 @@ def run_all(verbose=True):
                 out = None
             return _run_unit(unit) if out is None else out
 
-        def run(fn):
-            if fn.number == 7:
-                return _criterion_7(map(outcome, _units(fn)))
-            return outcome((fn.number, None))
-
-        return _report(run, verbose)
+        return _report(outcome, verbose)
     except BaseException:
         # an early exit ends the running units too: by the executor's
         # terminate_workers (Python 3.14) where it has one, else by its

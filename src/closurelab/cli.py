@@ -1,7 +1,8 @@
 """closure-lab command line: run scripts, a small REPL, and verify-paper.
 
 Exit codes: 0 all checks passed, 1 some check returned false, 2 error
-(including an unexpected exception, reported as one `internal error:` line).
+(including an unexpected exception, reported as one `internal error:` line),
+130 interrupted (one `interrupted` line; the REPL returns to its prompt).
 """
 
 from __future__ import annotations
@@ -102,23 +103,35 @@ def repl(seed=0):
                 except (OSError, ScriptError, SessionVersionError,
                         EvalError) as exc:
                     print(f"error: {exc}")
+                except KeyboardInterrupt:
+                    print("interrupted")    # the session before stays
             else:
                 print("unknown command; :help")
             continue
         buffer += line + "\n"
         if ";" not in line:
             continue
-        text, buffer = buffer, ""
+        # an interrupt ends the statement running; those before it stay
+        text, buffer, done, note = buffer, "", len(session.log), None
         try:
-            for res in session.eval_text(text):
-                _print_result(res)
+            session.eval_text(text)
         except ScriptError as exc:
-            print(f"error: {exc}")
+            note = f"error: {exc}"
+        except KeyboardInterrupt:
+            note = "interrupted"
+        for _stmt, res in session.log[done:]:
+            _print_result(res)
+        if note:
+            print(note)
 
 
 def verify_paper(as_json=False):
     from .acceptance import run_all
-    results = run_all(verbose=not as_json)
+    try:
+        results = run_all(verbose=not as_json)
+    except (FileNotFoundError, ScriptError, EvalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if as_json:
         print(json.dumps([r.record() for r in results], indent=2,
                          sort_keys=True))
@@ -153,6 +166,9 @@ def main(argv=None) -> int:
         if args.command == "repl":
             return repl(seed=args.seed)
         return verify_paper(as_json=args.as_json)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -12,7 +12,7 @@ Grammar (statements end with ';', '#' starts a comment):
   iddef   := "ideal" NAME "=" call ";"
   moddef  := "module" NAME "=" call ";"
   cldef   := "closure" NAME "=" ("trivial" | "integral_closure" | call) ";"
-  check   := "check" call ";"
+  check   := "check" ["not"] call ";"
   modify  := "modify" NAME "=" call ";"
   export  := "export" ("json" | "session") STRING ";"
   call    := FORM "(" [arg {"," arg}] ")"
@@ -30,10 +30,12 @@ check_syntax scans again in polynomial mode.
 
 A statement parses into one of three nodes: RingDef, ExportStmt, or
 CallStmt for every other keyword.  Eq, hash and repr read every field of
-RingDef and ExportStmt, and of a CallStmt kind, name, form and args, but
-not bound, which follows from args.  An ideal statement's one form is the
-set head ideal, bound by the same signature: its generators are element
-texts, read in the ring when the statement runs.
+RingDef and ExportStmt, and of a CallStmt kind, name, form, args and
+negated, but not bound, which follows from args.  An ideal statement's
+one form is the set head ideal, bound by the same signature: its
+generators are element texts, read in the ring when the statement runs.
+`check not <form>(...)` holds when the form's check returns false; `not`
+before a form that answers a value (VALUED_CHECKS) is a syntax error.
 
 Printing an AST yields canonical source; parsing that source returns an
 equal AST.
@@ -132,6 +134,8 @@ def _params(spec):
 PARAMS = {form: _params(spec) for forms in SIGNATURES.values()
           for form, spec in forms.items()}
 CHECK_FNS = tuple(SIGNATURES["check"])
+# the checks that answer a value, not true or false: `check not` takes none
+VALUED_CHECKS = ("dietz_obstruction", "trivial_on")
 SET_HEADS = tuple(SIGNATURES["set"])
 
 CLOSURE_KEYWORDS = ("trivial", "integral_closure")
@@ -265,24 +269,25 @@ class CallStmt(Frozen):
     """A statement that is a call: kind is its keyword (ideal, module,
     closure, check or modify), name the name it binds (None for a check),
     form the call's head and args its arguments.  A closure keyword is a
-    form without arguments, and prints bare.  bound: parameter name ->
+    form without arguments, and prints bare.  negated marks a `check not`,
+    which holds when the form's check does not.  bound: parameter name ->
     argument value, as Parser.bind gives them; it follows from args, and
     is left out of eq, hash and repr."""
 
-    __slots__ = ("kind", "name", "form", "args", "bound")
-    _fields = ("kind", "name", "form", "args")
+    __slots__ = ("kind", "name", "form", "args", "bound", "negated")
+    _fields = ("kind", "name", "form", "args", "negated")
 
     def __init__(self, kind: str, name: str | None, form: str, args: tuple,
-                 bound: dict | None = None):
+                 bound: dict | None = None, negated: bool = False):
         self._set_slots(kind, name, form, args,
-                        {} if bound is None else bound)
+                        {} if bound is None else bound, negated)
 
     def show(self):
         call = self.form if self.form in CLOSURE_KEYWORDS else \
             Call(self.form, self.args).show()
         head = self.kind if self.name is None else \
             f"{self.kind} {self.name} ="
-        return f"{head} {call};"
+        return f"{head}{' not' * self.negated} {call};"
 
 
 class ExportStmt(Frozen):
@@ -536,11 +541,18 @@ class Parser:
             name = self.expect_name()
             self.expect("=")
         keywords = CLOSURE_KEYWORDS if kw == "closure" else ()
+        negated = kw == "check" and self.at("name") and \
+            self.peek().value == "not"
+        if negated:
+            at = self.take().pos
         form = self.expect_name(*keywords, *SIGNATURES[kw])
+        if negated and form in VALUED_CHECKS:
+            raise ScriptError(f"check not: {form} gives a value, not true "
+                              f"or false", self.text, at)
         args, bound = ((), {}) if form in keywords else \
             self.scan_call(form)
         self.expect(";")
-        return CallStmt(kw, name, form, args, bound)
+        return CallStmt(kw, name, form, args, bound, negated)
 
     def parse_field(self):
         name = self.expect_name("Q", "Fp")

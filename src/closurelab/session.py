@@ -327,7 +327,11 @@ class Session:
         return self._bind(stmt.name, "trace", trace, trace.descriptor())
 
     def _eval_check(self, stmt: CallStmt):
-        fn, args = stmt.form, stmt.bound
+        fields = self._check(stmt.form, stmt.bound)
+        return {**fields, "ok": not fields["ok"]} if stmt.negated else fields
+
+    def _check(self, fn, args):
+        """The result fields of check fn on its bound arguments args."""
         if fn == "member":
             return self._member_query(args["u"], args["N"])
         if fn == "equal":

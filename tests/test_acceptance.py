@@ -5,8 +5,8 @@ them); `closure-lab verify-paper` prints the same lines.  Each record,
 without `seconds`, must also equal its entry in
 `tests/golden/verify_paper.json` (see test_golden.py).  The tests after
 them run `verify-paper` through the CLI, on a pool of two workers and
-in-process, and check its records, its failures, a worker that dies, and
-that no worker outlives it.
+in-process, and check its records, its failures, the paper scripts that
+state criteria 1-6, a worker that dies, and that no worker outlives it.
 """
 
 import json
@@ -20,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from closurelab import acceptance
+from closurelab import acceptance, session
 from closurelab.cli import main
+from closurelab.closure import CheckOutcome
+from closurelab.dsl import parse_script
 from closurelab.poly import ParseError
 
 GOLDEN = {rec["criterion"]: rec for rec in json.loads(
@@ -82,6 +84,105 @@ def test_verify_paper_json_matches_golden(workers, pinned, capsys):
     assert code == 0
     assert records == list(GOLDEN.values())
     assert multiprocessing.active_children() == []
+
+
+def _flip_phantom(monkeypatch):
+    real = session.phantom_test
+    monkeypatch.setattr(session, "phantom_test", lambda cl, M: CheckOutcome(
+        not real(cl, M).holds))
+
+
+def _shift_obstruction(monkeypatch):
+    real = session.dietz_obstruction
+    monkeypatch.setattr(session, "dietz_obstruction", lambda *args: (
+        lambda t: None if t is None else t + 1)(real(*args)))
+
+
+@WORKERS
+@pytest.mark.parametrize("patch, number, detail", [
+    (_flip_phantom, 6, "veronese_s2.clab line 27: check phantom(clS, T); "
+     "does not hold"),
+    (_shift_obstruction, 4, "integral_obstruction.clab line 7: check "
+     "dietz_obstruction(integral_closure, [x, y], 3); does not read "
+     '{"result": {"t": 1}}')], ids=["check", "value"])
+def test_changed_engine_answer_fails_its_scripted_criterion(
+        workers, patch, number, detail, pinned, monkeypatch, capsys):
+    """Criteria 1-6 are the scripts' sections: an engine answer changed
+    fails the criterion whose section asks for it, at the line of the
+    statement, and no other."""
+    patch(monkeypatch)
+    pinned(workers)
+    code, records = _verify_paper_records(capsys)
+    assert code == 1
+    assert records == [
+        {**GOLDEN[number], "passed": False, "detail": detail}
+        if rec["criterion"] == number else GOLDEN[rec["criterion"]]
+        for rec in records]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_set_up_error_fails_every_section(tmp_path, monkeypatch):
+    name = "veronese_s2.clab"
+    text = (acceptance.SCRIPTS / name).read_text()
+    (tmp_path / name).write_text(text.replace("ideal(R, a);", "ideal(R, q);"))
+    monkeypatch.setattr(acceptance, "SCRIPTS", tmp_path)
+    results = acceptance._run_script(name)
+    assert sorted(results) == [3, 5, 6]
+    for result in results.values():
+        assert not result.passed
+        assert result.detail.startswith(
+            "veronese_s2.clab line 8: ideal A = ideal(R, q); error: ")
+
+
+def test_a_section_fails_without_a_check_or_a_valued_statement(
+        tmp_path, monkeypatch):
+    name = "integral_obstruction.clab"
+    lines = (acceptance.SCRIPTS / name).read_text().splitlines(True)
+    (tmp_path / name).write_text("".join(
+        line for line in lines if not line.startswith("check member")))
+    with monkeypatch.context() as patched:
+        patched.setattr(acceptance, "SCRIPTS", tmp_path)
+        result = acceptance._run_script(name)[4]
+    assert (result.passed, result.detail) == (
+        False, "integral_obstruction.clab: section 4 lacks a check")
+    missing = "check gcc(trivial, R, [a, d]);"
+    monkeypatch.setitem(acceptance.VALUES, 3, {missing: {"ok": True}})
+    result = acceptance._run_script("veronese_s2.clab")[3]
+    assert (result.passed, result.detail) == (
+        False, f"veronese_s2.clab: section 3 lacks {missing}")
+
+
+def test_paper_scripts_state_criteria_1_to_6():
+    """Every statement of a paper script is in its set-up or in a section,
+    the sections are criteria 1-6 with their titles, each holds a check,
+    and each VALUES entry names a statement of its section."""
+    stated = []
+    for name, numbers in acceptance.PAPER_SCRIPTS.items():
+        text = (acceptance.SCRIPTS / name).read_text()
+        stmts, titles = acceptance.sections(text)
+        assert [stmt for _l, _n, stmt, _s in stmts] == parse_script(text)
+        assert tuple(titles) == numbers
+        assert {n for _l, n, _s, _sp in stmts} <= {0, *numbers}
+        for number in numbers:
+            assert titles[number] == GOLDEN[number]["title"]
+            mine = [stmt for _l, n, stmt, _s in stmts if n == number]
+            assert any(stmt.kind == "check" for stmt in mine)
+            assert set(acceptance.VALUES.get(number, ())) <= \
+                {stmt.show() for stmt in mine}
+        stated += numbers
+    assert sorted(stated) == [1, 2, 3, 4, 5, 6]
+
+
+def test_missing_paper_script_is_one_error_line(tmp_path, monkeypatch,
+                                                capsys):
+    for name in ("square_subring.clab", "hypersurface_xyuv.clab"):
+        (tmp_path / name).write_text((acceptance.SCRIPTS / name).read_text())
+    monkeypatch.setattr(acceptance, "SCRIPTS", tmp_path)
+    assert main(["verify-paper"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: [Errno 2] No such file or directory: "
+                                f"'{tmp_path / 'veronese_s2.clab'}'"]
 
 
 def _patch_suite(monkeypatch, k, fn):
@@ -184,15 +285,19 @@ def test_broken_stdout_pipe_leaves_no_child():
 
 
 def test_interrupt_ends_every_worker():
-    proc = _python("from closurelab import acceptance, cli\n"
+    """An interrupt prints one line and exits 130, whatever interrupt
+    handling the test runner passed down."""
+    proc = _python("import signal, sys\n"
+                   "from closurelab import acceptance, cli\n"
+                   "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
                    "acceptance._worker_count = lambda units: min(units, 2)\n"
-                   "cli.main(['verify-paper'])\n",
+                   "sys.exit(cli.main(['verify-paper']))\n",
                    stdout=subprocess.PIPE, start_new_session=True)
     assert proc.stdout.readline().startswith("PASS  criterion  1 ")
     os.killpg(proc.pid, signal.SIGINT)
     _out, err = proc.communicate(timeout=120)
-    assert proc.returncode == -signal.SIGINT
-    assert err.splitlines()[-1] == "KeyboardInterrupt"
+    assert proc.returncode == 130
+    assert err.splitlines() == ["interrupted"]
     assert "ForkProcess" not in err         # the workers ignore the interrupt
     with pytest.raises(ProcessLookupError):  # and none is left in its group
         os.killpg(proc.pid, 0)

@@ -291,6 +291,7 @@ ideal I = ideal(R, a^2, a*b, b*c, c^2);
 module M = ideal_module(R, a, b);
 closure clM = module_closure(M);
 check member(a*c, closure(clM, I));
+check not member(b, closure(clM, I));
 check equal(product(I, M), product(I, M));
 modify T = parameter_chain(R, clM, [a, c], 1);
 export json "out.json";"""
@@ -300,6 +301,27 @@ def test_parse_print_identity_on_asts():
     stmts = parse_script(FIXTURE)
     printed = print_statements(stmts)
     assert parse_script(printed) == stmts
+    assert printed == FIXTURE
+
+
+def test_check_not_is_a_negated_check():
+    plain, negated = parse_script("check member(b, I);\n"
+                                  "check   not member(b, I);")
+    assert (plain.negated, negated.negated) == (False, True)
+    assert negated.show() == "check not member(b, I);"
+    assert negated != plain and len({plain, negated}) == 2
+    assert negated.bound == plain.bound
+
+
+@pytest.mark.parametrize("form", ["dietz_obstruction(trivial, [x], 1)",
+                                  "trivial_on(trivial, R)"],
+                         ids=["dietz_obstruction", "trivial_on"])
+def test_check_not_of_a_valued_form_is_a_positioned_error(form):
+    with pytest.raises(ScriptError) as err:
+        parse_script(f"ring R = poly(Q, [x], lex);\ncheck not {form};")
+    name = form.split("(")[0]
+    assert (err.value.line, err.value.col, err.value.bare_message) == \
+        (2, 7, f"check not: {name} gives a value, not true or false")
 
 
 def test_print_parse_normalizes_idempotently():

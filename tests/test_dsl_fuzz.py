@@ -174,10 +174,12 @@ def _fitting_call(draw, form):
 
 
 def _fitting_statement(stmt):
-    """A statement stmt of a form in dsl.SIGNATURES, with fitting arguments."""
+    """A statement stmt of a form in dsl.SIGNATURES, with fitting arguments;
+    a check may be a `check not`."""
     call = st.sampled_from(tuple(dsl.SIGNATURES[stmt])).flatmap(_fitting_call)
     if stmt == "check":
-        return call.map("check {};".format)
+        return st.builds("check {}{};".format, st.sampled_from(["", "not "]),
+                         call)
     return st.builds(f"{stmt} {{}} = {{}};".format, NAMES, call)
 
 

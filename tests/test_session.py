@@ -306,6 +306,26 @@ def test_cli_run_exit_codes(tmp_path, capsys):
 VERONESE4 = "ring R = subring(Q, [x,y], [x^4, x^3*y, x*y^3, y^4], [a,b,c,d]);\n"
 
 
+def test_check_not_holds_when_its_check_fails(tmp_path, capsys):
+    """`check not` turns ok round and keeps the check's witness; one that
+    fails is a false check, exit code 1."""
+    s = Session()
+    held, failed = s.eval_text(
+        VERONESE4 + "check not colon_capturing(trivial, R, [a, d], plain);\n"
+        "check not member(a*d, ideal(R, a));")[1:]
+    assert held.record() == {
+        "kind": "check", "ok": True, "witness": "b^2",
+        "src": "check not colon_capturing(trivial, R, [a, d], plain);"}
+    assert (failed.ok, failed.src) == (False,
+                                       "check not member(a*d, ideal(R, a));")
+    assert s.exit_code() == 1
+    script = tmp_path / "not.clab"
+    script.write_text(VERONESE4 + "check not member(a*d, ideal(R, a));\n")
+    assert main(["run", str(script)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "FALSE check not member(a*d, ideal(R, a));"
+
+
 @pytest.mark.parametrize("gen", ["y^2", "x*y^2", "x + y"])
 def test_cli_subring_module_on_one_generator(tmp_path, capsys, gen):
     script = tmp_path / "m.clab"
@@ -580,6 +600,111 @@ def test_load_reads_universal_newlines(tmp_path):
     want.eval_text(EX81)
     assert Session.load(crlf).digest() == want.digest()
     assert Session.load(cr).digest() == want.digest()
+
+
+BIG_POWER = ("ring R = poly(Q, [a,b,c,d], degrevlex);\n"
+             "ideal I = ideal(R, (a+b+c+d)^5000);\n")
+
+
+@pytest.fixture
+def interruptible():
+    """Start `closure-lab argv` in a child process that takes SIGINT as
+    KeyboardInterrupt, whatever handling the test runner passed down; it
+    prints `ready` just before the command starts.  A child still running
+    after 60 s is killed, and none outlives the test."""
+    import subprocess
+    import sys
+    import threading
+    procs = []
+
+    def start(argv, **kwargs):
+        code = ("import signal, sys\n"
+                "from closurelab import cli\n"
+                "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                "print('ready', flush=True)\n"
+                f"sys.exit(cli.main({argv!r}))\n")
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", code], text=True, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, **kwargs))
+        return procs[-1]
+
+    timer = threading.Timer(60, lambda: [proc.kill() for proc in procs])
+    timer.start()
+    yield start
+    timer.cancel()
+    timer.join()
+    for proc in procs:
+        proc.kill()
+        proc.wait()
+        for stream in (proc.stdin, proc.stdout, proc.stderr):
+            if stream is not None:
+                stream.close()
+
+
+def _interrupt(proc, then=None):
+    """Send proc SIGINT, then the text then (closing its input), and return
+    its whole output and error, read from proc.stdout and proc.stderr,
+    which may hold what an earlier readline buffered."""
+    import signal
+    proc.send_signal(signal.SIGINT)
+    if then is not None:
+        proc.stdin.write(then)
+        proc.stdin.close()
+    out, err = proc.stdout.read(), proc.stderr.read()
+    proc.wait()
+    return out, err
+
+
+def test_interrupted_run_prints_one_line_and_exits_130(tmp_path,
+                                                       interruptible):
+    import time
+    script = tmp_path / "big.clab"
+    script.write_text(BIG_POWER)
+    proc = interruptible(["run", str(script)])
+    assert proc.stdout.readline() == "ready\n"
+    time.sleep(1.0)
+    out, err = _interrupt(proc)
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+
+
+def test_interrupted_repl_statement_keeps_the_ones_before_it(
+        tmp_path, interruptible):
+    """An interrupt ends the statement running, or a `:load`, and returns
+    to the prompt; the statements before it on the same line are printed
+    and stay bound, the interrupted one binds nothing, and an interrupted
+    `:load` keeps the session as it was."""
+    import signal
+    import subprocess
+    import time
+    big = tmp_path / "big.clab"
+    big.write_text(BIG_POWER)
+    proc = interruptible(["repl"], stdin=subprocess.PIPE)
+
+    def send(text):
+        proc.stdin.write(text)
+        proc.stdin.flush()
+
+    def lines_through(prefix):
+        lines = [proc.stdout.readline()]
+        while lines[-1] and not lines[-1].startswith(prefix):
+            lines.append(proc.stdout.readline())
+        return lines
+
+    send("ring P = poly(Q, [x], lex);\n")
+    lines_through("      -> ")        # P is bound: the REPL reads on
+    send(BIG_POWER.replace("\n", " ") + "\n")
+    time.sleep(1.0)
+    proc.send_signal(signal.SIGINT)
+    first = lines_through("interrupted")
+    send(f":load {big}\n")
+    time.sleep(1.0)
+    out, err = _interrupt(proc, ":env\n:quit\n")
+    assert (proc.returncode, err) == (0, "")
+    assert first[0].startswith("> ring R = poly(Q, [a, b, c, d], degrevlex);")
+    assert first[1].startswith("      -> ")
+    assert first[2:] == ["interrupted\n"]
+    assert out.splitlines() == ["> interrupted", ">   P: ring", "  R: ring",
+                                "> "]
 
 
 def test_repl_save_and_load_without_a_path_print_usage():

@@ -142,16 +142,18 @@ def test_reprs_are_the_dataclass_reprs():
         "vars=('x', 'y'), order_spec=('wdegrevlex', (1, 2)), "
         "relations=('x^2 - y',), images=(), pres_names=(), kind='ring')",
         "CallStmt(kind='module', name='M', form='ideal_module', "
-        "args=(Name(value='R'), Name(value='x'), Name(value='y')))",
+        "args=(Name(value='R'), Name(value='x'), Name(value='y')), "
+        "negated=False)",
         "CallStmt(kind='closure', name='c', form='module_closure', "
-        "args=(Name(value='M'),))",
+        "args=(Name(value='M'),), negated=False)",
         "CallStmt(kind='check', name=None, form='member', "
         "args=(Expr(text='x*y'), Call(head='closure', "
         "args=(Name(value='c'), Call(head='ideal', args=(Name(value='R'), "
-        "Name(value='x')))))))",
+        "Name(value='x')))))), negated=False)",
         "ExportStmt(what='json', path='out.json', kind='export')",
         "CallStmt(kind='ideal', name='I', form='ideal', "
-        "args=(Name(value='R'), Name(value='x'), Expr(text='y^2')))"]
+        "args=(Name(value='R'), Name(value='x'), Expr(text='y^2')), "
+        "negated=False)"]
     parser = Parser("check member(x, N);")
     parser.parse_script()
     assert repr(parser.spans) == (
